@@ -77,10 +77,6 @@ func runTransportBench(path, label string, quick bool, stdout, stderr io.Writer)
 	fmt.Fprintf(stdout, "transport bench [%s] appended to %s (%d runs)\n", label, path, len(file.Runs))
 	fmt.Fprintf(stdout, "  send throughput:   %.0f frames/s (%d frames, %.1f frames/flush mean)\n",
 		res.SendFramesPerSec, res.SendFrames, res.MeanBatchFrames)
-	if res.GobSendFramesPerSec > 0 {
-		fmt.Fprintf(stdout, "  gob wire compare:  %.0f frames/s (%.1fx speedup on the binary codec)\n",
-			res.GobSendFramesPerSec, res.SendFramesPerSec/res.GobSendFramesPerSec)
-	}
 	fmt.Fprintf(stdout, "  rpc latency:       mean %.1fµs  p95 %.1fµs (%d calls)\n",
 		res.RPCMeanMicros, res.RPCP95Micros, res.RPCCalls)
 	fmt.Fprintf(stdout, "  broadcast fan-out: %.0f msgs/s over %d nodes\n",

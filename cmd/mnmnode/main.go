@@ -1,7 +1,7 @@
 // Command mnmnode runs ONE process of an m&m system as one OS process,
 // communicating with its peers over TCP: messages travel as compact
-// binary frames through internal/transport/tcp (gob remains the fallback
-// codec for unregistered payload types), and shared registers owned by
+// binary frames through internal/transport/tcp (payloads through the
+// generated codecs of internal/wire), and shared registers owned by
 // remote processes are reached through the same transport's RPC plane.
 // Launching n mnmnode processes with the same -addrs table yields the
 // paper's model over real sockets. With -tls-cert/-tls-key (and
@@ -238,7 +238,7 @@ func run() int {
 	}
 
 	var algo core.Algorithm
-	var finish func(h *rt.Host, deadline time.Time) (string, error)
+	var finish func(h *rt.Group, deadline time.Time) (string, error)
 	switch *alg {
 	case "hbo":
 		vals, err := parseInputs(*inputs, *n)
@@ -247,7 +247,7 @@ func run() int {
 			return 2
 		}
 		algo = hbo.New(hbo.Config{Inputs: vals, HaltAfterDecide: true})
-		finish = func(h *rt.Host, deadline time.Time) (string, error) {
+		finish = func(h *rt.Group, deadline time.Time) (string, error) {
 			v, err := awaitExposed(h, self, hbo.DecisionKey, deadline)
 			if err != nil {
 				return "", err
@@ -261,7 +261,7 @@ func run() int {
 		}
 		algo = leader.New(leader.Config{Notifier: kind})
 		window := *stable
-		finish = func(h *rt.Host, deadline time.Time) (string, error) {
+		finish = func(h *rt.Group, deadline time.Time) (string, error) {
 			l, err := awaitStableLeader(h, self, window, deadline)
 			if err != nil {
 				return "", err
@@ -278,7 +278,7 @@ func run() int {
 			Leader:             leader.Config{Notifier: leader.SharedMemoryNotifier},
 		})
 		total := *n * *cmds
-		finish = func(h *rt.Host, deadline time.Time) (string, error) {
+		finish = func(h *rt.Group, deadline time.Time) (string, error) {
 			return awaitRSM(h, self, total, deadline)
 		}
 	default:
@@ -466,7 +466,7 @@ func groupStatus(node *rt.Node, self core.ProcID) map[string]any {
 // monitorLeader polls the node's exposed leader output and meters every
 // adoption of a new leader as a LeaderChanges event, so election churn is
 // visible on the metrics plane (a clean run settles at 1).
-func monitorLeader(h *rt.Host, self core.ProcID, c *metrics.Counters, stop <-chan struct{}) {
+func monitorLeader(h *rt.Group, self core.ProcID, c *metrics.Counters, stop <-chan struct{}) {
 	cur := core.NoProc
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
@@ -542,7 +542,7 @@ func parseInputs(s string, n int) ([]benor.Val, error) {
 }
 
 // awaitExposed polls until process p exposes key, or the deadline passes.
-func awaitExposed(h *rt.Host, p core.ProcID, key string, deadline time.Time) (core.Value, error) {
+func awaitExposed(h *rt.Group, p core.ProcID, key string, deadline time.Time) (core.Value, error) {
 	for time.Now().Before(deadline) {
 		if v := h.Exposed(p, key); v != nil {
 			return v, nil
@@ -557,7 +557,7 @@ func awaitExposed(h *rt.Host, p core.ProcID, key string, deadline time.Time) (co
 // (applied, hash) pair has been still for half a second — the hash chain
 // over a settled log is the cross-node agreement check, so the line is
 // printed only once it can no longer move.
-func awaitRSM(h *rt.Host, p core.ProcID, total int, deadline time.Time) (string, error) {
+func awaitRSM(h *rt.Group, p core.ProcID, total int, deadline time.Time) (string, error) {
 	lastApplied, lastHash := -1, uint64(0)
 	var since time.Time
 	for time.Now().Before(deadline) {
@@ -577,7 +577,7 @@ func awaitRSM(h *rt.Host, p core.ProcID, total int, deadline time.Time) (string,
 
 // awaitStableLeader polls process p's leader output until it has held one
 // non-⊥ value for window, or the deadline passes.
-func awaitStableLeader(h *rt.Host, p core.ProcID, window time.Duration, deadline time.Time) (core.ProcID, error) {
+func awaitStableLeader(h *rt.Group, p core.ProcID, window time.Duration, deadline time.Time) (core.ProcID, error) {
 	cur := core.NoProc
 	var since time.Time
 	for time.Now().Before(deadline) {

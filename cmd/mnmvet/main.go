@@ -3,24 +3,23 @@
 //
 //	go run ./cmd/mnmvet ./...          # whole repo (what CI's lint job runs)
 //	go run ./cmd/mnmvet -list          # describe the rules
-//	go run ./cmd/mnmvet -run wiregob,timerleak ./internal/...
+//	go run ./cmd/mnmvet -run wirecodec,timerleak ./internal/...
 //	go run ./cmd/mnmvet -sarif ./...   # SARIF 2.1.0 (CI uploads this)
 //	go run ./cmd/mnmvet -json ./...    # flat JSON findings
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 //
-// The ten rules (see DESIGN.md "Machine-checked invariants"):
+// The nine rules (see DESIGN.md "Machine-checked invariants"):
 //
 //	simdeterminism  no wall clock / global rand in deterministic packages
-//	wiregob         every wire-crossing type is gob-registered
-//	wirecodec       generated wire_codec.go matches the gob.Register set
+//	wirecodec       every wire-crossing type is listed in wire.go and has a current generated codec
 //	lockedblocking  no blocking work while a mutex is held (sees through calls)
 //	timerleak       no time.After in loops, no time.Tick
 //	stopselect      channel waits in rt/transport are stop-interruptible
 //	fsyncorder      WAL append/fsync dominates the mutation or ack it guards
 //	lockorder       the cross-package lock-acquisition graph stays acyclic
 //	spanprop        transport sends thread the trace context or fall back explicitly
-//	ctrlgroup       ack/hello/reject frames pin group 0 and a zero trace triple
+//	ctrlgroup       ack/hello frames pin group 0 and a zero trace triple
 //
 // The last four run on interprocedural effect summaries: a package-level
 // call graph with per-function effects propagated bottom-up over SCCs,

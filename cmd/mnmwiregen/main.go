@@ -1,21 +1,23 @@
-// Command mnmwiregen generates the binary payload codecs the socket
-// transport's wire plane uses instead of per-frame gob.
+// Command mnmwiregen generates the binary payload codecs of the socket
+// transport's wire plane (internal/wire).
 //
 //	go run ./cmd/mnmwiregen ./...          # (re)write wire_codec.go files
 //	go run ./cmd/mnmwiregen -check ./...   # verify they are current (CI)
 //
-// For every package with a wire.go, the gob.Register set there is the
-// source of truth (the same set mnmvet's wiregob rule enforces): one
-// wire_codec.go is emitted next to wire.go with a flat binary codec per
-// registered type, plus a fingerprint manifest that mnmvet's wirecodec
-// rule checks so the generated file cannot silently go stale.
+// For every package with a wire.go, the //mnmwiregen:types directive
+// there is the source of truth (mnmvet's wirecodec rule holds the
+// package's sends to the same list): one wire_codec.go is emitted next to
+// wire.go with a flat binary codec per listed type, plus a fingerprint
+// manifest that the wirecodec rule checks so the generated file cannot
+// silently go stale. A listed name that is not a concrete type declared
+// in the package is an error.
 //
 // Exit status: 0 clean (or up to date with -check), 1 stale files under
-// -check, 2 usage or load failure.
+// -check, 2 usage, load or directive failure.
 //
 // If a stale wire_codec.go no longer compiles (e.g. a field was renamed),
-// delete it and rerun — generation only needs wire.go and the type
-// definitions to type-check.
+// delete it and rerun — generation only needs the type definitions to
+// type-check.
 package main
 
 import (
@@ -72,10 +74,10 @@ func run(args []string, stdout, stderr *os.File) int {
 		got, readErr := os.ReadFile(path)
 		switch {
 		case want == nil:
-			// No registered wire types: no codec file belongs here.
+			// No listed wire types: no codec file belongs here.
 			if readErr == nil {
 				if *check {
-					fmt.Fprintf(stdout, "mnmwiregen: %s: stray %s (package registers no wire types)\n", pkg.ImportPath, wiregen.FileName)
+					fmt.Fprintf(stdout, "mnmwiregen: %s: stray %s (package lists no wire types)\n", pkg.ImportPath, wiregen.FileName)
 					stale++
 				} else if err := os.Remove(path); err != nil {
 					fmt.Fprintf(stderr, "mnmwiregen: %v\n", err)

@@ -4,8 +4,8 @@
 // repo stays dependency-free while its invariants are machine-checked.
 //
 // The analyzers encode rules the compiler cannot see but the m&m
-// protocols die without: per-seed byte-identical simulation, gob
-// registration of every wire-crossing type, no blocking work under a
+// protocols die without: per-seed byte-identical simulation, a payload
+// codec for every wire-crossing type, no blocking work under a
 // peer lock, no timer leaks in loops, and stop-interruptible channel
 // waits in the runtime layer. See DESIGN.md "Machine-checked
 // invariants" for the rule-to-theorem mapping.

@@ -1,5 +1,5 @@
 // Package ctrlgroup defines an Analyzer pinning the wire v4 control-plane
-// header contract: ack, hello and reject frames are transport-level, not
+// header contract: ack and hello frames are transport-level, not
 // group-level, so their constructors must leave Group as group 0 and the
 // trace triple (TraceID, SpanID, Lamport) zero. The v4 header carries
 // those fields for every frame — [34:38] Group, [38:46] TraceID,
@@ -11,7 +11,7 @@
 //
 // The rule is syntactic and scoped to the tcp transport (fixtures opt in
 // with //mnmvet:scope ctrlgroup): a composite literal of the frame
-// struct whose Kind is frameAck, frameHello or frameReject must not set
+// struct whose Kind is frameAck or frameHello must not set
 // Group, TraceID, SpanID or Lamport to anything but a constant zero.
 package ctrlgroup
 
@@ -27,7 +27,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:  "ctrlgroup",
 	Scope: []string{"internal/transport/tcp"},
-	Doc: "ack/hello/reject frame literals must pin group 0 and a zero trace triple " +
+	Doc: "ack/hello frame literals must pin group 0 and a zero trace triple " +
 		"(Group/TraceID/SpanID/Lamport unset or constant 0) — control frames are " +
 		"transport-plane, not tenant-plane, in the wire v4 header",
 	Run: run,
@@ -35,9 +35,8 @@ var Analyzer = &analysis.Analyzer{
 
 // ctrlKinds are the control-plane frame kinds, by constant name.
 var ctrlKinds = map[string]bool{
-	"frameAck":    true,
-	"frameHello":  true,
-	"frameReject": true,
+	"frameAck":   true,
+	"frameHello": true,
 }
 
 // pinnedFields must stay zero on control frames.

@@ -328,7 +328,7 @@ func heldName(held map[string]bool) string {
 }
 
 // logNames are method/field names the repo uses for logging callbacks
-// (rt.Host.logf, tcp.Transport.log) plus the core.Env logging surface.
+// (rt.Group.logf, tcp.Transport.log) plus the core.Env logging surface.
 var logNames = map[string]bool{"log": true, "logf": true, "Logf": true}
 
 // checkCall flags blocking or slow calls made under a lock.

@@ -2,7 +2,7 @@
 // convention: in internal/rt and internal/transport*, no goroutine may
 // park on a channel operation that a Stop/Close cannot interrupt.
 //
-// The repo's teardown story (rt.Host.Stop, tcp.Transport.Close) depends
+// The repo's teardown story (rt.Group.Stop, tcp.Transport.Close) depends
 // on every parked goroutine having an exit path: Transport.Call selects
 // on t.done, peer.sleep selects on the transport's done channel, and the
 // drain path uses a condition variable broadcast on close. One bare

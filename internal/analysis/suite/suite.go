@@ -13,7 +13,6 @@ import (
 	"github.com/mnm-model/mnm/internal/analysis/stopselect"
 	"github.com/mnm-model/mnm/internal/analysis/timerleak"
 	"github.com/mnm-model/mnm/internal/analysis/wirecodec"
-	"github.com/mnm-model/mnm/internal/analysis/wiregob"
 )
 
 // All returns every mnmvet analyzer, in reporting order: the v1
@@ -23,7 +22,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		simdeterminism.Analyzer,
-		wiregob.Analyzer,
 		wirecodec.Analyzer,
 		lockedblocking.Analyzer,
 		timerleak.Analyzer,

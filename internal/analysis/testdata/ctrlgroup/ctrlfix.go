@@ -10,7 +10,6 @@ const (
 	frameData frameKind = iota
 	frameAck
 	frameHello
-	frameReject
 )
 
 // frame mirrors the wire v4 header-carrying struct: the analyzer keys on
@@ -35,9 +34,9 @@ func mkHello(tid, sid uint64) frame {
 	return frame{Kind: frameHello, TraceID: tid, SpanID: sid} // want "frameHello frame sets TraceID" "frameHello frame sets SpanID"
 }
 
-// mkReject stamps a Lamport tick on a control frame, via pointer literal.
-func mkReject(lt uint64) *frame {
-	return &frame{Kind: frameReject, Lamport: lt} // want "frameReject frame sets Lamport"
+// mkHelloPtr stamps a Lamport tick on a control frame, via pointer literal.
+func mkHelloPtr(lt uint64) *frame {
+	return &frame{Kind: frameHello, Lamport: lt} // want "frameHello frame sets Lamport"
 }
 
 // mkAckConst is caught even when the value is a named non-zero constant.

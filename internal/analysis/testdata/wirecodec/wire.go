@@ -1,17 +1,11 @@
 // Positive fixture: a package with a wire.go whose generated codec
-// manifest (wire_codec.go) has drifted from the gob.Register set in
-// three ways — a registered type with no codec, a codec whose
+// manifest (wire_codec.go) has drifted from the //mnmwiregen:types list
+// in three ways — a listed type with no codec, a codec whose
 // fingerprint no longer matches the type, and a codec for a type that
-// is no longer registered.
+// is no longer listed.
 package codecfix
 
-import "encoding/gob"
-
-func init() {
-	gob.Register(Good{})
-	gob.Register(Drifted{})
-	gob.Register(Missing{})
-}
+//mnmwiregen:types Good Drifted Missing
 
 // Good has a manifest entry with the correct fingerprint.
 type Good struct {
@@ -25,7 +19,7 @@ type Drifted struct { // want "stale codec for Drifted"
 	Added bool
 }
 
-// Missing is registered but was never run through the generator.
+// Missing is listed but was never run through the generator.
 type Missing struct { // want "missing from the wire_codec.go manifest"
 	Q uint64
 }

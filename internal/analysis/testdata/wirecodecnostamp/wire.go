@@ -1,13 +1,9 @@
-// Fixture: the codec manifest matches the gob.Register set exactly,
+// Fixture: the codec manifest matches the //mnmwiregen:types list exactly,
 // but the generated file predates frame-header versioning and carries
 // no //mnmwiregen:wireversion stamp at all.
 package nostampfix
 
-import "encoding/gob"
-
-func init() {
-	gob.Register(Fine{})
-}
+//mnmwiregen:types Fine
 
 // Fine has a current codec fingerprint — only the stamp is missing.
 type Fine struct {

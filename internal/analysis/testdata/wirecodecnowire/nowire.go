@@ -1,6 +1,6 @@
 // Negative fixture: without a wire.go the package has opted out of the
-// registration convention (it never crosses the socket transport), so
-// nothing is reported even for unregistered payloads.
+// wire-type convention (it never crosses the socket transport), so
+// nothing is reported even for unlisted payloads.
 package nowirefix
 
 type Value any

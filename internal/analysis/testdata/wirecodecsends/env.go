@@ -1,4 +1,4 @@
-// Positive fixture: a package with a wire.go must register every local
+// Positive fixture: a package with a wire.go must list every local
 // type it hands to the wire surface (interface methods named Send /
 // Broadcast / Write / CompareAndSwap with interface-typed payload
 // parameters — the core.Env shape).
@@ -15,7 +15,9 @@ type Env interface {
 	CompareAndSwap(ref string, expected, desired Value) (bool, Value, error)
 }
 
-type RegisteredMsg struct{ X int }
+// RegisteredMsg is listed; the fixture has no generated file, which is
+// the manifest half of the rule speaking.
+type RegisteredMsg struct{ X int } // want "no wire_codec.go; run mnmwiregen"
 
 type UnregisteredMsg struct{ Y int }
 
@@ -27,19 +29,19 @@ func Use(env Env) error {
 	if err := env.Broadcast(RegisteredMsg{X: 1}); err != nil {
 		return err
 	}
-	if err := env.Send(1, UnregisteredMsg{Y: 2}); err != nil { // want "never gob.Register-ed"
+	if err := env.Send(1, UnregisteredMsg{Y: 2}); err != nil { // want "not listed in this package's //mnmwiregen:types directive"
 		return err
 	}
-	if err := env.Write("r", UnregisteredReg{N: 3}); err != nil { // want "never gob.Register-ed"
+	if err := env.Write("r", UnregisteredReg{N: 3}); err != nil { // want "not listed in this package's //mnmwiregen:types directive"
 		return err
 	}
-	// Both CAS payload positions count; one registration gap, one report.
-	_, _, err := env.CompareAndSwap("r", UnregisteredVal(0), UnregisteredVal(1)) // want "never gob.Register-ed"
+	// Both CAS payload positions count; one listing gap, one report.
+	_, _, err := env.CompareAndSwap("r", UnregisteredVal(0), UnregisteredVal(1)) // want "not listed in this package's //mnmwiregen:types directive"
 	if err != nil {
 		return err
 	}
-	// Foreign and basic types are the transport's (pre-registered)
-	// responsibility, not this package's.
+	// Foreign and basic types are their own package's (or internal/wire's
+	// builtin) responsibility, not this package's.
 	if err := env.Broadcast(7); err != nil {
 		return err
 	}

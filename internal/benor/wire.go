@@ -1,20 +1,15 @@
 package benor
 
-import (
-	"encoding/gob"
+import "github.com/mnm-model/mnm/internal/core"
 
-	"github.com/mnm-model/mnm/internal/core"
-)
-
-// The socket transport (internal/transport/tcp) gob-encodes message
-// payloads as core.Value, which requires every concrete payload type to be
-// registered. Each algorithm package registers its own wire types here so
-// that simply importing the algorithm makes it runnable over any backend.
-func init() {
-	gob.Register(Msg{})
-	gob.Register(Decided{})
-	gob.Register(Val(0))
-}
+// The socket transport (internal/transport/tcp) encodes message payloads
+// and register values as core.Value through named codecs (internal/wire),
+// which requires every concrete payload type to have one. Each algorithm
+// package lists its own wire types here; cmd/mnmwiregen generates their
+// codecs into wire_codec.go, so that simply importing the algorithm makes
+// it runnable over any backend.
+//
+//mnmwiregen:types Msg Decided Val
 
 // WirePayloads returns one representative of every payload type this
 // package sends, for transport round-trip tests.

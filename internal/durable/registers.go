@@ -151,7 +151,7 @@ func (s *Registers) Close() error {
 
 // encodeRegister flattens (ref, value) into one WAL record body using the
 // wire helpers: owner, name, I, J, then the value through the registered
-// payload codecs (gob fallback included, same as frame payloads).
+// payload codecs (same as frame payloads: a type without one is an error).
 func encodeRegister(ref core.Ref, v core.Value) ([]byte, error) {
 	b := wire.AppendVarint(nil, int64(ref.Owner))
 	b = wire.AppendString(b, ref.Name)

@@ -44,7 +44,7 @@ import (
 
 // maxRecordSize bounds one WAL record; larger means a corrupt length
 // prefix (the transport's own frame limit is 16 MiB, and register values
-// are bounded by wire.MaxValue, also 16 MiB).
+// cross the wire in those frames).
 const maxRecordSize = 17 << 20
 
 // WAL is a single append-only log file. Methods are not safe for

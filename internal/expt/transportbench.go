@@ -56,12 +56,6 @@ type TransportBenchResult struct {
 	MeanBatchFrames float64 `json:"mean_batch_frames"`
 	AckFlushes      int64   `json:"ack_flushes"`
 
-	// The same one-directional send measured over the legacy gob wire
-	// (tcp.ProtoGob) — the denominator of the binary-codec speedup. The
-	// main numbers above always use the default binary protocol.
-	GobSendFrames       int     `json:"gob_send_frames"`
-	GobSendFramesPerSec float64 `json:"gob_send_frames_per_sec"`
-
 	// Multi-group fan-out: MultiGroupGroups shards multiplexed over ONE
 	// loopback node pair — one shared connection per direction — every
 	// shard sending concurrently. MultiGroupFrames is the aggregate data
@@ -90,10 +84,6 @@ func transportBenchExperiment() Experiment {
 		tb := newTable(w)
 		tb.row("metric", "value")
 		tb.row("send throughput (frames/s)", fmt.Sprintf("%.0f", r.SendFramesPerSec))
-		tb.row("send throughput, gob wire (frames/s)", fmt.Sprintf("%.0f", r.GobSendFramesPerSec))
-		if r.GobSendFramesPerSec > 0 {
-			tb.row("binary-over-gob speedup", fmt.Sprintf("%.1fx", r.SendFramesPerSec/r.GobSendFramesPerSec))
-		}
 		tb.row("rpc latency mean (µs)", fmt.Sprintf("%.1f", r.RPCMeanMicros))
 		tb.row("rpc latency p95 (µs)", fmt.Sprintf("%.1f", r.RPCP95Micros))
 		tb.row(fmt.Sprintf("broadcast fan-out, %d nodes (msgs/s)", r.BroadcastNodes),
@@ -119,15 +109,14 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// benchMesh builds an n-node loopback mesh of single-process transports
-// speaking proto (0 = the default protocol), instrumenting node i with
-// regs[i] (nil entries and a nil/short slice leave nodes uninstrumented),
-// and waits for every link.
-func benchMesh(n int, regs []*metrics.Registry, proto int) ([]*tcp.Transport, error) {
+// benchMesh builds an n-node loopback mesh of single-process transports,
+// instrumenting node i with regs[i] (nil entries and a nil/short slice
+// leave nodes uninstrumented), and waits for every link.
+func benchMesh(n int, regs []*metrics.Registry) ([]*tcp.Transport, error) {
 	trs := make([]*tcp.Transport, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		cfg := tcp.Config{N: n, Hosted: []core.ProcID{core.ProcID(i)}, ListenAddr: "127.0.0.1:0", Protocol: proto}
+		cfg := tcp.Config{N: n, Hosted: []core.ProcID{core.ProcID(i)}, ListenAddr: "127.0.0.1:0"}
 		if i < len(regs) {
 			cfg.Registry = regs[i]
 		}
@@ -197,7 +186,7 @@ func RunTransportBench(p Params) (TransportBenchResult, error) {
 	// nodes get separate registries so node 1's ack-only flushes do not
 	// pollute node 0's data-batch histogram.
 	reg0, reg1 := metrics.NewRegistry(2), metrics.NewRegistry(2)
-	pair, err := benchMesh(2, []*metrics.Registry{reg0, reg1}, 0)
+	pair, err := benchMesh(2, []*metrics.Registry{reg0, reg1})
 	if err != nil {
 		return r, err
 	}
@@ -247,7 +236,7 @@ func RunTransportBench(p Params) (TransportBenchResult, error) {
 	closeAll(pair)
 
 	// Phase 3: broadcast fan-out over a mesh.
-	mesh, err := benchMesh(r.BroadcastNodes, nil, 0)
+	mesh, err := benchMesh(r.BroadcastNodes, nil)
 	if err != nil {
 		return r, err
 	}
@@ -273,30 +262,7 @@ func RunTransportBench(p Params) (TransportBenchResult, error) {
 	r.BroadcastMsgsPerSec = float64(total) / time.Since(start).Seconds()
 	closeAll(mesh)
 
-	// Phase 4: the phase-1 send again over the legacy gob wire, so every
-	// appended run carries its own gob-vs-binary comparison.
-	r.GobSendFrames = r.SendFrames
-	gobPair, err := benchMesh(2, nil, tcp.ProtoGob)
-	if err != nil {
-		return r, err
-	}
-	start = time.Now()
-	go func() {
-		for i := 0; i < r.GobSendFrames; i++ {
-			gobPair[0].Send(0, 1, i)
-		}
-	}()
-	for received := 0; received < r.GobSendFrames; {
-		if _, ok := gobPair[1].TryRecv(1); ok {
-			received++
-		} else {
-			runtime.Gosched()
-		}
-	}
-	r.GobSendFramesPerSec = float64(r.GobSendFrames) / time.Since(start).Seconds()
-	closeAll(gobPair)
-
-	// Phase 5: multi-group fan-out — the sharded mesh. G groups opened
+	// Phase 4: multi-group fan-out — the sharded mesh. G groups opened
 	// over one fresh node pair (one shared connection per direction), all
 	// sending concurrently; the receiver drains every shard's mailbox.
 	r.MultiGroupGroups = 32
@@ -305,7 +271,7 @@ func RunTransportBench(p Params) (TransportBenchResult, error) {
 		r.MultiGroupGroups, perGroup = 8, 250
 	}
 	r.MultiGroupFrames = r.MultiGroupGroups * perGroup
-	shardPair, err := benchMesh(2, nil, 0)
+	shardPair, err := benchMesh(2, nil)
 	if err != nil {
 		return r, err
 	}

@@ -1,19 +1,14 @@
 package hbo
 
 import (
-	"encoding/gob"
-
 	"github.com/mnm-model/mnm/internal/benor"
 	"github.com/mnm-model/mnm/internal/core"
 )
 
-// Wire-type registration for the socket transport; see the comment in
+// Wire types for the socket transport; see the comment in
 // internal/benor/wire.go.
-func init() {
-	gob.Register(Msg{})
-	gob.Register(Decided{})
-	gob.Register(Tuple{})
-}
+//
+//mnmwiregen:types Msg Decided Tuple
 
 // WirePayloads returns one representative of every payload type this
 // package sends, for transport round-trip tests.

@@ -1,24 +1,14 @@
 package leader
 
-import (
-	"encoding/gob"
+import "github.com/mnm-model/mnm/internal/core"
 
-	"github.com/mnm-model/mnm/internal/core"
-)
-
-// Wire-type registration for the socket transport; see the comment in
+// Wire types for the socket transport; see the comment in
 // internal/benor/wire.go. The sentinel messages are unexported empty
-// structs — gob handles those fine as long as both sides registered them,
-// which importing this package guarantees.
-func init() {
-	gob.Register(accusationMsg{})
-	gob.Register(notifyMsg{})
-	gob.Register(heartbeatMsg{})
-	// State is a register value, not a message: it crosses the wire
-	// inside remote register reads/writes when the system is distributed
-	// across OS processes.
-	gob.Register(State{})
-}
+// structs: their codec name is the whole encoding. State is a register
+// value, not a message: it crosses the wire inside remote register
+// reads/writes when the system is distributed across OS processes.
+//
+//mnmwiregen:types accusationMsg notifyMsg heartbeatMsg State
 
 // WirePayloads returns one representative of every payload type this
 // package sends, for transport round-trip tests.

@@ -63,7 +63,7 @@ func NewRegistry(n int) *Registry {
 }
 
 // NewRegistryWith returns a registry reporting counter events into c,
-// which may be shared with other consumers (e.g. an rt.Host's Counters).
+// which may be shared with other consumers (e.g. an rt.Group's Counters).
 func NewRegistryWith(c *Counters) *Registry {
 	return &Registry{counters: c, hists: make(map[string]*Histogram)}
 }

@@ -1,16 +1,11 @@
 package mutex
 
-import (
-	"encoding/gob"
+import "github.com/mnm-model/mnm/internal/core"
 
-	"github.com/mnm-model/mnm/internal/core"
-)
-
-// Wire-type registration for the socket transport; see the comment in
+// Wire types for the socket transport; see the comment in
 // internal/benor/wire.go.
-func init() {
-	gob.Register(wakeMsg{})
-}
+//
+//mnmwiregen:types wakeMsg
 
 // WirePayloads returns one representative of every payload type this
 // package sends, for transport round-trip tests.

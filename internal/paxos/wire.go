@@ -1,18 +1,13 @@
 package paxos
 
-import (
-	"encoding/gob"
+import "github.com/mnm-model/mnm/internal/core"
 
-	"github.com/mnm-model/mnm/internal/core"
-)
-
-// Wire-type registration for the socket transport; see the comment in
+// Wire types for the socket transport; see the comment in
 // internal/benor/wire.go. Paxos communicates through shared registers
 // only, so its wire types are register values crossing the remote-register
 // RPC plane rather than messages.
-func init() {
-	gob.Register(Block{})
-}
+//
+//mnmwiregen:types Block
 
 // WirePayloads returns one representative of every wire-crossing value
 // this package stores in registers, for transport round-trip tests.

@@ -1,17 +1,11 @@
 package rsm
 
-import (
-	"encoding/gob"
+import "github.com/mnm-model/mnm/internal/core"
 
-	"github.com/mnm-model/mnm/internal/core"
-)
-
-// Wire-type registration for the socket transport; see the comment in
+// Wire types for the socket transport; see the comment in
 // internal/benor/wire.go.
-func init() {
-	gob.Register(submitMsg{})
-	gob.Register(Command{})
-}
+//
+//mnmwiregen:types submitMsg Command
 
 // WirePayloads returns one representative of every payload type this
 // package sends, for transport round-trip tests.

@@ -143,14 +143,6 @@ func (r *Result) Err() error {
 	return errors.Join(errs...)
 }
 
-// Host is the single-group special case of Group, kept as a thin
-// compatibility alias: a Host built by New owns its transport outright
-// (Stop closes and drains it), which is exactly a Group whose transport
-// is not shared with any other shard. Multi-tenant callers use Node /
-// Node.OpenGroup instead and get Groups whose Stop detaches only their
-// own shard.
-type Host = Group
-
 // Group runs one m&m system (one shard) with real concurrency: its own
 // GSM, hosted set, shard-scoped register namespace (a private shm.Memory)
 // and process goroutines. A Group owns the transport.Transport it was

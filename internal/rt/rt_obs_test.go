@@ -13,7 +13,7 @@ import (
 
 // exposedCommonLeader returns the leader every host's own process currently
 // exposes, or NoProc if they do not (yet) agree on one.
-func exposedCommonLeader(hosts []*Host) core.ProcID {
+func exposedCommonLeader(hosts []*Group) core.ProcID {
 	l := core.NoProc
 	for i, h := range hosts {
 		v, ok := h.Exposed(core.ProcID(i), leader.LeaderKey).(core.ProcID)

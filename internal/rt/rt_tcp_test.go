@@ -19,7 +19,7 @@ import (
 // newTCPHosts builds an n-process system as n single-process "nodes" over
 // loopback TCP — one tcp.Transport and one Host per process — and returns
 // the hosts plus every node's transport (for fault injection).
-func newTCPHosts(t *testing.T, g *graph.Graph, seed int64, alg core.Algorithm) ([]*Host, []*tcp.Transport) {
+func newTCPHosts(t *testing.T, g *graph.Graph, seed int64, alg core.Algorithm) ([]*Group, []*tcp.Transport) {
 	t.Helper()
 	n := g.N()
 	trs := make([]*tcp.Transport, n)
@@ -36,7 +36,7 @@ func newTCPHosts(t *testing.T, g *graph.Graph, seed int64, alg core.Algorithm) (
 		trs[i] = tr
 		addrs[i] = tr.Addr()
 	}
-	hosts := make([]*Host, n)
+	hosts := make([]*Group, n)
 	for i := 0; i < n; i++ {
 		if err := trs[i].SetAddrs(addrs); err != nil {
 			t.Fatalf("node %d SetAddrs: %v", i, err)
@@ -82,7 +82,7 @@ func waitLinksUp(t *testing.T, trs []*tcp.Transport) {
 
 // decisionsOf waits for every host's own process to expose a consensus
 // decision and returns them in id order.
-func decisionsOf(t *testing.T, hosts []*Host, key string) []benor.Val {
+func decisionsOf(t *testing.T, hosts []*Group, key string) []benor.Val {
 	t.Helper()
 	out := make([]benor.Val, len(hosts))
 	deadline := time.Now().Add(30 * time.Second)
@@ -121,7 +121,7 @@ func TestHBOOverTCPMatchesInProcess(t *testing.T) {
 				t.Fatal(err)
 			}
 			hChan.Start()
-			chanDecisions := decisionsOf(t, []*Host{hChan, hChan, hChan}, hbo.DecisionKey)
+			chanDecisions := decisionsOf(t, []*Group{hChan, hChan, hChan}, hbo.DecisionKey)
 			hChan.Stop()
 
 			// TCP run.
@@ -177,8 +177,13 @@ func TestHBOOverTCPSurvivesConnectionKill(t *testing.T) {
 
 // TestLeaderElectionOverTCP runs both leader-election variants (Figure
 // 3+4 message notifier, Figure 3+5 shared-memory notifier) across a
-// loopback-TCP cluster and checks every node stabilizes on the same
-// leader as the in-process run: p0, the smallest correct id.
+// loopback-TCP cluster and checks what Ω promises: every node stabilizes
+// on one common correct leader. Which one is not promised — a detector
+// tick stalled by the scheduler lets a step-counted heartbeat timer lapse
+// and legitimately accuse a correct leader during startup — so the
+// identity is logged, not asserted. η = 4096 steps keeps such startup
+// accusations rare enough that three processes on two cores settle in
+// seconds; at the default η = 32 they take 25 s or miss the deadline.
 func TestLeaderElectionOverTCP(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -190,60 +195,26 @@ func TestLeaderElectionOverTCP(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			g := graph.Complete(3)
-			alg := leader.New(leader.Config{Notifier: tc.kind})
-
-			// In-process reference run.
-			hChan, err := New(Config{RunConfig: RunConfig{GSM: g, Seed: 5}}, alg)
-			if err != nil {
-				t.Fatal(err)
+			alg := leader.New(leader.Config{Notifier: tc.kind, InitialTimeout: 4096})
+			hosts, _ := newTCPHosts(t, g, 5, alg)
+			for _, h := range hosts {
+				h.Start()
 			}
-			hChan.Start()
-			want := awaitCommonLeader(t, []*Host{hChan, hChan, hChan})
-			hChan.Stop()
-
-			// The TCP run is retried a few times: on a loaded
-			// single-CPU box (and under race instrumentation) a
-			// detector tick can stall long enough for a peer's
-			// step-counted heartbeat timer to lapse and legitimately
-			// accuse a correct leader during startup, permanently
-			// shifting the election to another correct process.
-			// Agreement on a common stable leader — Ω's actual
-			// guarantee — is asserted on every attempt; identity
-			// parity with the in-process run just needs one attempt
-			// without a spurious accusation.
-			const attempts = 3
-			var got core.ProcID
-			for a := 1; ; a++ {
-				hosts, _ := newTCPHosts(t, g, 5, alg)
-				for _, h := range hosts {
-					h.Start()
-				}
-				got = awaitCommonLeader(t, hosts)
-				for _, h := range hosts {
-					h.Stop()
-				}
-				if got == want || a == attempts {
-					break
-				}
-				t.Logf("attempt %d: TCP run elected %v, in-process run elected %v; retrying (startup accusation)", a, got, want)
+			got := awaitCommonLeader(t, hosts)
+			for _, h := range hosts {
+				h.Stop()
 			}
-			if raceEnabled {
-				t.Logf("race build: common stable leader %v (in-process run elected %v)", got, want)
-				return
+			if got < 0 || int(got) >= g.N() {
+				t.Fatalf("common stable leader %v is not a process of the system", got)
 			}
-			if got != want {
-				t.Fatalf("TCP run elected %v, in-process run elected %v (%d attempts)", got, want, attempts)
-			}
-			if got != core.ProcID(0) {
-				t.Fatalf("elected %v with no crashes, want p0", got)
-			}
+			t.Logf("common stable leader: %v", got)
 		})
 	}
 }
 
 // awaitCommonLeader waits until every host's own process agrees on one
 // non-⊥ leader and that agreement holds for a short window.
-func awaitCommonLeader(t *testing.T, hosts []*Host) core.ProcID {
+func awaitCommonLeader(t *testing.T, hosts []*Group) core.ProcID {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	stableSince := time.Time{}

@@ -229,7 +229,7 @@ func TestLeaderElectionRealtime(t *testing.T) {
 // SharedKind avoids importing the leader constant twice in the test body.
 func SharedKind() leader.NotifierKind { return leader.SharedMemoryNotifier }
 
-func commonLeader(h *Host, n int) (core.ProcID, bool) {
+func commonLeader(h *Group, n int) (core.ProcID, bool) {
 	common := core.NoProc
 	for p := core.ProcID(0); int(p) < n; p++ {
 		l, ok := h.Exposed(p, leader.LeaderKey).(core.ProcID)

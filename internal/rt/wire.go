@@ -1,22 +1,13 @@
 package rt
 
-import (
-	"encoding/gob"
+import "github.com/mnm-model/mnm/internal/core"
 
-	"github.com/mnm-model/mnm/internal/core"
-)
-
-// Wire-type registration for the socket transport; see the comment in
+// Wire types for the socket transport; see the comment in
 // internal/benor/wire.go. The remote-register RPC envelopes cross the
 // wire as core.Value on the transport's call plane, so they follow the
 // same convention as the algorithm packages' message types.
-func init() {
-	gob.Register(memReadReq{})
-	gob.Register(memReadResp{})
-	gob.Register(memWriteReq{})
-	gob.Register(memCASReq{})
-	gob.Register(memCASResp{})
-}
+//
+//mnmwiregen:types memReadReq memReadResp memWriteReq memCASReq memCASResp
 
 // WirePayloads returns one representative of every RPC envelope this
 // package sends, for transport round-trip tests.

@@ -1,10 +1,7 @@
 package tcp
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -30,37 +27,14 @@ const (
 	frameReq
 	// frameResp carries one RPC response.
 	frameResp
-	// frameReject is the acceptor's refusal of a connection (protocol
-	// version mismatch): ErrMsg explains why. It is the only frame an
-	// acceptor ever writes back on an inbound connection, and it is
-	// written in the dialer's protocol so the dialer can always decode
-	// it. A dialer receiving one stops redialing — the mismatch is
-	// permanent, not a transient network fault.
-	frameReject
 )
 
-// Wire protocol versions. The version travels twice: framed streams open
-// with a preamble that selects the stream codec, and the hello frame
-// repeats it so a mismatch produces a descriptive rejection instead of a
-// desynchronized stream.
-const (
-	// ProtoGob is the legacy self-contained-gob frame stream, exactly the
-	// bytes the pre-binary protocol produced: no preamble (a gob stream's
-	// first byte is always 0x00, the high byte of a <16MiB length prefix),
-	// every frame a fresh gob encoding.
-	ProtoGob = 1
-	// ProtoBinary is the flat little-endian frame codec with
-	// internal/wire payload codecs; streams open with the 4-byte preamble
-	// preambleTag + version byte. The version lives in internal/wire so
-	// the codec generator can stamp it into every wire_codec.go: bumping
-	// it here without regenerating fails `mnmwiregen -check`.
-	ProtoBinary = wire.FrameVersion
-)
-
-// preambleTag starts every ProtoBinary stream; the fourth preamble byte
-// is the version. 'M' ≠ 0x00 makes the two protocols distinguishable on
-// the first byte.
-var preambleTag = [3]byte{'M', 'N', 'M'}
+// preamble opens every stream: a three-byte tag and wire.FrameVersion. It
+// is the one thing all versions of this transport agree on, so it is also
+// the acceptor's whole answer to a dialer of another version (see
+// acceptHandshake and peer.watch): frame layouts change between versions,
+// these four bytes do not.
+var preamble = [4]byte{'M', 'N', 'M', wire.FrameVersion}
 
 // frame is the unit of the wire protocol. Data, request and response
 // frames carry a per-(sender node → receiver node) sequence number; the
@@ -69,7 +43,7 @@ var preambleTag = [3]byte{'M', 'N', 'M'}
 // a reconnect, which preserves No-loss across connection faults.
 type frame struct {
 	Kind frameKind
-	// Version is the sender's wire protocol (hello/reject only).
+	// Version is the sender's wire.FrameVersion (hello only).
 	Version uint8
 	// Addr is the sender node's canonical listen address (hello only).
 	Addr string
@@ -99,11 +73,11 @@ type frame struct {
 	Lamport uint64
 	// Payload is the message body or RPC body.
 	Payload core.Value
-	// ErrMsg carries a response or rejection error, "" meaning nil.
+	// ErrMsg carries a response error, "" meaning nil.
 	ErrMsg string
 }
 
-// maxFrameSize bounds a frame body in either protocol; anything larger is
+// maxFrameSize bounds a frame body; anything larger is
 // treated as a corrupt stream on read and refused at encode time on write.
 const maxFrameSize = 16 << 20
 
@@ -121,8 +95,8 @@ const batchBufSize = 64 << 10
 // GC instead of pooled.
 const maxPooledBuf = 64 << 10
 
-// errEncode marks frames that can never be written — an unregistered gob
-// type or an oversized body. The send loop drops such frames instead of
+// errEncode marks frames that can never be written — a payload type with
+// no codec or an oversized body. The send loop drops such frames instead of
 // treating them as connection faults, because retransmitting them would
 // fail identically forever.
 var errEncode = errors.New("tcp: frame not encodable")
@@ -141,23 +115,7 @@ func putBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// gobBufPool recycles the bytes.Buffers of the legacy gob codec, with the
-// same retention cap as bufPool.
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func getGobBuf() *bytes.Buffer { return gobBufPool.Get().(*bytes.Buffer) }
-
-func putGobBuf(b *bytes.Buffer) {
-	if b.Cap() > maxPooledBuf {
-		return
-	}
-	b.Reset()
-	gobBufPool.Put(b)
-}
-
-// --- ProtoBinary codec ---
-//
-// A binary frame is a 4-byte big-endian body length followed by the body:
+// A frame is a 4-byte big-endian body length followed by the body:
 //
 //	[0]     Kind     uint8
 //	[1]     Version  uint8
@@ -173,8 +131,7 @@ func putGobBuf(b *bytes.Buffer) {
 //	[62:]   Addr     uvarint length + bytes
 //	        ErrMsg   uvarint length + bytes
 //	        Payload  uvarint codec-name length + name + codec body
-//	                 (see internal/wire; name "" = nil payload, name
-//	                 "gob" = uvarint-length-prefixed gob fallback)
+//	                 (see internal/wire; name "" = nil payload)
 //
 // The fixed header is flat little-endian; only the three trailing
 // variable fields pay for their length bytes. The golden vectors in
@@ -249,15 +206,14 @@ func decodeFrame(body []byte, f *frame) error {
 	return nil
 }
 
-// frameWriter encodes frames for one protocol onto one connection's batch
-// writer, reusing a scratch buffer across frames.
+// frameWriter encodes frames onto one connection's batch writer, reusing
+// a scratch buffer across frames.
 type frameWriter struct {
-	proto   int
 	scratch *[]byte
 }
 
-func newFrameWriter(proto int) *frameWriter {
-	return &frameWriter{proto: proto, scratch: getBuf()}
+func newFrameWriter() *frameWriter {
+	return &frameWriter{scratch: getBuf()}
 }
 
 func (fw *frameWriter) close() {
@@ -268,9 +224,6 @@ func (fw *frameWriter) close() {
 }
 
 func (fw *frameWriter) write(w io.Writer, f *frame) error {
-	if fw.proto == ProtoGob {
-		return writeFrameGob(w, f)
-	}
 	b, err := appendFrame((*fw.scratch)[:0], f)
 	if cap(b) > maxPooledBuf {
 		// Don't let one oversized frame pin a huge scratch buffer for the
@@ -287,15 +240,14 @@ func (fw *frameWriter) write(w io.Writer, f *frame) error {
 	return err
 }
 
-// frameReader decodes frames for one protocol off one connection,
-// reusing a scratch buffer across frames.
+// frameReader decodes frames off one connection, reusing a scratch buffer
+// across frames.
 type frameReader struct {
-	proto   int
 	scratch *[]byte
 }
 
-func newFrameReader(proto int) *frameReader {
-	return &frameReader{proto: proto, scratch: getBuf()}
+func newFrameReader() *frameReader {
+	return &frameReader{scratch: getBuf()}
 }
 
 func (fr *frameReader) close() {
@@ -306,9 +258,6 @@ func (fr *frameReader) close() {
 }
 
 func (fr *frameReader) read(r io.Reader, f *frame) error {
-	if fr.proto == ProtoGob {
-		return readFrameGob(r, f)
-	}
 	var prefix [4]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
 		return err
@@ -332,113 +281,50 @@ func (fr *frameReader) read(r io.Reader, f *frame) error {
 		}
 		return err
 	}
-	// decodeFrame aliases body for strings only transiently (String
-	// copies); Payload bytes from the gob fallback are copied by gob.
+	// decodeFrame aliases body only transiently: String copies, and so do
+	// the generated codecs' byte-slice reads.
 	return decodeFrame(body, f)
 }
 
-// --- ProtoGob codec (legacy) ---
+// skewError is a well-formed preamble of another wire version — the one
+// handshake failure the acceptor answers (with its own preamble) instead
+// of just closing on, and the one a dialer treats as terminal.
+type skewError struct{ version uint8 }
 
-// writeFrameGob encodes f as a length-prefixed gob body. A fresh encoder
-// per frame re-sends type metadata, which costs bandwidth but keeps every
-// frame self-contained — decoding never depends on stream history, so
-// reconnects (and partially flushed batches) cannot desynchronize the
-// codec. The encoder writes through a limit writer, so an oversized frame
-// is abandoned the moment it crosses maxFrameSize instead of after
-// materializing all of it.
-func writeFrameGob(w io.Writer, f *frame) error {
-	body := getGobBuf()
-	defer putGobBuf(body)
-	body.Reset()
-	if err := gob.NewEncoder(wire.NewLimitWriter(body, maxFrameSize)).Encode(f); err != nil {
-		if errors.Is(err, wire.ErrTooLarge) {
-			return fmt.Errorf("%w: frame exceeds %d bytes", errEncode, maxFrameSize)
-		}
-		return fmt.Errorf("%w: %v (register the payload type with encoding/gob)", errEncode, err)
-	}
-	var prefix [4]byte
-	binary.BigEndian.PutUint32(prefix[:], uint32(body.Len()))
-	if _, err := w.Write(prefix[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body.Bytes())
-	return err
+func (e skewError) Error() string {
+	return fmt.Sprintf("peer speaks wire version %d, this node %d", e.version, wire.FrameVersion)
 }
 
-// readFrameGob decodes one length-prefixed gob frame into f.
-func readFrameGob(r io.Reader, f *frame) error {
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		return err
+// readPreamble consumes a stream's four opening bytes and returns the
+// wire version they announce; a foreign tag is not this protocol at all.
+func readPreamble(r io.Reader) (version uint8, err error) {
+	var pre [4]byte
+	if _, err := io.ReadFull(r, pre[:]); err != nil {
+		return 0, fmt.Errorf("tcp: read stream preamble: %w", err)
 	}
-	n := binary.BigEndian.Uint32(prefix[:])
-	if n > maxFrameSize {
-		return fmt.Errorf("tcp: frame length %d exceeds limit", n)
+	if [3]byte(pre[:3]) != [3]byte(preamble[:3]) {
+		return 0, fmt.Errorf("tcp: bad stream preamble %q", pre[:])
 	}
-	body := getGobBuf()
-	defer putGobBuf(body)
-	body.Reset()
-	if _, err := io.CopyN(body, r, int64(n)); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return err
-	}
-	*f = frame{}
-	if err := gob.NewDecoder(body).Decode(f); err != nil {
-		return fmt.Errorf("tcp: decode frame: %w", err)
-	}
-	return nil
+	return pre[3], nil
 }
 
-// writePreamble opens a ProtoBinary stream: tag + version byte. ProtoGob
-// streams have no preamble (byte compatibility with the legacy protocol).
-func writePreamble(w io.Writer, proto int) error {
-	if proto == ProtoGob {
-		return nil
-	}
-	_, err := w.Write([]byte{preambleTag[0], preambleTag[1], preambleTag[2], byte(proto)})
-	return err
-}
-
-// sniffProto determines an inbound stream's protocol from its opening
-// bytes, consuming the preamble if present. A gob length prefix below
-// maxFrameSize always starts 0x00, the binary preamble starts 'M';
-// anything else is not this wire protocol at all.
-func sniffProto(br *bufio.Reader) (int, error) {
-	first, err := br.Peek(1)
+// acceptHandshake reads the opening of an inbound stream — the preamble,
+// then a hello frame repeating the version — and returns the dialer's
+// canonical address.
+func acceptHandshake(r io.Reader, fr *frameReader) (string, error) {
+	version, err := readPreamble(r)
 	if err != nil {
-		return 0, err
+		return "", err
 	}
-	switch first[0] {
-	case 0x00:
-		return ProtoGob, nil
-	case preambleTag[0]:
-		var pre [4]byte
-		if _, err := io.ReadFull(br, pre[:]); err != nil {
-			return 0, err
-		}
-		if pre[1] != preambleTag[1] || pre[2] != preambleTag[2] {
-			return 0, fmt.Errorf("tcp: bad stream preamble %q", pre[:3])
-		}
-		return int(pre[3]), nil
-	default:
-		return 0, fmt.Errorf("tcp: unrecognized stream start byte 0x%02x", first[0])
+	if version != wire.FrameVersion {
+		return "", skewError{version}
 	}
-}
-
-func init() {
-	// Concrete types commonly sent as core.Value payloads, for the gob
-	// fallback and the legacy protocol. Algorithm packages register their
-	// own message types in their wire.go files; anything else must be
-	// registered by the caller via encoding/gob.
-	gob.Register(int(0))
-	gob.Register(int64(0))
-	gob.Register(uint64(0))
-	gob.Register(float64(0))
-	gob.Register(false)
-	gob.Register("")
-	gob.Register(core.ProcID(0))
-	gob.Register(core.Ref{})
-	gob.Register([]core.Value(nil))
+	var f frame
+	if err := fr.read(r, &f); err != nil {
+		return "", fmt.Errorf("tcp: read hello: %w", err)
+	}
+	if f.Kind != frameHello || f.Addr == "" || f.Version != wire.FrameVersion {
+		return "", fmt.Errorf("tcp: bad hello (kind %d, version %d, addr %q)", f.Kind, f.Version, f.Addr)
+	}
+	return f.Addr, nil
 }

@@ -1,7 +1,6 @@
 package tcp
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/hex"
 	"errors"
@@ -44,7 +43,6 @@ func goldenTable() []struct {
 		{"resp-group", frame{Kind: frameResp, Seq: 15, From: 0, To: 2, CallID: 78, Group: 9, Payload: 1}},
 		{"resp-traced", frame{Kind: frameResp, Seq: 18, From: 1, To: 0, CallID: 79, Group: 9, Payload: 6,
 			TraceID: 0xa1a2a3a4a5a6a7a8, SpanID: 0xc1c2c3c4c5c6c7c8, Lamport: 11}},
-		{"reject", frame{Kind: frameReject, Version: 4, ErrMsg: "tcp: protocol version mismatch"}},
 	}
 }
 
@@ -140,7 +138,7 @@ func TestDecodeTruncatedBody(t *testing.T) {
 }
 
 func TestReadFrameCorruptPrefix(t *testing.T) {
-	fr := newFrameReader(ProtoBinary)
+	fr := newFrameReader()
 	defer fr.close()
 	var f frame
 
@@ -154,66 +152,75 @@ func TestReadFrameCorruptPrefix(t *testing.T) {
 	if err := fr.read(bytes.NewReader(short), &f); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated stream: err = %v, want ErrUnexpectedEOF", err)
 	}
-	// Same checks for the legacy codec.
-	fg := newFrameReader(ProtoGob)
-	defer fg.close()
-	if err := fg.read(bytes.NewReader(huge), &f); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("gob oversized length prefix: err = %v", err)
+}
+
+// TestAcceptHandshake pins the one handshake rule: an inbound stream
+// opens with this version's preamble and a hello repeating the version
+// and naming the dialer. Only a well-formed preamble of another version
+// is a skewError (the acceptor answers those); everything else is a
+// plain error (the acceptor just closes).
+func TestAcceptHandshake(t *testing.T) {
+	stream := func(pre string, f *frame) []byte {
+		b := []byte(pre)
+		if f != nil {
+			var err error
+			if b, err = appendFrame(b, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
 	}
-	if err := fg.read(bytes.NewReader(short), &f); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("gob truncated stream: err = %v, want ErrUnexpectedEOF", err)
+	const current = "MNM\x04"
+	for _, tc := range []struct {
+		name     string
+		in       []byte
+		wantAddr string
+		wantSkew uint8  // non-zero: a skewError of that version
+		wantErr  string // otherwise: a plain error containing this
+	}{
+		{name: "good", in: stream(current, &frame{Kind: frameHello, Version: 4, Addr: "127.0.0.1:9000"}), wantAddr: "127.0.0.1:9000"},
+		{name: "bad tag", in: []byte("GET / HTTP/1.1\r\n"), wantErr: "bad stream preamble"},
+		{name: "first byte 0x00", in: []byte{0x00, 0x00, 0x00, 0x05, 0x01}, wantErr: "bad stream preamble"},
+		{name: "short read", in: []byte("MN"), wantErr: "unexpected EOF"},
+		{name: "empty stream", in: nil, wantErr: "EOF"},
+		{name: "wrong version", in: stream("MNM\x03", nil), wantSkew: 3},
+		{name: "newer version", in: stream("MNM\x05", &frame{Kind: frameHello, Version: 5, Addr: "a:1"}), wantSkew: 5},
+		{name: "no hello", in: stream(current, nil), wantErr: "read hello"},
+		{name: "hello with Version 0", in: stream(current, &frame{Kind: frameHello, Addr: "127.0.0.1:9000"}), wantErr: "bad hello"},
+		{name: "hello with empty Addr", in: stream(current, &frame{Kind: frameHello, Version: 4}), wantErr: "bad hello"},
+		{name: "data before hello", in: stream(current, &frame{Kind: frameData, Version: 4, Addr: "a:1", Seq: 1}), wantErr: "bad hello"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fr := newFrameReader()
+			defer fr.close()
+			addr, err := acceptHandshake(bytes.NewReader(tc.in), fr)
+			var skew skewError
+			switch {
+			case tc.wantAddr != "":
+				if err != nil || addr != tc.wantAddr {
+					t.Fatalf("addr %q, err %v; want %q", addr, err, tc.wantAddr)
+				}
+			case tc.wantSkew != 0:
+				if !errors.As(err, &skew) || skew.version != tc.wantSkew {
+					t.Fatalf("err = %v, want skewError{%d}", err, tc.wantSkew)
+				}
+			default:
+				if err == nil || errors.As(err, &skew) || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want a plain error containing %q", err, tc.wantErr)
+				}
+			}
+		})
 	}
 }
 
-func TestSniffProto(t *testing.T) {
-	bin := bufio.NewReader(bytes.NewReader([]byte{'M', 'N', 'M', 4, 0x00}))
-	if p, err := sniffProto(bin); err != nil || p != ProtoBinary {
-		t.Fatalf("binary preamble: proto %d, err %v", p, err)
-	}
-	// A v3 peer's preamble sniffs as version 3 — not this node's protocol,
-	// so recvLoop rejects it terminally instead of interleaving framings.
-	old := bufio.NewReader(bytes.NewReader([]byte{'M', 'N', 'M', 3, 0x00}))
-	if p, err := sniffProto(old); err != nil || p != 3 || p == ProtoBinary {
-		t.Fatalf("v3 preamble: proto %d, err %v", p, err)
-	}
-	gob := bufio.NewReader(bytes.NewReader([]byte{0x00, 0x00, 0x00, 0x05}))
-	if p, err := sniffProto(gob); err != nil || p != ProtoGob {
-		t.Fatalf("gob stream: proto %d, err %v", p, err)
-	}
-	junk := bufio.NewReader(bytes.NewReader([]byte("GET / HTTP/1.1")))
-	if _, err := sniffProto(junk); err == nil {
-		t.Fatal("junk stream sniffed as a known protocol")
-	}
-	torn := bufio.NewReader(bytes.NewReader([]byte{'M', 'X'}))
-	if _, err := sniffProto(torn); err == nil {
-		t.Fatal("bad preamble accepted")
-	}
-}
-
-// TestOversizedFrameRefusedAtEncode covers the drop path in both
-// protocols: a frame beyond maxFrameSize must come back errEncode (the
-// send loop drops it and counts FrameDropEncode) — and in the gob path
-// the limit writer aborts the encoder at the cap instead of after
-// materializing the whole oversized body.
+// TestOversizedFrameRefusedAtEncode covers the drop path: a frame beyond
+// maxFrameSize must come back errEncode (the send loop drops it and
+// counts FrameDropEncode).
 func TestOversizedFrameRefusedAtEncode(t *testing.T) {
 	f := frame{Kind: frameData, Seq: 1, Payload: strings.Repeat("x", maxFrameSize+1)}
 	if _, err := appendFrame(nil, &f); !errors.Is(err, errEncode) {
-		t.Fatalf("binary oversized: err = %v, want errEncode", err)
+		t.Fatalf("oversized: err = %v, want errEncode", err)
 	}
-	var sink countingWriter
-	if err := writeFrameGob(&sink, &f); !errors.Is(err, errEncode) {
-		t.Fatalf("gob oversized: err = %v, want errEncode", err)
-	}
-	if sink.n != 0 {
-		t.Fatalf("gob oversized frame leaked %d bytes to the connection", sink.n)
-	}
-}
-
-type countingWriter struct{ n int }
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
 }
 
 // TestBufPoolBoundedRetention is the regression test for the pool
@@ -223,14 +230,14 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 func TestBufPoolBoundedRetention(t *testing.T) {
 	big := frame{Kind: frameData, Seq: 1, Payload: strings.Repeat("x", 4*maxPooledBuf)}
 
-	fw := newFrameWriter(ProtoBinary)
+	fw := newFrameWriter()
 	var buf bytes.Buffer
 	if err := fw.write(&buf, &big); err != nil {
 		t.Fatal(err)
 	}
 	fw.close()
 
-	fr := newFrameReader(ProtoBinary)
+	fr := newFrameReader()
 	var f frame
 	if err := fr.read(bytes.NewReader(buf.Bytes()), &f); err != nil {
 		t.Fatal(err)
@@ -240,8 +247,6 @@ func TestBufPoolBoundedRetention(t *testing.T) {
 	// Direct over-cap returns must be refused too.
 	huge := make([]byte, 0, 4*maxPooledBuf)
 	putBuf(&huge)
-	hugeGob := bytes.NewBuffer(make([]byte, 0, 4*maxPooledBuf))
-	putGobBuf(hugeGob)
 
 	for i := 0; i < 256; i++ {
 		b := getBuf()
@@ -249,11 +254,6 @@ func TestBufPoolBoundedRetention(t *testing.T) {
 			t.Fatalf("pool returned a %d-byte buffer (cap %d): oversized buffers are being retained", cap(*b), maxPooledBuf)
 		}
 		putBuf(b)
-		g := getGobBuf()
-		if g.Cap() > maxPooledBuf {
-			t.Fatalf("gob pool returned a %d-byte buffer (cap %d)", g.Cap(), maxPooledBuf)
-		}
-		putGobBuf(g)
 	}
 }
 

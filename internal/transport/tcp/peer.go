@@ -5,13 +5,13 @@ import (
 	"crypto/tls"
 	"errors"
 	"net"
-
 	"sync"
 	"time"
 
 	"github.com/mnm-model/mnm/internal/core"
 	"github.com/mnm-model/mnm/internal/metrics"
 	"github.com/mnm-model/mnm/internal/transport"
+	"github.com/mnm-model/mnm/internal/wire"
 )
 
 // peer manages this node's outbound link to one remote node: a single TCP
@@ -28,13 +28,12 @@ import (
 // control frames plus the unsent pending suffix) into one bufio.Writer
 // and flushes once — one write syscall and one write deadline per batch
 // instead of two syscalls and a deadline per frame. Frames stay
-// individually length-prefixed and self-contained (in both protocols —
-// binary frames carry no stream state, gob frames re-send their type
-// metadata), so a batch is just a concatenation on the wire: a connection
-// kill mid-flush leaves the
-// receiver with a prefix of whole frames (the TCP stream never tears a
-// frame into something decodable), and the usual rewind-and-retransmit
-// recovers the rest without loss or duplication.
+// individually length-prefixed and self-contained (they carry no stream
+// state), so a batch is just a concatenation on the wire: a connection
+// kill mid-flush leaves the receiver with a prefix of whole frames (the
+// TCP stream never tears a frame into something decodable), and the
+// usual rewind-and-retransmit recovers the rest without loss or
+// duplication.
 type peer struct {
 	t    *Transport
 	addr string
@@ -49,7 +48,7 @@ type peer struct {
 	up       bool
 	closed   bool
 	// fatal, when non-empty, records why this link can never come up
-	// (the remote rejected the connection — protocol version mismatch).
+	// (the remote speaks another wire version).
 	// Unlike a broken connection it is terminal: the send loop stops
 	// redialing instead of retrying a permanent failure forever.
 	fatal string
@@ -400,7 +399,7 @@ func (p *peer) shutdown() {
 func (p *peer) sendLoop() {
 	defer p.t.wg.Done()
 	backoff := p.t.cfg.Timeouts.BackoffBase
-	fw := newFrameWriter(p.t.proto())
+	fw := newFrameWriter()
 	defer fw.close()
 	var (
 		curConn net.Conn
@@ -560,33 +559,19 @@ func (p *peer) sendLoop() {
 }
 
 // watch blocks reading the outbound connection. The remote writes at
-// most one thing on it — a reject frame refusing the connection — so a
-// decoded reject marks the link permanently down (no redial: a protocol
-// mismatch doesn't heal), and any read failure means the connection died
-// or was killed. Detecting death here matters when this side has nothing
-// left to write: unacknowledged frames would otherwise sit waiting for a
-// write failure that never comes, and the remote would never receive
-// them.
+// most one thing on it — its own preamble, refusing this node's wire
+// version — so reading a preamble marks the link permanently down (no
+// redial: a version skew doesn't heal), and anything else, a read
+// failure above all, means the connection died or was killed.
+// Detecting death here matters when this side has nothing left to write:
+// unacknowledged frames would otherwise sit waiting for a write failure
+// that never comes, and the remote would never receive them.
 func (p *peer) watch(conn net.Conn) {
 	defer p.t.wg.Done()
-	fr := newFrameReader(p.t.proto())
-	defer fr.close()
-	br := bufio.NewReaderSize(conn, 512)
-	var f frame
-	for {
-		if err := fr.read(br, &f); err != nil {
-			break
-		}
-		if f.Kind == frameReject {
-			msg := f.ErrMsg
-			if msg == "" {
-				msg = "tcp: connection rejected by peer"
-			}
-			p.t.log("link to %s rejected: %s (not retrying)", p.addr, msg)
-			p.setFatal(msg)
-			break
-		}
-		// Anything else on this direction is unexpected; keep watching.
+	if version, err := readPreamble(conn); err == nil {
+		skew := skewError{version}
+		p.t.log("link to %s: %v (not retrying)", p.addr, skew)
+		p.setFatal(skew.Error())
 	}
 	p.mu.Lock()
 	if p.conn == conn {
@@ -629,13 +614,13 @@ func (p *peer) dialConn() (net.Conn, error) {
 	return net.DialTimeout("tcp", p.addr, p.t.cfg.Timeouts.Connect)
 }
 
-// handshake opens the stream (protocol preamble for ProtoBinary) and
-// sends the hello frame identifying this node and its wire protocol.
+// handshake opens the stream: the preamble, then the hello frame
+// identifying this node and repeating the wire version.
 func (p *peer) handshake(conn net.Conn, fw *frameWriter) error {
 	conn.SetWriteDeadline(time.Now().Add(p.t.cfg.Timeouts.Write))
-	err := writePreamble(conn, p.t.proto())
+	_, err := conn.Write(preamble[:])
 	if err == nil {
-		err = fw.write(conn, &frame{Kind: frameHello, Version: uint8(p.t.proto()), Addr: p.t.addr})
+		err = fw.write(conn, &frame{Kind: frameHello, Version: wire.FrameVersion, Addr: p.t.addr})
 	}
 	conn.SetWriteDeadline(time.Time{})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"crypto/x509"
 	"crypto/x509/pkix"
 	"fmt"
+	"io"
 	"math/big"
 	"net"
 	"reflect"
@@ -45,24 +46,10 @@ func (lc *logCapture) contains(substr string) bool {
 	return false
 }
 
-// TestGobProtocolLoopback proves the legacy protocol still carries a
-// full round trip when both nodes opt into it.
-func TestGobProtocolLoopback(t *testing.T) {
-	nodes := newClusterWith(t, 2, [][]core.ProcID{{0}, {1}}, func(i int, cfg *tcp.Config) {
-		cfg.Protocol = tcp.ProtoGob
-	})
-	payloads := []core.Value{7, "legacy", benor.Msg{Phase: benor.PhaseP, Round: 2, Val: benor.V0}, nil}
-	for _, p := range payloads {
-		if err := nodes[0].Send(0, 1, p); err != nil {
-			t.Fatalf("send %v: %v", p, err)
-		}
-	}
-	for _, want := range payloads {
-		m := recvOne(t, nodes[1], 1)
-		if !reflect.DeepEqual(m.Payload, want) {
-			t.Fatalf("got payload %#v, want %#v", m.Payload, want)
-		}
-	}
+func (lc *logCapture) dump() string {
+	lc.mu.Lock()
+	defer lc.mu.Unlock()
+	return strings.Join(lc.lines, "\n")
 }
 
 // awaitLinkState polls until LinkState(from,to) on tr reaches want.
@@ -78,52 +65,137 @@ func awaitLinkState(t *testing.T, tr *tcp.Transport, from, to core.ProcID, want 
 	t.Fatalf("link %v->%v stuck at %v, want %v", from, to, tr.LinkState(from, to), want)
 }
 
-// TestVersionMismatchClosesLink runs a two-node system whose nodes speak
-// different wire protocols, in both age orders. The handshake must fail
-// with a descriptive rejection and the dialer must stop — LinkClosed,
-// terminally — rather than burn CPU in a reconnect loop against a peer
-// that can never accept it.
-func TestVersionMismatchClosesLink(t *testing.T) {
-	cases := []struct {
-		name   string
-		protos [2]int
-	}{
-		{"old-dials-new", [2]int{tcp.ProtoGob, tcp.ProtoBinary}},
-		{"new-dials-old", [2]int{tcp.ProtoBinary, tcp.ProtoGob}},
+// soloNode starts node 0 of a two-node system whose node 1 lives at
+// peerAddr — a raw socket the test drives by hand — and dials it.
+func soloNode(t *testing.T, peerAddr string, logf func(string, ...any)) *tcp.Transport {
+	t.Helper()
+	tr, err := tcp.New(tcp.Config{N: 2, Hosted: []core.ProcID{0}, ListenAddr: "127.0.0.1:0", Logf: logf})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			logs := [2]*logCapture{{}, {}}
-			nodes := newClusterWith(t, 2, [][]core.ProcID{{0}, {1}}, func(i int, cfg *tcp.Config) {
-				cfg.Protocol = tc.protos[i]
-				cfg.Logf = logs[i].logf
-			})
-			// A queued message must not make the transport hang on close.
-			if err := nodes[0].Send(0, 1, "never delivered"); err != nil {
-				t.Fatalf("send: %v", err)
-			}
-			awaitLinkState(t, nodes[0], 0, 1, transport.LinkClosed)
-			awaitLinkState(t, nodes[1], 1, 0, transport.LinkClosed)
+	t.Cleanup(func() { tr.Close() })
+	if err := tr.SetAddrs([]string{tr.Addr(), peerAddr}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Dial(); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
 
-			// Terminal means terminal: no background redial may revive or
-			// flap the link after the rejection.
-			time.Sleep(250 * time.Millisecond)
-			if st := nodes[0].LinkState(0, 1); st != transport.LinkClosed {
-				t.Fatalf("link 0->1 left LinkClosed: now %v (reconnect loop after version reject)", st)
-			}
-			if st := nodes[1].LinkState(1, 0); st != transport.LinkClosed {
-				t.Fatalf("link 1->0 left LinkClosed: now %v", st)
-			}
-			for i, lc := range logs {
-				if !lc.contains("protocol version mismatch") {
-					t.Errorf("node %d logs never mention the version mismatch", i)
+// TestVersionMismatchClosesLink drives both sides of the handshake from
+// a raw socket standing in for a build with another frame layout — the
+// skew a real upgrade produces. The only bytes two versions share are the
+// 4-byte preamble, so that is the whole rejection: the acceptor answers a
+// foreign version with its own preamble and closes, and a dialer that
+// reads a foreign preamble back stops — LinkClosed, terminally — rather
+// than burn CPU in a reconnect loop against a peer that can never accept
+// it. A connection that merely dies is not a rejection and redials.
+func TestVersionMismatchClosesLink(t *testing.T) {
+	t.Run("acceptor answers a foreign version with its own preamble", func(t *testing.T) {
+		var logs logCapture
+		tr, err := tcp.New(tcp.Config{N: 2, Hosted: []core.ProcID{0}, ListenAddr: "127.0.0.1:0", Logf: logs.logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		conn, err := net.Dial("tcp", tr.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Write([]byte("MNM\x03")); err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(conn)
+		if err != nil || string(got) != "MNM\x04" {
+			t.Fatalf("read %q, err %v; want exactly the acceptor's preamble MNM\\x04, then EOF", got, err)
+		}
+		if !logs.contains("peer speaks wire version 3, this node 4") {
+			t.Errorf("acceptor never logged the mismatch; logs:\n%s", logs.dump())
+		}
+	})
+
+	t.Run("dialer goes terminal on a foreign preamble", func(t *testing.T) {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		go func() {
+			for {
+				conn, err := lis.Accept()
+				if err != nil {
+					return
 				}
+				// Answer, then drain until the dialer hangs up, so the
+				// close is a clean FIN and never a reset.
+				conn.Write([]byte("MNM\x05"))
+				io.Copy(io.Discard, conn)
+				conn.Close()
 			}
-			if !logs[0].contains("not retrying") && !logs[1].contains("not retrying") {
-				t.Error("no node logged that it stopped retrying")
+		}()
+		var logs logCapture
+		tr := soloNode(t, lis.Addr().String(), logs.logf)
+		// A queued message must not make the transport hang on close.
+		if err := tr.Send(0, 1, "never delivered"); err != nil {
+			t.Fatalf("send: %v", err)
+		}
+		awaitLinkState(t, tr, 0, 1, transport.LinkClosed)
+		// Terminal means terminal: no background redial may revive or
+		// flap the link after the rejection.
+		time.Sleep(250 * time.Millisecond)
+		if st := tr.LinkState(0, 1); st != transport.LinkClosed {
+			t.Fatalf("link 0->1 left LinkClosed: now %v (reconnect loop after version reject)", st)
+		}
+		if !logs.contains("peer speaks wire version 5, this node 4 (not retrying)") {
+			t.Errorf("dialer never logged that it stopped retrying; logs:\n%s", logs.dump())
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- tr.Close() }()
+		select {
+		case err := <-closed:
+			if err != nil {
+				t.Fatalf("Close: %v", err)
 			}
-		})
-	}
+		case <-time.After(2 * time.Second): // well under the 5s drain timeout
+			t.Fatal("Close hangs draining a frame queued on a terminally rejected link")
+		}
+	})
+
+	t.Run("a connection that just closes is not terminal", func(t *testing.T) {
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lis.Close()
+		accepted := make(chan struct{})
+		go func() {
+			// Hang up on the first connection without a word, then stop
+			// listening: the redials that follow are refused and back off,
+			// which holds the link in LinkConnecting for the test to see.
+			if conn, err := lis.Accept(); err == nil {
+				conn.Close()
+			}
+			lis.Close()
+			close(accepted)
+		}()
+		var logs logCapture
+		tr := soloNode(t, lis.Addr().String(), logs.logf)
+		<-accepted
+		deadline := time.Now().Add(10 * time.Second)
+		for !logs.contains("retrying in") && time.Now().Before(deadline) {
+			time.Sleep(2 * time.Millisecond)
+		}
+		if !logs.contains("retrying in") {
+			t.Fatalf("dialer never redialed after a plain close; logs:\n%s", logs.dump())
+		}
+		awaitLinkState(t, tr, 0, 1, transport.LinkConnecting)
+		if logs.contains("not retrying") {
+			t.Errorf("a plain close was treated as a version rejection; logs:\n%s", logs.dump())
+		}
+	})
 }
 
 // selfSignedTLS builds a throwaway CA-less server certificate for

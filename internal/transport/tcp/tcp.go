@@ -3,13 +3,13 @@
 // one listener per OS process ("node"), one outbound connection per
 // remote node.
 //
-// Frames use a flat little-endian header plus pluggable payload codecs
-// (internal/wire, generated per algorithm package by cmd/mnmwiregen),
-// with gob as the registered fallback for payload types without a codec.
-// The legacy all-gob framing remains available as Config.Protocol =
-// ProtoGob; the handshake carries the version and mismatched connections
-// are rejected with a descriptive error so the two framings never
-// interleave on one stream.
+// Frames use a flat little-endian header plus named payload codecs
+// (internal/wire, generated per algorithm package by cmd/mnmwiregen); a
+// payload whose type has no codec is dropped at encode time and counted
+// (FrameDropEncode). Every stream opens with a 4-byte preamble carrying
+// wire.FrameVersion and a hello frame repeating it; an acceptor answers
+// any other version with its own preamble and closes, and the dialer
+// stops redialing — a version skew does not heal.
 //
 // The backend preserves the link axioms of the paper (§3) over a real,
 // faulty wire:
@@ -131,24 +131,11 @@ type Config struct {
 	// attached later (even while frames are flowing) via Instrument, and
 	// per-group registries via GroupConfig.Registry.
 	Registry *metrics.Registry
-	// Counters is a deprecated shim: when Registry is nil and Counters is
-	// not, the transport reports into a registry synthesized around it.
-	// When both are set, Counters is ignored.
-	//
-	// Deprecated: set Registry instead.
-	Counters *metrics.Counters
 	// Logf, if non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 	// Timeouts bundles the connection and I/O deadlines; zero fields take
 	// defaults (see Timeouts).
 	Timeouts Timeouts
-	// Protocol selects the wire protocol version: ProtoBinary (the
-	// default, flat binary frames with generated payload codecs) or
-	// ProtoGob (the legacy self-contained-gob stream). All nodes of one
-	// system must agree; the handshake rejects mismatched connections
-	// with a descriptive error rather than letting two framings
-	// interleave on one stream.
-	Protocol int
 	// TLS, if non-nil, serves the listener and dials every outbound
 	// connection over TLS with this configuration. Both sides of a
 	// system must agree (a TLS dial into a plaintext listener fails, and
@@ -161,13 +148,6 @@ type Config struct {
 	// axioms hold across kill -9 (see Durability). Nil (the default)
 	// keeps the all-in-memory hot path byte-for-byte unchanged.
 	Durability *Durability
-}
-
-func (c *Config) fill() {
-	c.Timeouts = c.Timeouts.withDefaults()
-	if c.Protocol == 0 {
-		c.Protocol = ProtoBinary
-	}
 }
 
 // Transport is one node's endpoint of a TCP-backed m&m message network:
@@ -221,13 +201,9 @@ var (
 // New binds the node's listener and starts accepting inbound connections.
 // Outbound links are established by Dial.
 func New(cfg Config) (*Transport, error) {
-	cfg.fill()
+	cfg.Timeouts = cfg.Timeouts.withDefaults()
 	if cfg.N < 0 {
 		return nil, errors.New("tcp: Config.N must not be negative")
-	}
-	if cfg.Protocol != ProtoGob && cfg.Protocol != ProtoBinary {
-		return nil, fmt.Errorf("tcp: unknown Config.Protocol %d (want ProtoBinary=%d or ProtoGob=%d)",
-			cfg.Protocol, ProtoBinary, ProtoGob)
 	}
 	if cfg.N == 0 && (len(cfg.Hosted) > 0 || len(cfg.Addrs) > 0) {
 		return nil, errors.New("tcp: Hosted/Addrs given with N = 0 (no group 0)")
@@ -271,16 +247,7 @@ func New(cfg Config) (*Transport, error) {
 		t.groups[0] = t.g0
 		t.self = t.g0.self
 	}
-	// Registry-only observability config: the deprecated Counters shim is
-	// wrapped in a registry, so there is a single metering object and no
-	// precedence rules between the two fields.
-	reg := cfg.Registry
-	if reg == nil && cfg.Counters != nil {
-		reg = metrics.NewRegistryWith(cfg.Counters)
-	}
-	if reg != nil {
-		t.Instrument(reg)
-	}
+	t.Instrument(cfg.Registry)
 	if cfg.Addrs != nil {
 		if err := t.SetAddrs(cfg.Addrs); err != nil {
 			lis.Close()
@@ -566,15 +533,13 @@ func (t *Transport) acceptLoop() {
 	}
 }
 
-// recvLoop reads frames off one inbound connection. The stream's opening
-// bytes select its protocol (binary streams carry a preamble, gob
-// streams are recognized by their length prefix); a protocol other than
-// this node's own is refused with a descriptive reject frame — written
-// in the dialer's protocol, so the dialer can always decode it and stop
-// redialing — rather than letting two framings interleave. The first
-// frame must then be a hello identifying the sender node and repeating
-// the version; everything after is dispatched through the sequence
-// filter.
+// recvLoop reads frames off one inbound connection. The stream must open
+// with this version's preamble and a hello identifying the sender node
+// (acceptHandshake); everything after is dispatched through the sequence
+// filter. A dialer of another wire version is answered with this node's
+// own preamble — the only bytes it is sure to understand, and the only
+// thing an acceptor ever writes on an inbound connection — so that it
+// stops redialing; any other malformed opening is just closed on.
 //
 // Acks are coalesced per read batch: after dispatching the first frame,
 // the loop keeps dispatching as long as more bytes are already buffered,
@@ -592,33 +557,18 @@ func (t *Transport) recvLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	br := bufio.NewReaderSize(conn, batchBufSize)
-	proto, err := sniffProto(br)
-	if err != nil {
-		t.log("inbound connection from %v: %v", conn.RemoteAddr(), err)
-		return
-	}
-	if proto != t.proto() {
-		t.reject(conn, proto, fmt.Sprintf(
-			"tcp: protocol version mismatch: node %s speaks wire protocol %d, connection offered %d; run all nodes at the same version",
-			t.addr, t.proto(), proto))
-		return
-	}
-	fr := newFrameReader(proto)
+	fr := newFrameReader()
 	defer fr.close()
+	remote, err := acceptHandshake(br, fr)
+	if err != nil {
+		t.log("rejecting inbound connection from %v: %v", conn.RemoteAddr(), err)
+		if errors.As(err, new(skewError)) {
+			conn.SetWriteDeadline(time.Now().Add(t.cfg.Timeouts.Write))
+			conn.Write(preamble[:])
+		}
+		return
+	}
 	var f frame
-	if err := fr.read(br, &f); err != nil || f.Kind != frameHello || f.Addr == "" {
-		t.log("inbound connection without hello from %v: %v", conn.RemoteAddr(), err)
-		return
-	}
-	// A hello from a pre-versioning gob peer carries Version 0; the
-	// stream is ProtoGob either way, so only a contradiction between a
-	// declared version and the stream framing is an error.
-	if f.Version != 0 && int(f.Version) != proto {
-		t.reject(conn, proto, fmt.Sprintf(
-			"tcp: hello declares wire protocol %d but the stream is framed as protocol %d", f.Version, proto))
-		return
-	}
-	remote := f.Addr
 	for {
 		if err := fr.read(br, &f); err != nil {
 			return
@@ -648,24 +598,6 @@ func (t *Transport) recvLoop(conn net.Conn) {
 			t.sendAck(remote, ackTo)
 		}
 	}
-}
-
-// proto returns this node's configured wire protocol version.
-func (t *Transport) proto() int { return t.cfg.Protocol }
-
-// reject refuses an inbound connection by writing one reject frame — in
-// the dialer's protocol, the one decoder the far side is guaranteed to
-// have — then closing. The dialer's watch loop decodes it and marks the
-// link permanently down instead of reconnecting forever.
-func (t *Transport) reject(conn net.Conn, dialerProto int, msg string) {
-	t.log("%s (rejecting %v)", msg, conn.RemoteAddr())
-	if dialerProto != ProtoGob && dialerProto != ProtoBinary {
-		return // no decoder we can count on; just close
-	}
-	fw := newFrameWriter(dialerProto)
-	defer fw.close()
-	conn.SetWriteDeadline(time.Now().Add(t.cfg.Timeouts.Write))
-	fw.write(conn, &frame{Kind: frameReject, Version: uint8(t.proto()), ErrMsg: msg})
 }
 
 // dispatch routes one inbound frame and returns the sequence number the

@@ -29,7 +29,7 @@ func newCluster(t testing.TB, n int, hosted [][]core.ProcID) []*tcp.Transport {
 }
 
 // newClusterWith is newCluster with a per-node config hook, for tests
-// that need a non-default protocol, TLS, or log capture.
+// that need TLS, a registry, or log capture.
 func newClusterWith(t testing.TB, n int, hosted [][]core.ProcID, mutate func(i int, cfg *tcp.Config)) []*tcp.Transport {
 	t.Helper()
 	nodes := make([]*tcp.Transport, len(hosted))
@@ -81,7 +81,7 @@ func recvOne(t *testing.T, tr transport.Transport, p core.ProcID) core.Message {
 }
 
 // TestLoopbackPayloadRoundTrip pushes one of every algorithm payload type
-// through the gob wire and checks it arrives intact — the encoding
+// through the wire and checks it arrives intact — the encoding
 // contract every algorithm package's wire.go promises.
 func TestLoopbackPayloadRoundTrip(t *testing.T) {
 	nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
@@ -389,5 +389,38 @@ func TestInstrumentationDialFailures(t *testing.T) {
 	awaitTotal(t, reg.Counters(), metrics.DialFailures, 1)
 	if got := reg.Counters().Of(0, metrics.DialFailures); got < 1 {
 		t.Errorf("dial failures attributed to p0 = %d, want >= 1", got)
+	}
+}
+
+// TestCodecLessSendDroppedNotWedged sends a value whose type has no
+// payload codec between two live nodes. There is no fallback encoding:
+// the frame is dropped at encode time and counted exactly once, never
+// delivered — and its tombstone in the retransmission queue must not
+// wedge the link, so the next Send on it arrives.
+func TestCodecLessSendDroppedNotWedged(t *testing.T) {
+	reg := metrics.NewRegistry(2)
+	nodes := newClusterWith(t, 2, [][]core.ProcID{{0}, {1}}, func(i int, cfg *tcp.Config) {
+		if i == 0 {
+			cfg.Registry = reg
+		}
+	})
+	type codecLess struct{ N int }
+	if err := nodes[0].Send(0, 1, codecLess{N: 1}); err != nil {
+		t.Fatalf("Send(codec-less): %v", err)
+	}
+	awaitTotal(t, reg.Counters(), metrics.FrameDropEncode, 1)
+	if err := nodes[0].Send(0, 1, 7); err != nil {
+		t.Fatalf("Send(7): %v", err)
+	}
+	if m := recvOne(t, nodes[1], 1); m.Payload != 7 {
+		t.Fatalf("received %#v, want 7: the codec-less payload must never be delivered", m.Payload)
+	}
+	// The ack of the second frame pops the tombstone with it.
+	awaitTotal(t, reg.Counters(), metrics.FrameAcked, 1)
+	if got := reg.Counters().Total(metrics.FrameDropEncode); got != 1 {
+		t.Errorf("FrameDropEncode = %d, want exactly 1 (the drop must not be retried)", got)
+	}
+	if m, ok := nodes[1].TryRecv(1); ok {
+		t.Errorf("unexpected extra message %#v", m.Payload)
 	}
 }

@@ -4,21 +4,21 @@
 // hand-rolled binary header, but the payload is a core.Value — an
 // arbitrary Go interface. This package maps concrete payload types to
 // named codecs so a payload crosses the wire as a short codec name plus a
-// flat binary body instead of a per-frame gob stream (which re-sends type
-// metadata on every frame and allocates on both ends).
+// flat binary body.
 //
-// Codecs come from three places:
+// Codecs come from two places:
 //
 //   - builtin codecs for the model vocabulary (int, int64, uint64,
 //     float64, bool, string, core.ProcID, core.Ref, []core.Value),
 //     registered by this package;
 //   - generated codecs: each algorithm package's wire_codec.go (emitted by
-//     cmd/mnmwiregen from the gob.Register set in its wire.go) registers
-//     one codec per wire-crossing type;
-//   - the gob fallback: a value whose concrete type has no codec is sent
-//     under the reserved name "gob" as a length-prefixed gob stream, so
-//     unknown payload types keep working exactly as before — slower, but
-//     never dropped.
+//     cmd/mnmwiregen from the //mnmwiregen:types directive in its
+//     wire.go) registers one codec per wire-crossing type.
+//
+// There is no fallback: a value whose concrete type has no codec does not
+// encode (AppendValue returns an error naming the type and the fix), and
+// the transport drops the frame and counts it. mnmvet's wirecodec rule
+// keeps that from happening to any type an algorithm package sends.
 //
 // The encode side is append-style ([]byte grows in place, no Writer
 // interface on the hot path); the decode side is a bounds-checked Decoder
@@ -27,12 +27,8 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"io"
 	"math"
 	"reflect"
 	"sync"
@@ -40,15 +36,9 @@ import (
 	"github.com/mnm-model/mnm/internal/core"
 )
 
-// MaxValue bounds one encoded payload body. It matches the transport's
-// frame-size limit: a payload that cannot fit in a frame is refused at
-// encode time (incrementally, for the gob fallback — see LimitWriter)
-// instead of after a multi-megabyte detour.
-const MaxValue = 16 << 20
-
 // FrameVersion is the binary frame-header wire version. The TCP
-// transport's ProtoBinary constant, its stream preamble, and its hello
-// handshake all derive from it, and cmd/mnmwiregen stamps it into every
+// transport's stream preamble and hello handshake carry it, and
+// cmd/mnmwiregen stamps it into every
 // generated wire_codec.go (checked by mnmvet's wirecodec rule), so a
 // header-layout change that forgets to regenerate the codecs fails
 // `mnmwiregen -check`.
@@ -58,13 +48,6 @@ const MaxValue = 16 << 20
 // TraceID, SpanID and a Lamport clock stamp (62 bytes), so a span
 // started on one node continues causally on the next.
 const FrameVersion = 4
-
-// GobName is the reserved codec name of the gob fallback. The empty name
-// is reserved for nil payloads.
-const GobName = "gob"
-
-// ErrTooLarge marks values that exceed MaxValue mid-encode.
-var ErrTooLarge = errors.New("wire: encoded value exceeds size limit")
 
 // AppendFunc encodes the concrete value v (asserted by the codec) onto b.
 type AppendFunc func(b []byte, v any) ([]byte, error)
@@ -77,7 +60,7 @@ type ReadFunc func(d *Decoder) (any, error)
 type Codec struct {
 	// Name travels on the wire before every body; both ends must agree.
 	// Generated codecs use "pkg.Type"; builtins use terse names ("i",
-	// "s", ...). "" and "gob" are reserved.
+	// "s", ...). "" is reserved for nil payloads.
 	Name string
 	// Type is the concrete Go type the codec handles.
 	Type reflect.Type
@@ -92,13 +75,13 @@ var (
 	byType = map[reflect.Type]*Codec{}
 )
 
-// Register installs a codec. It panics on a nil function, a reserved or
+// Register installs a codec. It panics on a nil function, an empty or
 // duplicate name, or a duplicate type — codec registration happens in
 // package init functions, so a collision is a build-time bug, not a
 // runtime condition to tolerate.
 func Register(c Codec) {
-	if c.Name == "" || c.Name == GobName {
-		panic(fmt.Sprintf("wire: codec name %q is reserved", c.Name))
+	if c.Name == "" {
+		panic("wire: the empty codec name is reserved for nil payloads")
 	}
 	if c.Type == nil || c.Append == nil || c.Read == nil {
 		panic(fmt.Sprintf("wire: codec %q is incomplete", c.Name))
@@ -164,60 +147,18 @@ func AppendBytes(b []byte, p []byte) []byte {
 }
 
 // AppendValue appends one interface value: a codec name (varint string)
-// followed by the codec's body. nil travels as the empty name;
-// codec-less types fall back to a length-prefixed gob stream under the
-// reserved name "gob".
+// followed by the codec's body. nil travels as the empty name; a
+// concrete type without a codec is an error.
 func AppendValue(b []byte, v any) ([]byte, error) {
 	if v == nil {
 		return AppendString(b, ""), nil
 	}
-	if c := ForType(reflect.TypeOf(v)); c != nil {
-		b = AppendString(b, c.Name)
-		return c.Append(b, v)
+	c := ForType(reflect.TypeOf(v))
+	if c == nil {
+		return nil, fmt.Errorf("wire: no payload codec for %T (list it in its package's wire.go //mnmwiregen:types directive and run mnmwiregen)", v)
 	}
-	body, err := encodeGob(v)
-	if err != nil {
-		return nil, err
-	}
-	b = AppendString(b, GobName)
-	return AppendBytes(b, body), nil
-}
-
-// encodeGob encodes v through the gob fallback, aborting incrementally —
-// not after the fact — once the stream passes MaxValue.
-func encodeGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(NewLimitWriter(&buf, MaxValue)).Encode(&v); err != nil {
-		if errors.Is(err, ErrTooLarge) {
-			return nil, fmt.Errorf("%w (gob fallback for %T)", ErrTooLarge, v)
-		}
-		return nil, fmt.Errorf("wire: gob fallback for %T: %w (register a codec or encoding/gob type)", v, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// LimitWriter wraps w and fails with ErrTooLarge once more than max bytes
-// have been written, so incremental encoders (gob) stop producing output
-// the moment a value is hopeless instead of materializing all of it.
-type LimitWriter struct {
-	w   io.Writer
-	max int
-	n   int
-}
-
-// NewLimitWriter returns a LimitWriter allowing max bytes through to w.
-func NewLimitWriter(w io.Writer, max int) *LimitWriter {
-	return &LimitWriter{w: w, max: max}
-}
-
-// Write implements io.Writer.
-func (lw *LimitWriter) Write(p []byte) (int, error) {
-	if lw.n+len(p) > lw.max {
-		return 0, ErrTooLarge
-	}
-	n, err := lw.w.Write(p)
-	lw.n += n
-	return n, err
+	b = AppendString(b, c.Name)
+	return c.Append(b, v)
 }
 
 // --- bounds-checked decode ---
@@ -334,20 +275,8 @@ func (d *Decoder) Value() any {
 	if d.err != nil {
 		return nil
 	}
-	switch name {
-	case "":
+	if name == "" {
 		return nil
-	case GobName:
-		body := d.Bytes()
-		if d.err != nil {
-			return nil
-		}
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&v); err != nil {
-			d.Failf("gob fallback payload: %v", err)
-			return nil
-		}
-		return v
 	}
 	c := Lookup(name)
 	if c == nil {
@@ -362,8 +291,7 @@ func (d *Decoder) Value() any {
 	return v
 }
 
-// --- builtin codecs: the model vocabulary the transport pre-registers
-// for gob is mirrored here so plain payloads never hit the fallback. ---
+// --- builtin codecs: the model vocabulary every payload may use ---
 
 // simple registers a codec whose append/read cannot fail structurally.
 func simple[T any](name string, app func(b []byte, x T) []byte, read func(d *Decoder) T) {

@@ -1,8 +1,6 @@
 package wire
 
 import (
-	"encoding/gob"
-	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -10,22 +8,6 @@ import (
 
 	"github.com/mnm-model/mnm/internal/core"
 )
-
-// fallbackPayload has no registered wire codec, so it rides the gob
-// fallback — which keeps gob's own contract: the concrete type must be
-// gob.Registered, exactly as the wire.go convention already requires.
-type fallbackPayload struct {
-	N int
-	S string
-}
-
-// blob exists to overflow the fallback's size limit.
-type blob struct{ B []byte }
-
-func init() {
-	gob.Register(fallbackPayload{})
-	gob.Register(blob{})
-}
 
 func roundTrip(t *testing.T, v any) any {
 	t.Helper()
@@ -74,27 +56,21 @@ func TestNestedValueSlice(t *testing.T) {
 	}
 }
 
-func TestGobFallbackRoundTrip(t *testing.T) {
-	v := fallbackPayload{N: 9, S: "fallback"}
-	b, err := AppendValue(nil, v)
-	if err != nil {
-		t.Fatalf("AppendValue: %v", err)
-	}
-	// The fallback must be tagged with the reserved name.
-	d := NewDecoder(b)
-	if name := d.String(); name != GobName {
-		t.Fatalf("fallback codec name = %q, want %q", name, GobName)
-	}
-	got := roundTrip(t, v)
-	if !reflect.DeepEqual(got, v) {
-		t.Errorf("round trip %#v: got %#v", v, got)
-	}
-}
-
-func TestGobFallbackTooLarge(t *testing.T) {
-	_, err := AppendValue(nil, blob{B: make([]byte, MaxValue+1)})
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("oversized fallback: err = %v, want ErrTooLarge", err)
+// TestCodecLessTypeRefused: there is no fallback encoding. A type without
+// a codec must fail to encode — at the top level and nested in a slice —
+// with an error that names the type and the fix.
+func TestCodecLessTypeRefused(t *testing.T) {
+	type codecLess struct{ N int }
+	for _, v := range []any{codecLess{N: 9}, []core.Value{1, codecLess{}}} {
+		_, err := AppendValue(nil, v)
+		if err == nil {
+			t.Fatalf("AppendValue(%#v) succeeded without a codec", v)
+		}
+		for _, want := range []string{"wire.codecLess", "wire.go", "mnmwiregen"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("AppendValue(%#v): error %q does not mention %q", v, err, want)
+			}
+		}
 	}
 }
 
@@ -156,7 +132,6 @@ func TestDecoderErrorLatches(t *testing.T) {
 func TestRegisterPanics(t *testing.T) {
 	for name, c := range map[string]Codec{
 		"reserved-empty": {Name: ""},
-		"reserved-gob":   {Name: GobName},
 		"incomplete":     {Name: "t-incomplete"},
 		"dup-name": {
 			Name: "i", Type: reflect.TypeOf(struct{}{}),
@@ -177,19 +152,5 @@ func TestRegisterPanics(t *testing.T) {
 			}()
 			Register(c)
 		}()
-	}
-}
-
-func TestLimitWriter(t *testing.T) {
-	var sink strings.Builder
-	lw := NewLimitWriter(&sink, 4)
-	if _, err := lw.Write([]byte("ab")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lw.Write([]byte("cd")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lw.Write([]byte("e")); !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("over-limit write: err = %v, want ErrTooLarge", err)
 	}
 }

@@ -64,8 +64,7 @@ func TestGeneratedUpToDate(t *testing.T) {
 
 // TestPayloadsRoundTripGenerated pushes every representative payload of
 // every wire.go package through the codec plane and requires (a) a
-// generated codec — not the gob fallback — to carry it, and (b) exact
-// structural round-trip.
+// generated codec to carry it, and (b) exact structural round-trip.
 func TestPayloadsRoundTripGenerated(t *testing.T) {
 	payloads := map[string][]core.Value{
 		"benor":  benor.WirePayloads(),
@@ -83,7 +82,7 @@ func TestPayloadsRoundTripGenerated(t *testing.T) {
 		for _, v := range vals {
 			c := wire.ForType(reflect.TypeOf(v))
 			if c == nil {
-				t.Errorf("%s: %T has no generated codec (would ride the gob fallback)", pkg, v)
+				t.Errorf("%s: %T has no generated codec (the transport would drop it)", pkg, v)
 				continue
 			}
 			b, err := wire.AppendValue(nil, v)

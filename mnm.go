@@ -109,8 +109,6 @@ type (
 	Crash = sim.Crash
 	// RTConfig configures a real-time host.
 	RTConfig = rt.Config
-	// RTHost runs an algorithm with real goroutine concurrency.
-	RTHost = rt.Host
 	// RTResult summarizes a real-time run.
 	RTResult = rt.Result
 	// Transport carries messages between processes for the real-time
@@ -130,8 +128,9 @@ type (
 	RTNode = rt.Node
 	// RTNodeConfig configures an RTNode.
 	RTNodeConfig = rt.NodeConfig
-	// RTGroup is one group (shard) running on an RTNode. RTHost is the
-	// same type: a single-group system built with NewRT.
+	// RTGroup runs one m&m system (one shard) with real goroutine
+	// concurrency: a single-group system built with NewRT, or one of the
+	// many groups opened on an RTNode.
 	RTGroup = rt.Group
 	// RTGroupConfig describes one group to open on an RTNode.
 	RTGroupConfig = rt.GroupConfig
@@ -152,7 +151,7 @@ type (
 	// Snapshot is a point-in-time copy of Counters.
 	Snapshot = metrics.Snapshot
 	// MetricsRegistry bundles one run's Counters with named latency
-	// histograms; set RTConfig.Registry (or read RTHost.Registry()) to
+	// histograms; set RTConfig.Registry (or read RTGroup.Registry()) to
 	// observe a real-time run's transport and remote-register traffic.
 	MetricsRegistry = metrics.Registry
 	// MetricsSampler snapshots a registry into a bounded time-series
@@ -362,7 +361,7 @@ func NewRandomDrop(p float64, seed int64) DropPolicy { return msgnet.NewRandomDr
 func NewSim(cfg SimConfig, alg Algorithm) (*SimRunner, error) { return sim.New(cfg, alg) }
 
 // NewRT builds a real-time host.
-func NewRT(cfg RTConfig, alg Algorithm) (*RTHost, error) { return rt.New(cfg, alg) }
+func NewRT(cfg RTConfig, alg Algorithm) (*RTGroup, error) { return rt.New(cfg, alg) }
 
 // NewRTNode builds the per-OS-process plane of a sharded (multi-tenant)
 // deployment: many independent m&m groups multiplexed over one shared

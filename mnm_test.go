@@ -131,7 +131,7 @@ func TestCustomAlgorithmThroughFacade(t *testing.T) {
 	}
 }
 
-func TestRTHostThroughFacade(t *testing.T) {
+func TestRTGroupThroughFacade(t *testing.T) {
 	inputs := []mnm.ConsensusValue{mnm.V0, mnm.V1, mnm.V0}
 	h, err := mnm.NewRT(mnm.RTConfig{RunConfig: mnm.RunConfig{GSM: mnm.CompleteGraph(3), Seed: 2}},
 		mnm.NewHBO(mnm.HBOConfig{Inputs: inputs, HaltAfterDecide: true}))
