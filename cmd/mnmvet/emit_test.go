@@ -18,8 +18,8 @@ func sampleDiags(root string) []analysis.Diagnostic {
 			Line:     42,
 			Column:   3,
 		},
-		Rule:    "fsyncorder",
-		Message: "frame becomes visible before its WAL journal append",
+		Rule:    "lockorder",
+		Message: "acquiring tcp.Transport.mu while tcp.peer.mu is held closes a lock-order cycle",
 	}}
 }
 
@@ -39,7 +39,7 @@ func TestEmitJSON(t *testing.T) {
 	if got[0].File != "internal/transport/tcp/peer.go" {
 		t.Errorf("file not root-relative: %q", got[0].File)
 	}
-	if got[0].Line != 42 || got[0].Rule != "fsyncorder" {
+	if got[0].Line != 42 || got[0].Rule != "lockorder" {
 		t.Errorf("finding mangled: %+v", got[0])
 	}
 }
@@ -68,7 +68,7 @@ func TestEmitSARIF(t *testing.T) {
 		t.Fatalf("%d results, want 1", len(run.Results))
 	}
 	res := run.Results[0]
-	if res.RuleID != "fsyncorder" || res.Level != "error" {
+	if res.RuleID != "lockorder" || res.Level != "error" {
 		t.Errorf("result mangled: %+v", res)
 	}
 	loc := res.Locations[0].PhysicalLocation

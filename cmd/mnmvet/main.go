@@ -9,21 +9,20 @@
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 //
-// The nine rules (see DESIGN.md "Machine-checked invariants"):
+// The seven rules (see DESIGN.md "Machine-checked invariants"):
 //
 //	simdeterminism  no wall clock / global rand in deterministic packages
 //	wirecodec       every wire-crossing type is listed in wire.go and has a current generated codec
 //	lockedblocking  no blocking work while a mutex is held (sees through calls)
 //	timerleak       no time.After in loops, no time.Tick
 //	stopselect      channel waits in rt/transport are stop-interruptible
-//	fsyncorder      WAL append/fsync dominates the mutation or ack it guards
 //	lockorder       the cross-package lock-acquisition graph stays acyclic
 //	spanprop        transport sends thread the trace context or fall back explicitly
-//	ctrlgroup       ack/hello frames pin group 0 and a zero trace triple
 //
-// The last four run on interprocedural effect summaries: a package-level
-// call graph with per-function effects propagated bottom-up over SCCs,
-// so a reorder or lock nesting hidden behind a helper is still seen.
+// lockedblocking, lockorder and spanprop run on interprocedural effect
+// summaries: a package-level call graph with per-function effects
+// propagated bottom-up over SCCs, so a blocking call or lock nesting
+// hidden behind a helper is still seen.
 package main
 
 import (

@@ -4,8 +4,6 @@ package suite
 
 import (
 	"github.com/mnm-model/mnm/internal/analysis"
-	"github.com/mnm-model/mnm/internal/analysis/ctrlgroup"
-	"github.com/mnm-model/mnm/internal/analysis/fsyncorder"
 	"github.com/mnm-model/mnm/internal/analysis/lockedblocking"
 	"github.com/mnm-model/mnm/internal/analysis/lockorder"
 	"github.com/mnm-model/mnm/internal/analysis/simdeterminism"
@@ -17,8 +15,7 @@ import (
 
 // All returns every mnmvet analyzer, in reporting order: the v1
 // syntactic rules first, then the v2 interprocedural family
-// (fsyncorder/lockorder/spanprop ride the shared callgraph + effect
-// summaries; ctrlgroup is syntactic but scoped to the wire layer).
+// (lockorder/spanprop ride the shared callgraph + effect summaries).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		simdeterminism.Analyzer,
@@ -26,9 +23,7 @@ func All() []*analysis.Analyzer {
 		lockedblocking.Analyzer,
 		timerleak.Analyzer,
 		stopselect.Analyzer,
-		fsyncorder.Analyzer,
 		lockorder.Analyzer,
 		spanprop.Analyzer,
-		ctrlgroup.Analyzer,
 	}
 }

@@ -1,8 +1,7 @@
 // Package summary computes per-function effect summaries over the
 // callgraph and propagates them bottom-up through SCCs, so analyzers can
 // reason across call boundaries: "does calling this function block?",
-// "which locks can it acquire?", "does it fsync the WAL before making a
-// frame visible?".
+// "which locks can it acquire?", "does it reach a span-aware send?".
 //
 // # Effects
 //
@@ -10,24 +9,10 @@
 // goroutine. Generic effects (Blocks, Observes, Logs, NetIO) are
 // recognized from types: channel operations, time.Sleep, WaitGroup.Wait,
 // net.* calls, fmt/log printing, metrics Observe calls. File IO is
-// deliberately NOT an effect: the durability contract of PR 7 fsyncs the
-// WAL while holding peer locks, and that is the invariant, not a bug.
-//
-// Protocol effects are recognized by the repo's naming conventions — the
-// same convention-as-contract approach as the *Locked suffix:
-//
-//   - a call to logEnqueue          → JournalFrame   (WAL append+fsync of an enqueue)
-//   - a call to logRecvHW           → JournalRecvHW  (receive high-watermark fsync)
-//   - a call to Apply on a receiver whose type name contains "journal"
-//     (shm.Journal et al)           → JournalApply
-//   - a call to push on a receiver whose type name contains "pending" or
-//     "queue" (tcp.pendingQueue)    → FrameVisible   (frame becomes sendable)
-//   - a call to sendAck/enqueueCtrl → AckEmit        (cumulative ack queued)
-//   - an assignment regs[...] = v through a field named "regs"
-//     (shm register bank)           → RegMutate
-//
-// Renaming those functions without updating this table silently disables
-// fsyncorder; the vettest fixtures pin the convention.
+// deliberately NOT an effect: the durability contract fsyncs the WAL while
+// holding peer locks, and that is the invariant, not a bug. (The WAL's
+// orderings themselves are not effects either: tcp's journaled/hwSynced
+// values and shm's storeLocked make them data dependences.)
 //
 // Span effects key off the transport interfaces: a call to
 // Send/Broadcast (resp. Call) on a value implementing transport.Transport
@@ -43,20 +28,6 @@
 // with the caller, so they do not propagate. Within an SCC every member
 // gets the component-wide union, which is the fixpoint.
 //
-// One refinement for the durability ordering pairs (journal-frame before
-// frame-visible, recv-hw before ack-emit, journal-apply before
-// reg-mutate): a function that performs the guarded effect with no
-// journal effect anywhere in reach is a judged-legal journal-free path —
-// recovery replay pushes frames that are already in the WAL (seedPeer),
-// Restore repopulates registers from the journal itself. Such a function
-// does not export the guarded effect to its callers (Events and
-// propagation both see the masked value), so calling it next to an
-// unrelated journal call does not fabricate an ordering violation. The
-// judgment call lives in exactly one place: the function that touches
-// the primitive without journaling. Callers that touch the primitive
-// directly (pendingQueue.push, sendAck, regs[...]=) still get the
-// call-site-seeded effect and remain fully checked.
-//
 // Lock-order edges are collected the same way: replaying each body's
 // lock operations in source order, an acquisition (direct, or anything a
 // synchronously-called function may transitively acquire) performed
@@ -69,7 +40,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 
@@ -92,18 +62,6 @@ const (
 	Logs
 	// NetIO: any call into package net (conn reads/writes, dial, listen).
 	NetIO
-	// JournalFrame: WAL append+fsync of an enqueued frame (logEnqueue).
-	JournalFrame
-	// JournalRecvHW: receive high-watermark fsync (logRecvHW).
-	JournalRecvHW
-	// JournalApply: shm journal hook (Journal.Apply).
-	JournalApply
-	// AckEmit: a cumulative ack queued for the wire (sendAck/enqueueCtrl).
-	AckEmit
-	// FrameVisible: a frame pushed where the send loop can see it.
-	FrameVisible
-	// RegMutate: a register-bank mutation (regs[ref] = v).
-	RegMutate
 	// PlainSend: Send/Broadcast on a transport.Transport — no trace context.
 	PlainSend
 	// SpanSend: SendSpan/BroadcastSpan on a transport.SpanCarrier.
@@ -117,29 +75,6 @@ const (
 // Has reports whether e includes every bit of f.
 func (e Effect) Has(f Effect) bool { return e&f == f }
 
-// OrderPairs lists the durability ordering contracts as (journal effect,
-// guarded effect) pairs: the first must precede the second within any
-// function exhibiting both. fsyncorder checks them; propagation masks
-// guarded effects out of judged-legal journal-free paths (see the
-// package comment).
-var OrderPairs = [3][2]Effect{
-	{JournalFrame, FrameVisible},
-	{JournalRecvHW, AckEmit},
-	{JournalApply, RegMutate},
-}
-
-// exported returns the effect set a function exposes to callers: each
-// ordering pair's guarded effect is dropped when the matching journal
-// effect is absent — the function is a judged-legal journal-free path.
-func exported(eff Effect) Effect {
-	for _, p := range OrderPairs {
-		if eff&p[1] != 0 && eff&p[0] == 0 {
-			eff &^= p[1]
-		}
-	}
-	return eff
-}
-
 var effectNames = []struct {
 	bit  Effect
 	name string
@@ -148,12 +83,6 @@ var effectNames = []struct {
 	{Observes, "observes-metrics"},
 	{Logs, "logs"},
 	{NetIO, "net-io"},
-	{JournalFrame, "journal-frame"},
-	{JournalRecvHW, "journal-recv-hw"},
-	{JournalApply, "journal-apply"},
-	{AckEmit, "ack-emit"},
-	{FrameVisible, "frame-visible"},
-	{RegMutate, "reg-mutate"},
 	{PlainSend, "plain-send"},
 	{SpanSend, "span-send"},
 	{PlainCall, "plain-call"},
@@ -269,7 +198,7 @@ func (s *Set) Events(fn *types.Func) []Event {
 			if o.edgeKind == callgraph.Go {
 				continue
 			}
-			eff := exported(s.trans[o.callee])
+			eff := s.trans[o.callee]
 			if eff == 0 {
 				continue
 			}
@@ -312,11 +241,6 @@ type op struct {
 	callee   *types.Func
 	edgeKind callgraph.EdgeKind
 }
-
-var (
-	journalRecvRe = regexp.MustCompile(`(?i)journal`)
-	pendingRecvRe = regexp.MustCompile(`(?i)(pending|queue)`)
-)
 
 const transportPath = "github.com/mnm-model/mnm/internal/transport"
 
@@ -388,7 +312,7 @@ func Build(pkgs []*loader.Package) *Set {
 				if e.Kind == callgraph.Go || inComp[e.Callee] {
 					continue
 				}
-				eff |= exported(s.trans[e.Callee])
+				eff |= s.trans[e.Callee]
 				for k := range s.acquires[e.Callee] {
 					acq[k] = true
 				}
@@ -561,6 +485,9 @@ func (w *walker) stmt(s ast.Stmt, ops *[]op) {
 			}
 		}
 	case *ast.SelectStmt:
+		// The select is the one blocking op, and only without a default:
+		// its clauses contribute their operands, not free-standing sends
+		// and receives, or every non-blocking notifier would block.
 		hasDefault := false
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
@@ -573,7 +500,7 @@ func (w *walker) stmt(s ast.Stmt, ops *[]op) {
 		for _, c := range s.Body.List {
 			if cc, ok := c.(*ast.CommClause); ok {
 				*ops = append(*ops, op{pos: cc.Pos(), kind: opPush})
-				w.stmt(cc.Comm, ops)
+				w.commOperands(cc.Comm, ops)
 				w.stmtList(cc.Body, ops)
 				*ops = append(*ops, op{pos: cc.End(), kind: opPop})
 			}
@@ -598,9 +525,6 @@ func (w *walker) stmt(s ast.Stmt, ops *[]op) {
 		w.expr(s.Value, ops)
 	case *ast.AssignStmt:
 		for _, lhs := range s.Lhs {
-			if eff := w.b.assignEffect(w.pkg, lhs); eff != 0 {
-				*ops = append(*ops, op{pos: lhs.Pos(), kind: opEvent, eff: eff})
-			}
 			w.expr(lhs, ops)
 		}
 		for _, rhs := range s.Rhs {
@@ -617,6 +541,32 @@ func (w *walker) stmt(s ast.Stmt, ops *[]op) {
 	case *ast.DeclStmt, *ast.IncDecStmt:
 		w.expr(s, ops)
 	}
+}
+
+// commOperands walks a select clause's communication for what it
+// evaluates — the channel, the sent value, the receive's targets — but not
+// the send or receive itself, whose blocking belongs to the select.
+func (w *walker) commOperands(s ast.Stmt, ops *[]op) {
+	switch s := s.(type) {
+	case *ast.SendStmt:
+		w.expr(s.Chan, ops)
+		w.expr(s.Value, ops)
+	case *ast.ExprStmt:
+		w.expr(recvOperand(s.X), ops)
+	case *ast.AssignStmt:
+		for _, lhs := range s.Lhs {
+			w.expr(lhs, ops)
+		}
+		w.expr(recvOperand(s.Rhs[0]), ops)
+	}
+}
+
+// recvOperand strips the receive operator off a clause's <-ch.
+func recvOperand(e ast.Expr) ast.Expr {
+	if u, ok := ast.Unparen(e).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+		return u.X
+	}
+	return e
 }
 
 // expr walks an expression (or expression-bearing node) for calls, lock
@@ -731,23 +681,8 @@ func (b *builder) callEffect(pkg *loader.Package, callee *types.Func, sel *ast.S
 		}
 	}
 
-	switch name {
-	case "Observe", "ObserveValue":
+	if name == "Observe" || name == "ObserveValue" {
 		return Observes
-	case "logEnqueue":
-		return JournalFrame
-	case "logRecvHW":
-		return JournalRecvHW
-	case "sendAck", "enqueueCtrl":
-		return AckEmit
-	case "Apply":
-		if journalRecvRe.MatchString(recvTypeName(callee)) {
-			return JournalApply
-		}
-	case "push":
-		if pendingRecvRe.MatchString(recvTypeName(callee)) {
-			return FrameVisible
-		}
 	}
 
 	// Span effects: interface-implements checks against the transport
@@ -781,23 +716,6 @@ func (b *builder) callEffect(pkg *loader.Package, callee *types.Func, sel *ast.S
 		}
 	}
 	return 0
-}
-
-// assignEffect recognizes register-bank mutations: an index assignment
-// through a field named "regs".
-func (b *builder) assignEffect(pkg *loader.Package, lhs ast.Expr) Effect {
-	idx, ok := ast.Unparen(lhs).(*ast.IndexExpr)
-	if !ok {
-		return 0
-	}
-	sel, ok := ast.Unparen(idx.X).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "regs" {
-		return 0
-	}
-	if s, ok := pkg.Info.Selections[sel]; !ok || s.Kind() != types.FieldVal {
-		return 0
-	}
-	return RegMutate
 }
 
 // lockKey canonicalizes the mutex expression x of x.Lock() into a
@@ -881,18 +799,8 @@ func recvTypeName(fn *types.Func) string {
 	if !ok || sig.Recv() == nil {
 		return ""
 	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	switch t := t.(type) {
-	case *types.Named:
-		return t.Obj().Name()
-	case *types.Interface:
-		// Interface method: recover the defining named type if possible.
-		// (Selections give us the *types.Func of the interface method; its
-		// receiver is the interface itself, which for shm.Journal is named.)
-		return ""
+	if n := namedOf(sig.Recv().Type()); n != nil {
+		return n.Obj().Name()
 	}
 	return ""
 }

@@ -50,6 +50,21 @@ func (s *state) parkedSelect() {
 	}
 }
 
+// waitNotify parks in a select with no default: calling it under a lock
+// blocks, and the summary must say so at the call site.
+func (s *state) waitNotify() {
+	select {
+	case s.ch <- 1:
+	case <-s.ch:
+	}
+}
+
+func (s *state) waitUnder() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.waitNotify() // want "call to waitNotify \(blocks\) while holding s.mu"
+}
+
 // deliverLocked follows the repo convention: the suffix promises the
 // caller holds a lock, so blocking work inside is flagged.
 func (s *state) deliverLocked() {

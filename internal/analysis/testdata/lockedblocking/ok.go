@@ -51,6 +51,21 @@ func (s *state) nonBlockingSelect() {
 	}
 }
 
+// tryNotify is the non-blocking notifier idiom: its clause's send is part
+// of a select with a default, so calling it under a lock blocks nothing.
+func (s *state) tryNotify() {
+	select {
+	case s.ch <- 1:
+	default:
+	}
+}
+
+func (s *state) notifyUnder() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.tryNotify()
+}
+
 func (s *state) pureWorkUnder() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -169,15 +169,26 @@ func (m *Memory) Write(p core.ProcID, ref core.Ref, v core.Value) error {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %v writing %v", core.ErrMemoryFailed, p, ref)
 	}
+	err := m.storeLocked(ref, v)
+	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	m.meter(p, ref, metrics.RegWriteLocal, metrics.RegWriteRemote)
+	return nil
+}
+
+// storeLocked journals v, then installs it — the one place a register
+// changes on behalf of a process, so a value readers can observe is
+// already durable, and a journal error leaves the register untouched
+// (TestJournalErrorBlocksMutation pins the order). Caller holds m.mu.
+func (m *Memory) storeLocked(ref core.Ref, v core.Value) error {
 	if m.journal != nil {
 		if err := m.journal.Apply(ref, v); err != nil {
-			m.mu.Unlock()
 			return fmt.Errorf("journal %v: %w", ref, err)
 		}
 	}
 	m.regs[ref] = v
-	m.mu.Unlock()
-	m.meter(p, ref, metrics.RegWriteLocal, metrics.RegWriteRemote)
 	return nil
 }
 
@@ -209,13 +220,10 @@ func (m *Memory) CompareAndSwap(p core.ProcID, ref core.Ref, expected, desired c
 	cur := m.regs[ref]
 	swapped := reflect.DeepEqual(cur, expected)
 	if swapped {
-		if m.journal != nil {
-			if err := m.journal.Apply(ref, desired); err != nil {
-				m.mu.Unlock()
-				return false, nil, fmt.Errorf("journal %v: %w", ref, err)
-			}
+		if err := m.storeLocked(ref, desired); err != nil {
+			m.mu.Unlock()
+			return false, nil, err
 		}
-		m.regs[ref] = desired
 	}
 	m.mu.Unlock()
 	m.meter(p, ref, metrics.RegWriteLocal, metrics.RegWriteRemote)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"github.com/mnm-model/mnm/internal/durable"
 	"github.com/mnm-model/mnm/internal/metrics"
@@ -61,7 +60,10 @@ type peerMirror struct {
 // frameLog journals the transport's reliability state through a WAL and
 // keeps an in-memory mirror of what the log nets out to, which serves
 // both compaction (rewrite the log as the mirror) and recovery seeding
-// (the mirror right after Open is the recovered state).
+// (the mirror right after Open is the recovered state). A nil *frameLog
+// is durability off: the methods the send and receive paths call are
+// no-ops on it, and the two that gate visibility still return what push
+// and sendAck require.
 type frameLog struct {
 	t *Transport // for metrics/logging; nil in white-box tests
 
@@ -187,11 +189,37 @@ func (m *peerMirror) drop(seq uint64) {
 	}
 }
 
-// logEnqueue journals a freshly sequenced frame, fsync'd before return:
-// once the caller proceeds, the frame survives kill -9 and will be
-// retransmitted by the next incarnation. Called with the owning peer's
-// mutex held — the journal order is the sequence order.
-func (l *frameLog) logEnqueue(addr string, f *frame) error {
+// journaled is a frame that has been through the frame log: logEnqueue
+// returns it after the WAL append+fsync, seedPeer after replaying it from
+// that same WAL. pendingQueue.push takes nothing else, so a frame cannot
+// become visible to the send loop before it is journaled — the order is a
+// data dependence the compiler checks. It points at the caller's frame,
+// which push copies into the queue: the durability-off path inlines and
+// copies the frame no more often than a bare push would.
+type journaled struct{ f *frame }
+
+// hwSynced is a duplicate-filter high-water mark that logRecvHW has made
+// durable. sendAck takes nothing else, so the fsync precedes the ack that
+// lets the sender prune.
+type hwSynced struct{ seq uint64 }
+
+// logEnqueue journals a freshly sequenced frame, fsync'd before return,
+// and hands it back for pendingQueue.push: once the caller can push, the
+// frame survives kill -9 and will be retransmitted by the next
+// incarnation. A nil log (durability off) journals nothing. On error the
+// frame still comes back — the caller degrades to in-memory reliability
+// for it rather than losing it. Called with the owning peer's mutex held —
+// the journal order is the sequence order.
+func (l *frameLog) logEnqueue(addr string, f *frame) (journaled, error) {
+	var err error
+	if l != nil {
+		err = l.appendEnqueue(addr, f)
+	}
+	return journaled{f}, err
+}
+
+// appendEnqueue writes and fsyncs f's enqueue record, then mirrors it.
+func (l *frameLog) appendEnqueue(addr string, f *frame) error {
 	body, err := appendFrame(nil, f)
 	if err != nil {
 		return err // unencodable: sendLoop will tombstone it; nothing to journal
@@ -223,6 +251,9 @@ func (l *frameLog) logEnqueue(addr string, f *frame) error {
 // to a crash only means the next incarnation retransmits already-acked
 // frames, which the remote's duplicate filter discards and re-acks.
 func (l *frameLog) logAck(addr string, upTo uint64) error {
+	if l == nil {
+		return nil
+	}
 	rec := wire.AppendUvarint(nil, recAck)
 	rec = wire.AppendString(rec, addr)
 	rec = wire.AppendUvarint(rec, upTo)
@@ -238,6 +269,9 @@ func (l *frameLog) logAck(addr string, upTo uint64) error {
 // logDrop journals a tombstoned (unencodable) frame. No fsync: replaying
 // a lost drop record just re-drops the frame on its next encode attempt.
 func (l *frameLog) logDrop(addr string, seq uint64) error {
+	if l == nil {
+		return nil
+	}
 	rec := wire.AppendUvarint(nil, recDrop)
 	rec = wire.AppendString(rec, addr)
 	rec = wire.AppendUvarint(rec, seq)
@@ -254,24 +288,31 @@ func (l *frameLog) logDrop(addr string, seq uint64) error {
 // remote, fsync'd before return. The receive path calls it BEFORE sending
 // the cumulative ack: once the sender prunes, only this record prevents a
 // restarted receiver from accepting the sender's retransmissions twice.
-// On error the caller withholds the ack — self-healing, because the
-// sender retransmits and the next receive batch retries the fsync.
-func (l *frameLog) logRecvHW(addr string, seq uint64) error {
+// A nil log (durability off) syncs nothing. On error there is no mark to
+// ack with, so the ack is withheld — self-healing, because the sender
+// retransmits and the next receive batch retries the fsync.
+func (l *frameLog) logRecvHW(addr string, seq uint64) (hwSynced, error) {
+	if l == nil {
+		return hwSynced{seq}, nil
+	}
 	rec := wire.AppendUvarint(nil, recRecvHW)
 	rec = wire.AppendString(rec, addr)
 	rec = wire.AppendUvarint(rec, seq)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if err := l.wal.Append(rec); err != nil {
-		return err
+		return hwSynced{}, err
 	}
 	if err := l.wal.Sync(); err != nil {
-		return err
+		return hwSynced{}, err
 	}
 	if seq > l.recvHW[addr] {
 		l.recvHW[addr] = seq
 	}
-	return l.compactIfNeededLocked()
+	if err := l.compactIfNeededLocked(); err != nil {
+		return hwSynced{}, err
+	}
+	return hwSynced{seq}, nil
 }
 
 // compactIfNeededLocked rewrites the WAL as a snapshot of the mirror once
@@ -330,10 +371,15 @@ func (l *frameLog) peerAddrs() []string {
 
 // seedPeer installs the mirror's recovered sender state into a
 // just-created peer: the sequence counter and the unacked frames, oldest
-// first, ready for the send loop to (re)transmit. Called from peerLocked
-// before the peer is published or its send loop starts, so the peer needs
-// no locking; returns the number of frames restored.
+// first, ready for the send loop to (re)transmit. The frames come out of
+// the journal, so seedPeer mints their journaled values itself. Called
+// from peerLocked before the peer is published or its send loop starts, so
+// the peer needs no locking; returns the number of frames restored (none
+// with a nil log).
 func (l *frameLog) seedPeer(p *peer, addr string) int {
+	if l == nil {
+		return 0
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	m := l.peers[addr]
@@ -349,7 +395,7 @@ func (l *frameLog) seedPeer(p *peer, addr string) int {
 		if err := decodeFrame(sf.body, &f); err != nil {
 			continue // journaled by this codec; cannot happen, but never panic recovery
 		}
-		p.pending.push(pendingFrame{f: f, enqueuedAt: time.Now()})
+		p.pending.push(journaled{&f})
 		restored++
 	}
 	return restored
@@ -358,6 +404,9 @@ func (l *frameLog) seedPeer(p *peer, addr string) int {
 // close fsyncs and closes the WAL. Called after every send loop and recv
 // loop has exited, so no journaling races the close.
 func (l *frameLog) close() error {
+	if l == nil {
+		return nil
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.wal.Close()

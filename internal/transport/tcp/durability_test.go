@@ -25,7 +25,7 @@ func TestFrameLogRoundTrip(t *testing.T) {
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
 		f := testFrame(seq, int(seq)*10)
-		if err := l.logEnqueue("a", &f); err != nil {
+		if _, err := l.logEnqueue("a", &f); err != nil {
 			t.Fatalf("logEnqueue %d: %v", seq, err)
 		}
 	}
@@ -35,7 +35,7 @@ func TestFrameLogRoundTrip(t *testing.T) {
 	if err := l.logDrop("a", 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.logRecvHW("b", 7); err != nil {
+	if _, err := l.logRecvHW("b", 7); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.close(); err != nil {
@@ -82,14 +82,14 @@ func TestFrameLogCompactionKeepsSeqMark(t *testing.T) {
 	const rounds = 50
 	for seq := uint64(1); seq <= rounds; seq++ {
 		f := testFrame(seq, "x")
-		if err := l.logEnqueue("a", &f); err != nil {
+		if _, err := l.logEnqueue("a", &f); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.logAck("a", seq); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := l.logRecvHW("a", 9); err != nil {
+	if _, err := l.logRecvHW("a", 9); err != nil {
 		t.Fatal(err)
 	}
 	// Every ack compacts: the log is a snapshot of (empty pending +
@@ -253,7 +253,7 @@ func TestDurableRestartKeepsDupFilter(t *testing.T) {
 		return tr
 	}
 	tr := mk()
-	if err := tr.dlog.logRecvHW("sender", 42); err != nil {
+	if _, err := tr.dlog.logRecvHW("sender", 42); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Close(); err != nil {
@@ -267,6 +267,48 @@ func TestDurableRestartKeepsDupFilter(t *testing.T) {
 	}
 	if !tr2.accept("sender", 43) {
 		t.Fatal("restarted node rejected the first genuinely new seq")
+	}
+}
+
+// With the WAL closed, logRecvHW fails and syncAndAck must queue no ack:
+// an ack ahead of its fsync lets the sender prune frames that a restarted
+// receiver would then accept a second time.
+func TestRecvHWFailureWithholdsAck(t *testing.T) {
+	tr, err := New(Config{
+		N: 1, Hosted: []core.ProcID{0}, ListenAddr: "127.0.0.1:0",
+		Durability: &Durability{Dir: t.TempDir()},
+		Timeouts:   Timeouts{Drain: 50 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	remote := reserveAddr(t) // nothing listens there: a queued ack stays queued
+	queued := func() uint64 {
+		tr.mu.Lock()
+		p := tr.peers[remote]
+		tr.mu.Unlock()
+		if p == nil {
+			return 0
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.ackTo
+	}
+
+	tr.syncAndAck(remote, 5)
+	if got := queued(); got != 5 {
+		t.Fatalf("ackTo = %d with the WAL open, want 5", got)
+	}
+	if err := tr.dlog.close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tr.dlog.logRecvHW(remote, 7); err == nil {
+		t.Fatal("logRecvHW succeeded on a closed WAL")
+	}
+	tr.syncAndAck(remote, 7)
+	if got := queued(); got != 5 {
+		t.Fatalf("ackTo = %d with the WAL closed, want 5: the ack went out without its fsync", got)
 	}
 }
 

@@ -56,14 +56,12 @@ type frame struct {
 	// CallID matches a response to its request (req/resp).
 	CallID uint64
 	// Group routes the frame to one shard's mailboxes and RPC handler
-	// (data/req/resp). Acks and hellos are per node pair, shared by every
-	// group on the connection, and carry group 0.
+	// (data/req/resp). Acks and hellos are written from ctrlFrame and
+	// carry group 0.
 	Group uint32
 	// TraceID and SpanID are the trace context of the operation the frame
 	// carries (data/req/resp): the trace the op belongs to and the span
 	// that emitted the frame — the receiver's parent. Zero = untraced.
-	// Acks and hellos are transport bookkeeping, not operations: they
-	// carry no context.
 	TraceID, SpanID uint64
 	// Lamport is the sender's logical clock at the emit event
 	// (data/req/resp); receivers merge it so a trace merger can order
@@ -75,6 +73,19 @@ type frame struct {
 	Payload core.Value
 	// ErrMsg carries a response error, "" meaning nil.
 	ErrMsg string
+}
+
+// ctrlFrame is what this node writes for a hello or an ack. Both are per
+// node pair, shared by every group on the connection, and are transport
+// bookkeeping rather than operations, so the type has no Group, TraceID,
+// SpanID or Lamport field: a group-stamped or traced control frame cannot
+// be written. frameWriter.writeCtrl widens it to the v4 header with those
+// fields zero.
+type ctrlFrame struct {
+	Kind    frameKind // frameHello or frameAck
+	Version uint8     // hello: the sender's wire.FrameVersion
+	Addr    string    // hello: the sender node's canonical listen address
+	AckTo   uint64    // ack: cumulatively acknowledges all Seq ≤ AckTo
 }
 
 // maxFrameSize bounds a frame body; anything larger is
@@ -238,6 +249,12 @@ func (fw *frameWriter) write(w io.Writer, f *frame) error {
 	}
 	_, err = w.Write(b)
 	return err
+}
+
+// writeCtrl encodes a control frame. It is the one place a ctrlFrame
+// becomes a v4 header, so Group and the trace triple are always zero.
+func (fw *frameWriter) writeCtrl(w io.Writer, c ctrlFrame) error {
+	return fw.write(w, &frame{Kind: c.Kind, Version: c.Version, Addr: c.Addr, AckTo: c.AckTo})
 }
 
 // frameReader decodes frames off one connection, reusing a scratch buffer

@@ -101,6 +101,22 @@ func TestGoldenWireVectors(t *testing.T) {
 			t.Errorf("stale golden vector %q has no frame in goldenTable", name)
 		}
 	}
+	// This node writes hellos and acks only through writeCtrl: its
+	// widening to the v4 header must produce the same pinned bytes.
+	for name, c := range map[string]ctrlFrame{
+		"hello": {Kind: frameHello, Version: 4, Addr: "127.0.0.1:9000"},
+		"ack":   {Kind: frameAck, AckTo: 513},
+	} {
+		fw := newFrameWriter()
+		var buf bytes.Buffer
+		if err := fw.writeCtrl(&buf, c); err != nil {
+			t.Fatalf("%s: writeCtrl: %v", name, err)
+		}
+		fw.close()
+		if got := hex.EncodeToString(buf.Bytes()); got != golden[name] {
+			t.Errorf("%s via writeCtrl: wire bytes differ\n got  %s\n want %s", name, got, golden[name])
+		}
+	}
 }
 
 func TestFrameRoundTripAllKinds(t *testing.T) {

@@ -24,8 +24,8 @@ import (
 // it to 0, retransmitting the whole unacknowledged suffix. The receiver's
 // duplicate filter (Transport.accept) makes the retransmission idempotent.
 //
-// The send loop is batched: each wakeup drains the whole backlog (queued
-// control frames plus the unsent pending suffix) into one bufio.Writer
+// The send loop is batched: each wakeup drains the whole backlog (the
+// queued ack plus the unsent pending suffix) into one bufio.Writer
 // and flushes once — one write syscall and one write deadline per batch
 // instead of two syscalls and a deadline per frame. Frames stay
 // individually length-prefixed and self-contained (they carry no stream
@@ -43,7 +43,7 @@ type peer struct {
 	nextSeq  uint64
 	pending  pendingQueue // unacked sequenced frames, in seq order
 	nextSend int          // index into pending of first frame unsent on conn
-	ctrl     []frame      // unsequenced control frames (acks)
+	ackTo    uint64       // cumulative ack waiting to be written, 0 for none
 	conn     net.Conn
 	up       bool
 	closed   bool
@@ -102,7 +102,9 @@ type pendingQueue struct {
 	spare      *pendingChunk
 }
 
-func (q *pendingQueue) push(pf pendingFrame) {
+// push appends a frame the frame log has seen (see journaled), stamping
+// its enqueue time.
+func (q *pendingQueue) push(j journaled) {
 	if q.tail == nil || q.tailIdx == pendingChunkFrames {
 		c := q.spare
 		if c != nil {
@@ -118,7 +120,7 @@ func (q *pendingQueue) push(pf pendingFrame) {
 		q.tail = c
 		q.tailIdx = 0
 	}
-	q.tail.buf[q.tailIdx] = pf
+	q.tail.buf[q.tailIdx] = pendingFrame{f: *j.f, enqueuedAt: time.Now()}
 	q.tailIdx++
 	q.length++
 	q.live++
@@ -199,12 +201,6 @@ type ackedFrame struct {
 	at   time.Time
 }
 
-// outFrame is one batch entry in the send loop's scratch buffer.
-type outFrame struct {
-	f      frame
-	isCtrl bool
-}
-
 // maxBatchFrames caps how much of the pending suffix one send-loop wakeup
 // copies into its batch, bounding the scratch buffer (which is reused
 // across batches) under a deep backlog. The loop immediately takes the
@@ -247,11 +243,8 @@ func (p *peer) enqueue(f frame) {
 	}
 	p.nextSeq++
 	f.Seq = p.nextSeq
-	var jerr error
-	if p.t.dlog != nil {
-		jerr = p.t.dlog.logEnqueue(p.addr, &f)
-	}
-	p.pending.push(pendingFrame{f: f, enqueuedAt: time.Now()})
+	j, jerr := p.t.dlog.logEnqueue(p.addr, &f)
+	p.pending.push(j)
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	if jerr != nil {
@@ -259,38 +252,24 @@ func (p *peer) enqueue(f frame) {
 	}
 }
 
-// enqueueCtrl queues an unsequenced control frame. Cumulative acks subsume
-// one another, so an ack folds into an already-queued ack instead of
-// growing the queue — the sender-side half of ack coalescing.
-func (p *peer) enqueueCtrl(f frame) {
+// queueAck queues the cumulative ack a synced high-water mark permits.
+// Acks subsume one another, so the ack queue is one high-water mark —
+// the sender-side half of ack coalescing.
+func (p *peer) queueAck(hw hwSynced) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.stopped() {
 		return
 	}
-	p.requeueCtrlLocked(f)
+	p.raiseAckLocked(hw.seq)
 	p.cond.Broadcast()
 }
 
-// requeueCtrlLocked adds f to the control queue, folding an ack into an
-// already-queued ack by max AckTo. It is the single append point for
-// p.ctrl — enqueueCtrl and the send loop's write-error requeue path both
-// go through it, so the one-cumulative-ack invariant holds even when a
-// failed batch puts its acks back while a fresh ack is already queued.
+// raiseAckLocked folds upTo into the queued ack by max. queueAck and the
+// send loop's write-error requeue both go through it, so a failed batch
+// putting its ack back cannot regress a fresher one queued meanwhile.
 // Caller holds p.mu.
-func (p *peer) requeueCtrlLocked(f frame) {
-	if f.Kind == frameAck {
-		for i := range p.ctrl {
-			if p.ctrl[i].Kind == frameAck {
-				if f.AckTo > p.ctrl[i].AckTo {
-					p.ctrl[i].AckTo = f.AckTo
-				}
-				return
-			}
-		}
-	}
-	p.ctrl = append(p.ctrl, f)
-}
+func (p *peer) raiseAckLocked(upTo uint64) { p.ackTo = max(p.ackTo, upTo) }
 
 // ack drops every pending frame with Seq ≤ upTo. The metrics work — one
 // FrameAcked count and one frame_rtt observation per covered frame —
@@ -321,10 +300,8 @@ func (p *peer) ack(upTo uint64) {
 	// Journal the ack after the lock: WAL order vs. concurrent enqueues
 	// doesn't matter (replay prunes by sequence number), and no fsync is
 	// needed (a lost ack record only costs re-dropped retransmissions).
-	if p.t.dlog != nil {
-		if err := p.t.dlog.logAck(p.addr, upTo); err != nil {
-			p.t.log("frame log: ack %d from %s: %v", upTo, p.addr, err)
-		}
+	if err := p.t.dlog.logAck(p.addr, upTo); err != nil {
+		p.t.log("frame log: ack %d from %s: %v", upTo, p.addr, err)
 	}
 	now := time.Now()
 	hist := p.t.registry().Histogram(metrics.HistFrameRTT)
@@ -358,8 +335,8 @@ func (p *peer) killConn() {
 	}
 }
 
-// waitDrained blocks until every sequenced frame has been acked (and every
-// queued control frame written) or the deadline passes. It waits on the
+// waitDrained blocks until every sequenced frame has been acked (and the
+// queued ack written) or the deadline passes. It waits on the
 // peer's condition variable — ack, the send loop and shutdown broadcast on
 // every queue transition — so the drain wakes exactly when pending
 // empties instead of polling.
@@ -372,7 +349,7 @@ func (p *peer) waitDrained(deadline time.Time) {
 	defer timer.Stop()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for (p.pending.live > 0 || len(p.ctrl) > 0) && !p.stopped() && time.Now().Before(deadline) {
+	for (p.pending.live > 0 || p.ackTo > 0) && !p.stopped() && time.Now().Before(deadline) {
 		p.cond.Wait()
 	}
 }
@@ -404,7 +381,7 @@ func (p *peer) sendLoop() {
 	var (
 		curConn net.Conn
 		bw      *bufio.Writer
-		batch   []outFrame
+		batch   []frame
 	)
 	for {
 		// Ensure a live connection.
@@ -450,7 +427,7 @@ func (p *peer) sendLoop() {
 			return
 		}
 		// Wait for work.
-		for len(p.ctrl) == 0 && p.nextSend >= p.pending.length && p.conn != nil && !p.stopped() {
+		for p.ackTo == 0 && p.nextSend >= p.pending.length && p.conn != nil && !p.stopped() {
 			p.cond.Wait()
 		}
 		if p.stopped() {
@@ -462,26 +439,24 @@ func (p *peer) sendLoop() {
 			p.mu.Unlock()
 			continue
 		}
-		// Take the backlog — control frames first (acks unblock the
-		// remote's drain), then the unsent pending suffix — as one batch,
-		// capped at maxBatchFrames so the scratch buffer stays a bounded,
-		// reused allocation under a deep backlog (the loop comes straight
-		// back for the rest).
+		// Take the backlog — the ack first (it unblocks the remote's
+		// drain), then the unsent pending suffix — as one batch, capped at
+		// maxBatchFrames so the scratch buffer stays a bounded, reused
+		// allocation under a deep backlog (the loop comes straight back for
+		// the rest).
+		ackTo := p.ackTo
+		p.ackTo = 0
 		batch = batch[:0]
-		for _, f := range p.ctrl {
-			batch = append(batch, outFrame{f: f, isCtrl: true})
-		}
-		p.ctrl = p.ctrl[:0]
 		pc, pi := p.pending.iterAt(p.nextSend)
 		for ; p.nextSend < p.pending.length && len(batch) < maxBatchFrames; p.nextSend++ {
 			if pf := &pc.buf[pi]; !pf.dropped {
-				batch = append(batch, outFrame{f: pf.f})
+				batch = append(batch, pf.f)
 			}
 			if pi++; pi == pendingChunkFrames {
 				pc, pi = pc.next, 0
 			}
 		}
-		p.cond.Broadcast() // ctrl emptied: a drain may be waiting on it
+		p.cond.Broadcast() // ack taken: a drain may be waiting on it
 		p.mu.Unlock()
 
 		if conn != curConn {
@@ -494,32 +469,33 @@ func (p *peer) sendLoop() {
 		var werr error
 		wrote := 0
 		encStart := time.Now()
-		for i := range batch {
-			of := &batch[i]
-			if err := fw.write(bw, &of.f); err != nil {
+		if ackTo > 0 {
+			if werr = fw.writeCtrl(bw, ctrlFrame{Kind: frameAck, AckTo: ackTo}); werr == nil {
+				wrote++
+			}
+		}
+		for i := 0; i < len(batch) && werr == nil; i++ {
+			f := &batch[i]
+			if err := fw.write(bw, f); err != nil {
 				if errors.Is(err, errEncode) {
 					// The frame can never be sent; drop it rather than
 					// retransmitting a permanent failure forever.
 					p.t.log("dropping frame to %s: %v", p.addr, err)
-					if !of.isCtrl {
-						p.t.record(of.f.From, metrics.FrameDropEncode, 1)
-						p.dropPending(of.f.Seq)
-					}
+					p.t.record(f.From, metrics.FrameDropEncode, 1)
+					p.dropPending(f.Seq)
 					continue
 				}
 				werr = err
 				break
 			}
 			wrote++
-			if !of.isCtrl {
-				// A sequence number at or below the high-water mark has
-				// been written before: this write is a retransmission.
-				if of.f.Seq <= p.maxSent {
-					p.t.record(of.f.From, metrics.FrameRetrans, 1)
-				} else {
-					p.maxSent = of.f.Seq
-					p.t.record(of.f.From, metrics.FrameSent, 1)
-				}
+			// A sequence number at or below the high-water mark has been
+			// written before: this write is a retransmission.
+			if f.Seq <= p.maxSent {
+				p.t.record(f.From, metrics.FrameRetrans, 1)
+			} else {
+				p.maxSent = f.Seq
+				p.t.record(f.From, metrics.FrameSent, 1)
 			}
 		}
 		// Encode cost of the batch: frames land in the bufio buffer here
@@ -542,17 +518,11 @@ func (p *peer) sendLoop() {
 			p.conn = nil
 			p.up = false
 		}
-		// Requeue the batch's control frames: some may not have reached
-		// the wire, and re-sending an ack is harmless (acks are
-		// idempotent and cumulative). Requeue through the folding path:
-		// an ack enqueued while the batch was failing must merge with the
-		// batch's own ack, or the queue would carry two ack frames and
-		// violate the one-cumulative-ack invariant.
-		for i := range batch {
-			if batch[i].isCtrl {
-				p.requeueCtrlLocked(batch[i].f)
-			}
-		}
+		// Requeue the batch's ack: it may not have reached the wire, and
+		// re-sending an ack is harmless (acks are idempotent and
+		// cumulative). A fresher ack queued while the batch was failing
+		// wins the max.
+		p.raiseAckLocked(ackTo)
 		p.mu.Unlock()
 		conn.Close()
 	}
@@ -596,7 +566,7 @@ func (p *peer) dropPending(seq uint64) {
 	p.mu.Unlock()
 	// Erase the tombstoned frame from the journal's mirror too, or
 	// recovery would resurrect a frame that can never be encoded.
-	if marked && p.t.dlog != nil {
+	if marked {
 		if err := p.t.dlog.logDrop(p.addr, seq); err != nil {
 			p.t.log("frame log: drop seq %d to %s: %v", seq, p.addr, err)
 		}
@@ -620,7 +590,7 @@ func (p *peer) handshake(conn net.Conn, fw *frameWriter) error {
 	conn.SetWriteDeadline(time.Now().Add(p.t.cfg.Timeouts.Write))
 	_, err := conn.Write(preamble[:])
 	if err == nil {
-		err = fw.write(conn, &frame{Kind: frameHello, Version: wire.FrameVersion, Addr: p.t.addr})
+		err = fw.writeCtrl(conn, ctrlFrame{Kind: frameHello, Version: wire.FrameVersion, Addr: p.t.addr})
 	}
 	conn.SetWriteDeadline(time.Time{})
 	if err != nil {

@@ -10,30 +10,31 @@ import (
 
 // Regression for the write-error requeue path: when a batch fails after a
 // fresh cumulative ack was already queued, the requeued (older) ack must
-// fold into the queued one by max AckTo — the old append path left two
-// ack frames with the stale one positioned to be written last, regressing
-// the remote's view of the high-water mark.
+// not regress it — the original append path left two ack frames with the
+// stale one positioned to be written last, regressing the remote's view
+// of the high-water mark. The queue is now one ackTo; both paths max.
 func TestRequeueCtrlFoldsAcks(t *testing.T) {
 	p := newPeer(nil, "x")
+	requeue := func(upTo uint64) { // sendLoop's write-error path
+		p.mu.Lock()
+		p.raiseAckLocked(upTo)
+		p.mu.Unlock()
+	}
 
 	// Fresh ack queued first, failed batch's older ack requeued after.
-	p.enqueueCtrl(frame{Kind: frameAck, AckTo: 12})
-	p.mu.Lock()
-	p.requeueCtrlLocked(frame{Kind: frameAck, AckTo: 10}) // sendLoop's requeue path
-	p.mu.Unlock()
-	if len(p.ctrl) != 1 || p.ctrl[0].AckTo != 12 {
-		t.Fatalf("ctrl = %+v, want one ack with AckTo 12", p.ctrl)
+	p.queueAck(hwSynced{12})
+	requeue(10)
+	if p.ackTo != 12 {
+		t.Fatalf("ackTo = %d after requeue, want 12", p.ackTo)
 	}
 
 	// And the other interleaving: the requeued ack arrives first, then a
 	// fresh higher ack folds forward.
-	p.ctrl = nil
-	p.mu.Lock()
-	p.requeueCtrlLocked(frame{Kind: frameAck, AckTo: 10})
-	p.mu.Unlock()
-	p.enqueueCtrl(frame{Kind: frameAck, AckTo: 12})
-	if len(p.ctrl) != 1 || p.ctrl[0].AckTo != 12 {
-		t.Fatalf("ctrl = %+v, want one ack with AckTo 12", p.ctrl)
+	p.ackTo = 0
+	requeue(10)
+	p.queueAck(hwSynced{12})
+	if p.ackTo != 12 {
+		t.Fatalf("ackTo = %d after fresh ack, want 12", p.ackTo)
 	}
 }
 

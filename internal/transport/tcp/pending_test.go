@@ -2,10 +2,17 @@ package tcp
 
 import "testing"
 
+// pushFrame queues f the way a durability-off enqueue does: through
+// logEnqueue on a nil frame log.
+func pushFrame(q *pendingQueue, f frame) {
+	j, _ := (*frameLog)(nil).logEnqueue("", &f)
+	q.push(j)
+}
+
 // pushSeq fills q with sequenced frames 1..n.
 func pushSeq(q *pendingQueue, n int) {
 	for i := 1; i <= n; i++ {
-		q.push(pendingFrame{f: frame{Kind: frameData, Seq: uint64(i)}})
+		pushFrame(q, frame{Kind: frameData, Seq: uint64(i)})
 	}
 }
 
@@ -71,7 +78,7 @@ func TestPendingLoneChunkRewindAndRefill(t *testing.T) {
 	// Refill past the old high-water mark: the rewound chunk must hold a
 	// full 64 frames again before linking a second chunk.
 	for i := 11; i <= 74; i++ {
-		q.push(pendingFrame{f: frame{Seq: uint64(i)}})
+		pushFrame(&q, frame{Seq: uint64(i)})
 	}
 	if q.head != chunk || q.head.next != nil {
 		t.Fatal("refill of 64 frames should fit the rewound chunk exactly")
@@ -100,7 +107,7 @@ func TestPendingSpareChunkReuse(t *testing.T) {
 	}
 	// Fill chunk B; the 65th live frame needs a new chunk — the spare.
 	for i := 0; i < pendingChunkFrames; i++ {
-		q.push(pendingFrame{f: frame{Seq: uint64(100 + i)}})
+		pushFrame(&q, frame{Seq: uint64(100 + i)})
 	}
 	if q.tail != chunkA {
 		t.Fatal("push did not reuse the spare chunk")

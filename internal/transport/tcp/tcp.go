@@ -403,10 +403,8 @@ func (t *Transport) peerLocked(addr string) *peer {
 	p := newPeer(t, addr)
 	// Seed recovered sender state before the peer is published or its
 	// send loop starts: the restored frames must be the queue's prefix.
-	if t.dlog != nil {
-		if n := t.dlog.seedPeer(p, addr); n > 0 {
-			t.record(t.self, metrics.RecoveredFrames, int64(n))
-		}
+	if n := t.dlog.seedPeer(p, addr); n > 0 {
+		t.record(t.self, metrics.RecoveredFrames, int64(n))
 	}
 	t.peers[addr] = p
 	t.wg.Add(1)
@@ -583,21 +581,23 @@ func (t *Transport) recvLoop(conn net.Conn) {
 			}
 		}
 		if ackTo > 0 {
-			// The high-water mark must be durable before the ack leaves:
-			// once the sender prunes, only the journal stops a restarted
-			// receiver from re-accepting retransmissions. On a journal
-			// error the ack is withheld — the sender retransmits, the
-			// in-memory filter still drops the duplicates, and the next
-			// batch retries the fsync.
-			if t.dlog != nil {
-				if err := t.dlog.logRecvHW(remote, ackTo); err != nil {
-					t.log("frame log: recv high-water for %s: %v (withholding ack)", remote, err)
-					continue
-				}
-			}
-			t.sendAck(remote, ackTo)
+			t.syncAndAck(remote, ackTo)
 		}
 	}
+}
+
+// syncAndAck makes the duplicate-filter high-water mark seq durable, then
+// acks it: once the sender prunes, only the journal stops a restarted
+// receiver from re-accepting retransmissions. On a journal error the ack
+// is withheld — the sender retransmits, the in-memory filter still drops
+// the duplicates, and the next batch retries the fsync.
+func (t *Transport) syncAndAck(remote string, seq uint64) {
+	hw, err := t.dlog.logRecvHW(remote, seq)
+	if err != nil {
+		t.log("frame log: recv high-water for %s: %v (withholding ack)", remote, err)
+		return
+	}
+	t.sendAck(remote, hw)
 }
 
 // dispatch routes one inbound frame and returns the sequence number the
@@ -686,14 +686,14 @@ func (t *Transport) accept(remote string, seq uint64) bool {
 	return true
 }
 
-// sendAck cumulatively acknowledges seq to the remote node. Acks are
-// unsequenced control frames: losing one is harmless because the sender
-// retransmits and the duplicate filter re-acks. Acks keep flowing while
-// this node is draining its own Close (t.closed set, done not yet
-// closed), so two nodes closing concurrently can still drain each other.
-// Acks are per node pair and carry group 0 whatever groups the acked
-// frames belonged to.
-func (t *Transport) sendAck(remote string, seq uint64) {
+// sendAck cumulatively acknowledges a synced high-water mark to the remote
+// node. Acks are unsequenced control frames: losing one is harmless
+// because the sender retransmits and the duplicate filter re-acks. Acks
+// keep flowing while this node is draining its own Close (t.closed set,
+// done not yet closed), so two nodes closing concurrently can still drain
+// each other. Acks are per node pair, whatever groups the acked frames
+// belonged to.
+func (t *Transport) sendAck(remote string, hw hwSynced) {
 	select {
 	case <-t.done:
 		return
@@ -702,7 +702,7 @@ func (t *Transport) sendAck(remote string, seq uint64) {
 	t.mu.Lock()
 	p := t.peerLocked(remote)
 	t.mu.Unlock()
-	p.enqueueCtrl(frame{Kind: frameAck, AckTo: seq})
+	p.queueAck(hw)
 }
 
 // serve runs the RPC handler of the request's group and queues the
@@ -820,10 +820,5 @@ func (t *Transport) Close() error {
 	}
 	t.wg.Wait()
 	// Every send and receive loop has exited: nothing journals anymore.
-	if t.dlog != nil {
-		if err := t.dlog.close(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return t.dlog.close()
 }
