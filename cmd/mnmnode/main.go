@@ -36,9 +36,9 @@
 // table — the steady state of Theorem 5.1 reads as zeros in the MSG/S
 // column while register operations keep flowing. With -trace N the node
 // retains the last N structured events and dumps them as JSON Lines on
-// exit. With -trace-flight N the node records the last N spans of its
-// distributed operations (sends, remote register RPCs, serves) into a
-// flight recorder served at /trace; merge the per-node dumps with
+// exit. With -trace-flight N the node records the last N node-local and
+// the last N cross-node spans of its operations (sends, remote register
+// RPCs, serves) into a flight recorder served at /trace; merge the per-node dumps with
 // cmd/mnmtrace into one causally ordered cluster timeline.
 //
 // Diagnostics go to stderr through log/slog: -log-level picks the
@@ -120,7 +120,7 @@ func run() int {
 		sampleEvery = flag.Duration("sample-interval", time.Second, "registry sampling interval behind /status rates")
 		traceN      = flag.Int("trace", 0, "retain the last N structured events and dump them as JSON Lines on exit")
 		traceOut    = flag.String("trace-out", "", "file for the -trace dump (default stderr)")
-		flightN     = flag.Int("trace-flight", 0, "span flight recorder capacity (0 disables span tracing)")
+		flightN     = flag.Int("trace-flight", 0, "span flight recorder capacity, per ring: node-local and cross-node spans (0 disables span tracing)")
 		flightS     = flag.Int("trace-sample", 1, "head-sample 1 of every M traces in the flight recorder")
 		watch       = flag.Bool("watch", false, "watch mode: poll the /metrics endpoints in -addrs and print a cluster rate table")
 		watchEvery  = flag.Duration("watch-interval", time.Second, "polling interval in -watch mode")

@@ -266,10 +266,11 @@ func TestShardedMeshOverLoopback(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Only the line's shape is asserted, not cross-node identity: with
-	// four shards spinning next to the base group, a single-CPU box
-	// oversubscribes hard enough that each node's independent 500ms
-	// stability window can close on a different transient leader. The
+	// Only the line's shape is asserted, not cross-node identity: four
+	// shard leaders loop without parking next to the base group's, so a
+	// single-CPU box oversubscribes hard enough that each node's
+	// independent 500ms stability window can close on a different
+	// transient leader. The
 	// agreement property itself is pinned by
 	// TestProcessesAgreeOnLeaderOverLoopback, which runs without shards.
 	for i, o := range outs {

@@ -78,8 +78,10 @@ type Env interface {
 }
 
 // WaitUntil repeatedly yields until cond holds. Each poll costs one step, so
-// a waiting process stays schedulable (and accusable, timeable, crashable)
-// rather than blocking the host.
+// a waiting process stays schedulable (and accusable, timeable, crashable).
+// On the real-time host each Yield also parks the process until a message
+// or register write could have changed cond, or a short tick passes, so
+// the wait costs steps at a bounded rate rather than a spinning core.
 func WaitUntil(env Env, cond func() bool) {
 	for !cond() {
 		env.Yield()

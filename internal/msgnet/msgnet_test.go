@@ -38,6 +38,25 @@ func TestAutoDeliver(t *testing.T) {
 	}
 }
 
+// TestSetWakeSignalsAtDelivery checks that a wake-up fires when a message
+// reaches the mailbox, not when it is sent: in ticked mode that is Tick.
+func TestSetWakeSignalsAtDelivery(t *testing.T) {
+	net := NewNetwork(2, Reliable)
+	wake := make(chan struct{}, 1)
+	net.SetWake(1, wake)
+	net.SetWake(5, wake) // out of range: ignored
+	if err := net.Send(0, 1, "a", 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(wake) != 0 {
+		t.Fatal("wake-up fired for a message still in flight")
+	}
+	net.Tick(1)
+	if len(wake) != 1 {
+		t.Fatal("no wake-up for a message delivered at Tick")
+	}
+}
+
 func TestBroadcastIncludesSelf(t *testing.T) {
 	net := NewNetwork(3, Reliable, WithAutoDeliver())
 	if err := net.Broadcast(1, "x", 0); err != nil {

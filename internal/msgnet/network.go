@@ -31,7 +31,7 @@ type Network struct {
 
 	mu        sync.Mutex
 	inflight  []flight
-	mailboxes []queue.Ring[core.Message]
+	mailboxes []queue.Mailbox[core.Message]
 	sendSeq   uint64
 }
 
@@ -76,7 +76,7 @@ func NewNetwork(n int, kind LinkKind, opts ...NetOption) *Network {
 		kind:      kind,
 		drop:      NoDrop{},
 		delivery:  Immediate{},
-		mailboxes: make([]queue.Ring[core.Message], n),
+		mailboxes: make([]queue.Mailbox[core.Message], n),
 	}
 	for _, o := range opts {
 		o(net)
@@ -149,6 +149,18 @@ func (net *Network) BroadcastSpan(from core.ProcID, payload core.Value, sc core.
 		}
 	}
 	return nil
+}
+
+// SetWake registers ch as p's wake-up: every delivery into p's mailbox
+// then makes one non-blocking send on it (see queue.Mailbox). A nil ch
+// unregisters; an out-of-range p is ignored.
+func (net *Network) SetWake(p core.ProcID, ch chan<- struct{}) {
+	if int(p) < 0 || int(p) >= net.n {
+		return
+	}
+	net.mu.Lock()
+	defer net.mu.Unlock()
+	net.mailboxes[p].Wake = ch
 }
 
 func (net *Network) deliverLocked(f flight) {

@@ -43,6 +43,7 @@ func (s *stubTransport) Broadcast(from core.ProcID, payload core.Value) error {
 func (s *stubTransport) TryRecv(p core.ProcID) (core.Message, bool) {
 	return core.Message{}, false
 }
+func (s *stubTransport) SetWake(p core.ProcID, ch chan<- struct{}) {}
 func (s *stubTransport) LinkState(from, to core.ProcID) transport.LinkState {
 	s.mu.Lock()
 	defer s.mu.Unlock()

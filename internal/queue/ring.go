@@ -1,6 +1,6 @@
 // Package queue provides the growable ring buffer backing per-process
 // mailboxes in the message substrates (internal/msgnet, the TCP
-// transport).
+// transport), and the Mailbox that wakes a parked receiver on delivery.
 //
 // Mailboxes were previously plain slices popped with copy(box, box[1:]),
 // which shifts the whole queue on every receive — O(depth) per op, so a
@@ -69,4 +69,25 @@ func (r *Ring[T]) grow() {
 	}
 	r.buf = buf
 	r.head = 0
+}
+
+// Mailbox is a Ring whose Push also signals Wake, when set, with one
+// non-blocking send: a receiver parked on Wake learns the queue has grown.
+// Give Wake a buffer of one and pushes coalesce into one pending token
+// that waits until the receiver selects, so a push racing the receiver's
+// park is never lost. Like Ring, Mailbox relies on the caller's lock.
+type Mailbox[T any] struct {
+	Ring[T]
+	Wake chan<- struct{}
+}
+
+// Push appends v and signals Wake without ever blocking.
+func (m *Mailbox[T]) Push(v T) {
+	m.Ring.Push(v)
+	if m.Wake != nil {
+		select {
+		case m.Wake <- struct{}{}:
+		default:
+		}
+	}
 }

@@ -15,8 +15,12 @@
 //     to their current leader and retransmit until they see the command
 //     committed, so leadership changes and fair-lossy links only cost
 //     retries, never safety.
-//   - Every replica applies committed slots in order, maintaining a hash
-//     chain; equal applied-length implies equal hash on every replica.
+//   - The log is at-least-once — a command retransmitted across a leader
+//     change or a replica restart can fill two slots — but apply is
+//     exactly-once: every replica applies committed slots in order, skips
+//     a slot whose command it already applied, and keeps a hash chain over
+//     what it applied. Equal applied counts imply equal hashes on every
+//     replica.
 package rsm
 
 import (
@@ -32,7 +36,7 @@ const logReg = "LOG"
 
 // Expose keys published by replicas.
 const (
-	// AppliedKey carries the number of log entries applied (int).
+	// AppliedKey carries the number of distinct commands applied (int).
 	AppliedKey = "applied"
 	// HashKey carries the hash-chain value over the applied prefix
 	// (uint64).
@@ -113,7 +117,8 @@ type replica struct {
 	cfg Config
 	det *leader.Detector
 
-	applied   int
+	slot      int              // next log slot to apply
+	applied   map[Command]bool // the distinct commands applied so far
 	chainHash uint64
 
 	// committedOwn[seq] marks own commands seen in the applied prefix.
@@ -137,6 +142,7 @@ func run(env core.Env, cfg Config) error {
 		cfg:          cfg,
 		det:          det,
 		chainHash:    fnv1aInit,
+		applied:      make(map[Command]bool),
 		committedOwn: make([]bool, cfg.CommandsPerProcess),
 		pending:      make(map[Command]bool),
 	}
@@ -153,7 +159,7 @@ func run(env core.Env, cfg Config) error {
 		if err := r.tick(env); err != nil && !cfg.TolerateMemFaults {
 			return err
 		}
-		env.Expose(AppliedKey, r.applied)
+		env.Expose(AppliedKey, len(r.applied))
 		env.Expose(HashKey, r.chainHash)
 		env.Expose(DoneKey, r.ownDone == r.cfg.CommandsPerProcess)
 		if env.LocalSteps() == stepsAtTop {
@@ -183,10 +189,11 @@ func (r *replica) tick(env core.Env) error {
 }
 
 // consumeForeign moves forwarded commands from the detector's foreign
-// buffer into the pending set.
+// buffer into the pending set, minus those already applied (a client's
+// retransmission that crossed the commit, or a restarted replica's).
 func (r *replica) consumeForeign(env core.Env) {
 	for _, m := range r.det.Foreign {
-		if sub, ok := m.Payload.(submitMsg); ok {
+		if sub, ok := m.Payload.(submitMsg); ok && !r.applied[sub.Cmd] {
 			r.pending[sub.Cmd] = true
 		}
 	}
@@ -198,7 +205,7 @@ func (r *replica) consumeForeign(env core.Env) {
 func (r *replica) applyCommitted(env core.Env) error {
 	const maxPerTick = 4
 	for i := 0; i < maxPerTick; i++ {
-		raw, err := env.Read(SlotRef(r.applied, env.N()))
+		raw, err := env.Read(SlotRef(r.slot, env.N()))
 		if err != nil {
 			return err
 		}
@@ -207,15 +214,19 @@ func (r *replica) applyCommitted(env core.Env) error {
 		}
 		cmd, ok := raw.(Command)
 		if !ok {
-			return fmt.Errorf("rsm: slot %d holds %T", r.applied, raw)
+			return fmt.Errorf("rsm: slot %d holds %T", r.slot, raw)
 		}
-		r.chainHash = chain(r.chainHash, cmd)
-		r.applied++
-		if r.applied > r.nextFree {
-			r.nextFree = r.applied
+		r.slot++
+		if r.slot > r.nextFree {
+			r.nextFree = r.slot
 		}
 		delete(r.pending, cmd)
-		if cmd.Proposer == env.ID() && cmd.Seq < len(r.committedOwn) && !r.committedOwn[cmd.Seq] {
+		if r.applied[cmd] {
+			continue // a duplicate slot
+		}
+		r.applied[cmd] = true
+		r.chainHash = chain(r.chainHash, cmd)
+		if cmd.Proposer == env.ID() && cmd.Seq < len(r.committedOwn) {
 			r.committedOwn[cmd.Seq] = true
 			r.ownDone++
 		}

@@ -213,20 +213,19 @@ func groupSteady(deltas [2]metrics.Delta, ldr core.ProcID) bool {
 func TestManyGroupsSteadyStateOverTCP(t *testing.T) {
 	nGroups := 1000
 	if raceEnabled {
-		nGroups = 64 // the race runtime serializes too much for 2000 spinning procs
+		nGroups = 64 // the race runtime serializes too much for 2000 procs
 	}
 	if testing.Short() {
 		nGroups = 32
 	}
 	nodes := newShardedNodes(t)
 
-	// η is raised well above the single-group tests' 8: with thousands of
-	// processes sharing the scheduler, a leader can legitimately go
-	// unscheduled for a full RPC round trip, and a small timer turns that
-	// into accusation churn in every shard at once. The timers adapt
-	// upward only one step per false accusation, so starting high is much
-	// cheaper than churning up from 8.
-	alg := leader.New(leader.Config{Notifier: leader.SharedMemoryNotifier, InitialTimeout: 128})
+	// The detector runs at the default η = 32: an idle follower parks in
+	// Yield and steps about once per millisecond, so its heartbeat timer
+	// spans tens of milliseconds. A leader never parks — it writes its
+	// heartbeat on every Figure-3 iteration — so a thousand leaders still
+	// keep the cores busy and the fleet takes tens of seconds to settle.
+	alg := leader.New(leader.Config{Notifier: leader.SharedMemoryNotifier})
 	type shard struct {
 		g        [2]*Group
 		sampler  [2]*metrics.Sampler

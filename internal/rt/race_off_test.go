@@ -3,5 +3,6 @@
 package rt
 
 // raceEnabled reports whether this test binary carries race-detector
-// instrumentation; see TestLeaderElectionOverTCP for why it matters.
+// instrumentation; TestManyGroupsSteadyStateOverTCP sizes its
+// fleet by it.
 const raceEnabled = false

@@ -114,10 +114,16 @@ func (h *Group) readReg(p core.ProcID, ref core.Ref, sp *trace.Span) (core.Value
 	return rr.Val, nil
 }
 
-// writeReg writes ref for process p, locally or over RPC.
+// writeReg writes ref for process p, locally or over RPC. A local write
+// wakes the group's parked processes; a remote one wakes the owner's, in
+// serveMem.
 func (h *Group) writeReg(p core.ProcID, ref core.Ref, v core.Value, sp *trace.Span) error {
 	if h.rpc == nil || h.hostedSet[ref.Owner] {
-		return h.mem.Write(p, ref, v)
+		err := h.mem.Write(p, ref, v)
+		if err == nil {
+			h.wakeParked()
+		}
+		return err
 	}
 	start := time.Now()
 	_, err := h.callRemote(p, ref.Owner, memWriteReq{Caller: p, Ref: ref, Val: v}, sp)
@@ -125,10 +131,15 @@ func (h *Group) writeReg(p core.ProcID, ref core.Ref, v core.Value, sp *trace.Sp
 	return err
 }
 
-// casReg compare-and-swaps ref for process p, locally or over RPC.
+// casReg compare-and-swaps ref for process p, locally or over RPC; a
+// local swap wakes parked processes like writeReg.
 func (h *Group) casReg(p core.ProcID, ref core.Ref, expected, desired core.Value, sp *trace.Span) (bool, core.Value, error) {
 	if h.rpc == nil || h.hostedSet[ref.Owner] {
-		return h.mem.CompareAndSwap(p, ref, expected, desired)
+		swapped, cur, err := h.mem.CompareAndSwap(p, ref, expected, desired)
+		if swapped {
+			h.wakeParked()
+		}
+		return swapped, cur, err
 	}
 	start := time.Now()
 	resp, err := h.callRemote(p, ref.Owner, memCASReq{Caller: p, Ref: ref, Expected: expected, Desired: desired}, sp)
@@ -176,7 +187,9 @@ func (h *Group) serveMemSpan(from core.ProcID, req core.Value, sc core.SpanConte
 // serveMem is the RPC handler installed on the transport: it serves
 // register operations for registers owned by processes hosted here, out of
 // the local shm.Memory (which enforces the shared-memory domain against
-// the calling process id carried in the request).
+// the calling process id carried in the request). A served write or
+// successful CAS wakes this node's parked processes of the group, as a
+// local one does.
 func (h *Group) serveMem(_ core.ProcID, req core.Value) (core.Value, error) {
 	switch r := req.(type) {
 	case memReadReq:
@@ -192,7 +205,11 @@ func (h *Group) serveMem(_ core.ProcID, req core.Value) (core.Value, error) {
 		if !h.hostedSet[r.Ref.Owner] {
 			return nil, fmt.Errorf("rt: register %v not owned by this node", r.Ref)
 		}
-		return nil, h.mem.Write(r.Caller, r.Ref, r.Val)
+		if err := h.mem.Write(r.Caller, r.Ref, r.Val); err != nil {
+			return nil, err
+		}
+		h.wakeParked()
+		return nil, nil
 	case memCASReq:
 		if !h.hostedSet[r.Ref.Owner] {
 			return nil, fmt.Errorf("rt: register %v not owned by this node", r.Ref)
@@ -200,6 +217,9 @@ func (h *Group) serveMem(_ core.ProcID, req core.Value) (core.Value, error) {
 		swapped, current, err := h.mem.CompareAndSwap(r.Caller, r.Ref, r.Expected, r.Desired)
 		if err != nil {
 			return nil, err
+		}
+		if swapped {
+			h.wakeParked()
 		}
 		return memCASResp{Swapped: swapped, Current: current}, nil
 	default:

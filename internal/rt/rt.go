@@ -19,6 +19,14 @@
 // served by the owner's host out of its local register store (so
 // shared-memory domain checks always happen at the owner).
 //
+// A step is one operation, and Yield — the step an idle process takes —
+// is one step followed by a park: the process sleeps until a message lands
+// in its mailbox, a register of its group is written, the group stops or
+// the process is crashed, or yieldTick passes. An idle process therefore
+// costs about one step per millisecond instead of a spinning core, while
+// still accruing steps at a bounded rate for the step-counted timers of
+// the §5 algorithms (DESIGN.md §4.2).
+//
 // Runs are not deterministic: asynchrony comes from the Go scheduler (and,
 // over TCP, from the network). Every safety property must therefore hold
 // for *any* interleaving, which is exactly what the paper's algorithms
@@ -29,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -170,6 +177,7 @@ type Group struct {
 	started   atomic.Bool
 	stopCh    chan struct{}
 	stopOnce  sync.Once
+	parked    atomic.Int32 // processes inside park; register writes wake them
 
 	mu        sync.Mutex
 	errs      map[core.ProcID]error
@@ -190,6 +198,12 @@ type rtProc struct {
 	steps   atomic.Uint64
 	crashed atomic.Bool
 	rng     *rand.Rand // used only by the owning goroutine
+
+	// wake holds at most one pending wake-up token; park sleeps on it.
+	// timer is park's reused yieldTick timer, owned by the process
+	// goroutine (nil until the first park).
+	wake  chan struct{}
+	timer *time.Timer
 
 	mu      sync.Mutex
 	exposed map[string]core.Value
@@ -317,12 +331,15 @@ func New(cfg Config, alg core.Algorithm) (*Group, error) {
 		for i, q := range ns {
 			neighbors[i] = core.ProcID(q)
 		}
-		h.procs[p] = &rtProc{
+		ps := &rtProc{
 			id:        p,
 			rng:       rand.New(rand.NewSource(cfg.Seed ^ (0x9e3779b9 * int64(p+1)))),
+			wake:      make(chan struct{}, 1),
 			exposed:   make(map[string]core.Value),
 			neighbors: neighbors,
 		}
+		h.procs[p] = ps
+		tr.SetWake(p, ps.wake)
 	}
 	h.allProcsInit(alg)
 	return h, nil
@@ -518,6 +535,60 @@ func (h *Group) Crash(p core.ProcID) {
 		return
 	}
 	h.procs[p].crashed.Store(true)
+	h.procs[p].signal() // a parked process unwinds now, not at its next tick
+}
+
+// yieldTick bounds how long Yield parks without a wake-up: the slowest
+// step rate of a live idle process, and so the resolution of the §5
+// algorithms' step-counted timers when nothing else happens.
+const yieldTick = time.Millisecond
+
+// signal hands ps a wake-up token without blocking; a token already
+// pending absorbs it.
+func (ps *rtProc) signal() {
+	select {
+	case ps.wake <- struct{}{}:
+	default:
+	}
+}
+
+// park sleeps until ps holds a wake-up token, yieldTick passes, or the
+// group stops. A token that arrived since the last park ends it at once,
+// so a wake-up racing the park is never lost; a stale one costs one step.
+func (h *Group) park(ps *rtProc) {
+	if ps.timer == nil {
+		ps.timer = time.NewTimer(yieldTick)
+	} else {
+		ps.timer.Reset(yieldTick)
+	}
+	h.parked.Add(1)
+	select {
+	case <-ps.wake:
+	case <-ps.timer.C:
+	case <-h.stopCh:
+	}
+	h.parked.Add(-1)
+	// Leave the timer stopped and its channel empty for the next Reset.
+	if !ps.timer.Stop() {
+		select {
+		case <-ps.timer.C:
+		default:
+		}
+	}
+}
+
+// wakeParked signals every hosted process after a register of the group
+// was written, so a process parked on a register condition re-checks it
+// now instead of at its next tick. With nobody parked it costs one load.
+func (h *Group) wakeParked() {
+	if h.parked.Load() == 0 {
+		return
+	}
+	for _, ps := range h.procs {
+		if ps != nil {
+			ps.signal()
+		}
+	}
 }
 
 // Exposed returns the value process p last published under name, or nil.
@@ -581,12 +652,17 @@ type rtEnv struct {
 
 var _ core.Env = (*rtEnv)(nil)
 
-// step accounts one operation and unwinds if the host stopped or the
-// process crashed.
-func (e *rtEnv) step() {
+// alive unwinds the process if the host stopped or the process crashed.
+func (e *rtEnv) alive() {
 	if e.h.stopped.Load() || e.ps.crashed.Load() {
 		panic(stopPanic{})
 	}
+}
+
+// step accounts one operation and unwinds if the host stopped or the
+// process crashed.
+func (e *rtEnv) step() {
+	e.alive()
 	e.ps.steps.Add(1)
 	e.h.counters.Record(e.ps.id, metrics.Steps, 1)
 }
@@ -672,9 +748,7 @@ func (e *rtEnv) Broadcast(payload core.Value) error {
 // receive edge: a traced message records a Recv span parented to the
 // sender's span, an untraced one still merges its Lamport clock.
 func (e *rtEnv) TryRecv() (core.Message, bool) {
-	if e.h.stopped.Load() || e.ps.crashed.Load() {
-		panic(stopPanic{})
-	}
+	e.alive()
 	m, ok := e.h.tr.TryRecv(e.ps.id)
 	if ok && e.h.spans != nil {
 		if m.Span.Traced() {
@@ -733,11 +807,13 @@ func (e *rtEnv) CompareAndSwap(ref core.Ref, expected, desired core.Value) (bool
 	return swapped, cur, err
 }
 
-// Yield implements core.Env: one step plus a scheduling hint so that
-// polling loops do not monopolize an OS thread.
+// Yield implements core.Env: one step, then a park until the process's
+// mailbox or its group's registers change, or yieldTick passes. A process
+// stopped or crashed while parked unwinds here.
 func (e *rtEnv) Yield() {
 	e.step()
-	runtime.Gosched()
+	e.h.park(e.ps)
+	e.alive()
 }
 
 // LocalSteps implements core.Env.

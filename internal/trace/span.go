@@ -10,11 +10,15 @@
 //
 // The machinery is split to match the runtime's PR 7 shape:
 //
-//   - Flight is the per-node flight recorder: one bounded lock-free ring
-//     of finished spans, one Lamport clock, one head sampler, shared by
-//     every group multiplexed over the node's transport. Recording is an
-//     atomic cursor bump plus a pointer store; eviction accounting is
-//     exact by construction (dropped = appended − capacity).
+//   - Flight is the per-node flight recorder: bounded lock-free rings of
+//     finished spans, one Lamport clock, one head sampler, shared by every
+//     group multiplexed over the node's transport. Spans that crossed the
+//     node boundary (a remote parent, or a context shipped off the node)
+//     have their own ring, so a flood of node-local spans — a leader
+//     writing its heartbeat in a tight loop — cannot evict the halves of
+//     cross-node trees. Recording is an atomic cursor bump plus a pointer
+//     store; eviction accounting is exact by construction (dropped =
+//     appended − capacity, per ring).
 //   - Scope is one group's view of the node's Flight — it stamps the
 //     group label ("group-7") that matches the group's metrics
 //     sub-registry, and feeds span latencies into that registry's
@@ -103,7 +107,8 @@ type Span struct {
 	// Err records the operation's error, if any.
 	Err string
 
-	sc *Scope // non-nil only between Start and End on the recording node
+	sc      *Scope // non-nil only between Start and End on the recording node
+	crossed bool   // a remote parent, or its context left the node
 }
 
 // Flight is a per-node bounded flight recorder for spans. All methods are
@@ -111,8 +116,8 @@ type Span struct {
 type Flight struct {
 	node   string
 	sample uint64
-	slots  []atomic.Pointer[Span]
-	head   atomic.Uint64 // total spans appended; slot = (head-1) % cap
+	local  ring          // spans that stayed on this node
+	cross  ring          // spans with a remote parent or child
 	roots  atomic.Uint64 // root-span counter driving head sampling
 	ids    atomic.Uint64
 	seed   uint64
@@ -122,8 +127,34 @@ type Flight struct {
 	inflight map[uint64]*Span // by SpanID: started, not yet finished
 }
 
+// ring is one bounded span ring.
+type ring struct {
+	slots []atomic.Pointer[Span]
+	head  atomic.Uint64 // total spans appended; slot = (head-1) % cap
+}
+
+func (r *ring) add(sp *Span) {
+	idx := r.head.Add(1) - 1
+	r.slots[idx%uint64(len(r.slots))].Store(sp)
+}
+
+func (r *ring) dropped() uint64 {
+	if h, c := r.head.Load(), uint64(len(r.slots)); h > c {
+		return h - c
+	}
+	return 0
+}
+
+func (r *ring) len() int {
+	if h := r.head.Load(); h < uint64(len(r.slots)) {
+		return int(h)
+	}
+	return len(r.slots)
+}
+
 // NewFlight builds a flight recorder keeping the most recent capacity
-// finished spans (minimum 1). node labels every span (typically the
+// finished node-local spans and, separately, the most recent capacity
+// cross-node ones (minimum 1 each). node labels every span (typically the
 // transport listen address). sample is the head-sampling rate: every
 // sample-th root operation starts a trace (1 or less traces them all).
 func NewFlight(node string, capacity, sample int) *Flight {
@@ -138,7 +169,8 @@ func NewFlight(node string, capacity, sample int) *Flight {
 	return &Flight{
 		node:     node,
 		sample:   uint64(sample),
-		slots:    make([]atomic.Pointer[Span], capacity),
+		local:    ring{slots: make([]atomic.Pointer[Span], capacity)},
+		cross:    ring{slots: make([]atomic.Pointer[Span], capacity)},
 		seed:     h.Sum64() ^ uint64(time.Now().UnixNano()),
 		inflight: make(map[uint64]*Span),
 	}
@@ -168,18 +200,14 @@ func (f *Flight) ClockNow() uint64 {
 	return f.clock.Now()
 }
 
-// Dropped returns how many finished spans the ring has evicted. The
-// accounting is exact under any concurrency: the cursor counts every
-// append, and the ring retains at most its capacity.
+// Dropped returns how many finished spans the rings have evicted. The
+// accounting is exact under any concurrency: each cursor counts every
+// append, and each ring retains at most its capacity.
 func (f *Flight) Dropped() uint64 {
 	if f == nil {
 		return 0
 	}
-	h := f.head.Load()
-	if c := uint64(len(f.slots)); h > c {
-		return h - c
-	}
-	return 0
+	return f.local.dropped() + f.cross.dropped()
 }
 
 // Len returns the number of retained finished spans.
@@ -187,10 +215,7 @@ func (f *Flight) Len() int {
 	if f == nil {
 		return 0
 	}
-	if h := f.head.Load(); h < uint64(len(f.slots)) {
-		return int(h)
-	}
-	return len(f.slots)
+	return f.local.len() + f.cross.len()
 }
 
 // id returns a fresh non-zero 64-bit identifier (splitmix64 over a
@@ -283,6 +308,7 @@ func (s *Scope) StartRemote(proc core.ProcID, k Kind, name string, from core.Spa
 		Start:   time.Now().UnixNano(),
 		Lamport: f.clock.Observe(from.Clock),
 		sc:      s,
+		crossed: true,
 	}
 	f.track(sp)
 	return sp
@@ -301,6 +327,9 @@ func (s *Scope) Outbound(sp *Span) core.SpanContext {
 	if sp == nil {
 		return core.SpanContext{Clock: c}
 	}
+	s.f.mu.Lock() // InFlight may be copying the live span
+	sp.crossed = true
+	s.f.mu.Unlock()
 	return core.SpanContext{TraceID: sp.TraceID, SpanID: sp.SpanID, Clock: c}
 }
 
@@ -340,8 +369,11 @@ func (sp *Span) Finish(err error) {
 	if err != nil {
 		sp.Err = err.Error()
 	}
-	idx := f.head.Add(1) - 1
-	f.slots[idx%uint64(len(f.slots))].Store(sp)
+	if sp.crossed {
+		f.cross.add(sp)
+	} else {
+		f.local.add(sp)
+	}
 	if s.reg != nil {
 		s.reg.Histogram(metrics.HistSpanPrefix + sp.Kind.String()).
 			Observe(time.Duration(sp.End - sp.Start))
@@ -356,10 +388,12 @@ func (f *Flight) Spans() []Span {
 	if f == nil {
 		return nil
 	}
-	out := make([]Span, 0, len(f.slots))
-	for i := range f.slots {
-		if sp := f.slots[i].Load(); sp != nil {
-			out = append(out, *sp)
+	out := make([]Span, 0, f.Len())
+	for _, r := range []*ring{&f.local, &f.cross} {
+		for i := range r.slots {
+			if sp := r.slots[i].Load(); sp != nil {
+				out = append(out, *sp)
+			}
 		}
 	}
 	SortSpans(out)

@@ -233,6 +233,37 @@ func TestFlightEvictionExact(t *testing.T) {
 	}
 }
 
+// TestFlightLocalFloodKeepsCrossNodeSpans: node-local spans evict only
+// each other, so both halves of a cross-node tree — the client span whose
+// context left the node and the serve span with a remote parent — outlive
+// a flood of local ones.
+func TestFlightLocalFloodKeepsCrossNodeSpans(t *testing.T) {
+	const ringSz = 8
+	f := NewFlight("n", ringSz, 1)
+	s := f.Scope("", nil)
+	client := s.Start(0, RegRead, "r@p1")
+	ctx := s.Outbound(client)
+	client.Finish(nil)
+	serve := s.StartRemote(1, Serve, "read", core.SpanContext{TraceID: 9, SpanID: 10, Clock: 1})
+	serve.Finish(nil)
+	for i := 0; i < 10*ringSz; i++ {
+		s.Start(0, RegWrite, "hb").Finish(nil)
+	}
+	kept := map[uint64]bool{}
+	for _, sp := range f.Spans() {
+		kept[sp.SpanID] = true
+	}
+	if !kept[ctx.SpanID] || !kept[serve.SpanID] {
+		t.Fatalf("local flood evicted a cross-node span: client kept %v, serve kept %v", kept[ctx.SpanID], kept[serve.SpanID])
+	}
+	if got, want := f.Len(), ringSz+2; got != want {
+		t.Errorf("Len = %d, want %d (full local ring plus two cross-node spans)", got, want)
+	}
+	if got, want := f.Dropped(), uint64(10*ringSz-ringSz); got != want {
+		t.Errorf("Dropped = %d, want %d", got, want)
+	}
+}
+
 // TestSpanHistograms: finishing a span feeds the scope registry's
 // per-op-kind latency histogram.
 func TestSpanHistograms(t *testing.T) {

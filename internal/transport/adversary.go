@@ -82,6 +82,9 @@ func (l *Lossy) BroadcastSpan(from core.ProcID, payload core.Value, sc core.Span
 // TryRecv implements Transport.
 func (l *Lossy) TryRecv(p core.ProcID) (core.Message, bool) { return l.Inner.TryRecv(p) }
 
+// SetWake implements Transport.
+func (l *Lossy) SetWake(p core.ProcID, ch chan<- struct{}) { l.Inner.SetWake(p, ch) }
+
 // Instrument implements Instrumentable: drop accounting adopts the
 // registry's counters when none were supplied, and the registry is
 // forwarded to the wrapped backend.
@@ -110,7 +113,9 @@ func (l *Lossy) Close() error { return l.Inner.Close() }
 //
 // The tick driving the policy is the per-destination TryRecv poll count,
 // which makes the wrapper usable over real-time backends where no global
-// step counter exists.
+// step counter exists. On the rt host an idle process parks between polls,
+// so there the clock advances once per wake-up (an inner delivery or a
+// register write) or per yield tick.
 type Delayed struct {
 	inner  Transport
 	policy msgnet.DeliveryPolicy
@@ -209,6 +214,10 @@ func (d *Delayed) TryRecv(p core.ProcID) (core.Message, bool) {
 	}
 	return core.Message{}, false
 }
+
+// SetWake implements Transport: the inner delivery wakes p, and the poll
+// that follows moves the message into the hold buffer.
+func (d *Delayed) SetWake(p core.ProcID, ch chan<- struct{}) { d.inner.SetWake(p, ch) }
 
 // LinkState implements Transport.
 func (d *Delayed) LinkState(from, to core.ProcID) LinkState { return d.inner.LinkState(from, to) }

@@ -93,6 +93,9 @@ func (c *Chan) TryRecv(p core.ProcID) (core.Message, bool) {
 	return c.net.Recv(p)
 }
 
+// SetWake implements Transport.
+func (c *Chan) SetWake(p core.ProcID, ch chan<- struct{}) { c.net.SetWake(p, ch) }
+
 // LinkState implements Transport. In-process links are always up.
 func (c *Chan) LinkState(from, to core.ProcID) LinkState {
 	if c.closed.Load() {

@@ -33,7 +33,7 @@ type group struct {
 
 	// Guarded by t.mu.
 	addrs       []string
-	mailboxes   map[core.ProcID]*queue.Ring[core.Message]
+	mailboxes   map[core.ProcID]*queue.Mailbox[core.Message]
 	handler     func(from core.ProcID, req core.Value) (core.Value, error)
 	spanHandler transport.SpanHandler // supersedes handler when set
 	dialed      bool
@@ -47,10 +47,10 @@ func newGroup(t *Transport, id uint32, n int, hosted map[core.ProcID]bool) *grou
 		n:         n,
 		hosted:    hosted,
 		self:      minHosted(hosted),
-		mailboxes: make(map[core.ProcID]*queue.Ring[core.Message]),
+		mailboxes: make(map[core.ProcID]*queue.Mailbox[core.Message]),
 	}
 	for p := range hosted {
-		g.mailboxes[p] = new(queue.Ring[core.Message])
+		g.mailboxes[p] = new(queue.Mailbox[core.Message])
 	}
 	return g
 }
@@ -214,9 +214,9 @@ func (g *group) broadcastSpan(from core.ProcID, payload core.Value, sc core.Span
 	return nil
 }
 
-// deliverLocked appends m to the mailbox of hosted process to. Mailboxes
-// are ring buffers, so both delivery and TryRecv are O(1) whatever the
-// queue depth. Caller holds t.mu.
+// deliverLocked appends m to the mailbox of hosted process to and signals
+// its wake-up, if one is registered. Mailboxes are ring buffers, so both
+// delivery and TryRecv are O(1) whatever the queue depth. Caller holds t.mu.
 func (g *group) deliverLocked(m core.Message, to core.ProcID) {
 	g.mailboxes[to].Push(m)
 	g.record(to, metrics.MsgDelivered, 1)
@@ -229,6 +229,15 @@ func (g *group) tryRecv(p core.ProcID) (core.Message, bool) {
 	g.t.mu.Lock()
 	defer g.t.mu.Unlock()
 	return g.mailboxes[p].Pop()
+}
+
+func (g *group) setWake(p core.ProcID, ch chan<- struct{}) {
+	if !g.hosted[p] {
+		return
+	}
+	g.t.mu.Lock()
+	g.mailboxes[p].Wake = ch
+	g.t.mu.Unlock()
 }
 
 func (g *group) linkState(from, to core.ProcID) transport.LinkState {
@@ -409,6 +418,9 @@ func (v *Group) BroadcastSpan(from core.ProcID, payload core.Value, sc core.Span
 
 // TryRecv implements transport.Transport.
 func (v *Group) TryRecv(p core.ProcID) (core.Message, bool) { return v.g.tryRecv(p) }
+
+// SetWake implements transport.Transport.
+func (v *Group) SetWake(p core.ProcID, ch chan<- struct{}) { v.g.setWake(p, ch) }
 
 // LinkState implements transport.Transport.
 func (v *Group) LinkState(from, to core.ProcID) transport.LinkState {

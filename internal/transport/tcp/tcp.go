@@ -460,6 +460,13 @@ func (t *Transport) TryRecv(p core.ProcID) (core.Message, bool) {
 	return t.g0.tryRecv(p)
 }
 
+// SetWake implements transport.Transport (group 0).
+func (t *Transport) SetWake(p core.ProcID, ch chan<- struct{}) {
+	if t.g0 != nil {
+		t.g0.setWake(p, ch)
+	}
+}
+
 // LinkState implements transport.Transport (group 0).
 func (t *Transport) LinkState(from, to core.ProcID) transport.LinkState {
 	if t.g0 == nil {

@@ -81,6 +81,13 @@ type Transport interface {
 	Broadcast(from core.ProcID, payload core.Value) error
 	// TryRecv pops the next delivered message addressed to p, if any.
 	TryRecv(p core.ProcID) (core.Message, bool)
+	// SetWake registers ch as p's wake-up: after every delivery into p's
+	// mailbox the backend makes one non-blocking send on ch, under the
+	// lock that guards the mailbox. A receiver that gives ch a buffer of
+	// one can therefore park on it between TryRecv polls without losing a
+	// delivery that races the park. A nil ch unregisters; a p this
+	// transport does not host is ignored.
+	SetWake(p core.ProcID, ch chan<- struct{})
 	// LinkState reports the liveness of the directed link from→to.
 	LinkState(from, to core.ProcID) LinkState
 	// Close drains queued outbound messages (bounded by the backend's
