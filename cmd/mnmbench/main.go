@@ -4,16 +4,16 @@
 //
 // Usage:
 //
-//	mnmbench                         # run every seed-deterministic experiment
+//	mnmbench                         # run every experiment
 //	mnmbench -quick                  # smaller sizes, faster
 //	mnmbench -experiment T43,LE1     # run a subset
 //	mnmbench -parallel 8             # worker count (default GOMAXPROCS)
 //	mnmbench -json                   # one JSON record per experiment
 //	mnmbench -list                   # list experiments
 //	mnmbench -seed 7                 # perturb all randomness
-//	mnmbench -bench-transport BENCH_transport.json -bench-label dev
-//	                                 # measure the transport hot path and
-//	                                 # append the run to the perf trajectory
+//
+// Performance of the runtime itself is measured by the bench/ module, not
+// here.
 //
 // Experiments run concurrently (and fan their own independent trials out
 // across the same worker budget), but their tables are buffered and
@@ -55,30 +55,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mnmbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		list       = fs.Bool("list", false, "list experiments and exit")
-		ids        = fs.String("experiment", "all", "comma-separated experiment ids, or \"all\" (seed-deterministic experiments; wall-clock ones like TPUT run only when named)")
-		quick      = fs.Bool("quick", false, "smaller sizes and fewer seeds")
-		seed       = fs.Int64("seed", 1, "seed perturbing all randomness")
-		parallel   = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiments and their trials")
-		jsonOut    = fs.Bool("json", false, "emit one JSON record per experiment instead of tables")
-		benchOut   = fs.String("bench-transport", "", "measure the transport hot path and append the run to this JSON trajectory file")
-		benchLabel = fs.String("bench-label", "dev", "label recorded with the -bench-transport run")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		ids      = fs.String("experiment", "all", "comma-separated experiment ids, or \"all\"")
+		quick    = fs.Bool("quick", false, "smaller sizes and fewer seeds")
+		seed     = fs.Int64("seed", 1, "seed perturbing all randomness")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "worker count for experiments and their trials")
+		jsonOut  = fs.Bool("json", false, "emit one JSON record per experiment instead of tables")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
-	if *benchOut != "" {
-		return runTransportBench(*benchOut, *benchLabel, *quick, stdout, stderr)
-	}
-
 	if *list {
 		for _, e := range expt.All() {
-			note := ""
-			if e.WallClock {
-				note = " (wall-clock; excluded from \"all\")"
-			}
-			fmt.Fprintf(stdout, "%-6s %-62s [%s]%s\n", e.ID, e.Title, e.Paper, note)
+			fmt.Fprintf(stdout, "%-6s %-62s [%s]\n", e.ID, e.Title, e.Paper)
 		}
 		return 0
 	}
@@ -181,18 +171,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 // selectExperiments parses the -experiment flag: "all", or a comma-
 // separated id list. Empty entries (trailing or doubled commas) are
 // skipped and repeated ids are deduplicated, so "T43,,LE1,T43," selects
-// exactly T43 then LE1 — an experiment never runs twice. "all" keeps the
-// byte-identical-per-seed invariant: wall-clock experiments (TPUT) are
-// skipped and must be named explicitly.
+// exactly T43 then LE1 — an experiment never runs twice.
 func selectExperiments(ids string) ([]expt.Experiment, error) {
 	if ids == "all" {
-		var selected []expt.Experiment
-		for _, e := range expt.All() {
-			if !e.WallClock {
-				selected = append(selected, e)
-			}
-		}
-		return selected, nil
+		return expt.All(), nil
 	}
 	var selected []expt.Experiment
 	seen := make(map[string]bool)

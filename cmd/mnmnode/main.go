@@ -34,12 +34,11 @@
 // see internal/obs), and `mnmnode -watch -addrs <metrics endpoints>`
 // turns the binary into a read-only poller printing a cluster rate
 // table — the steady state of Theorem 5.1 reads as zeros in the MSG/S
-// column while register operations keep flowing. With -trace N the node
-// retains the last N structured events and dumps them as JSON Lines on
-// exit. With -trace-flight N the node records the last N node-local and
-// the last N cross-node spans of its operations (sends, remote register
-// RPCs, serves) into a flight recorder served at /trace; merge the per-node dumps with
-// cmd/mnmtrace into one causally ordered cluster timeline.
+// column while register operations keep flowing. With -trace-flight N the
+// node records the last N node-local and the last N cross-node spans of
+// its operations (sends, remote register RPCs, serves) into a flight
+// recorder served at /trace; merge the per-node dumps with cmd/mnmtrace
+// into one causally ordered cluster timeline.
 //
 // Diagnostics go to stderr through log/slog: -log-level picks the
 // threshold (debug|info|warn|error; -v is shorthand for debug, which
@@ -63,7 +62,6 @@ import (
 	"crypto/x509"
 	"flag"
 	"fmt"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -118,8 +116,6 @@ func run() int {
 
 		metricsAddr = flag.String("metrics-addr", "", "host:port serving /metrics, /healthz and /status (empty disables)")
 		sampleEvery = flag.Duration("sample-interval", time.Second, "registry sampling interval behind /status rates")
-		traceN      = flag.Int("trace", 0, "retain the last N structured events and dump them as JSON Lines on exit")
-		traceOut    = flag.String("trace-out", "", "file for the -trace dump (default stderr)")
 		flightN     = flag.Int("trace-flight", 0, "span flight recorder capacity, per ring: node-local and cross-node spans (0 disables span tracing)")
 		flightS     = flag.Int("trace-sample", 1, "head-sample 1 of every M traces in the flight recorder")
 		watch       = flag.Bool("watch", false, "watch mode: poll the /metrics endpoints in -addrs and print a cluster rate table")
@@ -231,11 +227,6 @@ func run() int {
 		Flight:    flight,
 		Durable:   durStore,
 	}
-	var rec *trace.Recorder
-	if *traceN > 0 {
-		rec = trace.NewRecorder(*traceN)
-		cfg.Trace = rec
-	}
 
 	var algo core.Algorithm
 	var finish func(h *rt.Group, deadline time.Time) (string, error)
@@ -312,13 +303,6 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "mnmnode: %v\n", err)
 			return 1
 		}
-	}
-	if rec != nil {
-		defer func() {
-			if err := dumpTrace(rec, *traceOut); err != nil {
-				fmt.Fprintf(os.Stderr, "mnmnode: trace dump: %v\n", err)
-			}
-		}()
 	}
 	isLE := strings.HasPrefix(*alg, "le-")
 	if *metricsAddr != "" {
@@ -483,21 +467,6 @@ func monitorLeader(h *rt.Group, self core.ProcID, c *metrics.Counters, stop <-ch
 		cur = v
 		c.Record(self, metrics.LeaderChanges, 1)
 	}
-}
-
-// dumpTrace writes the retained trace ring as JSON Lines — to stderr by
-// default, so it never mixes with the result line on stdout.
-func dumpTrace(rec *trace.Recorder, path string) error {
-	w := io.Writer(os.Stderr)
-	if path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	return rec.WriteJSONL(w)
 }
 
 // waitMesh blocks until this node's outbound link to every peer is up.

@@ -11,8 +11,8 @@ import (
 
 // TestRepoClean is the acceptance criterion made executable: the whole
 // module must pass every mnmvet rule. If this fails, either fix the
-// flagged code or, for a deliberate exception, add a //mnmvet:allow or
-// //mnmvet:exempt directive with a reason.
+// flagged code or, for a deliberate exception, add a //mnmvet:allow
+// directive with a reason.
 func TestRepoClean(t *testing.T) {
 	cwd, err := os.Getwd()
 	if err != nil {

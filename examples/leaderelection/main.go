@@ -27,7 +27,8 @@ func run() error {
 	)
 	counters := mnm.NewCounters(n)
 	r, err := mnm.NewSim(mnm.SimConfig{
-		RunConfig:     mnm.RunConfig{GSM: mnm.CompleteGraph(n), Seed: 3, Counters: counters},
+		RunConfig:     mnm.RunConfig{GSM: mnm.CompleteGraph(n), Seed: 3},
+		Counters:      counters,
 		Scheduler:     mnm.TimelyScheduler(1, 4, 9),
 		MaxSteps:      maxSteps,
 		SnapshotEvery: window,

@@ -25,7 +25,8 @@ func run() error {
 	counters := mnm.NewCounters(n)
 
 	r, err := mnm.NewSim(mnm.SimConfig{
-		RunConfig: mnm.RunConfig{GSM: mnm.CompleteGraph(n), Seed: 11, Links: mnm.FairLossy, Drop: mnm.NewRandomDrop(0.7, 5), Counters: counters},
+		RunConfig: mnm.RunConfig{GSM: mnm.CompleteGraph(n), Seed: 11, Links: mnm.FairLossy, Drop: mnm.NewRandomDrop(0.7, 5)},
+		Counters:  counters,
 		// 70% of messages vanish
 		Scheduler: mnm.TimelyScheduler(2, 4, 6),
 		MaxSteps:  10_000_000,

@@ -80,7 +80,8 @@ func measure(body func(mnm.Env, *mnm.Inbox) error) (reads, writes, msgs int64, e
 		}
 	})
 	r, err := mnm.NewSim(mnm.SimConfig{
-		RunConfig: mnm.RunConfig{GSM: mnm.CompleteGraph(procs), Seed: 5, Counters: counters},
+		RunConfig: mnm.RunConfig{GSM: mnm.CompleteGraph(procs), Seed: 5},
+		Counters:  counters,
 		Scheduler: mnm.RandomScheduler(8),
 		MaxSteps:  5_000_000,
 	}, alg)

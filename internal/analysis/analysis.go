@@ -12,25 +12,21 @@
 //
 // # Directives
 //
-// Three comment directives tune the rules, all greppable under the
+// Two comment directives tune the rules, both greppable under the
 // common prefix //mnmvet::
 //
-//	//mnmvet:scope <rule>            (file level) opt the whole package
-//	                                 into a scoped rule — how fixture
-//	                                 packages activate simdeterminism
-//	                                 and stopselect.
-//	//mnmvet:exempt <rule> [reason]  (file level) opt one file out of a
-//	                                 rule; e.g. internal/expt's
-//	                                 wall-clock transport benchmark is
-//	                                 exempt from simdeterminism.
-//	//mnmvet:allow <rule> [reason]   (line level) suppress one finding on
-//	                                 this line or the next; the reason
-//	                                 should say why the invariant still
-//	                                 holds.
+//	//mnmvet:scope <rule>           (file level) opt the whole package
+//	                                into a scoped rule — how fixture
+//	                                packages activate simdeterminism
+//	                                and stopselect.
+//	//mnmvet:allow <rule> [reason]  (line level) suppress one finding on
+//	                                this line or the next; the reason
+//	                                should say why the invariant still
+//	                                holds.
 //
-// File-level directives must appear before the package clause ends (in
-// practice: in the file header); line-level directives sit on or
-// immediately above the offending line.
+// The scope directive must appear before the package clause ends (in
+// practice: in the file header); allow directives sit on or immediately
+// above the offending line.
 package analysis
 
 import (
@@ -119,8 +115,8 @@ type Pass struct {
 	diags      []Diagnostic
 }
 
-// Reportf records a finding at pos unless an //mnmvet:allow or
-// //mnmvet:exempt directive suppresses it.
+// Reportf records a finding at pos unless an //mnmvet:allow directive
+// suppresses it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Pkg.Fset.Position(pos)
 	if p.directives.suppressed(p.Analyzer.Name, position) {
@@ -131,12 +127,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Rule:    p.Analyzer.Name,
 		Message: fmt.Sprintf(format, args...),
 	})
-}
-
-// FileExempt reports whether the file containing pos opted out of this
-// analyzer, for rules that want to skip whole files cheaply.
-func (p *Pass) FileExempt(pos token.Pos) bool {
-	return p.directives.fileExempt(p.Analyzer.Name, p.Pkg.Fset.Position(pos).Filename)
 }
 
 // active reports whether a runs on pkg: unscoped analyzers run
@@ -199,8 +189,6 @@ func sortDiagnostics(ds []Diagnostic) {
 type directives struct {
 	// scopes holds rules the package opted into via //mnmvet:scope.
 	scopes map[string]bool
-	// exempts maps rule → set of exempt filenames.
-	exempts map[string]map[string]bool
 	// allows maps rule → file → set of lines with an allow directive.
 	// A directive on line L suppresses findings on L and L+1, so both
 	// trailing and preceding-line placements work.
@@ -211,9 +199,8 @@ const directivePrefix = "//mnmvet:"
 
 func parseDirectives(pkg *loader.Package) *directives {
 	d := &directives{
-		scopes:  map[string]bool{},
-		exempts: map[string]map[string]bool{},
-		allows:  map[string]map[string]map[int]bool{},
+		scopes: map[string]bool{},
+		allows: map[string]map[string]map[int]bool{},
 	}
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
@@ -231,11 +218,6 @@ func parseDirectives(pkg *loader.Package) *directives {
 				switch verb {
 				case "scope":
 					d.scopes[rule] = true
-				case "exempt":
-					if d.exempts[rule] == nil {
-						d.exempts[rule] = map[string]bool{}
-					}
-					d.exempts[rule][pos.Filename] = true
 				case "allow":
 					if d.allows[rule] == nil {
 						d.allows[rule] = map[string]map[int]bool{}
@@ -253,14 +235,7 @@ func parseDirectives(pkg *loader.Package) *directives {
 
 func (d *directives) scoped(rule string) bool { return d.scopes[rule] }
 
-func (d *directives) fileExempt(rule, filename string) bool {
-	return d.exempts[rule][filename]
-}
-
 func (d *directives) suppressed(rule string, pos token.Position) bool {
-	if d.fileExempt(rule, pos.Filename) {
-		return true
-	}
 	lines := d.allows[rule][pos.Filename]
 	return lines[pos.Line] || lines[pos.Line-1]
 }

@@ -56,9 +56,6 @@ const callerHeld = "the caller's lock"
 
 func run(pass *analysis.Pass) {
 	for _, file := range pass.Pkg.Files {
-		if pass.FileExempt(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch fn := n.(type) {
 			case *ast.FuncDecl:

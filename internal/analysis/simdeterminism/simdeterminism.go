@@ -64,9 +64,6 @@ var allowedRand = map[string]bool{
 
 func run(pass *analysis.Pass) {
 	for _, file := range pass.Pkg.Files {
-		if pass.FileExempt(file.Pos()) {
-			continue
-		}
 		ast.Inspect(file, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
 			if !ok {
@@ -96,7 +93,7 @@ func check(pass *analysis.Pass, id *ast.Ident, fn *types.Func) {
 	case "time":
 		if forbiddenTime[fn.Name()] {
 			pass.Reportf(id.Pos(), "time.%s reads the wall clock in a deterministic-sim package; "+
-				"derive timing from scheduler steps/ticks (or //mnmvet:exempt the file if it is wall-clock by design)", fn.Name())
+				"derive timing from scheduler steps/ticks", fn.Name())
 		}
 	case "math/rand":
 		if !allowedRand[fn.Name()] {

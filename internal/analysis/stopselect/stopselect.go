@@ -48,9 +48,6 @@ var Analyzer = &analysis.Analyzer{
 
 func run(pass *analysis.Pass) {
 	for _, file := range pass.Pkg.Files {
-		if pass.FileExempt(file.Pos()) {
-			continue
-		}
 		inSelect := commPositions(file)
 		ast.Inspect(file, func(n ast.Node) bool {
 			switch n := n.(type) {

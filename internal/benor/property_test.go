@@ -95,7 +95,8 @@ func TestMessageComplexityPerRound(t *testing.T) {
 	}
 	counters := metrics.NewCounters(n)
 	r, err := sim.New(sim.Config{
-		RunConfig: sim.RunConfig{GSM: graph.Edgeless(n), Seed: 1, Counters: counters},
+		RunConfig: sim.RunConfig{GSM: graph.Edgeless(n), Seed: 1},
+		Counters:  counters,
 		MaxSteps:  200_000,
 		StopWhen:  func(r *sim.Runner) bool { return sim.AllCorrectExposed(r, DecisionKey) },
 	}, New(Config{F: 2, Inputs: inputs}))

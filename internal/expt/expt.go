@@ -38,14 +38,9 @@ type Experiment struct {
 	Title string
 	// Paper names the figure/theorem/section reproduced.
 	Paper string
-	// WallClock marks experiments whose tables report real elapsed-time
-	// measurements. Every other experiment is seed-deterministic —
-	// byte-identical output at any -parallel setting — and that
-	// invariant is load-bearing (mnmbench_output.txt, CI diffs), so
-	// wall-clock experiments run only when selected by id, never as
-	// part of "all".
-	WallClock bool
-	// Run executes the experiment, writing its table to w.
+	// Run executes the experiment, writing its table to w. The table is
+	// a function of Params alone — byte-identical at any Parallel setting —
+	// and that invariant is load-bearing (mnmbench_output.txt, CI diffs).
 	Run func(w io.Writer, p Params) error
 }
 
@@ -77,7 +72,6 @@ func registry() []Experiment {
 			memFailExperiment(),
 			expanderFamilyExperiment(),
 			paxosExperiment(),
-			transportBenchExperiment(),
 		}
 		registryByID = make(map[string]Experiment, len(registryAll))
 		for _, e := range registryAll {

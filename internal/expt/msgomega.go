@@ -73,7 +73,8 @@ func msgOmegaExperiment() Experiment {
 			var target uint64
 			var delta metrics.Snapshot
 			r, err := sim.New(sim.Config{
-				RunConfig: sim.RunConfig{GSM: s.gsm, Seed: p.Seed + 2, Counters: counters},
+				RunConfig: sim.RunConfig{GSM: s.gsm, Seed: p.Seed + 2},
+				Counters:  counters,
 				MaxSteps:  budget,
 				StopWhen: func(r *sim.Runner) bool {
 					if baseline == nil {

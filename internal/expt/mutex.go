@@ -58,7 +58,8 @@ func mutexExperiment() Experiment {
 				})
 			}
 			r, err := sim.New(sim.Config{
-				RunConfig: sim.RunConfig{GSM: graph.Complete(n), Seed: p.Seed + int64(n), Counters: counters},
+				RunConfig: sim.RunConfig{GSM: graph.Complete(n), Seed: p.Seed + int64(n)},
+				Counters:  counters,
 				Scheduler: sched.NewRandom(p.Seed + int64(n) + 1),
 				MaxSteps:  8_000_000,
 			}, alg)

@@ -55,7 +55,8 @@ func paxosExperiment() Experiment {
 				// whole Paxos stack is message-free.
 				counters := metrics.NewCounters(n)
 				r, err := sim.New(sim.Config{
-					RunConfig: sim.RunConfig{GSM: graph.Complete(n), Seed: p.Seed + 31, Links: msgnet.FairLossy, Drop: msgnet.NewRandomDrop(0.6, p.Seed+2), Counters: counters},
+					RunConfig: sim.RunConfig{GSM: graph.Complete(n), Seed: p.Seed + 31, Links: msgnet.FairLossy, Drop: msgnet.NewRandomDrop(0.6, p.Seed+2)},
+					Counters:  counters,
 					Scheduler: timelySched(1, p.Seed+3),
 					MaxSteps:  budget,
 					StopWhen:  func(r *sim.Runner) bool { return sim.AllCorrectExposed(r, paxos.DecisionKey) },
@@ -95,7 +96,8 @@ func paxosExperiment() Experiment {
 				timelyProc = core.ProcID(f)
 			}
 			r, err := sim.New(sim.Config{
-				RunConfig: sim.RunConfig{GSM: graph.Complete(n), Seed: p.Seed + int64(f) + 7, Counters: counters},
+				RunConfig: sim.RunConfig{GSM: graph.Complete(n), Seed: p.Seed + int64(f) + 7},
+				Counters:  counters,
 				Scheduler: timelySched(timelyProc, p.Seed+int64(f)+1),
 				MaxSteps:  budget,
 				Crashes:   append([]sim.Crash(nil), crashes...),

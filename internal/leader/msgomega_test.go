@@ -64,7 +64,8 @@ func TestMsgOmegaNeverGoesSilent(t *testing.T) {
 	counters := metrics.NewCounters(3)
 	var before, after int64
 	r, err := sim.New(sim.Config{
-		RunConfig: sim.RunConfig{GSM: graph.Edgeless(3), Seed: 2, Counters: counters},
+		RunConfig: sim.RunConfig{GSM: graph.Edgeless(3), Seed: 2},
+		Counters:  counters,
 		MaxSteps:  400_000,
 		StopWhen: func(r *sim.Runner) bool {
 			if r.GlobalStep() == 200_000 {

@@ -157,14 +157,14 @@ func TestExportGroupSubRegistries(t *testing.T) {
 
 func TestExportEmptyRegistry(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, NewRegistryWith(nil)); err != nil {
+	if err := WritePrometheus(&buf, &Registry{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "mnm_msg_sent_total 0") {
 		t.Errorf("counter-less registry should expose zero totals:\n%s", buf.String())
 	}
 	buf.Reset()
-	if err := WriteJSON(&buf, NewRegistryWith(nil)); err != nil {
+	if err := WriteJSON(&buf, &Registry{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -59,13 +59,7 @@ type Registry struct {
 
 // NewRegistry returns a registry with fresh counters for n processes.
 func NewRegistry(n int) *Registry {
-	return NewRegistryWith(NewCounters(n))
-}
-
-// NewRegistryWith returns a registry reporting counter events into c,
-// which may be shared with other consumers (e.g. an rt.Group's Counters).
-func NewRegistryWith(c *Counters) *Registry {
-	return &Registry{counters: c, hists: make(map[string]*Histogram)}
+	return &Registry{counters: NewCounters(n), hists: make(map[string]*Histogram)}
 }
 
 // Counters returns the registry's counter set.
@@ -73,23 +67,7 @@ func (r *Registry) Counters() *Counters {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.counters
-}
-
-// AdoptCounters installs c as the registry's counter set if none is set
-// yet; it reports whether the registry now uses c.
-func (r *Registry) AdoptCounters(c *Counters) bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counters == nil {
-		r.counters = c
-	}
-	return r.counters == c
 }
 
 // Record forwards to the registry's counters (nil-safe).

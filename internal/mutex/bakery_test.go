@@ -47,7 +47,8 @@ func TestBakeryUsesOnlyReadsAndWrites(t *testing.T) {
 	})
 	counters := metrics.NewCounters(3)
 	r, err := sim.New(sim.Config{
-		RunConfig: sim.RunConfig{GSM: graph.Complete(3), Seed: 3, Counters: counters},
+		RunConfig: sim.RunConfig{GSM: graph.Complete(3), Seed: 3},
+		Counters:  counters,
 		Scheduler: sched.NewRandom(4),
 		MaxSteps:  2_000_000,
 	}, alg)
@@ -130,7 +131,8 @@ func TestBakerySpinsGrowWithContention(t *testing.T) {
 		})
 		counters := metrics.NewCounters(n)
 		r, err := sim.New(sim.Config{
-			RunConfig: sim.RunConfig{GSM: graph.Complete(n), Seed: 7, Counters: counters},
+			RunConfig: sim.RunConfig{GSM: graph.Complete(n), Seed: 7},
+			Counters:  counters,
 			Scheduler: sched.NewRandom(9),
 			MaxSteps:  8_000_000,
 		}, alg)

@@ -61,7 +61,8 @@ func csAlg(rounds int, acquire func(core.Env, *core.Inbox) (Ticket, error), rele
 func runLock(t *testing.T, alg core.Algorithm, n int, seed int64, counters *metrics.Counters) *sim.Result {
 	t.Helper()
 	r, err := sim.New(sim.Config{
-		RunConfig: sim.RunConfig{GSM: graph.Complete(n), Seed: seed, Counters: counters},
+		RunConfig: sim.RunConfig{GSM: graph.Complete(n), Seed: seed},
+		Counters:  counters,
 		Scheduler: sched.NewRandom(seed * 3),
 		MaxSteps:  3_000_000,
 	}, alg)

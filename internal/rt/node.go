@@ -54,8 +54,8 @@ type NodeConfig struct {
 
 // GroupConfig describes one shard to be opened on a Node. The embedded
 // RunConfig carries the host-independent knobs (GSM is required; Seed,
-// Links, Drop, Trace, Logf as usual — the deprecated Counters shim is
-// ignored here, the group always meters into its sub-registry).
+// Links, Drop, Logf as usual); the group meters into its sub-registry and
+// traces into the node's Flight.
 type GroupConfig struct {
 	runcfg.RunConfig
 
@@ -210,7 +210,6 @@ func (nd *Node) OpenGroup(id transport.GroupID, cfg GroupConfig, alg core.Algori
 		Flight:    nd.flight,
 		SpanGroup: fmt.Sprintf("group-%d", id),
 	}
-	hcfg.Counters = nil // groups always meter into their registry
 	if hcfg.Logf == nil {
 		hcfg.Logf = nd.logf
 	}

@@ -19,6 +19,11 @@
 // served by the owner's host out of its local register store (so
 // shared-memory domain checks always happen at the owner).
 //
+// A host has one meter and one recorder: every counter and latency
+// histogram goes into Config.Registry, and every traced operation is a span
+// in Config.Flight. The simulator's step-indexed event log
+// (trace.Recorder) has no real-time counterpart.
+//
 // A step is one operation, and Yield — the step an idle process takes —
 // is one step followed by a park: the process sleeps until a message lands
 // in its mailbox, a register of its group is written, the group stops or
@@ -60,7 +65,7 @@ type RunConfig = runcfg.RunConfig
 // Config describes a real-time m&m system.
 type Config struct {
 	// RunConfig holds the host-independent knobs: GSM (required), Links,
-	// Drop, Seed, Counters, Trace and Logf.
+	// Drop, Seed and Logf.
 	runcfg.RunConfig
 
 	// Transport carries messages between processes. Nil selects the
@@ -79,10 +84,8 @@ type Config struct {
 	// Registry, if non-nil, is the unified observability plane of the run:
 	// counters plus latency histograms, handed to the transport (via
 	// transport.Instrumentable) so every backend reports the same schema,
-	// and fed by the host's remote-register RPC timing. If nil, one is
-	// synthesized — around RunConfig.Counters when that deprecated shim is
-	// set, around fresh counters otherwise. When Registry is set it is the
-	// single metering object and RunConfig.Counters is ignored.
+	// and fed by the host's remote-register RPC timing. If nil, a fresh one
+	// is created; either way it is the run's single metering object.
 	Registry *metrics.Registry
 
 	// Durable, if non-nil, journals every register mutation of this
@@ -94,11 +97,11 @@ type Config struct {
 	// transport drains.
 	Durable *durable.Registers
 
-	// Flight, if non-nil, is the node's span flight recorder: the group's
-	// op sites start spans in it, send/RPC edges carry their context over
-	// the transport's span plane (wire v4), and span latencies feed the
-	// Registry's "span_<kind>" histograms. Nil (the default) disables span
-	// tracing at zero cost on the hot path.
+	// Flight, if non-nil, is the node's span flight recorder — the host's
+	// only trace: the group's op sites start spans in it, send/RPC edges
+	// carry their context over the transport's span plane (wire v4), and
+	// span latencies feed the Registry's "span_<kind>" histograms. Nil (the
+	// default) disables tracing at zero cost on the hot path.
 	Flight *trace.Flight
 	// SpanGroup labels this group's spans, matching the group's metrics
 	// sub-registry label ("group-<id>"; "" for the base group).
@@ -168,8 +171,7 @@ type Group struct {
 	counters  *metrics.Counters
 	registry  *metrics.Registry
 	durable   *durable.Registers // nil unless Config.Durable was set
-	traceRec  *trace.Recorder
-	spans     *trace.Scope // nil when span tracing is off
+	spans     *trace.Scope       // nil when span tracing is off
 	logf      func(format string, args ...any)
 	procs     []*rtProc // nil entries for processes hosted elsewhere
 	wg        sync.WaitGroup
@@ -224,22 +226,11 @@ func New(cfg Config, alg core.Algorithm) (*Group, error) {
 	if cfg.Links == 0 {
 		cfg.Links = msgnet.Reliable
 	}
-	// Registry-only observability config, mirroring tcp.Config: the
-	// deprecated Counters shim is only consulted when no Registry is
-	// given, so there is one metering object and no precedence footnote.
 	registry := cfg.Registry
 	if registry == nil {
-		if cfg.Counters != nil {
-			registry = metrics.NewRegistryWith(cfg.Counters)
-		} else {
-			registry = metrics.NewRegistry(n)
-		}
+		registry = metrics.NewRegistry(n)
 	}
 	counters := registry.Counters()
-	if counters == nil {
-		counters = metrics.NewCounters(n)
-		registry.AdoptCounters(counters)
-	}
 
 	hosted, hostedSet, err := hostedProcs(n, cfg.Hosted)
 	if err != nil {
@@ -290,7 +281,6 @@ func New(cfg Config, alg core.Algorithm) (*Group, error) {
 		counters:  counters,
 		registry:  registry,
 		durable:   cfg.Durable,
-		traceRec:  cfg.Trace,
 		spans:     cfg.Flight.Scope(cfg.SpanGroup, registry),
 		logf:      cfg.Logf,
 		procs:     make([]*rtProc, n),
@@ -679,32 +669,12 @@ func (e *rtEnv) Procs() []core.ProcID { return e.all }
 // Neighbors implements core.Env.
 func (e *rtEnv) Neighbors() []core.ProcID { return e.ps.neighbors }
 
-// traceOp records one operation into the run trace. Step carries the
-// process's local step count — the real-time analogue of the simulator's
-// global step. Yields are deliberately not traced: real-time polling loops
-// would flood the bounded ring with them and evict the events worth
-// keeping. Call sites guard on h.traceRec != nil before rendering the note
-// so an untraced run pays nothing.
-func (e *rtEnv) traceOp(k trace.Kind, ref core.Ref, to core.ProcID, note string) {
-	e.h.traceRec.Record(trace.Event{
-		Step: e.ps.steps.Load(),
-		Proc: e.ps.id,
-		Kind: k,
-		Ref:  ref,
-		To:   to,
-		Note: note,
-	})
-}
-
 // Send implements core.Env. With span tracing on, the send starts a span
 // (head-sampled) whose context rides the wire frame to the receiver; the
 // Lamport clock ticks on every send either way, so the clock condition
 // holds for unsampled traffic too.
 func (e *rtEnv) Send(to core.ProcID, payload core.Value) error {
 	e.step()
-	if e.h.traceRec != nil {
-		e.traceOp(trace.Send, core.Ref{}, to, fmt.Sprintf("%v", payload))
-	}
 	h := e.h
 	if h.spans == nil {
 		return h.tr.Send(e.ps.id, to, payload)
@@ -725,9 +695,6 @@ func (e *rtEnv) Send(to core.ProcID, payload core.Value) error {
 // copy carries the same context.
 func (e *rtEnv) Broadcast(payload core.Value) error {
 	e.step()
-	if e.h.traceRec != nil {
-		e.traceOp(trace.Broadcast, core.Ref{}, core.NoProc, fmt.Sprintf("%v", payload))
-	}
 	h := e.h
 	if h.spans == nil {
 		return h.tr.Broadcast(e.ps.id, payload)
@@ -765,9 +732,6 @@ func (e *rtEnv) TryRecv() (core.Message, bool) {
 // remote-register RPC and parents the owner node's Serve span.
 func (e *rtEnv) Read(ref core.Ref) (core.Value, error) {
 	e.step()
-	if e.h.traceRec != nil {
-		e.traceOp(trace.RegRead, ref, core.NoProc, "")
-	}
 	var sp *trace.Span
 	if e.h.spans != nil {
 		sp = e.h.spans.Start(e.ps.id, trace.RegRead, fmt.Sprintf("%v", ref))
@@ -780,9 +744,6 @@ func (e *rtEnv) Read(ref core.Ref) (core.Value, error) {
 // Write implements core.Env.
 func (e *rtEnv) Write(ref core.Ref, v core.Value) error {
 	e.step()
-	if e.h.traceRec != nil {
-		e.traceOp(trace.RegWrite, ref, core.NoProc, fmt.Sprintf("%v", v))
-	}
 	var sp *trace.Span
 	if e.h.spans != nil {
 		sp = e.h.spans.Start(e.ps.id, trace.RegWrite, fmt.Sprintf("%v", ref))
@@ -795,9 +756,6 @@ func (e *rtEnv) Write(ref core.Ref, v core.Value) error {
 // CompareAndSwap implements core.Env.
 func (e *rtEnv) CompareAndSwap(ref core.Ref, expected, desired core.Value) (bool, core.Value, error) {
 	e.step()
-	if e.h.traceRec != nil {
-		e.traceOp(trace.CAS, ref, core.NoProc, fmt.Sprintf("%v→%v", expected, desired))
-	}
 	var sp *trace.Span
 	if e.h.spans != nil {
 		sp = e.h.spans.Start(e.ps.id, trace.CAS, fmt.Sprintf("%v %v→%v", ref, expected, desired))
@@ -821,9 +779,6 @@ func (e *rtEnv) LocalSteps() uint64 { return e.ps.steps.Load() }
 
 // Expose implements core.Env.
 func (e *rtEnv) Expose(name string, v core.Value) {
-	if e.h.traceRec != nil {
-		e.traceOp(trace.Expose, core.Ref{}, core.NoProc, fmt.Sprintf("%s=%v", name, v))
-	}
 	e.ps.mu.Lock()
 	e.ps.exposed[name] = v
 	e.ps.mu.Unlock()
@@ -833,23 +788,11 @@ func (e *rtEnv) Expose(name string, v core.Value) {
 // goroutine.
 func (e *rtEnv) Rand() *rand.Rand { return e.ps.rng }
 
-// Logf implements core.Env: the event goes to the run trace (if any) and
-// to Config.Logf (if any), prefixed with the process id and its local step
-// count — the real-time analogue of the simulator's global step prefix.
+// Logf implements core.Env: the line goes to Config.Logf (if any),
+// prefixed with the process id and its local step count — the real-time
+// analogue of the simulator's global step prefix.
 func (e *rtEnv) Logf(format string, args ...any) {
-	h := e.h
-	if h.traceRec == nil && h.logf == nil {
-		return
-	}
-	note := fmt.Sprintf(format, args...)
-	h.traceRec.Record(trace.Event{
-		Step: e.ps.steps.Load(),
-		Proc: e.ps.id,
-		Kind: trace.Log,
-		To:   core.NoProc,
-		Note: note,
-	})
-	if h.logf != nil {
-		h.logf("[local %d] %v: %s", e.ps.steps.Load(), e.ps.id, note)
+	if e.h.logf != nil {
+		e.h.logf("[local %d] %v: %s", e.ps.steps.Load(), e.ps.id, fmt.Sprintf(format, args...))
 	}
 }

@@ -10,15 +10,17 @@
 //
 //	sim.Config{RunConfig: sim.RunConfig{GSM: g, Seed: 1}, MaxSteps: 100}
 //
+// Observability is host-specific and lives on each host's Config: the
+// simulator takes Counters and a trace.Recorder, the real-time host a
+// metrics.Registry and a trace.Flight.
+//
 // (Each host package re-exports the type under an alias — sim.RunConfig,
 // rt.RunConfig, mnm.RunConfig — so callers never import runcfg directly.)
 package runcfg
 
 import (
 	"github.com/mnm-model/mnm/internal/graph"
-	"github.com/mnm-model/mnm/internal/metrics"
 	"github.com/mnm-model/mnm/internal/msgnet"
-	"github.com/mnm-model/mnm/internal/trace"
 )
 
 // RunConfig is the configuration shared by every m&m host.
@@ -34,14 +36,6 @@ type RunConfig struct {
 	// configurations and seeds are identical; real-time runs reuse the
 	// same per-process sources but interleave nondeterministically.
 	Seed int64
-	// Counters receives all metrics; one is created if nil.
-	Counters *metrics.Counters
-	// Trace, if non-nil, records a structured event log of the run
-	// (bounded ring; see internal/trace). The simulator records every
-	// operation; the real-time host records message sends, broadcasts,
-	// register operations, exposes and Logf events (yields are not traced:
-	// real-time polling loops would flood the ring).
-	Trace *trace.Recorder
 	// Logf, if non-nil, receives core.Env.Logf trace lines.
 	Logf func(format string, args ...any)
 }

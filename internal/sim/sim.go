@@ -15,6 +15,10 @@
 //
 // Runs are reproducible: given the same configuration, seed, crash plan
 // and scheduler, a run is bit-for-bit deterministic.
+//
+// Config.Counters meters the run and Config.Trace records it as a
+// step-indexed event log; both are the simulator's own (the real-time host
+// meters into a metrics.Registry and records spans into a trace.Flight).
 package sim
 
 import (
@@ -44,18 +48,21 @@ type Crash struct {
 }
 
 // RunConfig is the host-independent half of Config, shared with the
-// real-time host (see internal/runcfg). Deprecated field note: the GSM,
-// Links, Drop, Seed, Counters, Trace and Logf fields that used to be
-// declared directly on Config now live here; selector access (cfg.GSM,
-// cfg.Seed, ...) is unchanged via promotion, but composite literals must
-// name the embedded struct: sim.Config{RunConfig: sim.RunConfig{...}}.
+// real-time host (see internal/runcfg). Selector access (cfg.GSM,
+// cfg.Seed, ...) works via promotion; composite literals name the embedded
+// struct: sim.Config{RunConfig: sim.RunConfig{...}}.
 type RunConfig = runcfg.RunConfig
 
 // Config describes a simulated m&m system.
 type Config struct {
 	// RunConfig holds the host-independent knobs: GSM, Links, Drop,
-	// Seed, Counters, Trace, Logf.
+	// Seed, Logf.
 	runcfg.RunConfig
+	// Counters receives all metrics; one is created if nil.
+	Counters *metrics.Counters
+	// Trace, if non-nil, records every operation of the run as a
+	// step-indexed event (bounded ring; see internal/trace).
+	Trace *trace.Recorder
 	// Domain overrides the shared-memory domain. By default the uniform
 	// domain induced by GSM is used (the paper's setting); supplying a
 	// shm.SetDomain here runs the general model of §3 instead. GSM still

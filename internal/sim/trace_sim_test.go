@@ -32,7 +32,8 @@ func TestTraceRecordsRunEvents(t *testing.T) {
 	})
 	const bound = 3
 	r, err := New(Config{
-		RunConfig: RunConfig{GSM: graph.Complete(3), Trace: rec},
+		RunConfig: RunConfig{GSM: graph.Complete(3)},
+		Trace:     rec,
 		Scheduler: &sched.TimelyProcess{
 			Timely: 2,
 			Bound:  bound,
@@ -89,7 +90,7 @@ func TestTraceStepsMatchMetrics(t *testing.T) {
 			return nil
 		}
 	})
-	r, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(2), Trace: rec}}, alg)
+	r, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(2)}, Trace: rec}, alg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Span-level tracing: the cross-node half of the trace package.
 //
 // The event Recorder (trace.go) answers "what did this process do, in
-// order" for one host. Spans answer the distributed question — "what did
+// order" for the simulator. Spans, the real-time host's only trace, answer the distributed question — "what did
 // this *operation* cause, across every node it touched" — by giving each
 // sampled operation an identity (TraceID/SpanID) that travels inside the
 // wire frame header (wire v4) and a Lamport timestamp that orders it

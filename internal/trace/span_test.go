@@ -2,8 +2,8 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -281,15 +281,14 @@ func TestSpanHistograms(t *testing.T) {
 	}
 }
 
-// TestRecorderDumpConsistentUnderEviction is the multi-group
-// concurrent-eviction regression test: many groups share one bounded
-// Recorder (exactly what mnmnode -trace does across its shards) while
-// dumps are taken concurrently. Each dump's header must agree with the
-// events in that same dump — the header's drop count can be no smaller
-// than the evictions implied by the events themselves. The pre-fix code
-// read Dropped() and Events() under two separate lock acquisitions, so
-// a dump taken mid-storm understated the drop count relative to the
-// events it rendered.
+// TestRecorderDumpConsistentUnderEviction is the concurrent-eviction
+// regression test: many writers share one bounded Recorder while WriteTo
+// dumps are taken concurrently. Each dump's "(N earlier events dropped)"
+// header must agree with the events in that same dump — the header's drop
+// count can be no smaller than the evictions implied by the events
+// themselves. The pre-fix code read Dropped() and Events() under two
+// separate lock acquisitions, so a dump taken mid-storm understated the
+// drop count relative to the events it rendered.
 func TestRecorderDumpConsistentUnderEviction(t *testing.T) {
 	const (
 		groups = 8
@@ -310,7 +309,7 @@ func TestRecorderDumpConsistentUnderEviction(t *testing.T) {
 	}
 	check := func(iter int) {
 		var buf bytes.Buffer
-		if err := r.WriteJSONL(&buf); err != nil {
+		if _, err := r.WriteTo(&buf); err != nil {
 			t.Error(err)
 			return
 		}
@@ -328,25 +327,18 @@ func TestRecorderDumpConsistentUnderEviction(t *testing.T) {
 		maxStep := make(map[int]uint64)
 		events := 0
 		for _, line := range strings.Split(out, "\n") {
-			var hdr struct {
-				Dropped *uint64 `json:"dropped"`
+			if _, err := fmt.Sscanf(line, "(%d earlier events dropped)", &dropped); err == nil {
+				continue
 			}
-			if err := json.Unmarshal([]byte(line), &hdr); err != nil {
+			var step uint64
+			var proc int
+			if _, err := fmt.Sscanf(line, "[%d] p%d send", &step, &proc); err != nil {
 				t.Errorf("bad dump line %q: %v", line, err)
 				return
 			}
-			if hdr.Dropped != nil {
-				dropped = *hdr.Dropped
-				continue
-			}
-			var ev EventJSON
-			if err := json.Unmarshal([]byte(line), &ev); err != nil {
-				t.Errorf("bad event line %q: %v", line, err)
-				return
-			}
 			events++
-			if s := ev.Step + 1; s > maxStep[ev.Proc] {
-				maxStep[ev.Proc] = s
+			if s := step + 1; s > maxStep[proc] {
+				maxStep[proc] = s
 			}
 		}
 		var implied uint64

@@ -1,16 +1,18 @@
-// Package trace records structured per-step event logs of simulated runs:
-// who did what (register op, send, broadcast, yield, crash, halt, expose)
-// at which global step. Traces serve debugging (mnmsim -trace), test
-// assertions about operation patterns, and post-hoc schedule analysis
-// (e.g. feeding sched.MinTimelinessBound).
+// Package trace holds one recorder per host. Recorder is the simulator's:
+// a structured per-step event log of who did what (register op, send,
+// broadcast, yield, crash, halt, expose) at which global step. Its traces
+// serve debugging (mnmsim -trace), test assertions about operation
+// patterns, and post-hoc schedule analysis (e.g. feeding
+// sched.MinTimelinessBound). Flight (span.go) is the real-time host's: a
+// per-node ring of causally linked spans, dumped as the JSONL format
+// ReadSpans parses.
 //
-// The recorder is a bounded ring: recording never allocates beyond the
-// configured capacity and never fails, so tracing can stay on in long
-// runs; the oldest events are dropped and counted.
+// Both are bounded rings: recording never allocates beyond the configured
+// capacity and never fails, so tracing can stay on in long runs; the
+// oldest entries are dropped and counted.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -224,49 +226,9 @@ func (r *Recorder) snapshot() ([]Event, uint64) {
 	return out, r.dropped
 }
 
-// EventJSON is the JSONL wire form of one Event (see WriteJSONL).
-type EventJSON struct {
-	Step uint64 `json:"step"`
-	Proc int    `json:"proc"`
-	Kind string `json:"kind"`
-	// Ref renders the register for register events, empty otherwise.
-	Ref string `json:"ref,omitempty"`
-	// To is the destination process (Send events only).
-	To *int `json:"to,omitempty"`
-	// Note is the event's free-form detail.
-	Note string `json:"note,omitempty"`
-}
-
-// WriteJSONL dumps the retained events to w as JSON Lines, oldest first:
-// one object per event, preceded by a {"dropped": N} header line when the
-// ring evicted events. The format is stable for scripting (mnmnode -trace
-// writes it on exit; jq consumes it).
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	events, dropped := r.snapshot()
-	if dropped > 0 {
-		if err := enc.Encode(map[string]uint64{"dropped": dropped}); err != nil {
-			return err
-		}
-	}
-	for _, e := range events {
-		ej := EventJSON{Step: e.Step, Proc: int(e.Proc), Kind: e.Kind.String(), Note: e.Note}
-		switch e.Kind {
-		case RegRead, RegWrite, CAS:
-			ej.Ref = fmt.Sprintf("%v", e.Ref)
-		case Send:
-			to := int(e.To)
-			ej.To = &to
-		}
-		if err := enc.Encode(ej); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteTo dumps the retained events to w, oldest first, and reports bytes
-// written.
+// WriteTo dumps the retained events to w, oldest first, one Event.String
+// line each, preceded by an "(N earlier events dropped)" line when the
+// ring evicted events, and reports bytes written.
 func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	var total int64
 	events, dropped := r.snapshot()

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -136,55 +134,5 @@ func TestDroppedUnderConcurrentWriters(t *testing.T) {
 	}
 	if r.Len() != cap {
 		t.Errorf("Len() = %d, want full ring of %d", r.Len(), cap)
-	}
-}
-
-// TestWriteJSONL checks the JSONL dump: one parseable object per event
-// with kind-appropriate fields, preceded by a dropped header when the ring
-// evicted.
-func TestWriteJSONL(t *testing.T) {
-	r := NewRecorder(8)
-	r.Record(Event{Step: 1, Proc: 0, Kind: Send, To: 2, Note: "ping"})
-	r.Record(Event{Step: 2, Proc: 1, Kind: RegWrite, Ref: core.Ref{Owner: 1, Name: "STATE"}, Note: "7"})
-	r.Record(Event{Step: 3, Proc: 2, Kind: Expose, Note: "leader=p0"})
-
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want 3:\n%s", len(lines), buf.String())
-	}
-	var evs []EventJSON
-	for _, l := range lines {
-		var e EventJSON
-		if err := json.Unmarshal([]byte(l), &e); err != nil {
-			t.Fatalf("line %q does not parse: %v", l, err)
-		}
-		evs = append(evs, e)
-	}
-	if evs[0].Kind != "send" || evs[0].To == nil || *evs[0].To != 2 {
-		t.Errorf("send event = %+v, want kind send to 2", evs[0])
-	}
-	if evs[1].Kind != "write" || evs[1].Ref == "" {
-		t.Errorf("write event = %+v, want a rendered ref", evs[1])
-	}
-	if evs[2].To != nil || evs[2].Ref != "" {
-		t.Errorf("expose event = %+v, want no to/ref", evs[2])
-	}
-
-	// Overflow the ring: the dump must lead with the dropped header.
-	for i := 0; i < 10; i++ {
-		r.Record(Event{Step: uint64(10 + i), Proc: 0, Kind: Yield})
-	}
-	buf.Reset()
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	first := strings.SplitN(buf.String(), "\n", 2)[0]
-	var hdr map[string]uint64
-	if err := json.Unmarshal([]byte(first), &hdr); err != nil || hdr["dropped"] == 0 {
-		t.Errorf("first line = %q, want a dropped header", first)
 	}
 }

@@ -2,6 +2,7 @@ package tcp_test
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,8 +26,7 @@ func awaitLinkUp(tb testing.TB, tr *tcp.Transport, from, to core.ProcID) {
 
 // BenchmarkTCPSendThroughput measures the one-directional data-frame rate
 // between two loopback nodes: b.N sends pipelined against a draining
-// receiver. The custom frames/s metric is the perf-trajectory number
-// recorded in BENCH_transport.json.
+// receiver, reported as a custom frames/s metric.
 func BenchmarkTCPSendThroughput(b *testing.B) {
 	nodes := newCluster(b, 2, [][]core.ProcID{{0}, {1}})
 	if err := nodes[0].Send(0, 1, -1); err != nil {
@@ -55,6 +55,70 @@ func BenchmarkTCPSendThroughput(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
+}
+
+// BenchmarkShardedSendThroughput is the sharded fan-out: 32 groups
+// multiplexed over one loopback node pair — one shared connection per
+// direction — every group's sender running concurrently while the receiver
+// drains all 32 mailboxes. frames/s is the aggregate data-frame rate, to
+// read against BenchmarkTCPSendThroughput's single-group figure.
+func BenchmarkShardedSendThroughput(b *testing.B) {
+	const groups = 32
+	nodes := newCluster(b, 2, [][]core.ProcID{{0}, {1}})
+	addrs := []string{nodes[0].Addr(), nodes[1].Addr()}
+	senders := make([]transport.Transport, groups)
+	receivers := make([]transport.Transport, groups)
+	deadline := time.Now().Add(10 * time.Second)
+	for g := range senders {
+		views := openGroupOn(b, nodes, transport.GroupID(g+1), addrs)
+		senders[g], receivers[g] = views[0], views[1]
+		// One frame through every group first, so the timed loop measures
+		// the steady-state wire, not connection or group setup.
+		if err := senders[g].Send(0, 1, -1); err != nil {
+			b.Fatal(err)
+		}
+		for {
+			if _, ok := receivers[g].TryRecv(1); ok {
+				break
+			}
+			if !time.Now().Before(deadline) {
+				b.Fatalf("group %d: warm-up frame never arrived", g+1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g, v := range senders {
+		n := b.N / groups
+		if g < b.N%groups {
+			n++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				v.Send(0, 1, i)
+			}
+		}()
+	}
+	for received := 0; received < b.N; {
+		progressed := false
+		for _, v := range receivers {
+			if _, ok := v.TryRecv(1); ok {
+				received++
+				progressed = true
+			}
+		}
+		if !progressed {
+			runtime.Gosched()
+		}
+	}
+	b.StopTimer()
+	wg.Wait()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "frames/s")
 }
 

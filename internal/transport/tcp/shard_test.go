@@ -15,7 +15,7 @@ import (
 // openGroupOn opens group id on every node with the given address table
 // (index = proc), hosting on node i exactly the procs the table maps to
 // that node's address, and dials each view.
-func openGroupOn(t *testing.T, nodes []*tcp.Transport, id transport.GroupID, addrs []string) []transport.Transport {
+func openGroupOn(t testing.TB, nodes []*tcp.Transport, id transport.GroupID, addrs []string) []transport.Transport {
 	t.Helper()
 	views := make([]transport.Transport, len(nodes))
 	for i, nd := range nodes {

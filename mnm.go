@@ -96,10 +96,11 @@ type (
 // Simulation and real-time hosting.
 type (
 	// RunConfig is the host-independent part of a run description (GSM,
-	// links, drop policy, seed, counters, trace, log sink), embedded in
-	// both SimConfig and RTConfig.
+	// links, drop policy, seed, log sink), embedded in both SimConfig and
+	// RTConfig.
 	RunConfig = runcfg.RunConfig
-	// SimConfig configures a deterministic simulated run.
+	// SimConfig configures a deterministic simulated run; its Counters and
+	// Trace fields meter and record it.
 	SimConfig = sim.Config
 	// SimRunner executes a simulated run.
 	SimRunner = sim.Runner
@@ -171,9 +172,9 @@ type (
 	TraceRecorder = trace.Recorder
 	// TraceEvent is one recorded run event.
 	TraceEvent = trace.Event
-	// Flight is a node's bounded span flight recorder for real-time runs
-	// (install via RTNodeConfig.Flight / RTConfig.Flight and dump it with
-	// WriteJSONL or the obs plane's /trace endpoint).
+	// Flight is a node's bounded span flight recorder, the only trace of
+	// real-time runs (install via RTNodeConfig.Flight / RTConfig.Flight and
+	// dump it with Flight.WriteJSONL or the obs plane's /trace endpoint).
 	Flight = trace.Flight
 	// FlightMeta is the per-node header line of a flight dump.
 	FlightMeta = trace.FlightMeta
