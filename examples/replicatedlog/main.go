@@ -26,13 +26,14 @@ func run() error {
 	const (
 		n        = 4
 		commands = 3
+		crashAt  = 100 // p0 leads by then, and the log is about half done
 	)
 	total := n * commands
 	r, err := mnm.NewSim(mnm.SimConfig{
 		RunConfig: mnm.RunConfig{GSM: mnm.CompleteGraph(n), Seed: 7},
 		Scheduler: mnm.RandomScheduler(9),
 		MaxSteps:  8_000_000,
-		Crashes:   []mnm.Crash{{Proc: 0, AtStep: 500}},
+		Crashes:   []mnm.Crash{{Proc: 0, AtStep: crashAt}},
 		StopWhen: func(r *mnm.SimRunner) bool {
 			for p := 0; p < n; p++ {
 				id := mnm.ProcID(p)
@@ -61,7 +62,7 @@ func run() error {
 		return fmt.Errorf("replication did not converge in %d steps", res.Steps)
 	}
 
-	fmt.Printf("replication finished in %d steps (leader p0 crashed at step 500)\n\n", res.Steps)
+	fmt.Printf("replication finished in %d steps (leader p0 crashed at step %d)\n\n", res.Steps, crashAt)
 	fmt.Println("replica state:")
 	for p := mnm.ProcID(0); int(p) < n; p++ {
 		if r.Crashed(p) {

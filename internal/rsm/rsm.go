@@ -8,15 +8,29 @@
 //
 //   - The log lives in shared memory: slot s is a register placed at
 //     process s mod n, written exactly once through compare-and-swap. A
-//     slot is *committed* when non-nil; CAS makes the first append win, so
-//     log agreement is deterministic no matter how many processes try.
-//   - An Ω detector (the paper's Figure-3 algorithm, embedded in steppable
-//     Detector form) selects a sequencer. Clients forward their commands
-//     to their current leader and retransmit until they see the command
-//     committed, so leadership changes and fair-lossy links only cost
-//     retries, never safety.
-//   - The log is at-least-once — a command retransmitted across a leader
-//     change or a replica restart can fill two slots — but apply is
+//     slot is *committed* when non-nil. A write-once CAS register is a
+//     consensus object: the first append wins, and every process that
+//     touches the slot learns the same value.
+//   - Commit path. An Ω detector (the paper's Figure-3 algorithm,
+//     embedded in steppable Detector form) selects a sequencer. The
+//     leader walks the log at its apply cursor; holding a command to
+//     sequence, it CASes nil → command into that slot directly. The CAS's
+//     outcome is the slot's decided value — the leader's command if it
+//     won, the occupant if it lost — and the leader applies it at once, so
+//     a commit costs one CAS: no read before it, no read back after it.
+//     Followers read the slots in order and park when nothing new is
+//     committed; the leader's CAS on a slot a follower owns wakes it.
+//   - Forwarding. A client sends each of its uncommitted commands to a
+//     leader the first time it sees that leader, and not again: a
+//     replica's pending queue lives as long as the replica, so a leader
+//     flapping away and back costs no message. When no own command
+//     commits for a backoff (Config.ResendInterval steps, doubling up to
+//     a cap, reset by each own commit), the client re-sends only its
+//     oldest uncommitted command. That resend keeps the log live over
+//     fair-lossy links and past a leader restarted without its queue. A
+//     leader sequences forwarded commands before its own, oldest first.
+//   - The log is at-least-once — a command forwarded to two leaders, or
+//     re-sent after a stall, can fill two slots — but apply is
 //     exactly-once: every replica applies committed slots in order, skips
 //     a slot whose command it already applied, and keeps a hash chain over
 //     what it applied. Equal applied counts imply equal hashes on every
@@ -24,8 +38,9 @@
 package rsm
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"strconv"
 
 	"github.com/mnm-model/mnm/internal/core"
 	"github.com/mnm-model/mnm/internal/leader"
@@ -72,8 +87,11 @@ type submitMsg struct {
 type Config struct {
 	// CommandsPerProcess is how many commands each process submits.
 	CommandsPerProcess int
-	// ResendInterval is how many local steps a client waits before
-	// re-forwarding an uncommitted command. Defaults to 256.
+	// ResendInterval is the initial stall backoff: how many local steps a
+	// client waits, while another process leads and none of its own
+	// commands commits, before re-sending its oldest uncommitted command.
+	// Each such resend doubles the wait, up to maxResendBackoff times this
+	// value; each own commit resets it. Defaults to 256.
 	ResendInterval uint64
 	// Leader configures the embedded Ω detector.
 	Leader leader.Config
@@ -87,6 +105,10 @@ type Config struct {
 	// panic-unwind at the next env operation, not by error returns.
 	TolerateMemFaults bool
 }
+
+// maxResendBackoff caps the stall backoff at this multiple of
+// Config.ResendInterval.
+const maxResendBackoff = 16
 
 func (c *Config) setDefaults() {
 	if c.ResendInterval == 0 {
@@ -121,16 +143,20 @@ type replica struct {
 	applied   map[Command]bool // the distinct commands applied so far
 	chainHash uint64
 
+	ownCommands []Command
 	// committedOwn[seq] marks own commands seen in the applied prefix.
 	committedOwn []bool
-	ownDone      int // count of own committed commands
+	ownNext      int // lowest own seq not yet committed
 
-	// pending holds commands this process must sequence while leader,
-	// keyed for dedup.
-	pending     map[Command]bool
-	nextFree    int // lowest slot not yet known-committed
-	lastResend  uint64
-	ownCommands []Command
+	// pending queues forwarded commands, in arrival order, for this
+	// replica to sequence while leader. Entries applied since they
+	// arrived are dropped when they reach the head; nothing else ever
+	// leaves, so a leader needs to be sent a command only once.
+	pending []Command
+
+	forwarded []bool // forwarded[q]: q was sent every uncommitted own command
+	lastSend  uint64 // LocalSteps at the last own commit or send
+	backoff   uint64 // stall steps before the next resend
 }
 
 func run(env core.Env, cfg Config) error {
@@ -144,7 +170,8 @@ func run(env core.Env, cfg Config) error {
 		chainHash:    fnv1aInit,
 		applied:      make(map[Command]bool),
 		committedOwn: make([]bool, cfg.CommandsPerProcess),
-		pending:      make(map[Command]bool),
+		forwarded:    make([]bool, env.N()),
+		backoff:      cfg.ResendInterval,
 	}
 	for s := 0; s < cfg.CommandsPerProcess; s++ {
 		r.ownCommands = append(r.ownCommands, Command{
@@ -155,14 +182,18 @@ func run(env core.Env, cfg Config) error {
 	}
 
 	for {
-		stepsAtTop := env.LocalSteps()
+		stepsAtTop, slotAtTop := env.LocalSteps(), r.slot
 		if err := r.tick(env); err != nil && !cfg.TolerateMemFaults {
 			return err
 		}
 		env.Expose(AppliedKey, len(r.applied))
 		env.Expose(HashKey, r.chainHash)
-		env.Expose(DoneKey, r.ownDone == r.cfg.CommandsPerProcess)
-		if env.LocalSteps() == stepsAtTop {
+		env.Expose(DoneKey, r.ownNext == len(r.ownCommands))
+		// Every iteration costs at least one step. A follower that applied
+		// nothing parks too, until a delivery, a write in its domain (the
+		// leader's CAS on a slot it owns) or the host's tick; the leader
+		// never parks.
+		if env.LocalSteps() == stepsAtTop || (r.det.Leader() != env.ID() && r.slot == slotAtTop) {
 			env.Yield()
 		}
 	}
@@ -176,155 +207,164 @@ func (r *replica) tick(env core.Env) error {
 		return err
 	}
 	env.Expose(LeaderKey, r.det.Leader())
-	r.consumeForeign(env)
-	if err := r.applyCommitted(env); err != nil {
+	r.consumeForeign()
+	if err := r.advance(env); err != nil {
 		return err
 	}
-	if r.det.Leader() == env.ID() {
-		if err := r.sequenceOne(env); err != nil {
-			return err
-		}
-	}
-	return r.resendOwn(env)
+	return r.forward(env)
 }
 
-// consumeForeign moves forwarded commands from the detector's foreign
-// buffer into the pending set, minus those already applied (a client's
-// retransmission that crossed the commit, or a restarted replica's).
-func (r *replica) consumeForeign(env core.Env) {
+// consumeForeign queues forwarded commands from the detector's foreign
+// buffer, minus those already applied (a resend that crossed the commit,
+// or a restarted replica's).
+func (r *replica) consumeForeign() {
 	for _, m := range r.det.Foreign {
 		if sub, ok := m.Payload.(submitMsg); ok && !r.applied[sub.Cmd] {
-			r.pending[sub.Cmd] = true
+			r.pending = append(r.pending, sub.Cmd)
 		}
 	}
 	r.det.Foreign = r.det.Foreign[:0]
 }
 
-// applyCommitted applies at most a handful of committed slots per tick so
-// the detector stays responsive.
-func (r *replica) applyCommitted(env core.Env) error {
+// advance applies committed slots in order, at most a handful per tick so
+// the detector stays responsive. A leader holding a command to sequence
+// CASes it into the next slot instead of reading the slot: the CAS probes
+// the slot and, when it is empty, decides it, and either way its outcome
+// is the slot's value.
+func (r *replica) advance(env core.Env) error {
 	const maxPerTick = 4
+	leading := r.det.Leader() == env.ID()
 	for i := 0; i < maxPerTick; i++ {
-		raw, err := env.Read(SlotRef(r.slot, env.N()))
-		if err != nil {
+		ref := SlotRef(r.slot, env.N())
+		cmd, sequence := Command{}, false
+		if leading {
+			cmd, sequence = r.pickPending()
+		}
+		var (
+			val core.Value
+			err error
+		)
+		if sequence {
+			var swapped bool
+			swapped, val, err = env.CompareAndSwap(ref, nil, cmd)
+			if swapped {
+				val = cmd
+			}
+		} else {
+			val, err = env.Read(ref)
+		}
+		if err != nil || val == nil {
 			return err
 		}
-		if raw == nil {
-			return nil
-		}
-		cmd, ok := raw.(Command)
-		if !ok {
-			return fmt.Errorf("rsm: slot %d holds %T", r.slot, raw)
-		}
-		r.slot++
-		if r.slot > r.nextFree {
-			r.nextFree = r.slot
-		}
-		delete(r.pending, cmd)
-		if r.applied[cmd] {
-			continue // a duplicate slot
-		}
-		r.applied[cmd] = true
-		r.chainHash = chain(r.chainHash, cmd)
-		if cmd.Proposer == env.ID() && cmd.Seq < len(r.committedOwn) {
-			r.committedOwn[cmd.Seq] = true
-			r.ownDone++
+		if err := r.applyNext(env, val); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// sequenceOne tries to commit one pending command (own or forwarded) into
-// the lowest free slot.
-func (r *replica) sequenceOne(env core.Env) error {
-	cmd, ok := r.pickPending(env)
+// applyNext applies val, the committed value of slot r.slot, and moves on
+// to the next slot. A command applied before (a duplicate slot) changes
+// nothing.
+func (r *replica) applyNext(env core.Env, val core.Value) error {
+	cmd, ok := val.(Command)
 	if !ok {
+		return fmt.Errorf("rsm: slot %d holds %T", r.slot, val)
+	}
+	r.slot++
+	if r.applied[cmd] {
 		return nil
 	}
-	// Find the lowest free slot, then race a CAS for it. Losing only
-	// means another sequencer committed something there; the slot scan
-	// resumes from the loser.
-	for {
-		raw, err := env.Read(SlotRef(r.nextFree, env.N()))
-		if err != nil {
-			return err
+	r.applied[cmd] = true
+	r.chainHash = chain(r.chainHash, cmd)
+	if cmd.Proposer == env.ID() && cmd.Seq < len(r.committedOwn) {
+		r.committedOwn[cmd.Seq] = true
+		// Own commands commit out of order: skip every committed one.
+		for r.ownNext < len(r.committedOwn) && r.committedOwn[r.ownNext] {
+			r.ownNext++
 		}
-		if raw != nil {
-			r.nextFree++
-			continue
-		}
-		swapped, cur, err := env.CompareAndSwap(SlotRef(r.nextFree, env.N()), nil, cmd)
-		if err != nil {
-			return err
-		}
-		if swapped {
-			r.nextFree++
-			return nil
-		}
-		if cur != nil {
-			r.nextFree++
-		}
-		return nil // Lost the race; retry on a later tick.
+		r.lastSend, r.backoff = env.LocalSteps(), r.cfg.ResendInterval
 	}
+	return nil
 }
 
-// pickPending returns an uncommitted command to sequence: own commands
-// first, then forwarded ones (deterministic by key order is not required —
-// any choice is safe).
-func (r *replica) pickPending(env core.Env) (Command, bool) {
-	for seq, done := range r.committedOwn {
-		if !done {
-			return r.ownCommands[seq], true
-		}
+// pickPending returns the next command to sequence: the oldest forwarded
+// command not yet applied, else the lowest uncommitted own command.
+// Forwarded commands go first so followers see theirs commit early and
+// rarely stall.
+func (r *replica) pickPending() (Command, bool) {
+	for len(r.pending) > 0 && r.applied[r.pending[0]] {
+		r.pending = r.pending[1:]
 	}
-	for cmd := range r.pending {
-		return cmd, true
+	if len(r.pending) > 0 {
+		return r.pending[0], true
+	}
+	if r.ownNext < len(r.ownCommands) {
+		return r.ownCommands[r.ownNext], true
 	}
 	return Command{}, false
 }
 
-// resendOwn periodically re-forwards uncommitted own commands to the
-// current leader (or keeps them local when this replica leads).
-func (r *replica) resendOwn(env core.Env) error {
-	if r.ownDone == r.cfg.CommandsPerProcess {
+// forward hands uncommitted own commands to the current leader: all of
+// them the first time this replica sees that leader, afterwards only the
+// oldest, once no own command has committed for r.backoff steps.
+func (r *replica) forward(env core.Env) error {
+	ldr, now := r.det.Leader(), env.LocalSteps()
+	if ldr == env.ID() || ldr == core.NoProc {
+		r.lastSend = now // the stall clock runs only while another process leads
 		return nil
 	}
-	if env.LocalSteps()-r.lastResend < r.cfg.ResendInterval && r.lastResend != 0 {
+	if r.ownNext == len(r.ownCommands) {
 		return nil
 	}
-	r.lastResend = env.LocalSteps()
-	ldr := r.det.Leader()
-	for seq, done := range r.committedOwn {
-		if done {
-			continue
+	if !r.forwarded[ldr] {
+		for seq := r.ownNext; seq < len(r.ownCommands); seq++ {
+			if r.committedOwn[seq] {
+				continue
+			}
+			if err := env.Send(ldr, submitMsg{Cmd: r.ownCommands[seq]}); err != nil {
+				return err
+			}
 		}
-		cmd := r.ownCommands[seq]
-		if ldr == env.ID() || ldr == core.NoProc {
-			r.pending[cmd] = true
-			continue
-		}
-		if err := env.Send(ldr, submitMsg{Cmd: cmd}); err != nil {
-			return err
-		}
+		r.forwarded[ldr] = true
+		r.lastSend = now
+		return nil
 	}
+	if now-r.lastSend < r.backoff {
+		return nil
+	}
+	if err := env.Send(ldr, submitMsg{Cmd: r.ownCommands[r.ownNext]}); err != nil {
+		return err
+	}
+	r.lastSend = now
+	r.backoff = min(2*r.backoff, maxResendBackoff*r.cfg.ResendInterval)
 	return nil
 }
 
-const fnv1aInit = uint64(14695981039346656037)
+const (
+	fnv1aInit  = uint64(14695981039346656037)
+	fnv1aPrime = uint64(1099511628211)
+)
 
-// chain extends the hash chain with one command.
+// chain extends the hash chain with one command: FNV-1a over the previous
+// value's eight little-endian bytes, then cmd's String form
+// p<id>/<seq>:<op>, assembled on the stack.
 func chain(h uint64, cmd Command) uint64 {
-	f := fnv.New64a()
-	var buf [8]byte
-	buf[0] = byte(h)
-	buf[1] = byte(h >> 8)
-	buf[2] = byte(h >> 16)
-	buf[3] = byte(h >> 24)
-	buf[4] = byte(h >> 32)
-	buf[5] = byte(h >> 40)
-	buf[6] = byte(h >> 48)
-	buf[7] = byte(h >> 56)
-	_, _ = f.Write(buf[:])
-	_, _ = f.Write([]byte(cmd.String()))
-	return f.Sum64()
+	var buf [64]byte
+	b := binary.LittleEndian.AppendUint64(buf[:0], h)
+	b = append(b, 'p')
+	b = strconv.AppendInt(b, int64(cmd.Proposer), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(cmd.Seq), 10)
+	b = append(b, ':')
+	return fnv1a(fnv1a(fnv1aInit, b), cmd.Op)
+}
+
+// fnv1a folds s into the FNV-1a hash h.
+func fnv1a[T string | []byte](h uint64, s T) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnv1aPrime
+	}
+	return h
 }

@@ -100,14 +100,15 @@ func TestReplicationConverges(t *testing.T) {
 }
 
 func TestReplicationSurvivesLeaderCrash(t *testing.T) {
-	// Crash the (likely) initial leader mid-run: remaining replicas must
-	// still commit all their commands.
+	// Crash the initial leader mid-run (at step 150 p0 leads and 8 of the
+	// 10 commands are applied): remaining replicas must still commit all
+	// their commands.
 	stable := allDoneAndConverged
 	r, err := sim.New(sim.Config{
 		RunConfig: sim.RunConfig{GSM: graph.Complete(5), Seed: 3},
 		Scheduler: sched.NewRandom(7),
 		MaxSteps:  8_000_000,
-		Crashes:   []sim.Crash{{Proc: 0, AtStep: 20_000}},
+		Crashes:   []sim.Crash{{Proc: 0, AtStep: 150}},
 		StopWhen:  stable,
 	}, New(Config{CommandsPerProcess: 2}))
 	if err != nil {
@@ -182,5 +183,25 @@ func BenchmarkReplicationConverge(b *testing.B) {
 		if err != nil || !res.Stopped {
 			b.Fatalf("err=%v stopped=%v", err, res.Stopped)
 		}
+	}
+}
+
+// The hash chain is what replicas, the kill -9 recovery check and recorded
+// runs compare, so its value over a fixed log must never move.
+func TestChainValuePinned(t *testing.T) {
+	log := []Command{
+		{Proposer: 0, Seq: 0, Op: "op-p0-0"},
+		{Proposer: 2, Seq: 7, Op: "put k v"},
+		{Proposer: 11, Seq: 1234, Op: ""},
+	}
+	h := fnv1aInit
+	for _, c := range log {
+		h = chain(h, c)
+	}
+	if want := uint64(0x32ed9e2f6b42f915); h != want {
+		t.Errorf("chain over the fixed log = %#x, want %#x", h, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h = chain(h, log[1]) }); allocs != 0 {
+		t.Errorf("chain allocates %v times per call, want 0", allocs)
 	}
 }
