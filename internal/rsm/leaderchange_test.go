@@ -1,7 +1,6 @@
 package rsm
 
 import (
-	"math/rand"
 	"testing"
 
 	"github.com/mnm-model/mnm/internal/core"
@@ -21,43 +20,54 @@ func distinctLogged(r *sim.Runner) int {
 		if !ok {
 			return len(seen)
 		}
-		seen[raw.(Command)] = true
+		for _, cmd := range raw.(Batch) {
+			seen[cmd] = true
+		}
 	}
 }
 
 // The leader changes mid-submit: process 0, the leader Ω settles on first
 // (every badness counter starts at 0 and ties go to the lowest id), crashes
-// at a seed-chosen step while it leads and the log is unfinished, over
-// reliable and over fair-lossy links. Forwarding
-// each command once per leader plus the oldest-first stall resend must
-// still commit every survivor's commands, and every survivor must apply
-// each logged command exactly once.
+// while it leads and the log is unfinished — a step a dry run of the same
+// seed finds — over reliable and over fair-lossy links. Forwarding each
+// command once per leader plus the oldest-first stall resend must still
+// commit every survivor's commands, and every survivor must apply each
+// logged command exactly once.
 func TestReplicationSurvivesLeaderChanges(t *testing.T) {
 	const n, k = 4, 16
 	for _, lossy := range []bool{false, true} {
 		for seed := int64(0); seed < 16; seed++ {
-			rc := sim.RunConfig{GSM: graph.Complete(n), Seed: seed}
-			if lossy {
-				rc.Links, rc.Drop = msgnet.FairLossy, msgnet.NewRandomDrop(0.3, seed+100)
+			mk := func() sim.Config {
+				rc := sim.RunConfig{GSM: graph.Complete(n), Seed: seed}
+				if lossy {
+					rc.Links, rc.Drop = msgnet.FairLossy, msgnet.NewRandomDrop(0.3, seed+100)
+				}
+				return sim.Config{
+					RunConfig: rc,
+					Scheduler: sched.NewRandom(seed*5 + 2),
+					MaxSteps:  8_000_000,
+					StopWhen: func(r *sim.Runner) bool {
+						return allDoneAndConverged(r) && r.Exposed(1, AppliedKey) == distinctLogged(r)
+					},
+				}
 			}
-			crashAt := 150 + uint64(rand.New(rand.NewSource(seed)).Intn(300))
-			ledAtCrash, doneAtCrash := false, false
-			r, err := sim.New(sim.Config{
-				RunConfig: rc,
-				Scheduler: sched.NewRandom(seed*5 + 2),
-				MaxSteps:  8_000_000,
-				Crashes:   []sim.Crash{{Proc: 0, AtStep: crashAt}},
-				StopWhen: func(r *sim.Runner) bool {
-					if r.GlobalStep() == crashAt {
-						ledAtCrash = r.Exposed(1, LeaderKey) == core.ProcID(0)
-						doneAtCrash = allDoneAndConverged(r)
-					}
-					return allDoneAndConverged(r) && r.Exposed(1, AppliedKey) == distinctLogged(r)
-				},
-			}, New(Config{
+			alg := New(Config{
 				CommandsPerProcess: k,
 				Leader:             leader.Config{Notifier: leader.SharedMemoryNotifier},
-			}))
+			})
+			crashAt := leaderCrashStep(t, mk, alg)
+			ledAtCrash, doneAtCrash := false, false
+			cfg := mk()
+			stop := cfg.StopWhen
+			cfg.Crashes = []sim.Crash{{Proc: 0, AtStep: crashAt}}
+			cfg.StopWhen = func(r *sim.Runner) bool {
+				if r.GlobalStep() == crashAt {
+					ledAtCrash = r.Exposed(0, LeaderKey) == core.ProcID(0)
+					doneAtCrash = allDoneAndConverged(r)
+				}
+				return stop(r)
+			}
+			r, err := sim.New(cfg, alg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,18 +97,20 @@ func TestReplicationSurvivesLeaderChanges(t *testing.T) {
 	}
 }
 
-// forwardCounter counts one replica's forwards per command and the other
-// processes it has reported as leader.
+// forwardCounter counts one replica's submit messages, the commands they
+// carry, and the other processes it has reported as leader.
 type forwardCounter struct {
 	core.Env
-	sends    map[Command]int
+	msgs     int // submitMsg sends
+	cmds     int // commands forwarded, over all submitMsg sends
 	leaders  map[core.ProcID]bool
 	lastSend uint64 // LocalSteps at the latest forward
 }
 
 func (e *forwardCounter) Send(to core.ProcID, payload core.Value) error {
 	if sub, ok := payload.(submitMsg); ok {
-		e.sends[sub.Cmd]++
+		e.msgs++
+		e.cmds += len(sub.Cmds)
 		e.lastSend = e.LocalSteps()
 	}
 	return e.Env.Send(to, payload)
@@ -111,10 +123,11 @@ func (e *forwardCounter) Expose(name string, v core.Value) {
 	e.Env.Expose(name, v)
 }
 
-// Over reliable links a command is forwarded at most once to each other
-// leader its proposer saw, plus its stall resends. Stall resends are at
-// least ResendInterval steps apart, so a proposer whose last forward was at
-// local step t made at most t/ResendInterval of them.
+// Over reliable links a proposer sends each other leader it saw one submit
+// message, carrying each uncommitted command once, plus its stall resends
+// of one command each. Stall resends are at least ResendInterval steps
+// apart, so a proposer whose last forward was at local step t made at most
+// t/ResendInterval of them.
 func TestForwardingIsBounded(t *testing.T) {
 	const n, k = 4, 32
 	cfg := Config{CommandsPerProcess: k}
@@ -125,7 +138,7 @@ func TestForwardingIsBounded(t *testing.T) {
 		counted := core.AlgorithmFunc(func(id core.ProcID) core.Process {
 			proc := alg.ProcessFor(id)
 			return func(env core.Env) error {
-				counters[id] = &forwardCounter{Env: env, sends: map[Command]int{}, leaders: map[core.ProcID]bool{}}
+				counters[id] = &forwardCounter{Env: env, leaders: map[core.ProcID]bool{}}
 				return proc(counters[id])
 			}
 		})
@@ -146,14 +159,14 @@ func TestForwardingIsBounded(t *testing.T) {
 			t.Fatalf("seed %d: replication did not converge: %+v", seed, res)
 		}
 		for p, c := range counters {
-			total := 0
-			for _, s := range c.sends {
-				total += s
-			}
 			stalls := int(c.lastSend / cfg.ResendInterval)
-			if bound := k*len(c.leaders) + stalls; total > bound {
-				t.Errorf("seed %d: replica %d forwarded %d times, want <= %d (%d commands x %d other leaders + %d stall resends)",
-					seed, p, total, bound, k, len(c.leaders), stalls)
+			if bound := len(c.leaders) + stalls; c.msgs > bound {
+				t.Errorf("seed %d: replica %d sent %d submit messages, want <= %d (%d other leaders + %d stall resends)",
+					seed, p, c.msgs, bound, len(c.leaders), stalls)
+			}
+			if bound := k*len(c.leaders) + stalls; c.cmds > bound {
+				t.Errorf("seed %d: replica %d forwarded %d commands, want <= %d (%d commands x %d other leaders + %d stall resends)",
+					seed, p, c.cmds, bound, k, len(c.leaders), stalls)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package rsm
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/mnm-model/mnm/internal/core"
@@ -16,25 +17,20 @@ func TestRecoveredLog(t *testing.T) {
 		return Command{Proposer: p, Seq: seq, Op: "x"}
 	}
 	regs := map[core.Ref]core.Value{
-		SlotRef(0, n): cmd(1, 0),
-		SlotRef(1, n): cmd(2, 0),
-		SlotRef(5, n): cmd(2, 1),
+		SlotRef(0, n): Batch{cmd(1, 0), cmd(3, 0)},
+		SlotRef(1, n): Batch{cmd(2, 0)},
+		SlotRef(5, n): Batch{cmd(2, 1), cmd(2, 1)},
 		// Noise a recovered register dump will also contain:
-		core.Reg(0, "STATE"):        uint64(9),       // different family
-		core.RegI(2, logReg, 3):     "not-a-command", // wrong payload type
-		core.RegI(3, logReg, 6):     cmd(0, 1),       // wrong stripe owner (6%4 = 2)
-		core.RegIJ(1, logReg, 1, 1): cmd(0, 2),       // sub-indexed, not a slot
-		core.RegI(0, logReg+"X", 0): cmd(0, 3),       // prefixed family
+		core.Reg(0, "STATE"):        uint64(9),        // different family
+		core.RegI(2, logReg, 3):     cmd(1, 1),        // a bare Command, not a Batch
+		core.RegI(3, logReg, 6):     Batch{cmd(0, 1)}, // wrong stripe owner (6%4 = 2)
+		core.RegIJ(1, logReg, 1, 1): Batch{cmd(0, 2)}, // sub-indexed, not a slot
+		core.RegI(0, logReg+"X", 0): Batch{cmd(0, 3)}, // prefixed family
 	}
 	got := RecoveredLog(regs, n)
-	want := map[int]Command{0: cmd(1, 0), 1: cmd(2, 0), 5: cmd(2, 1)}
-	if len(got) != len(want) {
+	want := map[int]Batch{0: {cmd(1, 0), cmd(3, 0)}, 1: {cmd(2, 0)}, 5: {cmd(2, 1), cmd(2, 1)}}
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("RecoveredLog = %v, want %v", got, want)
-	}
-	for s, c := range want {
-		if got[s] != c {
-			t.Errorf("slot %d = %v, want %v", s, got[s], c)
-		}
 	}
 }
 

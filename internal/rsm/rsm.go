@@ -8,31 +8,35 @@
 //
 //   - The log lives in shared memory: slot s is a register placed at
 //     process s mod n, written exactly once through compare-and-swap. A
-//     slot is *committed* when non-nil. A write-once CAS register is a
-//     consensus object: the first append wins, and every process that
-//     touches the slot learns the same value.
+//     slot is *committed* when non-nil, and its value is a Batch: the
+//     commands one leader sequenced into it, in order. A write-once CAS
+//     register is a consensus object on any value: the first append wins,
+//     and every process that touches the slot learns the same batch.
 //   - Commit path. An Ω detector (the paper's Figure-3 algorithm,
 //     embedded in steppable Detector form) selects a sequencer. The
-//     leader walks the log at its apply cursor; holding a command to
-//     sequence, it CASes nil → command into that slot directly. The CAS's
-//     outcome is the slot's decided value — the leader's command if it
-//     won, the occupant if it lost — and the leader applies it at once, so
-//     a commit costs one CAS: no read before it, no read back after it.
-//     Followers read the slots in order and park when nothing new is
-//     committed; the leader's CAS on a slot a follower owns wakes it.
-//   - Forwarding. A client sends each of its uncommitted commands to a
-//     leader the first time it sees that leader, and not again: a
+//     leader walks the log at its apply cursor; holding work, it CASes
+//     nil → every pending command it holds (forwarded ones oldest first,
+//     then its own uncommitted ones, at most maxBatch) into that slot
+//     directly. The CAS's outcome is the slot's decided value — the
+//     leader's batch if it won, the occupant if it lost, in which case its
+//     commands stay pending for the next slot — and the leader applies it
+//     at once, so a batch costs one CAS: no read before it, no read back
+//     after it. Followers read the slots in order and park when nothing
+//     new is committed; the leader's CAS on a slot a follower owns wakes
+//     it.
+//   - Forwarding. A client sends its uncommitted commands to a leader, in
+//     one message, the first time it sees that leader, and not again: a
 //     replica's pending queue lives as long as the replica, so a leader
 //     flapping away and back costs no message. When no own command
 //     commits for a backoff (Config.ResendInterval steps, doubling up to
 //     a cap, reset by each own commit), the client re-sends only its
 //     oldest uncommitted command. That resend keeps the log live over
-//     fair-lossy links and past a leader restarted without its queue. A
-//     leader sequences forwarded commands before its own, oldest first.
+//     fair-lossy links and past a leader restarted without its queue.
 //   - The log is at-least-once — a command forwarded to two leaders, or
-//     re-sent after a stall, can fill two slots — but apply is
-//     exactly-once: every replica applies committed slots in order, skips
-//     a slot whose command it already applied, and keeps a hash chain over
+//     re-sent after a stall, can appear in two slots or twice in one
+//     batch — but apply is exactly-once per command: every replica
+//     applies committed batches in slot order, one command at a time,
+//     skips any command it already applied, and keeps a hash chain over
 //     what it applied. Equal applied counts imply equal hashes on every
 //     replica.
 package rsm
@@ -40,6 +44,7 @@ package rsm
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"github.com/mnm-model/mnm/internal/core"
@@ -78,9 +83,17 @@ func (c Command) String() string {
 	return fmt.Sprintf("%v/%d:%s", c.Proposer, c.Seq, c.Op)
 }
 
-// submitMsg forwards a command to the sender's current leader.
+// Batch is the value of one committed log slot: the commands its leader
+// sequenced into it, in order. A batch may repeat a command that an
+// earlier slot or an earlier position in it holds; apply skips the repeat.
+type Batch []Command
+
+// maxBatch caps the commands a leader sequences into one slot.
+const maxBatch = 256
+
+// submitMsg forwards commands to the sender's current leader.
 type submitMsg struct {
-	Cmd Command
+	Cmds []Command
 }
 
 // Config parameterizes the replicated log.
@@ -149,9 +162,9 @@ type replica struct {
 	ownNext      int // lowest own seq not yet committed
 
 	// pending queues forwarded commands, in arrival order, for this
-	// replica to sequence while leader. Entries applied since they
-	// arrived are dropped when they reach the head; nothing else ever
-	// leaves, so a leader needs to be sent a command only once.
+	// replica to sequence while leader. Only applied entries ever leave
+	// (pickBatch drops them), so a leader needs to be sent a command only
+	// once.
 	pending []Command
 
 	forwarded []bool // forwarded[q]: q was sent every uncommitted own command
@@ -219,36 +232,42 @@ func (r *replica) tick(env core.Env) error {
 // or a restarted replica's).
 func (r *replica) consumeForeign() {
 	for _, m := range r.det.Foreign {
-		if sub, ok := m.Payload.(submitMsg); ok && !r.applied[sub.Cmd] {
-			r.pending = append(r.pending, sub.Cmd)
+		sub, ok := m.Payload.(submitMsg)
+		if !ok {
+			continue
+		}
+		for _, cmd := range sub.Cmds {
+			if !r.applied[cmd] {
+				r.pending = append(r.pending, cmd)
+			}
 		}
 	}
 	r.det.Foreign = r.det.Foreign[:0]
 }
 
 // advance applies committed slots in order, at most a handful per tick so
-// the detector stays responsive. A leader holding a command to sequence
-// CASes it into the next slot instead of reading the slot: the CAS probes
-// the slot and, when it is empty, decides it, and either way its outcome
-// is the slot's value.
+// the detector stays responsive. A leader holding work CASes a batch of
+// it into the next slot instead of reading the slot: the CAS probes the
+// slot and, when it is empty, decides it, and either way its outcome is
+// the slot's value.
 func (r *replica) advance(env core.Env) error {
 	const maxPerTick = 4
 	leading := r.det.Leader() == env.ID()
 	for i := 0; i < maxPerTick; i++ {
 		ref := SlotRef(r.slot, env.N())
-		cmd, sequence := Command{}, false
+		var batch Batch
 		if leading {
-			cmd, sequence = r.pickPending()
+			batch = r.pickBatch()
 		}
 		var (
 			val core.Value
 			err error
 		)
-		if sequence {
+		if batch != nil {
 			var swapped bool
-			swapped, val, err = env.CompareAndSwap(ref, nil, cmd)
+			swapped, val, err = env.CompareAndSwap(ref, nil, batch)
 			if swapped {
-				val = cmd
+				val = batch
 			}
 		} else {
 			val, err = env.Read(ref)
@@ -263,51 +282,64 @@ func (r *replica) advance(env core.Env) error {
 	return nil
 }
 
-// applyNext applies val, the committed value of slot r.slot, and moves on
-// to the next slot. A command applied before (a duplicate slot) changes
-// nothing.
+// applyNext applies val, the committed batch of slot r.slot, one command
+// at a time, and moves on to the next slot. A command applied before, in
+// an earlier slot or earlier in this batch, changes nothing.
 func (r *replica) applyNext(env core.Env, val core.Value) error {
-	cmd, ok := val.(Command)
+	batch, ok := val.(Batch)
 	if !ok {
 		return fmt.Errorf("rsm: slot %d holds %T", r.slot, val)
 	}
 	r.slot++
-	if r.applied[cmd] {
-		return nil
-	}
-	r.applied[cmd] = true
-	r.chainHash = chain(r.chainHash, cmd)
-	if cmd.Proposer == env.ID() && cmd.Seq < len(r.committedOwn) {
-		r.committedOwn[cmd.Seq] = true
-		// Own commands commit out of order: skip every committed one.
-		for r.ownNext < len(r.committedOwn) && r.committedOwn[r.ownNext] {
-			r.ownNext++
+	for _, cmd := range batch {
+		if r.applied[cmd] {
+			continue
 		}
-		r.lastSend, r.backoff = env.LocalSteps(), r.cfg.ResendInterval
+		r.applied[cmd] = true
+		r.chainHash = chain(r.chainHash, cmd)
+		if cmd.Proposer == env.ID() && cmd.Seq < len(r.committedOwn) {
+			r.committedOwn[cmd.Seq] = true
+			// Own commands commit out of order: skip every committed one.
+			for r.ownNext < len(r.committedOwn) && r.committedOwn[r.ownNext] {
+				r.ownNext++
+			}
+			r.lastSend, r.backoff = env.LocalSteps(), r.cfg.ResendInterval
+		}
 	}
 	return nil
 }
 
-// pickPending returns the next command to sequence: the oldest forwarded
-// command not yet applied, else the lowest uncommitted own command.
+// pickBatch returns what a leader sequences into its next slot: the
+// forwarded commands not yet applied, oldest first, then its uncommitted
+// own commands, at most maxBatch in all; nil when it holds no work.
 // Forwarded commands go first so followers see theirs commit early and
-// rarely stall.
-func (r *replica) pickPending() (Command, bool) {
-	for len(r.pending) > 0 && r.applied[r.pending[0]] {
-		r.pending = r.pending[1:]
+// rarely stall. pickBatch drops applied commands from pending. The batch
+// is a fresh slice because a won CAS stores it in the slot as is.
+func (r *replica) pickBatch() Batch {
+	r.pending = slices.DeleteFunc(r.pending, func(cmd Command) bool { return r.applied[cmd] })
+	n := min(len(r.pending)+len(r.ownCommands)-r.ownNext, maxBatch)
+	if n == 0 {
+		return nil
 	}
-	if len(r.pending) > 0 {
-		return r.pending[0], true
+	batch := append(make(Batch, 0, n), r.pending[:min(len(r.pending), n)]...)
+	return r.appendUncommitted(batch, n)
+}
+
+// appendUncommitted appends uncommitted own commands to dst, lowest seq
+// first, until dst holds limit commands.
+func (r *replica) appendUncommitted(dst []Command, limit int) []Command {
+	for seq := r.ownNext; seq < len(r.ownCommands) && len(dst) < limit; seq++ {
+		if !r.committedOwn[seq] {
+			dst = append(dst, r.ownCommands[seq])
+		}
 	}
-	if r.ownNext < len(r.ownCommands) {
-		return r.ownCommands[r.ownNext], true
-	}
-	return Command{}, false
+	return dst
 }
 
 // forward hands uncommitted own commands to the current leader: all of
-// them the first time this replica sees that leader, afterwards only the
-// oldest, once no own command has committed for r.backoff steps.
+// them, in one message, the first time this replica sees that leader;
+// afterwards only the oldest, once no own command has committed for
+// r.backoff steps.
 func (r *replica) forward(env core.Env) error {
 	ldr, now := r.det.Leader(), env.LocalSteps()
 	if ldr == env.ID() || ldr == core.NoProc {
@@ -318,13 +350,10 @@ func (r *replica) forward(env core.Env) error {
 		return nil
 	}
 	if !r.forwarded[ldr] {
-		for seq := r.ownNext; seq < len(r.ownCommands); seq++ {
-			if r.committedOwn[seq] {
-				continue
-			}
-			if err := env.Send(ldr, submitMsg{Cmd: r.ownCommands[seq]}); err != nil {
-				return err
-			}
+		remaining := len(r.ownCommands) - r.ownNext
+		cmds := r.appendUncommitted(make([]Command, 0, remaining), remaining)
+		if err := env.Send(ldr, submitMsg{Cmds: cmds}); err != nil {
+			return err
 		}
 		r.forwarded[ldr] = true
 		r.lastSend = now
@@ -333,7 +362,7 @@ func (r *replica) forward(env core.Env) error {
 	if now-r.lastSend < r.backoff {
 		return nil
 	}
-	if err := env.Send(ldr, submitMsg{Cmd: r.ownCommands[r.ownNext]}); err != nil {
+	if err := env.Send(ldr, submitMsg{Cmds: r.ownCommands[r.ownNext : r.ownNext+1]}); err != nil {
 		return err
 	}
 	r.lastSend = now

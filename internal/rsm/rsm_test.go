@@ -14,8 +14,13 @@ import (
 // allDoneAndConverged fires when every correct replica committed its own
 // commands and all correct replicas applied the same prefix length.
 func allDoneAndConverged(r *sim.Runner) bool {
+	return doneAndConvergedFrom(r, 0)
+}
+
+// doneAndConvergedFrom is allDoneAndConverged over replicas from..n-1.
+func doneAndConvergedFrom(r *sim.Runner, from int) bool {
 	first := -1
-	for p := 0; p < r.N(); p++ {
+	for p := from; p < r.N(); p++ {
 		id := core.ProcID(p)
 		if r.Crashed(id) {
 			continue
@@ -78,9 +83,9 @@ func TestReplicationConverges(t *testing.T) {
 			t.Fatalf("seed %d: replication did not converge: %+v", seed, res)
 		}
 		checkReplicaHashesEqual(t, r)
-		// Every committed slot holds a well-formed command, the log holds
+		// Every committed slot holds a well-formed batch, the log holds
 		// all 12 distinct commands, and each was applied exactly once
-		// however many slots it filled.
+		// however many times it was logged.
 		seen := make(map[Command]bool)
 		slots := 0
 		for ; ; slots++ {
@@ -88,7 +93,9 @@ func TestReplicationConverges(t *testing.T) {
 			if !ok {
 				break
 			}
-			seen[raw.(Command)] = true
+			for _, cmd := range raw.(Batch) {
+				seen[cmd] = true
+			}
 		}
 		if len(seen) != 12 {
 			t.Errorf("seed %d: %d distinct commands committed, want 12", seed, len(seen))
@@ -99,18 +106,53 @@ func TestReplicationConverges(t *testing.T) {
 	}
 }
 
+// leaderCrashStep dry-runs the configuration mk builds, which must plan
+// no crash, and returns a step at which p0 leads (it exposes itself as
+// its leader) while the log is unfinished for replicas 1..n-1: the middle
+// one of all such steps. The sim is deterministic up to a crash, so a run
+// of the same configuration that crashes p0 at that step crashes a
+// running sequencer mid-log.
+func leaderCrashStep(t *testing.T, mk func() sim.Config, alg core.Algorithm) uint64 {
+	t.Helper()
+	cfg := mk()
+	var steps []uint64
+	stop := cfg.StopWhen
+	cfg.StopWhen = func(r *sim.Runner) bool {
+		if r.Exposed(0, LeaderKey) == core.ProcID(0) && !doneAndConvergedFrom(r, 1) {
+			steps = append(steps, r.GlobalStep())
+		}
+		return stop(r)
+	}
+	r, err := sim.New(cfg, alg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := r.Run(); err != nil || !res.Stopped {
+		t.Fatalf("crash-free dry run: err=%v, stopped=%v", err, res.Stopped)
+	}
+	if len(steps) == 0 {
+		t.Fatal("crash-free dry run: p0 never led while the log was unfinished")
+	}
+	return steps[len(steps)/2]
+}
+
 func TestReplicationSurvivesLeaderCrash(t *testing.T) {
-	// Crash the initial leader mid-run (at step 150 p0 leads and 8 of the
-	// 10 commands are applied): remaining replicas must still commit all
-	// their commands.
-	stable := allDoneAndConverged
-	r, err := sim.New(sim.Config{
-		RunConfig: sim.RunConfig{GSM: graph.Complete(5), Seed: 3},
-		Scheduler: sched.NewRandom(7),
-		MaxSteps:  8_000_000,
-		Crashes:   []sim.Crash{{Proc: 0, AtStep: 150}},
-		StopWhen:  stable,
-	}, New(Config{CommandsPerProcess: 2}))
+	// Crash the initial leader mid-run, at a step a dry run of the same
+	// seed shows p0 leading an unfinished log: the remaining replicas must
+	// still commit all their commands.
+	mk := func() sim.Config {
+		return sim.Config{
+			RunConfig: sim.RunConfig{GSM: graph.Complete(5), Seed: 3},
+			Scheduler: sched.NewRandom(7),
+			MaxSteps:  8_000_000,
+			StopWhen:  allDoneAndConverged,
+		}
+	}
+	alg := New(Config{CommandsPerProcess: 2})
+	crashAt := leaderCrashStep(t, mk, alg)
+	cfg := mk()
+	cfg.Crashes = []sim.Crash{{Proc: 0, AtStep: crashAt}}
+	r, err := sim.New(cfg, alg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +163,9 @@ func TestReplicationSurvivesLeaderCrash(t *testing.T) {
 	for p, e := range res.Errors {
 		t.Fatalf("replica %v: %v", p, e)
 	}
-	if !res.Stopped {
-		t.Fatalf("replication did not converge after leader crash: %+v", res)
+	if !res.Stopped || !r.Crashed(0) {
+		t.Fatalf("replication did not converge after a leader crash at step %d (p0 crashed: %v): %+v",
+			crashAt, r.Crashed(0), res)
 	}
 	checkReplicaHashesEqual(t, r)
 }

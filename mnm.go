@@ -343,7 +343,8 @@ func MergeTraceDumps(r io.Reader) (*TraceCluster, error) { return tracemerge.Rea
 
 // Replicated-log expose keys.
 const (
-	// RSMAppliedKey carries a replica's applied log length (int).
+	// RSMAppliedKey carries the number of distinct commands a replica
+	// applied (int).
 	RSMAppliedKey = rsm.AppliedKey
 	// RSMHashKey carries a replica's state hash chain (uint64).
 	RSMHashKey = rsm.HashKey
@@ -352,7 +353,8 @@ const (
 )
 
 // RSMSlotRef returns the shared register of replicated-log slot s in an
-// n-process system.
+// n-process system. A committed slot holds the batch of commands one
+// leader sequenced into it.
 func RSMSlotRef(s, n int) Ref { return rsm.SlotRef(s, n) }
 
 // NewRandomDrop returns an i.i.d. drop policy with probability p (< 1).
