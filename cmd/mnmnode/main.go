@@ -45,9 +45,9 @@
 // includes connection lifecycle events), -log-json switches the text
 // handler for JSON lines.
 //
-// With -groups N the node is multi-tenant: besides the base run it
-// opens N additional leader-election groups (shards 1..N), all
-// multiplexed over the same TCP connections through the sharded
+// With -groups N the node is multi-tenant: besides the run itself
+// (group 0) it opens N leader-election groups (shards 1..N), all
+// multiplexed over the same TCP connections through the node's
 // transport (see DESIGN.md §4.3.3). Each group elects independently;
 // /status grows a "groups" map with one entry per shard and /metrics
 // renders each shard's counters with a group label.
@@ -173,9 +173,6 @@ func run() int {
 	reg := metrics.NewRegistry(*n)
 	var nodeDir string
 	tcpCfg := tcp.Config{
-		N:          *n,
-		Hosted:     []core.ProcID{self},
-		Addrs:      addrList,
 		ListenAddr: addrList[*id],
 		Registry:   reg,
 		Logf:       logf,
@@ -219,14 +216,25 @@ func run() int {
 	if *flightN > 0 {
 		flight = trace.NewFlight(addrList[*id], *flightN, *flightS)
 	}
-	cfg := rt.Config{
-		RunConfig: rt.RunConfig{GSM: graph.Complete(*n), Seed: *seed, Logf: logf},
+	// The node owns the transport; every group — the run's group 0 and
+	// the -groups shards — is opened through it, and node.Close is the
+	// one drain.
+	node, err := rt.NewNode(rt.NodeConfig{
 		Transport: tr,
-		Hosted:    []core.ProcID{self},
+		Directory: directory.Uniform{Addrs: addrList},
 		Registry:  reg,
 		Flight:    flight,
-		Durable:   durStore,
+		Logf:      logf,
+	})
+	if err != nil {
+		tr.Close()
+		if durStore != nil {
+			durStore.Close()
+		}
+		fmt.Fprintf(os.Stderr, "mnmnode: %v\n", err)
+		return 1
 	}
+	defer node.Close()
 
 	var algo core.Algorithm
 	var finish func(h *rt.Group, deadline time.Time) (string, error)
@@ -277,32 +285,19 @@ func run() int {
 		return 2
 	}
 
-	h, err := rt.New(cfg, algo)
+	// Group 0 meters into the root registry, so /metrics and /status show
+	// the run's rows unlabeled; the shards get group-labeled sub-registries.
+	h, err := node.OpenGroup(0, rt.GroupConfig{
+		RunConfig: rt.RunConfig{GSM: graph.Complete(*n), Seed: *seed, Logf: logf},
+		Registry:  reg,
+		Durable:   durStore,
+	}, algo)
 	if err != nil {
-		tr.Close()
 		if durStore != nil {
 			durStore.Close()
 		}
 		fmt.Fprintf(os.Stderr, "mnmnode: %v\n", err)
 		return 1
-	}
-	// Multi-tenant plane: shards 1..*groups share tr's connections. The
-	// node is built up front (so /status can render it) but the groups are
-	// opened only once the mesh is up.
-	var node *rt.Node
-	if *groups > 0 {
-		node, err = rt.NewNode(rt.NodeConfig{
-			Transport: tr,
-			Directory: directory.Uniform{Addrs: addrList},
-			Registry:  reg,
-			Flight:    flight,
-			Logf:      logf,
-		})
-		if err != nil {
-			h.Stop()
-			fmt.Fprintf(os.Stderr, "mnmnode: %v\n", err)
-			return 1
-		}
 	}
 	isLE := strings.HasPrefix(*alg, "le-")
 	if *metricsAddr != "" {
@@ -312,7 +307,7 @@ func run() int {
 		srv, err := obs.Serve(*metricsAddr, obs.Config{
 			Registry:  reg,
 			Sampler:   sampler,
-			Transport: tr,
+			Transport: h.Transport(),
 			Hosted:    []core.ProcID{self},
 			Node:      addrList[*id],
 			Flight:    flight,
@@ -334,14 +329,13 @@ func run() int {
 						st["done"] = v
 					}
 				}
-				if node != nil {
+				if *groups > 0 {
 					st["groups"] = groupStatus(node, self)
 				}
 				return st
 			},
 		})
 		if err != nil {
-			h.Stop()
 			fmt.Fprintf(os.Stderr, "mnmnode: %v\n", err)
 			return 1
 		}
@@ -354,47 +348,36 @@ func run() int {
 		go monitorLeader(h, self, reg.Counters(), stopMon)
 	}
 	deadline := time.Now().Add(*timeout)
-	if err := waitMesh(tr, self, *n, deadline); err != nil {
-		h.Stop()
+	if err := waitMesh(h.Transport(), self, *n, deadline); err != nil {
 		fmt.Fprintf(os.Stderr, "mnmnode: %v\n", err)
 		return 1
 	}
 	h.Start()
-	var shards []*rt.Group
-	stopShards := func() {
-		for _, g := range shards {
-			g.Stop()
+	// Multi-tenant plane: shards 1..*groups share the node's connections,
+	// opened once the mesh is up.
+	for gid := 1; gid <= *groups; gid++ {
+		g, err := node.OpenGroup(transport.GroupID(gid), rt.GroupConfig{
+			RunConfig: rt.RunConfig{GSM: graph.Complete(*n), Seed: *seed ^ int64(gid)<<16, Logf: logf},
+		}, leader.New(leader.Config{Notifier: leader.SharedMemoryNotifier}))
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mnmnode: group %d: %v\n", gid, err)
+			return 1
 		}
+		g.Start()
 	}
-	if node != nil {
-		for gid := 1; gid <= *groups; gid++ {
-			g, err := node.OpenGroup(transport.GroupID(gid), rt.GroupConfig{
-				RunConfig: rt.RunConfig{GSM: graph.Complete(*n), Seed: *seed ^ int64(gid)<<16, Logf: logf},
-			}, leader.New(leader.Config{Notifier: leader.SharedMemoryNotifier}))
-			if err != nil {
-				stopShards()
-				h.Stop()
-				fmt.Fprintf(os.Stderr, "mnmnode: group %d: %v\n", gid, err)
-				return 1
-			}
-			g.Start()
-			shards = append(shards, g)
-		}
+	if *groups > 0 {
 		logger.Info("opened groups over the shared mesh", "groups", *groups)
 	}
 	line, err := finish(h, deadline)
 	if err != nil {
-		stopShards()
-		h.Stop()
 		fmt.Fprintf(os.Stderr, "mnmnode: %v\n", err)
 		return 1
 	}
 	fmt.Println(line)
 	// Keep serving register reads and retransmissions for peers that have
-	// not finished yet, then drain and tear down (groups detach first; the
-	// base host's Stop is the one that closes the shared transport).
+	// not finished yet, then stop every group and drain (node.Close).
 	time.Sleep(*linger)
-	stopShards()
+	node.Close()
 	res := h.Stop()
 	for p, e := range res.Errors {
 		fmt.Fprintf(os.Stderr, "mnmnode: process %v: %v\n", p, e)
@@ -424,15 +407,16 @@ func buildLogger(level string, jsonOut, verbose bool, id int) (*slog.Logger, err
 	return slog.New(h).With("node", id), nil
 }
 
-// groupStatus renders one /status entry per open group: the leader this
-// node's process has adopted (once there is one) and the group's message
-// totals, so a scrape shows every shard settling into the Theorem 5.1
-// steady state (leader present, msgs_sent flat).
+// groupStatus renders one /status entry per open shard (every group but
+// the run's own group 0, whose outputs are the top-level fields): the
+// leader this node's process has adopted (once there is one) and the
+// group's message totals, so a scrape shows every shard settling into the
+// Theorem 5.1 steady state (leader present, msgs_sent flat).
 func groupStatus(node *rt.Node, self core.ProcID) map[string]any {
 	out := make(map[string]any)
 	for _, gid := range node.Groups() {
 		g := node.Group(gid)
-		if g == nil {
+		if gid == 0 || g == nil {
 			continue
 		}
 		ent := map[string]any{}
@@ -474,7 +458,7 @@ func monitorLeader(h *rt.Group, self core.ProcID, c *metrics.Counters, stop <-ch
 // step-counted heartbeat timers of the leader detector assume comparable
 // step rates, and a process stalled in connect backoff mid-step looks
 // exactly like a crashed leader to an already-connected peer.
-func waitMesh(tr *tcp.Transport, self core.ProcID, n int, deadline time.Time) error {
+func waitMesh(tr transport.Transport, self core.ProcID, n int, deadline time.Time) error {
 	for q := 0; q < n; q++ {
 		p := core.ProcID(q)
 		if p == self {

@@ -137,12 +137,13 @@ func TestProcessesAgreeOnLeaderOverLoopback(t *testing.T) {
 }
 
 // TestShardedMeshOverLoopback boots the multi-tenant deployment: two OS
-// processes, each hosting the base leader-election group plus four
-// shards (-groups 4) multiplexed over the same connection pair, with
-// the span flight recorder on. While the nodes linger it polls /status
-// until every shard reports a leader on both nodes, then checks the
+// processes, each hosting leader-election group 0 plus four shards
+// (-groups 4), all opened through one node and multiplexed over the same
+// connection pair, with the span flight recorder on. While the nodes
+// linger it polls /status until group 0 (at the top level, not as a fifth
+// shard) and every shard report a leader on both nodes, then checks the
 // root /metrics renders group-labeled rows (counters and span-latency
-// histograms) next to the unlabeled base rows, and merges both nodes'
+// histograms) next to group 0's unlabeled rows, and merges both nodes'
 // /trace dumps into a cluster timeline that crosses the node boundary.
 func TestShardedMeshOverLoopback(t *testing.T) {
 	if testing.Short() {
@@ -184,6 +185,7 @@ func TestShardedMeshOverLoopback(t *testing.T) {
 	for i, ma := range maddrs {
 		for {
 			var st struct {
+				Leader string `json:"leader"`
 				Groups map[string]struct {
 					Leader string `json:"leader"`
 				} `json:"groups"`
@@ -201,19 +203,19 @@ func TestShardedMeshOverLoopback(t *testing.T) {
 						led++
 					}
 				}
-				if len(st.Groups) == 4 && led == 4 {
+				if st.Leader != "" && len(st.Groups) == 4 && led == 4 {
 					break
 				}
 			} else if resp != nil {
 				resp.Body.Close()
 			}
 			if !time.Now().Before(deadline) {
-				t.Fatalf("node %d: 4 led shards never appeared in /status", i)
+				t.Fatalf("node %d: group 0's leader and 4 led shards never appeared in /status", i)
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
 	}
-	// Shard counters render next to the base rows in one scrape.
+	// Shard counters render next to group 0's rows in one scrape.
 	resp, err := client.Get("http://" + maddrs[0] + "/metrics")
 	if err != nil {
 		t.Fatalf("prom scrape: %v", err)
@@ -266,7 +268,7 @@ func TestShardedMeshOverLoopback(t *testing.T) {
 		}
 	}
 	// Only the line's shape is asserted, not cross-node identity: four
-	// shard leaders loop without parking next to the base group's, so a
+	// shard leaders loop without parking next to group 0's, so a
 	// single-CPU box oversubscribes hard enough that each node's
 	// independent 500ms stability window can close on a different
 	// transient leader. The

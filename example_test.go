@@ -2,6 +2,7 @@ package mnm_test
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/mnm-model/mnm"
 )
@@ -103,4 +104,72 @@ func ExampleAlgorithmFunc() {
 	}
 	fmt.Println("p0 saw:", r.Exposed(0, "saw"))
 	// Output: p0 saw: 1
+}
+
+// ExampleNewRTNode runs Hybrid Ben-Or across two nodes over loopback TCP.
+// Each node is one TCP transport wrapped in an RTNode; group 0 is opened
+// on both like any other group, and the directory places process i on
+// node i.
+func ExampleNewRTNode() {
+	var addrs []string
+	var trs []*mnm.TCPTransport
+	for range 2 {
+		tr, err := mnm.NewTCPTransport(mnm.TCPConfig{ListenAddr: "127.0.0.1:0"})
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		trs = append(trs, tr)
+		addrs = append(addrs, tr.Addr())
+	}
+	alg := mnm.NewHBO(mnm.HBOConfig{Inputs: []mnm.ConsensusValue{mnm.V1, mnm.V1}, HaltAfterDecide: true})
+	var nodes []*mnm.RTNode
+	var groups []*mnm.RTGroup
+	for _, tr := range trs {
+		node, err := mnm.NewRTNode(mnm.RTNodeConfig{
+			Transport: tr,
+			Directory: mnm.UniformDirectory{Addrs: addrs},
+		})
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		nodes = append(nodes, node)
+		g, err := node.OpenGroup(0, mnm.RTGroupConfig{
+			RunConfig: mnm.RunConfig{GSM: mnm.CompleteGraph(2), Seed: 1},
+		}, alg)
+		if err != nil {
+			fmt.Println("error:", err)
+			return
+		}
+		groups = append(groups, g)
+	}
+	// Close the nodes together, so each one's drain is acked by the other.
+	defer func() {
+		done := make(chan error)
+		for _, node := range nodes {
+			go func() { done <- node.Close() }()
+		}
+		for range nodes {
+			<-done
+		}
+	}()
+	for _, g := range groups {
+		g.Start()
+	}
+
+	var decided []mnm.Value
+	deadline := time.Now().Add(10 * time.Second)
+	for p, g := range groups {
+		for g.Exposed(mnm.ProcID(p), mnm.HBODecisionKey) == nil && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		decided = append(decided, g.Exposed(mnm.ProcID(p), mnm.HBODecisionKey))
+	}
+	if decided[0] != decided[1] {
+		fmt.Println("disagreement:", decided)
+		return
+	}
+	fmt.Println("decided", decided[0])
+	// Output: decided 1
 }

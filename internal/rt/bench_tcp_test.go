@@ -10,19 +10,15 @@ import (
 	"github.com/mnm-model/mnm/internal/transport/tcp"
 )
 
-// benchTCPMesh builds an n-node loopback mesh (one single-process
-// transport per node, as newTCPHosts does for the rt cluster tests) and
-// waits until every outbound link is up.
-func benchTCPMesh(b *testing.B, n int) []*tcp.Transport {
+// benchTCPMesh builds an n-node loopback mesh (one transport per node,
+// each opening a view of group 0 that hosts one process, as newTCPHosts
+// does for the rt cluster tests) and waits until every outbound link is up.
+func benchTCPMesh(b *testing.B, n int) []transport.Transport {
 	b.Helper()
 	trs := make([]*tcp.Transport, n)
 	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		tr, err := tcp.New(tcp.Config{
-			N:          n,
-			Hosted:     []core.ProcID{core.ProcID(i)},
-			ListenAddr: "127.0.0.1:0",
-		})
+	for i := range trs {
+		tr, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0"})
 		if err != nil {
 			b.Fatalf("node %d: %v", i, err)
 		}
@@ -30,21 +26,24 @@ func benchTCPMesh(b *testing.B, n int) []*tcp.Transport {
 		trs[i] = tr
 		addrs[i] = tr.Addr()
 	}
+	views := make([]transport.Transport, n)
 	for i, tr := range trs {
-		if err := tr.SetAddrs(addrs); err != nil {
-			b.Fatalf("node %d SetAddrs: %v", i, err)
+		v, err := tr.OpenGroup(0, transport.GroupConfig{N: n, Hosted: []core.ProcID{core.ProcID(i)}, Addrs: addrs})
+		if err == nil {
+			err = v.Dial()
 		}
-		if err := tr.Dial(); err != nil {
-			b.Fatalf("node %d Dial: %v", i, err)
+		if err != nil {
+			b.Fatalf("node %d group 0: %v", i, err)
 		}
+		views[i] = v
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for i, tr := range trs {
-		for j := range trs {
+	for i, v := range views {
+		for j := range views {
 			if i == j {
 				continue
 			}
-			for tr.LinkState(core.ProcID(i), core.ProcID(j)) != transport.LinkUp {
+			for v.LinkState(core.ProcID(i), core.ProcID(j)) != transport.LinkUp {
 				if !time.Now().Before(deadline) {
 					b.Fatalf("link %d->%d never came up", i, j)
 				}
@@ -52,7 +51,7 @@ func benchTCPMesh(b *testing.B, n int) []*tcp.Transport {
 			}
 		}
 	}
-	return trs
+	return views
 }
 
 // BenchmarkBroadcastFanout measures the "send to all" pattern every

@@ -1,10 +1,11 @@
-// Node: the per-OS-process half of the redesigned runtime API. A Node
-// owns what is physical — the shared transport (listener, connections,
-// frame plane), the directory, the root metrics registry — and hands out
-// Groups, which own what is logical: one shard's GSM, hosted set,
-// register namespace and process goroutines. Thousands of groups
-// multiplex over one node's connections; each group's Stop detaches only
-// its shard, and Node.Close tears the whole process down.
+// Node: the per-OS-process half of the runtime API. A Node owns what is
+// physical — the node transport (listener, connections, frame plane), the
+// directory, the root metrics registry — and hands out Groups, which own
+// what is logical: one group's GSM, hosted set, register namespace and
+// process goroutines. Every group, 0 included, is opened the same way.
+// Thousands of groups multiplex over one node's connections; each group's
+// Stop detaches only its group, and Node.Close tears the whole process
+// down.
 
 package rt
 
@@ -25,12 +26,12 @@ import (
 
 // NodeConfig describes the per-process plane shared by every group.
 type NodeConfig struct {
-	// Transport is the node's shared message plane. To host groups it
-	// must implement transport.Sharded (transport/tcp.Transport and
-	// transport.Chan both do). Nil builds a transport-less node whose
-	// groups each run over a private in-process channel backend — the
-	// single-machine multi-tenant configuration.
-	Transport transport.Transport
+	// Transport is the node's shared message plane (a
+	// transport/tcp.Transport); every group is a view opened on it. Nil
+	// builds a transport-less node whose groups each run over a private
+	// in-process channel backend — the single-machine multi-tenant
+	// configuration.
+	Transport transport.Sharded
 
 	// Directory maps groups to the nodes hosting their processes. Nil
 	// defaults to directory.AllLocal (every group entirely on this node).
@@ -74,13 +75,12 @@ type GroupConfig struct {
 // Node is the per-OS-process runtime object: one shared transport, one
 // directory, one root registry, many Groups.
 type Node struct {
-	tr      transport.Transport
-	sharded transport.Sharded // nil when tr is nil or not sharded
-	dir     directory.Directory
-	reg     *metrics.Registry
-	flight  *trace.Flight // nil when span tracing is off
-	logf    func(format string, args ...any)
-	addr    string // own listen address, "" when the transport has none
+	tr     transport.Sharded // nil on a transport-less node
+	dir    directory.Directory
+	reg    *metrics.Registry
+	flight *trace.Flight // nil when span tracing is off
+	logf   func(format string, args ...any)
+	addr   string // own listen address, "" when the transport has none
 
 	mu     sync.Mutex
 	groups map[transport.GroupID]*Group
@@ -108,10 +108,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		groups: make(map[transport.GroupID]*Group),
 	}
 	if cfg.Transport != nil {
-		n.sharded, _ = cfg.Transport.(transport.Sharded)
-		if n.sharded == nil {
-			return nil, fmt.Errorf("rt: transport %T cannot host groups (no OpenGroup)", cfg.Transport)
-		}
 		if a, ok := cfg.Transport.(interface{ Addr() string }); ok {
 			n.addr = a.Addr()
 		}
@@ -122,14 +118,11 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// OpenGroup resolves the group through the directory, opens its slice of
-// the shared transport, and builds + returns the running Group (started
-// lazily, exactly like New: call Start on it). Group IDs must be >= 1;
-// group 0 is the transport's base group, built with New.
+// OpenGroup resolves the group through the directory, opens its view of
+// the node transport, and builds + returns the running Group (started
+// lazily, exactly like New: call Start on it). Any id may be opened, 0
+// included.
 func (nd *Node) OpenGroup(id transport.GroupID, cfg GroupConfig, alg core.Algorithm) (*Group, error) {
-	if id == 0 {
-		return nil, errors.New("rt: group 0 is the base group; build it with rt.New")
-	}
 	if cfg.GSM == nil {
 		return nil, errors.New("rt: GroupConfig.GSM is required")
 	}
@@ -182,9 +175,9 @@ func (nd *Node) OpenGroup(id transport.GroupID, cfg GroupConfig, alg core.Algori
 	}
 
 	var gtr transport.Transport
-	if nd.sharded != nil {
+	if nd.tr != nil {
 		var err error
-		gtr, err = nd.sharded.OpenGroup(id, transport.GroupConfig{
+		gtr, err = nd.tr.OpenGroup(id, transport.GroupConfig{
 			N:        n,
 			Hosted:   hosted,
 			Addrs:    asn.Addrs,
@@ -261,8 +254,8 @@ func (nd *Node) Groups() []transport.GroupID {
 // sub-registries hang off it).
 func (nd *Node) Registry() *metrics.Registry { return nd.reg }
 
-// Transport returns the node's shared transport, or nil.
-func (nd *Node) Transport() transport.Transport { return nd.tr }
+// Transport returns the node transport, or nil.
+func (nd *Node) Transport() transport.Sharded { return nd.tr }
 
 // Addr returns the node's listen address, or "" without one.
 func (nd *Node) Addr() string { return nd.addr }

@@ -13,10 +13,8 @@ import (
 	"github.com/mnm-model/mnm/internal/transport/tcp"
 )
 
-// newShardedNodes builds two pure multi-tenant TCP nodes (Config.N = 0:
-// no base group, only explicitly opened shards) wrapped in rt.Nodes
-// whose directory places proc 0 of every group on node 0 and proc 1 on
-// node 1.
+// newShardedNodes builds two TCP nodes wrapped in rt.Nodes whose
+// directory places proc 0 of every group on node 0 and proc 1 on node 1.
 func newShardedNodes(t *testing.T) [2]*Node {
 	t.Helper()
 	var trs [2]*tcp.Transport
@@ -74,8 +72,9 @@ func writeReadAlg(val int) core.Algorithm {
 	})
 }
 
-// TestNodeLocalGroups runs two groups on one transport-less node: each
-// gets a private in-process backend and a private register namespace.
+// TestNodeLocalGroups runs two groups, 0 and 1, on one transport-less
+// node: each gets a private in-process backend and a private register
+// namespace.
 func TestNodeLocalGroups(t *testing.T) {
 	nd, err := NewNode(NodeConfig{})
 	if err != nil {
@@ -84,7 +83,7 @@ func TestNodeLocalGroups(t *testing.T) {
 	defer nd.Close()
 
 	var groups []*Group
-	for gid := 1; gid <= 2; gid++ {
+	for gid := 0; gid <= 1; gid++ {
 		g, err := nd.OpenGroup(transport.GroupID(gid), GroupConfig{
 			RunConfig: RunConfig{GSM: graph.Complete(2), Seed: int64(gid)},
 		}, writeReadAlg(100+gid))
@@ -94,25 +93,25 @@ func TestNodeLocalGroups(t *testing.T) {
 		g.Start()
 		groups = append(groups, g)
 	}
-	if got := nd.Groups(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("Groups() = %v, want [1 2]", got)
+	if got := nd.Groups(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Fatalf("Groups() = %v, want [0 1]", got)
 	}
-	for i, g := range groups {
-		want := 100 + (i + 1)
+	for gid, g := range groups {
+		want := 100 + gid
 		deadline := time.Now().Add(10 * time.Second)
 		for g.Exposed(1, "saw") != want {
 			if !time.Now().Before(deadline) {
-				t.Fatalf("group %d: proc 1 saw %v, want %v", i+1, g.Exposed(1, "saw"), want)
+				t.Fatalf("group %d: proc 1 saw %v, want %v", gid, g.Exposed(1, "saw"), want)
 			}
 			time.Sleep(time.Millisecond)
 		}
 	}
 	// Stop deregisters: the id becomes reusable.
 	groups[0].Stop()
-	if nd.Group(1) != nil {
+	if nd.Group(0) != nil {
 		t.Fatal("stopped group still registered")
 	}
-	if _, err := nd.OpenGroup(1, GroupConfig{
+	if _, err := nd.OpenGroup(0, GroupConfig{
 		RunConfig: RunConfig{GSM: graph.Complete(2)},
 	}, writeReadAlg(7)); err != nil {
 		t.Fatalf("reopening a stopped group id: %v", err)
@@ -129,9 +128,6 @@ func TestNodeOpenGroupValidation(t *testing.T) {
 	}
 	defer nd.Close()
 	cfg := GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(2)}}
-	if _, err := nd.OpenGroup(0, cfg, writeReadAlg(1)); err == nil {
-		t.Error("group 0 must be rejected")
-	}
 	if _, err := nd.OpenGroup(3, GroupConfig{}, writeReadAlg(1)); err == nil {
 		t.Error("missing GSM must be rejected")
 	}
@@ -144,15 +140,15 @@ func TestNodeOpenGroupValidation(t *testing.T) {
 }
 
 // TestNodeGroupRegisterIsolationOverTCP is the rt half of the S4
-// leakage test: two groups with identical proc ids and register names,
-// multiplexed over one connection per node pair, must resolve reads in
-// their own shard's memory.
+// leakage test: two groups (0 and 1) with identical proc ids and
+// register names, multiplexed over one connection per node pair, must
+// resolve reads in their own shard's memory.
 func TestNodeGroupRegisterIsolationOverTCP(t *testing.T) {
 	nodes := newShardedNodes(t)
 
 	type shard struct{ g0, g1 *Group }
 	shards := map[transport.GroupID]shard{}
-	for gid := transport.GroupID(1); gid <= 2; gid++ {
+	for gid := transport.GroupID(0); gid <= 1; gid++ {
 		cfg := GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(2), Seed: int64(gid)}}
 		alg := writeReadAlg(100 + int(gid))
 		g0, err := nodes[0].OpenGroup(gid, cfg, alg)

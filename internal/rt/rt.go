@@ -11,10 +11,10 @@
 //
 // Messages travel over a transport.Transport. The default is the
 // in-process channel backend (transport.Chan, the exact message path this
-// host used before the transport layer existed); supplying a
-// transport/tcp.Transport instead runs the same algorithms across OS
-// processes over real sockets. With a distributed transport, Config.Hosted
-// restricts which processes this host actually runs; shared registers
+// host used before the transport layer existed); a group opened on a Node
+// over a transport/tcp.Transport runs the same algorithms across OS
+// processes over real sockets. With a distributed transport, the hosted
+// set restricts which processes this host actually runs; shared registers
 // owned by remote processes are reached through the transport's RPC plane,
 // served by the owner's host out of its local register store (so
 // shared-memory domain checks always happen at the owner).
@@ -72,12 +72,14 @@ type Config struct {
 	// in-process channel backend, preserving the host's historical
 	// behavior exactly. A non-nil transport must span the same n as GSM;
 	// if Drop is also set, the transport is wrapped in transport.Lossy.
-	// The host owns the transport from then on: Stop closes and drains it.
+	// The host owns the transport from then on: Stop closes it (for a
+	// group view, Close detaches the group; the node drains at its own
+	// Close). Node.OpenGroup is the usual way to get one.
 	Transport transport.Transport
 
 	// Hosted lists the processes this host actually runs. Empty means all
 	// of them. A strict subset requires a Transport whose concrete type
-	// implements transport.RPC (e.g. transport/tcp.Transport), because
+	// implements transport.RPC (e.g. a transport/tcp.Group view), because
 	// registers owned by remote processes are accessed through it.
 	Hosted []core.ProcID
 
@@ -103,8 +105,9 @@ type Config struct {
 	// span latencies feed the Registry's "span_<kind>" histograms. Nil (the
 	// default) disables tracing at zero cost on the hot path.
 	Flight *trace.Flight
-	// SpanGroup labels this group's spans, matching the group's metrics
-	// sub-registry label ("group-<id>"; "" for the base group).
+	// SpanGroup labels this group's spans: "group-<id>" for a group opened
+	// on a Node, matching its default metrics sub-registry label; empty for
+	// a host built directly with New.
 	SpanGroup string
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"github.com/mnm-model/mnm/internal/benor"
 	"github.com/mnm-model/mnm/internal/core"
+	"github.com/mnm-model/mnm/internal/directory"
 	"github.com/mnm-model/mnm/internal/graph"
 	"github.com/mnm-model/mnm/internal/hbo"
 	"github.com/mnm-model/mnm/internal/leader"
@@ -16,20 +17,17 @@ import (
 	"github.com/mnm-model/mnm/internal/transport/tcp"
 )
 
-// newTCPHosts builds an n-process system as n single-process "nodes" over
-// loopback TCP — one tcp.Transport and one Host per process — and returns
-// the hosts plus every node's transport (for fault injection).
+// newTCPHosts builds an n-process system as n single-process nodes over
+// loopback TCP — one tcp.Transport and one Node per process, each opening
+// its view of group 0 — and returns the groups plus every node's
+// transport (for fault injection).
 func newTCPHosts(t *testing.T, g *graph.Graph, seed int64, alg core.Algorithm) ([]*Group, []*tcp.Transport) {
 	t.Helper()
 	n := g.N()
 	trs := make([]*tcp.Transport, n)
 	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		tr, err := tcp.New(tcp.Config{
-			N:          n,
-			Hosted:     []core.ProcID{core.ProcID(i)},
-			ListenAddr: "127.0.0.1:0",
-		})
+	for i := range trs {
+		tr, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0"})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -37,40 +35,37 @@ func newTCPHosts(t *testing.T, g *graph.Graph, seed int64, alg core.Algorithm) (
 		addrs[i] = tr.Addr()
 	}
 	hosts := make([]*Group, n)
-	for i := 0; i < n; i++ {
-		if err := trs[i].SetAddrs(addrs); err != nil {
-			t.Fatalf("node %d SetAddrs: %v", i, err)
-		}
-		h, err := New(Config{
-			RunConfig: RunConfig{GSM: g, Seed: seed},
-			Transport: trs[i],
-			Hosted:    []core.ProcID{core.ProcID(i)},
-		}, alg)
+	for i, tr := range trs {
+		nd, err := NewNode(NodeConfig{Transport: tr, Directory: directory.Uniform{Addrs: addrs}})
 		if err != nil {
-			t.Fatalf("node %d New: %v", i, err)
+			t.Fatalf("node %d: %v", i, err)
+		}
+		t.Cleanup(func() { nd.Close() })
+		h, err := nd.OpenGroup(0, GroupConfig{RunConfig: RunConfig{GSM: g, Seed: seed}}, alg)
+		if err != nil {
+			t.Fatalf("node %d OpenGroup: %v", i, err)
 		}
 		hosts[i] = h
-		t.Cleanup(func() { h.Stop() })
 	}
-	waitLinksUp(t, trs)
+	waitLinksUp(t, hosts)
 	return hosts, trs
 }
 
-// waitLinksUp blocks until every outbound link of every node is
+// waitLinksUp blocks until every outbound link of every host is
 // established. Starting the algorithms before the mesh is up is legal —
 // sends queue and retransmit — but the step-counted heartbeat timers of
 // the leader detector assume comparable step rates, and a process stalled
 // tens of milliseconds in connect backoff mid-Tick looks exactly like a
 // crashed leader to an already-connected peer.
-func waitLinksUp(t *testing.T, trs []*tcp.Transport) {
+func waitLinksUp(t *testing.T, hosts []*Group) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for i, tr := range trs {
-		for j := range trs {
+	for i, h := range hosts {
+		for j := range hosts {
 			if i == j {
 				continue
 			}
-			for tr.LinkState(core.ProcID(i), core.ProcID(j)) != transport.LinkUp {
+			for h.Transport().LinkState(core.ProcID(i), core.ProcID(j)) != transport.LinkUp {
 				if !time.Now().Before(deadline) {
 					t.Fatalf("link %d->%d never came up", i, j)
 				}

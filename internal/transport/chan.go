@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"github.com/mnm-model/mnm/internal/core"
@@ -18,20 +16,14 @@ import (
 // support (or the Lossy wrapper).
 type Chan struct {
 	net    *msgnet.Network
-	kind   msgnet.LinkKind
 	closed atomic.Bool
 	reg    atomic.Pointer[metrics.Registry]
-
-	mu     sync.Mutex
-	groups map[GroupID]*chanGroup
 }
 
 var (
 	_ Transport      = (*Chan)(nil)
 	_ SpanCarrier    = (*Chan)(nil)
 	_ Instrumentable = (*Chan)(nil)
-	_ Sharded        = (*Chan)(nil)
-	_ SpanCarrier    = (*chanGroup)(nil)
 )
 
 // NewChan returns an in-process transport among n processes with links of
@@ -39,7 +31,7 @@ var (
 // to the underlying network; auto-deliver mode is always enabled.
 func NewChan(n int, kind msgnet.LinkKind, opts ...msgnet.NetOption) *Chan {
 	opts = append([]msgnet.NetOption{msgnet.WithAutoDeliver()}, opts...)
-	return &Chan{net: msgnet.NewNetwork(n, kind, opts...), kind: kind}
+	return &Chan{net: msgnet.NewNetwork(n, kind, opts...)}
 }
 
 // Network exposes the underlying msgnet.Network for observer-level
@@ -108,65 +100,8 @@ func (c *Chan) LinkState(from, to core.ProcID) LinkState {
 }
 
 // Close implements Transport. There is nothing to drain: every accepted
-// send has already been delivered. Open group views are closed too.
+// send has already been delivered.
 func (c *Chan) Close() error {
 	c.closed.Store(true)
-	c.mu.Lock()
-	groups := c.groups
-	c.groups = nil
-	c.mu.Unlock()
-	for _, g := range groups {
-		g.closed.Store(true)
-	}
-	return nil
-}
-
-// OpenGroup implements Sharded. In-process groups are fully independent
-// — each gets its own msgnet.Network with the parent's link kind, which
-// is group-scoped demux in its purest form: there is no shared wire for
-// shards to leak across. cfg.Hosted and cfg.Addrs are ignored (all
-// processes are local); cfg.Registry's counters, when present, meter the
-// group's network.
-func (c *Chan) OpenGroup(g GroupID, cfg GroupConfig) (Transport, error) {
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	if g == 0 {
-		return nil, fmt.Errorf("transport: group 0 is the base transport; open it with NewChan")
-	}
-	opts := []msgnet.NetOption{msgnet.WithAutoDeliver()}
-	if cfg.Registry != nil {
-		opts = append(opts, msgnet.WithNetCounters(cfg.Registry.Counters()))
-	}
-	grp := &chanGroup{Chan: Chan{net: msgnet.NewNetwork(cfg.N, c.kind, opts...), kind: c.kind}, parent: c, id: g}
-	if cfg.Registry != nil {
-		grp.reg.Store(cfg.Registry)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.groups == nil {
-		c.groups = make(map[GroupID]*chanGroup)
-	}
-	if _, dup := c.groups[g]; dup {
-		return nil, fmt.Errorf("transport: group %d already open", g)
-	}
-	c.groups[g] = grp
-	return grp, nil
-}
-
-// chanGroup is one group's view of a sharded Chan: a private network with
-// the parent's link kind. Closing the view detaches only this group.
-type chanGroup struct {
-	Chan
-	parent *Chan
-	id     GroupID
-}
-
-// Close implements Transport for the group view.
-func (g *chanGroup) Close() error {
-	g.closed.Store(true)
-	g.parent.mu.Lock()
-	delete(g.parent.groups, g.id)
-	g.parent.mu.Unlock()
 	return nil
 }

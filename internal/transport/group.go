@@ -10,9 +10,7 @@ import (
 // process numbering 0..N-1, its own register namespace, its own leader —
 // but all groups between the same pair of OS processes share one TCP
 // connection, one sequence-number space and one cumulative-ack stream.
-// Group 0 is the default group: a transport used directly (without
-// OpenGroup) carries group 0, which is how every single-group caller
-// worked before sharding existed.
+// No id is special: group 0 is opened like any other.
 type GroupID uint32
 
 // GroupConfig describes one group's slice of a sharded transport.
@@ -22,28 +20,28 @@ type GroupConfig struct {
 	// Hosted lists the group's processes resident on this node. Empty
 	// means all N are local (single-node groups).
 	Hosted []core.ProcID
-	// Addrs maps the group's ProcIDs to node listen addresses (socket
-	// backends only; in-process backends ignore it). Addresses are
-	// node-level: many groups share the node's one listener.
+	// Addrs maps the group's ProcIDs to node listen addresses. Addresses
+	// are node-level: many groups share the node's one listener. Nil is
+	// allowed only when every process is local.
 	Addrs []string
 	// Registry optionally receives the group's message/RPC metrics. When
 	// nil the group is uninstrumented until Instrument is called on the
-	// returned view (if the backend supports it).
+	// returned view.
 	Registry *metrics.Registry
 }
 
-// Sharded is the optional multi-tenant plane of a transport: backends
-// that implement it can multiplex many independent groups over the same
-// underlying links. OpenGroup returns a group-scoped Transport view —
-// Send/Broadcast/TryRecv/Call on the view route only within that group,
-// and Close on the view closes only the group (the shared transport and
-// its connections stay up for the remaining groups).
-//
-// The base transport itself is the view of GroupID 0, so existing
-// single-group callers need no changes.
+// Sharded is a node-level transport that multiplexes many independent
+// groups over the same underlying links. OpenGroup returns a
+// group-scoped Transport view — Send/Broadcast/TryRecv/Call on the view
+// route only within that group, and Close on the view closes only the
+// group (the node and its connections stay up for the remaining groups).
+// Close on the node closes every group and drains the node's links. The
+// socket backend (transport/tcp) implements it; the in-process Chan is a
+// single system and does not.
 type Sharded interface {
 	// OpenGroup registers group g and returns its scoped view. Opening a
-	// group that is already open (including group 0, which the base
-	// transport owns) is an error.
+	// group that is already open is an error.
 	OpenGroup(g GroupID, cfg GroupConfig) (Transport, error)
+	// Close closes every open group and releases the node.
+	Close() error
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/mnm-model/mnm/internal/core"
 	"github.com/mnm-model/mnm/internal/metrics"
+	"github.com/mnm-model/mnm/internal/transport"
 	"github.com/mnm-model/mnm/internal/transport/tcp"
 )
 
@@ -23,7 +24,7 @@ import (
 func TestKillConnectionsMidBatchRetransmits(t *testing.T) {
 	nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
 	reg := metrics.NewRegistry(2)
-	nodes[0].Instrument(reg)
+	nodes[0].Transport.Instrument(reg)
 
 	const bursts = 12
 	const perBurst = 50
@@ -88,47 +89,28 @@ func TestBacklogFlushesAsOneBatch(t *testing.T) {
 	probe.Close()
 
 	reg := metrics.NewRegistry(2)
-	n0, err := tcp.New(tcp.Config{
-		N:          2,
-		Hosted:     []core.ProcID{0},
-		ListenAddr: "127.0.0.1:0",
-		Registry:   reg,
-	})
+	n0, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0", Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n0.Close() })
 	addrs := []string{n0.Addr(), futureAddr}
-	if err := n0.SetAddrs(addrs); err != nil {
-		t.Fatal(err)
-	}
-	if err := n0.Dial(); err != nil {
-		t.Fatal(err)
-	}
+	g0 := openView(t, n0, 0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{0}, Addrs: addrs})
 	const backlog = 120
 	for i := 0; i < backlog; i++ {
-		if err := n0.Send(0, 1, i); err != nil {
+		if err := g0.Send(0, 1, i); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	n1, err := tcp.New(tcp.Config{
-		N:          2,
-		Hosted:     []core.ProcID{1},
-		ListenAddr: futureAddr,
-	})
+	n1, err := tcp.New(tcp.Config{ListenAddr: futureAddr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n1.Close() })
-	if err := n1.SetAddrs(addrs); err != nil {
-		t.Fatal(err)
-	}
-	if err := n1.Dial(); err != nil {
-		t.Fatal(err)
-	}
+	g1 := openView(t, n1, 0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{1}, Addrs: addrs})
 	for i := 0; i < backlog; i++ {
-		if m := recvOne(t, n1, 1); m.Payload != i {
+		if m := recvOne(t, g1, 1); m.Payload != i {
 			t.Fatalf("backlog message %d arrived as %v", i, m.Payload)
 		}
 	}

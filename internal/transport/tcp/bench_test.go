@@ -8,12 +8,11 @@ import (
 
 	"github.com/mnm-model/mnm/internal/core"
 	"github.com/mnm-model/mnm/internal/transport"
-	"github.com/mnm-model/mnm/internal/transport/tcp"
 )
 
 // awaitLinkUp blocks until tr's outbound link to process to is established,
 // so benchmarks measure the steady-state wire, not connection setup.
-func awaitLinkUp(tb testing.TB, tr *tcp.Transport, from, to core.ProcID) {
+func awaitLinkUp(tb testing.TB, tr transport.Transport, from, to core.ProcID) {
 	tb.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for tr.LinkState(from, to) != transport.LinkUp {
@@ -32,7 +31,7 @@ func BenchmarkTCPSendThroughput(b *testing.B) {
 	if err := nodes[0].Send(0, 1, -1); err != nil {
 		b.Fatal(err)
 	}
-	awaitLinkUp(b, nodes[0], 0, 1)
+	awaitLinkUp(b, nodes[0].Group, 0, 1)
 	for {
 		if _, ok := nodes[1].TryRecv(1); ok {
 			break

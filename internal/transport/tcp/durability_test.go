@@ -145,12 +145,12 @@ func reserveAddr(t *testing.T) string {
 	return addr
 }
 
-// pollRecv polls tr for the next group-0 message to p.
-func pollRecv(t *testing.T, tr *Transport, p core.ProcID) core.Message {
+// pollRecv polls g for the next message to p.
+func pollRecv(t *testing.T, g *Group, p core.ProcID) core.Message {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if m, ok := tr.TryRecv(p); ok {
+		if m, ok := g.TryRecv(p); ok {
 			return m
 		}
 		time.Sleep(time.Millisecond)
@@ -171,28 +171,22 @@ func TestDurableRestartRetransmits(t *testing.T) {
 	dir := t.TempDir()
 	short := Timeouts{Connect: 200 * time.Millisecond, Drain: 100 * time.Millisecond}
 
-	mkA := func() *Transport {
+	mkA := func() (*Transport, *Group) {
 		tr, err := New(Config{
-			N: 2, Hosted: []core.ProcID{0}, ListenAddr: addrA,
+			ListenAddr: addrA,
 			Durability: &Durability{Dir: dir},
 			Timeouts:   short,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.SetAddrs(addrs); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.Dial(); err != nil {
-			t.Fatal(err)
-		}
-		return tr
+		return tr, openTestGroup(t, tr, 0, []core.ProcID{0}, addrs)
 	}
 
-	a := mkA()
+	a, ga := mkA()
 	const total = 5
 	for i := 0; i < total; i++ {
-		if err := a.Send(0, 1, i); err != nil {
+		if err := ga.Send(0, 1, i); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
 		}
 	}
@@ -202,35 +196,30 @@ func TestDurableRestartRetransmits(t *testing.T) {
 		t.Fatalf("close first incarnation: %v", err)
 	}
 
-	a2 := mkA()
+	a2, ga2 := mkA()
 	defer a2.Close()
-	b, err := New(Config{N: 2, Hosted: []core.ProcID{1}, ListenAddr: addrB, Timeouts: short})
+	b, err := New(Config{ListenAddr: addrB, Timeouts: short})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if err := b.SetAddrs(addrs); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Dial(); err != nil {
-		t.Fatal(err)
-	}
+	gb := openTestGroup(t, b, 0, []core.ProcID{1}, addrs)
 
 	for i := 0; i < total; i++ {
-		m := pollRecv(t, b, 1)
+		m := pollRecv(t, gb, 1)
 		if m.From != 0 || m.Payload != i {
 			t.Fatalf("recovered message %d arrived as %v from %v", i, m.Payload, m.From)
 		}
 	}
 	// Fresh traffic must continue the recovered sequence numbering, not
 	// restart below B's duplicate filter.
-	if err := a2.Send(0, 1, "post-restart"); err != nil {
+	if err := ga2.Send(0, 1, "post-restart"); err != nil {
 		t.Fatal(err)
 	}
-	if m := pollRecv(t, b, 1); m.Payload != "post-restart" {
+	if m := pollRecv(t, gb, 1); m.Payload != "post-restart" {
 		t.Fatalf("post-restart message arrived as %v", m.Payload)
 	}
-	if m, ok := b.TryRecv(1); ok {
+	if m, ok := gb.TryRecv(1); ok {
 		t.Fatalf("duplicate delivery after recovery: %v", m.Payload)
 	}
 }
@@ -244,7 +233,7 @@ func TestDurableRestartKeepsDupFilter(t *testing.T) {
 	dir := t.TempDir()
 	mk := func() *Transport {
 		tr, err := New(Config{
-			N: 1, Hosted: []core.ProcID{0}, ListenAddr: "127.0.0.1:0",
+			ListenAddr: "127.0.0.1:0",
 			Durability: &Durability{Dir: dir},
 		})
 		if err != nil {
@@ -275,7 +264,7 @@ func TestDurableRestartKeepsDupFilter(t *testing.T) {
 // receiver would then accept a second time.
 func TestRecvHWFailureWithholdsAck(t *testing.T) {
 	tr, err := New(Config{
-		N: 1, Hosted: []core.ProcID{0}, ListenAddr: "127.0.0.1:0",
+		ListenAddr: "127.0.0.1:0",
 		Durability: &Durability{Dir: t.TempDir()},
 		Timeouts:   Timeouts{Drain: 50 * time.Millisecond},
 	})
@@ -321,7 +310,7 @@ func TestDurableOpenErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err := New(Config{
-		N: 1, Hosted: []core.ProcID{0}, ListenAddr: "127.0.0.1:0",
+		ListenAddr: "127.0.0.1:0",
 		Durability: &Durability{Dir: blocked}, // a file where the WAL dir should be
 	})
 	if err == nil {

@@ -55,9 +55,9 @@ type frame struct {
 	From, To core.ProcID
 	// CallID matches a response to its request (req/resp).
 	CallID uint64
-	// Group routes the frame to one shard's mailboxes and RPC handler
+	// Group routes the frame to one group's mailboxes and RPC handler
 	// (data/req/resp). Acks and hellos are written from ctrlFrame and
-	// carry group 0.
+	// carry a zero Group that no receiver reads.
 	Group uint32
 	// TraceID and SpanID are the trace context of the operation the frame
 	// carries (data/req/resp): the trace the op belongs to and the span

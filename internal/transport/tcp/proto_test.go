@@ -53,7 +53,7 @@ func (lc *logCapture) dump() string {
 }
 
 // awaitLinkState polls until LinkState(from,to) on tr reaches want.
-func awaitLinkState(t *testing.T, tr *tcp.Transport, from, to core.ProcID, want transport.LinkState) {
+func awaitLinkState(t *testing.T, tr transport.Transport, from, to core.ProcID, want transport.LinkState) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -65,22 +65,17 @@ func awaitLinkState(t *testing.T, tr *tcp.Transport, from, to core.ProcID, want 
 	t.Fatalf("link %v->%v stuck at %v, want %v", from, to, tr.LinkState(from, to), want)
 }
 
-// soloNode starts node 0 of a two-node system whose node 1 lives at
+// soloNode starts node 0 of a two-node group 0 whose node 1 lives at
 // peerAddr — a raw socket the test drives by hand — and dials it.
-func soloNode(t *testing.T, peerAddr string, logf func(string, ...any)) *tcp.Transport {
+func soloNode(t *testing.T, peerAddr string, logf func(string, ...any)) member {
 	t.Helper()
-	tr, err := tcp.New(tcp.Config{N: 2, Hosted: []core.ProcID{0}, ListenAddr: "127.0.0.1:0", Logf: logf})
+	tr, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0", Logf: logf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tr.Close() })
-	if err := tr.SetAddrs([]string{tr.Addr(), peerAddr}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Dial(); err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	g := openView(t, tr, 0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{0}, Addrs: []string{tr.Addr(), peerAddr}})
+	return member{tr, g}
 }
 
 // TestVersionMismatchClosesLink drives both sides of the handshake from
@@ -94,11 +89,12 @@ func soloNode(t *testing.T, peerAddr string, logf func(string, ...any)) *tcp.Tra
 func TestVersionMismatchClosesLink(t *testing.T) {
 	t.Run("acceptor answers a foreign version with its own preamble", func(t *testing.T) {
 		var logs logCapture
-		tr, err := tcp.New(tcp.Config{N: 2, Hosted: []core.ProcID{0}, ListenAddr: "127.0.0.1:0", Logf: logs.logf})
+		tr, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0", Logf: logs.logf})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer tr.Close()
+		openView(t, tr, 0, transport.GroupConfig{N: 1}) // the node accepts from its first group on
 		conn, err := net.Dial("tcp", tr.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -142,7 +138,7 @@ func TestVersionMismatchClosesLink(t *testing.T) {
 		if err := tr.Send(0, 1, "never delivered"); err != nil {
 			t.Fatalf("send: %v", err)
 		}
-		awaitLinkState(t, tr, 0, 1, transport.LinkClosed)
+		awaitLinkState(t, tr.Group, 0, 1, transport.LinkClosed)
 		// Terminal means terminal: no background redial may revive or
 		// flap the link after the rejection.
 		time.Sleep(250 * time.Millisecond)
@@ -153,7 +149,7 @@ func TestVersionMismatchClosesLink(t *testing.T) {
 			t.Errorf("dialer never logged that it stopped retrying; logs:\n%s", logs.dump())
 		}
 		closed := make(chan error, 1)
-		go func() { closed <- tr.Close() }()
+		go func() { closed <- tr.Transport.Close() }()
 		select {
 		case err := <-closed:
 			if err != nil {
@@ -191,7 +187,7 @@ func TestVersionMismatchClosesLink(t *testing.T) {
 		if !logs.contains("retrying in") {
 			t.Fatalf("dialer never redialed after a plain close; logs:\n%s", logs.dump())
 		}
-		awaitLinkState(t, tr, 0, 1, transport.LinkConnecting)
+		awaitLinkState(t, tr.Group, 0, 1, transport.LinkConnecting)
 		if logs.contains("not retrying") {
 			t.Errorf("a plain close was treated as a version rejection; logs:\n%s", logs.dump())
 		}

@@ -13,21 +13,20 @@ import (
 	"github.com/mnm-model/mnm/internal/transport"
 )
 
-// group is one shard's slice of a Transport: its own process numbering
-// 0..n-1, mailboxes, address table and RPC handler, multiplexed with
-// every other group over the node's shared peers, sequence numbers and
-// acks. Group 0 is the Transport's own (config-time) system; other
-// groups are opened with OpenGroup and surfaced as Group views.
-type group struct {
+// Group is one group's view of a node, returned by OpenGroup: a
+// transport.Transport + RPC + Instrumentable with its own process
+// numbering 0..n-1, mailboxes, address table and RPC handler, whose
+// Send/Broadcast/TryRecv/Call route only within the group, multiplexed
+// with every other group over the node's shared peers, sequence numbers
+// and acks. Close detaches only this group; the node stays up.
+type Group struct {
 	t      *Transport
 	id     uint32
 	n      int
 	hosted map[core.ProcID]bool
-	self   core.ProcID // lowest hosted process
 
-	// reg and counters meter this group's messages and RPCs. For group 0
-	// they mirror the Transport's node-level pair; for other groups they
-	// come from GroupConfig.Registry or Instrument on the view.
+	// reg and counters meter this group's messages and RPCs; they come
+	// from GroupConfig.Registry or Instrument on the view.
 	reg      atomic.Pointer[metrics.Registry]
 	counters atomic.Pointer[metrics.Counters]
 
@@ -40,33 +39,23 @@ type group struct {
 	closed      bool
 }
 
-func newGroup(t *Transport, id uint32, n int, hosted map[core.ProcID]bool) *group {
-	g := &group{
-		t:         t,
-		id:        id,
-		n:         n,
-		hosted:    hosted,
-		self:      minHosted(hosted),
-		mailboxes: make(map[core.ProcID]*queue.Mailbox[core.Message]),
-	}
-	for p := range hosted {
-		g.mailboxes[p] = new(queue.Mailbox[core.Message])
-	}
-	return g
-}
+var (
+	_ transport.Transport      = (*Group)(nil)
+	_ transport.SpanCarrier    = (*Group)(nil)
+	_ transport.RPC            = (*Group)(nil)
+	_ transport.SpanRPC        = (*Group)(nil)
+	_ transport.Instrumentable = (*Group)(nil)
+)
 
 // OpenGroup implements transport.Sharded: it registers group id over this
-// node and returns its scoped view. The group's frames share the node's
-// per-peer connections, sequence numbers and cumulative acks with every
-// other group; only the demux state (mailboxes, address table, RPC
+// node and returns its view, a *Group. The group's frames share the
+// node's per-peer connections, sequence numbers and cumulative acks with
+// every other group; only the demux state (mailboxes, address table, RPC
 // handler, metrics) is per group. cfg.Addrs maps the group's processes to
 // node listen addresses and may be nil only when every process is local.
-// Opening a group that is already open — including group 0, which the
-// Transport itself owns — is an error.
+// Any id may be opened, 0 included; opening one that is already open is
+// an error. The first group opened puts the node on the wire (see New).
 func (t *Transport) OpenGroup(id transport.GroupID, cfg transport.GroupConfig) (transport.Transport, error) {
-	if id == 0 {
-		return nil, errors.New("tcp: group 0 is the base transport; configure it via Config")
-	}
 	if cfg.N <= 0 {
 		return nil, errors.New("tcp: GroupConfig.N must be positive")
 	}
@@ -74,11 +63,17 @@ func (t *Transport) OpenGroup(id transport.GroupID, cfg transport.GroupConfig) (
 	if err != nil {
 		return nil, err
 	}
-	g := newGroup(t, uint32(id), cfg.N, hosted)
-	if cfg.Registry != nil {
-		g.reg.Store(cfg.Registry)
-		g.counters.Store(cfg.Registry.Counters())
+	g := &Group{
+		t:         t,
+		id:        uint32(id),
+		n:         cfg.N,
+		hosted:    hosted,
+		mailboxes: make(map[core.ProcID]*queue.Mailbox[core.Message], len(hosted)),
 	}
+	for p := range hosted {
+		g.mailboxes[p] = new(queue.Mailbox[core.Message])
+	}
+	g.Instrument(cfg.Registry)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -95,12 +90,13 @@ func (t *Transport) OpenGroup(id transport.GroupID, cfg transport.GroupConfig) (
 		return nil, fmt.Errorf("tcp: group %d hosts %d of %d processes but has no address table", id, len(hosted), cfg.N)
 	}
 	t.groups[uint32(id)] = g
-	return &Group{g: g}, nil
+	t.startLocked(minHosted(hosted))
+	return g, nil
 }
 
 // setAddrsLocked installs the group's process→node address table. Caller
 // holds t.mu.
-func (g *group) setAddrsLocked(addrs []string) error {
+func (g *Group) setAddrsLocked(addrs []string) error {
 	if len(addrs) != g.n {
 		return fmt.Errorf("tcp: need %d addresses, got %d", g.n, len(addrs))
 	}
@@ -116,17 +112,20 @@ func (g *group) setAddrsLocked(addrs []string) error {
 	return nil
 }
 
+// isProc reports whether p is a process of the group, 0 ≤ p < n.
+func (g *Group) isProc(p core.ProcID) bool { return p >= 0 && int(p) < g.n }
+
 // registry returns the group's registry (nil-safe to use).
-func (g *group) registry() *metrics.Registry { return g.reg.Load() }
+func (g *Group) registry() *metrics.Registry { return g.reg.Load() }
 
 // record meters one group-scoped counter event.
-func (g *group) record(p core.ProcID, k metrics.Kind, delta int64) {
+func (g *Group) record(p core.ProcID, k metrics.Kind, delta int64) {
 	g.counters.Load().Record(p, k, delta)
 }
 
 // remoteAddrsLocked returns the distinct remote node addresses of this
 // group, sorted. Caller holds t.mu.
-func (g *group) remoteAddrsLocked() []string {
+func (g *Group) remoteAddrsLocked() []string {
 	seen := map[string]bool{}
 	var out []string
 	for _, a := range g.addrs {
@@ -139,38 +138,49 @@ func (g *group) remoteAddrsLocked() []string {
 	return out
 }
 
-// dialLocked starts a connection manager for every remote node of the
-// group (idempotent). Peers are shared across groups: a peer that another
-// group already created is reused, connection and all. Caller holds t.mu.
-func (g *group) dialLocked() error {
-	if g.closed {
+// ID returns the group's identifier.
+func (g *Group) ID() transport.GroupID { return transport.GroupID(g.id) }
+
+// N implements transport.Transport.
+func (g *Group) N() int { return g.n }
+
+// Dial implements transport.Transport: it starts a connection manager for
+// every remote node of the group (idempotent). Connections are established
+// asynchronously with Timeouts.Connect per attempt and bounded exponential
+// backoff between attempts, so Dial returns immediately; LinkState reports
+// progress. Peers are shared across groups: a peer that another group
+// already created is reused, connection and all.
+func (g *Group) Dial() error {
+	t := g.t
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed || g.closed {
 		return transport.ErrClosed
-	}
-	if g.addrs == nil && len(g.hosted) != g.n {
-		return errors.New("tcp: Dial before SetAddrs")
 	}
 	if g.dialed {
 		return nil
 	}
 	g.dialed = true
 	for _, a := range g.remoteAddrsLocked() {
-		g.t.peerLocked(a)
+		t.peerLocked(a)
 	}
 	return nil
 }
 
-func (g *group) send(from, to core.ProcID, payload core.Value) error {
-	return g.sendSpan(from, to, payload, core.SpanContext{})
+// Send implements transport.Transport.
+func (g *Group) Send(from, to core.ProcID, payload core.Value) error {
+	return g.SendSpan(from, to, payload, core.SpanContext{})
 }
 
-// sendSpan is send with a trace context riding the frame header (wire v4).
-// The transport never interprets the context; a zero context writes zero
+// SendSpan implements transport.SpanCarrier: the context rides the wire
+// v4 frame header and surfaces as Message.Span at the receiver. The
+// transport never interprets the context; a zero context writes zero
 // header fields, which the receive side surfaces as an untraced message.
-func (g *group) sendSpan(from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
-	if int(to) < 0 || int(to) >= g.n {
+func (g *Group) SendSpan(from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
+	if !g.isProc(to) {
 		return fmt.Errorf("%w: send to %v", core.ErrUnknownProc, to)
 	}
-	if int(from) < 0 || int(from) >= g.n {
+	if !g.isProc(from) {
 		return fmt.Errorf("%w: send from %v", core.ErrUnknownProc, from)
 	}
 	g.record(from, metrics.MsgSent, 1)
@@ -201,13 +211,16 @@ func (g *group) sendSpan(from, to core.ProcID, payload core.Value, sc core.SpanC
 	return nil
 }
 
-func (g *group) broadcast(from core.ProcID, payload core.Value) error {
-	return g.broadcastSpan(from, payload, core.SpanContext{})
+// Broadcast implements transport.Transport ("send to all", self link
+// included, as in Ben-Or).
+func (g *Group) Broadcast(from core.ProcID, payload core.Value) error {
+	return g.BroadcastSpan(from, payload, core.SpanContext{})
 }
 
-func (g *group) broadcastSpan(from core.ProcID, payload core.Value, sc core.SpanContext) error {
+// BroadcastSpan implements transport.SpanCarrier.
+func (g *Group) BroadcastSpan(from core.ProcID, payload core.Value, sc core.SpanContext) error {
 	for to := 0; to < g.n; to++ {
-		if err := g.sendSpan(from, core.ProcID(to), payload, sc); err != nil {
+		if err := g.SendSpan(from, core.ProcID(to), payload, sc); err != nil {
 			return err
 		}
 	}
@@ -217,12 +230,13 @@ func (g *group) broadcastSpan(from core.ProcID, payload core.Value, sc core.Span
 // deliverLocked appends m to the mailbox of hosted process to and signals
 // its wake-up, if one is registered. Mailboxes are ring buffers, so both
 // delivery and TryRecv are O(1) whatever the queue depth. Caller holds t.mu.
-func (g *group) deliverLocked(m core.Message, to core.ProcID) {
+func (g *Group) deliverLocked(m core.Message, to core.ProcID) {
 	g.mailboxes[to].Push(m)
 	g.record(to, metrics.MsgDelivered, 1)
 }
 
-func (g *group) tryRecv(p core.ProcID) (core.Message, bool) {
+// TryRecv implements transport.Transport.
+func (g *Group) TryRecv(p core.ProcID) (core.Message, bool) {
 	if !g.hosted[p] {
 		return core.Message{}, false
 	}
@@ -231,7 +245,8 @@ func (g *group) tryRecv(p core.ProcID) (core.Message, bool) {
 	return g.mailboxes[p].Pop()
 }
 
-func (g *group) setWake(p core.ProcID, ch chan<- struct{}) {
+// SetWake implements transport.Transport.
+func (g *Group) SetWake(p core.ProcID, ch chan<- struct{}) {
 	if !g.hosted[p] {
 		return
 	}
@@ -240,8 +255,9 @@ func (g *group) setWake(p core.ProcID, ch chan<- struct{}) {
 	g.t.mu.Unlock()
 }
 
-func (g *group) linkState(from, to core.ProcID) transport.LinkState {
-	if int(from) < 0 || int(from) >= g.n || int(to) < 0 || int(to) >= g.n {
+// LinkState implements transport.Transport.
+func (g *Group) LinkState(from, to core.ProcID) transport.LinkState {
+	if !g.isProc(from) || !g.isProc(to) {
 		return transport.LinkUnknown
 	}
 	t := g.t
@@ -253,37 +269,43 @@ func (g *group) linkState(from, to core.ProcID) transport.LinkState {
 	if g.hosted[to] {
 		return transport.LinkUp
 	}
-	if g.addrs == nil {
-		return transport.LinkConnecting
-	}
 	if p, ok := t.peers[g.addrs[to]]; ok {
 		return p.state()
 	}
 	return transport.LinkConnecting
 }
 
-func (g *group) setHandler(fn func(from core.ProcID, req core.Value) (core.Value, error)) {
+// SetHandler implements transport.RPC.
+func (g *Group) SetHandler(fn func(from core.ProcID, req core.Value) (core.Value, error)) {
 	g.t.mu.Lock()
 	g.handler = fn
 	g.t.mu.Unlock()
 }
 
-func (g *group) setSpanHandler(fn transport.SpanHandler) {
+// SetSpanHandler implements transport.SpanRPC.
+func (g *Group) SetSpanHandler(fn transport.SpanHandler) {
 	g.t.mu.Lock()
 	g.spanHandler = fn
 	g.t.mu.Unlock()
 }
 
-func (g *group) call(from, to core.ProcID, req core.Value) (core.Value, error) {
-	v, _, err := g.callSpan(from, to, req, core.SpanContext{})
+// Call implements transport.RPC: a synchronous request to the node
+// hosting the group's process to. Requests and responses ride the same
+// sequenced, retransmitted frame stream as data messages, so they survive
+// reconnects; the round trip is bounded by Timeouts.Call.
+func (g *Group) Call(from, to core.ProcID, req core.Value) (core.Value, error) {
+	v, _, err := g.CallSpan(from, to, req, core.SpanContext{})
 	return v, err
 }
 
-// callSpan is call with the caller's trace context riding the request
-// frame and the handler's response context riding the response frame back.
-func (g *group) callSpan(from, to core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error) {
-	if int(to) < 0 || int(to) >= g.n {
+// CallSpan implements transport.SpanRPC: the caller's context rides the
+// request frame, the handler's response context rides the response back.
+func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error) {
+	if !g.isProc(to) {
 		return nil, core.SpanContext{}, fmt.Errorf("%w: call to %v", core.ErrUnknownProc, to)
+	}
+	if !g.isProc(from) {
+		return nil, core.SpanContext{}, fmt.Errorf("%w: call from %v", core.ErrUnknownProc, from)
 	}
 	t := g.t
 	t.mu.Lock()
@@ -341,12 +363,24 @@ func (g *group) callSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 	return res.val, res.span, res.err
 }
 
-// closeGroup detaches the group from the node: inbound frames for it are
+// Instrument implements transport.Instrumentable: the registry meters
+// this group's messages and RPCs (the node-level frame plane reports to
+// the Transport's own registry).
+func (g *Group) Instrument(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	g.reg.Store(reg)
+	g.counters.Store(reg.Counters())
+}
+
+// Close implements transport.Transport for the group view: it detaches
+// the group from the node and frees its id. Inbound frames for it are
 // dropped from now on and its sends fail with ErrClosed. The node's
 // connections, listener and other groups are untouched. Frames the group
 // already enqueued stay on the shared peers and are still delivered and
 // acked (the drain discipline is per node, at Transport.Close).
-func (g *group) closeGroup() error {
+func (g *Group) Close() error {
 	t := g.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -354,110 +388,6 @@ func (g *group) closeGroup() error {
 		return nil
 	}
 	g.closed = true
-	if g.id != 0 {
-		delete(t.groups, g.id)
-	}
+	delete(t.groups, g.id)
 	return nil
 }
-
-// Group is one shard's view of a sharded Transport, returned by
-// OpenGroup: a transport.Transport + RPC + Instrumentable whose
-// Send/Broadcast/TryRecv/Call route only within the group, multiplexed
-// with every other group over the node's shared connections. Close
-// detaches only this group; the node stays up.
-type Group struct {
-	g *group
-}
-
-var (
-	_ transport.Transport      = (*Group)(nil)
-	_ transport.SpanCarrier    = (*Group)(nil)
-	_ transport.RPC            = (*Group)(nil)
-	_ transport.SpanRPC        = (*Group)(nil)
-	_ transport.Instrumentable = (*Group)(nil)
-)
-
-// ID returns the group's shard identifier.
-func (v *Group) ID() transport.GroupID { return transport.GroupID(v.g.id) }
-
-// N implements transport.Transport.
-func (v *Group) N() int { return v.g.n }
-
-// Dial implements transport.Transport: it starts connection managers for
-// the group's remote nodes, reusing any the node already has (one
-// connection per node pair, shared by every group).
-func (v *Group) Dial() error {
-	t := v.g.t
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return transport.ErrClosed
-	}
-	return v.g.dialLocked()
-}
-
-// Send implements transport.Transport.
-func (v *Group) Send(from, to core.ProcID, payload core.Value) error {
-	return v.g.send(from, to, payload)
-}
-
-// SendSpan implements transport.SpanCarrier.
-func (v *Group) SendSpan(from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
-	return v.g.sendSpan(from, to, payload, sc)
-}
-
-// Broadcast implements transport.Transport.
-func (v *Group) Broadcast(from core.ProcID, payload core.Value) error {
-	return v.g.broadcast(from, payload)
-}
-
-// BroadcastSpan implements transport.SpanCarrier.
-func (v *Group) BroadcastSpan(from core.ProcID, payload core.Value, sc core.SpanContext) error {
-	return v.g.broadcastSpan(from, payload, sc)
-}
-
-// TryRecv implements transport.Transport.
-func (v *Group) TryRecv(p core.ProcID) (core.Message, bool) { return v.g.tryRecv(p) }
-
-// SetWake implements transport.Transport.
-func (v *Group) SetWake(p core.ProcID, ch chan<- struct{}) { v.g.setWake(p, ch) }
-
-// LinkState implements transport.Transport.
-func (v *Group) LinkState(from, to core.ProcID) transport.LinkState {
-	return v.g.linkState(from, to)
-}
-
-// Call implements transport.RPC.
-func (v *Group) Call(from, to core.ProcID, req core.Value) (core.Value, error) {
-	return v.g.call(from, to, req)
-}
-
-// CallSpan implements transport.SpanRPC.
-func (v *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error) {
-	return v.g.callSpan(from, to, req, sc)
-}
-
-// SetHandler implements transport.RPC.
-func (v *Group) SetHandler(fn func(from core.ProcID, req core.Value) (core.Value, error)) {
-	v.g.setHandler(fn)
-}
-
-// SetSpanHandler implements transport.SpanRPC.
-func (v *Group) SetSpanHandler(fn transport.SpanHandler) {
-	v.g.setSpanHandler(fn)
-}
-
-// Instrument implements transport.Instrumentable: the registry meters
-// this group's messages and RPCs (the node-level frame plane reports to
-// the Transport's own registry).
-func (v *Group) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	v.g.reg.Store(reg)
-	v.g.counters.Store(reg.Counters())
-}
-
-// Close implements transport.Transport for the group view: it detaches
-// the group, leaving the node transport and every other group running.
-func (v *Group) Close() error { return v.g.closeGroup() }

@@ -31,17 +31,20 @@
 // self-contained, so batching changes only syscall and ack counts —
 // never what a reconnect can observe on the wire.
 //
-// Multi-tenancy: one Transport can carry many independent m&m groups
-// (shards) at once — see OpenGroup. Every frame carries a GroupID and the
-// receiver demultiplexes into per-group mailboxes and RPC handlers, while
-// all groups between the same pair of nodes share one connection, one
-// sequence-number space and one cumulative-ack stream. The Transport
-// itself is the view of group 0, so single-group callers are unchanged.
+// Groups: a Transport is one node — its listener, its connections and
+// its sequence/ack space — and every m&m system it carries, group 0
+// included, is a Group view opened with OpenGroup. Every frame carries a
+// GroupID and the receiver demultiplexes into per-group mailboxes and RPC
+// handlers, while all groups between the same pair of nodes share one
+// connection, one sequence-number space and one cumulative-ack stream.
+// The node accepts connections from its first OpenGroup on, so no frame
+// arrives before there is a group to take it.
 //
-// Connection lifecycle: Dial starts one send loop per remote node, which
-// connects with a per-link timeout and, on failure or a broken
-// connection, retries with bounded exponential backoff. Close drains
-// unacknowledged frames (bounded by Timeouts.Drain) before tearing down.
+// Connection lifecycle: a group's Dial starts one send loop per remote
+// node it does not already have, which connects with a per-link timeout
+// and, on failure or a broken connection, retries with bounded
+// exponential backoff. Close drains unacknowledged frames (bounded by
+// Timeouts.Drain) before tearing down.
 package tcp
 
 import (
@@ -101,35 +104,20 @@ func (t Timeouts) withDefaults() Timeouts {
 	return t
 }
 
-// Config describes one node of a TCP-backed m&m system. N, Hosted and
-// Addrs describe the node's default group (group 0); additional groups
-// are opened over the same node with OpenGroup. A pure multi-tenant node
-// may set N = 0 (no group 0) and supply ListenAddr, opening every group
-// explicitly.
+// Config describes one node of a TCP-backed m&m system: the listener and
+// the connections every group opened on it shares. Groups — group 0
+// included — are opened over the node with OpenGroup.
 type Config struct {
-	// N is the size of group 0 (processes 0..N-1 across all nodes), or 0
-	// for a node that only carries explicitly opened groups.
-	N int
-	// Hosted lists the group-0 processes running on this node. Empty
-	// means all of them (a single-node system, useful for loopback
-	// testing).
-	Hosted []core.ProcID
-	// Addrs maps every group-0 process to the canonical listen address of
-	// its node ("host:port"); processes on the same node share the
-	// address. It may be left nil at construction and supplied later via
-	// SetAddrs, which is how tests bind ephemeral ports first.
-	Addrs []string
-	// ListenAddr is this node's bind address. It defaults to the
-	// address of the first hosted process in Addrs. Use "127.0.0.1:0"
-	// plus SetAddrs to let the kernel pick a free port.
+	// ListenAddr is this node's bind address (required). A port of 0 lets
+	// the kernel pick a free one; Addr reports the address it bound, which
+	// is what the other nodes put in their groups' address tables.
 	ListenAddr string
 	// Registry, if non-nil, receives the node's observability schema:
-	// message counters (sent/delivered) for group 0, frame counters
-	// (sent/retransmitted/acked/drop-encode), connection lifecycle
-	// counters (reconnects, dial failures), RPC counters, and the
-	// frame_rtt / rpc_call latency histograms. A registry can also be
-	// attached later (even while frames are flowing) via Instrument, and
-	// per-group registries via GroupConfig.Registry.
+	// frame counters (sent/retransmitted/acked/drop-encode), connection
+	// lifecycle counters (reconnects, dial failures) and the frame_rtt
+	// histogram. A registry can also be attached later (even while frames
+	// are flowing) via Instrument; each group meters its messages and RPCs
+	// into GroupConfig.Registry.
 	Registry *metrics.Registry
 	// Logf, if non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
@@ -152,26 +140,32 @@ type Config struct {
 
 // Transport is one node's endpoint of a TCP-backed m&m message network:
 // the listener, the per-remote-node connections, and the demux state of
-// every group multiplexed over them. Its own Transport/RPC methods are
-// the view of group 0.
+// every group multiplexed over them. Messages and RPCs go through the
+// group views OpenGroup returns.
 type Transport struct {
 	cfg  Config
 	addr string
 	lis  net.Listener
 	logf func(string, ...any)
-	self core.ProcID // lowest group-0 hosted process: attribution for node-level events
-	dlog *frameLog   // nil unless Config.Durability is set
+	dlog *frameLog // nil unless Config.Durability is set
+
+	// self is the lowest hosted process of the first group opened: the
+	// process row node-level events (dial failures, reconnects, batches,
+	// recovered frames) are metered under. It is written once, under mu,
+	// before the node accepts or sends anything — so before its peers'
+	// send loops, which read it, start.
+	self core.ProcID
 
 	// reg and counters are atomic so Instrument can attach observability
 	// while connections are already live (the host instruments after the
 	// transport is constructed, and inbound frames may arrive first).
-	// They meter the node-level frame plane and group 0.
+	// They meter the node-level frame plane.
 	reg      atomic.Pointer[metrics.Registry]
 	counters atomic.Pointer[metrics.Counters]
 
 	mu      sync.Mutex
-	g0      *group // nil when Config.N == 0
-	groups  map[uint32]*group
+	groups  map[uint32]*Group
+	started bool // the first group is open: accepting and sending
 	peers   map[string]*peer
 	lastSeq map[string]uint64
 	calls   map[uint64]chan callResult
@@ -190,41 +184,25 @@ type callResult struct {
 }
 
 var (
-	_ transport.Transport      = (*Transport)(nil)
-	_ transport.SpanCarrier    = (*Transport)(nil)
-	_ transport.RPC            = (*Transport)(nil)
-	_ transport.SpanRPC        = (*Transport)(nil)
 	_ transport.Instrumentable = (*Transport)(nil)
 	_ transport.Sharded        = (*Transport)(nil)
 )
 
-// New binds the node's listener and starts accepting inbound connections.
-// Outbound links are established by Dial.
+// New binds the node's listener. The node goes on the wire — accepts
+// inbound connections and retransmits recovered frames — when its first
+// group opens (see OpenGroup); until then a dialing peer's bytes wait in
+// the kernel's accept backlog.
 func New(cfg Config) (*Transport, error) {
 	cfg.Timeouts = cfg.Timeouts.withDefaults()
-	if cfg.N < 0 {
-		return nil, errors.New("tcp: Config.N must not be negative")
+	if cfg.ListenAddr == "" {
+		return nil, errors.New("tcp: Config.ListenAddr is required")
 	}
-	if cfg.N == 0 && (len(cfg.Hosted) > 0 || len(cfg.Addrs) > 0) {
-		return nil, errors.New("tcp: Hosted/Addrs given with N = 0 (no group 0)")
-	}
-	hosted, err := hostedSet(cfg.N, cfg.Hosted)
+	lis, err := net.Listen("tcp", cfg.ListenAddr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tcp: listen %s: %w", cfg.ListenAddr, err)
 	}
-	listenAddr := cfg.ListenAddr
-	if listenAddr == "" {
-		if cfg.Addrs == nil {
-			return nil, errors.New("tcp: ListenAddr or Addrs required")
-		}
-		listenAddr = cfg.Addrs[minHosted(hosted)]
-	}
-	lis, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return nil, fmt.Errorf("tcp: listen %s: %w", listenAddr, err)
-	}
-	addr := listenAddr
-	if cfg.ListenAddr == "" || hasWildcardPort(listenAddr) {
+	addr := cfg.ListenAddr
+	if hasWildcardPort(addr) {
 		addr = lis.Addr().String()
 	}
 	if cfg.TLS != nil {
@@ -235,32 +213,17 @@ func New(cfg Config) (*Transport, error) {
 		addr:    addr,
 		lis:     lis,
 		logf:    cfg.Logf,
-		groups:  make(map[uint32]*group),
+		groups:  make(map[uint32]*Group),
 		peers:   make(map[string]*peer),
 		lastSeq: make(map[string]uint64),
 		calls:   make(map[uint64]chan callResult),
 		inbound: make(map[net.Conn]bool),
 		done:    make(chan struct{}),
 	}
-	if cfg.N > 0 {
-		t.g0 = newGroup(t, 0, cfg.N, hosted)
-		t.groups[0] = t.g0
-		t.self = t.g0.self
-	}
 	t.Instrument(cfg.Registry)
-	if cfg.Addrs != nil {
-		if err := t.SetAddrs(cfg.Addrs); err != nil {
-			lis.Close()
-			return nil, err
-		}
-	}
-	// Recovery happens before the listener accepts or any send loop
-	// starts: seed the duplicate filter from the journaled high-water
-	// marks (Integrity across a receiver crash), then rebuild every
-	// journaled peer — sequence counter plus unacked retransmission
-	// queue — so the previous incarnation's frames go back on the wire
-	// without waiting for an application send (No-loss across a sender
-	// crash).
+	// Recovery seeds the duplicate filter from the journaled high-water
+	// marks (Integrity across a receiver crash) before anything is
+	// accepted; the journaled peers are rebuilt when the node starts.
 	if cfg.Durability != nil {
 		dlog, err := openFrameLog(*cfg.Durability, t)
 		if err != nil {
@@ -268,18 +231,33 @@ func New(cfg Config) (*Transport, error) {
 			return nil, fmt.Errorf("tcp: frame log: %w", err)
 		}
 		t.dlog = dlog
-		t.mu.Lock()
 		for addr, seq := range dlog.recoveredRecvHW() {
 			t.lastSeq[addr] = seq
 		}
-		for _, addr := range dlog.peerAddrs() {
+	}
+	return t, nil
+}
+
+// startLocked puts the node on the wire when its first group opens:
+// it rebuilds every journaled peer — sequence counter plus unacked
+// retransmission queue — so the previous incarnation's frames go back on
+// the wire without waiting for an application send (No-loss across a
+// sender crash), then starts accepting. No frame is dispatched before a
+// group exists, so none can be dropped (and acked) for want of one.
+// Caller holds t.mu.
+func (t *Transport) startLocked(self core.ProcID) {
+	if t.started {
+		return
+	}
+	t.started = true
+	t.self = self
+	if t.dlog != nil {
+		for _, addr := range t.dlog.peerAddrs() {
 			t.peerLocked(addr)
 		}
-		t.mu.Unlock()
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
-	return t, nil
 }
 
 // hostedSet validates and materializes a hosted-process set for a group
@@ -316,7 +294,7 @@ func hasWildcardPort(addr string) bool {
 }
 
 // Addr returns this node's canonical listen address — the value other
-// nodes must put in their Addrs table for every process hosted here.
+// nodes put in their groups' address tables for every process hosted here.
 func (t *Transport) Addr() string { return t.addr }
 
 // NumPeers returns the number of outbound connection managers the node
@@ -328,43 +306,18 @@ func (t *Transport) NumPeers() int {
 	return len(t.peers)
 }
 
-// SetAddrs installs the process→node address table of group 0. It must
-// be called (here or via Config.Addrs) before Dial. Hosted processes
-// must map to this node's own address and remote processes must not.
-func (t *Transport) SetAddrs(addrs []string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.g0 == nil {
-		return errors.New("tcp: no group 0 (Config.N = 0)")
-	}
-	return t.g0.setAddrsLocked(addrs)
-}
-
-// N implements transport.Transport (group 0's size).
-func (t *Transport) N() int {
-	if t.g0 == nil {
-		return 0
-	}
-	return t.g0.n
-}
-
 // Instrument implements transport.Instrumentable: the registry receives the
 // frame counters (sent/retransmitted/acked/drop-encode), the connection
-// lifecycle counters (reconnects, dial failures — attributed to this node's
-// lowest hosted process), the RPC counters, and the frame_rtt / rpc_call
-// histograms, plus group 0's MsgSent/MsgDelivered metering. Safe to call
-// while frames are already flowing. Other groups are instrumented via
-// GroupConfig.Registry or Instrument on their views.
+// lifecycle counters (reconnects, dial failures — attributed to the lowest
+// hosted process of the node's first group) and the frame_rtt histogram.
+// Safe to call while frames are already flowing. Groups meter their
+// messages and RPCs via GroupConfig.Registry or Instrument on their views.
 func (t *Transport) Instrument(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
 	t.reg.Store(reg)
 	t.counters.Store(reg.Counters())
-	if t.g0 != nil {
-		t.g0.reg.Store(reg)
-		t.g0.counters.Store(reg.Counters())
-	}
 }
 
 // registry returns the attached registry. A nil result is fine: every
@@ -374,24 +327,6 @@ func (t *Transport) registry() *metrics.Registry { return t.reg.Load() }
 // record meters one node-level counter event.
 func (t *Transport) record(p core.ProcID, k metrics.Kind, delta int64) {
 	t.counters.Load().Record(p, k, delta)
-}
-
-// Dial implements transport.Transport: it starts one connection manager
-// per remote node of group 0. Connections are established asynchronously
-// with Timeouts.Connect per attempt and bounded exponential backoff
-// between attempts, so Dial returns immediately; LinkState reports
-// progress. On a pure multi-tenant node (N = 0) Dial is a no-op — each
-// group view dials its own remote set.
-func (t *Transport) Dial() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return transport.ErrClosed
-	}
-	if t.g0 == nil {
-		return nil
-	}
-	return t.g0.dialLocked()
 }
 
 // peerLocked returns (creating if needed) the connection manager for a
@@ -416,99 +351,6 @@ func (t *Transport) log(format string, args ...any) {
 	if t.logf != nil {
 		t.logf("tcp[%s]: "+format, append([]any{t.addr}, args...)...)
 	}
-}
-
-// Send implements transport.Transport (group 0).
-func (t *Transport) Send(from, to core.ProcID, payload core.Value) error {
-	if t.g0 == nil {
-		return errors.New("tcp: no group 0 (Config.N = 0)")
-	}
-	return t.g0.send(from, to, payload)
-}
-
-// SendSpan implements transport.SpanCarrier (group 0): the context rides
-// the wire v4 frame header and surfaces as Message.Span at the receiver.
-func (t *Transport) SendSpan(from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
-	if t.g0 == nil {
-		return errors.New("tcp: no group 0 (Config.N = 0)")
-	}
-	return t.g0.sendSpan(from, to, payload, sc)
-}
-
-// Broadcast implements transport.Transport ("send to all", self link
-// included, as in Ben-Or; group 0).
-func (t *Transport) Broadcast(from core.ProcID, payload core.Value) error {
-	if t.g0 == nil {
-		return errors.New("tcp: no group 0 (Config.N = 0)")
-	}
-	return t.g0.broadcast(from, payload)
-}
-
-// BroadcastSpan implements transport.SpanCarrier (group 0).
-func (t *Transport) BroadcastSpan(from core.ProcID, payload core.Value, sc core.SpanContext) error {
-	if t.g0 == nil {
-		return errors.New("tcp: no group 0 (Config.N = 0)")
-	}
-	return t.g0.broadcastSpan(from, payload, sc)
-}
-
-// TryRecv implements transport.Transport (group 0).
-func (t *Transport) TryRecv(p core.ProcID) (core.Message, bool) {
-	if t.g0 == nil {
-		return core.Message{}, false
-	}
-	return t.g0.tryRecv(p)
-}
-
-// SetWake implements transport.Transport (group 0).
-func (t *Transport) SetWake(p core.ProcID, ch chan<- struct{}) {
-	if t.g0 != nil {
-		t.g0.setWake(p, ch)
-	}
-}
-
-// LinkState implements transport.Transport (group 0).
-func (t *Transport) LinkState(from, to core.ProcID) transport.LinkState {
-	if t.g0 == nil {
-		return transport.LinkUnknown
-	}
-	return t.g0.linkState(from, to)
-}
-
-// SetHandler implements transport.RPC (group 0).
-func (t *Transport) SetHandler(fn func(from core.ProcID, req core.Value) (core.Value, error)) {
-	if t.g0 == nil {
-		return
-	}
-	t.g0.setHandler(fn)
-}
-
-// SetSpanHandler implements transport.SpanRPC (group 0).
-func (t *Transport) SetSpanHandler(fn transport.SpanHandler) {
-	if t.g0 == nil {
-		return
-	}
-	t.g0.setSpanHandler(fn)
-}
-
-// Call implements transport.RPC: a synchronous request to the node
-// hosting group 0's process to. Requests and responses ride the same
-// sequenced, retransmitted frame stream as data messages, so they survive
-// reconnects; the round trip is bounded by Timeouts.Call.
-func (t *Transport) Call(from, to core.ProcID, req core.Value) (core.Value, error) {
-	if t.g0 == nil {
-		return nil, errors.New("tcp: no group 0 (Config.N = 0)")
-	}
-	return t.g0.call(from, to, req)
-}
-
-// CallSpan implements transport.SpanRPC (group 0): the caller's context
-// rides the request frame, the handler's response context rides back.
-func (t *Transport) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error) {
-	if t.g0 == nil {
-		return nil, core.SpanContext{}, errors.New("tcp: no group 0 (Config.N = 0)")
-	}
-	return t.g0.callSpan(from, to, req, sc)
 }
 
 func (t *Transport) dropCall(id uint64) {
@@ -612,10 +454,13 @@ func (t *Transport) syncAndAck(remote string, seq uint64) {
 // Sequenced frames pass the per-node duplicate filter exactly once,
 // whatever connection they arrive on; duplicates still report their Seq so
 // the remote learns its retransmission was redundant. Data and request
-// frames are demultiplexed to the group their header names; frames for
-// groups this node has not opened are dropped (still acked — the sender's
-// duty ends at delivery to the node), which is what a frame racing a
-// group close looks like.
+// frames are demultiplexed to the group their header names. Frames for a
+// group this node has not opened, and frames whose sender is not a
+// process of their group (a forged From, which the algorithms would index
+// out of range or count as a phantom voter), are dropped and logged but
+// still acked: the sender's duty ends at delivery to the node, and an
+// acked frame is never retransmitted. A frame racing a group close is the
+// everyday case of the first.
 func (t *Transport) dispatch(remote string, f *frame) uint64 {
 	switch f.Kind {
 	case frameAck:
@@ -630,16 +475,15 @@ func (t *Transport) dispatch(remote string, f *frame) uint64 {
 		if t.accept(remote, f.Seq) {
 			t.mu.Lock()
 			g := t.groups[f.Group]
-			if g == nil {
-				t.mu.Unlock()
-				t.log("dropping data frame for unopened group %d from %s", f.Group, remote)
-				return f.Seq
-			}
-			if !t.closed && !g.closed && g.hosted[f.To] {
+			ok := g != nil && g.isProc(f.From)
+			if ok && !t.closed && !g.closed && g.hosted[f.To] {
 				g.deliverLocked(core.Message{From: f.From, Payload: f.Payload,
 					Span: core.SpanContext{TraceID: f.TraceID, SpanID: f.SpanID, Clock: f.Lamport}}, f.To)
 			}
 			t.mu.Unlock()
+			if !ok {
+				t.logDrop(remote, f, g)
+			}
 		}
 		return f.Seq
 	case frameReq:
@@ -674,6 +518,17 @@ func (t *Transport) dispatch(remote string, f *frame) uint64 {
 		t.log("dropping frame of unknown kind %d from %s", f.Kind, remote)
 		return 0
 	}
+}
+
+// logDrop reports a data or request frame dispatch refused: g is the
+// frame's group, or nil when the node has not opened it.
+func (t *Transport) logDrop(remote string, f *frame, g *Group) {
+	if g == nil {
+		t.log("dropping frame of kind %d for unopened group %d from %s", f.Kind, f.Group, remote)
+		return
+	}
+	t.log("dropping frame of kind %d from %s: sender %v is not a process of group %d (n = %d)",
+		f.Kind, remote, f.From, f.Group, g.n)
 }
 
 // accept passes a sequenced frame through the per-node duplicate filter:
@@ -720,13 +575,18 @@ func (t *Transport) serve(remote string, f *frame) {
 	t.mu.Lock()
 	var handler func(core.ProcID, core.Value) (core.Value, error)
 	var spanHandler transport.SpanHandler
-	if g := t.groups[f.Group]; g != nil && !g.closed {
+	g := t.groups[f.Group]
+	if g != nil && !g.closed {
 		handler = g.handler
 		spanHandler = g.spanHandler
 	}
 	closed := t.closed
 	t.mu.Unlock()
 	if closed {
+		return
+	}
+	if g != nil && !g.isProc(f.From) {
+		t.logDrop(remote, f, g)
 		return
 	}
 	resp := frame{Kind: frameResp, From: f.To, To: f.From, CallID: f.CallID, Group: f.Group}

@@ -21,24 +21,30 @@ import (
 	"github.com/mnm-model/mnm/internal/transport/tcp"
 )
 
+// member is one node of a test cluster: the node itself plus its dialed
+// view of group 0. Close and Instrument exist on both, so a test names the
+// one it means (m.Transport.Close drains the node, m.Group.Close detaches
+// the group).
+type member struct {
+	*tcp.Transport
+	*tcp.Group
+}
+
 // newCluster builds one tcp.Transport per node over loopback ephemeral
-// ports, each hosting the listed processes, with the address table wired
-// up and all nodes dialed. It takes a testing.TB so benchmarks share it.
-func newCluster(t testing.TB, n int, hosted [][]core.ProcID) []*tcp.Transport {
+// ports and opens group 0 of n processes on every node, each node hosting
+// the listed processes, with the address table wired up and every view
+// dialed. It takes a testing.TB so benchmarks share it.
+func newCluster(t testing.TB, n int, hosted [][]core.ProcID) []member {
 	return newClusterWith(t, n, hosted, nil)
 }
 
 // newClusterWith is newCluster with a per-node config hook, for tests
 // that need TLS, a registry, or log capture.
-func newClusterWith(t testing.TB, n int, hosted [][]core.ProcID, mutate func(i int, cfg *tcp.Config)) []*tcp.Transport {
+func newClusterWith(t testing.TB, n int, hosted [][]core.ProcID, mutate func(i int, cfg *tcp.Config)) []member {
 	t.Helper()
-	nodes := make([]*tcp.Transport, len(hosted))
-	for i, hs := range hosted {
-		cfg := tcp.Config{
-			N:          n,
-			Hosted:     hs,
-			ListenAddr: "127.0.0.1:0",
-		}
+	nodes := make([]member, len(hosted))
+	for i := range hosted {
+		cfg := tcp.Config{ListenAddr: "127.0.0.1:0"}
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
@@ -47,7 +53,7 @@ func newClusterWith(t testing.TB, n int, hosted [][]core.ProcID, mutate func(i i
 			t.Fatalf("node %d: %v", i, err)
 		}
 		t.Cleanup(func() { tr.Close() })
-		nodes[i] = tr
+		nodes[i].Transport = tr
 	}
 	addrs := make([]string, n)
 	for i, hs := range hosted {
@@ -55,19 +61,32 @@ func newClusterWith(t testing.TB, n int, hosted [][]core.ProcID, mutate func(i i
 			addrs[p] = nodes[i].Addr()
 		}
 	}
-	for i, tr := range nodes {
-		if err := tr.SetAddrs(addrs); err != nil {
-			t.Fatalf("node %d SetAddrs: %v", i, err)
-		}
-		if err := tr.Dial(); err != nil {
-			t.Fatalf("node %d Dial: %v", i, err)
-		}
+	for i, hs := range hosted {
+		nodes[i].Group = openView(t, nodes[i].Transport, 0, transport.GroupConfig{N: n, Hosted: hs, Addrs: addrs})
 	}
 	return nodes
 }
 
+// openView opens group id on node tr and dials the view.
+func openView(t testing.TB, tr *tcp.Transport, id transport.GroupID, cfg transport.GroupConfig) *tcp.Group {
+	t.Helper()
+	v, err := tr.OpenGroup(id, cfg)
+	if err != nil {
+		t.Fatalf("%s OpenGroup(%d): %v", tr.Addr(), id, err)
+	}
+	if err := v.Dial(); err != nil {
+		t.Fatalf("%s group %d Dial: %v", tr.Addr(), id, err)
+	}
+	return v.(*tcp.Group)
+}
+
+// receiver is the receive side of a transport, the part recvOne polls.
+type receiver interface {
+	TryRecv(p core.ProcID) (core.Message, bool)
+}
+
 // recvOne polls tr for the next message to p, failing after a deadline.
-func recvOne(t *testing.T, tr transport.Transport, p core.ProcID) core.Message {
+func recvOne(t *testing.T, tr receiver, p core.ProcID) core.Message {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -151,54 +170,36 @@ func TestBackoffConnectsOnceListenerAppears(t *testing.T) {
 	futureAddr := probe.Addr().String()
 	probe.Close()
 
-	n0, err := tcp.New(tcp.Config{
-		N:          2,
-		Hosted:     []core.ProcID{0},
-		ListenAddr: "127.0.0.1:0",
-	})
+	n0, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n0.Close() })
 	addrs := []string{n0.Addr(), futureAddr}
-	if err := n0.SetAddrs(addrs); err != nil {
+	g0 := openView(t, n0, 0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{0}, Addrs: addrs})
+	if err := g0.Send(0, 1, "early"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n0.Dial(); err != nil {
-		t.Fatal(err)
-	}
-	if err := n0.Send(0, 1, "early"); err != nil {
-		t.Fatal(err)
-	}
-	if st := n0.LinkState(0, 1); st == transport.LinkUp {
+	if st := g0.LinkState(0, 1); st == transport.LinkUp {
 		t.Fatalf("link reported up with no listener bound")
 	}
 
 	time.Sleep(150 * time.Millisecond) // let several connect attempts fail
-	n1, err := tcp.New(tcp.Config{
-		N:          2,
-		Hosted:     []core.ProcID{1},
-		ListenAddr: futureAddr,
-	})
+	n1, err := tcp.New(tcp.Config{ListenAddr: futureAddr})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { n1.Close() })
-	if err := n1.SetAddrs(addrs); err != nil {
-		t.Fatal(err)
-	}
-	if err := n1.Dial(); err != nil {
-		t.Fatal(err)
-	}
+	g1 := openView(t, n1, 0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{1}, Addrs: addrs})
 
-	if m := recvOne(t, n1, 1); m.Payload != "early" {
+	if m := recvOne(t, g1, 1); m.Payload != "early" {
 		t.Fatalf("got %v, want the pre-listener message", m.Payload)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for n0.LinkState(0, 1) != transport.LinkUp && time.Now().Before(deadline) {
+	for g0.LinkState(0, 1) != transport.LinkUp && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if st := n0.LinkState(0, 1); st != transport.LinkUp {
+	if st := g0.LinkState(0, 1); st != transport.LinkUp {
 		t.Fatalf("link state = %v after reconnect, want %v", st, transport.LinkUp)
 	}
 }
@@ -239,7 +240,7 @@ func TestCloseDrainsQueuedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := nodes[0].Close(); err != nil {
+	if err := nodes[0].Transport.Close(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < total; i++ {
@@ -287,8 +288,10 @@ func awaitTotal(t *testing.T, c *metrics.Counters, k metrics.Kind, want int64) {
 func TestInstrumentationMetersFramesAndRPC(t *testing.T) {
 	nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
 	regs := []*metrics.Registry{metrics.NewRegistry(2), metrics.NewRegistry(2)}
-	nodes[0].Instrument(regs[0])
-	nodes[1].Instrument(regs[1])
+	for i, m := range nodes {
+		m.Transport.Instrument(regs[i])
+		m.Group.Instrument(regs[i])
+	}
 
 	// First half: establish the link and confirm delivery, so the kill
 	// below hits a live connection (not a dial still in flight).
@@ -370,22 +373,12 @@ func TestInstrumentationDialFailures(t *testing.T) {
 	lis.Close() // free the port: connects will be refused
 
 	reg := metrics.NewRegistry(2)
-	tr, err := tcp.New(tcp.Config{
-		N:          2,
-		Hosted:     []core.ProcID{0},
-		ListenAddr: "127.0.0.1:0",
-		Registry:   reg,
-	})
+	tr, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0", Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if err := tr.SetAddrs([]string{tr.Addr(), dead}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Dial(); err != nil {
-		t.Fatal(err)
-	}
+	openView(t, tr, 0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{0}, Addrs: []string{tr.Addr(), dead}})
 	awaitTotal(t, reg.Counters(), metrics.DialFailures, 1)
 	if got := reg.Counters().Of(0, metrics.DialFailures); got < 1 {
 		t.Errorf("dial failures attributed to p0 = %d, want >= 1", got)

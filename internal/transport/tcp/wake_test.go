@@ -8,7 +8,6 @@ import (
 	"github.com/mnm-model/mnm/internal/metrics"
 	"github.com/mnm-model/mnm/internal/msgnet"
 	"github.com/mnm-model/mnm/internal/transport"
-	"github.com/mnm-model/mnm/internal/transport/tcp"
 )
 
 // wakeCase is one backend under the wake-up contract: process 0 sends on
@@ -20,7 +19,7 @@ type wakeCase struct {
 }
 
 // TestWakeContract checks transport.Transport.SetWake on the in-process
-// backend, on a socket transport's own group 0 and on a group view: one
+// backend and on two socket group views, group 0 and group 7: one
 // delivery leaves one token, many coalesce into a buffer of one without
 // blocking delivery, and a delivery that lands before the receiver parks
 // is still there when it does.
@@ -45,10 +44,11 @@ func openChanWake(t *testing.T) wakeCase {
 }
 
 func openTCPGroup0Wake(t *testing.T) wakeCase {
-	regs := []*metrics.Registry{metrics.NewRegistry(2), metrics.NewRegistry(2)}
-	nodes := newClusterWith(t, 2, [][]core.ProcID{{0}, {1}}, func(i int, cfg *tcp.Config) { cfg.Registry = regs[i] })
-	return wakeCase{send: nodes[0], recv: nodes[1],
-		delivered: func() int64 { return regs[1].Counters().Of(1, metrics.MsgDelivered) }}
+	nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
+	reg := metrics.NewRegistry(2)
+	nodes[1].Group.Instrument(reg)
+	return wakeCase{send: nodes[0].Group, recv: nodes[1].Group,
+		delivered: func() int64 { return reg.Counters().Of(1, metrics.MsgDelivered) }}
 }
 
 func openTCPViewWake(t *testing.T) wakeCase {

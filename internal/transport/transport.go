@@ -100,8 +100,8 @@ type Transport interface {
 // that carry a core.SpanContext with the message, end to end. Backends
 // place the context in the wire frame header (wire v4) or the in-process
 // mailbox entry and surface it again as Message.Span on the receive side;
-// they never interpret it. Both shipped backends (tcp and Chan, group
-// views included) and both adversary wrappers implement it, so sim/TCP
+// they never interpret it. Both shipped backends (tcp group views and
+// Chan) and both adversary wrappers implement it, so sim/TCP
 // symmetry holds; the rt host resolves the interface once at construction
 // and falls back to the context-less methods for backends that don't.
 type SpanCarrier interface {

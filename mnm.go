@@ -115,17 +115,18 @@ type (
 	// Transport carries messages between processes for the real-time
 	// host: in-process channels, TCP sockets, or adversary wrappers.
 	Transport = transport.Transport
-	// TCPTransport is one node's endpoint of a TCP-backed system.
+	// TCPTransport is one node of a TCP-backed system: its listener and
+	// connections, shared by every group opened on it.
 	TCPTransport = tcp.Transport
 	// TCPConfig configures one TCP transport node.
 	TCPConfig = tcp.Config
 	// TCPTimeouts groups the transport's deadline/backoff knobs.
 	TCPTimeouts = tcp.Timeouts
 	// GroupID identifies one m&m group (shard) multiplexed over a
-	// shared transport; group 0 is the base group.
+	// shared transport; every id, 0 included, is opened the same way.
 	GroupID = transport.GroupID
-	// RTNode is the per-OS-process half of the sharded runtime: one
-	// shared transport and directory hosting many independent groups.
+	// RTNode is the per-OS-process half of the runtime: one node
+	// transport and directory hosting any number of independent groups.
 	RTNode = rt.Node
 	// RTNodeConfig configures an RTNode.
 	RTNodeConfig = rt.NodeConfig
@@ -366,18 +367,19 @@ func NewSim(cfg SimConfig, alg Algorithm) (*SimRunner, error) { return sim.New(c
 // NewRT builds a real-time host.
 func NewRT(cfg RTConfig, alg Algorithm) (*RTGroup, error) { return rt.New(cfg, alg) }
 
-// NewRTNode builds the per-OS-process plane of a sharded (multi-tenant)
-// deployment: many independent m&m groups multiplexed over one shared
-// transport. Open each group with RTNode.OpenGroup; see DESIGN.md §4.3.3.
+// NewRTNode builds the per-OS-process plane of a deployment: any number of
+// independent m&m groups multiplexed over one node transport. Open each
+// group, 0 included, with RTNode.OpenGroup; see DESIGN.md §4.3.3.
 func NewRTNode(cfg RTNodeConfig) (*RTNode, error) { return rt.NewNode(cfg) }
 
 // NewChanTransport returns the in-process channel transport among n
 // processes — the real-time host's default message path, made explicit.
 func NewChanTransport(n int, kind LinkKind) Transport { return transport.NewChan(n, kind) }
 
-// NewTCPTransport binds one node of a TCP-backed m&m system and starts
-// accepting connections; pass it as RTConfig.Transport (with RTConfig.Hosted
-// naming this node's processes) to run algorithms across OS processes.
+// NewTCPTransport binds one node of a TCP-backed m&m system; pass it as
+// RTNodeConfig.Transport and open each group with RTNode.OpenGroup to run
+// algorithms across OS processes. The node accepts connections from its
+// first group on.
 func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) { return tcp.New(cfg) }
 
 // NewLossyTransport layers the fair-loss adversary over any transport
