@@ -19,6 +19,7 @@ import (
 	"github.com/mnm-model/mnm/internal/directory"
 	"github.com/mnm-model/mnm/internal/durable"
 	"github.com/mnm-model/mnm/internal/metrics"
+	"github.com/mnm-model/mnm/internal/msgnet"
 	"github.com/mnm-model/mnm/internal/runcfg"
 	"github.com/mnm-model/mnm/internal/trace"
 	"github.com/mnm-model/mnm/internal/transport"
@@ -65,10 +66,13 @@ type GroupConfig struct {
 	// which is what the exporters and /status render per group.
 	Registry *metrics.Registry
 
-	// Durable, if non-nil, journals this group's register mutations and
-	// seeds its memory with the store's recovered state — see
-	// rt.Config.Durable. Each group needs its own store (its own WAL
-	// directory); the group closes it on Stop.
+	// Durable, if non-nil, journals every register mutation of this
+	// group's shm.Memory (append + fsync before the write becomes
+	// visible) and seeds the memory with the store's recovered state
+	// before any process runs — the crash-recovery fault model of the
+	// paper ("the shared memory does not fail"), see internal/durable.
+	// Each group needs its own store (its own WAL directory); the group
+	// closes it on Stop, after its transport drains.
 	Durable *durable.Registers
 }
 
@@ -119,9 +123,9 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 }
 
 // OpenGroup resolves the group through the directory, opens its view of
-// the node transport, and builds + returns the running Group (started
-// lazily, exactly like New: call Start on it). Any id may be opened, 0
-// included.
+// the node transport (a private in-process Chan on a transport-less node),
+// and builds the Group; its processes run once Start is called. It is the
+// only way to build a Group. Any id may be opened, 0 included.
 func (nd *Node) OpenGroup(id transport.GroupID, cfg GroupConfig, alg core.Algorithm) (*Group, error) {
 	if cfg.GSM == nil {
 		return nil, errors.New("rt: GroupConfig.GSM is required")
@@ -149,9 +153,10 @@ func (nd *Node) OpenGroup(id transport.GroupID, cfg GroupConfig, alg core.Algori
 		}
 	}
 
+	label := fmt.Sprintf("group-%d", id)
 	greg := cfg.Registry
 	if greg == nil {
-		greg = nd.reg.Sub(fmt.Sprintf("group-%d", id), n)
+		greg = nd.reg.Sub(label, n)
 	}
 
 	nd.mu.Lock()
@@ -190,27 +195,18 @@ func (nd *Node) OpenGroup(id transport.GroupID, cfg GroupConfig, alg core.Algori
 	} else if !asn.Local() {
 		release()
 		return nil, fmt.Errorf("rt: group %d is distributed but the node has no transport", id)
+	} else {
+		// Counters only: newGroup's Lossy wrapper is the one drop path.
+		gtr = transport.NewChan(n, msgnet.Reliable, msgnet.WithNetCounters(greg.Counters()))
 	}
-	// gtr == nil (transport-less node, local assignment) lets New build
-	// the group's private channel backend.
 
-	hcfg := Config{
-		RunConfig: cfg.RunConfig,
-		Transport: gtr,
-		Hosted:    hosted,
-		Registry:  greg,
-		Durable:   cfg.Durable,
-		Flight:    nd.flight,
-		SpanGroup: fmt.Sprintf("group-%d", id),
+	cfg.Registry = greg
+	if cfg.Logf == nil {
+		cfg.Logf = nd.logf
 	}
-	if hcfg.Logf == nil {
-		hcfg.Logf = nd.logf
-	}
-	g, err := New(hcfg, alg)
+	g, err := newGroup(cfg, gtr, hosted, nd.flight.Scope(label, greg), alg)
 	if err != nil {
-		if gtr != nil {
-			gtr.Close() // detach the shard we just opened
-		}
+		gtr.Close() // detach the shard we just opened
 		release()
 		return nil, err
 	}

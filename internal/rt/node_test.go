@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/mnm-model/mnm/internal/graph"
 	"github.com/mnm-model/mnm/internal/leader"
 	"github.com/mnm-model/mnm/internal/metrics"
+	"github.com/mnm-model/mnm/internal/msgnet"
 	"github.com/mnm-model/mnm/internal/transport"
 	"github.com/mnm-model/mnm/internal/transport/tcp"
 )
@@ -136,6 +138,69 @@ func TestNodeOpenGroupValidation(t *testing.T) {
 	}
 	if _, err := nd.OpenGroup(5, cfg, writeReadAlg(1)); err == nil {
 		t.Error("a distributed group on a transport-less node must be rejected")
+	}
+}
+
+// TestDropsOnlyOnFairLossyLinks pins the group's one drop path: a drop
+// policy applies to fair-lossy links only, on both backends. p0 sends "m"
+// to p1 under DropFirstK{K: 1}; over reliable links it arrives (No-loss),
+// over fair-lossy links the first attempt is dropped and the resend
+// arrives (Fair-loss).
+func TestDropsOnlyOnFairLossyLinks(t *testing.T) {
+	backends := []struct {
+		name string
+		// open returns the groups hosting p0 and p1 of one 2-process group.
+		open func(t *testing.T, cfg GroupConfig) (from, to *Group)
+	}{
+		{"chan", func(t *testing.T, cfg GroupConfig) (*Group, *Group) {
+			g := openLocal(t, cfg, noop)
+			return g, g
+		}},
+		{"tcp", func(t *testing.T, cfg GroupConfig) (*Group, *Group) {
+			var gs [2]*Group
+			for i, nd := range newShardedNodes(t) {
+				g, err := nd.OpenGroup(0, cfg, noop)
+				if err != nil {
+					t.Fatalf("node %d: %v", i, err)
+				}
+				gs[i] = g
+			}
+			return gs[0], gs[1]
+		}},
+	}
+	for _, b := range backends {
+		for _, links := range []msgnet.LinkKind{msgnet.Reliable, msgnet.FairLossy} {
+			t.Run(fmt.Sprintf("%s/%v", b.name, links), func(t *testing.T) {
+				from, to := b.open(t, GroupConfig{RunConfig: RunConfig{
+					GSM: graph.Complete(2), Links: links, Drop: &msgnet.DropFirstK{K: 1},
+				}})
+				var wantDropped int64
+				if links == msgnet.FairLossy {
+					wantDropped = 1
+				}
+				for attempt := int64(0); attempt <= wantDropped; attempt++ {
+					if err := from.Transport().Send(0, 1, "m"); err != nil {
+						t.Fatalf("send: %v", err)
+					}
+				}
+				if got := from.Counters().Total(metrics.MsgDropped); got != wantDropped {
+					t.Fatalf("MsgDropped = %d, want %d", got, wantDropped)
+				}
+				deadline := time.Now().Add(10 * time.Second)
+				for {
+					if m, ok := to.Transport().TryRecv(1); ok {
+						if m.From != 0 || m.Payload != "m" {
+							t.Fatalf("p1 received %+v, want \"m\" from p0", m)
+						}
+						return
+					}
+					if !time.Now().Before(deadline) {
+						t.Fatal("p1 never received \"m\"")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
+		}
 	}
 }
 

@@ -3,13 +3,14 @@
 // In the m&m model every register physically resides at its owner (§5.3 of
 // the paper: the owner accesses it locally, neighbors access it remotely
 // over their shared-memory connection). The real-time host realizes that
-// placement literally: when Config.Hosted is a strict subset, a register
-// whose owner lives on another node is read, written or CAS'd by a
-// synchronous call over the transport's RPC plane, and the owner's host
-// serves it out of its local shm.Memory. Because the caller's process id
-// travels with the request and the check runs against the owner's domain,
-// shared-memory access control (core.ErrAccessDenied outside
-// {owner} ∪ neighbors(owner)) is enforced exactly as in a single process.
+// placement literally: when the directory hosts only some of a group's
+// processes on this node, a register whose owner lives on another node is
+// read, written or CAS'd by a synchronous call over the group view's RPC
+// plane, and the owner's node serves it out of its local shm.Memory. The
+// owner checks the domain against the sender the transport validated, not
+// against anything the request says about itself, so shared-memory access
+// control (core.ErrAccessDenied outside {owner} ∪ neighbors(owner)) is
+// enforced exactly as in a single process.
 package rt
 
 import (
@@ -21,10 +22,9 @@ import (
 	"github.com/mnm-model/mnm/internal/trace"
 )
 
-// memReadReq asks the owner's node to read Ref on behalf of Caller.
+// memReadReq asks the owner's node to read Ref on behalf of the sender.
 type memReadReq struct {
-	Caller core.ProcID
-	Ref    core.Ref
+	Ref core.Ref
 }
 
 // memReadResp carries the value read.
@@ -32,18 +32,16 @@ type memReadResp struct {
 	Val core.Value
 }
 
-// memWriteReq asks the owner's node to write Ref on behalf of Caller.
+// memWriteReq asks the owner's node to write Ref on behalf of the sender.
 // A successful write has a nil response payload.
 type memWriteReq struct {
-	Caller core.ProcID
-	Ref    core.Ref
-	Val    core.Value
+	Ref core.Ref
+	Val core.Value
 }
 
 // memCASReq asks the owner's node to compare-and-swap Ref on behalf of
-// Caller.
+// the sender.
 type memCASReq struct {
-	Caller   core.ProcID
 	Ref      core.Ref
 	Expected core.Value
 	Desired  core.Value
@@ -62,9 +60,9 @@ type memCASResp struct {
 // times out) in the background; its buffered channel lets it exit.
 //
 // sp is the caller's span for the operation (nil when unsampled or
-// tracing is off): its context rides the request frame over the span RPC
-// plane, and the server's response context merges back into the local
-// Lamport clock — the two wire edges of a traced remote register op.
+// tracing is off): its context rides the request frame, and the server's
+// response context merges back into the local Lamport clock — the two
+// wire edges of a traced remote register op.
 func (h *Group) callRemote(p core.ProcID, owner core.ProcID, req core.Value, sp *trace.Span) (core.Value, error) {
 	type outcome struct {
 		v   core.Value
@@ -73,15 +71,8 @@ func (h *Group) callRemote(p core.ProcID, owner core.ProcID, req core.Value, sp 
 	sc := h.spans.Outbound(sp)
 	ch := make(chan outcome, 1)
 	go func() {
-		var v core.Value
-		var err error
-		if h.srpc != nil {
-			var rsc core.SpanContext
-			v, rsc, err = h.srpc.CallSpan(p, owner, req, sc)
-			h.spans.Observe(rsc.Clock)
-		} else {
-			v, err = h.rpc.Call(p, owner, req)
-		}
+		v, rsc, err := h.rpc.CallSpan(p, owner, req, sc)
+		h.spans.Observe(rsc.Clock)
 		// Never blocks: cap-1 channel, and this goroutine is its only
 		// sender. A select/default would hide a broken invariant as a
 		// silently dropped reply; a visible block is the better failure.
@@ -102,7 +93,7 @@ func (h *Group) readReg(p core.ProcID, ref core.Ref, sp *trace.Span) (core.Value
 		return h.mem.Read(p, ref)
 	}
 	start := time.Now()
-	resp, err := h.callRemote(p, ref.Owner, memReadReq{Caller: p, Ref: ref}, sp)
+	resp, err := h.callRemote(p, ref.Owner, memReadReq{Ref: ref}, sp)
 	h.registry.Histogram(metrics.HistRemoteRead).Observe(time.Since(start))
 	if err != nil {
 		return nil, err
@@ -126,7 +117,7 @@ func (h *Group) writeReg(p core.ProcID, ref core.Ref, v core.Value, sp *trace.Sp
 		return err
 	}
 	start := time.Now()
-	_, err := h.callRemote(p, ref.Owner, memWriteReq{Caller: p, Ref: ref, Val: v}, sp)
+	_, err := h.callRemote(p, ref.Owner, memWriteReq{Ref: ref, Val: v}, sp)
 	h.registry.Histogram(metrics.HistRemoteWrite).Observe(time.Since(start))
 	return err
 }
@@ -142,7 +133,7 @@ func (h *Group) casReg(p core.ProcID, ref core.Ref, expected, desired core.Value
 		return swapped, cur, err
 	}
 	start := time.Now()
-	resp, err := h.callRemote(p, ref.Owner, memCASReq{Caller: p, Ref: ref, Expected: expected, Desired: desired}, sp)
+	resp, err := h.callRemote(p, ref.Owner, memCASReq{Ref: ref, Expected: expected, Desired: desired}, sp)
 	h.registry.Histogram(metrics.HistRemoteCAS).Observe(time.Since(start))
 	if err != nil {
 		return false, nil, err
@@ -168,11 +159,11 @@ func reqName(req core.Value) string {
 	}
 }
 
-// serveMemSpan is the span-aware RPC handler, installed when the
-// transport has a span plane: a traced request records a Serve span
-// parented to the caller's span, and the response carries this node's
-// clock (plus the serve span's identity) back so the caller's timeline
-// orders the round trip. Untraced requests still merge the clock.
+// serveMemSpan is the RPC handler installed on the group's view: a traced
+// request records a Serve span parented to the caller's span, and the
+// response carries this node's clock (plus the serve span's identity) back
+// so the caller's timeline orders the round trip. Untraced requests still
+// merge the clock.
 func (h *Group) serveMemSpan(from core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error) {
 	sp := h.spans.StartRemote(from, trace.Serve, reqName(req), sc)
 	if sp == nil {
@@ -184,19 +175,19 @@ func (h *Group) serveMemSpan(from core.ProcID, req core.Value, sc core.SpanConte
 	return v, rsc, err
 }
 
-// serveMem is the RPC handler installed on the transport: it serves
-// register operations for registers owned by processes hosted here, out of
-// the local shm.Memory (which enforces the shared-memory domain against
-// the calling process id carried in the request). A served write or
+// serveMem serves register operations from process from for registers
+// owned by processes hosted here, out of the local shm.Memory, which
+// enforces the shared-memory domain against from: the sender the
+// transport validated, never a field of the request. A served write or
 // successful CAS wakes this node's parked processes of the group, as a
 // local one does.
-func (h *Group) serveMem(_ core.ProcID, req core.Value) (core.Value, error) {
+func (h *Group) serveMem(from core.ProcID, req core.Value) (core.Value, error) {
 	switch r := req.(type) {
 	case memReadReq:
 		if !h.hostedSet[r.Ref.Owner] {
 			return nil, fmt.Errorf("rt: register %v not owned by this node", r.Ref)
 		}
-		v, err := h.mem.Read(r.Caller, r.Ref)
+		v, err := h.mem.Read(from, r.Ref)
 		if err != nil {
 			return nil, err
 		}
@@ -205,7 +196,7 @@ func (h *Group) serveMem(_ core.ProcID, req core.Value) (core.Value, error) {
 		if !h.hostedSet[r.Ref.Owner] {
 			return nil, fmt.Errorf("rt: register %v not owned by this node", r.Ref)
 		}
-		if err := h.mem.Write(r.Caller, r.Ref, r.Val); err != nil {
+		if err := h.mem.Write(from, r.Ref, r.Val); err != nil {
 			return nil, err
 		}
 		h.wakeParked()
@@ -214,7 +205,7 @@ func (h *Group) serveMem(_ core.ProcID, req core.Value) (core.Value, error) {
 		if !h.hostedSet[r.Ref.Owner] {
 			return nil, fmt.Errorf("rt: register %v not owned by this node", r.Ref)
 		}
-		swapped, current, err := h.mem.CompareAndSwap(r.Caller, r.Ref, r.Expected, r.Desired)
+		swapped, current, err := h.mem.CompareAndSwap(from, r.Ref, r.Expected, r.Desired)
 		if err != nil {
 			return nil, err
 		}

@@ -9,19 +9,20 @@
 // and to measure wall-clock performance shapes (register ops vs. message
 // ops, scaling with n and the G_SM degree) on real hardware.
 //
-// Messages travel over a transport.Transport. The default is the
-// in-process channel backend (transport.Chan, the exact message path this
-// host used before the transport layer existed); a group opened on a Node
-// over a transport/tcp.Transport runs the same algorithms across OS
-// processes over real sockets. With a distributed transport, the hosted
-// set restricts which processes this host actually runs; shared registers
-// owned by remote processes are reached through the transport's RPC plane,
-// served by the owner's host out of its local register store (so
-// shared-memory domain checks always happen at the owner).
+// Every group is opened with Node.OpenGroup. Its messages travel over a
+// transport.Transport: on a transport-less node, a private in-process
+// channel backend (transport.Chan); on a node over a
+// transport/tcp.Transport, the group's view of the node's sockets, which
+// runs the same algorithms across OS processes. The directory decides
+// which of the group's processes this node hosts; shared registers owned
+// by remote processes are reached through the view's RPC plane, served by
+// the owner's node out of its local register store (so shared-memory
+// domain checks always happen at the owner).
 //
-// A host has one meter and one recorder: every counter and latency
-// histogram goes into Config.Registry, and every traced operation is a span
-// in Config.Flight. The simulator's step-indexed event log
+// A group has one meter and one recorder: every counter and latency
+// histogram goes into GroupConfig.Registry (by default a "group-<id>"
+// sub-registry of the node's), and every traced operation is a span in
+// NodeConfig.Flight. The simulator's step-indexed event log
 // (trace.Recorder) has no real-time counterpart.
 //
 // A step is one operation, and Yield — the step an idle process takes —
@@ -61,55 +62,6 @@ import (
 // RunConfig is the host-independent part of a run description, shared with
 // the simulator (see internal/runcfg).
 type RunConfig = runcfg.RunConfig
-
-// Config describes a real-time m&m system.
-type Config struct {
-	// RunConfig holds the host-independent knobs: GSM (required), Links,
-	// Drop, Seed and Logf.
-	runcfg.RunConfig
-
-	// Transport carries messages between processes. Nil selects the
-	// in-process channel backend, preserving the host's historical
-	// behavior exactly. A non-nil transport must span the same n as GSM;
-	// if Drop is also set, the transport is wrapped in transport.Lossy.
-	// The host owns the transport from then on: Stop closes it (for a
-	// group view, Close detaches the group; the node drains at its own
-	// Close). Node.OpenGroup is the usual way to get one.
-	Transport transport.Transport
-
-	// Hosted lists the processes this host actually runs. Empty means all
-	// of them. A strict subset requires a Transport whose concrete type
-	// implements transport.RPC (e.g. a transport/tcp.Group view), because
-	// registers owned by remote processes are accessed through it.
-	Hosted []core.ProcID
-
-	// Registry, if non-nil, is the unified observability plane of the run:
-	// counters plus latency histograms, handed to the transport (via
-	// transport.Instrumentable) so every backend reports the same schema,
-	// and fed by the host's remote-register RPC timing. If nil, a fresh one
-	// is created; either way it is the run's single metering object.
-	Registry *metrics.Registry
-
-	// Durable, if non-nil, journals every register mutation of this
-	// group's shm.Memory (append + fsync before the write becomes
-	// visible) and seeds the memory with the store's recovered state
-	// before any process runs — the crash-recovery fault model of the
-	// paper ("the shared memory does not fail"), see internal/durable.
-	// The group owns the store from then on: Stop closes it after the
-	// transport drains.
-	Durable *durable.Registers
-
-	// Flight, if non-nil, is the node's span flight recorder — the host's
-	// only trace: the group's op sites start spans in it, send/RPC edges
-	// carry their context over the transport's span plane (wire v4), and
-	// span latencies feed the Registry's "span_<kind>" histograms. Nil (the
-	// default) disables tracing at zero cost on the hot path.
-	Flight *trace.Flight
-	// SpanGroup labels this group's spans: "group-<id>" for a group opened
-	// on a Node, matching its default metrics sub-registry label; empty for
-	// a host built directly with New.
-	SpanGroup string
-}
 
 // Result is the structured outcome of a real-time run, mirroring
 // sim.Result for the fields that make sense without a global step counter.
@@ -167,13 +119,11 @@ type Group struct {
 	hosted    []core.ProcID
 	hostedSet map[core.ProcID]bool
 	mem       *shm.Memory
-	tr        transport.Transport
-	spanTr    transport.SpanCarrier // tr's span plane; nil when unsupported
-	rpc       transport.RPC         // nil when every register owner is hosted
-	srpc      transport.SpanRPC     // rpc's span plane; nil when unsupported
+	tr        spanTransport
+	rpc       transport.SpanRPC // nil when every register owner is hosted
 	counters  *metrics.Counters
 	registry  *metrics.Registry
-	durable   *durable.Registers // nil unless Config.Durable was set
+	durable   *durable.Registers // nil unless GroupConfig.Durable was set
 	spans     *trace.Scope       // nil when span tracing is off
 	logf      func(format string, args ...any)
 	procs     []*rtProc // nil entries for processes hosted elsewhere
@@ -198,6 +148,13 @@ type Group struct {
 	onStop func()
 }
 
+// spanTransport is a group's message plane: every backend and the Lossy
+// wrapper carry a trace context with each message.
+type spanTransport interface {
+	transport.Transport
+	transport.SpanCarrier
+}
+
 type rtProc struct {
 	id      core.ProcID
 	steps   atomic.Uint64
@@ -216,58 +173,42 @@ type rtProc struct {
 	neighbors []core.ProcID
 }
 
-// New builds a host for alg over the system described by cfg. Processes do
-// not run until Start is called.
-func New(cfg Config, alg core.Algorithm) (*Group, error) {
-	if cfg.GSM == nil {
-		return nil, errors.New("rt: Config.GSM is required")
-	}
+// newGroup builds the group Node.OpenGroup resolved: view is its
+// transport (a group view of the node transport, or a private Chan),
+// hosted the processes it runs here (nil means all), spans its trace scope
+// (nil when tracing is off). cfg.Registry is set. Processes do not run
+// until Start is called.
+func newGroup(cfg GroupConfig, view transport.Transport, hosted []core.ProcID, spans *trace.Scope, alg core.Algorithm) (*Group, error) {
 	n := cfg.GSM.N()
-	if n == 0 {
-		return nil, errors.New("rt: empty system")
-	}
-	if cfg.Links == 0 {
-		cfg.Links = msgnet.Reliable
-	}
-	registry := cfg.Registry
-	if registry == nil {
-		registry = metrics.NewRegistry(n)
-	}
-	counters := registry.Counters()
-
-	hosted, hostedSet, err := hostedProcs(n, cfg.Hosted)
-	if err != nil {
-		return nil, err
-	}
-
-	tr := cfg.Transport
-	var rpc transport.RPC
-	if tr == nil {
-		if len(hosted) < n {
-			return nil, errors.New("rt: Config.Hosted subset requires a distributed Transport")
-		}
-		netOpts := []msgnet.NetOption{msgnet.WithNetCounters(counters)}
-		if cfg.Drop != nil {
-			netOpts = append(netOpts, msgnet.WithDropPolicy(cfg.Drop))
-		}
-		tr = transport.NewChan(n, cfg.Links, netOpts...)
-	} else {
-		if tr.N() != n {
-			return nil, fmt.Errorf("rt: transport spans %d processes, GSM has %d", tr.N(), n)
-		}
-		rpc, _ = tr.(transport.RPC)
-		if len(hosted) < n && rpc == nil {
-			return nil, errors.New("rt: Config.Hosted subset requires a Transport implementing transport.RPC")
-		}
-		if cfg.Drop != nil {
-			// The drop decision happens above the wire, so the fair-loss
-			// adversary composes with any backend. The RPC plane is not
-			// wrapped: remote register access models RDMA, not links.
-			tr = transport.NewLossy(tr, cfg.Drop, counters)
+	counters := cfg.Registry.Counters()
+	if hosted == nil {
+		hosted = make([]core.ProcID, n)
+		for p := range hosted {
+			hosted[p] = core.ProcID(p)
 		}
 	}
-	if len(hosted) == n {
-		rpc = nil // every owner is local; never leave the process
+	hostedSet := make(map[core.ProcID]bool, len(hosted))
+	for _, p := range hosted {
+		hostedSet[p] = true
+	}
+	// Registers owned by processes hosted elsewhere are reached over the
+	// view's RPC plane; with every owner local it is never used.
+	var rpc transport.SpanRPC
+	if len(hosted) < n {
+		var ok bool
+		if rpc, ok = view.(transport.SpanRPC); !ok {
+			return nil, fmt.Errorf("rt: transport %T has no span RPC plane", view)
+		}
+	}
+	if cfg.Links == msgnet.FairLossy && cfg.Drop != nil {
+		// The drop decision happens above the wire, so the fair-loss
+		// adversary composes with any backend. The RPC plane is not
+		// wrapped: remote register access models RDMA, not links.
+		view = transport.NewLossy(view, cfg.Drop, counters)
+	}
+	tr, ok := view.(spanTransport)
+	if !ok {
+		return nil, fmt.Errorf("rt: transport %T has no span plane", view)
 	}
 
 	memOpts := []shm.Option{shm.WithCounters(counters)}
@@ -282,9 +223,9 @@ func New(cfg Config, alg core.Algorithm) (*Group, error) {
 		tr:        tr,
 		rpc:       rpc,
 		counters:  counters,
-		registry:  registry,
+		registry:  cfg.Registry,
 		durable:   cfg.Durable,
-		spans:     cfg.Flight.Scope(cfg.SpanGroup, registry),
+		spans:     spans,
 		logf:      cfg.Logf,
 		procs:     make([]*rtProc, n),
 		errs:      make(map[core.ProcID]error),
@@ -298,22 +239,8 @@ func New(cfg Config, alg core.Algorithm) (*Group, error) {
 			counters.Record(ref.Owner, metrics.RecoveredRegisters, 1)
 		}
 	}
-	// Resolve the transport's span planes once, not per op. The adversary
-	// wrappers forward them, so wrapping does not lose the trace context.
-	h.spanTr, _ = tr.(transport.SpanCarrier)
 	if rpc != nil {
-		h.srpc, _ = rpc.(transport.SpanRPC)
-		if h.srpc != nil {
-			h.srpc.SetSpanHandler(h.serveMemSpan)
-		} else {
-			rpc.SetHandler(h.serveMem)
-		}
-	}
-	// Instrument the transport (after any adversary wrapping, before Dial)
-	// so backends with wire events — frames, reconnects, RPCs — report into
-	// the same registry as the host's own counters.
-	if in, ok := tr.(transport.Instrumentable); ok {
-		in.Instrument(registry)
+		rpc.SetSpanHandler(h.serveMemSpan)
 	}
 	if err := tr.Dial(); err != nil {
 		return nil, fmt.Errorf("rt: transport dial: %w", err)
@@ -336,30 +263,6 @@ func New(cfg Config, alg core.Algorithm) (*Group, error) {
 	}
 	h.allProcsInit(alg)
 	return h, nil
-}
-
-// hostedProcs validates and normalizes the hosted set (empty means all).
-func hostedProcs(n int, req []core.ProcID) ([]core.ProcID, map[core.ProcID]bool, error) {
-	set := make(map[core.ProcID]bool, len(req))
-	if len(req) == 0 {
-		out := make([]core.ProcID, n)
-		for p := 0; p < n; p++ {
-			out[p] = core.ProcID(p)
-			set[core.ProcID(p)] = true
-		}
-		return out, set, nil
-	}
-	var out []core.ProcID
-	for _, p := range req {
-		if int(p) < 0 || int(p) >= n {
-			return nil, nil, fmt.Errorf("rt: hosted process %v out of range [0,%d)", p, n)
-		}
-		if !set[p] {
-			set[p] = true
-			out = append(out, p)
-		}
-	}
-	return out, set, nil
 }
 
 func (h *Group) allProcsInit(alg core.Algorithm) {
@@ -605,16 +508,6 @@ func (h *Group) Memory() *shm.Memory { return h.mem }
 // adversary wrapping).
 func (h *Group) Transport() transport.Transport { return h.tr }
 
-// Network returns the underlying in-process msgnet.Network when the host
-// runs over the channel backend, for observer-level inspection; it returns
-// nil over any other transport.
-func (h *Group) Network() *msgnet.Network {
-	if c, ok := h.tr.(*transport.Chan); ok {
-		return c.Network()
-	}
-	return nil
-}
-
 // Counters returns the live metrics counters.
 func (h *Group) Counters() *metrics.Counters { return h.counters }
 
@@ -680,16 +573,10 @@ func (e *rtEnv) Send(to core.ProcID, payload core.Value) error {
 	e.step()
 	h := e.h
 	if h.spans == nil {
-		return h.tr.Send(e.ps.id, to, payload)
+		return h.tr.SendSpan(e.ps.id, to, payload, core.SpanContext{})
 	}
 	sp := h.spans.Start(e.ps.id, trace.Send, fmt.Sprintf("→%v %v", to, payload))
-	sc := h.spans.Outbound(sp)
-	var err error
-	if h.spanTr != nil {
-		err = h.spanTr.SendSpan(e.ps.id, to, payload, sc)
-	} else {
-		err = h.tr.Send(e.ps.id, to, payload)
-	}
+	err := h.tr.SendSpan(e.ps.id, to, payload, h.spans.Outbound(sp))
 	sp.Finish(err)
 	return err
 }
@@ -700,16 +587,10 @@ func (e *rtEnv) Broadcast(payload core.Value) error {
 	e.step()
 	h := e.h
 	if h.spans == nil {
-		return h.tr.Broadcast(e.ps.id, payload)
+		return h.tr.BroadcastSpan(e.ps.id, payload, core.SpanContext{})
 	}
 	sp := h.spans.Start(e.ps.id, trace.Broadcast, fmt.Sprintf("%v", payload))
-	sc := h.spans.Outbound(sp)
-	var err error
-	if h.spanTr != nil {
-		err = h.spanTr.BroadcastSpan(e.ps.id, payload, sc)
-	} else {
-		err = h.tr.Broadcast(e.ps.id, payload)
-	}
+	err := h.tr.BroadcastSpan(e.ps.id, payload, h.spans.Outbound(sp))
 	sp.Finish(err)
 	return err
 }
@@ -791,7 +672,7 @@ func (e *rtEnv) Expose(name string, v core.Value) {
 // goroutine.
 func (e *rtEnv) Rand() *rand.Rand { return e.ps.rng }
 
-// Logf implements core.Env: the line goes to Config.Logf (if any),
+// Logf implements core.Env: the line goes to GroupConfig.Logf (if any),
 // prefixed with the process id and its local step count — the real-time
 // analogue of the simulator's global step prefix.
 func (e *rtEnv) Logf(format string, args ...any) {

@@ -37,13 +37,10 @@ func TestDurableRegistersSurviveRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(Config{
+	h := openLocal(t, GroupConfig{
 		RunConfig: RunConfig{GSM: graph.Complete(n)},
 		Durable:   store,
 	}, writer)
-	if err != nil {
-		t.Fatal(err)
-	}
 	h.Start()
 	if err := h.Wait().Err(); err != nil {
 		t.Fatal(err)
@@ -59,14 +56,11 @@ func TestDurableRegistersSurviveRestart(t *testing.T) {
 		return func(env core.Env) error { return nil }
 	})
 	reg := metrics.NewRegistry(n)
-	h2, err := New(Config{
+	h2 := openLocal(t, GroupConfig{
 		RunConfig: RunConfig{GSM: graph.Complete(n)},
 		Registry:  reg,
 		Durable:   store2,
 	}, idle)
-	if err != nil {
-		t.Fatal(err)
-	}
 	defer h2.Stop()
 	for p := core.ProcID(0); p < n; p++ {
 		if v, ok := h2.Memory().Peek(core.Reg(p, "epoch")); !ok || v != int(p)*100+1 {

@@ -16,11 +16,8 @@ import (
 // and agreement must hold for whatever interleaving occurs.
 func TestPaxosRealtime(t *testing.T) {
 	inputs := []core.Value{"a", "b", "c", "d"}
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(4), Seed: 3}},
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(4), Seed: 3}},
 		paxos.New(paxos.Config{Inputs: inputs, HaltAfterDecide: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	h.Start()
 	errs := h.Wait().Errors
 	for p, e := range errs {
@@ -73,10 +70,7 @@ func TestBakeryRealtime(t *testing.T) {
 			return nil
 		}
 	})
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(4), Seed: 9}}, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(4), Seed: 9}}, alg)
 	h.Start()
 	errs := h.Wait().Errors
 	for p, e := range errs {
@@ -120,10 +114,7 @@ func TestMnMLockRealtime(t *testing.T) {
 			return nil
 		}
 	})
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(4), Seed: 2}}, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(4), Seed: 2}}, alg)
 	h.Start()
 	errs := h.Wait().Errors
 	for p, e := range errs {
@@ -138,11 +129,8 @@ func TestMnMLockRealtime(t *testing.T) {
 // TestMsgOmegaRealtime runs the classic heartbeat Ω on the real-time host
 // (in-process channels are timely links, so it should stabilize).
 func TestMsgOmegaRealtime(t *testing.T) {
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Edgeless(4), Seed: 4}},
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Edgeless(4), Seed: 4}},
 		leader.NewMsgOmega(leader.MsgOmegaConfig{}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	h.Start()
 	defer h.Stop()
 	deadline := time.Now().Add(10 * time.Second)

@@ -111,10 +111,7 @@ func TestHBOOverTCPMatchesInProcess(t *testing.T) {
 			alg := hbo.New(hbo.Config{Inputs: inputs, HaltAfterDecide: true})
 
 			// In-process run.
-			hChan, err := New(Config{RunConfig: RunConfig{GSM: g, Seed: seed}}, alg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			hChan := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: g, Seed: seed}}, alg)
 			hChan.Start()
 			chanDecisions := decisionsOf(t, []*Group{hChan, hChan, hChan}, hbo.DecisionKey)
 			hChan.Stop()

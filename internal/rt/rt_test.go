@@ -12,6 +12,26 @@ import (
 	"github.com/mnm-model/mnm/internal/regcons"
 )
 
+// openLocal opens cfg as group 0 on a fresh transport-less node, which is
+// closed when the test ends.
+func openLocal(tb testing.TB, cfg GroupConfig, alg core.Algorithm) *Group {
+	tb.Helper()
+	nd, err := NewNode(NodeConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { nd.Close() })
+	g, err := nd.OpenGroup(0, cfg, alg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// noop is an algorithm whose processes return at once, for tests that
+// drive a group's memory or transport themselves.
+var noop = core.AlgorithmFunc(func(core.ProcID) core.Process { return func(core.Env) error { return nil } })
+
 func TestHaltingAlgorithmWaits(t *testing.T) {
 	alg := core.AlgorithmFunc(func(id core.ProcID) core.Process {
 		return func(env core.Env) error {
@@ -22,10 +42,7 @@ func TestHaltingAlgorithmWaits(t *testing.T) {
 			return nil
 		}
 	})
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(4)}}, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(4)}}, alg)
 	h.Start()
 	errs := h.Wait().Errors
 	for p, e := range errs {
@@ -52,10 +69,7 @@ func TestWaitWithoutStartReleasesGate(t *testing.T) {
 			return nil
 		}
 	})
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(3)}}, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(3)}}, alg)
 	done := make(chan map[core.ProcID]error, 1)
 	go func() { done <- h.Wait().Errors }()
 	select {
@@ -81,10 +95,7 @@ func TestStopUnwindsInfiniteLoops(t *testing.T) {
 			}
 		}
 	})
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(8)}}, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(8)}}, alg)
 	h.Start()
 	time.Sleep(20 * time.Millisecond)
 	done := make(chan struct{})
@@ -111,10 +122,7 @@ func TestCrashStopsOneProcess(t *testing.T) {
 			}
 		}
 	})
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(2)}}, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(2)}}, alg)
 	h.Start()
 	time.Sleep(10 * time.Millisecond)
 	h.Crash(0)
@@ -136,10 +144,7 @@ func TestPanicContainment(t *testing.T) {
 			return nil
 		}
 	})
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(2)}}, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(2)}}, alg)
 	h.Start()
 	errs := h.Wait().Errors
 	if errs[1] == nil {
@@ -152,11 +157,8 @@ func TestPanicContainment(t *testing.T) {
 
 func TestBenOrRealtime(t *testing.T) {
 	inputs := []benor.Val{benor.V0, benor.V1, benor.V0, benor.V1, benor.V0}
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Edgeless(5), Seed: 3}},
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Edgeless(5), Seed: 3}},
 		benor.New(benor.Config{F: 2, Inputs: inputs, HaltAfterDecide: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	h.Start()
 	errs := h.Wait().Errors
 	for p, e := range errs {
@@ -179,11 +181,8 @@ func TestBenOrRealtime(t *testing.T) {
 
 func TestHBORealtime(t *testing.T) {
 	inputs := []benor.Val{benor.V1, benor.V0, benor.V1, benor.V0, benor.V1}
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Cycle(5), Seed: 8}},
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Cycle(5), Seed: 8}},
 		hbo.New(hbo.Config{Inputs: inputs, HaltAfterDecide: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	h.Start()
 	errs := h.Wait().Errors
 	for p, e := range errs {
@@ -204,11 +203,8 @@ func TestHBORealtime(t *testing.T) {
 }
 
 func TestLeaderElectionRealtime(t *testing.T) {
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(4), Seed: 5}},
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(4), Seed: 5}},
 		leader.New(leader.Config{Notifier: SharedKind()}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	h.Start()
 	defer h.Stop()
 
@@ -261,10 +257,7 @@ func TestConsensusObjectsRealtime(t *testing.T) {
 			return nil
 		}
 	})
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(8), Seed: 2}}, alg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(8), Seed: 2}}, alg)
 	h.Start()
 	errs := h.Wait().Errors
 	for p, e := range errs {
@@ -298,10 +291,7 @@ func BenchmarkRTRegisterWrite(b *testing.B) {
 			return err
 		}
 	})
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(1)}}, alg)
-	if err != nil {
-		b.Fatal(err)
-	}
+	h := openLocal(b, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(1)}}, alg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	h.Start()

@@ -30,11 +30,7 @@ func startIdle(t *testing.T, n int) (*Group, []chan struct{}) {
 	for i := range exited {
 		exited[i] = make(chan struct{})
 	}
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(n)}}, idleAlg(exited))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { h.Stop() })
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(n)}}, idleAlg(exited))
 	h.Start()
 	deadline := time.Now().Add(5 * time.Second)
 	for p := 0; p < n; p++ {
@@ -100,11 +96,7 @@ func TestWakeCrashUnwindsParkedYield(t *testing.T) {
 // nothing otherwise.
 func TestWakeRegisterWritesSignalParked(t *testing.T) {
 	// Never started: the test plays both the parked process and the writer.
-	h, err := New(Config{RunConfig: RunConfig{GSM: graph.Complete(2)}},
-		core.AlgorithmFunc(func(core.ProcID) core.Process { return func(core.Env) error { return nil } }))
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(2)}}, noop)
 	defer h.Stop()
 	ref := core.Reg(0, "X")
 	// tokens takes every pending wake-up token and counts them.
@@ -132,11 +124,11 @@ func TestWakeRegisterWritesSignalParked(t *testing.T) {
 			return err
 		}},
 		{"served-write", func(v int) error {
-			_, err := h.serveMem(1, memWriteReq{Caller: 1, Ref: ref, Val: v})
+			_, err := h.serveMem(1, memWriteReq{Ref: ref, Val: v})
 			return err
 		}},
 		{"served-cas", func(v int) error {
-			_, err := h.serveMem(1, memCASReq{Caller: 1, Ref: ref, Expected: v - 1, Desired: v})
+			_, err := h.serveMem(1, memCASReq{Ref: ref, Expected: v - 1, Desired: v})
 			return err
 		}},
 	} {

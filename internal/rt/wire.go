@@ -13,10 +13,10 @@ import "github.com/mnm-model/mnm/internal/core"
 // package sends, for transport round-trip tests.
 func WirePayloads() []core.Value {
 	return []core.Value{
-		memReadReq{Caller: 1, Ref: core.Ref{Owner: 0, Name: "r", I: 1, J: -1}},
+		memReadReq{Ref: core.Ref{Owner: 0, Name: "r", I: 1, J: -1}},
 		memReadResp{Val: 7},
-		memWriteReq{Caller: 2, Ref: core.Ref{Owner: 1, Name: "w"}, Val: "v"},
-		memCASReq{Caller: 0, Ref: core.Ref{Owner: 2, Name: "c"}, Expected: 1, Desired: 2},
+		memWriteReq{Ref: core.Ref{Owner: 1, Name: "w"}, Val: "v"},
+		memCASReq{Ref: core.Ref{Owner: 2, Name: "c"}, Expected: 1, Desired: 2},
 		memCASResp{Swapped: true, Current: 2},
 	}
 }

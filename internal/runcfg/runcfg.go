@@ -3,16 +3,16 @@
 // executes under the deterministic simulator (internal/sim) or the
 // real-time host (internal/rt).
 //
-// Both sim.Config and rt.Config embed RunConfig, so the shared knobs are
-// declared once and promoted field access (cfg.GSM, cfg.Seed, ...) keeps
-// working at every call site. Composite literals name the embedded struct
-// explicitly:
+// Both sim.Config and rt.GroupConfig embed RunConfig, so the shared knobs
+// are declared once and promoted field access (cfg.GSM, cfg.Seed, ...)
+// keeps working at every call site. Composite literals name the embedded
+// struct explicitly:
 //
 //	sim.Config{RunConfig: sim.RunConfig{GSM: g, Seed: 1}, MaxSteps: 100}
 //
-// Observability is host-specific and lives on each host's Config: the
-// simulator takes Counters and a trace.Recorder, the real-time host a
-// metrics.Registry and a trace.Flight.
+// Observability is host-specific and lives on each host's config: the
+// simulator takes Counters and a trace.Recorder, a real-time group a
+// metrics.Registry (and its node a trace.Flight).
 //
 // (Each host package re-exports the type under an alias — sim.RunConfig,
 // rt.RunConfig, mnm.RunConfig — so callers never import runcfg directly.)

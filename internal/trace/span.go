@@ -86,8 +86,7 @@ type Span struct {
 	SpanID  uint64
 	Parent  uint64
 	// Node and Group locate the span: the node label (listen address) and
-	// the group label ("group-<id>" for a group opened on an rt.Node, ""
-	// for a host built directly with rt.New).
+	// the group label ("group-<id>" of the rt.Group that recorded it).
 	Node  string
 	Group string
 	// Proc is the acting process, Kind the operation class, Name the

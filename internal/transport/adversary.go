@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"sync"
-
 	"github.com/mnm-model/mnm/internal/core"
 	"github.com/mnm-model/mnm/internal/metrics"
 	"github.com/mnm-model/mnm/internal/msgnet"
@@ -85,150 +83,8 @@ func (l *Lossy) TryRecv(p core.ProcID) (core.Message, bool) { return l.Inner.Try
 // SetWake implements Transport.
 func (l *Lossy) SetWake(p core.ProcID, ch chan<- struct{}) { l.Inner.SetWake(p, ch) }
 
-// Instrument implements Instrumentable: drop accounting adopts the
-// registry's counters when none were supplied, and the registry is
-// forwarded to the wrapped backend.
-func (l *Lossy) Instrument(reg *metrics.Registry) {
-	if l.Counters == nil {
-		l.Counters = reg.Counters()
-	}
-	if in, ok := l.Inner.(Instrumentable); ok {
-		in.Instrument(reg)
-	}
-}
-
 // LinkState implements Transport.
 func (l *Lossy) LinkState(from, to core.ProcID) LinkState { return l.Inner.LinkState(from, to) }
 
 // Close implements Transport.
 func (l *Lossy) Close() error { return l.Inner.Close() }
-
-// Delayed layers a msgnet.DeliveryPolicy — the asynchrony adversary — over
-// any backend's receive path. Messages flow through the inner transport
-// normally; on arrival at p they are held in a buffer stamped with p's
-// local poll tick, and TryRecv releases a held message only once the
-// policy allows it. Per-link FIFO order is preserved the same way
-// msgnet.Network.Tick preserves it: once one message of a link is held,
-// later messages of that link wait behind it.
-//
-// The tick driving the policy is the per-destination TryRecv poll count,
-// which makes the wrapper usable over real-time backends where no global
-// step counter exists. On the rt host an idle process parks between polls,
-// so there the clock advances once per wake-up (an inner delivery or a
-// register write) or per yield tick.
-type Delayed struct {
-	inner  Transport
-	policy msgnet.DeliveryPolicy
-
-	mu   sync.Mutex
-	now  []uint64    // per-destination poll tick
-	held [][]heldMsg // per-destination hold buffer, FIFO
-}
-
-type heldMsg struct {
-	msg       core.Message
-	arrivedAt uint64
-}
-
-var (
-	_ Transport   = (*Delayed)(nil)
-	_ SpanCarrier = (*Delayed)(nil)
-)
-
-// NewDelayed wraps inner with the given delivery policy. A nil policy
-// delivers immediately.
-func NewDelayed(inner Transport, policy msgnet.DeliveryPolicy) *Delayed {
-	n := inner.N()
-	return &Delayed{
-		inner:  inner,
-		policy: policy,
-		now:    make([]uint64, n),
-		held:   make([][]heldMsg, n),
-	}
-}
-
-// N implements Transport.
-func (d *Delayed) N() int { return d.inner.N() }
-
-// Dial implements Transport.
-func (d *Delayed) Dial() error { return d.inner.Dial() }
-
-// Send implements Transport.
-func (d *Delayed) Send(from, to core.ProcID, payload core.Value) error {
-	return d.inner.Send(from, to, payload)
-}
-
-// SendSpan implements SpanCarrier. Held messages keep their context: the
-// hold buffer stores whole core.Messages, Span field included.
-func (d *Delayed) SendSpan(from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
-	return SendSpan(d.inner, from, to, payload, sc)
-}
-
-// Broadcast implements Transport.
-func (d *Delayed) Broadcast(from core.ProcID, payload core.Value) error {
-	return d.inner.Broadcast(from, payload)
-}
-
-// BroadcastSpan implements SpanCarrier.
-func (d *Delayed) BroadcastSpan(from core.ProcID, payload core.Value, sc core.SpanContext) error {
-	return BroadcastSpan(d.inner, from, payload, sc)
-}
-
-// TryRecv implements Transport. Each call advances p's local tick, drains
-// newly arrived inner messages into the hold buffer, and returns the first
-// held message the policy allows (blocking the rest of its link behind it
-// if it is still held).
-func (d *Delayed) TryRecv(p core.ProcID) (core.Message, bool) {
-	if int(p) < 0 || int(p) >= d.inner.N() {
-		return core.Message{}, false
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.now[p]++
-	now := d.now[p]
-	for {
-		m, ok := d.inner.TryRecv(p)
-		if !ok {
-			break
-		}
-		d.held[p] = append(d.held[p], heldMsg{msg: m, arrivedAt: now})
-	}
-	if d.policy == nil {
-		if len(d.held[p]) == 0 {
-			return core.Message{}, false
-		}
-		m := d.held[p][0].msg
-		d.held[p] = d.held[p][1:]
-		return m, true
-	}
-	blocked := make(map[core.ProcID]bool)
-	for i, h := range d.held[p] {
-		if blocked[h.msg.From] {
-			continue
-		}
-		if d.policy.Deliverable(h.msg.From, p, h.arrivedAt, now) {
-			d.held[p] = append(d.held[p][:i], d.held[p][i+1:]...)
-			return h.msg, true
-		}
-		blocked[h.msg.From] = true
-	}
-	return core.Message{}, false
-}
-
-// SetWake implements Transport: the inner delivery wakes p, and the poll
-// that follows moves the message into the hold buffer.
-func (d *Delayed) SetWake(p core.ProcID, ch chan<- struct{}) { d.inner.SetWake(p, ch) }
-
-// LinkState implements Transport.
-func (d *Delayed) LinkState(from, to core.ProcID) LinkState { return d.inner.LinkState(from, to) }
-
-// Instrument implements Instrumentable by forwarding to the wrapped
-// backend: delaying delivery adds no events of its own.
-func (d *Delayed) Instrument(reg *metrics.Registry) {
-	if in, ok := d.inner.(Instrumentable); ok {
-		in.Instrument(reg)
-	}
-}
-
-// Close implements Transport.
-func (d *Delayed) Close() error { return d.inner.Close() }

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 
 	"github.com/mnm-model/mnm/internal/core"
-	"github.com/mnm-model/mnm/internal/metrics"
 	"github.com/mnm-model/mnm/internal/msgnet"
 )
 
@@ -17,13 +16,11 @@ import (
 type Chan struct {
 	net    *msgnet.Network
 	closed atomic.Bool
-	reg    atomic.Pointer[metrics.Registry]
 }
 
 var (
-	_ Transport      = (*Chan)(nil)
-	_ SpanCarrier    = (*Chan)(nil)
-	_ Instrumentable = (*Chan)(nil)
+	_ Transport   = (*Chan)(nil)
+	_ SpanCarrier = (*Chan)(nil)
 )
 
 // NewChan returns an in-process transport among n processes with links of
@@ -33,19 +30,6 @@ func NewChan(n int, kind msgnet.LinkKind, opts ...msgnet.NetOption) *Chan {
 	opts = append([]msgnet.NetOption{msgnet.WithAutoDeliver()}, opts...)
 	return &Chan{net: msgnet.NewNetwork(n, kind, opts...)}
 }
-
-// Network exposes the underlying msgnet.Network for observer-level
-// inspection (mailbox lengths, in-flight counts) by tests and experiments.
-func (c *Chan) Network() *msgnet.Network { return c.net }
-
-// Instrument implements Instrumentable. The channel backend has no wire
-// events of its own — message counters flow through the msgnet counters
-// installed at construction — so the registry is only retained for
-// Registry, keeping the observability schema uniform across backends.
-func (c *Chan) Instrument(reg *metrics.Registry) { c.reg.Store(reg) }
-
-// Registry returns the registry installed by Instrument, or nil.
-func (c *Chan) Registry() *metrics.Registry { return c.reg.Load() }
 
 // N implements Transport.
 func (c *Chan) N() int { return c.net.N() }

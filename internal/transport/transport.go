@@ -20,9 +20,6 @@
 //     delivered infinitely often. Fair-lossy behaviour is layered over
 //     any backend with the Lossy wrapper, which applies a msgnet
 //     DropPolicy at send time.
-//
-// The Delayed wrapper similarly layers a msgnet DeliveryPolicy (the
-// asynchrony adversary) over any backend's receive path.
 package transport
 
 import (
@@ -101,9 +98,8 @@ type Transport interface {
 // place the context in the wire frame header (wire v4) or the in-process
 // mailbox entry and surface it again as Message.Span on the receive side;
 // they never interpret it. Both shipped backends (tcp group views and
-// Chan) and both adversary wrappers implement it, so sim/TCP
-// symmetry holds; the rt host resolves the interface once at construction
-// and falls back to the context-less methods for backends that don't.
+// Chan) and the Lossy wrapper implement it, so sim/TCP symmetry holds; the
+// rt host requires it of every group's transport.
 type SpanCarrier interface {
 	// SendSpan is Send with a trace context riding the message.
 	SendSpan(from, to core.ProcID, payload core.Value, sc core.SpanContext) error
@@ -164,10 +160,10 @@ type RPC interface {
 // backends that implement it report into a metrics.Registry — message and
 // frame counters under the registry's Counters, round-trip latencies under
 // its named Histograms — so every backend exposes the same schema. The
-// real-time host instruments its transport (after any adversary wrapping)
-// with the run's registry; wrappers forward to their inner backend.
+// rt node instruments its node transport with the root registry; a tcp
+// group view is instrumented with GroupConfig.Registry when it is opened.
 // Instrument must be safe to call while the transport is live: frames can
-// already be flowing when the host attaches its registry.
+// already be flowing when the registry is attached.
 type Instrumentable interface {
 	Instrument(reg *metrics.Registry)
 }

@@ -83,44 +83,3 @@ func TestLossyDropsAndMeters(t *testing.T) {
 		t.Fatalf("MsgDropped = %d, want 1", got)
 	}
 }
-
-func TestDelayedHoldsUntilPolicyAllows(t *testing.T) {
-	d := NewDelayed(NewChan(2, msgnet.Reliable), msgnet.FixedDelay{D: 3})
-	if err := d.Send(0, 1, "slow"); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	// The message arrives at the first poll (tick 1) and becomes
-	// deliverable three ticks later (tick 4).
-	for poll := 1; poll <= 3; poll++ {
-		if m, ok := d.TryRecv(1); ok {
-			t.Fatalf("poll %d delivered %+v early", poll, m)
-		}
-	}
-	m, ok := d.TryRecv(1)
-	if !ok || m.Payload != "slow" {
-		t.Fatalf("poll 4 = %+v, %v; want the delayed message", m, ok)
-	}
-}
-
-func TestDelayedPreservesPerLinkFIFO(t *testing.T) {
-	d := NewDelayed(NewChan(2, msgnet.Reliable), msgnet.FixedDelay{D: 2})
-	if err := d.Send(0, 1, "first"); err != nil {
-		t.Fatal(err)
-	}
-	// Absorb the first message into the hold buffer at tick 1, then send
-	// a second: it arrives at tick 2, so it alone would be deliverable at
-	// tick 4 — but FIFO must release "first" before "second".
-	d.TryRecv(1)
-	if err := d.Send(0, 1, "second"); err != nil {
-		t.Fatal(err)
-	}
-	var got []core.Value
-	for poll := 0; poll < 10 && len(got) < 2; poll++ {
-		if m, ok := d.TryRecv(1); ok {
-			got = append(got, m.Payload)
-		}
-	}
-	if len(got) != 2 || got[0] != "first" || got[1] != "second" {
-		t.Fatalf("delivery order = %v, want [first second]", got)
-	}
-}

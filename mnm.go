@@ -97,7 +97,7 @@ type (
 type (
 	// RunConfig is the host-independent part of a run description (GSM,
 	// links, drop policy, seed, log sink), embedded in both SimConfig and
-	// RTConfig.
+	// RTGroupConfig.
 	RunConfig = runcfg.RunConfig
 	// SimConfig configures a deterministic simulated run; its Counters and
 	// Trace fields meter and record it.
@@ -108,12 +108,10 @@ type (
 	SimResult = sim.Result
 	// Crash schedules a crash-stop failure.
 	Crash = sim.Crash
-	// RTConfig configures a real-time host.
-	RTConfig = rt.Config
 	// RTResult summarizes a real-time run.
 	RTResult = rt.Result
 	// Transport carries messages between processes for the real-time
-	// host: in-process channels, TCP sockets, or adversary wrappers.
+	// host: in-process channels or a group's view of TCP sockets.
 	Transport = transport.Transport
 	// TCPTransport is one node of a TCP-backed system: its listener and
 	// connections, shared by every group opened on it.
@@ -131,8 +129,7 @@ type (
 	// RTNodeConfig configures an RTNode.
 	RTNodeConfig = rt.NodeConfig
 	// RTGroup runs one m&m system (one shard) with real goroutine
-	// concurrency: a single-group system built with NewRT, or one of the
-	// many groups opened on an RTNode.
+	// concurrency; RTNode.OpenGroup builds it.
 	RTGroup = rt.Group
 	// RTGroupConfig describes one group to open on an RTNode.
 	RTGroupConfig = rt.GroupConfig
@@ -153,8 +150,8 @@ type (
 	// Snapshot is a point-in-time copy of Counters.
 	Snapshot = metrics.Snapshot
 	// MetricsRegistry bundles one run's Counters with named latency
-	// histograms; set RTConfig.Registry (or read RTGroup.Registry()) to
-	// observe a real-time run's transport and remote-register traffic.
+	// histograms; set RTGroupConfig.Registry (or read RTGroup.Registry())
+	// to observe a real-time group's transport and remote-register traffic.
 	MetricsRegistry = metrics.Registry
 	// MetricsSampler snapshots a registry into a bounded time-series
 	// ring with per-interval Delta/Rate views.
@@ -174,8 +171,8 @@ type (
 	// TraceEvent is one recorded run event.
 	TraceEvent = trace.Event
 	// Flight is a node's bounded span flight recorder, the only trace of
-	// real-time runs (install via RTNodeConfig.Flight / RTConfig.Flight and
-	// dump it with Flight.WriteJSONL or the obs plane's /trace endpoint).
+	// real-time runs (install via RTNodeConfig.Flight and dump it with
+	// Flight.WriteJSONL or the obs plane's /trace endpoint).
 	Flight = trace.Flight
 	// FlightMeta is the per-node header line of a flight dump.
 	FlightMeta = trace.FlightMeta
@@ -364,29 +361,18 @@ func NewRandomDrop(p float64, seed int64) DropPolicy { return msgnet.NewRandomDr
 // NewSim builds a deterministic simulated run.
 func NewSim(cfg SimConfig, alg Algorithm) (*SimRunner, error) { return sim.New(cfg, alg) }
 
-// NewRT builds a real-time host.
-func NewRT(cfg RTConfig, alg Algorithm) (*RTGroup, error) { return rt.New(cfg, alg) }
-
 // NewRTNode builds the per-OS-process plane of a deployment: any number of
 // independent m&m groups multiplexed over one node transport. Open each
-// group, 0 included, with RTNode.OpenGroup; see DESIGN.md §4.3.3.
+// group, 0 included, with RTNode.OpenGroup; see DESIGN.md §4.3.3. A
+// single in-process real-time run is NewRTNode(RTNodeConfig{}) plus
+// OpenGroup(0, …).
 func NewRTNode(cfg RTNodeConfig) (*RTNode, error) { return rt.NewNode(cfg) }
-
-// NewChanTransport returns the in-process channel transport among n
-// processes — the real-time host's default message path, made explicit.
-func NewChanTransport(n int, kind LinkKind) Transport { return transport.NewChan(n, kind) }
 
 // NewTCPTransport binds one node of a TCP-backed m&m system; pass it as
 // RTNodeConfig.Transport and open each group with RTNode.OpenGroup to run
 // algorithms across OS processes. The node accepts connections from its
 // first group on.
 func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) { return tcp.New(cfg) }
-
-// NewLossyTransport layers the fair-loss adversary over any transport
-// backend; counters may be nil.
-func NewLossyTransport(inner Transport, policy DropPolicy, counters *Counters) Transport {
-	return transport.NewLossy(inner, policy, counters)
-}
 
 // NewHBO returns the Hybrid Ben-Or consensus algorithm (Figure 2).
 func NewHBO(cfg HBOConfig) Algorithm { return hbo.New(cfg) }

@@ -133,7 +133,12 @@ func TestCustomAlgorithmThroughFacade(t *testing.T) {
 
 func TestRTGroupThroughFacade(t *testing.T) {
 	inputs := []mnm.ConsensusValue{mnm.V0, mnm.V1, mnm.V0}
-	h, err := mnm.NewRT(mnm.RTConfig{RunConfig: mnm.RunConfig{GSM: mnm.CompleteGraph(3), Seed: 2}},
+	nd, err := mnm.NewRTNode(mnm.RTNodeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	h, err := nd.OpenGroup(0, mnm.RTGroupConfig{RunConfig: mnm.RunConfig{GSM: mnm.CompleteGraph(3), Seed: 2}},
 		mnm.NewHBO(mnm.HBOConfig{Inputs: inputs, HaltAfterDecide: true}))
 	if err != nil {
 		t.Fatal(err)
