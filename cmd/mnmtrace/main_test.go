@@ -20,7 +20,7 @@ func dumpFile(t *testing.T, dir, node string) (string, uint64) {
 	t.Helper()
 	f := trace.NewFlight(node, 16, 1)
 	sc := f.Scope("group-1", nil)
-	sp := sc.Start(0, trace.CAS, "g1.X 0→1")
+	sp := sc.Start(0, trace.CAS, func() string { return "g1.X 0→1" })
 	sp.Finish(nil)
 	var buf bytes.Buffer
 	if err := f.WriteJSONL(&buf); err != nil {

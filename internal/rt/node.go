@@ -273,8 +273,7 @@ func (nd *Node) Close() error {
 	}
 	nd.mu.Unlock()
 	// Stop in parallel: a group's Stop waits for its processes to unwind,
-	// and a follower mid-RPC finishes the round trip first — serializing
-	// a thousand of those waits would turn shutdown into minutes.
+	// and serializing a thousand of those waits would slow shutdown.
 	var wg sync.WaitGroup
 	for _, g := range open {
 		wg.Add(1)

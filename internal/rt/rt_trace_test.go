@@ -168,3 +168,42 @@ func TestTracedRemoteCASAcrossNodes(t *testing.T) {
 	}
 	t.Logf("merged timeline: %d traces, %d cross-node CAS trees", len(c.Traces), crossNode)
 }
+
+// TestUnsampledOpsAllocateAsUntraced holds rt to the trace contract
+// "unsampled operations cost one atomic add; only sampled spans
+// allocate": with tracing on but the op not sampled, a local Read, Write
+// and Send allocate exactly as much as with tracing off — no span name is
+// formatted for a span that is never recorded.
+func TestUnsampledOpsAllocateAsUntraced(t *testing.T) {
+	envOf := func(f *trace.Flight) *rtEnv {
+		nd, err := NewNode(NodeConfig{Flight: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nd.Close() })
+		g, err := nd.OpenGroup(0, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(2)}}, noop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &rtEnv{h: g, ps: g.procs[0], all: []core.ProcID{0, 1}}
+	}
+	ref := core.Reg(0, "x")
+	ops := []struct {
+		name string
+		do   func(e *rtEnv)
+	}{
+		{"Read", func(e *rtEnv) { e.Read(ref) }},
+		{"Write", func(e *rtEnv) { e.Write(ref, 7) }},
+		{"Send", func(e *rtEnv) { e.Send(0, 7); e.TryRecv() }},
+	}
+	off := envOf(nil)
+	on := envOf(trace.NewFlight("n", 64, 1<<30))
+	on.Read(ref) // the one sampled root; every later op is unsampled
+	for _, op := range ops {
+		want := testing.AllocsPerRun(100, func() { op.do(off) })
+		got := testing.AllocsPerRun(100, func() { op.do(on) })
+		if got != want {
+			t.Errorf("unsampled %s allocates %v per op, %v with tracing off", op.name, got, want)
+		}
+	}
+}

@@ -37,6 +37,9 @@ type Group struct {
 	spanHandler transport.SpanHandler // supersedes handler when set
 	dialed      bool
 	closed      bool
+
+	// done is closed by Close; it ends the group's calls in flight.
+	done chan struct{}
 }
 
 var (
@@ -69,6 +72,7 @@ func (t *Transport) OpenGroup(id transport.GroupID, cfg transport.GroupConfig) (
 		n:         cfg.N,
 		hosted:    hosted,
 		mailboxes: make(map[core.ProcID]*queue.Mailbox[core.Message], len(hosted)),
+		done:      make(chan struct{}),
 	}
 	for p := range hosted {
 		g.mailboxes[p] = new(queue.Mailbox[core.Message])
@@ -275,14 +279,16 @@ func (g *Group) LinkState(from, to core.ProcID) transport.LinkState {
 	return transport.LinkConnecting
 }
 
-// SetHandler implements transport.RPC.
+// SetHandler implements transport.RPC. fn runs on the receive loop of
+// the caller's connection, so it must not block on the network.
 func (g *Group) SetHandler(fn func(from core.ProcID, req core.Value) (core.Value, error)) {
 	g.t.mu.Lock()
 	g.handler = fn
 	g.t.mu.Unlock()
 }
 
-// SetSpanHandler implements transport.SpanRPC.
+// SetSpanHandler implements transport.SpanRPC. fn runs on the receive
+// loop of the caller's connection, like SetHandler's.
 func (g *Group) SetSpanHandler(fn transport.SpanHandler) {
 	g.t.mu.Lock()
 	g.spanHandler = fn
@@ -292,7 +298,8 @@ func (g *Group) SetSpanHandler(fn transport.SpanHandler) {
 // Call implements transport.RPC: a synchronous request to the node
 // hosting the group's process to. Requests and responses ride the same
 // sequenced, retransmitted frame stream as data messages, so they survive
-// reconnects; the round trip is bounded by Timeouts.Call.
+// reconnects; the round trip is bounded by Timeouts.Call, and closing the
+// group or the node ends it with ErrClosed.
 func (g *Group) Call(from, to core.ProcID, req core.Value) (core.Value, error) {
 	v, _, err := g.CallSpan(from, to, req, core.SpanContext{})
 	return v, err
@@ -352,6 +359,9 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 	case <-t.done:
 		t.dropCall(id)
 		res = callResult{err: transport.ErrClosed}
+	case <-g.done:
+		t.dropCall(id)
+		res = callResult{err: transport.ErrClosed}
 	case <-timer.C:
 		t.dropCall(id)
 		res = callResult{err: fmt.Errorf("tcp: call to %v timed out after %v", to, t.cfg.Timeouts.Call)}
@@ -376,7 +386,8 @@ func (g *Group) Instrument(reg *metrics.Registry) {
 
 // Close implements transport.Transport for the group view: it detaches
 // the group from the node and frees its id. Inbound frames for it are
-// dropped from now on and its sends fail with ErrClosed. The node's
+// dropped from now on, its sends fail with ErrClosed, and so do its calls
+// still waiting for a response, at once. The node's
 // connections, listener and other groups are untouched. Frames the group
 // already enqueued stay on the shared peers and are still delivered and
 // acked (the drain discipline is per node, at Transport.Close).
@@ -388,6 +399,7 @@ func (g *Group) Close() error {
 		return nil
 	}
 	g.closed = true
+	close(g.done)
 	delete(t.groups, g.id)
 	return nil
 }

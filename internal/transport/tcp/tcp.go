@@ -454,7 +454,9 @@ func (t *Transport) syncAndAck(remote string, seq uint64) {
 // Sequenced frames pass the per-node duplicate filter exactly once,
 // whatever connection they arrive on; duplicates still report their Seq so
 // the remote learns its retransmission was redundant. Data and request
-// frames are demultiplexed to the group their header names. Frames for a
+// frames are demultiplexed to the group their header names: data lands in
+// a mailbox, and a request is served right here, on the receive loop,
+// with no goroutine of its own (see serve). Frames for a
 // group this node has not opened, and frames whose sender is not a
 // process of their group (a forged From, which the algorithms would index
 // out of range or count as a phantom voter), are dropped and logged but
@@ -487,13 +489,7 @@ func (t *Transport) dispatch(remote string, f *frame) uint64 {
 		}
 		return f.Seq
 	case frameReq:
-		if t.accept(remote, f.Seq) {
-			// Copy the frame: the recv loop reuses *f for the next read
-			// while the handler goroutine is still running.
-			req := *f
-			t.wg.Add(1)
-			go t.serve(remote, &req)
-		}
+		t.serve(remote, f)
 		return f.Seq
 	case frameResp:
 		if t.accept(remote, f.Seq) {
@@ -541,6 +537,11 @@ func (t *Transport) logDrop(remote string, f *frame, g *Group) {
 func (t *Transport) accept(remote string, seq uint64) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.acceptLocked(remote, seq)
+}
+
+// acceptLocked is accept for a caller that holds t.mu.
+func (t *Transport) acceptLocked(remote string, seq uint64) bool {
 	if seq <= t.lastSeq[remote] {
 		return false
 	}
@@ -567,12 +568,20 @@ func (t *Transport) sendAck(remote string, hw hwSynced) {
 	p.queueAck(hw)
 }
 
-// serve runs the RPC handler of the request's group and queues the
-// response (which carries the same group, so the caller's node routes the
-// metrics to the right shard).
+// serve passes a request frame through the duplicate filter and runs its
+// group's RPC handler on the receive loop that read it — so the handler
+// must not block on the network — then queues the response (which carries
+// the same group, so the caller's node routes the metrics to the right
+// shard). The filter, the handler lookup and the response's peer share
+// one t.mu section: the receive loop serves every group's requests, and
+// t.mu is also the lock every group's TryRecv takes. The response is
+// queued before the batch's ack, so the two usually leave in one write.
 func (t *Transport) serve(remote string, f *frame) {
-	defer t.wg.Done()
 	t.mu.Lock()
+	if !t.acceptLocked(remote, f.Seq) || t.closed {
+		t.mu.Unlock()
+		return
+	}
 	var handler func(core.ProcID, core.Value) (core.Value, error)
 	var spanHandler transport.SpanHandler
 	g := t.groups[f.Group]
@@ -580,11 +589,8 @@ func (t *Transport) serve(remote string, f *frame) {
 		handler = g.handler
 		spanHandler = g.spanHandler
 	}
-	closed := t.closed
+	p := t.peerLocked(remote)
 	t.mu.Unlock()
-	if closed {
-		return
-	}
 	if g != nil && !g.isProc(f.From) {
 		t.logDrop(remote, f, g)
 		return
@@ -608,13 +614,6 @@ func (t *Transport) serve(remote string, f *frame) {
 	default:
 		resp.ErrMsg = "tcp: no RPC handler installed"
 	}
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	p := t.peerLocked(remote)
-	t.mu.Unlock()
 	p.enqueue(resp)
 }
 

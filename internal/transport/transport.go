@@ -128,7 +128,10 @@ func BroadcastSpan(t Transport, from core.ProcID, payload core.Value, sc core.Sp
 // SpanHandler is the span-aware server side of the RPC plane: it receives
 // the caller's trace context alongside the request and returns the
 // response context to ship back (typically the serve span's identity plus
-// the server's Lamport clock at the response edge).
+// the server's Lamport clock at the response edge). A socket backend runs
+// it on the receive loop of the caller's connection, so it must return
+// without blocking on the network: the frames behind the request, acks
+// included, wait for it.
 type SpanHandler func(from core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error)
 
 // SpanRPC is the trace plane of the RPC interface, mirroring SpanCarrier:
@@ -139,7 +142,8 @@ type SpanRPC interface {
 	// server's response context.
 	CallSpan(from, to core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error)
 	// SetSpanHandler installs the span-aware server side. It must be
-	// installed before Dial, and it supersedes SetHandler.
+	// installed before Dial, and it supersedes SetHandler. The handler
+	// must not block on the network (see SpanHandler).
 	SetSpanHandler(fn SpanHandler)
 }
 
@@ -148,11 +152,13 @@ type SpanRPC interface {
 // OS process (the RDMA verbs of the model); backends that host all
 // processes in one address space do not need it.
 type RPC interface {
-	// Call sends req from→to and blocks for the matching response.
+	// Call sends req from→to and blocks for the matching response, until
+	// a timeout or until the transport is closed (ErrClosed).
 	Call(from, to core.ProcID, req core.Value) (core.Value, error)
 	// SetHandler installs the server side: fn is invoked for every
 	// incoming request and its return value is sent back to the caller.
-	// It must be installed before Dial.
+	// It must be installed before Dial, and like a SpanHandler it must not
+	// block on the network.
 	SetHandler(fn func(from core.ProcID, req core.Value) (core.Value, error))
 }
 
