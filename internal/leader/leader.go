@@ -113,16 +113,14 @@ func New(cfg Config) core.Algorithm {
 				return err
 			}
 			for {
-				stepsAtTop := env.LocalSteps()
 				if err := det.Tick(env); err != nil {
 					return err
 				}
-				// Every loop iteration must cost at least one step, so
-				// timers advance and the scheduler can interleave (an
-				// idle non-leader performs no shared operations at all).
-				if env.LocalSteps() == stepsAtTop {
-					env.Yield()
-				}
+				// Every iteration ends in one Yield: timers advance even
+				// when an idle non-leader performs no shared operation,
+				// and on rt the leader parks between heartbeats instead
+				// of spinning a core (DESIGN.md §4.2, parking).
+				env.Yield()
 			}
 		}
 	})

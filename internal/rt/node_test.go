@@ -283,9 +283,9 @@ func TestManyGroupsSteadyStateOverTCP(t *testing.T) {
 
 	// The detector runs at the default η = 32: an idle follower parks in
 	// Yield and steps about once per millisecond, so its heartbeat timer
-	// spans tens of milliseconds. A leader never parks — it writes its
-	// heartbeat on every Figure-3 iteration — so a thousand leaders still
-	// keep the cores busy and the fleet takes tens of seconds to settle.
+	// spans tens of milliseconds. A leader parks between heartbeats too
+	// (its Figure-3 loop ends each iteration in Yield), so a thousand
+	// idle groups leave the cores to the receive loops.
 	alg := leader.New(leader.Config{Notifier: leader.SharedMemoryNotifier})
 	type shard struct {
 		g        [2]*Group
