@@ -53,8 +53,11 @@
 // renders each shard's counters with a group label.
 //
 // The transport's timing knobs are exposed as flags (-connect-timeout,
-// -backoff-base, -backoff-max, -write-timeout, -call-timeout,
-// -drain-timeout); zero keeps the tcp.Timeouts default.
+// -backoff-base, -backoff-max, -write-timeout, -drain-timeout); zero
+// keeps the tcp.Timeouts default. A remote register op has no timeout:
+// like a register of the model it does not fail because its owner is
+// slow, restarting or shut down, and waits for the answer until the node
+// itself stops.
 package main
 
 import (
@@ -111,7 +114,6 @@ func run() int {
 		backoffB = flag.Duration("backoff-base", 0, "initial reconnect backoff (0 = transport default)")
 		backoffM = flag.Duration("backoff-max", 0, "reconnect backoff ceiling (0 = transport default)")
 		writeT   = flag.Duration("write-timeout", 0, "per-flush socket write deadline (0 = transport default)")
-		callT    = flag.Duration("call-timeout", 0, "remote-register RPC deadline (0 = transport default)")
 		drainT   = flag.Duration("drain-timeout", 0, "unacked-frame drain budget on shutdown (0 = transport default)")
 
 		metricsAddr = flag.String("metrics-addr", "", "host:port serving /metrics, /healthz and /status (empty disables)")
@@ -182,7 +184,6 @@ func run() int {
 			BackoffBase: *backoffB,
 			BackoffMax:  *backoffM,
 			Write:       *writeT,
-			Call:        *callT,
 			Drain:       *drainT,
 		},
 	}
@@ -268,12 +269,11 @@ func run() int {
 			return fmt.Sprintf("leader %v", l), nil
 		}
 	case "rsm":
-		// Crash-recovery replication: shared-memory leader notification
-		// (no extra message load) and fault-tolerant ticks, so a peer that
-		// is down for a restart reads as unavailable, not fatal.
+		// Crash-recovery replication with shared-memory leader
+		// notification (no extra message load). A read of a register whose
+		// owner is down for a restart waits for it to come back.
 		algo = rsm.New(rsm.Config{
 			CommandsPerProcess: *cmds,
-			TolerateMemFaults:  true,
 			Leader:             leader.Config{Notifier: leader.SharedMemoryNotifier},
 		})
 		total := *n * *cmds

@@ -35,32 +35,27 @@ func TestRecoveredLog(t *testing.T) {
 }
 
 // With memory that dies with its process (the crash-stop ablation), a
-// replica reading the dead process's slots gets ErrMemoryFailed forever.
-// TolerateMemFaults must keep the survivors alive through that — the
-// crash-recovery stance that a faulted read is a retry, not a death
-// sentence — while the default mode unwinds them.
-func TestTolerateMemFaults(t *testing.T) {
-	run := func(tolerate bool) *sim.Result {
-		r, err := sim.New(sim.Config{
-			RunConfig:            sim.RunConfig{GSM: graph.Complete(4), Seed: 5},
-			Scheduler:            sched.NewRandom(13),
-			MaxSteps:             400_000,
-			Crashes:              []sim.Crash{{Proc: 0, AtStep: 10_000}},
-			MemoryFailsWithCrash: true,
-		}, New(Config{CommandsPerProcess: 2, TolerateMemFaults: tolerate}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+// replica reading the dead process's slots gets ErrMemoryFailed, and the
+// replica unwinds with it: the log has no mode that swallows a memory
+// fault, because on the crash-recovery runtime a remote register op waits
+// for its owner rather than failing.
+func TestMemoryFailureEndsReplica(t *testing.T) {
+	r, err := sim.New(sim.Config{
+		RunConfig:            sim.RunConfig{GSM: graph.Complete(4), Seed: 5},
+		Scheduler:            sched.NewRandom(13),
+		MaxSteps:             400_000,
+		Crashes:              []sim.Crash{{Proc: 0, AtStep: 10_000}},
+		MemoryFailsWithCrash: true,
+	}, New(Config{CommandsPerProcess: 2}))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	strict := run(false)
+	res, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	died := 0
-	for p, e := range strict.Errors {
+	for p, e := range res.Errors {
 		if p == 0 {
 			continue
 		}
@@ -69,13 +64,6 @@ func TestTolerateMemFaults(t *testing.T) {
 		}
 	}
 	if died == 0 {
-		t.Fatalf("strict mode: no survivor died of ErrMemoryFailed; errors = %v", strict.Errors)
-	}
-
-	tolerant := run(true)
-	for p, e := range tolerant.Errors {
-		if p != 0 {
-			t.Errorf("tolerant mode: replica %v died: %v", p, e)
-		}
+		t.Fatalf("no survivor died of ErrMemoryFailed; errors = %v", res.Errors)
 	}
 }

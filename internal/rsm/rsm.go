@@ -39,6 +39,9 @@
 //     skips any command it already applied, and keeps a hash chain over
 //     what it applied. Equal applied counts imply equal hashes on every
 //     replica.
+//   - Faults. A register or link error ends the replica. The registers do
+//     not fail (§3): over rt a remote op waits for its owner, across a
+//     restart, until the replica's own group stops.
 package rsm
 
 import (
@@ -108,15 +111,6 @@ type Config struct {
 	ResendInterval uint64
 	// Leader configures the embedded Ω detector.
 	Leader leader.Config
-	// TolerateMemFaults keeps the replica loop alive across errors from
-	// shared-memory and link operations instead of unwinding on the first
-	// one. With a distributed transport, a crashed-but-recovering peer
-	// makes remote reads of its registers fail for the whole outage; a
-	// crash-stop replica would die with it, a crash-recovery replica (this
-	// mode) retries next tick and resumes when the peer returns.
-	// Termination stays guaranteed: the hosts stop processes by
-	// panic-unwind at the next env operation, not by error returns.
-	TolerateMemFaults bool
 }
 
 // maxResendBackoff caps the stall backoff at this multiple of
@@ -196,7 +190,7 @@ func run(env core.Env, cfg Config) error {
 
 	for {
 		stepsAtTop, slotAtTop := env.LocalSteps(), r.slot
-		if err := r.tick(env); err != nil && !cfg.TolerateMemFaults {
+		if err := r.tick(env); err != nil {
 			return err
 		}
 		env.Expose(AppliedKey, len(r.applied))
@@ -212,9 +206,8 @@ func run(env core.Env, cfg Config) error {
 	}
 }
 
-// tick is one iteration of the replica loop. Each phase's error aborts the
-// iteration; whether it also aborts the replica is the caller's call
-// (Config.TolerateMemFaults).
+// tick is one iteration of the replica loop. An error from any phase ends
+// the replica (see Faults in the package doc).
 func (r *replica) tick(env core.Env) error {
 	if err := r.det.Tick(env); err != nil {
 		return err

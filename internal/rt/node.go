@@ -122,10 +122,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	return n, nil
 }
 
-// OpenGroup resolves the group through the directory, opens its view of
-// the node transport (a private in-process Chan on a transport-less node),
-// and builds the Group; its processes run once Start is called. It is the
-// only way to build a Group. Any id may be opened, 0 included.
+// OpenGroup resolves the group through the directory, builds the Group
+// with its recovered registers, then opens its view of the node transport
+// (a private in-process Chan on a transport-less node) with the Group's
+// register handler, so the view serves from its first frame on; its
+// processes run once Start is called. It is the only way to build a
+// Group. Any id may be opened, 0 included.
 func (nd *Node) OpenGroup(id transport.GroupID, cfg GroupConfig, alg core.Algorithm) (*Group, error) {
 	if cfg.GSM == nil {
 		return nil, errors.New("rt: GroupConfig.GSM is required")
@@ -179,6 +181,11 @@ func (nd *Node) OpenGroup(id transport.GroupID, cfg GroupConfig, alg core.Algori
 		nd.mu.Unlock()
 	}
 
+	cfg.Registry = greg
+	if cfg.Logf == nil {
+		cfg.Logf = nd.logf
+	}
+	g := newGroup(cfg, hosted, nd.flight.Scope(label, greg))
 	var gtr transport.Transport
 	if nd.tr != nil {
 		var err error
@@ -187,6 +194,7 @@ func (nd *Node) OpenGroup(id transport.GroupID, cfg GroupConfig, alg core.Algori
 			Hosted:   hosted,
 			Addrs:    asn.Addrs,
 			Registry: greg,
+			Handler:  g.serveMemSpan,
 		})
 		if err != nil {
 			release()
@@ -196,16 +204,10 @@ func (nd *Node) OpenGroup(id transport.GroupID, cfg GroupConfig, alg core.Algori
 		release()
 		return nil, fmt.Errorf("rt: group %d is distributed but the node has no transport", id)
 	} else {
-		// Counters only: newGroup's Lossy wrapper is the one drop path.
+		// Counters only: attach's Lossy wrapper is the one drop path.
 		gtr = transport.NewChan(n, msgnet.Reliable, msgnet.WithNetCounters(greg.Counters()))
 	}
-
-	cfg.Registry = greg
-	if cfg.Logf == nil {
-		cfg.Logf = nd.logf
-	}
-	g, err := newGroup(cfg, gtr, hosted, nd.flight.Scope(label, greg), alg)
-	if err != nil {
+	if err := g.attach(gtr, cfg, alg); err != nil {
 		gtr.Close() // detach the shard we just opened
 		release()
 		return nil, err

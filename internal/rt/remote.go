@@ -57,9 +57,11 @@ type memCASResp struct {
 }
 
 // callRemote performs one register RPC on the calling process goroutine:
-// it blocks in CallSpan until the owner answers, the call times out, or
-// Stop closes the group's view, which ends the call with
-// transport.ErrClosed (the process then unwinds, see rtEnv.failed).
+// it blocks in CallSpan until the owner answers or Stop closes the
+// group's view, which ends the call with transport.ErrClosed (the process
+// then unwinds, see rtEnv.failed). Like a register of the model, the op
+// has no other outcome: there is no timeout, and an owner that is slow,
+// restarting or has not opened the group yet is waited for.
 //
 // sp is the caller's span for the operation (nil when unsampled or
 // tracing is off): its context rides the request frame, and the server's
@@ -144,7 +146,7 @@ func reqName(req core.Value) string {
 	}
 }
 
-// serveMemSpan is the RPC handler installed on the group's view, run on
+// serveMemSpan is the RPC handler the group's view is opened with, run on
 // the receive loop that read the request: a traced request records a
 // Serve span parented to the caller's span, and the response carries this
 // node's clock (plus the serve span's identity) back so the caller's

@@ -95,8 +95,8 @@ func TestUntracedServeAllocatesAsServeMem(t *testing.T) {
 }
 
 // TestStopEndsPendingRemoteCall: a process blocked in a remote read whose
-// owner never answers must not hold Stop for the call timeout, and the
-// call that Stop ended is not a process error. The owner is a raw tcp
+// owner never answers must not hold Stop, since a call has no timeout of
+// its own, and the call that Stop ended is not a process error. The owner is a raw tcp
 // group whose handler waits until the test ends.
 func TestStopEndsPendingRemoteCall(t *testing.T) {
 	peer, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0", Timeouts: tcp.Timeouts{Drain: 100 * time.Millisecond}})
@@ -115,17 +115,16 @@ func TestStopEndsPendingRemoteCall(t *testing.T) {
 	}
 	t.Cleanup(func() { nd.Close() })
 
-	view, err := peer.OpenGroup(0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{1}, Addrs: addrs})
-	if err != nil {
-		t.Fatal(err)
-	}
 	entered, release := make(chan struct{}), make(chan struct{})
 	t.Cleanup(func() { close(release) }) // runs first: lets the peer drain
-	view.(transport.SpanRPC).SetSpanHandler(func(core.ProcID, core.Value, core.SpanContext) (core.Value, core.SpanContext, error) {
+	stall := func(core.ProcID, core.Value, core.SpanContext) (core.Value, core.SpanContext, error) {
 		close(entered)
 		<-release
 		return nil, core.SpanContext{}, nil
-	})
+	}
+	if _, err := peer.OpenGroup(0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{1}, Addrs: addrs, Handler: stall}); err != nil {
+		t.Fatal(err)
+	}
 
 	alg := core.AlgorithmFunc(func(core.ProcID) core.Process {
 		return func(env core.Env) error {

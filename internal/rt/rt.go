@@ -173,12 +173,11 @@ type rtProc struct {
 	neighbors []core.ProcID
 }
 
-// newGroup builds the group Node.OpenGroup resolved: view is its
-// transport (a group view of the node transport, or a private Chan),
-// hosted the processes it runs here (nil means all), spans its trace scope
-// (nil when tracing is off). cfg.Registry is set. Processes do not run
-// until Start is called.
-func newGroup(cfg GroupConfig, view transport.Transport, hosted []core.ProcID, spans *trace.Scope, alg core.Algorithm) (*Group, error) {
+// newGroup builds the group Node.OpenGroup resolved, before its view is
+// open: hosted are the processes it runs here (nil means all), spans its
+// trace scope (nil when tracing is off). cfg.Registry is set. It restores
+// the recovered registers, so no handler sees the memory before recovery.
+func newGroup(cfg GroupConfig, hosted []core.ProcID, spans *trace.Scope) *Group {
 	n := cfg.GSM.N()
 	counters := cfg.Registry.Counters()
 	if hosted == nil {
@@ -191,26 +190,6 @@ func newGroup(cfg GroupConfig, view transport.Transport, hosted []core.ProcID, s
 	for _, p := range hosted {
 		hostedSet[p] = true
 	}
-	// Registers owned by processes hosted elsewhere are reached over the
-	// view's RPC plane; with every owner local it is never used.
-	var rpc transport.SpanRPC
-	if len(hosted) < n {
-		var ok bool
-		if rpc, ok = view.(transport.SpanRPC); !ok {
-			return nil, fmt.Errorf("rt: transport %T has no span RPC plane", view)
-		}
-	}
-	if cfg.Links == msgnet.FairLossy && cfg.Drop != nil {
-		// The drop decision happens above the wire, so the fair-loss
-		// adversary composes with any backend. The RPC plane is not
-		// wrapped: remote register access models RDMA, not links.
-		view = transport.NewLossy(view, cfg.Drop, counters)
-	}
-	tr, ok := view.(spanTransport)
-	if !ok {
-		return nil, fmt.Errorf("rt: transport %T has no span plane", view)
-	}
-
 	memOpts := []shm.Option{shm.WithCounters(counters)}
 	if cfg.Durable != nil {
 		memOpts = append(memOpts, shm.WithJournal(cfg.Durable))
@@ -220,8 +199,6 @@ func newGroup(cfg GroupConfig, view transport.Transport, hosted []core.ProcID, s
 		hosted:    hosted,
 		hostedSet: hostedSet,
 		mem:       shm.NewMemory(shm.NewUniformDomain(cfg.GSM), memOpts...),
-		tr:        tr,
-		rpc:       rpc,
 		counters:  counters,
 		registry:  cfg.Registry,
 		durable:   cfg.Durable,
@@ -231,19 +208,12 @@ func newGroup(cfg GroupConfig, view transport.Transport, hosted []core.ProcID, s
 		errs:      make(map[core.ProcID]error),
 		stopCh:    make(chan struct{}),
 	}
-	// Seed recovered registers before any handler or process can observe
-	// the memory: recovery must look like the state simply survived.
+	// Recovery must look like the state simply survived.
 	if cfg.Durable != nil {
 		for ref, v := range cfg.Durable.Recovered() {
 			h.mem.Restore(ref, v)
 			counters.Record(ref.Owner, metrics.RecoveredRegisters, 1)
 		}
-	}
-	if rpc != nil {
-		rpc.SetSpanHandler(h.serveMemSpan)
-	}
-	if err := tr.Dial(); err != nil {
-		return nil, fmt.Errorf("rt: transport dial: %w", err)
 	}
 	for _, p := range hosted {
 		ns := cfg.GSM.Neighbors(int(p))
@@ -251,18 +221,49 @@ func newGroup(cfg GroupConfig, view transport.Transport, hosted []core.ProcID, s
 		for i, q := range ns {
 			neighbors[i] = core.ProcID(q)
 		}
-		ps := &rtProc{
+		h.procs[p] = &rtProc{
 			id:        p,
 			rng:       rand.New(rand.NewSource(cfg.Seed ^ (0x9e3779b9 * int64(p+1)))),
 			wake:      make(chan struct{}, 1),
 			exposed:   make(map[string]core.Value),
 			neighbors: neighbors,
 		}
-		h.procs[p] = ps
-		tr.SetWake(p, ps.wake)
+	}
+	return h
+}
+
+// attach connects the group to view — a group view of the node transport,
+// already serving h.serveMemSpan, or a private Chan — dials it and builds
+// the process goroutines, which wait for Start.
+func (h *Group) attach(view transport.Transport, cfg GroupConfig, alg core.Algorithm) error {
+	// Registers owned by processes hosted elsewhere are reached over the
+	// view's RPC plane; with every owner local it is never used.
+	if len(h.hosted) < h.n {
+		rpc, ok := view.(transport.SpanRPC)
+		if !ok {
+			return fmt.Errorf("rt: transport %T has no span RPC plane", view)
+		}
+		h.rpc = rpc
+	}
+	if cfg.Links == msgnet.FairLossy && cfg.Drop != nil {
+		// The drop decision happens above the wire, so the fair-loss
+		// adversary composes with any backend. The RPC plane is not
+		// wrapped: remote register access models RDMA, not links.
+		view = transport.NewLossy(view, cfg.Drop, h.counters)
+	}
+	tr, ok := view.(spanTransport)
+	if !ok {
+		return fmt.Errorf("rt: transport %T has no span plane", view)
+	}
+	h.tr = tr
+	if err := tr.Dial(); err != nil {
+		return fmt.Errorf("rt: transport dial: %w", err)
+	}
+	for _, p := range h.hosted {
+		tr.SetWake(p, h.procs[p].wake)
 	}
 	h.allProcsInit(alg)
-	return h, nil
+	return nil
 }
 
 func (h *Group) allProcsInit(alg core.Algorithm) {

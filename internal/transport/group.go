@@ -28,6 +28,10 @@ type GroupConfig struct {
 	// nil the group is uninstrumented until Instrument is called on the
 	// returned view.
 	Registry *metrics.Registry
+	// Handler serves the group's RPC requests from the moment it is open.
+	// A request for a group that is not open is dropped unanswered; an
+	// open group without a handler answers with an error.
+	Handler SpanHandler
 }
 
 // Sharded is a node-level transport that multiplexes many independent

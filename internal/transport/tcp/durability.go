@@ -371,11 +371,15 @@ func (l *frameLog) peerAddrs() []string {
 
 // seedPeer installs the mirror's recovered sender state into a
 // just-created peer: the sequence counter and the unacked frames, oldest
-// first, ready for the send loop to (re)transmit. The frames come out of
-// the journal, so seedPeer mints their journaled values itself. Called
-// from peerLocked before the peer is published or its send loop starts, so
-// the peer needs no locking; returns the number of frames restored (none
-// with a nil log).
+// first, ready for the send loop to (re)transmit. Request frames are left
+// out: their caller died with the previous incarnation, so nothing waits
+// for the answer, and the owner must not apply a write or CAS nobody
+// issued any more. The receiver's duplicate filter only needs ascending
+// sequence numbers, so the gap they leave is harmless. The frames come
+// out of the journal, so seedPeer mints their journaled values itself.
+// Called from peerLocked before the peer is published or its send loop
+// starts, so the peer needs no locking; returns the number of frames
+// restored (none with a nil log).
 func (l *frameLog) seedPeer(p *peer, addr string) int {
 	if l == nil {
 		return 0
@@ -394,6 +398,9 @@ func (l *frameLog) seedPeer(p *peer, addr string) int {
 		var f frame
 		if err := decodeFrame(sf.body, &f); err != nil {
 			continue // journaled by this codec; cannot happen, but never panic recovery
+		}
+		if f.Kind == frameReq {
+			continue
 		}
 		p.pending.push(journaled{&f})
 		restored++

@@ -1,13 +1,16 @@
 package tcp
 
 import (
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/mnm-model/mnm/internal/core"
+	"github.com/mnm-model/mnm/internal/transport"
 )
 
 // testFrame builds an encodable sequenced frame for white-box frame-log
@@ -315,5 +318,190 @@ func TestDurableOpenErrorSurfaces(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("New with an unusable durability dir succeeded")
+	}
+}
+
+// callAsync issues g.Call(0, 1, req) on its own goroutine; the channel
+// yields the outcome.
+func callAsync(g *Group, req core.Value) <-chan callResult {
+	out := make(chan callResult, 1)
+	go func() {
+		v, err := g.Call(0, 1, req)
+		out <- callResult{val: v, err: err}
+	}()
+	return out
+}
+
+// awaitCall waits for a call started by callAsync.
+func awaitCall(t *testing.T, res <-chan callResult) callResult {
+	t.Helper()
+	select {
+	case r := <-res:
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatal("call did not return within 10s")
+		return callResult{}
+	}
+}
+
+// TestDurableRestartDropsDeadIncarnationsRequests: a durable node calls a
+// peer that is down, dies (Close; the request is journaled, so kill -9
+// holds the same state) and restarts from its data dir. The dead call's
+// request must not be retransmitted: nothing waits for its answer any
+// more, and a write or CAS applied for a caller that no longer exists
+// would be a register op nobody issued. The restarted node's own call
+// gets its own answer, and the peer serves only that request.
+func TestDurableRestartDropsDeadIncarnationsRequests(t *testing.T) {
+	addrA, addrB := reserveAddr(t), reserveAddr(t)
+	addrs := []string{addrA, addrB}
+	dir := t.TempDir()
+	short := Timeouts{Connect: 200 * time.Millisecond, Drain: 100 * time.Millisecond}
+	mkA := func() (*Transport, *Group) {
+		tr, err := New(Config{ListenAddr: addrA, Durability: &Durability{Dir: dir}, Timeouts: short})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, openTestGroup(t, tr, 0, []core.ProcID{0}, addrs)
+	}
+
+	a, ga := mkA()
+	old := callAsync(ga, "old")
+	deadline := time.Now().Add(10 * time.Second)
+	for _, queued := peerQueue(a, addrB); queued == 0; _, queued = peerQueue(a, addrB) {
+		if !time.Now().Before(deadline) {
+			t.Fatal("the first incarnation's request was never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatalf("close first incarnation: %v", err)
+	}
+	if r := awaitCall(t, old); !errors.Is(r.err, transport.ErrClosed) {
+		t.Fatalf("the dead incarnation's call returned %v, %v; want ErrClosed", r.val, r.err)
+	}
+
+	a2, ga2 := mkA()
+	defer a2.Close()
+	var mu sync.Mutex
+	var served []core.Value
+	b, err := New(Config{ListenAddr: addrB, Timeouts: short})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	echo := func(_ core.ProcID, req core.Value, _ core.SpanContext) (core.Value, core.SpanContext, error) {
+		mu.Lock()
+		served = append(served, req)
+		mu.Unlock()
+		return req, core.SpanContext{}, nil
+	}
+	vb, err := b.OpenGroup(0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{1}, Addrs: addrs, Handler: echo})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vb.Dial(); err != nil {
+		t.Fatal(err)
+	}
+
+	if r := awaitCall(t, callAsync(ga2, "new")); r.err != nil || r.val != "new" {
+		t.Fatalf("the restarted node's call returned %v, %v; want its own answer \"new\"", r.val, r.err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(served) != 1 || served[0] != "new" {
+		t.Fatalf("peer served %v, want only [new]: a dead incarnation's request was executed", served)
+	}
+}
+
+// TestDurableRestartCallIgnoresDeadIncarnationsAnswer: the peer received
+// the dead incarnation's request and answers it only after the node has
+// restarted, while the new incarnation's first call is pending. Call ids
+// start from a random base in every incarnation, so the late answer
+// matches no call and the pending one still gets its own.
+func TestDurableRestartCallIgnoresDeadIncarnationsAnswer(t *testing.T) {
+	addrA := reserveAddr(t)
+	dir := t.TempDir()
+	short := Timeouts{Connect: 200 * time.Millisecond, BackoffMax: 50 * time.Millisecond, Drain: 100 * time.Millisecond}
+
+	oldIn, newIn := make(chan struct{}), make(chan struct{})
+	releaseOld, releaseNew := make(chan struct{}), make(chan struct{})
+	release := func(ch chan struct{}) {
+		select {
+		case <-ch:
+		default:
+			close(ch)
+		}
+	}
+	// Deferred first, so it runs last: the handlers return before b drains.
+	b, err := New(Config{ListenAddr: "127.0.0.1:0", Timeouts: short})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	defer release(releaseNew)
+	defer release(releaseOld)
+	addrs := []string{addrA, b.Addr()}
+	stall := func(_ core.ProcID, req core.Value, _ core.SpanContext) (core.Value, core.SpanContext, error) {
+		switch req {
+		case "old":
+			close(oldIn)
+			<-releaseOld
+		case "new":
+			close(newIn)
+			<-releaseNew
+		}
+		return req, core.SpanContext{}, nil
+	}
+	vb, err := b.OpenGroup(0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{1}, Addrs: addrs, Handler: stall})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := vb.Dial(); err != nil {
+		t.Fatal(err)
+	}
+	mkA := func() (*Transport, *Group) {
+		tr, err := New(Config{ListenAddr: addrA, Durability: &Durability{Dir: dir}, Timeouts: short})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, openTestGroup(t, tr, 0, []core.ProcID{0}, addrs)
+	}
+	awaitServe := func(in chan struct{}, what string) {
+		t.Helper()
+		select {
+		case <-in:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("the %s request never reached the peer's handler", what)
+		}
+	}
+
+	a, ga := mkA()
+	old := callAsync(ga, "old")
+	awaitServe(oldIn, "first incarnation's")
+	if err := a.Close(); err != nil {
+		t.Fatalf("close first incarnation: %v", err)
+	}
+	if r := awaitCall(t, old); !errors.Is(r.err, transport.ErrClosed) {
+		t.Fatalf("the dead incarnation's call returned %v, %v; want ErrClosed", r.val, r.err)
+	}
+
+	a2, ga2 := mkA()
+	defer a2.Close()
+	fresh := callAsync(ga2, "new")
+	awaitServe(newIn, "restarted node's")
+	// Answer the dead call first, and hold the live one until that answer
+	// is on the peer's queue: the two responses reach the node in order.
+	before, _ := peerQueue(b, addrA)
+	release(releaseOld)
+	deadline := time.Now().Add(10 * time.Second)
+	for last, _ := peerQueue(b, addrA); last == before; last, _ = peerQueue(b, addrA) {
+		if !time.Now().Before(deadline) {
+			t.Fatal("the peer never answered the dead incarnation's request")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release(releaseNew)
+	if r := awaitCall(t, fresh); r.err != nil || r.val != "new" {
+		t.Fatalf("the restarted node's call returned %v, %v; want its own answer \"new\"", r.val, r.err)
 	}
 }
