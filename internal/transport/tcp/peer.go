@@ -483,6 +483,7 @@ func (p *peer) sendLoop() {
 					p.t.log("dropping frame to %s: %v", p.addr, err)
 					p.t.record(f.From, metrics.FrameDropEncode, 1)
 					p.dropPending(f.Seq)
+					p.endUnencodable(f, err)
 					continue
 				}
 				werr = err
@@ -570,6 +571,17 @@ func (p *peer) dropPending(seq uint64) {
 		if err := p.t.dlog.logDrop(p.addr, seq); err != nil {
 			p.t.log("frame log: drop seq %d to %s: %v", seq, p.addr, err)
 		}
+	}
+}
+
+// endUnencodable ends the call of a dropped request or response with the
+// encode error, so no caller waits for an answer that cannot be sent.
+func (p *peer) endUnencodable(f *frame, err error) {
+	switch f.Kind {
+	case frameReq:
+		p.t.endCall(f.CallID, callResult{err: err})
+	case frameResp: // answer with the error alone
+		p.enqueue(frame{Kind: frameResp, From: f.From, To: f.To, CallID: f.CallID, Group: f.Group, ErrMsg: encodeError(err)})
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -415,5 +416,48 @@ func TestCodecLessSendDroppedNotWedged(t *testing.T) {
 	}
 	if m, ok := nodes[1].TryRecv(1); ok {
 		t.Errorf("unexpected extra message %#v", m.Payload)
+	}
+}
+
+// TestCodecLessCallFails: a call whose request or response has no payload
+// codec can never be answered over the wire, so it must fail rather than
+// wait forever. The request is dropped at encode time and its caller gets
+// the encode error; the response is replaced by one carrying that error.
+// The link stays usable for the next call.
+func TestCodecLessCallFails(t *testing.T) {
+	nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
+	type codecLess struct{ N int }
+	nodes[1].SetHandler(func(_ core.ProcID, req core.Value) (core.Value, error) {
+		if req == "codec-less" {
+			return codecLess{N: 1}, nil
+		}
+		return req, nil
+	})
+	call := func(req core.Value) (core.Value, error) {
+		type result struct {
+			v   core.Value
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			v, err := nodes[0].Call(0, 1, req)
+			done <- result{v, err}
+		}()
+		select {
+		case r := <-done:
+			return r.v, r.err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Call(%#v) still waiting after 10s", req)
+			return nil, nil
+		}
+	}
+	if _, err := call(codecLess{N: 1}); err == nil || !strings.Contains(err.Error(), "not encodable") {
+		t.Errorf("call with a codec-less request = %v, want the encode error", err)
+	}
+	if _, err := call("codec-less"); err == nil || !strings.Contains(err.Error(), "not encodable") {
+		t.Errorf("call answered with a codec-less value = %v, want the encode error", err)
+	}
+	if v, err := call("ok"); err != nil || v != "ok" {
+		t.Errorf("next call = %v, %v; want the echo", v, err)
 	}
 }
