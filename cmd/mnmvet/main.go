@@ -9,7 +9,7 @@
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
 //
-// The seven rules (see DESIGN.md "Machine-checked invariants"):
+// The six rules (see DESIGN.md "Machine-checked invariants"):
 //
 //	simdeterminism  no wall clock / global rand in deterministic packages
 //	wirecodec       every wire-crossing type is listed in wire.go and has a current generated codec
@@ -17,9 +17,8 @@
 //	timerleak       no time.After in loops, no time.Tick
 //	stopselect      channel waits in rt/transport are stop-interruptible
 //	lockorder       the cross-package lock-acquisition graph stays acyclic
-//	spanprop        transport sends thread the trace context or fall back explicitly
 //
-// lockedblocking, lockorder and spanprop run on interprocedural effect
+// lockedblocking and lockorder run on interprocedural effect
 // summaries: a package-level call graph with per-function effects
 // propagated bottom-up over SCCs, so a blocking call or lock nesting
 // hidden behind a helper is still seen.

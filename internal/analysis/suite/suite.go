@@ -7,7 +7,6 @@ import (
 	"github.com/mnm-model/mnm/internal/analysis/lockedblocking"
 	"github.com/mnm-model/mnm/internal/analysis/lockorder"
 	"github.com/mnm-model/mnm/internal/analysis/simdeterminism"
-	"github.com/mnm-model/mnm/internal/analysis/spanprop"
 	"github.com/mnm-model/mnm/internal/analysis/stopselect"
 	"github.com/mnm-model/mnm/internal/analysis/timerleak"
 	"github.com/mnm-model/mnm/internal/analysis/wirecodec"
@@ -15,7 +14,7 @@ import (
 
 // All returns every mnmvet analyzer, in reporting order: the v1
 // syntactic rules first, then the v2 interprocedural family
-// (lockorder/spanprop ride the shared callgraph + effect summaries).
+// (lockedblocking/lockorder ride the shared callgraph + effect summaries).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		simdeterminism.Analyzer,
@@ -24,6 +23,5 @@ func All() []*analysis.Analyzer {
 		timerleak.Analyzer,
 		stopselect.Analyzer,
 		lockorder.Analyzer,
-		spanprop.Analyzer,
 	}
 }

@@ -1,7 +1,7 @@
 // Package summary computes per-function effect summaries over the
 // callgraph and propagates them bottom-up through SCCs, so analyzers can
 // reason across call boundaries: "does calling this function block?",
-// "which locks can it acquire?", "does it reach a span-aware send?".
+// "which locks can it acquire?".
 //
 // # Effects
 //
@@ -13,12 +13,6 @@
 // holding peer locks, and that is the invariant, not a bug. (The WAL's
 // orderings themselves are not effects either: tcp's journaled/hwSynced
 // values and shm's storeLocked make them data dependences.)
-//
-// Span effects key off the transport interfaces: a call to
-// Send/Broadcast (resp. Call) on a value implementing transport.Transport
-// (resp. transport.RPC) is PlainSend (PlainCall); SendSpan/BroadcastSpan
-// on a transport.SpanCarrier (CallSpan on a transport.SpanRPC) is
-// SpanSend (SpanCall).
 //
 // # Propagation
 //
@@ -62,14 +56,6 @@ const (
 	Logs
 	// NetIO: any call into package net (conn reads/writes, dial, listen).
 	NetIO
-	// PlainSend: Send/Broadcast on a transport.Transport — no trace context.
-	PlainSend
-	// SpanSend: SendSpan/BroadcastSpan on a transport.SpanCarrier.
-	SpanSend
-	// PlainCall: Call on a transport.RPC — no trace context.
-	PlainCall
-	// SpanCall: CallSpan on a transport.SpanRPC.
-	SpanCall
 )
 
 // Has reports whether e includes every bit of f.
@@ -83,10 +69,6 @@ var effectNames = []struct {
 	{Observes, "observes-metrics"},
 	{Logs, "logs"},
 	{NetIO, "net-io"},
-	{PlainSend, "plain-send"},
-	{SpanSend, "span-send"},
-	{PlainCall, "plain-call"},
-	{SpanCall, "span-call"},
 }
 
 func (e Effect) String() string {
@@ -102,15 +84,6 @@ func (e Effect) String() string {
 	return strings.Join(parts, "|")
 }
 
-// Event is one effect site inside a function, in source order. A nil Via
-// means the effect happens directly at Pos; otherwise it arrives through
-// a synchronous call to Via (whose own ordering was checked separately).
-type Event struct {
-	Pos    token.Pos
-	Effect Effect
-	Via    *types.Func
-}
-
 // LockEdge records that a function may acquire one lock while holding
 // another. Via, when non-nil, is the callee the acquisition happens
 // through.
@@ -124,7 +97,7 @@ type LockEdge struct {
 }
 
 // Set is the whole-load summary: callgraph plus per-function effects,
-// events, lock-acquisition sets and lock-order edges.
+// lock-acquisition sets and lock-order edges.
 type Set struct {
 	Graph *callgraph.Graph
 
@@ -132,7 +105,6 @@ type Set struct {
 	direct    map[*types.Func]Effect
 	trans     map[*types.Func]Effect
 	acquires  map[*types.Func]map[string]bool
-	spanParam map[*types.Func]bool
 	lockEdges []LockEdge
 }
 
@@ -151,10 +123,6 @@ func (s *Set) Effects(fn *types.Func) Effect { return s.trans[fn] }
 // DirectEffects returns the effects fn's own body performs.
 func (s *Set) DirectEffects(fn *types.Func) Effect { return s.direct[fn] }
 
-// HasSpanParam reports whether fn's signature carries an explicit span
-// context parameter (a named type called SpanContext).
-func (s *Set) HasSpanParam(fn *types.Func) bool { return s.spanParam[fn] }
-
 // Acquires returns the sorted set of lock keys fn may acquire,
 // directly or through synchronous calls.
 func (s *Set) Acquires(fn *types.Func) []string {
@@ -168,50 +136,6 @@ func (s *Set) Acquires(fn *types.Func) []string {
 
 // LockEdges returns every held→acquired edge in the load.
 func (s *Set) LockEdges() []LockEdge { return s.lockEdges }
-
-// Nodes returns pkg's callgraph nodes in declaration order.
-func (s *Set) Nodes(pkg *loader.Package) []*callgraph.Node {
-	var out []*callgraph.Node
-	for _, n := range s.Graph.Nodes {
-		if n.Pkg == pkg {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Decl.Pos() < out[j].Decl.Pos() })
-	return out
-}
-
-// Events returns fn's effect sites in source order: direct effects at
-// their positions, synchronous calls carrying the callee's transitive
-// effects at the call position, deferred calls at the function's end.
-func (s *Set) Events(fn *types.Func) []Event {
-	node := s.Graph.Nodes[fn]
-	if node == nil {
-		return nil
-	}
-	var out []Event
-	for _, o := range s.ops[fn] {
-		switch o.kind {
-		case opEvent:
-			out = append(out, Event{Pos: o.pos, Effect: o.eff})
-		case opCall:
-			if o.edgeKind == callgraph.Go {
-				continue
-			}
-			eff := s.trans[o.callee]
-			if eff == 0 {
-				continue
-			}
-			pos := o.pos
-			if o.edgeKind == callgraph.Defer {
-				pos = node.Decl.End()
-			}
-			out = append(out, Event{Pos: pos, Effect: eff, Via: o.callee})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
-	return out
-}
 
 // --- construction ---
 
@@ -242,41 +166,21 @@ type op struct {
 	edgeKind callgraph.EdgeKind
 }
 
-const transportPath = "github.com/mnm-model/mnm/internal/transport"
-
-type builder struct {
-	set *Set
-	// transport interface types, nil when the load doesn't reach the
-	// transport package (span effects are then never recognized).
-	ifaceTransport   *types.Interface
-	ifaceSpanCarrier *types.Interface
-	ifaceRPC         *types.Interface
-	ifaceSpanRPC     *types.Interface
-}
-
 // Build computes the summary set of pkgs. Prefer Of, which caches per
 // Program; Build is exported for direct unit testing.
 func Build(pkgs []*loader.Package) *Set {
 	s := &Set{
-		Graph:     callgraph.Build(pkgs),
-		ops:       map[*types.Func][]op{},
-		direct:    map[*types.Func]Effect{},
-		trans:     map[*types.Func]Effect{},
-		acquires:  map[*types.Func]map[string]bool{},
-		spanParam: map[*types.Func]bool{},
-	}
-	b := &builder{set: s}
-	if tp := findTransport(pkgs); tp != nil {
-		b.ifaceTransport = ifaceOf(tp, "Transport")
-		b.ifaceSpanCarrier = ifaceOf(tp, "SpanCarrier")
-		b.ifaceRPC = ifaceOf(tp, "RPC")
-		b.ifaceSpanRPC = ifaceOf(tp, "SpanRPC")
+		Graph:    callgraph.Build(pkgs),
+		ops:      map[*types.Func][]op{},
+		direct:   map[*types.Func]Effect{},
+		trans:    map[*types.Func]Effect{},
+		acquires: map[*types.Func]map[string]bool{},
 	}
 
 	// Pass 1: linearize every body into ops; record direct effects and
 	// direct lock acquisitions.
 	for _, node := range s.Graph.Nodes {
-		ops := b.walk(node)
+		ops := walk(node)
 		s.ops[node.Fn] = ops
 		var eff Effect
 		acq := map[string]bool{}
@@ -290,7 +194,6 @@ func Build(pkgs []*loader.Package) *Set {
 		}
 		s.direct[node.Fn] = eff
 		s.acquires[node.Fn] = acq
-		s.spanParam[node.Fn] = hasSpanParam(node.Fn)
 	}
 
 	// Pass 2: propagate bottom-up. SCCs arrive callees-first, so callee
@@ -327,7 +230,7 @@ func Build(pkgs []*loader.Package) *Set {
 	// Pass 3: replay each body's lock regions against the final
 	// transitive acquisition sets to collect held→acquired edges.
 	for _, node := range s.Graph.Nodes {
-		b.collectLockEdges(node)
+		s.collectLockEdges(node)
 	}
 	sort.Slice(s.lockEdges, func(i, j int) bool {
 		a, c := s.lockEdges[i], s.lockEdges[j]
@@ -342,8 +245,7 @@ func Build(pkgs []*loader.Package) *Set {
 	return s
 }
 
-func (b *builder) collectLockEdges(node *callgraph.Node) {
-	s := b.set
+func (s *Set) collectLockEdges(node *callgraph.Node) {
 	var held []string
 	var saved [][]string
 	holds := func(k string) bool {
@@ -402,15 +304,14 @@ func (b *builder) collectLockEdges(node *callgraph.Node) {
 // subtrees are skipped entirely: nothing in them is synchronous with the
 // caller (their call edges live in the callgraph with Kind Go and are
 // equally excluded from propagation).
-func (b *builder) walk(node *callgraph.Node) []op {
+func walk(node *callgraph.Node) []op {
 	var ops []op
-	w := &walker{b: b, pkg: node.Pkg}
+	w := &walker{pkg: node.Pkg}
 	w.stmt(node.Decl.Body, &ops)
 	return ops
 }
 
 type walker struct {
-	b   *builder
 	pkg *loader.Package
 	// inDefer marks a deferred function literal's body: its unlocks are
 	// exit-time unlocks and its calls are Defer edges.
@@ -509,13 +410,13 @@ func (w *walker) stmt(s ast.Stmt, ops *[]op) {
 		// Nothing inside is synchronous with this goroutine.
 	case *ast.DeferStmt:
 		if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-			inner := &walker{b: w.b, pkg: w.pkg, inDefer: true}
+			inner := &walker{pkg: w.pkg, inDefer: true}
 			*ops = append(*ops, op{pos: lit.Pos(), kind: opPush})
 			inner.stmt(lit.Body, ops)
 			*ops = append(*ops, op{pos: lit.End(), kind: opPop})
 			return
 		}
-		w.b.addCall(w.pkg, s.Call, callgraph.Defer, ops)
+		addCall(w.pkg, s.Call, callgraph.Defer, ops)
 		for _, arg := range s.Call.Args {
 			w.expr(arg, ops)
 		}
@@ -590,7 +491,7 @@ func (w *walker) expr(e ast.Node, ops *[]op) {
 			if w.inDefer {
 				kind = callgraph.Defer
 			}
-			if w.b.addCall(w.pkg, n, kind, ops) {
+			if addCall(w.pkg, n, kind, ops) {
 				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
 					w.expr(sel.X, ops)
 				}
@@ -613,7 +514,7 @@ func (w *walker) expr(e ast.Node, ops *[]op) {
 // callgraph ops as appropriate. It reports whether the call was resolved
 // (in which case the caller stops recursing into Fun but still walks the
 // arguments).
-func (b *builder) addCall(pkg *loader.Package, call *ast.CallExpr, kind callgraph.EdgeKind, ops *[]op) bool {
+func addCall(pkg *loader.Package, call *ast.CallExpr, kind callgraph.EdgeKind, ops *[]op) bool {
 	sel, _ := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
@@ -632,7 +533,7 @@ func (b *builder) addCall(pkg *loader.Package, call *ast.CallExpr, kind callgrap
 
 	// Lock operations on sync mutexes become region ops, not calls.
 	if sel != nil && isSyncLockMethod(callee) {
-		key := b.lockKey(pkg, sel.X)
+		key := lockKey(pkg, sel.X)
 		if key == "" {
 			return true
 		}
@@ -649,7 +550,7 @@ func (b *builder) addCall(pkg *loader.Package, call *ast.CallExpr, kind callgrap
 		return true
 	}
 
-	if eff := b.callEffect(pkg, callee, sel); eff != 0 {
+	if eff := callEffect(callee); eff != 0 {
 		*ops = append(*ops, op{pos: pos, kind: opEvent, eff: eff})
 	}
 	*ops = append(*ops, op{pos: pos, kind: opCall, callee: callee, edgeKind: kind})
@@ -658,7 +559,7 @@ func (b *builder) addCall(pkg *loader.Package, call *ast.CallExpr, kind callgrap
 
 // callEffect returns the direct effect a call to callee carries, per the
 // package-doc recognition table.
-func (b *builder) callEffect(pkg *loader.Package, callee *types.Func, sel *ast.SelectorExpr) Effect {
+func callEffect(callee *types.Func) Effect {
 	name := callee.Name()
 	if cp := callee.Pkg(); cp != nil {
 		switch cp.Path() {
@@ -685,36 +586,6 @@ func (b *builder) callEffect(pkg *loader.Package, callee *types.Func, sel *ast.S
 		return Observes
 	}
 
-	// Span effects: interface-implements checks against the transport
-	// package's contracts, on the static type of the receiver expression.
-	if sel != nil {
-		var recv types.Type
-		if s, ok := pkg.Info.Selections[sel]; ok {
-			recv = s.Recv()
-		} else if t := pkg.Info.TypeOf(sel.X); t != nil {
-			recv = t
-		}
-		if recv != nil {
-			switch name {
-			case "Send", "Broadcast":
-				if implementsIface(recv, b.ifaceTransport) {
-					return PlainSend
-				}
-			case "SendSpan", "BroadcastSpan":
-				if implementsIface(recv, b.ifaceSpanCarrier) {
-					return SpanSend
-				}
-			case "Call":
-				if implementsIface(recv, b.ifaceRPC) {
-					return PlainCall
-				}
-			case "CallSpan":
-				if implementsIface(recv, b.ifaceSpanRPC) {
-					return SpanCall
-				}
-			}
-		}
-	}
 	return 0
 }
 
@@ -723,7 +594,7 @@ func (b *builder) callEffect(pkg *loader.Package, callee *types.Func, sel *ast.S
 // "pkgpath.Type.field", package-level mutexes as "pkgpath.var",
 // receivers embedding a mutex as "pkgpath.Type.Mutex". Local mutexes
 // return "" and are not tracked: lock-order cycles need shared locks.
-func (b *builder) lockKey(pkg *loader.Package, x ast.Expr) string {
+func lockKey(pkg *loader.Package, x ast.Expr) string {
 	x = ast.Unparen(x)
 	switch x := x.(type) {
 	case *ast.SelectorExpr:
@@ -803,67 +674,4 @@ func recvTypeName(fn *types.Func) string {
 		return n.Obj().Name()
 	}
 	return ""
-}
-
-func hasSpanParam(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
-	for i := 0; i < sig.Params().Len(); i++ {
-		if n := namedOf(sig.Params().At(i).Type()); n != nil && n.Obj().Name() == "SpanContext" {
-			return true
-		}
-	}
-	return false
-}
-
-// findTransport locates the transport package's types in the load or its
-// transitive imports (fixture loads reach it through export data).
-func findTransport(pkgs []*loader.Package) *types.Package {
-	seen := map[*types.Package]bool{}
-	var find func(p *types.Package) *types.Package
-	find = func(p *types.Package) *types.Package {
-		if p == nil || seen[p] {
-			return nil
-		}
-		seen[p] = true
-		if p.Path() == transportPath {
-			return p
-		}
-		for _, imp := range p.Imports() {
-			if r := find(imp); r != nil {
-				return r
-			}
-		}
-		return nil
-	}
-	for _, pkg := range pkgs {
-		if r := find(pkg.Types); r != nil {
-			return r
-		}
-	}
-	return nil
-}
-
-func ifaceOf(tp *types.Package, name string) *types.Interface {
-	obj := tp.Scope().Lookup(name)
-	if obj == nil {
-		return nil
-	}
-	iface, _ := obj.Type().Underlying().(*types.Interface)
-	return iface
-}
-
-func implementsIface(t types.Type, iface *types.Interface) bool {
-	if iface == nil || t == nil {
-		return false
-	}
-	if types.Implements(t, iface) {
-		return true
-	}
-	if _, isPtr := t.(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(t), iface)
-	}
-	return false
 }

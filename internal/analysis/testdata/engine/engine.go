@@ -36,7 +36,7 @@ func methodValue(w *worker) func() {
 }
 
 // deferred runs block at function exit — synchronous, so the effect
-// propagates and the event lands at the function's end.
+// propagates.
 func deferred(w *worker) {
 	defer w.block()
 }

@@ -1,7 +1,7 @@
 // Positive fixture: a package with a wire.go must list every local
 // type it hands to the wire surface (interface methods named Send /
 // Broadcast / Write / CompareAndSwap with interface-typed payload
-// parameters — the core.Env shape).
+// parameters — the core.Env and transport.Transport shapes).
 package wirefix
 
 // Value mirrors core.Value.
@@ -15,6 +15,15 @@ type Env interface {
 	CompareAndSwap(ref string, expected, desired Value) (bool, Value, error)
 }
 
+// SpanContext mirrors core.SpanContext: a struct, not a payload.
+type SpanContext struct{ TraceID, SpanID, Clock uint64 }
+
+// Transport mirrors the wire surface of transport.Transport, whose
+// payload is not its last parameter.
+type Transport interface {
+	Send(from, to int, payload Value, sc SpanContext) error
+}
+
 // RegisteredMsg is listed; the fixture has no generated file, which is
 // the manifest half of the rule speaking.
 type RegisteredMsg struct{ X int } // want "no wire_codec.go; run mnmwiregen"
@@ -24,6 +33,8 @@ type UnregisteredMsg struct{ Y int }
 type UnregisteredReg struct{ N int }
 
 type UnregisteredVal int
+
+type UnregisteredLink struct{ Z int }
 
 func Use(env Env) error {
 	if err := env.Broadcast(RegisteredMsg{X: 1}); err != nil {
@@ -46,6 +57,13 @@ func Use(env Env) error {
 		return err
 	}
 	return env.Write("r", "plain string")
+}
+
+func UseTransport(tr Transport) error {
+	if err := tr.Send(0, 1, RegisteredMsg{X: 4}, SpanContext{}); err != nil {
+		return err
+	}
+	return tr.Send(0, 1, UnregisteredLink{Z: 5}, SpanContext{TraceID: 1}) // want "not listed in this package's //mnmwiregen:types directive"
 }
 
 // concrete is NOT the wire surface: a Write on a concrete receiver (the

@@ -6,8 +6,8 @@
 // retry loop, a polling select — that is one leaked timer per iteration
 // for the full timeout; at RPC rates that was tens of thousands of
 // outstanding timers in Transport.Call. The fix idiom is a single
-// time.NewTimer (or Ticker) with a deferred/explicit Stop, exactly what
-// internal/transport/tcp's Call and peer.sleep do now.
+// time.NewTimer (or Ticker) with a deferred/explicit Stop, as
+// internal/transport/tcp's peer.sleep does.
 package timerleak
 
 import (

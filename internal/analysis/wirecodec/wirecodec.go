@@ -17,12 +17,12 @@
 // frame-header version (wire.FrameVersion) it was generated against. In
 // any package that has a wire.go, this analyzer holds the three together:
 //
-//   - every package-local named type passed as an interface-typed argument
-//     to an interface method named Send, Broadcast, Write or CompareAndSwap
-//     (the core.Env and transport.Transport wire surface) is listed. Types
-//     from other packages are that package's responsibility (internal/wire
-//     has builtin codecs for the basic kinds: int, bool, string,
-//     core.ProcID, …);
+//   - every package-local named type passed as an interface-typed argument,
+//     in any position, to an interface method named Send, Broadcast, Write
+//     or CompareAndSwap (the core.Env and transport.Transport wire
+//     surface) is listed. Types from other packages are that package's
+//     responsibility (internal/wire has builtin codecs for the basic
+//     kinds: int, bool, string, core.ProcID, …);
 //   - every listed name is a concrete type declared in the package;
 //   - the listed set and the manifest agree name-for-name and
 //     fingerprint-for-fingerprint, so a type added, removed or reshaped
@@ -95,20 +95,22 @@ func checkSends(pass *analysis.Pass, registered []*types.TypeName) {
 	}
 }
 
-// wireMethods maps the wire-surface method names to the indices of their
-// interface-typed payload parameters (negative = from the end).
-var wireMethods = map[string][]int{
-	"Send":           {-1},
-	"Broadcast":      {-1},
-	"Write":          {-1},
-	"CompareAndSwap": {1, 2},
+// wireMethods names the wire-surface methods. Every interface-typed
+// parameter of one is a payload position, whatever its place in the
+// signature: the payload of transport.Transport.Send is not its last
+// parameter, and CompareAndSwap has two.
+var wireMethods = map[string]bool{
+	"Send":           true,
+	"Broadcast":      true,
+	"Write":          true,
+	"CompareAndSwap": true,
 }
 
 // collectWireArgs records package-local named types passed in payload
 // position of a wire-surface interface method call.
 func collectWireArgs(pass *analysis.Pass, call *ast.CallExpr, needed map[*types.TypeName]wireUse) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
+	if !ok || !wireMethods[sel.Sel.Name] {
 		return
 	}
 	selection := pass.Pkg.Info.Selections[sel]
@@ -121,22 +123,11 @@ func collectWireArgs(pass *analysis.Pass, call *ast.CallExpr, needed map[*types.
 	if !types.IsInterface(selection.Recv()) {
 		return
 	}
-	argIdx, ok := wireMethods[sel.Sel.Name]
-	if !ok {
-		return
-	}
 	sig, ok := selection.Type().(*types.Signature)
 	if !ok || sig.Variadic() {
 		return
 	}
-	for _, idx := range argIdx {
-		i := idx
-		if i < 0 {
-			i += sig.Params().Len()
-		}
-		if i < 0 || i >= sig.Params().Len() || i >= len(call.Args) {
-			continue
-		}
+	for i := 0; i < sig.Params().Len() && i < len(call.Args); i++ {
 		// The parameter must be interface-typed: that is where the
 		// concrete type has to be looked up in the codec registry.
 		if !types.IsInterface(sig.Params().At(i).Type()) {

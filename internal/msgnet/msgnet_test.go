@@ -11,7 +11,7 @@ import (
 
 func TestSendTickRecv(t *testing.T) {
 	net := NewNetwork(3, Reliable)
-	if err := net.Send(0, 1, "hello", 0); err != nil {
+	if err := net.Send(0, 1, "hello", core.SpanContext{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := net.Recv(1); ok {
@@ -29,7 +29,7 @@ func TestSendTickRecv(t *testing.T) {
 
 func TestAutoDeliver(t *testing.T) {
 	net := NewNetwork(2, Reliable, WithAutoDeliver())
-	if err := net.Send(0, 1, 99, 0); err != nil {
+	if err := net.Send(0, 1, 99, core.SpanContext{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	m, ok := net.Recv(1)
@@ -45,7 +45,7 @@ func TestSetWakeSignalsAtDelivery(t *testing.T) {
 	wake := make(chan struct{}, 1)
 	net.SetWake(1, wake)
 	net.SetWake(5, wake) // out of range: ignored
-	if err := net.Send(0, 1, "a", 0); err != nil {
+	if err := net.Send(0, 1, "a", core.SpanContext{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(wake) != 0 {
@@ -59,7 +59,7 @@ func TestSetWakeSignalsAtDelivery(t *testing.T) {
 
 func TestBroadcastIncludesSelf(t *testing.T) {
 	net := NewNetwork(3, Reliable, WithAutoDeliver())
-	if err := net.Broadcast(1, "x", 0); err != nil {
+	if err := net.Broadcast(1, "x", core.SpanContext{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	for p := core.ProcID(0); p < 3; p++ {
@@ -72,10 +72,10 @@ func TestBroadcastIncludesSelf(t *testing.T) {
 
 func TestUnknownProcess(t *testing.T) {
 	net := NewNetwork(2, Reliable)
-	if err := net.Send(0, 5, "x", 0); err == nil {
+	if err := net.Send(0, 5, "x", core.SpanContext{}, 0); err == nil {
 		t.Error("send to unknown process succeeded")
 	}
-	if err := net.Send(-1, 0, "x", 0); err == nil {
+	if err := net.Send(-1, 0, "x", core.SpanContext{}, 0); err == nil {
 		t.Error("send from unknown process succeeded")
 	}
 	if _, ok := net.Recv(9); ok {
@@ -86,7 +86,7 @@ func TestUnknownProcess(t *testing.T) {
 func TestLinkFIFO(t *testing.T) {
 	net := NewNetwork(2, Reliable)
 	for i := 0; i < 10; i++ {
-		if err := net.Send(0, 1, i, 0); err != nil {
+		if err := net.Send(0, 1, i, core.SpanContext{}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +101,7 @@ func TestLinkFIFO(t *testing.T) {
 
 func TestFixedDelay(t *testing.T) {
 	net := NewNetwork(2, Reliable, WithDeliveryPolicy(FixedDelay{D: 5}))
-	if err := net.Send(0, 1, "slow", 10); err != nil {
+	if err := net.Send(0, 1, "slow", core.SpanContext{}, 10); err != nil {
 		t.Fatal(err)
 	}
 	for now := uint64(11); now < 15; now++ {
@@ -120,10 +120,10 @@ func TestFIFOPreservedUnderDelay(t *testing.T) {
 	// Second message has no delay left, first is still held: FIFO demands
 	// the link block, not reorder.
 	net := NewNetwork(2, Reliable, WithDeliveryPolicy(FixedDelay{D: 10}))
-	if err := net.Send(0, 1, "first", 100); err != nil { // ready at 110
+	if err := net.Send(0, 1, "first", core.SpanContext{}, 100); err != nil { // ready at 110
 		t.Fatal(err)
 	}
-	if err := net.Send(0, 1, "second", 95); err != nil { // ready at 105
+	if err := net.Send(0, 1, "second", core.SpanContext{}, 95); err != nil { // ready at 105
 		t.Fatal(err)
 	}
 	net.Tick(106)
@@ -144,10 +144,10 @@ func TestFIFOPreservedUnderDelay(t *testing.T) {
 func TestPartitionHoldsCrossTraffic(t *testing.T) {
 	part := &Partition{SideA: map[core.ProcID]bool{0: true, 1: true}, Until: 100}
 	net := NewNetwork(4, Reliable, WithDeliveryPolicy(part))
-	if err := net.Send(0, 2, "cross", 1); err != nil {
+	if err := net.Send(0, 2, "cross", core.SpanContext{}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := net.Send(0, 1, "within", 1); err != nil {
+	if err := net.Send(0, 1, "within", core.SpanContext{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	net.Tick(50)
@@ -165,7 +165,7 @@ func TestPartitionHoldsCrossTraffic(t *testing.T) {
 
 func TestReliableIgnoresDropPolicy(t *testing.T) {
 	net := NewNetwork(2, Reliable, WithDropPolicy(&DropFirstK{K: 100}), WithAutoDeliver())
-	if err := net.Send(0, 1, "must-arrive", 0); err != nil {
+	if err := net.Send(0, 1, "must-arrive", core.SpanContext{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := net.Recv(1); !ok {
@@ -177,7 +177,7 @@ func TestDropFirstKFairLoss(t *testing.T) {
 	net := NewNetwork(2, FairLossy, WithDropPolicy(&DropFirstK{K: 3}), WithAutoDeliver())
 	delivered := 0
 	for i := 0; i < 5; i++ {
-		if err := net.Send(0, 1, "retry-me", 0); err != nil {
+		if err := net.Send(0, 1, "retry-me", core.SpanContext{}, 0); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := net.Recv(1); ok {
@@ -188,7 +188,7 @@ func TestDropFirstKFairLoss(t *testing.T) {
 		t.Errorf("delivered %d of 5 sends with K=3, want 2", delivered)
 	}
 	// Distinct payloads are tracked separately.
-	if err := net.Send(0, 1, "other", 0); err != nil {
+	if err := net.Send(0, 1, "other", core.SpanContext{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := net.Recv(1); ok {
@@ -243,7 +243,7 @@ func TestQuickIntegrity(t *testing.T) {
 			pay := int(op >> 4)
 			switch op % 3 {
 			case 0:
-				if err := net.Send(core.ProcID(from), core.ProcID(to), pay, now); err != nil {
+				if err := net.Send(core.ProcID(from), core.ProcID(to), pay, core.SpanContext{}, now); err != nil {
 					return false
 				}
 				sent[[3]int{from, to, pay}]++
@@ -288,7 +288,7 @@ func TestNoLossEventualDelivery(t *testing.T) {
 	net := NewNetwork(3, Reliable, WithDeliveryPolicy(RandomDelay{Max: 7, Seed: 3}))
 	const msgs = 50
 	for i := 0; i < msgs; i++ {
-		if err := net.Send(core.ProcID(i%3), core.ProcID((i+1)%3), i, uint64(i)); err != nil {
+		if err := net.Send(core.ProcID(i%3), core.ProcID((i+1)%3), i, core.SpanContext{}, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,8 +313,8 @@ func TestCountersMetering(t *testing.T) {
 		WithDropPolicy(&DropFirstK{K: 1}),
 		WithNetCounters(c),
 		WithAutoDeliver())
-	_ = net.Send(0, 1, "a", 0) // dropped
-	_ = net.Send(0, 1, "a", 0) // delivered
+	_ = net.Send(0, 1, "a", core.SpanContext{}, 0) // dropped
+	_ = net.Send(0, 1, "a", core.SpanContext{}, 0) // delivered
 	if got := c.Of(0, metrics.MsgSent); got != 2 {
 		t.Errorf("MsgSent = %d, want 2", got)
 	}
@@ -334,7 +334,7 @@ func TestConcurrentSendRecv(t *testing.T) {
 		go func(p core.ProcID) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				_ = net.Broadcast(p, i, 0)
+				_ = net.Broadcast(p, i, core.SpanContext{}, 0)
 				net.Recv(p)
 			}
 		}(core.ProcID(p))
@@ -368,7 +368,7 @@ func BenchmarkSendRecvAuto(b *testing.B) {
 	net := NewNetwork(2, Reliable, WithAutoDeliver())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := net.Send(0, 1, i, 0); err != nil {
+		if err := net.Send(0, 1, i, core.SpanContext{}, 0); err != nil {
 			b.Fatal(err)
 		}
 		if _, ok := net.Recv(1); !ok {
@@ -381,7 +381,7 @@ func BenchmarkBroadcastTicked(b *testing.B) {
 	net := NewNetwork(16, Reliable)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := net.Broadcast(0, i, uint64(i)); err != nil {
+		if err := net.Broadcast(0, i, core.SpanContext{}, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 		net.Tick(uint64(i))

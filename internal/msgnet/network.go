@@ -94,16 +94,12 @@ func (net *Network) N() int { return net.n }
 func (net *Network) Kind() LinkKind { return net.kind }
 
 // Send sends payload from→to at tick now. In auto-deliver mode the message
-// is immediately placed in to's mailbox unless dropped.
-func (net *Network) Send(from, to core.ProcID, payload core.Value, now uint64) error {
-	return net.SendSpan(from, to, payload, core.SpanContext{}, now)
-}
-
-// SendSpan is Send carrying a trace context: the context rides the in-flight
-// entry and is surfaced on the delivered core.Message, exactly as the TCP
-// backend carries it in the wire v4 frame header. The network never
-// interprets the context.
-func (net *Network) SendSpan(from, to core.ProcID, payload core.Value, sc core.SpanContext, now uint64) error {
+// is immediately placed in to's mailbox unless dropped. The trace context
+// sc rides the in-flight entry and is surfaced on the delivered
+// core.Message, exactly as the TCP backend carries it in the wire frame
+// header; the network never interprets it, and the zero context means
+// untraced.
+func (net *Network) Send(from, to core.ProcID, payload core.Value, sc core.SpanContext, now uint64) error {
 	if int(to) < 0 || int(to) >= net.n {
 		return fmt.Errorf("%w: send to %v", core.ErrUnknownProc, to)
 	}
@@ -134,17 +130,11 @@ func (net *Network) SendSpan(from, to core.ProcID, payload core.Value, sc core.S
 }
 
 // Broadcast sends payload from every-link of from, including the self link
-// (Ben-Or style "send to all"). It counts as a single send operation of the
-// process but one message per link.
-func (net *Network) Broadcast(from core.ProcID, payload core.Value, now uint64) error {
-	return net.BroadcastSpan(from, payload, core.SpanContext{}, now)
-}
-
-// BroadcastSpan is Broadcast carrying one trace context shared by every
-// copy — the fan-out edges of a single send span.
-func (net *Network) BroadcastSpan(from core.ProcID, payload core.Value, sc core.SpanContext, now uint64) error {
+// (Ben-Or style "send to all"), every copy carrying sc. It counts as a
+// single send operation of the process but one message per link.
+func (net *Network) Broadcast(from core.ProcID, payload core.Value, sc core.SpanContext, now uint64) error {
 	for to := 0; to < net.n; to++ {
-		if err := net.SendSpan(from, core.ProcID(to), payload, sc, now); err != nil {
+		if err := net.Send(from, core.ProcID(to), payload, sc, now); err != nil {
 			return err
 		}
 	}

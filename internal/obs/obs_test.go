@@ -34,10 +34,10 @@ func (s *stubTransport) set(from, to core.ProcID, st transport.LinkState) {
 
 func (s *stubTransport) N() int      { return s.n }
 func (s *stubTransport) Dial() error { return nil }
-func (s *stubTransport) Send(from, to core.ProcID, payload core.Value) error {
+func (s *stubTransport) Send(from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
 	return nil
 }
-func (s *stubTransport) Broadcast(from core.ProcID, payload core.Value) error {
+func (s *stubTransport) Broadcast(from core.ProcID, payload core.Value, sc core.SpanContext) error {
 	return nil
 }
 func (s *stubTransport) TryRecv(p core.ProcID) (core.Message, bool) {

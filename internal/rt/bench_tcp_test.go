@@ -66,7 +66,7 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 	b.ResetTimer()
 	go func() {
 		for i := 0; i < b.N; i++ {
-			trs[0].Broadcast(0, i)
+			trs[0].Broadcast(0, i, core.SpanContext{})
 		}
 	}()
 	total := n * b.N

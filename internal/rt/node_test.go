@@ -179,7 +179,7 @@ func TestDropsOnlyOnFairLossyLinks(t *testing.T) {
 					wantDropped = 1
 				}
 				for attempt := int64(0); attempt <= wantDropped; attempt++ {
-					if err := from.Transport().Send(0, 1, "m"); err != nil {
+					if err := from.Transport().Send(0, 1, "m", core.SpanContext{}); err != nil {
 						t.Fatalf("send: %v", err)
 					}
 				}

@@ -119,7 +119,7 @@ type Group struct {
 	hosted    []core.ProcID
 	hostedSet map[core.ProcID]bool
 	mem       *shm.Memory
-	tr        spanTransport
+	tr        transport.Transport
 	rpc       transport.SpanRPC // nil when every register owner is hosted
 	counters  *metrics.Counters
 	registry  *metrics.Registry
@@ -146,13 +146,6 @@ type Group struct {
 	// onStop, when set (by Node.OpenGroup), runs once after Stop has
 	// closed the group's transport — the node's deregistration hook.
 	onStop func()
-}
-
-// spanTransport is a group's message plane: every backend and the Lossy
-// wrapper carry a trace context with each message.
-type spanTransport interface {
-	transport.Transport
-	transport.SpanCarrier
 }
 
 type rtProc struct {
@@ -251,16 +244,12 @@ func (h *Group) attach(view transport.Transport, cfg GroupConfig, alg core.Algor
 		// wrapped: remote register access models RDMA, not links.
 		view = transport.NewLossy(view, cfg.Drop, h.counters)
 	}
-	tr, ok := view.(spanTransport)
-	if !ok {
-		return fmt.Errorf("rt: transport %T has no span plane", view)
-	}
-	h.tr = tr
-	if err := tr.Dial(); err != nil {
+	h.tr = view
+	if err := view.Dial(); err != nil {
 		return fmt.Errorf("rt: transport dial: %w", err)
 	}
 	for _, p := range h.hosted {
-		tr.SetWake(p, h.procs[p].wake)
+		view.SetWake(p, h.procs[p].wake)
 	}
 	h.allProcsInit(alg)
 	return nil
@@ -589,7 +578,7 @@ func (e *rtEnv) Send(to core.ProcID, payload core.Value) error {
 	e.step()
 	h := e.h
 	sp := h.spans.Start(e.ps.id, trace.Send, func() string { return fmt.Sprintf("→%v %v", to, payload) })
-	err := h.tr.SendSpan(e.ps.id, to, payload, h.spans.Outbound(sp))
+	err := h.tr.Send(e.ps.id, to, payload, h.spans.Outbound(sp))
 	sp.Finish(err)
 	return e.failed(err)
 }
@@ -600,7 +589,7 @@ func (e *rtEnv) Broadcast(payload core.Value) error {
 	e.step()
 	h := e.h
 	sp := h.spans.Start(e.ps.id, trace.Broadcast, func() string { return fmt.Sprintf("%v", payload) })
-	err := h.tr.BroadcastSpan(e.ps.id, payload, h.spans.Outbound(sp))
+	err := h.tr.Broadcast(e.ps.id, payload, h.spans.Outbound(sp))
 	sp.Finish(err)
 	return e.failed(err)
 }

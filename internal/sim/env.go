@@ -59,7 +59,7 @@ func (e *simEnv) trace(kind trace.Kind, ref core.Ref, to core.ProcID, note func(
 // Send implements core.Env. One step.
 func (e *simEnv) Send(to core.ProcID, payload core.Value) error {
 	e.trace(trace.Send, core.Ref{}, to, func() string { return fmt.Sprintf("%v", payload) })
-	err := e.r.net.Send(e.ps.id, to, payload, e.r.step)
+	err := e.r.net.Send(e.ps.id, to, payload, core.SpanContext{}, e.r.step)
 	e.endStep()
 	return err
 }
@@ -67,7 +67,7 @@ func (e *simEnv) Send(to core.ProcID, payload core.Value) error {
 // Broadcast implements core.Env. One step ("send to all").
 func (e *simEnv) Broadcast(payload core.Value) error {
 	e.trace(trace.Broadcast, core.Ref{}, core.NoProc, func() string { return fmt.Sprintf("%v", payload) })
-	err := e.r.net.Broadcast(e.ps.id, payload, e.r.step)
+	err := e.r.net.Broadcast(e.ps.id, payload, core.SpanContext{}, e.r.step)
 	e.endStep()
 	return err
 }

@@ -26,10 +26,7 @@ type Lossy struct {
 	Counters *metrics.Counters
 }
 
-var (
-	_ Transport   = (*Lossy)(nil)
-	_ SpanCarrier = (*Lossy)(nil)
-)
+var _ Transport = (*Lossy)(nil)
 
 // NewLossy wraps inner with the given drop policy.
 func NewLossy(inner Transport, policy msgnet.DropPolicy, counters *metrics.Counters) *Lossy {
@@ -43,34 +40,23 @@ func (l *Lossy) N() int { return l.Inner.N() }
 func (l *Lossy) Dial() error { return l.Inner.Dial() }
 
 // Send implements Transport. The drop decision happens here, before the
-// message reaches the wire.
-func (l *Lossy) Send(from, to core.ProcID, payload core.Value) error {
-	return l.SendSpan(from, to, payload, core.SpanContext{})
-}
-
-// SendSpan implements SpanCarrier. Dropping a traced message drops its
-// context with it — the trace simply shows the send edge without a matching
+// message reaches the wire. Dropping a traced message drops its context
+// with it — the trace simply shows the send edge without a matching
 // receive, which is exactly what happened.
-func (l *Lossy) SendSpan(from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
+func (l *Lossy) Send(from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
 	if l.Policy != nil && l.Policy.Drop(from, to, payload) {
 		l.Counters.Record(from, metrics.MsgSent, 1)
 		l.Counters.Record(from, metrics.MsgDropped, 1)
 		return nil
 	}
-	return SendSpan(l.Inner, from, to, payload, sc)
+	return l.Inner.Send(from, to, payload, sc)
 }
 
 // Broadcast implements Transport. The drop policy is consulted per link,
 // as in msgnet: a broadcast may reach some destinations and not others.
-func (l *Lossy) Broadcast(from core.ProcID, payload core.Value) error {
-	return l.BroadcastSpan(from, payload, core.SpanContext{})
-}
-
-// BroadcastSpan implements SpanCarrier, consulting the drop policy per
-// link like Broadcast.
-func (l *Lossy) BroadcastSpan(from core.ProcID, payload core.Value, sc core.SpanContext) error {
+func (l *Lossy) Broadcast(from core.ProcID, payload core.Value, sc core.SpanContext) error {
 	for to := 0; to < l.Inner.N(); to++ {
-		if err := l.SendSpan(from, core.ProcID(to), payload, sc); err != nil {
+		if err := l.Send(from, core.ProcID(to), payload, sc); err != nil {
 			return err
 		}
 	}

@@ -18,10 +18,7 @@ type Chan struct {
 	closed atomic.Bool
 }
 
-var (
-	_ Transport   = (*Chan)(nil)
-	_ SpanCarrier = (*Chan)(nil)
-)
+var _ Transport = (*Chan)(nil)
 
 // NewChan returns an in-process transport among n processes with links of
 // the given kind. The msgnet options (drop policy, counters) are applied
@@ -37,31 +34,21 @@ func (c *Chan) N() int { return c.net.N() }
 // Dial implements Transport. In-process links need no setup.
 func (c *Chan) Dial() error { return nil }
 
-// Send implements Transport.
-func (c *Chan) Send(from, to core.ProcID, payload core.Value) error {
-	return c.SendSpan(from, to, payload, core.SpanContext{})
-}
-
-// SendSpan implements SpanCarrier: the context rides the msgnet mailbox
-// entry and comes back out as Message.Span.
-func (c *Chan) SendSpan(from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
+// Send implements Transport: the context rides the msgnet mailbox entry
+// and comes back out as Message.Span.
+func (c *Chan) Send(from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	return c.net.SendSpan(from, to, payload, sc, 0)
+	return c.net.Send(from, to, payload, sc, 0)
 }
 
 // Broadcast implements Transport.
-func (c *Chan) Broadcast(from core.ProcID, payload core.Value) error {
-	return c.BroadcastSpan(from, payload, core.SpanContext{})
-}
-
-// BroadcastSpan implements SpanCarrier.
-func (c *Chan) BroadcastSpan(from core.ProcID, payload core.Value, sc core.SpanContext) error {
+func (c *Chan) Broadcast(from core.ProcID, payload core.Value, sc core.SpanContext) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	return c.net.BroadcastSpan(from, payload, sc, 0)
+	return c.net.Broadcast(from, payload, sc, 0)
 }
 
 // TryRecv implements Transport.

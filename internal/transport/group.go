@@ -36,7 +36,7 @@ type GroupConfig struct {
 
 // Sharded is a node-level transport that multiplexes many independent
 // groups over the same underlying links. OpenGroup returns a
-// group-scoped Transport view — Send/Broadcast/TryRecv/Call on the view
+// group-scoped Transport view — Send/Broadcast/TryRecv/CallSpan on the view
 // route only within that group, and Close on the view closes only the
 // group (the node and its connections stay up for the remaining groups).
 // Close on the node closes every group and drains the node's links. The

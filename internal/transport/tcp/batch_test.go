@@ -32,7 +32,7 @@ func TestKillConnectionsMidBatchRetransmits(t *testing.T) {
 	span := time.Millisecond
 	for b := 0; b < bursts; b++ {
 		for i := 0; i < perBurst; i++ {
-			if err := nodes[0].Send(0, 1, b*perBurst+i); err != nil {
+			if err := nodes[0].Send(0, 1, b*perBurst+i, core.SpanContext{}); err != nil {
 				t.Fatalf("Send %d: %v", b*perBurst+i, err)
 			}
 		}
@@ -98,7 +98,7 @@ func TestBacklogFlushesAsOneBatch(t *testing.T) {
 	g0 := openView(t, n0, 0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{0}, Addrs: addrs})
 	const backlog = 120
 	for i := 0; i < backlog; i++ {
-		if err := g0.Send(0, 1, i); err != nil {
+		if err := g0.Send(0, 1, i, core.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestTryRecvDeepMailboxAllocFree(t *testing.T) {
 	nodes := newCluster(t, 2, [][]core.ProcID{{0, 1}})
 	const depth = 4096
 	for i := 0; i < depth; i++ {
-		if err := nodes[0].Send(0, 1, i); err != nil {
+		if err := nodes[0].Send(0, 1, i, core.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func awaitLinkUp(tb testing.TB, tr transport.Transport, from, to core.ProcID) {
 // receiver, reported as a custom frames/s metric.
 func BenchmarkTCPSendThroughput(b *testing.B) {
 	nodes := newCluster(b, 2, [][]core.ProcID{{0}, {1}})
-	if err := nodes[0].Send(0, 1, -1); err != nil {
+	if err := nodes[0].Send(0, 1, -1, core.SpanContext{}); err != nil {
 		b.Fatal(err)
 	}
 	awaitLinkUp(b, nodes[0].Group, 0, 1)
@@ -43,7 +43,7 @@ func BenchmarkTCPSendThroughput(b *testing.B) {
 	b.ResetTimer()
 	go func() {
 		for i := 0; i < b.N; i++ {
-			nodes[0].Send(0, 1, i)
+			nodes[0].Send(0, 1, i, core.SpanContext{})
 		}
 	}()
 	for received := 0; received < b.N; {
@@ -74,7 +74,7 @@ func BenchmarkShardedSendThroughput(b *testing.B) {
 		senders[g], receivers[g] = views[0], views[1]
 		// One frame through every group first, so the timed loop measures
 		// the steady-state wire, not connection or group setup.
-		if err := senders[g].Send(0, 1, -1); err != nil {
+		if err := senders[g].Send(0, 1, -1, core.SpanContext{}); err != nil {
 			b.Fatal(err)
 		}
 		for {
@@ -100,7 +100,7 @@ func BenchmarkShardedSendThroughput(b *testing.B) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				v.Send(0, 1, i)
+				v.Send(0, 1, i, core.SpanContext{})
 			}
 		}()
 	}
@@ -128,13 +128,13 @@ func BenchmarkTCPRPCLatency(b *testing.B) {
 	nodes[1].SetHandler(func(from core.ProcID, req core.Value) (core.Value, error) {
 		return req, nil
 	})
-	if _, err := nodes[0].Call(0, 1, "warm"); err != nil {
+	if _, _, err := nodes[0].CallSpan(0, 1, "warm", core.SpanContext{}); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := nodes[0].Call(0, 1, i); err != nil {
+		if _, _, err := nodes[0].CallSpan(0, 1, i, core.SpanContext{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -147,14 +147,14 @@ func BenchmarkTryRecvDeepMailbox(b *testing.B) {
 	nodes := newCluster(b, 2, [][]core.ProcID{{0, 1}})
 	const depth = 8192
 	for i := 0; i < depth; i++ {
-		if err := nodes[0].Send(0, 1, i); err != nil {
+		if err := nodes[0].Send(0, 1, i, core.SpanContext{}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nodes[0].Send(0, 1, i)
+		nodes[0].Send(0, 1, i, core.SpanContext{})
 		if _, ok := nodes[0].TryRecv(1); !ok {
 			b.Fatal("deep mailbox unexpectedly empty")
 		}

@@ -195,7 +195,7 @@ func TestRequestToClosedGroupWaits(t *testing.T) {
 	ga.Instrument(reg)
 	gb := openTestGroup(t, b, 0, []core.ProcID{1}, addrs)
 	gb.SetHandler(func(_ core.ProcID, req core.Value) (core.Value, error) { return req, nil })
-	if v, err := ga.Call(0, 1, "open"); err != nil || v != "open" {
+	if v, _, err := ga.CallSpan(0, 1, "open", core.SpanContext{}); err != nil || v != "open" {
 		t.Fatalf("call to the open group = %v, %v; want the echo", v, err)
 	}
 	if err := gb.Close(); err != nil {
@@ -205,7 +205,7 @@ func TestRequestToClosedGroupWaits(t *testing.T) {
 	before, _ := peerQueue(a, b.Addr())
 	done := make(chan error, 1)
 	go func() {
-		_, err := ga.Call(0, 1, "closed")
+		_, _, err := ga.CallSpan(0, 1, "closed", core.SpanContext{})
 		done <- err
 	}()
 	deadline := time.Now().Add(10 * time.Second)

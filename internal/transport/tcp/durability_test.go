@@ -189,7 +189,7 @@ func TestDurableRestartRetransmits(t *testing.T) {
 	a, ga := mkA()
 	const total = 5
 	for i := 0; i < total; i++ {
-		if err := ga.Send(0, 1, i); err != nil {
+		if err := ga.Send(0, 1, i, core.SpanContext{}); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
 		}
 	}
@@ -216,7 +216,7 @@ func TestDurableRestartRetransmits(t *testing.T) {
 	}
 	// Fresh traffic must continue the recovered sequence numbering, not
 	// restart below B's duplicate filter.
-	if err := ga2.Send(0, 1, "post-restart"); err != nil {
+	if err := ga2.Send(0, 1, "post-restart", core.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if m := pollRecv(t, gb, 1); m.Payload != "post-restart" {
@@ -321,12 +321,12 @@ func TestDurableOpenErrorSurfaces(t *testing.T) {
 	}
 }
 
-// callAsync issues g.Call(0, 1, req) on its own goroutine; the channel
-// yields the outcome.
+// callAsync issues an untraced g.CallSpan(0, 1, req) on its own
+// goroutine; the channel yields the outcome.
 func callAsync(g *Group, req core.Value) <-chan callResult {
 	out := make(chan callResult, 1)
 	go func() {
-		v, err := g.Call(0, 1, req)
+		v, _, err := g.CallSpan(0, 1, req, core.SpanContext{})
 		out <- callResult{val: v, err: err}
 	}()
 	return out

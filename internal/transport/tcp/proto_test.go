@@ -135,7 +135,7 @@ func TestVersionMismatchClosesLink(t *testing.T) {
 		var logs logCapture
 		tr := soloNode(t, lis.Addr().String(), logs.logf)
 		// A queued message must not make the transport hang on close.
-		if err := tr.Send(0, 1, "never delivered"); err != nil {
+		if err := tr.Send(0, 1, "never delivered", core.SpanContext{}); err != nil {
 			t.Fatalf("send: %v", err)
 		}
 		awaitLinkState(t, tr.Group, 0, 1, transport.LinkClosed)
@@ -244,7 +244,7 @@ func TestTLSLoopback(t *testing.T) {
 
 	payloads := []core.Value{42, "over tls", benor.Msg{Phase: benor.PhaseP, Round: 9, Val: benor.V1}}
 	for _, p := range payloads {
-		if err := nodes[0].Send(0, 1, p); err != nil {
+		if err := nodes[0].Send(0, 1, p, core.SpanContext{}); err != nil {
 			t.Fatalf("send %v: %v", p, err)
 		}
 	}
@@ -254,7 +254,7 @@ func TestTLSLoopback(t *testing.T) {
 			t.Fatalf("got payload %#v, want %#v", m.Payload, want)
 		}
 	}
-	resp, err := nodes[0].Call(0, 1, "echo over tls")
+	resp, _, err := nodes[0].CallSpan(0, 1, "echo over tls", core.SpanContext{})
 	if err != nil {
 		t.Fatalf("rpc over tls: %v", err)
 	}

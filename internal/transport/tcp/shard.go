@@ -14,9 +14,9 @@ import (
 )
 
 // Group is one group's view of a node, returned by OpenGroup: a
-// transport.Transport + RPC + Instrumentable with its own process
+// transport.Transport + SpanRPC + Instrumentable with its own process
 // numbering 0..n-1, mailboxes, address table and RPC handler, whose
-// Send/Broadcast/TryRecv/Call route only within the group, multiplexed
+// Send/Broadcast/TryRecv/CallSpan route only within the group, multiplexed
 // with every other group over the node's shared peers, sequence numbers
 // and acks. Close detaches only this group; the node stays up.
 type Group struct {
@@ -43,7 +43,6 @@ type Group struct {
 
 var (
 	_ transport.Transport      = (*Group)(nil)
-	_ transport.SpanCarrier    = (*Group)(nil)
 	_ transport.RPC            = (*Group)(nil)
 	_ transport.SpanRPC        = (*Group)(nil)
 	_ transport.Instrumentable = (*Group)(nil)
@@ -172,38 +171,29 @@ func (g *Group) Dial() error {
 	return nil
 }
 
-// Send implements transport.Transport.
-func (g *Group) Send(from, to core.ProcID, payload core.Value) error {
-	return g.SendSpan(from, to, payload, core.SpanContext{})
-}
-
-// SendSpan implements transport.SpanCarrier: the context rides the wire
-// v4 frame header and surfaces as Message.Span at the receiver. The
+// Send implements transport.Transport: the context rides the wire v4
+// frame header and surfaces as Message.Span at the receiver. The
 // transport never interprets the context; a zero context writes zero
 // header fields, which the receive side surfaces as an untraced message.
-func (g *Group) SendSpan(from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
+// A send is metered as MsgSent only once it is accepted.
+func (g *Group) Send(from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
 	if !g.isProc(to) {
 		return fmt.Errorf("%w: send to %v", core.ErrUnknownProc, to)
 	}
 	if !g.isProc(from) {
 		return fmt.Errorf("%w: send from %v", core.ErrUnknownProc, from)
 	}
-	g.record(from, metrics.MsgSent, 1)
 	t := g.t
-	if g.hosted[to] {
-		t.mu.Lock()
-		if t.closed || g.closed {
-			t.mu.Unlock()
-			return transport.ErrClosed
-		}
-		g.deliverLocked(core.Message{From: from, Payload: payload, Span: sc}, to)
-		t.mu.Unlock()
-		return nil
-	}
 	t.mu.Lock()
 	if t.closed || g.closed {
 		t.mu.Unlock()
 		return transport.ErrClosed
+	}
+	if g.hosted[to] {
+		g.record(from, metrics.MsgSent, 1)
+		g.deliverLocked(core.Message{From: from, Payload: payload, Span: sc}, to)
+		t.mu.Unlock()
+		return nil
 	}
 	if !g.dialed {
 		t.mu.Unlock()
@@ -211,21 +201,17 @@ func (g *Group) SendSpan(from, to core.ProcID, payload core.Value, sc core.SpanC
 	}
 	p := t.peerLocked(g.addrs[to])
 	t.mu.Unlock()
+	g.record(from, metrics.MsgSent, 1)
 	p.enqueue(frame{Kind: frameData, From: from, To: to, Payload: payload, Group: g.id,
 		TraceID: sc.TraceID, SpanID: sc.SpanID, Lamport: sc.Clock})
 	return nil
 }
 
 // Broadcast implements transport.Transport ("send to all", self link
-// included, as in Ben-Or).
-func (g *Group) Broadcast(from core.ProcID, payload core.Value) error {
-	return g.BroadcastSpan(from, payload, core.SpanContext{})
-}
-
-// BroadcastSpan implements transport.SpanCarrier.
-func (g *Group) BroadcastSpan(from core.ProcID, payload core.Value, sc core.SpanContext) error {
+// included, as in Ben-Or), every copy carrying sc.
+func (g *Group) Broadcast(from core.ProcID, payload core.Value, sc core.SpanContext) error {
 	for to := 0; to < g.n; to++ {
-		if err := g.SendSpan(from, core.ProcID(to), payload, sc); err != nil {
+		if err := g.Send(from, core.ProcID(to), payload, sc); err != nil {
 			return err
 		}
 	}
@@ -280,9 +266,10 @@ func (g *Group) LinkState(from, to core.ProcID) transport.LinkState {
 	return transport.LinkConnecting
 }
 
-// SetHandler implements transport.RPC: fn replaces the group's handler,
-// as a SpanHandler that ships no response context. fn runs on the receive
-// loop of the caller's connection, so it must not block on the network.
+// SetHandler implements transport.RPC, which is kept only because the
+// bench module calls it: fn replaces the group's handler, as a
+// SpanHandler that ships no response context. fn runs on the receive loop
+// of the caller's connection, so it must not block on the network.
 func (g *Group) SetHandler(fn func(from core.ProcID, req core.Value) (core.Value, error)) {
 	g.t.mu.Lock()
 	g.handler = func(from core.ProcID, req core.Value, _ core.SpanContext) (core.Value, core.SpanContext, error) {
@@ -292,20 +279,15 @@ func (g *Group) SetHandler(fn func(from core.ProcID, req core.Value) (core.Value
 	g.t.mu.Unlock()
 }
 
-// Call implements transport.RPC: a synchronous request to the node
-// hosting the group's process to. Requests and responses ride the same
-// sequenced, retransmitted frame stream as data messages, so they survive
-// reconnects and a restart of the owner's node. A call has no timeout: it
-// ends with its response, with the encode error if the request or response
-// cannot be encoded, or with ErrClosed when the group or the node is closed
-// (a request for a group not open at the owner is never answered).
-func (g *Group) Call(from, to core.ProcID, req core.Value) (core.Value, error) {
-	v, _, err := g.CallSpan(from, to, req, core.SpanContext{})
-	return v, err
-}
-
-// CallSpan implements transport.SpanRPC: the caller's context rides the
-// request frame, the handler's response context rides the response back.
+// CallSpan implements transport.SpanRPC: a synchronous request to the
+// node hosting the group's process to. Requests and responses ride the
+// same sequenced, retransmitted frame stream as data messages, so they
+// survive reconnects and a restart of the owner's node. The caller's
+// context rides the request frame, the handler's response context rides
+// the response back. A call has no timeout: it ends with its response,
+// with the encode error if the request or response cannot be encoded, or
+// with ErrClosed when the group or the node is closed (a request for a
+// group not open at the owner is never answered).
 func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error) {
 	if !g.isProc(to) {
 		return nil, core.SpanContext{}, fmt.Errorf("%w: call to %v", core.ErrUnknownProc, to)

@@ -55,13 +55,13 @@ func TestTwoGroupsOneConnectionNoLeakage(t *testing.T) {
 
 	const rounds = 50
 	for i := 0; i < rounds; i++ {
-		if err := g1[0].Send(0, 1, "one"); err != nil {
+		if err := g1[0].Send(0, 1, "one", core.SpanContext{}); err != nil {
 			t.Fatalf("g1 send: %v", err)
 		}
-		if err := g2[0].Send(0, 1, "two"); err != nil {
+		if err := g2[0].Send(0, 1, "two", core.SpanContext{}); err != nil {
 			t.Fatalf("g2 send: %v", err)
 		}
-		if err := nodes[0].Send(0, 1, "zero"); err != nil {
+		if err := nodes[0].Send(0, 1, "zero", core.SpanContext{}); err != nil {
 			t.Fatalf("g0 send: %v", err)
 		}
 	}
@@ -84,10 +84,10 @@ func TestTwoGroupsOneConnectionNoLeakage(t *testing.T) {
 	}
 
 	// RPCs route to the shard's own handler.
-	for name, pair := range map[string]transport.RPC{
-		"g1": g1[0].(transport.RPC), "g2": g2[0].(transport.RPC), "g0": nodes[0].Group,
+	for name, pair := range map[string]transport.SpanRPC{
+		"g1": g1[0].(transport.SpanRPC), "g2": g2[0].(transport.SpanRPC), "g0": nodes[0].Group,
 	} {
-		resp, err := pair.Call(0, 1, "ping")
+		resp, _, err := pair.CallSpan(0, 1, "ping", core.SpanContext{})
 		if err != nil {
 			t.Fatalf("%s call: %v", name, err)
 		}
@@ -132,7 +132,7 @@ func TestUnopenedGroupFramesDroppedButAcked(t *testing.T) {
 	reg := metrics.NewRegistry(2)
 	nodes[0].Transport.Instrument(reg)
 	for i := 0; i < 10; i++ {
-		if err := v.Send(0, 1, i); err != nil {
+		if err := v.Send(0, 1, i, core.SpanContext{}); err != nil {
 			t.Fatalf("send: %v", err)
 		}
 	}
@@ -201,7 +201,7 @@ func TestGroupCloseDetachesOnlyThatShard(t *testing.T) {
 	g2 := openGroupOn(t, nodes, 2, addrs)
 	flows := func(name string, views []transport.Transport, payload string) {
 		t.Helper()
-		if err := views[0].Send(0, 1, payload); err != nil {
+		if err := views[0].Send(0, 1, payload, core.SpanContext{}); err != nil {
 			t.Fatalf("%s send: %v", name, err)
 		}
 		if m := recvOne(t, views[1], 1); m.Payload != payload {
@@ -213,7 +213,7 @@ func TestGroupCloseDetachesOnlyThatShard(t *testing.T) {
 	if err := g1[1].Close(); err != nil {
 		t.Fatalf("close group 1 view: %v", err)
 	}
-	if err := g1[1].Send(1, 0, "x"); err == nil {
+	if err := g1[1].Send(1, 0, "x", core.SpanContext{}); err == nil {
 		t.Error("send on a closed group view must fail")
 	}
 	flows("g2 after g1 close", g2, "still")
@@ -222,7 +222,7 @@ func TestGroupCloseDetachesOnlyThatShard(t *testing.T) {
 	if err := nodes[1].Group.Close(); err != nil {
 		t.Fatalf("close group 0 view: %v", err)
 	}
-	if err := nodes[1].Group.Send(1, 0, "x"); err == nil {
+	if err := nodes[1].Group.Send(1, 0, "x", core.SpanContext{}); err == nil {
 		t.Error("send on a closed group 0 view must fail")
 	}
 	flows("g2 after g0 close", g2, "still here")
@@ -255,7 +255,7 @@ func TestFramesWaitForTheFirstGroup(t *testing.T) {
 	reg := metrics.NewRegistry(2)
 	trs[0].Instrument(reg)
 	a := openView(t, trs[0], 0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{0}, Addrs: addrs})
-	if err := a.Send(0, 1, "early"); err != nil {
+	if err := a.Send(0, 1, "early", core.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	awaitLinkUp(t, a, 0, 1)

@@ -14,6 +14,7 @@ import (
 	"github.com/mnm-model/mnm/internal/hbo"
 	"github.com/mnm-model/mnm/internal/leader"
 	"github.com/mnm-model/mnm/internal/metrics"
+	"github.com/mnm-model/mnm/internal/msgnet"
 	"github.com/mnm-model/mnm/internal/mutex"
 	"github.com/mnm-model/mnm/internal/paxos"
 	"github.com/mnm-model/mnm/internal/rsm"
@@ -117,7 +118,7 @@ func TestLoopbackPayloadRoundTrip(t *testing.T) {
 	payloads = append(payloads, 7, int64(-1), "text", true, core.ProcID(2), nil)
 
 	for _, want := range payloads {
-		if err := nodes[0].Send(0, 1, want); err != nil {
+		if err := nodes[0].Send(0, 1, want, core.SpanContext{}); err != nil {
 			t.Fatalf("Send(%#v): %v", want, err)
 		}
 	}
@@ -140,7 +141,7 @@ func TestReconnectAfterKillRedelivers(t *testing.T) {
 	nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
 	const total = 60
 	for i := 0; i < total; i++ {
-		if err := nodes[0].Send(0, 1, i); err != nil {
+		if err := nodes[0].Send(0, 1, i, core.SpanContext{}); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
 		}
 		if i == total/2 {
@@ -178,7 +179,7 @@ func TestBackoffConnectsOnceListenerAppears(t *testing.T) {
 	t.Cleanup(func() { n0.Close() })
 	addrs := []string{n0.Addr(), futureAddr}
 	g0 := openView(t, n0, 0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{0}, Addrs: addrs})
-	if err := g0.Send(0, 1, "early"); err != nil {
+	if err := g0.Send(0, 1, "early", core.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := g0.LinkState(0, 1); st == transport.LinkUp {
@@ -220,11 +221,11 @@ func TestRPCRoundTripAndSentinelErrors(t *testing.T) {
 		return nil, errors.New("unexpected request")
 	})
 
-	v, err := nodes[0].Call(0, 1, "ok")
+	v, _, err := nodes[0].CallSpan(0, 1, "ok", core.SpanContext{})
 	if err != nil || v != "served p0" {
 		t.Fatalf("Call = %v, %v; want served p0", v, err)
 	}
-	_, err = nodes[0].Call(0, 1, "denied")
+	_, _, err = nodes[0].CallSpan(0, 1, "denied", core.SpanContext{})
 	if !errors.Is(err, core.ErrAccessDenied) {
 		t.Fatalf("Call error = %v, want ErrAccessDenied across the wire", err)
 	}
@@ -237,7 +238,7 @@ func TestCloseDrainsQueuedFrames(t *testing.T) {
 	nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
 	const total = 20
 	for i := 0; i < total; i++ {
-		if err := nodes[0].Send(0, 1, i); err != nil {
+		if err := nodes[0].Send(0, 1, i, core.SpanContext{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,7 +256,7 @@ func TestCloseDrainsQueuedFrames(t *testing.T) {
 // processes hosted on the same node never touches a socket.
 func TestHostedSameNodeShortCircuit(t *testing.T) {
 	nodes := newCluster(t, 3, [][]core.ProcID{{0, 1}, {2}})
-	if err := nodes[0].Send(0, 1, "local"); err != nil {
+	if err := nodes[0].Send(0, 1, "local", core.SpanContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if m, ok := nodes[0].TryRecv(1); !ok || m.Payload != "local" {
@@ -263,6 +264,90 @@ func TestHostedSameNodeShortCircuit(t *testing.T) {
 	}
 	if st := nodes[0].LinkState(0, 1); st != transport.LinkUp {
 		t.Fatalf("intra-node link state = %v, want %v", st, transport.LinkUp)
+	}
+}
+
+// TestSpanContextSurvivesEveryBackend sends and broadcasts with a
+// non-zero SpanContext from process 0 of a two-process system and checks
+// that every delivered copy carries an equal Message.Span, on each
+// backend a group can run over. host[p] is the transport hosting p.
+func TestSpanContextSurvivesEveryBackend(t *testing.T) {
+	cases := []struct {
+		name string
+		host func(t *testing.T) [2]transport.Transport
+	}{
+		{"chan", func(*testing.T) [2]transport.Transport {
+			c := transport.NewChan(2, msgnet.Reliable)
+			return [2]transport.Transport{c, c}
+		}},
+		{"lossy-chan", func(*testing.T) [2]transport.Transport {
+			l := transport.NewLossy(transport.NewChan(2, msgnet.Reliable), msgnet.NoDrop{}, nil)
+			return [2]transport.Transport{l, l}
+		}},
+		{"tcp-hosted", func(t *testing.T) [2]transport.Transport {
+			g := newCluster(t, 2, [][]core.ProcID{{0, 1}})[0].Group
+			return [2]transport.Transport{g, g}
+		}},
+		{"tcp-remote", func(t *testing.T) [2]transport.Transport {
+			nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
+			return [2]transport.Transport{nodes[0].Group, nodes[1].Group}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			host := tc.host(t)
+			sc := core.SpanContext{TraceID: 7, SpanID: 11, Clock: 13}
+			if err := host[0].Send(0, 1, "send", sc); err != nil {
+				t.Fatal(err)
+			}
+			if m := recvOne(t, host[1], 1); m.Payload != "send" || m.Span != sc {
+				t.Fatalf("Send delivered %+v, want payload %q with span %+v", m, "send", sc)
+			}
+			bc := core.SpanContext{TraceID: 17, SpanID: 19, Clock: 23}
+			if err := host[0].Broadcast(0, "broadcast", bc); err != nil {
+				t.Fatal(err)
+			}
+			for p := core.ProcID(0); p < 2; p++ {
+				if m := recvOne(t, host[p], p); m.Payload != "broadcast" || m.Span != bc {
+					t.Fatalf("Broadcast delivered %+v to %v, want payload %q with span %+v", m, p, "broadcast", bc)
+				}
+			}
+		})
+	}
+}
+
+// TestRefusedSendNotMetered checks that a send the group refuses — one
+// before Dial, and any after Close — leaves msg_sent at zero, as on the
+// Chan backend.
+func TestRefusedSendNotMetered(t *testing.T) {
+	tr, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	reg := metrics.NewRegistry(2)
+	g, err := tr.OpenGroup(0, transport.GroupConfig{
+		N: 2, Hosted: []core.ProcID{0}, Addrs: []string{tr.Addr(), "127.0.0.1:1"}, Registry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Send(0, 1, "early", core.SpanContext{}); err == nil {
+		t.Fatal("Send before Dial succeeded")
+	}
+	if n := reg.Counters().Total(metrics.MsgSent); n != 0 {
+		t.Fatalf("msg_sent = %d after a send before Dial, want 0", n)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for to := core.ProcID(0); to < 2; to++ {
+		if err := g.Send(0, to, "late", core.SpanContext{}); !errors.Is(err, transport.ErrClosed) {
+			t.Fatalf("Send to %v after Close = %v, want ErrClosed", to, err)
+		}
+	}
+	if n := reg.Counters().Total(metrics.MsgSent); n != 0 {
+		t.Fatalf("msg_sent = %d after sends on a closed group, want 0", n)
 	}
 }
 
@@ -298,7 +383,7 @@ func TestInstrumentationMetersFramesAndRPC(t *testing.T) {
 	// below hits a live connection (not a dial still in flight).
 	const total = 40
 	for i := 0; i < total/2; i++ {
-		if err := nodes[0].Send(0, 1, i); err != nil {
+		if err := nodes[0].Send(0, 1, i, core.SpanContext{}); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
 		}
 	}
@@ -308,7 +393,7 @@ func TestInstrumentationMetersFramesAndRPC(t *testing.T) {
 	nodes[0].KillConnections()
 	nodes[1].KillConnections()
 	for i := total / 2; i < total; i++ {
-		if err := nodes[0].Send(0, 1, i); err != nil {
+		if err := nodes[0].Send(0, 1, i, core.SpanContext{}); err != nil {
 			t.Fatalf("Send %d: %v", i, err)
 		}
 	}
@@ -345,10 +430,10 @@ func TestInstrumentationMetersFramesAndRPC(t *testing.T) {
 		}
 		return req, nil
 	})
-	if v, err := nodes[0].Call(0, 1, "ping"); err != nil || v != "ping" {
+	if v, _, err := nodes[0].CallSpan(0, 1, "ping", core.SpanContext{}); err != nil || v != "ping" {
 		t.Fatalf("Call = %v, %v", v, err)
 	}
-	if _, err := nodes[0].Call(0, 1, "boom"); !errors.Is(err, core.ErrAccessDenied) {
+	if _, _, err := nodes[0].CallSpan(0, 1, "boom", core.SpanContext{}); !errors.Is(err, core.ErrAccessDenied) {
 		t.Fatalf("Call(boom) err = %v, want ErrAccessDenied", err)
 	}
 	if got := c0.Of(0, metrics.RPCIssued); got != 2 {
@@ -399,11 +484,11 @@ func TestCodecLessSendDroppedNotWedged(t *testing.T) {
 		}
 	})
 	type codecLess struct{ N int }
-	if err := nodes[0].Send(0, 1, codecLess{N: 1}); err != nil {
+	if err := nodes[0].Send(0, 1, codecLess{N: 1}, core.SpanContext{}); err != nil {
 		t.Fatalf("Send(codec-less): %v", err)
 	}
 	awaitTotal(t, reg.Counters(), metrics.FrameDropEncode, 1)
-	if err := nodes[0].Send(0, 1, 7); err != nil {
+	if err := nodes[0].Send(0, 1, 7, core.SpanContext{}); err != nil {
 		t.Fatalf("Send(7): %v", err)
 	}
 	if m := recvOne(t, nodes[1], 1); m.Payload != 7 {
@@ -440,7 +525,7 @@ func TestCodecLessCallFails(t *testing.T) {
 		}
 		done := make(chan result, 1)
 		go func() {
-			v, err := nodes[0].Call(0, 1, req)
+			v, _, err := nodes[0].CallSpan(0, 1, req, core.SpanContext{})
 			done <- result{v, err}
 		}()
 		select {

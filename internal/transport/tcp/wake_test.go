@@ -67,7 +67,7 @@ func checkWake(t *testing.T, c wakeCase) {
 	send := func(k int) {
 		t.Helper()
 		for i := 0; i < k; i++ {
-			if err := c.send.Send(from, to, sent); err != nil {
+			if err := c.send.Send(from, to, sent, core.SpanContext{}); err != nil {
 				t.Fatalf("Send: %v", err)
 			}
 			sent++

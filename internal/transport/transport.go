@@ -8,6 +8,11 @@
 // different wires: the in-process Chan backend (this package) or real
 // loopback/network TCP sockets (internal/transport/tcp).
 //
+// There is one send per link and one call per register owner. Send,
+// Broadcast and SpanRPC.CallSpan each take a core.SpanContext that rides
+// the message or request end to end; the zero context means untraced, so
+// a caller cannot pick a variant that silently drops a trace.
+//
 // Whatever the backend, the link axioms of the paper (§3) must hold:
 //
 //   - Integrity: a message is delivered to q from p at most as many times
@@ -71,11 +76,15 @@ type Transport interface {
 	// and retrying in the background), and must be called before Send.
 	Dial() error
 	// Send transmits payload over the directed link from→to. Payloads
-	// must be treated as immutable.
-	Send(from, to core.ProcID, payload core.Value) error
+	// must be treated as immutable. sc rides the message end to end (in
+	// the wire frame header or the in-process mailbox entry) and comes
+	// back out as Message.Span; the backend never interprets it, and the
+	// zero SpanContext means untraced.
+	Send(from, to core.ProcID, payload core.Value, sc core.SpanContext) error
 	// Broadcast sends payload from from to every process, including
-	// from itself ("send to all").
-	Broadcast(from core.ProcID, payload core.Value) error
+	// from itself ("send to all"). Every copy carries the same sc (the
+	// fan-out edges of one send span).
+	Broadcast(from core.ProcID, payload core.Value, sc core.SpanContext) error
 	// TryRecv pops the next delivered message addressed to p, if any.
 	TryRecv(p core.ProcID) (core.Message, bool)
 	// SetWake registers ch as p's wake-up: after every delivery into p's
@@ -93,66 +102,46 @@ type Transport interface {
 	Close() error
 }
 
-// SpanCarrier is the trace plane of a transport: Send/Broadcast variants
-// that carry a core.SpanContext with the message, end to end. Backends
-// place the context in the wire frame header (wire v4) or the in-process
-// mailbox entry and surface it again as Message.Span on the receive side;
-// they never interpret it. Both shipped backends (tcp group views and
-// Chan) and the Lossy wrapper implement it, so sim/TCP symmetry holds; the
-// rt host requires it of every group's transport.
-type SpanCarrier interface {
-	// SendSpan is Send with a trace context riding the message.
-	SendSpan(from, to core.ProcID, payload core.Value, sc core.SpanContext) error
-	// BroadcastSpan is Broadcast with one trace context shared by every
-	// copy (the fan-out edges of one send span).
-	BroadcastSpan(from core.ProcID, payload core.Value, sc core.SpanContext) error
-}
-
-// SendSpan sends via t's SpanCarrier plane when it has one, and plainly
-// otherwise (the context is then dropped, never corrupted).
+// SendSpan is t.Send. It is kept only because the bench module calls it.
 func SendSpan(t Transport, from, to core.ProcID, payload core.Value, sc core.SpanContext) error {
-	if c, ok := t.(SpanCarrier); ok {
-		return c.SendSpan(from, to, payload, sc)
-	}
-	return t.Send(from, to, payload)
+	return t.Send(from, to, payload, sc)
 }
 
-// BroadcastSpan is the broadcast analogue of SendSpan.
+// BroadcastSpan is t.Broadcast. It is kept only because the bench module
+// calls it.
 func BroadcastSpan(t Transport, from core.ProcID, payload core.Value, sc core.SpanContext) error {
-	if c, ok := t.(SpanCarrier); ok {
-		return c.BroadcastSpan(from, payload, sc)
-	}
-	return t.Broadcast(from, payload)
+	return t.Broadcast(from, payload, sc)
 }
 
-// SpanHandler is the span-aware server side of the RPC plane: it receives
-// the caller's trace context alongside the request and returns the
-// response context to ship back (typically the serve span's identity plus
-// the server's Lamport clock at the response edge). A group gets its
+// SpanHandler is the server side of the RPC plane: it receives the
+// caller's trace context alongside the request and returns the response
+// context to ship back (typically the serve span's identity plus the
+// server's Lamport clock at the response edge). A group gets its
 // handler when it is opened (GroupConfig.Handler), so an open group
 // serves from its first frame on. A socket backend runs it on the receive
 // loop of the caller's connection, so it must return without blocking on
 // the network: the frames behind the request, acks included, wait for it.
 type SpanHandler func(from core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error)
 
-// SpanRPC is the trace plane of the RPC interface, mirroring SpanCarrier:
-// the request context rides the request frame, the handler's response
-// context rides the response frame back to the caller.
+// SpanRPC is the optional synchronous request/response plane of a
+// transport. The real-time host uses it to reach shared registers homed
+// on another OS process (the RDMA verbs of the model); backends that host
+// all processes in one address space do not need it. CallSpan is its one
+// call; the interface and method keep their Span names only because the
+// bench module calls them.
 type SpanRPC interface {
-	// CallSpan is Call carrying the caller's context and returning the
-	// server's response context.
+	// CallSpan sends req from→to and blocks for the matching response.
+	// The caller's context sc rides the request; the handler's response
+	// context comes back with the answer. A call has no timeout: it ends
+	// with the response, an encode error, or ErrClosed when the caller's
+	// group or transport is closed.
 	CallSpan(from, to core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error)
 }
 
-// RPC is the optional synchronous request/response plane of a transport.
-// The real-time host uses it to reach shared registers homed on another
-// OS process (the RDMA verbs of the model); backends that host all
-// processes in one address space do not need it.
+// RPC installs a plain request handler. It is kept only because the bench
+// module calls it; a group otherwise gets its handler from
+// GroupConfig.Handler.
 type RPC interface {
-	// Call sends req from→to and blocks for the matching response. It has
-	// no timeout: it ends with the response, an encode error, or ErrClosed
-	// when the caller's group or transport is closed.
-	Call(from, to core.ProcID, req core.Value) (core.Value, error)
 	// SetHandler replaces the group's GroupConfig.Handler with a plain
 	// one: fn is invoked for every incoming request and its return value
 	// is sent back to the caller. Like a SpanHandler it must not block on

@@ -16,7 +16,7 @@ func TestChanRoundTrip(t *testing.T) {
 	if err := c.Dial(); err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
-	if err := c.Send(0, 1, "hello"); err != nil {
+	if err := c.Send(0, 1, "hello", core.SpanContext{}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	m, ok := c.TryRecv(1)
@@ -30,7 +30,7 @@ func TestChanRoundTrip(t *testing.T) {
 
 func TestChanBroadcastReachesEveryoneIncludingSender(t *testing.T) {
 	c := NewChan(3, msgnet.Reliable)
-	if err := c.Broadcast(1, 42); err != nil {
+	if err := c.Broadcast(1, 42, core.SpanContext{}); err != nil {
 		t.Fatalf("Broadcast: %v", err)
 	}
 	for p := core.ProcID(0); p < 3; p++ {
@@ -55,10 +55,10 @@ func TestChanLinkStateAndClose(t *testing.T) {
 	if got := c.LinkState(0, 1); got != LinkClosed {
 		t.Fatalf("LinkState after close = %v, want %v", got, LinkClosed)
 	}
-	if err := c.Send(0, 1, "x"); err != ErrClosed {
+	if err := c.Send(0, 1, "x", core.SpanContext{}); err != ErrClosed {
 		t.Fatalf("Send after close = %v, want ErrClosed", err)
 	}
-	if err := c.Broadcast(0, "x"); err != ErrClosed {
+	if err := c.Broadcast(0, "x", core.SpanContext{}); err != ErrClosed {
 		t.Fatalf("Broadcast after close = %v, want ErrClosed", err)
 	}
 }
@@ -67,13 +67,13 @@ func TestLossyDropsAndMeters(t *testing.T) {
 	counters := metrics.NewCounters(2)
 	l := NewLossy(NewChan(2, msgnet.FairLossy), &msgnet.DropFirstK{K: 1}, counters)
 	// First attempt dropped, retry delivered: the Fair-loss contract.
-	if err := l.Send(0, 1, "m"); err != nil {
+	if err := l.Send(0, 1, "m", core.SpanContext{}); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if _, ok := l.TryRecv(1); ok {
 		t.Fatal("first send should have been dropped")
 	}
-	if err := l.Send(0, 1, "m"); err != nil {
+	if err := l.Send(0, 1, "m", core.SpanContext{}); err != nil {
 		t.Fatalf("Send retry: %v", err)
 	}
 	if m, ok := l.TryRecv(1); !ok || m.Payload != "m" {
