@@ -21,11 +21,11 @@ const (
 	// until the response frame arrives), recorded by socket backends.
 	HistRPCCall = "rpc_call"
 	// HistBatchFrames is the frames-per-flush distribution of the batched
-	// send loop. It is a value histogram recorded via ObserveValue (one
+	// frame writes. It is a value histogram recorded via ObserveValue (one
 	// frame = 1µs in the exported duration schema); read it back with
 	// HistSnapshot.ValueQuantile/MeanValue.
 	HistBatchFrames = "batch_frames"
-	// HistFrameEncode is the time the batched send loop spends encoding
+	// HistFrameEncode is the time a batched frame write spends encoding
 	// one whole batch into its write buffer (codec cost only — the flush
 	// syscall is excluded), recorded by socket backends per batch.
 	HistFrameEncode = "frame_encode"

@@ -7,13 +7,14 @@
 // processes on this node, a register whose owner lives on another node is
 // read, written or CAS'd by a synchronous call over the group view's RPC
 // plane, and the owner's node serves it out of its local shm.Memory. An
-// op costs one goroutine hop per side: the caller blocks in the call on
-// its own process goroutine, and the owner serves on the receive loop
-// that read the request, so the handler never blocks on the network. The
-// owner checks the domain against the sender the transport validated, not
-// against anything the request says about itself, so shared-memory access
-// control (core.ErrAccessDenied outside {owner} ∪ neighbors(owner)) is
-// enforced exactly as in a single process.
+// op costs one goroutine hop, at the owner: the caller blocks in the call
+// on its own process goroutine, which mostly writes the request itself,
+// and the owner serves on the receive loop that read the request, so the
+// handler never blocks on the network. The owner checks the domain
+// against the sender the transport validated, not against anything the
+// request says about itself, so shared-memory access control
+// (core.ErrAccessDenied outside {owner} ∪ neighbors(owner)) is enforced
+// exactly as in a single process.
 package rt
 
 import (

@@ -152,7 +152,8 @@ type rtProc struct {
 	id      core.ProcID
 	steps   atomic.Uint64
 	crashed atomic.Bool
-	rng     *rand.Rand // used only by the owning goroutine
+	seed    int64      // rng's seed
+	rng     *rand.Rand // built on first Rand; used only by the owning goroutine
 
 	// wake holds at most one pending wake-up token; park sleeps on it.
 	// timer is park's reused yieldTick timer, owned by the process
@@ -216,7 +217,7 @@ func newGroup(cfg GroupConfig, hosted []core.ProcID, spans *trace.Scope) *Group 
 		}
 		h.procs[p] = &rtProc{
 			id:        p,
-			rng:       rand.New(rand.NewSource(cfg.Seed ^ (0x9e3779b9 * int64(p+1)))),
+			seed:      cfg.Seed ^ (0x9e3779b9 * int64(p+1)),
 			wake:      make(chan struct{}, 1),
 			exposed:   make(map[string]core.Value),
 			neighbors: neighbors,
@@ -658,8 +659,13 @@ func (e *rtEnv) Expose(name string, v core.Value) {
 }
 
 // Rand implements core.Env. The source is confined to the owning
-// goroutine.
-func (e *rtEnv) Rand() *rand.Rand { return e.ps.rng }
+// goroutine, which seeds it on first use (about 10µs and 4.9KB).
+func (e *rtEnv) Rand() *rand.Rand {
+	if e.ps.rng == nil {
+		e.ps.rng = rand.New(rand.NewSource(e.ps.seed))
+	}
+	return e.ps.rng
+}
 
 // Logf implements core.Env: the line goes to GroupConfig.Logf (if any),
 // prefixed with the process id and its local step count — the real-time

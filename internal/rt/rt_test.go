@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -54,6 +55,40 @@ func TestHaltingAlgorithmWaits(t *testing.T) {
 		}
 		if v, ok := h.Memory().Peek(core.Reg(p, "done")); !ok || v != true {
 			t.Errorf("register of %v missing", p)
+		}
+	}
+}
+
+// TestRandSeededOnFirstUse checks that a process's random source is
+// built only when its body asks for it, and that it then draws the stream
+// the per-process seed formula gives.
+func TestRandSeededOnFirstUse(t *testing.T) {
+	const seed, draws = 42, 4
+	got := make([]int64, draws)
+	alg := core.AlgorithmFunc(func(id core.ProcID) core.Process {
+		return func(env core.Env) error {
+			if id == 1 {
+				for i := range got {
+					got[i] = env.Rand().Int63()
+				}
+			}
+			return nil
+		}
+	})
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(3), Seed: seed}}, alg)
+	h.Start()
+	for p, e := range h.Wait().Errors {
+		t.Errorf("process %v: %v", p, e)
+	}
+	for _, p := range []core.ProcID{0, 2} {
+		if h.procs[p].rng != nil {
+			t.Errorf("process %v never called Rand but has a seeded source", p)
+		}
+	}
+	want := rand.New(rand.NewSource(seed ^ (0x9e3779b9 * int64(1+1))))
+	for i, v := range got {
+		if w := want.Int63(); v != w {
+			t.Errorf("draw %d = %d, want %d", i, v, w)
 		}
 	}
 }

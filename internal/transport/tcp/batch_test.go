@@ -1,7 +1,9 @@
 package tcp_test
 
 import (
+	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,14 +19,62 @@ import (
 // every message arrives exactly once, in order (No-loss + Integrity even
 // when a batch was only partially flushed when its connection died).
 //
+// In the "calls" case a second goroutine makes register-style calls over
+// the same link meanwhile, so the link has two writers — the send loop
+// and a caller writing its own request — taking turns on one connection:
+// every call must get its own echo, served exactly once, and the data
+// stream must keep its guarantees.
+//
 // The kill intervals grow geometrically: on a single-CPU box a fixed
 // short kill cadence can starve the link of any up-time, so growing
 // spans (plus the long receive deadline below) guarantee eventual
 // progress whatever the scheduler does.
 func TestKillConnectionsMidBatchRetransmits(t *testing.T) {
+	for _, calls := range []bool{false, true} {
+		name := "data"
+		if calls {
+			name = "calls"
+		}
+		t.Run(name, func(t *testing.T) { killMidBatch(t, calls) })
+	}
+}
+
+func killMidBatch(t *testing.T, calls bool) {
 	nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
 	reg := metrics.NewRegistry(2)
 	nodes[0].Transport.Instrument(reg)
+
+	var served atomic.Int64
+	nodes[1].SetHandler(func(from core.ProcID, req core.Value) (core.Value, error) {
+		served.Add(1)
+		return req, nil
+	})
+	// The caller stops at the first wrong answer (or at the transports'
+	// close, should the test fail first) and reports it.
+	type callRun struct {
+		made int
+		bad  error
+	}
+	stop := make(chan struct{})
+	callsDone := make(chan callRun, 1)
+	go func() {
+		var r callRun
+		for calls && r.bad == nil {
+			select {
+			case <-stop:
+				callsDone <- r
+				return
+			default:
+			}
+			resp, _, err := nodes[0].CallSpan(0, 1, r.made, core.SpanContext{})
+			if err != nil || resp != r.made {
+				r.bad = fmt.Errorf("call %d answered %v, %v; want its own echo", r.made, resp, err)
+			} else {
+				r.made++
+			}
+		}
+		callsDone <- r
+	}()
 
 	const bursts = 12
 	const perBurst = 50
@@ -43,6 +93,7 @@ func TestKillConnectionsMidBatchRetransmits(t *testing.T) {
 		time.Sleep(span)
 		span += span / 2
 	}
+	close(stop)
 
 	deadline := time.Now().Add(120 * time.Second)
 	for i := 0; i < total; i++ {
@@ -59,6 +110,16 @@ func TestKillConnectionsMidBatchRetransmits(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
+	var r callRun
+	select {
+	case r = <-callsDone:
+	case <-time.After(time.Until(deadline)):
+		t.Fatal("a call never returned (request or response lost across reconnect)")
+	}
+	if r.bad != nil {
+		t.Fatal(r.bad)
+	}
+	made := r.made
 
 	// Let any straggling retransmission drain, then check Integrity: the
 	// duplicate filter must have swallowed every redelivered frame.
@@ -66,11 +127,14 @@ func TestKillConnectionsMidBatchRetransmits(t *testing.T) {
 	if m, ok := nodes[1].TryRecv(1); ok {
 		t.Fatalf("unexpected extra message %v: duplicate delivery violates Integrity", m.Payload)
 	}
+	if got := served.Load(); got != int64(made) {
+		t.Errorf("handler ran %d times for %d calls: a request was served twice or never", got, made)
+	}
 	c := reg.Counters()
-	t.Logf("frames sent=%d retransmitted=%d batches=%d",
-		c.Total(metrics.FrameSent), c.Total(metrics.FrameRetrans), c.Total(metrics.FrameBatches))
-	if got := c.Total(metrics.FrameSent); got != total {
-		t.Errorf("FrameSent = %d, want %d (each frame metered fresh exactly once)", got, total)
+	t.Logf("calls=%d frames sent=%d retransmitted=%d batches=%d",
+		made, c.Total(metrics.FrameSent), c.Total(metrics.FrameRetrans), c.Total(metrics.FrameBatches))
+	if got := c.Total(metrics.FrameSent); got != int64(total+made) {
+		t.Errorf("FrameSent = %d, want %d (each frame metered fresh exactly once)", got, total+made)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // Durability configures fsync'd store-until-ack for the transport: the
-// node journals every sequenced frame it enqueues (durable before the
-// send loop may write it), every cumulative ack it receives, and its own
+// node journals every sequenced frame it enqueues (durable before a
+// writer may send it), every cumulative ack it receives, and its own
 // receive-side high-water marks. After kill -9, a reopened transport
 // restores each peer's unacked retransmission queue and sequence counter
 // — so the No-loss axiom holds across sender crashes — and its duplicate
@@ -63,7 +63,7 @@ type peerMirror struct {
 // (the mirror right after Open is the recovered state). A nil *frameLog
 // is durability off: the methods the send and receive paths call are
 // no-ops on it, and the two that gate visibility still return what push
-// and sendAck require.
+// and queueAck require.
 type frameLog struct {
 	t *Transport // for metrics/logging; nil in white-box tests
 
@@ -192,14 +192,14 @@ func (m *peerMirror) drop(seq uint64) {
 // journaled is a frame that has been through the frame log: logEnqueue
 // returns it after the WAL append+fsync, seedPeer after replaying it from
 // that same WAL. pendingQueue.push takes nothing else, so a frame cannot
-// become visible to the send loop before it is journaled — the order is a
+// become visible to a batch writer before it is journaled — the order is a
 // data dependence the compiler checks. It points at the caller's frame,
 // which push copies into the queue: the durability-off path inlines and
 // copies the frame no more often than a bare push would.
 type journaled struct{ f *frame }
 
 // hwSynced is a duplicate-filter high-water mark that logRecvHW has made
-// durable. sendAck takes nothing else, so the fsync precedes the ack that
+// durable. queueAck takes nothing else, so the fsync precedes the ack that
 // lets the sender prune.
 type hwSynced struct{ seq uint64 }
 

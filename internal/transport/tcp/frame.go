@@ -92,8 +92,8 @@ type ctrlFrame struct {
 // treated as a corrupt stream on read and refused at encode time on write.
 const maxFrameSize = 16 << 20
 
-// batchBufSize sizes the per-connection bufio buffers: the send loop's
-// batch writer (one flush syscall per batch) and the receive loop's
+// batchBufSize sizes the bufio buffers: a peer's batch writer, which the
+// writer token's holder flushes once per batch, and the receive loop's
 // reader (one read syscall typically yields a whole batch, whose frames
 // are then acked with a single cumulative ack). Frames larger than the
 // buffer still work — bufio spills to the socket mid-batch — they just
@@ -107,7 +107,7 @@ const batchBufSize = 64 << 10
 const maxPooledBuf = 64 << 10
 
 // errEncode marks frames that can never be written — a payload type with
-// no codec or an oversized body. The send loop drops such frames instead of
+// no codec or an oversized body. The batch writer drops such frames instead of
 // treating them as connection faults, because retransmitting them would
 // fail identically forever.
 var errEncode = errors.New("tcp: frame not encodable")

@@ -24,16 +24,19 @@ import (
 // it to 0, retransmitting the whole unacknowledged suffix. The receiver's
 // duplicate filter (Transport.accept) makes the retransmission idempotent.
 //
-// The send loop is batched: each wakeup drains the whole backlog (the
-// queued ack plus the unsent pending suffix) into one bufio.Writer
-// and flushes once — one write syscall and one write deadline per batch
-// instead of two syscalls and a deadline per frame. Frames stay
-// individually length-prefixed and self-contained (they carry no stream
-// state), so a batch is just a concatenation on the wire: a connection
-// kill mid-flush leaves the receiver with a prefix of whole frames (the
-// TCP stream never tears a frame into something decodable), and the
-// usual rewind-and-retransmit recovers the rest without loss or
-// duplication.
+// Writes are batched: each takes the whole backlog (the queued ack plus
+// the unsent pending suffix) into one bufio.Writer and flushes once — one
+// write syscall and one write deadline per batch instead of two syscalls
+// and a deadline per frame. Frames stay individually length-prefixed and
+// self-contained (they carry no stream state), so a batch is just a
+// concatenation on the wire: a connection kill mid-flush leaves the
+// receiver with a prefix of whole frames (the TCP stream never tears a
+// frame into something decodable), and the usual rewind-and-retransmit
+// recovers the rest without loss or duplication. The holder of the
+// writer token is the connection's only writer, so it carries frames in
+// ascending sequence order: the send loop, which writes data frames, acks
+// and responses, or a register caller blocked on its answer, which writes
+// its own request's batch when the token is free (see enqueue).
 type peer struct {
 	t    *Transport
 	addr string
@@ -44,8 +47,7 @@ type peer struct {
 	pending  pendingQueue // unacked sequenced frames, in seq order
 	nextSend int          // index into pending of first frame unsent on conn
 	ackTo    uint64       // cumulative ack waiting to be written, 0 for none
-	conn     net.Conn
-	up       bool
+	conn     net.Conn     // nil while the link is down
 	closed   bool
 	// fatal, when non-empty, records why this link can never come up
 	// (the remote speaks another wire version).
@@ -53,9 +55,13 @@ type peer struct {
 	// redialing instead of retrying a permanent failure forever.
 	fatal string
 
-	// sendLoop-only state (no lock needed).
-	maxSent uint64 // highest sequence number ever written: marks retransmissions
-	everUp  bool   // a connection has succeeded before: marks reconnects
+	// writing is the writer token, set while one goroutine writes a batch
+	// (see takeBatchLocked); only that goroutine touches bw to maxSent.
+	writing bool
+	bw      *bufio.Writer
+	fw      *frameWriter
+	batch   []frame // the batch being written
+	maxSent uint64  // highest sequence number ever written: marks retransmissions
 }
 
 // pendingFrame is one unacknowledged sequenced frame plus the time it
@@ -209,7 +215,7 @@ type ackedFrame struct {
 const maxBatchFrames = 1024
 
 func newPeer(t *Transport, addr string) *peer {
-	p := &peer{t: t, addr: addr}
+	p := &peer{t: t, addr: addr, fw: newFrameWriter()}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -229,13 +235,25 @@ func (p *peer) setFatal(msg string) {
 	p.mu.Unlock()
 }
 
+// A departure says how enqueue sends a frame off: bySendLoop wakes the
+// send loop; withAck leaves the wake to the receive loop's end-of-batch
+// ack, which the response then rides; byCaller (a caller blocked on the
+// answer) writes the batch itself if the token is free and the link up.
+type departure uint8
+
+const (
+	bySendLoop departure = iota
+	withAck
+	byCaller
+)
+
 // enqueue assigns the next sequence number to f and queues it for
-// (re)transmission until acked. With durability on, the frame is
-// journaled (fsync'd) under the same critical section that sequences it,
-// so the WAL order is the sequence order and a frame the send loop can
-// observe is already crash-safe. A journal failure degrades to in-memory
-// reliability for that frame rather than losing it outright.
-func (p *peer) enqueue(f frame) {
+// (re)transmission until acked, sending it off as d says. With durability
+// on, the frame is journaled (fsync'd) under the same critical section
+// that sequences it, so the WAL order is the sequence order and a frame a
+// writer can observe is already crash-safe. A journal failure degrades to
+// in-memory reliability for that frame rather than losing it outright.
+func (p *peer) enqueue(f frame, d departure) {
 	p.mu.Lock()
 	if p.stopped() {
 		p.mu.Unlock()
@@ -245,10 +263,22 @@ func (p *peer) enqueue(f frame) {
 	f.Seq = p.nextSeq
 	j, jerr := p.t.dlog.logEnqueue(p.addr, &f)
 	p.pending.push(j)
-	p.cond.Broadcast()
+	var conn net.Conn
+	var ackTo uint64
+	if d == byCaller && !p.writing && p.conn != nil {
+		conn, ackTo = p.takeBatchLocked()
+	} else if d != withAck {
+		p.cond.Broadcast()
+	}
 	p.mu.Unlock()
 	if jerr != nil {
 		p.t.log("frame log: journal seq %d to %s: %v", f.Seq, p.addr, jerr)
+	}
+	if conn != nil && p.writeBatch(conn, ackTo) {
+		p.mu.Lock()
+		p.writing = false
+		p.cond.Broadcast() // the send loop may wait for the token
+		p.mu.Unlock()
 	}
 }
 
@@ -265,8 +295,8 @@ func (p *peer) queueAck(hw hwSynced) {
 	p.cond.Broadcast()
 }
 
-// raiseAckLocked folds upTo into the queued ack by max. queueAck and the
-// send loop's write-error requeue both go through it, so a failed batch
+// raiseAckLocked folds upTo into the queued ack by max. queueAck and
+// writeBatch's write-error requeue both go through it, so a failed batch
 // putting its ack back cannot regress a fresher one queued meanwhile.
 // Caller holds p.mu.
 func (p *peer) raiseAckLocked(upTo uint64) { p.ackTo = max(p.ackTo, upTo) }
@@ -318,7 +348,7 @@ func (p *peer) state() transport.LinkState {
 	if p.stopped() {
 		return transport.LinkClosed
 	}
-	if p.up {
+	if p.conn != nil {
 		return transport.LinkUp
 	}
 	return transport.LinkConnecting
@@ -336,10 +366,10 @@ func (p *peer) killConn() {
 }
 
 // waitDrained blocks until every sequenced frame has been acked (and the
-// queued ack written) or the deadline passes. It waits on the
-// peer's condition variable — ack, the send loop and shutdown broadcast on
-// every queue transition — so the drain wakes exactly when pending
-// empties instead of polling.
+// queued ack written, no batch in flight) or the deadline passes. It
+// waits on the peer's condition variable — ack, the writers and shutdown
+// broadcast on every queue transition — so the drain wakes exactly when
+// pending empties instead of polling.
 func (p *peer) waitDrained(deadline time.Time) {
 	timer := time.AfterFunc(time.Until(deadline), func() {
 		p.mu.Lock()
@@ -349,7 +379,7 @@ func (p *peer) waitDrained(deadline time.Time) {
 	defer timer.Stop()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for (p.pending.live > 0 || p.ackTo > 0) && !p.stopped() && time.Now().Before(deadline) {
+	for (p.pending.live > 0 || p.ackTo > 0 || p.writing) && !p.stopped() && time.Now().Before(deadline) {
 		p.cond.Wait()
 	}
 }
@@ -360,7 +390,6 @@ func (p *peer) shutdown() {
 	p.closed = true
 	conn := p.conn
 	p.conn = nil
-	p.up = false
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	if conn != nil {
@@ -370,22 +399,23 @@ func (p *peer) shutdown() {
 
 // sendLoop owns the outbound connection: it dials (with per-attempt
 // ConnectTimeout and bounded exponential backoff between attempts),
-// writes queued frames in batches, and on any write error tears the
-// connection down and starts over, rewinding nextSend so the
-// unacknowledged suffix is retransmitted.
+// writes queued frames in batches whenever the writer token is free, and
+// redials after a write error tore the connection down, rewinding
+// nextSend so the unacknowledged suffix is retransmitted.
 func (p *peer) sendLoop() {
 	defer p.t.wg.Done()
 	backoff := p.t.cfg.Timeouts.BackoffBase
-	fw := newFrameWriter()
+	fw := newFrameWriter() // the handshake's: p.fw belongs to the token holder
 	defer fw.close()
-	var (
-		curConn net.Conn
-		bw      *bufio.Writer
-		batch   []frame
-	)
+	held := false   // the loop kept the token after its last batch
+	everUp := false // a connection has succeeded before: marks reconnects
 	for {
 		// Ensure a live connection.
 		p.mu.Lock()
+		if held {
+			p.writing, held = false, false
+			p.cond.Broadcast() // a drain may wait for the token
+		}
 		for p.conn == nil && !p.stopped() {
 			p.mu.Unlock()
 			conn, err := p.dialConn()
@@ -412,121 +442,128 @@ func (p *peer) sendLoop() {
 				return
 			}
 			p.conn = conn
-			p.up = true
 			p.nextSend = 0 // retransmit the unacked suffix
 			backoff = p.t.cfg.Timeouts.BackoffBase
-			if p.everUp {
+			if everUp {
 				p.t.record(p.t.self, metrics.Reconnects, 1)
 			}
-			p.everUp = true
+			everUp = true
 			p.t.wg.Add(1)
 			go p.watch(conn)
 		}
-		if p.stopped() {
-			p.mu.Unlock()
-			return
-		}
-		// Wait for work.
-		for p.ackTo == 0 && p.nextSend >= p.pending.length && p.conn != nil && !p.stopped() {
+		// Wait for work and for the token.
+		for (p.writing || p.ackTo == 0 && p.nextSend >= p.pending.length) && p.conn != nil && !p.stopped() {
 			p.cond.Wait()
 		}
 		if p.stopped() {
 			p.mu.Unlock()
 			return
 		}
-		conn := p.conn
-		if conn == nil {
+		if p.conn == nil {
 			p.mu.Unlock()
 			continue
 		}
-		// Take the backlog — the ack first (it unblocks the remote's
-		// drain), then the unsent pending suffix — as one batch, capped at
-		// maxBatchFrames so the scratch buffer stays a bounded, reused
-		// allocation under a deep backlog (the loop comes straight back for
-		// the rest).
-		ackTo := p.ackTo
-		p.ackTo = 0
-		batch = batch[:0]
-		pc, pi := p.pending.iterAt(p.nextSend)
-		for ; p.nextSend < p.pending.length && len(batch) < maxBatchFrames; p.nextSend++ {
-			if pf := &pc.buf[pi]; !pf.dropped {
-				batch = append(batch, pf.f)
-			}
-			if pi++; pi == pendingChunkFrames {
-				pc, pi = pc.next, 0
-			}
-		}
+		conn, ackTo := p.takeBatchLocked()
 		p.cond.Broadcast() // ack taken: a drain may be waiting on it
 		p.mu.Unlock()
+		held = p.writeBatch(conn, ackTo)
+	}
+}
 
-		if conn != curConn {
-			curConn = conn
-			bw = bufio.NewWriterSize(conn, batchBufSize)
+// takeBatchLocked takes the free writer token and the backlog of the up
+// link — the ack first (it unblocks the remote's drain), then the unsent
+// pending suffix, at most maxBatchFrames of it so the reused p.batch stays
+// bounded (the send loop comes straight back for the rest). Caller holds
+// p.mu.
+func (p *peer) takeBatchLocked() (net.Conn, uint64) {
+	p.writing = true
+	ackTo := p.ackTo
+	p.ackTo = 0
+	p.batch = p.batch[:0]
+	pc, pi := p.pending.iterAt(p.nextSend)
+	for ; p.nextSend < p.pending.length && len(p.batch) < maxBatchFrames; p.nextSend++ {
+		if pf := &pc.buf[pi]; !pf.dropped {
+			p.batch = append(p.batch, pf.f)
 		}
-		// One deadline and (via the single flush below) one syscall for
-		// the whole batch.
-		conn.SetWriteDeadline(time.Now().Add(p.t.cfg.Timeouts.Write))
-		var werr error
-		wrote := 0
-		encStart := time.Now()
-		if ackTo > 0 {
-			if werr = fw.writeCtrl(bw, ctrlFrame{Kind: frameAck, AckTo: ackTo}); werr == nil {
-				wrote++
-			}
+		if pi++; pi == pendingChunkFrames {
+			pc, pi = pc.next, 0
 		}
-		for i := 0; i < len(batch) && werr == nil; i++ {
-			f := &batch[i]
-			if err := fw.write(bw, f); err != nil {
-				if errors.Is(err, errEncode) {
-					// The frame can never be sent; drop it rather than
-					// retransmitting a permanent failure forever.
-					p.t.log("dropping frame to %s: %v", p.addr, err)
-					p.t.record(f.From, metrics.FrameDropEncode, 1)
-					p.dropPending(f.Seq)
-					p.endUnencodable(f, err)
-					continue
-				}
-				werr = err
-				break
-			}
+	}
+	return p.conn, ackTo
+}
+
+// writeBatch writes the batch takeBatchLocked took, outside p.mu, and
+// reports whether the writer still holds the token: a write error tears
+// the connection down (the send loop redials) and releases it.
+func (p *peer) writeBatch(conn net.Conn, ackTo uint64) bool {
+	if p.bw == nil { // allocated on first use: many links never send
+		p.bw = bufio.NewWriterSize(conn, batchBufSize)
+	}
+	p.bw.Reset(conn) // empty after the last flush, or failed with its conn
+	// One deadline and (via the single flush below) one syscall for the
+	// whole batch.
+	conn.SetWriteDeadline(time.Now().Add(p.t.cfg.Timeouts.Write))
+	var werr error
+	wrote := 0
+	encStart := time.Now()
+	if ackTo > 0 {
+		if werr = p.fw.writeCtrl(p.bw, ctrlFrame{Kind: frameAck, AckTo: ackTo}); werr == nil {
 			wrote++
-			// A sequence number at or below the high-water mark has been
-			// written before: this write is a retransmission.
-			if f.Seq <= p.maxSent {
-				p.t.record(f.From, metrics.FrameRetrans, 1)
-			} else {
-				p.maxSent = f.Seq
-				p.t.record(f.From, metrics.FrameSent, 1)
-			}
 		}
-		// Encode cost of the batch: frames land in the bufio buffer here
-		// (memory writes; the flush below does the syscall), so this is
-		// the codec's share of the send path.
-		p.t.registry().Histogram(metrics.HistFrameEncode).Observe(time.Since(encStart))
-		if werr == nil {
-			if wrote == 0 {
-				continue // whole batch dropped as unencodable
-			}
-			if werr = bw.Flush(); werr == nil {
-				p.t.record(p.t.self, metrics.FrameBatches, 1)
-				p.t.registry().Histogram(metrics.HistBatchFrames).ObserveValue(int64(wrote))
+	}
+	for i := 0; i < len(p.batch) && werr == nil; i++ {
+		f := &p.batch[i]
+		if err := p.fw.write(p.bw, f); err != nil {
+			if errors.Is(err, errEncode) {
+				// The frame can never be sent; drop it rather than
+				// retransmitting a permanent failure forever.
+				p.t.log("dropping frame to %s: %v", p.addr, err)
+				p.t.record(f.From, metrics.FrameDropEncode, 1)
+				p.dropPending(f.Seq)
+				p.endUnencodable(f, err)
 				continue
 			}
+			werr = err
+			break
 		}
-		p.t.log("write to %s failed: %v (reconnecting)", p.addr, werr)
-		p.mu.Lock()
-		if p.conn == conn {
-			p.conn = nil
-			p.up = false
+		wrote++
+		// A sequence number at or below the high-water mark has been
+		// written before: this write is a retransmission.
+		if f.Seq <= p.maxSent {
+			p.t.record(f.From, metrics.FrameRetrans, 1)
+		} else {
+			p.maxSent = f.Seq
+			p.t.record(f.From, metrics.FrameSent, 1)
 		}
-		// Requeue the batch's ack: it may not have reached the wire, and
-		// re-sending an ack is harmless (acks are idempotent and
-		// cumulative). A fresher ack queued while the batch was failing
-		// wins the max.
-		p.raiseAckLocked(ackTo)
-		p.mu.Unlock()
-		conn.Close()
 	}
+	// Encode cost of the batch: frames land in the bufio buffer here
+	// (memory writes; the flush below does the syscall), so this is the
+	// codec's share of the send path.
+	p.t.registry().Histogram(metrics.HistFrameEncode).Observe(time.Since(encStart))
+	if werr == nil {
+		if wrote == 0 {
+			return true // whole batch dropped as unencodable
+		}
+		if werr = p.bw.Flush(); werr == nil {
+			p.t.record(p.t.self, metrics.FrameBatches, 1)
+			p.t.registry().Histogram(metrics.HistBatchFrames).ObserveValue(int64(wrote))
+			return true
+		}
+	}
+	p.t.log("write to %s failed: %v (reconnecting)", p.addr, werr)
+	p.mu.Lock()
+	if p.conn == conn {
+		p.conn = nil
+	}
+	// Requeue the batch's ack: it may not have reached the wire, and
+	// re-sending an ack is harmless (acks are idempotent and cumulative).
+	// A fresher ack queued while the batch was failing wins the max.
+	p.raiseAckLocked(ackTo)
+	p.writing = false
+	p.cond.Broadcast() // wake the send loop to redial
+	p.mu.Unlock()
+	conn.Close()
+	return false
 }
 
 // watch blocks reading the outbound connection. The remote writes at
@@ -547,7 +584,6 @@ func (p *peer) watch(conn net.Conn) {
 	p.mu.Lock()
 	if p.conn == conn {
 		p.conn = nil
-		p.up = false
 		p.cond.Broadcast()
 	}
 	p.mu.Unlock()
@@ -581,7 +617,7 @@ func (p *peer) endUnencodable(f *frame, err error) {
 	case frameReq:
 		p.t.endCall(f.CallID, callResult{err: err})
 	case frameResp: // answer with the error alone
-		p.enqueue(frame{Kind: frameResp, From: f.From, To: f.To, CallID: f.CallID, Group: f.Group, ErrMsg: encodeError(err)})
+		p.enqueue(frame{Kind: frameResp, From: f.From, To: f.To, CallID: f.CallID, Group: f.Group, ErrMsg: encodeError(err)}, bySendLoop)
 	}
 }
 

@@ -203,7 +203,7 @@ func (g *Group) Send(from, to core.ProcID, payload core.Value, sc core.SpanConte
 	t.mu.Unlock()
 	g.record(from, metrics.MsgSent, 1)
 	p.enqueue(frame{Kind: frameData, From: from, To: to, Payload: payload, Group: g.id,
-		TraceID: sc.TraceID, SpanID: sc.SpanID, Lamport: sc.Clock})
+		TraceID: sc.TraceID, SpanID: sc.SpanID, Lamport: sc.Clock}, bySendLoop)
 	return nil
 }
 
@@ -287,7 +287,8 @@ func (g *Group) SetHandler(fn func(from core.ProcID, req core.Value) (core.Value
 // the response back. A call has no timeout: it ends with its response,
 // with the encode error if the request or response cannot be encoded, or
 // with ErrClosed when the group or the node is closed (a request for a
-// group not open at the owner is never answered).
+// group not open at the owner is never answered). The caller writes its
+// own request when it can (see byCaller), blocking only on a full socket.
 func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error) {
 	if !g.isProc(to) {
 		return nil, core.SpanContext{}, fmt.Errorf("%w: call to %v", core.ErrUnknownProc, to)
@@ -323,7 +324,7 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 	g.record(from, metrics.RPCIssued, 1)
 	start := time.Now()
 	p.enqueue(frame{Kind: frameReq, From: from, To: to, CallID: id, Payload: req, Group: g.id,
-		TraceID: sc.TraceID, SpanID: sc.SpanID, Lamport: sc.Clock})
+		TraceID: sc.TraceID, SpanID: sc.SpanID, Lamport: sc.Clock}, byCaller)
 	var res callResult
 	select {
 	case res = <-ch:

@@ -23,8 +23,8 @@
 //     after every reconnect, so connection kills lose nothing.
 //   - Fair-loss: layer transport.Lossy over this backend.
 //
-// The hot path is batched at both ends: the send loop drains its whole
-// backlog per wakeup into a buffered writer and flushes once (one write
+// The hot path is batched at both ends: each write drains the link's
+// whole backlog into a buffered writer and flushes once (one write
 // syscall and one deadline per batch), and the receiver answers each
 // batch of sequenced frames with a single cumulative ack instead of one
 // ack per frame. Frames remain individually length-prefixed and
@@ -427,36 +427,49 @@ func (t *Transport) recvLoop(conn net.Conn) {
 	}
 	var f frame
 	for {
-		if err := fr.read(br, &f); err != nil {
-			return
-		}
-		ackTo := t.dispatch(remote, &f)
-		for br.Buffered() > 0 {
-			if err := fr.read(br, &f); err != nil {
-				return
-			}
-			if a := t.dispatch(remote, &f); a > ackTo {
-				ackTo = a
+		var ackTo uint64
+		err := fr.read(br, &f)
+		for ; err == nil; err = fr.read(br, &f) {
+			ackTo = max(ackTo, t.dispatch(remote, &f))
+			if br.Buffered() == 0 {
+				break
 			}
 		}
+		// Ack even a batch cut short: its responses leave with the ack.
 		if ackTo > 0 {
 			t.syncAndAck(remote, ackTo)
+		}
+		if err != nil {
+			return
 		}
 	}
 }
 
 // syncAndAck makes the duplicate-filter high-water mark seq durable, then
-// acks it: once the sender prunes, only the journal stops a restarted
-// receiver from re-accepting retransmissions. On a journal error the ack
-// is withheld — the sender retransmits, the in-memory filter still drops
-// the duplicates, and the next batch retries the fsync.
+// cumulatively acks it to the remote node: once the sender prunes, only
+// the journal stops a restarted receiver from re-accepting
+// retransmissions. On a journal error the ack is withheld (the sender
+// retransmits, the filter drops the duplicates, the next batch retries the
+// fsync), but the zero mark, which acks nothing, still wakes the send loop
+// for the responses serve queued. Acks are unsequenced control frames, per
+// node pair: losing one is harmless because the sender retransmits and the
+// filter re-acks. They keep flowing while this node drains its own Close
+// (t.closed set, done not yet closed), so two nodes closing together still
+// drain each other.
 func (t *Transport) syncAndAck(remote string, seq uint64) {
 	hw, err := t.dlog.logRecvHW(remote, seq)
 	if err != nil {
 		t.log("frame log: recv high-water for %s: %v (withholding ack)", remote, err)
-		return
 	}
-	t.sendAck(remote, hw)
+	select {
+	case <-t.done:
+		return
+	default:
+	}
+	t.mu.Lock()
+	p := t.peerLocked(remote)
+	t.mu.Unlock()
+	p.queueAck(hw)
 }
 
 // dispatch routes one inbound frame and returns the sequence number the
@@ -550,33 +563,16 @@ func (t *Transport) acceptLocked(remote string, seq uint64) bool {
 	return true
 }
 
-// sendAck cumulatively acknowledges a synced high-water mark to the remote
-// node. Acks are unsequenced control frames: losing one is harmless
-// because the sender retransmits and the duplicate filter re-acks. Acks
-// keep flowing while this node is draining its own Close (t.closed set,
-// done not yet closed), so two nodes closing concurrently can still drain
-// each other. Acks are per node pair, whatever groups the acked frames
-// belonged to.
-func (t *Transport) sendAck(remote string, hw hwSynced) {
-	select {
-	case <-t.done:
-		return
-	default:
-	}
-	t.mu.Lock()
-	p := t.peerLocked(remote)
-	t.mu.Unlock()
-	p.queueAck(hw)
-}
-
 // serve passes a request frame through the duplicate filter and runs its
-// group's RPC handler on the receive loop that read it — so the handler
-// must not block on the network — then queues the response (which carries
-// the same group, so the caller's node routes the metrics to the right
-// shard). The filter, the handler lookup and the response's peer share
-// one t.mu section: the receive loop serves every group's requests, and
-// t.mu is also the lock every group's TryRecv takes. The response is
-// queued before the batch's ack, so the two usually leave in one write.
+// group's RPC handler on the receive loop that read it — so the handler must
+// not block on the network — then queues the response (which carries the
+// same group, so the caller's node routes the metrics to the right shard).
+// The filter, the handler lookup and the response's peer share one t.mu
+// section: the receive loop serves every group's requests, and t.mu is also
+// the lock every group's TryRecv takes. The response is queued without
+// waking the send loop: the batch's ack (syncAndAck) wakes it, so the two
+// always leave in one write. The receive loop never writes: two nodes whose
+// receive loops both block writing to each other would deadlock.
 //
 // A request for a group that is not open here — not yet, or no longer —
 // is dropped like a data frame: logged, acked by dispatch, and never
@@ -611,7 +607,7 @@ func (t *Transport) serve(remote string, f *frame) {
 			resp.ErrMsg = encodeError(err)
 		}
 	}
-	p.enqueue(resp)
+	p.enqueue(resp, withAck)
 }
 
 // errNoHandler answers a request to an open group that has no handler.
