@@ -30,7 +30,6 @@ package leader
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/mnm-model/mnm/internal/core"
 )
@@ -140,7 +139,7 @@ type Detector struct {
 	hbTimeout  []uint64
 	timerEnd   []uint64
 	timerOn    []bool
-	contenders map[core.ProcID]bool
+	contenders []bool // contenders[q]: q is a contender
 	ldr        core.ProcID
 	accused    bool
 
@@ -170,12 +169,13 @@ func NewDetector(env core.Env, cfg Config) (*Detector, error) {
 		hbTimeout:  make([]uint64, n),
 		timerEnd:   make([]uint64, n),
 		timerOn:    make([]bool, n),
-		contenders: map[core.ProcID]bool{env.ID(): true},
+		contenders: make([]bool, n),
 		ldr:        core.NoProc,
 	}
 	for q := 0; q < n; q++ {
 		d.hbTimeout[q] = cfg.InitialTimeout + 1
 	}
+	d.contenders[d.me] = true
 	return d, nil
 }
 
@@ -238,21 +238,23 @@ func (d *Detector) Tick(env core.Env) error {
 	prev := d.ldr
 	ldr := me
 	best := d.state[me].Counter
-	ids := make([]int, 0, len(d.contenders))
-	for q := range d.contenders {
-		ids = append(ids, int(q))
-	}
-	sort.Ints(ids)
-	for _, qi := range ids {
+	for qi, on := range d.contenders {
 		q := core.ProcID(qi)
-		if d.state[q].Counter < best || (d.state[q].Counter == best && q < ldr) {
+		if on && (d.state[q].Counter < best || (d.state[q].Counter == best && q < ldr)) {
 			ldr = q
 			best = d.state[q].Counter
 		}
 	}
 	d.ldr = ldr
-	env.Expose(LeaderKey, ldr)
-	env.Expose(BadnessKey, d.state[me].Counter)
+	// Both keys are exposed on the first Tick, which moves the leader off
+	// NoProc, and afterwards only on change: the own badness changes only
+	// where it is incremented below.
+	if ldr != prev {
+		env.Expose(LeaderKey, ldr)
+	}
+	if prev == core.NoProc {
+		env.Expose(BadnessKey, d.state[me].Counter)
+	}
 
 	// Lines 10–11: p became leader — announce to everyone.
 	if prev != me && ldr == me {
@@ -324,7 +326,7 @@ func (d *Detector) Tick(env core.Env) error {
 			d.startTimer(env, q)
 			continue
 		}
-		delete(d.contenders, q)
+		d.contenders[q] = false
 		d.timerOn[q] = false
 		if d.state[q].Active {
 			if err := env.Send(q, accusationMsg{}); err != nil {

@@ -18,12 +18,12 @@ type idEnv struct {
 func (e idEnv) ID() core.ProcID    { return e.id }
 func (e idEnv) LocalSteps() uint64 { return 0 }
 
-// newTestReplica returns replica id's state before it applied anything.
-func newTestReplica(id core.ProcID, k int) *replica {
+// newTestReplica returns the state of replica id of n, with k own commands,
+// before it applied anything.
+func newTestReplica(id core.ProcID, n, k int) *replica {
 	r := &replica{
-		chainHash:    fnv1aInit,
-		applied:      make(map[Command]bool),
-		committedOwn: make([]bool, k),
+		chainHash: fnv1aInit,
+		applied:   newAppliedSet(n, k),
 	}
 	for s := 0; s < k; s++ {
 		r.ownCommands = append(r.ownCommands, Command{Proposer: id, Seq: s, Op: "own"})
@@ -35,7 +35,7 @@ func newTestReplica(id core.ProcID, k int) *replica {
 // its first occurrence: the hash is the chain over first occurrences in
 // log order, and the applied count is the number of distinct commands.
 func TestApplyBatchesExactlyOnce(t *testing.T) {
-	r := newTestReplica(0, 2)
+	r := newTestReplica(0, 3, 2)
 	own0, own1 := r.ownCommands[0], r.ownCommands[1]
 	b := Command{Proposer: 1, Seq: 0, Op: "b"}
 	c := Command{Proposer: 2, Seq: 3, Op: "c"}
@@ -53,8 +53,8 @@ func TestApplyBatchesExactlyOnce(t *testing.T) {
 	if r.chainHash != want {
 		t.Errorf("hash = %#x, want %#x (the chain over first occurrences)", r.chainHash, want)
 	}
-	if len(r.applied) != 4 || r.slot != len(log) {
-		t.Errorf("applied %d distinct commands from %d slots, want 4 from %d", len(r.applied), r.slot, len(log))
+	if r.applied.n != 4 || r.slot != len(log) {
+		t.Errorf("applied %d distinct commands from %d slots, want 4 from %d", r.applied.n, r.slot, len(log))
 	}
 	if r.ownNext != 2 {
 		t.Errorf("ownNext = %d after both own commands committed, want 2", r.ownNext)
@@ -67,21 +67,21 @@ func TestApplyBatchesExactlyOnce(t *testing.T) {
 // pickBatch sequences forwarded commands oldest first, then uncommitted
 // own ones, skips applied ones and stops at maxBatch.
 func TestPickBatch(t *testing.T) {
-	r := newTestReplica(0, 3)
+	r := newTestReplica(0, 2, 3)
 	if got := r.pickBatch(); len(got) != 3 || got[0] != r.ownCommands[0] {
 		t.Fatalf("own-only batch = %v, want the 3 own commands", got)
 	}
 	for s := 0; s < maxBatch+10; s++ {
 		r.pending = append(r.pending, Command{Proposer: 1, Seq: s})
 	}
-	r.applied[r.pending[0]] = true
-	r.applied[r.ownCommands[1]], r.committedOwn[1] = true, true
+	r.applied.add(r.pending[0])
+	r.applied.add(r.ownCommands[1])
 	got := r.pickBatch()
 	if len(got) != maxBatch || got[0].Seq != 1 || got[maxBatch-1].Seq != maxBatch {
 		t.Fatalf("batch of %d starting %v, want %d forwarded commands from seq 1", len(got), got[0], maxBatch)
 	}
 	r.pending = r.pending[:3]
-	r.applied[r.pending[1]] = true
+	r.applied.add(r.pending[1])
 	want := Batch{r.pending[0], r.pending[2], r.ownCommands[0], r.ownCommands[2]}
 	got = r.pickBatch()
 	if len(got) != len(want) {

@@ -38,7 +38,11 @@
 //     applies committed batches in slot order, one command at a time,
 //     skips any command it already applied, and keeps a hash chain over
 //     what it applied. Equal applied counts imply equal hashes on every
-//     replica.
+//     replica. A command's identity is (Proposer, Seq), and Op is not part
+//     of it: the applied set is dense, one row per proposer indexed by
+//     Seq, so a membership test hashes nothing. A slot holding a command
+//     no proposer of the system can have issued (Proposer outside [0, n)
+//     or a negative Seq) is an error, like a slot holding no Batch.
 //   - Faults. A register or link error ends the replica. The registers do
 //     not fail (§3): over rt a remote op waits for its owner, across a
 //     restart, until the replica's own group stops.
@@ -71,7 +75,10 @@ const (
 )
 
 // Command is one client command. Commands are comparable (CAS-able) and
-// globally unique through (Proposer, Seq).
+// globally unique through (Proposer, Seq). Replicas rely on that
+// uniqueness: they track applied commands by (Proposer, Seq) alone, so two
+// commands that share it but differ in Op count as one, and only the first
+// applied is hashed.
 type Command struct {
 	// Proposer is the client that issued the command.
 	Proposer core.ProcID
@@ -123,6 +130,63 @@ func (c *Config) setDefaults() {
 	}
 }
 
+// ownCommands returns the k commands process id submits. Op of command s
+// is "op-<id>-<s>", the fmt.Sprintf("op-%v-%d", id, s) form, built without
+// fmt.
+func ownCommands(id core.ProcID, k int) []Command {
+	cmds := make([]Command, k)
+	buf := []byte("op-" + id.String() + "-")
+	prefix := len(buf)
+	for s := range cmds {
+		buf = strconv.AppendInt(buf[:prefix], int64(s), 10)
+		cmds[s] = Command{Proposer: id, Seq: s, Op: string(buf)}
+	}
+	return cmds
+}
+
+// appliedSet is the set of distinct commands a replica applied, keyed by
+// (Proposer, Seq): seqs[p][s] marks command (p, s). Each row starts at
+// CommandsPerProcess entries and grows only for a larger Seq.
+type appliedSet struct {
+	seqs [][]bool
+	n    int // commands in the set
+}
+
+func newAppliedSet(n, k int) appliedSet {
+	seqs := make([][]bool, n)
+	for p := range seqs {
+		seqs[p] = make([]bool, k)
+	}
+	return appliedSet{seqs: seqs}
+}
+
+// valid reports whether cmd's proposer is a process of the system and its
+// Seq is non-negative: whether the set can hold it.
+func (a *appliedSet) valid(cmd Command) bool {
+	return cmd.Proposer >= 0 && int(cmd.Proposer) < len(a.seqs) && cmd.Seq >= 0
+}
+
+// has reports whether the valid command cmd is in the set.
+func (a *appliedSet) has(cmd Command) bool {
+	row := a.seqs[cmd.Proposer]
+	return cmd.Seq < len(row) && row[cmd.Seq]
+}
+
+// add inserts the valid command cmd and reports whether it was absent.
+func (a *appliedSet) add(cmd Command) bool {
+	row := a.seqs[cmd.Proposer]
+	if cmd.Seq >= len(row) {
+		row = append(row, make([]bool, cmd.Seq+1-len(row))...)
+		a.seqs[cmd.Proposer] = row
+	}
+	if row[cmd.Seq] {
+		return false
+	}
+	row[cmd.Seq] = true
+	a.n++
+	return true
+}
+
 // SlotRef returns the register holding log slot s in an n-process system.
 // Slots are striped across processes so no single host owns the log.
 func SlotRef(s, n int) core.Ref {
@@ -146,14 +210,12 @@ type replica struct {
 	cfg Config
 	det *leader.Detector
 
-	slot      int              // next log slot to apply
-	applied   map[Command]bool // the distinct commands applied so far
+	slot      int        // next log slot to apply
+	applied   appliedSet // the distinct commands applied so far
 	chainHash uint64
 
 	ownCommands []Command
-	// committedOwn[seq] marks own commands seen in the applied prefix.
-	committedOwn []bool
-	ownNext      int // lowest own seq not yet committed
+	ownNext     int // lowest own seq not yet committed
 
 	// pending queues forwarded commands, in arrival order, for this
 	// replica to sequence while leader. Only applied entries ever leave
@@ -172,30 +234,30 @@ func run(env core.Env, cfg Config) error {
 		return err
 	}
 	r := &replica{
-		cfg:          cfg,
-		det:          det,
-		chainHash:    fnv1aInit,
-		applied:      make(map[Command]bool),
-		committedOwn: make([]bool, cfg.CommandsPerProcess),
-		forwarded:    make([]bool, env.N()),
-		backoff:      cfg.ResendInterval,
-	}
-	for s := 0; s < cfg.CommandsPerProcess; s++ {
-		r.ownCommands = append(r.ownCommands, Command{
-			Proposer: env.ID(),
-			Seq:      s,
-			Op:       fmt.Sprintf("op-%v-%d", env.ID(), s),
-		})
+		cfg:         cfg,
+		det:         det,
+		chainHash:   fnv1aInit,
+		applied:     newAppliedSet(env.N(), cfg.CommandsPerProcess),
+		ownCommands: ownCommands(env.ID(), cfg.CommandsPerProcess),
+		forwarded:   make([]bool, env.N()),
+		backoff:     cfg.ResendInterval,
 	}
 
+	// AppliedKey, HashKey and DoneKey change only when a command applies,
+	// so they are exposed on the first iteration, before any park, and
+	// afterwards only by an iteration that applied something.
+	applied := -1
 	for {
 		stepsAtTop, slotAtTop := env.LocalSteps(), r.slot
 		if err := r.tick(env); err != nil {
 			return err
 		}
-		env.Expose(AppliedKey, len(r.applied))
-		env.Expose(HashKey, r.chainHash)
-		env.Expose(DoneKey, r.ownNext == len(r.ownCommands))
+		if r.applied.n != applied {
+			applied = r.applied.n
+			env.Expose(AppliedKey, applied)
+			env.Expose(HashKey, r.chainHash)
+			env.Expose(DoneKey, r.ownNext == len(r.ownCommands))
+		}
 		// Every iteration costs at least one step. A follower that applied
 		// nothing parks too, until a delivery, a write in its domain (the
 		// leader's CAS on a slot it owns) or the host's tick; the leader
@@ -209,10 +271,15 @@ func run(env core.Env, cfg Config) error {
 // tick is one iteration of the replica loop. An error from any phase ends
 // the replica (see Faults in the package doc).
 func (r *replica) tick(env core.Env) error {
+	prev := r.det.Leader()
 	if err := r.det.Tick(env); err != nil {
 		return err
 	}
-	env.Expose(LeaderKey, r.det.Leader())
+	// The first Tick moves the leader off NoProc, so the key is exposed
+	// once before any park.
+	if ldr := r.det.Leader(); ldr != prev {
+		env.Expose(LeaderKey, ldr)
+	}
 	r.consumeForeign()
 	if err := r.advance(env); err != nil {
 		return err
@@ -222,7 +289,7 @@ func (r *replica) tick(env core.Env) error {
 
 // consumeForeign queues forwarded commands from the detector's foreign
 // buffer, minus those already applied (a resend that crossed the commit,
-// or a restarted replica's).
+// or a restarted replica's) and those no proposer can have issued.
 func (r *replica) consumeForeign() {
 	for _, m := range r.det.Foreign {
 		sub, ok := m.Payload.(submitMsg)
@@ -230,7 +297,7 @@ func (r *replica) consumeForeign() {
 			continue
 		}
 		for _, cmd := range sub.Cmds {
-			if !r.applied[cmd] {
+			if r.applied.valid(cmd) && !r.applied.has(cmd) {
 				r.pending = append(r.pending, cmd)
 			}
 		}
@@ -283,22 +350,23 @@ func (r *replica) applyNext(env core.Env, val core.Value) error {
 	if !ok {
 		return fmt.Errorf("rsm: slot %d holds %T", r.slot, val)
 	}
-	r.slot++
 	for _, cmd := range batch {
-		if r.applied[cmd] {
+		if !r.applied.valid(cmd) {
+			return fmt.Errorf("rsm: slot %d holds command %v of no proposer", r.slot, cmd)
+		}
+		if !r.applied.add(cmd) {
 			continue
 		}
-		r.applied[cmd] = true
 		r.chainHash = chain(r.chainHash, cmd)
-		if cmd.Proposer == env.ID() && cmd.Seq < len(r.committedOwn) {
-			r.committedOwn[cmd.Seq] = true
+		if cmd.Proposer == env.ID() && cmd.Seq < len(r.ownCommands) {
 			// Own commands commit out of order: skip every committed one.
-			for r.ownNext < len(r.committedOwn) && r.committedOwn[r.ownNext] {
+			for r.ownNext < len(r.ownCommands) && r.applied.has(r.ownCommands[r.ownNext]) {
 				r.ownNext++
 			}
 			r.lastSend, r.backoff = env.LocalSteps(), r.cfg.ResendInterval
 		}
 	}
+	r.slot++
 	return nil
 }
 
@@ -309,7 +377,7 @@ func (r *replica) applyNext(env core.Env, val core.Value) error {
 // rarely stall. pickBatch drops applied commands from pending. The batch
 // is a fresh slice because a won CAS stores it in the slot as is.
 func (r *replica) pickBatch() Batch {
-	r.pending = slices.DeleteFunc(r.pending, func(cmd Command) bool { return r.applied[cmd] })
+	r.pending = slices.DeleteFunc(r.pending, r.applied.has)
 	n := min(len(r.pending)+len(r.ownCommands)-r.ownNext, maxBatch)
 	if n == 0 {
 		return nil
@@ -322,7 +390,7 @@ func (r *replica) pickBatch() Batch {
 // first, until dst holds limit commands.
 func (r *replica) appendUncommitted(dst []Command, limit int) []Command {
 	for seq := r.ownNext; seq < len(r.ownCommands) && len(dst) < limit; seq++ {
-		if !r.committedOwn[seq] {
+		if !r.applied.has(r.ownCommands[seq]) {
 			dst = append(dst, r.ownCommands[seq])
 		}
 	}

@@ -348,37 +348,49 @@ func TestCodecLessRemoteOpsFailOverTCP(t *testing.T) {
 	}
 }
 
-// TestCASUnderConnectionKillsOverTCP: two nodes' processes CAS-increment
-// one register owned by p1 while the test kills a node's connections
-// every few milliseconds. A remote op waits out each reconnect instead of
-// failing, so no process reports an error; and since a request rides the
-// sequenced, deduplicated frame stream, each CAS takes effect exactly
-// once: the register ends at the number of CASes that reported a swap.
+// TestCASUnderConnectionKillsOverTCP: two nodes' processes take turns
+// CAS-incrementing one register owned by p1 while the test kills a node's
+// connections every few milliseconds. p_i CASes only when the counter's
+// parity is i (nil counts as 0) and otherwise re-reads it, so on its own
+// turn nobody else moves the counter and each CAS must swap, and p0, which
+// moves first, is never starved by p1's local CASes. A remote op waits out
+// each reconnect instead of failing, so no process reports an error; and
+// since a request rides the sequenced, deduplicated frame stream, each CAS
+// takes effect exactly once: none fails, the swap counts alternate, and
+// the register ends at the number of swaps.
 func TestCASUnderConnectionKillsOverTCP(t *testing.T) {
 	const kills = 40
 	reg := core.Reg(1, "CTR")
 	var finished atomic.Bool
-	alg := core.AlgorithmFunc(func(core.ProcID) core.Process {
+	alg := core.AlgorithmFunc(func(id core.ProcID) core.Process {
 		return func(env core.Env) error {
-			var expected core.Value
-			swaps := 0
-			for !finished.Load() {
-				next := 1
-				if n, ok := expected.(int); ok {
-					next = n + 1
+			var cur core.Value
+			swaps, failed := 0, 0
+			// Both processes swap at least once: p0's first turn needs
+			// nobody, and p1's needs only p0's first swap.
+			for swaps == 0 || !finished.Load() {
+				n, _ := cur.(int)
+				if n%2 != int(id) {
+					var err error
+					if cur, err = env.Read(reg); err != nil {
+						return err
+					}
+					continue
 				}
-				swapped, cur, err := env.CompareAndSwap(reg, expected, next)
+				swapped, now, err := env.CompareAndSwap(reg, cur, n+1)
 				if err != nil {
 					return err
 				}
 				if swapped {
 					swaps++
-					expected = next
+					cur = n + 1
 				} else {
-					expected = cur
+					failed++
+					cur = now
 				}
 			}
 			env.Expose("swaps", swaps)
+			env.Expose("failed", failed)
 			return nil
 		}
 	})
@@ -414,17 +426,23 @@ func TestCASUnderConnectionKillsOverTCP(t *testing.T) {
 		trs[k%2].KillConnections()
 	}
 	finished.Store(true)
-	total := 0
+	var swaps [2]int
 	for i, h := range hosts {
 		if err := h.Wait().Err(); err != nil {
 			t.Errorf("node %d: %v", i, err)
 		}
-		swaps, _ := h.Exposed(core.ProcID(i), "swaps").(int)
-		if swaps == 0 {
+		swaps[i], _ = h.Exposed(core.ProcID(i), "swaps").(int)
+		if swaps[i] == 0 {
 			t.Errorf("p%d reported no swap in %d connection kills", i, kills)
 		}
-		total += swaps
+		if failed, _ := h.Exposed(core.ProcID(i), "failed").(int); failed != 0 {
+			t.Errorf("p%d: %d CASes on its own turn failed: a CAS took effect other than once", i, failed)
+		}
 	}
+	if d := swaps[0] - swaps[1]; d < -1 || d > 1 {
+		t.Errorf("swap counts %v differ by more than 1, though the processes take turns", swaps)
+	}
+	total := swaps[0] + swaps[1]
 	v, err := hosts[1].Memory().Read(1, reg)
 	if err != nil {
 		t.Fatal(err)
