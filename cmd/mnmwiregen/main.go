@@ -1,19 +1,19 @@
 // Command mnmwiregen generates the binary payload codecs of the socket
 // transport's wire plane (internal/wire).
 //
-//	go run ./cmd/mnmwiregen ./...          # (re)write wire_codec.go files
-//	go run ./cmd/mnmwiregen -check ./...   # verify they are current (CI)
+//	go run ./cmd/mnmwiregen ./...   # (re)write wire_codec.go files
 //
 // For every package with a wire.go, the //mnmwiregen:types directive
 // there is the source of truth (mnmvet's wirecodec rule holds the
 // package's sends to the same list): one wire_codec.go is emitted next to
-// wire.go with a flat binary codec per listed type, plus a fingerprint
-// manifest that the wirecodec rule checks so the generated file cannot
-// silently go stale. A listed name that is not a concrete type declared
-// in the package is an error.
+// wire.go with a flat binary codec per listed type, and removed where the
+// list is empty. mnmvet's wirecodec rule runs the same generator and
+// fails on any file that differs from its output, so a stale file cannot
+// pass go test ./... or CI. A listed name that is not a concrete type
+// declared in the package is an error.
 //
-// Exit status: 0 clean (or up to date with -check), 1 stale files under
-// -check, 2 usage, load or directive failure.
+// Exit status: 0 written (or already current), 2 usage, load, directive
+// or write failure.
 //
 // If a stale wire_codec.go no longer compiles (e.g. a field was renamed),
 // delete it and rerun — generation only needs the type definitions to
@@ -38,9 +38,8 @@ func main() {
 func run(args []string, stdout, stderr *os.File) int {
 	fs := flag.NewFlagSet("mnmwiregen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	check := fs.Bool("check", false, "verify generated codecs are current instead of writing; exit 1 on drift")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: mnmwiregen [-check] [packages]\n")
+		fmt.Fprintf(stderr, "usage: mnmwiregen [packages]\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -60,7 +59,6 @@ func run(args []string, stdout, stderr *os.File) int {
 		fmt.Fprintf(stderr, "mnmwiregen: %v\n", err)
 		return 2
 	}
-	stale := 0
 	for _, pkg := range pkgs {
 		if !wiregen.HasWireFile(pkg) {
 			continue
@@ -73,24 +71,15 @@ func run(args []string, stdout, stderr *os.File) int {
 		path := filepath.Join(pkg.Dir, wiregen.FileName)
 		got, readErr := os.ReadFile(path)
 		switch {
-		case want == nil:
+		case want == nil && readErr == nil:
 			// No listed wire types: no codec file belongs here.
-			if readErr == nil {
-				if *check {
-					fmt.Fprintf(stdout, "mnmwiregen: %s: stray %s (package lists no wire types)\n", pkg.ImportPath, wiregen.FileName)
-					stale++
-				} else if err := os.Remove(path); err != nil {
-					fmt.Fprintf(stderr, "mnmwiregen: %v\n", err)
-					return 2
-				} else {
-					fmt.Fprintf(stdout, "mnmwiregen: removed %s\n", path)
-				}
+			if err := os.Remove(path); err != nil {
+				fmt.Fprintf(stderr, "mnmwiregen: %v\n", err)
+				return 2
 			}
-		case readErr == nil && bytes.Equal(got, want):
+			fmt.Fprintf(stdout, "mnmwiregen: removed %s\n", path)
+		case want == nil || bytes.Equal(got, want):
 			// Up to date.
-		case *check:
-			fmt.Fprintf(stdout, "mnmwiregen: %s: %s is stale; rerun go run ./cmd/mnmwiregen ./...\n", pkg.ImportPath, wiregen.FileName)
-			stale++
 		default:
 			if err := os.WriteFile(path, want, 0o644); err != nil {
 				fmt.Fprintf(stderr, "mnmwiregen: %v\n", err)
@@ -98,10 +87,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			}
 			fmt.Fprintf(stdout, "mnmwiregen: wrote %s\n", path)
 		}
-	}
-	if stale > 0 {
-		fmt.Fprintf(stderr, "mnmwiregen: %d stale file(s)\n", stale)
-		return 1
 	}
 	return 0
 }

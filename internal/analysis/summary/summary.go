@@ -123,17 +123,6 @@ func (s *Set) Effects(fn *types.Func) Effect { return s.trans[fn] }
 // DirectEffects returns the effects fn's own body performs.
 func (s *Set) DirectEffects(fn *types.Func) Effect { return s.direct[fn] }
 
-// Acquires returns the sorted set of lock keys fn may acquire,
-// directly or through synchronous calls.
-func (s *Set) Acquires(fn *types.Func) []string {
-	keys := make([]string, 0, len(s.acquires[fn]))
-	for k := range s.acquires[fn] {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // LockEdges returns every held→acquired edge in the load.
 func (s *Set) LockEdges() []LockEdge { return s.lockEdges }
 

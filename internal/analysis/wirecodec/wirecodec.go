@@ -12,36 +12,35 @@
 // The repo's convention is that each algorithm package owns a wire.go
 // whose //mnmwiregen:types directive lists every type it sends or stores
 // in shared registers; cmd/mnmwiregen generates one codec per listed type
-// into wire_codec.go and stamps a manifest there — a fingerprint comment
-// per type describing the wire shape the codec was derived from, plus the
-// frame-header version (wire.FrameVersion) it was generated against. In
-// any package that has a wire.go, this analyzer holds the three together:
+// into wire_codec.go, stamped with the frame-header version
+// (wire.FrameVersion) it was generated against. This analyzer holds the
+// list, the sends and the generated file together:
 //
-//   - every package-local named type passed as an interface-typed argument,
-//     in any position, to an interface method named Send, Broadcast, Write
-//     or CompareAndSwap (the core.Env and transport.Transport wire
-//     surface) is listed. Types from other packages are that package's
-//     responsibility (internal/wire has builtin codecs for the basic
-//     kinds: int, bool, string, core.ProcID, …);
+//   - in a package with a wire.go, every package-local named type passed
+//     as an interface-typed argument, in any position, to an interface
+//     method named Send, Broadcast, Write or CompareAndSwap (the core.Env
+//     and transport.Transport wire surface) is listed. Types from other
+//     packages are that package's responsibility (internal/wire has
+//     builtin codecs for the basic kinds: int, bool, string, core.ProcID,
+//     …);
 //   - every listed name is a concrete type declared in the package;
-//   - the listed set and the manifest agree name-for-name and
-//     fingerprint-for-fingerprint, so a type added, removed or reshaped
-//     without re-running the generator is a vet failure rather than a
-//     dropped frame or a stale layout;
-//   - the manifest's version stamp is current: a header redesign bumps
-//     wire.FrameVersion, and every codec file generated before the bump
-//     fails vet until mnmwiregen is re-run, so payload codecs can never
-//     outlive the frame format they were audited against.
+//   - wire_codec.go is exactly what the generator emits for the package
+//     today. The rule regenerates it in memory and compares bytes, so a
+//     type added, removed or reshaped, a hand-edited codec, a missing or
+//     stray file, or a wire.FrameVersion bump without re-running
+//     mnmwiregen is a vet failure rather than a dropped frame or a stale
+//     layout.
 package wirecodec
 
 import (
+	"bytes"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"os"
+	"strings"
 
 	"github.com/mnm-model/mnm/internal/analysis"
-	"github.com/mnm-model/mnm/internal/wire"
 	"github.com/mnm-model/mnm/internal/wiregen"
 )
 
@@ -50,19 +49,25 @@ var Analyzer = &analysis.Analyzer{
 	Name: "wirecodec",
 	Doc: "in packages with a wire.go, every package-local type sent via the " +
 		"transport/rt message or register plane must be listed in its " +
-		"//mnmwiregen:types directive, and the generated wire_codec.go manifest " +
-		"must match that list and the current frame-header version " +
-		"(run mnmwiregen to regenerate)",
+		"//mnmwiregen:types directive, and wire_codec.go must be exactly what " +
+		"mnmwiregen generates from that list (run mnmwiregen to regenerate)",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) {
-	if !wiregen.HasWireFile(pass.Pkg) {
-		return
+	badName := false
+	registered := wiregen.RegisteredTypes(pass.Pkg, func(pos token.Pos, format string, args ...any) {
+		badName = true
+		pass.Reportf(pos, format, args...)
+	})
+	if wiregen.HasWireFile(pass.Pkg) {
+		checkSends(pass, registered)
 	}
-	registered := wiregen.RegisteredTypes(pass.Pkg, pass.Reportf)
-	checkSends(pass, registered)
-	checkManifest(pass, registered)
+	// The generator refuses a bad directive name, which is reported
+	// above already.
+	if !badName {
+		checkFresh(pass, registered)
+	}
 }
 
 // wireUse records the first place a type crossed the wire surface.
@@ -166,67 +171,46 @@ func localNamed(pass *analysis.Pass, expr ast.Expr) *types.TypeName {
 	return obj
 }
 
-// checkManifest holds the generated file's manifest to the listed set and
-// the current frame-header version.
-func checkManifest(pass *analysis.Pass, registered []*types.TypeName) {
-	codecFile := wiregen.SourceFile(pass.Pkg, wiregen.FileName)
-	if codecFile == nil {
-		if len(registered) > 0 {
-			pass.Reportf(registered[0].Pos(), "package lists %d wire type(s) but has no %s; run mnmwiregen to generate the binary payload codecs",
-				len(registered), wiregen.FileName)
-		}
+// checkFresh regenerates the package's wire_codec.go and compares it
+// byte for byte with the file on disk.
+func checkFresh(pass *analysis.Pass, registered []*types.TypeName) {
+	const regen = "run go run ./cmd/mnmwiregen ./..."
+	want, err := wiregen.Generate(pass.Pkg)
+	if err != nil {
+		pass.Reportf(registered[0].Pos(), "%v", err)
 		return
 	}
-	if len(registered) == 0 {
-		pass.Reportf(codecFile.Pos(), "%s exists but the package lists no wire types; run mnmwiregen to remove it", wiregen.FileName)
-		return
-	}
-
-	// The manifest: a frame-header version stamp plus one fingerprint
-	// comment per generated codec.
-	manifest := map[string]string{} // type name -> fingerprint
-	version, haveVersion := 0, false
-	for _, cg := range codecFile.Comments {
-		for _, c := range cg.List {
-			if name, fp, ok := wiregen.ParseFingerprint(c.Text); ok {
-				manifest[name] = fp
-			}
-			if v, ok := wiregen.ParseWireVersion(c.Text); ok {
-				version, haveVersion = v, true
-			}
-		}
-	}
+	codec := wiregen.SourceFile(pass.Pkg, wiregen.FileName)
 	switch {
-	case !haveVersion:
-		pass.Reportf(codecFile.Pos(), "%s has no //mnmwiregen:wireversion stamp (generated before frame-header versioning); re-run mnmwiregen",
-			wiregen.FileName)
-	case version != wire.FrameVersion:
-		pass.Reportf(codecFile.Pos(), "%s was generated against frame-header version %d but the wire plane is now version %d; re-run mnmwiregen",
-			wiregen.FileName, version, wire.FrameVersion)
+	case codec == nil && want != nil:
+		pass.Reportf(registered[0].Pos(), "package lists %d wire type(s) but has no %s; %s",
+			len(registered), wiregen.FileName, regen)
+	case codec != nil && want == nil:
+		pass.Reportf(codec.Name.Pos(), "%s exists but the package lists no wire types; delete it", wiregen.FileName)
+	case codec != nil:
+		file := pass.Pkg.Fset.File(codec.Pos())
+		got, err := os.ReadFile(file.Name())
+		if err != nil {
+			pass.Reportf(codec.Name.Pos(), "%v", err)
+			return
+		}
+		if bytes.Equal(got, want) {
+			return
+		}
+		gotLines, wantLines := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		line := 0
+		for line < len(gotLines) && line < len(wantLines) && gotLines[line] == wantLines[line] {
+			line++
+		}
+		pass.Reportf(file.LineStart(min(line+1, file.LineCount())), "%s is stale at line %d: have %q, want %q; %s",
+			wiregen.FileName, line+1, lineAt(gotLines, line), lineAt(wantLines, line), regen)
 	}
+}
 
-	seen := map[string]bool{}
-	for _, tn := range registered {
-		seen[tn.Name()] = true
-		fp, ok := manifest[tn.Name()]
-		if !ok {
-			pass.Reportf(tn.Pos(), "%s is listed but missing from the %s manifest; re-run mnmwiregen so it gets its codec",
-				tn.Name(), wiregen.FileName)
-			continue
-		}
-		if want := wiregen.Fingerprint(tn.Type()); fp != want {
-			pass.Reportf(tn.Pos(), "stale codec for %s: manifest fingerprint %q but the type now encodes as %q; re-run mnmwiregen",
-				tn.Name(), fp, want)
-		}
+// lineAt returns lines[i] without its indentation, or "" past the end.
+func lineAt(lines []string, i int) string {
+	if i >= len(lines) {
+		return ""
 	}
-	var dead []string
-	for name := range manifest {
-		if !seen[name] {
-			dead = append(dead, name)
-		}
-	}
-	sort.Strings(dead)
-	for _, name := range dead {
-		pass.Reportf(codecFile.Pos(), "manifest entry for %s is not in this package's //mnmwiregen:types list; re-run mnmwiregen to drop the dead codec", name)
-	}
+	return strings.TrimSpace(lines[i])
 }

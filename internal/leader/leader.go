@@ -41,8 +41,6 @@ const StateRegName = "STATE"
 const (
 	// LeaderKey carries the process's current leader (core.ProcID).
 	LeaderKey = "leader"
-	// HeartbeatKey carries the process's own heartbeat counter.
-	HeartbeatKey = "hb"
 	// BadnessKey carries the process's own badness counter.
 	BadnessKey = "badness"
 )
@@ -278,7 +276,6 @@ func (d *Detector) Tick(env core.Env) error {
 	if ldr == me {
 		d.state[me].HB++
 		d.state[me].Active = true
-		env.Expose(HeartbeatKey, d.state[me].HB)
 		if err := d.writeOwnState(env); err != nil {
 			return err
 		}

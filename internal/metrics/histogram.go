@@ -74,8 +74,9 @@ func (h *Histogram) Observe(d time.Duration) {
 // ObserveValue records a unitless value v (a batch size, a queue depth)
 // into the same exponential buckets by mapping one value unit onto 1µs of
 // the duration scale: bucket i then covers values [2^i, 2^(i+1)). The
-// exporters render such histograms in the duration schema (1µs = 1 unit);
-// ValueQuantile and MeanValue convert a snapshot back to value units.
+// exporters render such histograms in the duration schema (1µs = 1 unit),
+// so a snapshot's Quantile or Mean divided by time.Microsecond is back in
+// value units.
 func (h *Histogram) ObserveValue(v int64) {
 	if v < 0 {
 		v = 0
@@ -157,17 +158,6 @@ func (s HistSnapshot) Mean() time.Duration {
 
 // Max returns the largest observed duration.
 func (s HistSnapshot) Max() time.Duration { return time.Duration(s.MaxNS) }
-
-// ValueQuantile converts a quantile of a value histogram (recorded via
-// ObserveValue) back to value units.
-func (s HistSnapshot) ValueQuantile(q float64) int64 {
-	return int64(s.Quantile(q) / time.Microsecond)
-}
-
-// MeanValue converts the mean of a value histogram back to value units.
-func (s HistSnapshot) MeanValue() int64 {
-	return int64(s.Mean() / time.Microsecond)
-}
 
 // Sub returns the per-interval delta s - earlier: counts, sums and buckets
 // subtract; Max keeps the later snapshot's value (a windowed max would

@@ -22,8 +22,7 @@ const (
 	HistRPCCall = "rpc_call"
 	// HistBatchFrames is the frames-per-flush distribution of the batched
 	// frame writes. It is a value histogram recorded via ObserveValue (one
-	// frame = 1µs in the exported duration schema); read it back with
-	// HistSnapshot.ValueQuantile/MeanValue.
+	// frame = 1µs in the exported duration schema).
 	HistBatchFrames = "batch_frames"
 	// HistFrameEncode is the time a batched frame write spends encoding
 	// one whole batch into its write buffer (codec cost only — the flush

@@ -38,7 +38,7 @@ const frameLogFile = "frames.wal"
 const (
 	recEnqueue = 1 // + frame body: a sequenced frame entered the pending queue
 	recAck     = 2 // + uvarint: the remote cumulatively acked through this seq
-	recDrop    = 3 // + uvarint: this seq was tombstoned (unencodable frame)
+	recDropped = 3 // retired: earlier builds' tombstone record; replay skips it
 	recRecvHW  = 4 // + uvarint: this node's duplicate-filter high-water mark
 	recSeqMark = 5 // + uvarint: the peer's nextSeq (compaction snapshots only)
 )
@@ -126,12 +126,8 @@ func (l *frameLog) replayRecord(rec []byte) error {
 			return fmt.Errorf("%w: ack record: %v", durable.ErrCorrupt, err)
 		}
 		l.mirror(addr).prune(upTo)
-	case recDrop:
-		seq := d.Uvarint()
-		if err := d.Err(); err != nil {
-			return fmt.Errorf("%w: drop record: %v", durable.ErrCorrupt, err)
-		}
-		l.mirror(addr).drop(seq)
+	case recDropped:
+		// It only ever named an unencodable frame, which is never journaled.
 	case recRecvHW:
 		seq := d.Uvarint()
 		if err := d.Err(); err != nil {
@@ -176,17 +172,6 @@ func (m *peerMirror) prune(upTo uint64) {
 		m.pending[i] = savedFrame{}
 	}
 	m.pending = keep
-}
-
-// drop removes the tombstoned seq from the mirror: an unencodable frame
-// must not be resurrected into the retransmission queue on recovery.
-func (m *peerMirror) drop(seq uint64) {
-	for i, sf := range m.pending {
-		if sf.seq == seq {
-			m.pending = append(m.pending[:i], m.pending[i+1:]...)
-			return
-		}
-	}
 }
 
 // journaled is a frame that has been through the frame log: logEnqueue
@@ -264,24 +249,6 @@ func (l *frameLog) logAck(addr string, upTo uint64) error {
 	}
 	l.mirror(addr).prune(upTo)
 	return l.compactIfNeededLocked()
-}
-
-// logDrop journals a tombstoned (unencodable) frame. No fsync: replaying
-// a lost drop record just re-drops the frame on its next encode attempt.
-func (l *frameLog) logDrop(addr string, seq uint64) error {
-	if l == nil {
-		return nil
-	}
-	rec := wire.AppendUvarint(nil, recDrop)
-	rec = wire.AppendString(rec, addr)
-	rec = wire.AppendUvarint(rec, seq)
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.wal.Append(rec); err != nil {
-		return err
-	}
-	l.mirror(addr).drop(seq)
-	return nil
 }
 
 // logRecvHW journals this node's duplicate-filter high-water mark for one

@@ -5,12 +5,14 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/mnm-model/mnm/internal/core"
 	"github.com/mnm-model/mnm/internal/transport"
+	"github.com/mnm-model/mnm/internal/wire"
 )
 
 // testFrame builds an encodable sequenced frame for white-box frame-log
@@ -35,9 +37,6 @@ func TestFrameLogRoundTrip(t *testing.T) {
 	if err := l.logAck("a", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.logDrop("a", 2); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := l.logRecvHW("b", 7); err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +44,8 @@ func TestFrameLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A new incarnation replays the log: seq 1 acked, seq 2 tombstoned,
-	// only seq 3 still owed to the wire; the dup filter remembers "b".
+	// A new incarnation replays the log: seq 1 acked, seqs 2 and 3 still
+	// owed to the wire; the dup filter remembers "b".
 	l2, err := openFrameLog(cfg, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -56,18 +55,64 @@ func TestFrameLogRoundTrip(t *testing.T) {
 		t.Fatalf("recovered recv high-water = %d, want 7", hw)
 	}
 	p := newPeer(nil, "a")
-	if n := l2.seedPeer(p, "a"); n != 1 {
-		t.Fatalf("seedPeer restored %d frames, want 1", n)
+	if n := l2.seedPeer(p, "a"); n != 2 {
+		t.Fatalf("seedPeer restored %d frames, want 2", n)
 	}
 	if p.nextSeq != 3 {
 		t.Fatalf("recovered nextSeq = %d, want 3", p.nextSeq)
 	}
 	pf := p.pending.popFront()
-	if pf.f.Seq != 3 || pf.f.From != 0 || pf.f.To != 1 || pf.f.Payload != 30 {
-		t.Fatalf("restored frame = %+v, want seq 3 p0→p1 payload 30", pf.f)
+	if pf.f.Seq != 2 || pf.f.From != 0 || pf.f.To != 1 || pf.f.Payload != 20 {
+		t.Fatalf("restored frame = %+v, want seq 2 p0→p1 payload 20", pf.f)
 	}
 	if l2.seedPeer(newPeer(nil, "unknown"), "unknown") != 0 {
 		t.Fatal("seedPeer invented frames for an unjournaled peer")
+	}
+}
+
+// A WAL written by an earlier build may hold tag-3 tombstone records;
+// replay skips them, so such a log opens to the mirror the same log has
+// without them.
+func TestFrameLogSkipsRetiredDropRecord(t *testing.T) {
+	replay := func(withDrop bool) *frameLog {
+		cfg := Durability{Dir: t.TempDir(), CompactAt: 1 << 30}
+		l, err := openFrameLog(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seq := uint64(1); seq <= 3; seq++ {
+			f := testFrame(seq, int(seq)*10)
+			if _, err := l.logEnqueue("a", &f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if withDrop {
+			rec := wire.AppendUvarint(nil, 3)
+			rec = wire.AppendString(rec, "a")
+			rec = wire.AppendUvarint(rec, 2)
+			if err := l.wal.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.logAck("a", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.close(); err != nil {
+			t.Fatal(err)
+		}
+		l2, err := openFrameLog(cfg, nil)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		t.Cleanup(func() { l2.close() })
+		return l2
+	}
+	with, without := replay(true), replay(false)
+	if !reflect.DeepEqual(with.peers, without.peers) {
+		t.Fatalf("mirror with a tag-3 record %+v, without %+v", with.peers["a"], without.peers["a"])
+	}
+	if n := len(with.peers["a"].pending); n != 2 {
+		t.Fatalf("replayed %d pending frames, want 2", n)
 	}
 }
 

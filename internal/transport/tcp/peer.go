@@ -593,21 +593,14 @@ func (p *peer) watch(conn net.Conn) {
 // dropPending tombstones the sequenced frame with the given Seq in the
 // retransmission queue (used for frames that can never be encoded).
 // Sequence gaps are harmless: the receiver accepts any ascending sequence
-// and acks cumulatively, so the next acked frame pops the tombstone.
+// and acks cumulatively, so the next acked frame pops the tombstone. The
+// frame log has nothing to erase: it never journals an unencodable frame.
 func (p *peer) dropPending(seq uint64) {
 	p.mu.Lock()
-	marked := p.pending.markDropped(seq)
-	if marked {
+	if p.pending.markDropped(seq) {
 		p.cond.Broadcast()
 	}
 	p.mu.Unlock()
-	// Erase the tombstoned frame from the journal's mirror too, or
-	// recovery would resurrect a frame that can never be encoded.
-	if marked {
-		if err := p.t.dlog.logDrop(p.addr, seq); err != nil {
-			p.t.log("frame log: drop seq %d to %s: %v", seq, p.addr, err)
-		}
-	}
 }
 
 // endUnencodable ends the call of a dropped request or response with the

@@ -38,10 +38,10 @@ import (
 
 // FrameVersion is the binary frame-header wire version. The TCP
 // transport's stream preamble and hello handshake carry it, and
-// cmd/mnmwiregen stamps it into every
-// generated wire_codec.go (checked by mnmvet's wirecodec rule), so a
+// cmd/mnmwiregen stamps it into every generated wire_codec.go, so a
 // header-layout change that forgets to regenerate the codecs fails
-// `mnmwiregen -check`.
+// mnmvet's wirecodec rule, which compares each file with the
+// generator's output.
 //
 // Version history: 2 = flat LE header (34 bytes), 3 = v2 plus a Group
 // shard-routing field (38 bytes), 4 = v3 plus the trace context —

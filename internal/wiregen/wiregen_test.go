@@ -1,12 +1,9 @@
 package wiregen
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
-	"github.com/mnm-model/mnm/internal/analysis/loader"
 	"github.com/mnm-model/mnm/internal/benor"
 	"github.com/mnm-model/mnm/internal/core"
 	"github.com/mnm-model/mnm/internal/hbo"
@@ -17,50 +14,6 @@ import (
 	"github.com/mnm-model/mnm/internal/rt"
 	"github.com/mnm-model/mnm/internal/wire"
 )
-
-// TestGeneratedUpToDate regenerates every wire_codec.go in memory and
-// compares it with the checked-in file — the same check CI runs via
-// mnmwiregen -check, kept in the test suite so plain `go test ./...`
-// catches drift too.
-func TestGeneratedUpToDate(t *testing.T) {
-	root, err := loader.ModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load(root, "./...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	generated := 0
-	for _, pkg := range pkgs {
-		if !HasWireFile(pkg) {
-			continue
-		}
-		want, err := Generate(pkg)
-		if err != nil {
-			t.Fatalf("%s: %v", pkg.ImportPath, err)
-		}
-		path := filepath.Join(pkg.Dir, FileName)
-		got, readErr := os.ReadFile(path)
-		if want == nil {
-			if readErr == nil {
-				t.Errorf("%s: stray %s (package registers no wire types)", pkg.ImportPath, FileName)
-			}
-			continue
-		}
-		generated++
-		if readErr != nil {
-			t.Errorf("%s: missing %s; run go run ./cmd/mnmwiregen ./...", pkg.ImportPath, FileName)
-			continue
-		}
-		if string(got) != string(want) {
-			t.Errorf("%s: %s is stale; run go run ./cmd/mnmwiregen ./...", pkg.ImportPath, FileName)
-		}
-	}
-	if generated < 7 {
-		t.Errorf("found %d generated codec files, want at least 7 (benor hbo leader mutex paxos rsm rt)", generated)
-	}
-}
 
 // TestPayloadsRoundTripGenerated pushes every representative payload of
 // every wire.go package through the codec plane and requires (a) a
