@@ -52,12 +52,9 @@
 // /status grows a "groups" map with one entry per shard and /metrics
 // renders each shard's counters with a group label.
 //
-// The transport's timing knobs are exposed as flags (-connect-timeout,
-// -backoff-base, -backoff-max, -write-timeout, -drain-timeout); zero
-// keeps the tcp.Timeouts default. A remote register op has no timeout:
-// like a register of the model it does not fail because its owner is
-// slow, restarting or shut down, and waits for the answer until the node
-// itself stops.
+// A remote register op has no timeout: like a register of the model it
+// does not fail because its owner is slow, restarting or shut down, and
+// waits for the answer until the node itself stops.
 package main
 
 import (
@@ -109,12 +106,6 @@ func run() int {
 
 		logLevel = flag.String("log-level", "info", "stderr log threshold: debug | info | warn | error")
 		logJSON  = flag.Bool("log-json", false, "emit stderr logs as JSON lines instead of text")
-
-		connectT = flag.Duration("connect-timeout", 0, "TCP dial timeout per connection attempt (0 = transport default)")
-		backoffB = flag.Duration("backoff-base", 0, "initial reconnect backoff (0 = transport default)")
-		backoffM = flag.Duration("backoff-max", 0, "reconnect backoff ceiling (0 = transport default)")
-		writeT   = flag.Duration("write-timeout", 0, "per-flush socket write deadline (0 = transport default)")
-		drainT   = flag.Duration("drain-timeout", 0, "unacked-frame drain budget on shutdown (0 = transport default)")
 
 		metricsAddr = flag.String("metrics-addr", "", "host:port serving /metrics, /healthz and /status (empty disables)")
 		sampleEvery = flag.Duration("sample-interval", time.Second, "registry sampling interval behind /status rates")
@@ -179,13 +170,6 @@ func run() int {
 		Registry:   reg,
 		Logf:       logf,
 		TLS:        tlsCfg,
-		Timeouts: tcp.Timeouts{
-			Connect:     *connectT,
-			BackoffBase: *backoffB,
-			BackoffMax:  *backoffM,
-			Write:       *writeT,
-			Drain:       *drainT,
-		},
 	}
 	if *durableF {
 		if *dataDir == "" {

@@ -40,11 +40,16 @@ const (
 	FrameSent
 	FrameRetrans
 	FrameAcked
+	// FrameDropEncode counts frames refused because they cannot be
+	// encoded (a payload type with no codec, or an oversized body), once
+	// per remote copy, where the frame is created: such a frame never
+	// enters the retransmission queue.
 	FrameDropEncode
-	// FrameBatches counts send-loop flushes: each is one batch of frames
-	// written with a single syscall (see HistBatchFrames for the batch
-	// size distribution). FrameSent/FrameBatches is the average
-	// frames-per-syscall amortization of the batched wire.
+	// FrameBatches counts batch writes, each one batch of frames written
+	// with a single syscall and counted as it is written, like its frames'
+	// FrameSent (see HistBatchFrames for the batch size distribution).
+	// FrameSent/FrameBatches is the average frames-per-syscall
+	// amortization of the batched wire.
 	FrameBatches
 	Reconnects
 	DialFailures

@@ -24,9 +24,9 @@ const (
 	// frame writes. It is a value histogram recorded via ObserveValue (one
 	// frame = 1µs in the exported duration schema).
 	HistBatchFrames = "batch_frames"
-	// HistFrameEncode is the time a batched frame write spends encoding
-	// one whole batch into its write buffer (codec cost only — the flush
-	// syscall is excluded), recorded by socket backends per batch.
+	// HistFrameEncode is the time one frame's encode takes (codec cost
+	// only), recorded by socket backends once per encode — a frame is
+	// encoded once, where it is sent, and retransmitted as bytes.
 	HistFrameEncode = "frame_encode"
 	// HistRemoteRead/Write/CAS are the host-level remote-register
 	// operation latencies, recorded around the RPC by internal/rt.

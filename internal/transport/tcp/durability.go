@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -174,43 +175,41 @@ func (m *peerMirror) prune(upTo uint64) {
 	m.pending = keep
 }
 
-// journaled is a frame that has been through the frame log: logEnqueue
-// returns it after the WAL append+fsync, seedPeer after replaying it from
-// that same WAL. pendingQueue.push takes nothing else, so a frame cannot
-// become visible to a batch writer before it is journaled — the order is a
-// data dependence the compiler checks. It points at the caller's frame,
-// which push copies into the queue: the durability-off path inlines and
-// copies the frame no more often than a bare push would.
-type journaled struct{ f *frame }
+// journaled is an encoded frame body that has been through the frame log:
+// logEnqueue returns it after the WAL append+fsync, seedPeer after
+// replaying it from that same WAL. pendingQueue.push takes nothing else,
+// so a frame cannot become visible to a batch writer before it is
+// journaled — the order is a data dependence the compiler checks. It
+// aliases the caller's bytes, which push copies into the queue.
+type journaled struct{ body []byte }
 
 // hwSynced is a duplicate-filter high-water mark that logRecvHW has made
 // durable. queueAck takes nothing else, so the fsync precedes the ack that
 // lets the sender prune.
 type hwSynced struct{ seq uint64 }
 
-// logEnqueue journals a freshly sequenced frame, fsync'd before return,
-// and hands it back for pendingQueue.push: once the caller can push, the
-// frame survives kill -9 and will be retransmitted by the next
-// incarnation. A nil log (durability off) journals nothing. On error the
-// frame still comes back — the caller degrades to in-memory reliability
-// for it rather than losing it. Called with the owning peer's mutex held —
-// the journal order is the sequence order.
-func (l *frameLog) logEnqueue(addr string, f *frame) (journaled, error) {
+// logEnqueue journals the body of a freshly sequenced frame, fsync'd
+// before return, and hands it back for pendingQueue.push: once the caller
+// can push, the frame survives kill -9 and will be retransmitted by the
+// next incarnation. A nil log (durability off) journals nothing. On error
+// the frame still comes back — the caller degrades to in-memory
+// reliability for it rather than losing it. Called with the owning peer's
+// mutex held — the journal order is the sequence order.
+func (l *frameLog) logEnqueue(addr string, body []byte) (journaled, error) {
 	var err error
 	if l != nil {
-		err = l.appendEnqueue(addr, f)
+		err = l.appendEnqueue(addr, body)
 	}
-	return journaled{f}, err
+	return journaled{body}, err
 }
 
-// appendEnqueue writes and fsyncs f's enqueue record, then mirrors it.
-func (l *frameLog) appendEnqueue(addr string, f *frame) error {
-	body, err := appendFrame(nil, f)
-	if err != nil {
-		return err // unencodable: sendLoop will tombstone it; nothing to journal
-	}
-	body = body[4:] // strip the wire length prefix; the WAL frames records itself
-	rec := wire.AppendUvarint(nil, recEnqueue)
+// appendEnqueue writes and fsyncs the enqueue record of a frame body — the
+// bytes the wire carries, without their length prefix (the WAL frames
+// records itself) — then mirrors it.
+func (l *frameLog) appendEnqueue(addr string, body []byte) error {
+	_, seq, from := peekHeader(body)
+	rec := make([]byte, 0, 2*binary.MaxVarintLen64+len(addr)+len(body))
+	rec = wire.AppendUvarint(rec, recEnqueue)
 	rec = wire.AppendString(rec, addr)
 	rec = wire.AppendBytes(rec, body)
 	l.mu.Lock()
@@ -222,12 +221,13 @@ func (l *frameLog) appendEnqueue(addr string, f *frame) error {
 		return err
 	}
 	m := l.mirror(addr)
-	m.pending = append(m.pending, savedFrame{seq: f.Seq, body: body})
-	if f.Seq > m.nextSeq {
-		m.nextSeq = f.Seq
+	// The record ends with the body: the mirror keeps that copy.
+	m.pending = append(m.pending, savedFrame{seq: seq, body: rec[len(rec)-len(body):]})
+	if seq > m.nextSeq {
+		m.nextSeq = seq
 	}
 	if l.t != nil {
-		l.t.record(f.From, metrics.WALAppends, 1)
+		l.t.record(from, metrics.WALAppends, 1)
 	}
 	return nil
 }
@@ -343,7 +343,9 @@ func (l *frameLog) peerAddrs() []string {
 // for the answer, and the owner must not apply a write or CAS nobody
 // issued any more. The receiver's duplicate filter only needs ascending
 // sequence numbers, so the gap they leave is harmless. The frames come
-// out of the journal, so seedPeer mints their journaled values itself.
+// out of the journal, so seedPeer mints their journaled values itself and
+// pushes their bytes as they are: only the kind byte is read, to skip
+// requests.
 // Called from peerLocked before the peer is published or its send loop
 // starts, so the peer needs no locking; returns the number of frames
 // restored (none with a nil log).
@@ -362,14 +364,10 @@ func (l *frameLog) seedPeer(p *peer, addr string) int {
 	}
 	restored := 0
 	for _, sf := range m.pending {
-		var f frame
-		if err := decodeFrame(sf.body, &f); err != nil {
-			continue // journaled by this codec; cannot happen, but never panic recovery
-		}
-		if f.Kind == frameReq {
+		if kind, _, _ := peekHeader(sf.body); kind == frameReq {
 			continue
 		}
-		p.pending.push(journaled{&f})
+		p.pending.push(journaled{sf.body})
 		restored++
 	}
 	return restored

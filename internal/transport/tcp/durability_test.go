@@ -29,8 +29,7 @@ func TestFrameLogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
-		f := testFrame(seq, int(seq)*10)
-		if _, err := l.logEnqueue("a", &f); err != nil {
+		if _, err := l.logEnqueue("a", mustAppendFrame(t, testFrame(seq, int(seq)*10))[4:]); err != nil {
 			t.Fatalf("logEnqueue %d: %v", seq, err)
 		}
 	}
@@ -61,9 +60,8 @@ func TestFrameLogRoundTrip(t *testing.T) {
 	if p.nextSeq != 3 {
 		t.Fatalf("recovered nextSeq = %d, want 3", p.nextSeq)
 	}
-	pf := p.pending.popFront()
-	if pf.f.Seq != 2 || pf.f.From != 0 || pf.f.To != 1 || pf.f.Payload != 20 {
-		t.Fatalf("restored frame = %+v, want seq 2 p0→p1 payload 20", pf.f)
+	if f := frontFrame(t, &p.pending); f.Seq != 2 || f.From != 0 || f.To != 1 || f.Payload != 20 {
+		t.Fatalf("restored frame = %+v, want seq 2 p0→p1 payload 20", f)
 	}
 	if l2.seedPeer(newPeer(nil, "unknown"), "unknown") != 0 {
 		t.Fatal("seedPeer invented frames for an unjournaled peer")
@@ -81,8 +79,7 @@ func TestFrameLogSkipsRetiredDropRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		for seq := uint64(1); seq <= 3; seq++ {
-			f := testFrame(seq, int(seq)*10)
-			if _, err := l.logEnqueue("a", &f); err != nil {
+			if _, err := l.logEnqueue("a", mustAppendFrame(t, testFrame(seq, int(seq)*10))[4:]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -129,8 +126,7 @@ func TestFrameLogCompactionKeepsSeqMark(t *testing.T) {
 	}
 	const rounds = 50
 	for seq := uint64(1); seq <= rounds; seq++ {
-		f := testFrame(seq, "x")
-		if _, err := l.logEnqueue("a", &f); err != nil {
+		if _, err := l.logEnqueue("a", mustAppendFrame(t, testFrame(seq, "x"))[4:]); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.logAck("a", seq); err != nil {

@@ -79,8 +79,8 @@ type frame struct {
 // node pair, shared by every group on the connection, and are transport
 // bookkeeping rather than operations, so the type has no Group, TraceID,
 // SpanID or Lamport field: a group-stamped or traced control frame cannot
-// be written. frameWriter.writeCtrl widens it to the v4 header with those
-// fields zero.
+// be written. appendCtrl widens it to the v4 header with those fields
+// zero.
 type ctrlFrame struct {
 	Kind    frameKind // frameHello or frameAck
 	Version uint8     // hello: the sender's wire.FrameVersion
@@ -92,12 +92,10 @@ type ctrlFrame struct {
 // treated as a corrupt stream on read and refused at encode time on write.
 const maxFrameSize = 16 << 20
 
-// batchBufSize sizes the bufio buffers: a peer's batch writer, which the
-// writer token's holder flushes once per batch, and the receive loop's
-// reader (one read syscall typically yields a whole batch, whose frames
-// are then acked with a single cumulative ack). Frames larger than the
-// buffer still work — bufio spills to the socket mid-batch — they just
-// cost extra syscalls.
+// batchBufSize sizes the receive loop's bufio reader: one read syscall
+// typically yields a whole batch, whose frames are then acked with a
+// single cumulative ack. Frames larger than the buffer still work — they
+// just cost extra read syscalls.
 const batchBufSize = 64 << 10
 
 // maxPooledBuf caps the capacity of buffers returned to the codec pools.
@@ -107,9 +105,10 @@ const batchBufSize = 64 << 10
 const maxPooledBuf = 64 << 10
 
 // errEncode marks frames that can never be written — a payload type with
-// no codec or an oversized body. The batch writer drops such frames instead of
-// treating them as connection faults, because retransmitting them would
-// fail identically forever.
+// no codec or an oversized body. It surfaces where the frame is created
+// (Send, CallSpan, serve), which drop or answer it there: an unencodable
+// frame never gets a sequence number or a slot in the retransmission
+// queue.
 var errEncode = errors.New("tcp: frame not encodable")
 
 // bufPool recycles the byte-slice scratch buffers of the binary frame
@@ -184,6 +183,30 @@ func appendFrame(b []byte, f *frame) ([]byte, error) {
 	return b, nil
 }
 
+// appendCtrl appends a control frame's wire encoding to b. It is the one
+// place a ctrlFrame becomes a v4 header, so Group and the trace triple are
+// always zero; with no payload, a control frame always encodes.
+func appendCtrl(b []byte, c ctrlFrame) []byte {
+	b, _ = appendFrame(b, &frame{Kind: c.Kind, Version: c.Version, Addr: c.Addr, AckTo: c.AckTo})
+	return b
+}
+
+// stampSeqTo writes a sequence number and a destination process into the
+// header of an encoded frame body: a frame is encoded once, before it has
+// a sequence number, and a broadcast shares that encoding among all its
+// remote copies, so enqueue addresses and numbers each copy in place.
+func stampSeqTo(body []byte, seq uint64, to core.ProcID) {
+	binary.LittleEndian.PutUint64(body[2:10], seq)
+	binary.LittleEndian.PutUint32(body[22:26], uint32(int32(to)))
+}
+
+// peekHeader reads the kind, sequence number and sending process out of
+// an encoded frame body without decoding the rest.
+func peekHeader(body []byte) (frameKind, uint64, core.ProcID) {
+	return frameKind(body[0]), binary.LittleEndian.Uint64(body[2:10]),
+		core.ProcID(int32(binary.LittleEndian.Uint32(body[18:22])))
+}
+
 // decodeFrame decodes one binary frame body (the bytes after the length
 // prefix) into f. The body must be fully consumed: trailing bytes mean a
 // corrupt or incompatible stream.
@@ -217,46 +240,6 @@ func decodeFrame(body []byte, f *frame) error {
 	return nil
 }
 
-// frameWriter encodes frames onto one connection's batch writer, reusing
-// a scratch buffer across frames.
-type frameWriter struct {
-	scratch *[]byte
-}
-
-func newFrameWriter() *frameWriter {
-	return &frameWriter{scratch: getBuf()}
-}
-
-func (fw *frameWriter) close() {
-	if fw.scratch != nil {
-		putBuf(fw.scratch)
-		fw.scratch = nil
-	}
-}
-
-func (fw *frameWriter) write(w io.Writer, f *frame) error {
-	b, err := appendFrame((*fw.scratch)[:0], f)
-	if cap(b) > maxPooledBuf {
-		// Don't let one oversized frame pin a huge scratch buffer for the
-		// connection's lifetime (the same retention hazard putBuf guards
-		// the pool against).
-		*fw.scratch = make([]byte, 0, 512)
-	} else {
-		*fw.scratch = b[:0]
-	}
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// writeCtrl encodes a control frame. It is the one place a ctrlFrame
-// becomes a v4 header, so Group and the trace triple are always zero.
-func (fw *frameWriter) writeCtrl(w io.Writer, c ctrlFrame) error {
-	return fw.write(w, &frame{Kind: c.Kind, Version: c.Version, Addr: c.Addr, AckTo: c.AckTo})
-}
-
 // frameReader decodes frames off one connection, reusing a scratch buffer
 // across frames.
 type frameReader struct {
@@ -288,8 +271,9 @@ func (fr *frameReader) read(r io.Reader, f *frame) error {
 	}
 	body := (*fr.scratch)[:n]
 	if cap(*fr.scratch) > maxPooledBuf {
-		// As in frameWriter.write: one huge frame must not pin its buffer
-		// for the connection's lifetime.
+		// One huge frame must not pin its buffer for the connection's
+		// lifetime (the same retention hazard putBuf guards the pool
+		// against).
 		*fr.scratch = make([]byte, 0, 512)
 	}
 	if _, err := io.ReadFull(r, body); err != nil {

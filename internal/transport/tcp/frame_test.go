@@ -101,20 +101,14 @@ func TestGoldenWireVectors(t *testing.T) {
 			t.Errorf("stale golden vector %q has no frame in goldenTable", name)
 		}
 	}
-	// This node writes hellos and acks only through writeCtrl: its
+	// This node writes hellos and acks only through appendCtrl: its
 	// widening to the v4 header must produce the same pinned bytes.
 	for name, c := range map[string]ctrlFrame{
 		"hello": {Kind: frameHello, Version: 4, Addr: "127.0.0.1:9000"},
 		"ack":   {Kind: frameAck, AckTo: 513},
 	} {
-		fw := newFrameWriter()
-		var buf bytes.Buffer
-		if err := fw.writeCtrl(&buf, c); err != nil {
-			t.Fatalf("%s: writeCtrl: %v", name, err)
-		}
-		fw.close()
-		if got := hex.EncodeToString(buf.Bytes()); got != golden[name] {
-			t.Errorf("%s via writeCtrl: wire bytes differ\n got  %s\n want %s", name, got, golden[name])
+		if got := hex.EncodeToString(appendCtrl(nil, c)); got != golden[name] {
+			t.Errorf("%s via appendCtrl: wire bytes differ\n got  %s\n want %s", name, got, golden[name])
 		}
 	}
 }
@@ -230,8 +224,8 @@ func TestAcceptHandshake(t *testing.T) {
 }
 
 // TestOversizedFrameRefusedAtEncode covers the drop path: a frame beyond
-// maxFrameSize must come back errEncode (the send loop drops it and
-// counts FrameDropEncode).
+// maxFrameSize must come back errEncode (Send drops it and counts
+// FrameDropEncode).
 func TestOversizedFrameRefusedAtEncode(t *testing.T) {
 	f := frame{Kind: frameData, Seq: 1, Payload: strings.Repeat("x", maxFrameSize+1)}
 	if _, err := appendFrame(nil, &f); !errors.Is(err, errEncode) {
@@ -241,21 +235,21 @@ func TestOversizedFrameRefusedAtEncode(t *testing.T) {
 
 // TestBufPoolBoundedRetention is the regression test for the pool
 // pinning bug: a buffer grown by one huge frame must not live in the
-// pool forever. After pushing a large frame through writer and reader,
+// pool forever. After pushing a large frame through encoder and reader,
 // no pooled buffer may exceed the retention cap.
 func TestBufPoolBoundedRetention(t *testing.T) {
 	big := frame{Kind: frameData, Seq: 1, Payload: strings.Repeat("x", 4*maxPooledBuf)}
 
-	fw := newFrameWriter()
-	var buf bytes.Buffer
-	if err := fw.write(&buf, &big); err != nil {
+	buf, err := new(Transport).encode(&big)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fw.close()
+	wireBytes := bytes.Clone(*buf)
+	putBuf(buf)
 
 	fr := newFrameReader()
 	var f frame
-	if err := fr.read(bytes.NewReader(buf.Bytes()), &f); err != nil {
+	if err := fr.read(bytes.NewReader(wireBytes), &f); err != nil {
 		t.Fatal(err)
 	}
 	fr.close()

@@ -1,8 +1,8 @@
 package tcp
 
 import (
-	"bufio"
 	"crypto/tls"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -24,16 +24,17 @@ import (
 // it to 0, retransmitting the whole unacknowledged suffix. The receiver's
 // duplicate filter (Transport.accept) makes the retransmission idempotent.
 //
-// Writes are batched: each takes the whole backlog (the queued ack plus
-// the unsent pending suffix) into one bufio.Writer and flushes once — one
-// write syscall and one write deadline per batch instead of two syscalls
-// and a deadline per frame. Frames stay individually length-prefixed and
-// self-contained (they carry no stream state), so a batch is just a
-// concatenation on the wire: a connection kill mid-flush leaves the
-// receiver with a prefix of whole frames (the TCP stream never tears a
-// frame into something decodable), and the usual rewind-and-retransmit
-// recovers the rest without loss or duplication. The holder of the
-// writer token is the connection's only writer, so it carries frames in
+// The queue holds each frame's wire bytes, encoded once by the code that
+// created the frame, so a retransmission re-sends bytes and never
+// re-encodes. Writes are batched: each copies the whole backlog (the
+// queued ack plus the unsent pending suffix) into one buffer and writes
+// it with one syscall and one write deadline. Frames stay individually
+// length-prefixed and self-contained (they carry no stream state), so a
+// batch is just a concatenation on the wire: a connection kill mid-write
+// leaves the receiver with a prefix of whole frames (the TCP stream never
+// tears a frame into something decodable), and the usual
+// rewind-and-retransmit recovers the rest without loss or duplication. The holder of the writer
+// token is the connection's only writer, so it carries frames in
 // ascending sequence order: the send loop, which writes data frames, acks
 // and responses, or a register caller blocked on its answer, which writes
 // its own request's batch when the token is free (see enqueue).
@@ -56,35 +57,45 @@ type peer struct {
 	fatal string
 
 	// writing is the writer token, set while one goroutine writes a batch
-	// (see takeBatchLocked); only that goroutine touches bw to maxSent.
+	// (see takeBatchLocked); only that goroutine touches out.
 	writing bool
-	bw      *bufio.Writer
-	fw      *frameWriter
-	batch   []frame // the batch being written
-	maxSent uint64  // highest sequence number ever written: marks retransmissions
+	out     []byte // the batch being written, reused across batches
+	maxSent uint64 // highest sequence number ever taken: marks retransmissions
 }
 
-// pendingFrame is one unacknowledged sequenced frame plus the time it
-// entered the queue — the start of its frame_rtt measurement (enqueue→ack,
-// so the round trip includes any reconnect the frame had to wait out).
-// dropped marks a frame that could never be encoded: it keeps its queue
-// slot (so logical indices stay stable) but is skipped by the send loop
-// and counted out of the drain condition; the cumulative ack of any later
-// frame pops it.
+// pendingFrame is one unacknowledged sequenced frame: its sequence number
+// and sender, the time it entered the queue — the start of its frame_rtt
+// measurement (enqueue→ack, so the round trip includes any reconnect the
+// frame had to wait out) — and where its wire bytes lie in its chunk's
+// slab.
 type pendingFrame struct {
-	f          frame
+	seq        uint64
+	from       core.ProcID
 	enqueuedAt time.Time
-	dropped    bool
+	off, end   int
 }
 
 // pendingChunkFrames sizes the queue's chunks: big enough to amortize the
 // per-chunk link overhead, small enough that a chunk is an ordinary
-// small-object allocation (~12KiB) rather than a large one.
+// small-object allocation rather than a large one.
 const pendingChunkFrames = 64
 
+// pendingChunk holds up to pendingChunkFrames frames; their wire bytes
+// (length prefix included) lie back to back in slab.
 type pendingChunk struct {
 	buf  [pendingChunkFrames]pendingFrame
+	slab []byte
 	next *pendingChunk
+}
+
+// emptySlab empties the chunk's slab for refilling, letting the GC take it
+// instead if large frames grew it beyond maxPooledBuf.
+func (c *pendingChunk) emptySlab() {
+	if cap(c.slab) > maxPooledBuf {
+		c.slab = nil
+	} else {
+		c.slab = c.slab[:0]
+	}
 }
 
 // pendingQueue is the retransmission queue: a FIFO over a linked list of
@@ -92,10 +103,10 @@ type pendingChunk struct {
 // every geometric regrowth allocates and zeroes a fresh array and copies
 // the old one, and compacting on each cumulative ack copies the whole
 // remainder; with a frame-sized element both costs dominated the send
-// path under profile. Chunks never move: appends fill the tail chunk and
-// link a new one when full, pops zero the slot (releasing the payload to
-// the GC) and release whole chunks from the head, and one drained chunk
-// is kept as a spare so a steady-state send load re-enqueues without
+// path under profile. Chunks never move: appends fill the tail chunk (and
+// its slab) and link a new one when full, pops zero the slot and release
+// whole chunks from the head, and one drained chunk is kept as a spare,
+// slab and all, so a steady-state send load re-enqueues without
 // allocating at all.
 //
 // All methods are called with the owning peer's mutex held.
@@ -103,13 +114,12 @@ type pendingQueue struct {
 	head, tail *pendingChunk
 	headIdx    int // index of the first live frame in head.buf
 	tailIdx    int // next free slot in tail.buf
-	length     int // queued frames, dropped ones included
-	live       int // queued frames that still need an ack
+	length     int // queued frames
 	spare      *pendingChunk
 }
 
-// push appends a frame the frame log has seen (see journaled), stamping
-// its enqueue time.
+// push appends a copy of a frame the frame log has seen (see journaled),
+// stamping its enqueue time.
 func (q *pendingQueue) push(j journaled) {
 	if q.tail == nil || q.tailIdx == pendingChunkFrames {
 		c := q.spare
@@ -126,10 +136,18 @@ func (q *pendingQueue) push(j journaled) {
 		q.tail = c
 		q.tailIdx = 0
 	}
-	q.tail.buf[q.tailIdx] = pendingFrame{f: *j.f, enqueuedAt: time.Now()}
+	c := q.tail
+	if c.slab == nil {
+		// Size a fresh slab for a chunk of frames like this one.
+		c.slab = make([]byte, 0, min(pendingChunkFrames*(4+len(j.body)), maxPooledBuf))
+	}
+	off := len(c.slab)
+	c.slab = binary.BigEndian.AppendUint32(c.slab, uint32(len(j.body)))
+	c.slab = append(c.slab, j.body...)
+	_, seq, from := peekHeader(j.body)
+	c.buf[q.tailIdx] = pendingFrame{seq: seq, from: from, enqueuedAt: time.Now(), off: off, end: len(c.slab)}
 	q.tailIdx++
 	q.length++
-	q.live++
 }
 
 // front returns the oldest queued frame; the queue must be non-empty.
@@ -142,13 +160,11 @@ func (q *pendingQueue) popFront() pendingFrame {
 	q.head.buf[q.headIdx] = pendingFrame{}
 	q.headIdx++
 	q.length--
-	if !pf.dropped {
-		q.live--
-	}
 	if q.headIdx == pendingChunkFrames {
 		c := q.head
 		q.head = c.next
 		c.next = nil
+		c.emptySlab()
 		q.headIdx = 0
 		q.spare = c
 		if q.head == nil {
@@ -158,6 +174,7 @@ func (q *pendingQueue) popFront() pendingFrame {
 	} else if q.length == 0 {
 		// The lone chunk emptied mid-way: rewind so it refills from the
 		// start (every slot below headIdx was zeroed by earlier pops).
+		q.head.emptySlab()
 		q.headIdx = 0
 		q.tailIdx = 0
 	}
@@ -176,32 +193,8 @@ func (q *pendingQueue) iterAt(i int) (*pendingChunk, int) {
 	return c, idx
 }
 
-// markDropped tombstones the frame with the given Seq and reports whether
-// it was found. The payload is released immediately; the slot itself
-// stays until a cumulative ack overtakes its sequence number.
-func (q *pendingQueue) markDropped(seq uint64) bool {
-	i := 0
-	for c := q.head; c != nil; c = c.next {
-		lo := 0
-		if c == q.head {
-			lo = q.headIdx
-		}
-		for j := lo; j < pendingChunkFrames && i < q.length; j, i = j+1, i+1 {
-			pf := &c.buf[j]
-			if pf.f.Seq == seq && !pf.dropped {
-				pf.dropped = true
-				pf.f.Payload = nil
-				q.live--
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// ackedFrame is the slice of a popped frame that the ack path's metrics
-// need after the lock is released — far cheaper to copy out than whole
-// frames.
+// ackedFrame is the part of a popped frame that the ack path's metrics
+// need after the lock is released.
 type ackedFrame struct {
 	from core.ProcID
 	at   time.Time
@@ -210,12 +203,12 @@ type ackedFrame struct {
 // maxBatchFrames caps how much of the pending suffix one send-loop wakeup
 // copies into its batch, bounding the scratch buffer (which is reused
 // across batches) under a deep backlog. The loop immediately takes the
-// next batch, so the cap trades nothing but an extra flush per
+// next batch, so the cap trades nothing but an extra write per
 // maxBatchFrames frames.
 const maxBatchFrames = 1024
 
 func newPeer(t *Transport, addr string) *peer {
-	p := &peer{t: t, addr: addr, fw: newFrameWriter()}
+	p := &peer{t: t, addr: addr}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -247,34 +240,39 @@ const (
 	byCaller
 )
 
-// enqueue assigns the next sequence number to f and queues it for
-// (re)transmission until acked, sending it off as d says. With durability
-// on, the frame is journaled (fsync'd) under the same critical section
-// that sequences it, so the WAL order is the sequence order and a frame a
-// writer can observe is already crash-safe. A journal failure degrades to
-// in-memory reliability for that frame rather than losing it outright.
-func (p *peer) enqueue(f frame, d departure) {
+// enqueue stamps the next sequence number and the destination process to
+// into the encoded frame b (appendFrame's output, which the caller keeps)
+// and queues a copy of its bytes for (re)transmission until acked, sending
+// it off as d says. With durability on, the frame is journaled (fsync'd)
+// under the same critical section that sequences it, so the WAL order is
+// the sequence order and a frame a writer can observe is already
+// crash-safe. A journal failure degrades to in-memory reliability for that
+// frame rather than losing it outright.
+func (p *peer) enqueue(b []byte, to core.ProcID, d departure) {
+	body := b[4:]
 	p.mu.Lock()
 	if p.stopped() {
 		p.mu.Unlock()
 		return
 	}
 	p.nextSeq++
-	f.Seq = p.nextSeq
-	j, jerr := p.t.dlog.logEnqueue(p.addr, &f)
+	seq := p.nextSeq
+	stampSeqTo(body, seq, to)
+	j, jerr := p.t.dlog.logEnqueue(p.addr, body)
 	p.pending.push(j)
 	var conn net.Conn
 	var ackTo uint64
+	var frames int
 	if d == byCaller && !p.writing && p.conn != nil {
-		conn, ackTo = p.takeBatchLocked()
+		conn, ackTo, frames = p.takeBatchLocked()
 	} else if d != withAck {
 		p.cond.Broadcast()
 	}
 	p.mu.Unlock()
 	if jerr != nil {
-		p.t.log("frame log: journal seq %d to %s: %v", f.Seq, p.addr, jerr)
+		p.t.log("frame log: journal seq %d to %s: %v", seq, p.addr, jerr)
 	}
-	if conn != nil && p.writeBatch(conn, ackTo) {
+	if conn != nil && p.writeBatch(conn, ackTo, frames) {
 		p.mu.Lock()
 		p.writing = false
 		p.cond.Broadcast() // the send loop may wait for the token
@@ -308,19 +306,15 @@ func (p *peer) raiseAckLocked(upTo uint64) { p.ackTo = max(p.ackTo, upTo) }
 func (p *peer) ack(upTo uint64) {
 	var acked []ackedFrame
 	p.mu.Lock()
-	drop := 0
-	for p.pending.length > 0 && p.pending.front().f.Seq <= upTo {
+	for p.pending.length > 0 && p.pending.front().seq <= upTo {
 		pf := p.pending.popFront()
-		drop++
-		if !pf.dropped {
-			acked = append(acked, ackedFrame{from: pf.f.From, at: pf.enqueuedAt})
-		}
+		acked = append(acked, ackedFrame{from: pf.from, at: pf.enqueuedAt})
 	}
-	if drop == 0 {
+	if len(acked) == 0 {
 		p.mu.Unlock()
 		return
 	}
-	p.nextSend -= drop
+	p.nextSend -= len(acked)
 	if p.nextSend < 0 {
 		p.nextSend = 0
 	}
@@ -379,7 +373,7 @@ func (p *peer) waitDrained(deadline time.Time) {
 	defer timer.Stop()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for (p.pending.live > 0 || p.ackTo > 0 || p.writing) && !p.stopped() && time.Now().Before(deadline) {
+	for (p.pending.length > 0 || p.ackTo > 0 || p.writing) && !p.stopped() && time.Now().Before(deadline) {
 		p.cond.Wait()
 	}
 }
@@ -405,8 +399,6 @@ func (p *peer) shutdown() {
 func (p *peer) sendLoop() {
 	defer p.t.wg.Done()
 	backoff := p.t.cfg.Timeouts.BackoffBase
-	fw := newFrameWriter() // the handshake's: p.fw belongs to the token holder
-	defer fw.close()
 	held := false   // the loop kept the token after its last batch
 	everUp := false // a connection has succeeded before: marks reconnects
 	for {
@@ -420,7 +412,7 @@ func (p *peer) sendLoop() {
 			p.mu.Unlock()
 			conn, err := p.dialConn()
 			if err == nil {
-				err = p.handshake(conn, fw)
+				err = p.handshake(conn)
 			}
 			if err != nil {
 				p.t.record(p.t.self, metrics.DialFailures, 1)
@@ -463,92 +455,69 @@ func (p *peer) sendLoop() {
 			p.mu.Unlock()
 			continue
 		}
-		conn, ackTo := p.takeBatchLocked()
+		conn, ackTo, frames := p.takeBatchLocked()
 		p.cond.Broadcast() // ack taken: a drain may be waiting on it
 		p.mu.Unlock()
-		held = p.writeBatch(conn, ackTo)
+		held = p.writeBatch(conn, ackTo, frames)
 	}
 }
 
-// takeBatchLocked takes the free writer token and the backlog of the up
-// link — the ack first (it unblocks the remote's drain), then the unsent
-// pending suffix, at most maxBatchFrames of it so the reused p.batch stays
-// bounded (the send loop comes straight back for the rest). Caller holds
-// p.mu.
-func (p *peer) takeBatchLocked() (net.Conn, uint64) {
+// takeBatchLocked takes the free writer token and copies the backlog of
+// the up link into the reused batch buffer — the ack first (it unblocks
+// the remote's drain), then the unsent pending suffix, at most
+// maxBatchFrames of it so the buffer stays bounded (the send loop comes
+// straight back for the rest) — and returns the connection, the ack and
+// the number of frames taken. Caller holds p.mu.
+func (p *peer) takeBatchLocked() (net.Conn, uint64, int) {
 	p.writing = true
 	ackTo := p.ackTo
 	p.ackTo = 0
-	p.batch = p.batch[:0]
+	b := p.out[:0]
+	frames := 0
+	if ackTo > 0 {
+		b = appendCtrl(b, ctrlFrame{Kind: frameAck, AckTo: ackTo})
+		frames++
+	}
 	pc, pi := p.pending.iterAt(p.nextSend)
-	for ; p.nextSend < p.pending.length && len(p.batch) < maxBatchFrames; p.nextSend++ {
-		if pf := &pc.buf[pi]; !pf.dropped {
-			p.batch = append(p.batch, pf.f)
+	for n := 0; p.nextSend < p.pending.length && n < maxBatchFrames; n++ {
+		pf := &pc.buf[pi]
+		b = append(b, pc.slab[pf.off:pf.end]...)
+		// A sequence number at or below the high-water mark has been
+		// written before: this write is a retransmission.
+		if pf.seq <= p.maxSent {
+			p.t.record(pf.from, metrics.FrameRetrans, 1)
+		} else {
+			p.maxSent = pf.seq
+			p.t.record(pf.from, metrics.FrameSent, 1)
 		}
+		p.nextSend++
+		frames++
 		if pi++; pi == pendingChunkFrames {
 			pc, pi = pc.next, 0
 		}
 	}
-	return p.conn, ackTo
+	p.out = b
+	return p.conn, ackTo, frames
 }
 
-// writeBatch writes the batch takeBatchLocked took, outside p.mu, and
-// reports whether the writer still holds the token: a write error tears
-// the connection down (the send loop redials) and releases it.
-func (p *peer) writeBatch(conn net.Conn, ackTo uint64) bool {
-	if p.bw == nil { // allocated on first use: many links never send
-		p.bw = bufio.NewWriterSize(conn, batchBufSize)
-	}
-	p.bw.Reset(conn) // empty after the last flush, or failed with its conn
-	// One deadline and (via the single flush below) one syscall for the
-	// whole batch.
+// writeBatch writes the batch takeBatchLocked took, outside p.mu, with one
+// deadline and one syscall, and reports whether the writer still holds
+// the token: a write error tears the connection down (the send loop
+// redials) and releases it. Like its frames, the batch is metered before
+// it is written, so its metrics precede any ack it draws.
+func (p *peer) writeBatch(conn net.Conn, ackTo uint64, frames int) bool {
+	p.t.record(p.t.self, metrics.FrameBatches, 1)
+	p.t.registry().Histogram(metrics.HistBatchFrames).ObserveValue(int64(frames))
 	conn.SetWriteDeadline(time.Now().Add(p.t.cfg.Timeouts.Write))
-	var werr error
-	wrote := 0
-	encStart := time.Now()
-	if ackTo > 0 {
-		if werr = p.fw.writeCtrl(p.bw, ctrlFrame{Kind: frameAck, AckTo: ackTo}); werr == nil {
-			wrote++
-		}
+	_, werr := conn.Write(p.out)
+	// Keep the buffer for the next batch unless it outgrew a full batch of
+	// ordinary frames: one large frame must not pin its buffer for the
+	// link's lifetime.
+	if cap(p.out) > maxBatchFrames*256 {
+		p.out = nil
 	}
-	for i := 0; i < len(p.batch) && werr == nil; i++ {
-		f := &p.batch[i]
-		if err := p.fw.write(p.bw, f); err != nil {
-			if errors.Is(err, errEncode) {
-				// The frame can never be sent; drop it rather than
-				// retransmitting a permanent failure forever.
-				p.t.log("dropping frame to %s: %v", p.addr, err)
-				p.t.record(f.From, metrics.FrameDropEncode, 1)
-				p.dropPending(f.Seq)
-				p.endUnencodable(f, err)
-				continue
-			}
-			werr = err
-			break
-		}
-		wrote++
-		// A sequence number at or below the high-water mark has been
-		// written before: this write is a retransmission.
-		if f.Seq <= p.maxSent {
-			p.t.record(f.From, metrics.FrameRetrans, 1)
-		} else {
-			p.maxSent = f.Seq
-			p.t.record(f.From, metrics.FrameSent, 1)
-		}
-	}
-	// Encode cost of the batch: frames land in the bufio buffer here
-	// (memory writes; the flush below does the syscall), so this is the
-	// codec's share of the send path.
-	p.t.registry().Histogram(metrics.HistFrameEncode).Observe(time.Since(encStart))
 	if werr == nil {
-		if wrote == 0 {
-			return true // whole batch dropped as unencodable
-		}
-		if werr = p.bw.Flush(); werr == nil {
-			p.t.record(p.t.self, metrics.FrameBatches, 1)
-			p.t.registry().Histogram(metrics.HistBatchFrames).ObserveValue(int64(wrote))
-			return true
-		}
+		return true
 	}
 	p.t.log("write to %s failed: %v (reconnecting)", p.addr, werr)
 	p.mu.Lock()
@@ -590,30 +559,6 @@ func (p *peer) watch(conn net.Conn) {
 	conn.Close()
 }
 
-// dropPending tombstones the sequenced frame with the given Seq in the
-// retransmission queue (used for frames that can never be encoded).
-// Sequence gaps are harmless: the receiver accepts any ascending sequence
-// and acks cumulatively, so the next acked frame pops the tombstone. The
-// frame log has nothing to erase: it never journals an unencodable frame.
-func (p *peer) dropPending(seq uint64) {
-	p.mu.Lock()
-	if p.pending.markDropped(seq) {
-		p.cond.Broadcast()
-	}
-	p.mu.Unlock()
-}
-
-// endUnencodable ends the call of a dropped request or response with the
-// encode error, so no caller waits for an answer that cannot be sent.
-func (p *peer) endUnencodable(f *frame, err error) {
-	switch f.Kind {
-	case frameReq:
-		p.t.endCall(f.CallID, callResult{err: err})
-	case frameResp: // answer with the error alone
-		p.enqueue(frame{Kind: frameResp, From: f.From, To: f.To, CallID: f.CallID, Group: f.Group, ErrMsg: encodeError(err)}, bySendLoop)
-	}
-}
-
 // dialConn opens one outbound connection, plain TCP or TLS per the
 // transport's configuration. tls.DialWithDialer performs the full
 // handshake within ConnectTimeout and derives ServerName from the
@@ -625,14 +570,14 @@ func (p *peer) dialConn() (net.Conn, error) {
 	return net.DialTimeout("tcp", p.addr, p.t.cfg.Timeouts.Connect)
 }
 
-// handshake opens the stream: the preamble, then the hello frame
-// identifying this node and repeating the wire version.
-func (p *peer) handshake(conn net.Conn, fw *frameWriter) error {
+// handshake opens the stream with one write: the preamble, then the hello
+// frame identifying this node and repeating the wire version.
+func (p *peer) handshake(conn net.Conn) error {
+	// preamble[:] is full, so the append copies it rather than writing
+	// into the shared array.
+	hello := appendCtrl(preamble[:], ctrlFrame{Kind: frameHello, Version: wire.FrameVersion, Addr: p.t.addr})
 	conn.SetWriteDeadline(time.Now().Add(p.t.cfg.Timeouts.Write))
-	_, err := conn.Write(preamble[:])
-	if err == nil {
-		err = fw.writeCtrl(conn, ctrlFrame{Kind: frameHello, Version: wire.FrameVersion, Addr: p.t.addr})
-	}
+	_, err := conn.Write(hello)
 	conn.SetWriteDeadline(time.Time{})
 	if err != nil {
 		conn.Close()

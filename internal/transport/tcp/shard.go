@@ -180,40 +180,61 @@ func (g *Group) Send(from, to core.ProcID, payload core.Value, sc core.SpanConte
 	if !g.isProc(to) {
 		return fmt.Errorf("%w: send to %v", core.ErrUnknownProc, to)
 	}
-	if !g.isProc(from) {
-		return fmt.Errorf("%w: send from %v", core.ErrUnknownProc, from)
-	}
-	t := g.t
-	t.mu.Lock()
-	if t.closed || g.closed {
-		t.mu.Unlock()
-		return transport.ErrClosed
-	}
-	if g.hosted[to] {
-		g.record(from, metrics.MsgSent, 1)
-		g.deliverLocked(core.Message{From: from, Payload: payload, Span: sc}, to)
-		t.mu.Unlock()
-		return nil
-	}
-	if !g.dialed {
-		t.mu.Unlock()
-		return errors.New("tcp: Send before Dial")
-	}
-	p := t.peerLocked(g.addrs[to])
-	t.mu.Unlock()
-	g.record(from, metrics.MsgSent, 1)
-	p.enqueue(frame{Kind: frameData, From: from, To: to, Payload: payload, Group: g.id,
-		TraceID: sc.TraceID, SpanID: sc.SpanID, Lamport: sc.Clock}, bySendLoop)
-	return nil
+	return g.send(from, to, to+1, payload, sc)
 }
 
 // Broadcast implements transport.Transport ("send to all", self link
 // included, as in Ben-Or), every copy carrying sc.
 func (g *Group) Broadcast(from core.ProcID, payload core.Value, sc core.SpanContext) error {
-	for to := 0; to < g.n; to++ {
-		if err := g.Send(from, core.ProcID(to), payload, sc); err != nil {
-			return err
+	return g.send(from, 0, core.ProcID(g.n), payload, sc)
+}
+
+// send sends one copy of payload to each process in [lo, hi), in order:
+// hosted ones straight into their mailboxes, remote ones through their
+// node's peer. The frame is encoded once, at the first remote copy, and
+// every remote copy shares those bytes; a payload that cannot be encoded
+// is dropped and counted (FrameDropEncode) once per remote copy, while
+// the hosted copies are still delivered.
+func (g *Group) send(from, lo, hi core.ProcID, payload core.Value, sc core.SpanContext) error {
+	if !g.isProc(from) {
+		return fmt.Errorf("%w: send from %v", core.ErrUnknownProc, from)
+	}
+	t := g.t
+	var buf *[]byte // the encoded frame, once a remote copy needs it
+	var encErr error
+	defer func() {
+		if buf != nil {
+			putBuf(buf)
 		}
+	}()
+	for to := lo; to < hi; to++ {
+		t.mu.Lock()
+		if t.closed || g.closed {
+			t.mu.Unlock()
+			return transport.ErrClosed
+		}
+		if g.hosted[to] {
+			g.record(from, metrics.MsgSent, 1)
+			g.deliverLocked(core.Message{From: from, Payload: payload, Span: sc}, to)
+			t.mu.Unlock()
+			continue
+		}
+		if !g.dialed {
+			t.mu.Unlock()
+			return errors.New("tcp: Send before Dial")
+		}
+		p := t.peerLocked(g.addrs[to])
+		t.mu.Unlock()
+		g.record(from, metrics.MsgSent, 1)
+		if buf == nil {
+			buf, encErr = t.encode(&frame{Kind: frameData, From: from, To: to, Payload: payload, Group: g.id,
+				TraceID: sc.TraceID, SpanID: sc.SpanID, Lamport: sc.Clock})
+		}
+		if encErr != nil {
+			t.dropUnencodable(from, p.addr, encErr)
+			continue
+		}
+		p.enqueue(*buf, to, bySendLoop)
 	}
 	return nil
 }
@@ -285,7 +306,8 @@ func (g *Group) SetHandler(fn func(from core.ProcID, req core.Value) (core.Value
 // survive reconnects and a restart of the owner's node. The caller's
 // context rides the request frame, the handler's response context rides
 // the response back. A call has no timeout: it ends with its response,
-// with the encode error if the request or response cannot be encoded, or
+// with the encode error if the request (checked here, before anything is
+// queued) or the response cannot be encoded, or
 // with ErrClosed when the group or the node is closed (a request for a
 // group not open at the owner is never answered). The caller writes its
 // own request when it can (see byCaller), blocking only on a full socket.
@@ -323,17 +345,26 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 
 	g.record(from, metrics.RPCIssued, 1)
 	start := time.Now()
-	p.enqueue(frame{Kind: frameReq, From: from, To: to, CallID: id, Payload: req, Group: g.id,
-		TraceID: sc.TraceID, SpanID: sc.SpanID, Lamport: sc.Clock}, byCaller)
 	var res callResult
-	select {
-	case res = <-ch:
-	case <-t.done:
+	buf, err := t.encode(&frame{Kind: frameReq, From: from, To: to, CallID: id, Payload: req, Group: g.id,
+		TraceID: sc.TraceID, SpanID: sc.SpanID, Lamport: sc.Clock})
+	if err != nil {
+		putBuf(buf)
+		t.dropUnencodable(from, p.addr, err)
 		t.dropCall(id)
-		res = callResult{err: transport.ErrClosed}
-	case <-g.done:
-		t.dropCall(id)
-		res = callResult{err: transport.ErrClosed}
+		res = callResult{err: err}
+	} else {
+		p.enqueue(*buf, to, byCaller)
+		putBuf(buf)
+		select {
+		case res = <-ch:
+		case <-t.done:
+			t.dropCall(id)
+			res = callResult{err: transport.ErrClosed}
+		case <-g.done:
+			t.dropCall(id)
+			res = callResult{err: transport.ErrClosed}
+		}
 	}
 	g.registry().Histogram(metrics.HistRPCCall).Observe(time.Since(start))
 	if res.err != nil {

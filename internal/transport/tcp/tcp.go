@@ -4,12 +4,14 @@
 // remote node.
 //
 // Frames use a flat little-endian header plus named payload codecs
-// (internal/wire, generated per algorithm package by cmd/mnmwiregen); a
-// payload whose type has no codec is dropped at encode time and counted
-// (FrameDropEncode). Every stream opens with a 4-byte preamble carrying
-// wire.FrameVersion and a hello frame repeating it; an acceptor answers
-// any other version with its own preamble and closes, and the dialer
-// stops redialing — a version skew does not heal.
+// (internal/wire, generated per algorithm package by cmd/mnmwiregen). A
+// frame is encoded once, where it is created; the queue, the frame log
+// and every retransmission reuse its bytes. A payload with no codec never
+// enters the queue: a send drops and counts it (FrameDropEncode), a call
+// fails with the encode error. Every stream opens with a 4-byte
+// preamble carrying wire.FrameVersion and a hello frame repeating it; an
+// acceptor answers any other version with its own preamble and closes,
+// and the dialer stops redialing — a version skew does not heal.
 //
 // The backend preserves the link axioms of the paper (§3) over a real,
 // faulty wire:
@@ -23,13 +25,13 @@
 //     after every reconnect, so connection kills lose nothing.
 //   - Fair-loss: layer transport.Lossy over this backend.
 //
-// The hot path is batched at both ends: each write drains the link's
-// whole backlog into a buffered writer and flushes once (one write
-// syscall and one deadline per batch), and the receiver answers each
-// batch of sequenced frames with a single cumulative ack instead of one
-// ack per frame. Frames remain individually length-prefixed and
-// self-contained, so batching changes only syscall and ack counts —
-// never what a reconnect can observe on the wire.
+// The hot path is batched at both ends: each write copies the link's
+// whole backlog into one buffer and writes it at once (one write syscall
+// and one deadline per batch), and the receiver answers each batch of
+// sequenced frames with a single cumulative ack instead of one ack per
+// frame. Frames remain individually length-prefixed and self-contained,
+// so batching changes only syscall and ack counts — never what a
+// reconnect can observe on the wire.
 //
 // Groups: a Transport is one node — its listener, its connections and
 // its sequence/ack space — and every m&m system it carries, group 0
@@ -326,6 +328,33 @@ func (t *Transport) record(p core.ProcID, k metrics.Kind, delta int64) {
 	t.counters.Load().Record(p, k, delta)
 }
 
+// encode encodes f into pooled scratch: the one encode a data, request or
+// response frame gets, made by the call that creates the frame and
+// outside every lock. The caller returns the scratch with putBuf once
+// enqueue has copied the bytes, also when the encode failed. The encode
+// time is observed only when a registry is attached.
+func (t *Transport) encode(f *frame) (*[]byte, error) {
+	buf := getBuf()
+	reg := t.registry()
+	if reg == nil {
+		var err error
+		*buf, err = appendFrame((*buf)[:0], f)
+		return buf, err
+	}
+	start := time.Now()
+	b, err := appendFrame((*buf)[:0], f)
+	reg.Histogram(metrics.HistFrameEncode).Observe(time.Since(start))
+	*buf = b
+	return buf, err
+}
+
+// dropUnencodable meters and logs a frame from process from to the node
+// at addr that cannot be encoded.
+func (t *Transport) dropUnencodable(from core.ProcID, addr string, err error) {
+	t.record(from, metrics.FrameDropEncode, 1)
+	t.log("dropping frame to %s: %v", addr, err)
+}
+
 // peerLocked returns (creating if needed) the connection manager for a
 // remote node address. Caller holds t.mu.
 func (t *Transport) peerLocked(addr string) *peer {
@@ -497,18 +526,23 @@ func (t *Transport) dispatch(remote string, f *frame) uint64 {
 		}
 		return 0
 	case frameData:
-		if t.accept(remote, f.Seq) {
-			t.mu.Lock()
-			g := t.groups[f.Group]
-			ok := g != nil && g.isProc(f.From)
-			if ok && !t.closed && !g.closed && g.hosted[f.To] {
-				g.deliverLocked(core.Message{From: f.From, Payload: f.Payload,
-					Span: core.SpanContext{TraceID: f.TraceID, SpanID: f.SpanID, Clock: f.Lamport}}, f.To)
-			}
+		// Filter and delivery share one t.mu section: after a reconnect two
+		// receive loops may hold this node's frames, and neither may
+		// deliver a later frame between the other's accept and delivery.
+		t.mu.Lock()
+		if !t.acceptLocked(remote, f.Seq) {
 			t.mu.Unlock()
-			if !ok {
-				t.logDrop(remote, f, g)
-			}
+			return f.Seq
+		}
+		g := t.groups[f.Group]
+		ok := g != nil && g.isProc(f.From)
+		if ok && !t.closed && !g.closed && g.hosted[f.To] {
+			g.deliverLocked(core.Message{From: f.From, Payload: f.Payload,
+				Span: core.SpanContext{TraceID: f.TraceID, SpanID: f.SpanID, Clock: f.Lamport}}, f.To)
+		}
+		t.mu.Unlock()
+		if !ok {
+			t.logDrop(remote, f, g)
 		}
 		return f.Seq
 	case frameReq:
@@ -565,7 +599,7 @@ func (t *Transport) acceptLocked(remote string, seq uint64) bool {
 
 // serve passes a request frame through the duplicate filter and runs its
 // group's RPC handler on the receive loop that read it — so the handler must
-// not block on the network — then queues the response (which carries the
+// not block on the network — then encodes and queues the response (which carries the
 // same group, so the caller's node routes the metrics to the right shard).
 // The filter, the handler lookup and the response's peer share one t.mu
 // section: the receive loop serves every group's requests, and t.mu is also
@@ -577,7 +611,9 @@ func (t *Transport) acceptLocked(remote string, seq uint64) bool {
 // A request for a group that is not open here — not yet, or no longer —
 // is dropped like a data frame: logged, acked by dispatch, and never
 // answered, so the caller waits until its own group or node closes. Only
-// an open group without a handler answers with an error.
+// an open group without a handler answers with an error, and so does a
+// handler whose response cannot be encoded: the response then carries
+// the encode error alone, so the call fails instead of waiting.
 func (t *Transport) serve(remote string, f *frame) {
 	t.mu.Lock()
 	if !t.acceptLocked(remote, f.Seq) || t.closed {
@@ -607,7 +643,15 @@ func (t *Transport) serve(remote string, f *frame) {
 			resp.ErrMsg = encodeError(err)
 		}
 	}
-	p.enqueue(resp, withAck)
+	buf, err := t.encode(&resp)
+	if err != nil {
+		t.dropUnencodable(resp.From, remote, err)
+		putBuf(buf)
+		resp.Payload, resp.ErrMsg = nil, encodeError(err)
+		buf, _ = t.encode(&resp) // with no payload left, it encodes
+	}
+	p.enqueue(*buf, resp.To, withAck)
+	putBuf(buf)
 }
 
 // errNoHandler answers a request to an open group that has no handler.

@@ -474,8 +474,8 @@ func TestInstrumentationDialFailures(t *testing.T) {
 // TestCodecLessSendDroppedNotWedged sends a value whose type has no
 // payload codec between two live nodes. There is no fallback encoding:
 // the frame is dropped at encode time and counted exactly once, never
-// delivered — and its tombstone in the retransmission queue must not
-// wedge the link, so the next Send on it arrives.
+// delivered — and it never enters the retransmission queue, so it cannot
+// wedge the link: the next Send on it arrives.
 func TestCodecLessSendDroppedNotWedged(t *testing.T) {
 	reg := metrics.NewRegistry(2)
 	nodes := newClusterWith(t, 2, [][]core.ProcID{{0}, {1}}, func(i int, cfg *tcp.Config) {
@@ -494,13 +494,55 @@ func TestCodecLessSendDroppedNotWedged(t *testing.T) {
 	if m := recvOne(t, nodes[1], 1); m.Payload != 7 {
 		t.Fatalf("received %#v, want 7: the codec-less payload must never be delivered", m.Payload)
 	}
-	// The ack of the second frame pops the tombstone with it.
+	// The second frame is the only one queued: its ack empties the queue.
 	awaitTotal(t, reg.Counters(), metrics.FrameAcked, 1)
 	if got := reg.Counters().Total(metrics.FrameDropEncode); got != 1 {
 		t.Errorf("FrameDropEncode = %d, want exactly 1 (the drop must not be retried)", got)
 	}
 	if m, ok := nodes[1].TryRecv(1); ok {
 		t.Errorf("unexpected extra message %#v", m.Payload)
+	}
+}
+
+// TestCodecLessBroadcastReachesHostedOnly broadcasts a codec-less value
+// from a node hosting two of three processes: the hosted copies are
+// delivered (they never cross the wire), the one remote copy is dropped
+// at encode time and counted, and the link stays usable for the next
+// broadcast.
+func TestCodecLessBroadcastReachesHostedOnly(t *testing.T) {
+	reg := metrics.NewRegistry(3)
+	nodes := newClusterWith(t, 3, [][]core.ProcID{{0, 1}, {2}}, func(i int, cfg *tcp.Config) {
+		if i == 0 {
+			cfg.Registry = reg
+		}
+	})
+	nodes[0].Group.Instrument(reg)
+	type codecLess struct{ N int }
+	if err := nodes[0].Broadcast(0, codecLess{N: 1}, core.SpanContext{}); err != nil {
+		t.Fatalf("Broadcast(codec-less): %v", err)
+	}
+	for _, p := range []core.ProcID{0, 1} {
+		if m := recvOne(t, nodes[0], p); m.Payload != (codecLess{N: 1}) {
+			t.Fatalf("hosted p%d received %#v, want the codec-less value", p, m.Payload)
+		}
+	}
+	awaitTotal(t, reg.Counters(), metrics.FrameDropEncode, 1)
+	if got := reg.Counters().Total(metrics.MsgSent); got != 3 {
+		t.Errorf("MsgSent = %d, want 3 (every copy is accepted)", got)
+	}
+	if err := nodes[0].Broadcast(0, 7, core.SpanContext{}); err != nil {
+		t.Fatalf("Broadcast(7): %v", err)
+	}
+	for _, p := range []core.ProcID{0, 1} {
+		if m := recvOne(t, nodes[0], p); m.Payload != 7 {
+			t.Fatalf("hosted p%d received %#v, want 7", p, m.Payload)
+		}
+	}
+	if m := recvOne(t, nodes[1], 2); m.Payload != 7 {
+		t.Fatalf("p2 received %#v, want 7: the codec-less copy must never be delivered", m.Payload)
+	}
+	if got := reg.Counters().Total(metrics.FrameDropEncode); got != 1 {
+		t.Errorf("FrameDropEncode = %d, want exactly 1", got)
 	}
 }
 

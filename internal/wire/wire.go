@@ -16,8 +16,9 @@
 //     wire.go) registers one codec per wire-crossing type.
 //
 // There is no fallback: a value whose concrete type has no codec does not
-// encode (AppendValue returns an error naming the type and the fix), and
-// the transport drops the frame and counts it. mnmvet's wirecodec rule
+// encode (AppendValue returns an error naming the type and the fix). The
+// transport encodes each frame once, where it is sent, so the error
+// surfaces to the sender: a message is dropped and counted, a call fails. mnmvet's wirecodec rule
 // keeps that from happening to any type an algorithm package sends.
 //
 // The encode side is append-style ([]byte grows in place, no Writer
