@@ -242,9 +242,11 @@ func (d *directives) suppressed(rule string, pos token.Position) bool {
 
 // --- shared AST/type helpers for the analyzers ---
 
-// CalleeFunc resolves the *types.Func a call expression invokes, through
-// either a plain identifier or a selector. It returns nil for calls of
-// function-typed values, conversions and built-ins.
+// CalleeFunc returns the identifier naming a call's callee — the plain
+// identifier or the selector's Sel — or nil when the call's Fun is
+// neither (a literal, an index or call expression). Its Uses entry is
+// the *types.Func of a static call, or the variable a func value is
+// called through.
 func CalleeFunc(pkg *loader.Package, call *ast.CallExpr) *ast.Ident {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -253,21 +255,4 @@ func CalleeFunc(pkg *loader.Package, call *ast.CallExpr) *ast.Ident {
 		return fun.Sel
 	}
 	return nil
-}
-
-// ExprString renders a canonical source-ish form of simple expressions
-// (identifiers and selector chains), used to key mutexes by their
-// syntactic path ("p.mu"). Unkeyable expressions render as "".
-func ExprString(e ast.Expr) string {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return x.Name
-	case *ast.SelectorExpr:
-		base := ExprString(x.X)
-		if base == "" {
-			return ""
-		}
-		return base + "." + x.Sel.Name
-	}
-	return ""
 }

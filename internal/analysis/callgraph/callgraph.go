@@ -10,10 +10,12 @@
 //     on the caller's goroutine.
 //   - Defer: the call of a defer statement — still the caller's
 //     goroutine, but at function exit rather than at the site.
-//   - Go: the call of a go statement, or any reference made inside a
-//     function literal that a go statement launches — runs on another
-//     goroutine, so the caller does not synchronously perform the
-//     callee's effects.
+//   - Go: the call of a go statement, any reference made inside a
+//     function literal that a go statement launches, or a function value
+//     handed to a go'd call — runs on another goroutine, so the caller
+//     does not synchronously perform the callee's effects. The go'd
+//     call's receiver and other arguments are evaluated on the caller's
+//     goroutine and classified as usual.
 //   - Ref: a function or method referenced as a value (method values,
 //     functions passed as callbacks). The graph cannot see where the
 //     value is invoked, so consumers treat Ref like Call — conservative
@@ -35,6 +37,7 @@ import (
 	"go/types"
 	"sort"
 
+	"github.com/mnm-model/mnm/internal/analysis"
 	"github.com/mnm-model/mnm/internal/analysis/loader"
 )
 
@@ -112,14 +115,19 @@ func collectEdges(pkg *loader.Package, body ast.Node, inGo bool, node *Node) {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			// The call itself (and, for a go'd literal, its whole body)
-			// runs on the new goroutine.
-			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
-				for _, arg := range n.Call.Args {
-					collectEdges(pkg, arg, inGo, node)
-				}
-				collectEdges(pkg, lit.Body, true, node)
-			} else {
-				collectEdges(pkg, n.Call, true, node)
+			// runs on the new goroutine, as do function values handed to
+			// it; the receiver and the other arguments are evaluated here.
+			switch fun := ast.Unparen(n.Call.Fun).(type) {
+			case *ast.FuncLit:
+				collectEdges(pkg, fun.Body, true, node)
+			case *ast.SelectorExpr:
+				collectEdges(pkg, fun.X, inGo, node)
+			}
+			if fn := calleeOf(pkg, n.Call); fn != nil {
+				node.Out = append(node.Out, Edge{Callee: fn, Pos: n.Call.Pos(), Kind: Go})
+			}
+			for _, arg := range n.Call.Args {
+				collectEdges(pkg, arg, inGo || SpawnedArg(pkg, arg), node)
 			}
 			return false
 		case *ast.DeferStmt:
@@ -176,6 +184,18 @@ func collectEdges(pkg *loader.Package, body ast.Node, inGo bool, node *Node) {
 	})
 }
 
+// SpawnedArg reports whether arg, an argument of a go'd call, runs on
+// the new goroutine rather than on the caller's: a function value does,
+// since the spawned call is where it is invoked.
+func SpawnedArg(pkg *loader.Package, arg ast.Expr) bool {
+	t := pkg.Info.TypeOf(arg)
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Signature)
+	return ok
+}
+
 func refKind(inGo bool) EdgeKind {
 	if inGo {
 		return Go
@@ -186,17 +206,7 @@ func refKind(inGo bool) EdgeKind {
 // calleeOf resolves the static *types.Func a call invokes, or nil for
 // calls of function values, conversions and builtins.
 func calleeOf(pkg *loader.Package, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := pkg.Info.Uses[id].(*types.Func)
-	return fn
+	return refFunc(pkg, analysis.CalleeFunc(pkg, call))
 }
 
 // refFunc resolves an identifier used as a value to a *types.Func.
@@ -208,9 +218,8 @@ func refFunc(pkg *loader.Package, id *ast.Ident) *types.Func {
 // SCCs returns the graph's strongly connected components in reverse
 // topological order: every component appears after all components it can
 // reach, so a bottom-up propagation (callee facts into callers) visits
-// components in slice order. Tarjan's algorithm, iterative to survive
-// deep call chains, with a deterministic root order (position of the
-// declaration) so runs are reproducible.
+// components in slice order. Roots are taken in declaration order, so
+// runs are reproducible.
 func (g *Graph) SCCs() [][]*Node {
 	nodes := make([]*Node, 0, len(g.Nodes))
 	for _, n := range g.Nodes {
@@ -222,20 +231,7 @@ func (g *Graph) SCCs() [][]*Node {
 		}
 		return nodes[i].Decl.Pos() < nodes[j].Decl.Pos()
 	})
-
-	index := map[*Node]int{}
-	lowlink := map[*Node]int{}
-	onStack := map[*Node]bool{}
-	var stack []*Node
-	var out [][]*Node
-	next := 0
-
-	type frame struct {
-		n    *Node
-		succ []*Node
-		i    int
-	}
-	succs := func(n *Node) []*Node {
+	return Components(nodes, func(n *Node) []*Node {
 		var s []*Node
 		for _, e := range n.Out {
 			if t, ok := g.Nodes[e.Callee]; ok {
@@ -243,41 +239,60 @@ func (g *Graph) SCCs() [][]*Node {
 			}
 		}
 		return s
+	})
+}
+
+// Components returns the strongly connected components of the graph
+// reachable from roots along succ, in reverse topological order. It is
+// Tarjan's algorithm, iterative to survive deep call chains, visiting
+// roots and successors in the order given, so equal inputs give equal
+// outputs.
+func Components[N comparable](roots []N, succ func(N) []N) [][]N {
+	index := map[N]int{}
+	lowlink := map[N]int{}
+	onStack := map[N]bool{}
+	var stack []N
+	var out [][]N
+
+	type frame struct {
+		n    N
+		succ []N
+		i    int
 	}
-	for _, root := range nodes {
+	var work []frame
+	visit := func(n N) {
+		index[n], lowlink[n] = len(index), len(index)
+		stack = append(stack, n)
+		onStack[n] = true
+		work = append(work, frame{n: n, succ: succ(n)})
+	}
+	for _, root := range roots {
 		if _, seen := index[root]; seen {
 			continue
 		}
-		work := []frame{{n: root, succ: succs(root)}}
-		index[root], lowlink[root] = next, next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
+		visit(root)
 		for len(work) > 0 {
 			f := &work[len(work)-1]
 			if f.i < len(f.succ) {
 				w := f.succ[f.i]
 				f.i++
 				if _, seen := index[w]; !seen {
-					index[w], lowlink[w] = next, next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					work = append(work, frame{n: w, succ: succs(w)})
+					visit(w)
 				} else if onStack[w] && index[w] < lowlink[f.n] {
 					lowlink[f.n] = index[w]
 				}
 				continue
 			}
 			// f.n is finished: pop its component if it is a root.
-			if lowlink[f.n] == index[f.n] {
-				var comp []*Node
+			n := f.n
+			if lowlink[n] == index[n] {
+				var comp []N
 				for {
 					w := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
 					onStack[w] = false
 					comp = append(comp, w)
-					if w == f.n {
+					if w == n {
 						break
 					}
 				}
@@ -286,8 +301,8 @@ func (g *Graph) SCCs() [][]*Node {
 			work = work[:len(work)-1]
 			if len(work) > 0 {
 				parent := work[len(work)-1].n
-				if lowlink[f.n] < lowlink[parent] {
-					lowlink[parent] = lowlink[f.n]
+				if lowlink[n] < lowlink[parent] {
+					lowlink[parent] = lowlink[n]
 				}
 			}
 		}

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"github.com/mnm-model/mnm/internal/analysis"
+	"github.com/mnm-model/mnm/internal/analysis/callgraph"
 	"github.com/mnm-model/mnm/internal/analysis/summary"
 )
 
@@ -77,84 +78,31 @@ func run(pass *analysis.Pass) {
 // findCycles runs SCC over the lock graph and returns the keys of every
 // cyclic component (size > 1, or a self-loop).
 func findCycles(edges []summary.LockEdge) cycleSet {
-	adj := map[string]map[string]bool{}
+	adj := map[string][]string{}
 	selfLoop := map[string]bool{}
 	for _, e := range edges {
-		if e.Held == e.Acquired {
-			selfLoop[e.Held] = true
+		adj[e.Held] = append(adj[e.Held], e.Acquired)
+		selfLoop[e.Held] = selfLoop[e.Held] || e.Held == e.Acquired
+	}
+	roots := make([]string, 0, len(adj))
+	for k, succ := range adj {
+		roots = append(roots, k)
+		sort.Strings(succ)
+	}
+	sort.Strings(roots)
+	out := cycleSet{}
+	for _, comp := range callgraph.Components(roots, func(k string) []string { return adj[k] }) {
+		if len(comp) == 1 && !selfLoop[comp[0]] {
 			continue
 		}
-		if adj[e.Held] == nil {
-			adj[e.Held] = map[string]bool{}
+		sort.Strings(comp)
+		var shorts []string
+		for _, k := range comp {
+			shorts = append(shorts, short(k))
 		}
-		adj[e.Held][e.Acquired] = true
-	}
-	nodes := map[string]bool{}
-	for _, e := range edges {
-		nodes[e.Held] = true
-		nodes[e.Acquired] = true
-	}
-
-	// Tarjan over string keys, recursive: lock graphs are tiny.
-	index := map[string]int{}
-	low := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	next := 0
-	out := cycleSet{}
-	var strong func(v string)
-	strong = func(v string) {
-		index[v], low[v] = next, next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		var succ []string
-		for w := range adj[v] {
-			succ = append(succ, w)
-		}
-		sort.Strings(succ)
-		for _, w := range succ {
-			if _, seen := index[w]; !seen {
-				strong(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			var comp []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, w)
-				if w == v {
-					break
-				}
-			}
-			if len(comp) > 1 || selfLoop[comp[0]] {
-				sort.Strings(comp)
-				var shorts []string
-				for _, k := range comp {
-					shorts = append(shorts, short(k))
-				}
-				desc := fmt.Sprintf("cycle: %s", strings.Join(shorts, " -> "))
-				for _, k := range comp {
-					out[k] = desc
-				}
-			}
-		}
-	}
-	var keys []string
-	for k := range nodes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, seen := index[k]; !seen {
-			strong(k)
+		desc := fmt.Sprintf("cycle: %s", strings.Join(shorts, " -> "))
+		for _, k := range comp {
+			out[k] = desc
 		}
 	}
 	return out

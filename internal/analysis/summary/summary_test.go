@@ -67,7 +67,7 @@ func TestLockEdgeSurvivesEarlyExitGuard(t *testing.T) {
 	s := build(t)
 	found := false
 	for _, e := range s.LockEdges() {
-		if strings.HasSuffix(e.Held, "outer.mu") && strings.HasSuffix(e.Acquired, "inner.mu") {
+		if e.Fn.Name() == "nest" && strings.HasSuffix(e.Held, "outer.mu") && strings.HasSuffix(e.Acquired, "inner.mu") {
 			found = true
 		}
 		if strings.HasSuffix(e.Held, "inner.mu") {
@@ -76,5 +76,22 @@ func TestLockEdgeSurvivesEarlyExitGuard(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("outer.mu -> inner.mu edge missing: the early-exit unlock guard blinded the replay (edges %v)", s.LockEdges())
+	}
+}
+
+func TestGoArgumentsRunUnderTheLock(t *testing.T) {
+	s := build(t)
+	found := false
+	for _, e := range s.LockEdges() {
+		switch e.Fn.Name() {
+		case "spawnWithArg":
+			found = found || e.Via != nil && e.Via.Name() == "size" &&
+				strings.HasSuffix(e.Held, "outer.mu") && strings.HasSuffix(e.Acquired, "inner.mu")
+		case "spawnLiteral":
+			t.Errorf("spawnLiteral: go'd literal replayed under the spawner's lock: %v -> %v", e.Held, e.Acquired)
+		}
+	}
+	if !found {
+		t.Errorf("spawnWithArg: outer.mu -> inner.mu edge through the go'd call's argument missing (edges %v)", s.LockEdges())
 	}
 }

@@ -1,6 +1,7 @@
 // Fixture for the callgraph and summary engine unit tests: mutual
-// recursion, method values, deferred and go'd calls, and a nested lock
-// region behind an early-exit unlock guard.
+// recursion, method values, deferred and go'd calls, a nested lock
+// region behind an early-exit unlock guard, and go statements under a
+// lock.
 package engine
 
 import (
@@ -65,5 +66,33 @@ func (o *outer) nest() {
 	}
 	o.in.mu.Lock()
 	o.in.mu.Unlock()
+	o.mu.Unlock()
+}
+
+// size takes inner.mu.
+func (i *inner) size() int {
+	i.mu.Lock()
+	defer i.mu.Unlock()
+	return 0
+}
+
+func consume(int) {}
+
+// spawnWithArg evaluates o.in.size() — which takes inner.mu — on this
+// goroutine, under outer.mu, before consume starts on the new one.
+func (o *outer) spawnWithArg() {
+	o.mu.Lock()
+	go consume(o.in.size())
+	o.mu.Unlock()
+}
+
+// spawnLiteral's literal takes inner.mu on the new goroutine, where
+// outer.mu is not held.
+func (o *outer) spawnLiteral() {
+	o.mu.Lock()
+	go func() {
+		o.in.mu.Lock()
+		o.in.mu.Unlock()
+	}()
 	o.mu.Unlock()
 }

@@ -6,6 +6,7 @@ package lockfix
 import (
 	"fmt"
 	"log"
+	"net"
 	"sync"
 	"time"
 )
@@ -69,4 +70,46 @@ func (s *state) waitUnder() {
 // caller holds a lock, so blocking work inside is flagged.
 func (s *state) deliverLocked() {
 	s.ch <- 2 // want "channel send while holding the caller's lock"
+}
+
+// earlyUnlockBranch releases the lock only on the early-return path: the
+// fall-through still holds it.
+func (s *state) earlyUnlockBranch() {
+	s.mu.Lock()
+	if len(s.ch) == 0 {
+		s.mu.Unlock()
+		return
+	}
+	log.Println("still held") // want "log.Println while holding s.mu"
+	s.mu.Unlock()
+}
+
+func use(int) {}
+
+// goArgUnder spawns use, but receives its argument on this goroutine,
+// with the lock held.
+func (s *state) goArgUnder() {
+	s.mu.Lock()
+	go use(<-s.ch) // want "channel receive while holding s.mu"
+	s.mu.Unlock()
+}
+
+// link carries a connection and a logging callback, as the tcp
+// transport's peers do.
+type link struct {
+	mu   sync.Mutex
+	conn net.Conn
+	logf func(format string, args ...any)
+}
+
+func (l *link) closeUnder() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.conn.Close() // want "l.conn.Close while holding l.mu; network calls can block"
+}
+
+func (l *link) logUnder() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.logf("under lock") // want "logging through l.logf while holding l.mu"
 }

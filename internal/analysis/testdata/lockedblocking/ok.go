@@ -1,9 +1,13 @@
 // Negative fixture: the disciplined patterns the analyzer must accept —
 // snapshot-then-unlock, hand-over-hand, Cond.Wait, non-blocking selects,
-// and goroutines launched under a lock but not holding it.
+// goroutines launched under a lock but not holding it, and package net
+// helpers that never touch the network.
 package lockfix
 
-import "log"
+import (
+	"log"
+	"net"
+)
 
 func (s *state) snapshotThenLog() {
 	s.mu.Lock()
@@ -19,18 +23,6 @@ func (s *state) condWait() {
 	for len(s.ch) == 0 {
 		s.cond.Wait() // releases s.mu while parked: fine
 	}
-}
-
-func (s *state) earlyUnlockBranch() {
-	s.mu.Lock()
-	if len(s.ch) == 0 {
-		s.mu.Unlock()
-		return
-	}
-	// A branch above released the lock: the region is no longer provably
-	// held, so the conservative walker stays silent from here on.
-	log.Println("not provably held")
-	s.mu.Unlock()
 }
 
 func (s *state) goroutineUnder() {
@@ -74,4 +66,11 @@ func (s *state) pureWorkUnder() int {
 		total += i
 	}
 	return total
+}
+
+func (s *state) splitUnder(addr string) string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	host, _, _ := net.SplitHostPort(addr) // string parsing, no network: fine
+	return host
 }

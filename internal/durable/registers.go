@@ -23,9 +23,9 @@ type RegistersOptions struct {
 	// wal_fsync latency histogram and the wal_appends counter (attributed
 	// to the written register's owner).
 	Registry *metrics.Registry
-	// SnapshotEvery is the append count that triggers WAL compaction.
-	// Zero takes the default (1024).
-	SnapshotEvery int
+	// snapshotEvery is the append count that triggers WAL compaction;
+	// zero takes the default (1024). Only this package's tests set it.
+	snapshotEvery int
 }
 
 // Registers is the durable store for owner-resident registers: every
@@ -54,7 +54,7 @@ type Registers struct {
 func OpenRegisters(dir string, opts RegistersOptions) (*Registers, error) {
 	s := &Registers{
 		state: make(map[core.Ref]core.Value),
-		every: opts.SnapshotEvery,
+		every: opts.snapshotEvery,
 		reg:   opts.Registry,
 	}
 	if s.every <= 0 {

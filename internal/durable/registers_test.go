@@ -62,7 +62,7 @@ func TestRegistersRecoverAfterReopen(t *testing.T) {
 // while replay still sees the same final state.
 func TestRegistersCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenRegisters(dir, RegistersOptions{SnapshotEvery: 16})
+	s, err := OpenRegisters(dir, RegistersOptions{snapshotEvery: 16})
 	if err != nil {
 		t.Fatalf("OpenRegisters: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestRegistersCompaction(t *testing.T) {
 			t.Fatalf("Apply %d: %v", i, err)
 		}
 	}
-	// 100 appends over one register with SnapshotEvery=16: the WAL holds
+	// 100 appends over one register with snapshotEvery=16: the WAL holds
 	// at most 16 uncompacted records, far below the 100 written.
 	oneRec, err := encodeRegister(ref, uint64(99))
 	if err != nil {

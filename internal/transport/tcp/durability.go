@@ -22,10 +22,11 @@ import (
 type Durability struct {
 	// Dir is the directory holding the frame WAL.
 	Dir string
-	// CompactAt is the WAL size in bytes that triggers compaction to a
+	// compactAt is the WAL size in bytes that triggers compaction to a
 	// snapshot of live state (unacked frames, seq and ack high-water
-	// marks). Zero takes the default (4 MiB).
-	CompactAt int64
+	// marks); zero takes the default (4 MiB). Only this package's tests
+	// set it.
+	compactAt int64
 }
 
 // defaultCompactAt is the frame WAL compaction threshold.
@@ -82,7 +83,7 @@ func openFrameLog(cfg Durability, t *Transport) (*frameLog, error) {
 		t:         t,
 		peers:     make(map[string]*peerMirror),
 		recvHW:    make(map[string]uint64),
-		compactAt: cfg.CompactAt,
+		compactAt: cfg.compactAt,
 	}
 	if l.compactAt <= 0 {
 		l.compactAt = defaultCompactAt

@@ -23,7 +23,7 @@ func testFrame(seq uint64, payload core.Value) frame {
 
 func TestFrameLogRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Durability{Dir: dir, CompactAt: 1 << 30} // never compact here
+	cfg := Durability{Dir: dir, compactAt: 1 << 30} // never compact here
 	l, err := openFrameLog(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +73,7 @@ func TestFrameLogRoundTrip(t *testing.T) {
 // without them.
 func TestFrameLogSkipsRetiredDropRecord(t *testing.T) {
 	replay := func(withDrop bool) *frameLog {
-		cfg := Durability{Dir: t.TempDir(), CompactAt: 1 << 30}
+		cfg := Durability{Dir: t.TempDir(), compactAt: 1 << 30}
 		l, err := openFrameLog(cfg, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestFrameLogSkipsRetiredDropRecord(t *testing.T) {
 // the remote's duplicate filter and be silently discarded.
 func TestFrameLogCompactionKeepsSeqMark(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Durability{Dir: dir, CompactAt: 1} // compact at every opportunity
+	cfg := Durability{Dir: dir, compactAt: 1} // compact at every opportunity
 	l, err := openFrameLog(cfg, nil)
 	if err != nil {
 		t.Fatal(err)

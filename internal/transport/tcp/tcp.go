@@ -663,21 +663,30 @@ var errNoHandler = errors.New("tcp: no RPC handler installed")
 // retransmit the unacknowledged suffix, so no message is lost or
 // duplicated. Intended for fault-injection tests.
 func (t *Transport) KillConnections() {
+	t.closeInbound()
 	t.mu.Lock()
-	conns := make([]net.Conn, 0, len(t.inbound))
-	for c := range t.inbound {
-		conns = append(conns, c)
-	}
 	peers := make([]*peer, 0, len(t.peers))
 	for _, p := range t.peers {
 		peers = append(peers, p)
 	}
 	t.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
 	for _, p := range peers {
 		p.killConn()
+	}
+}
+
+// closeInbound closes every inbound connection, outside t.mu: a TLS
+// Close writes a close_notify alert under the write deadline, and each
+// exiting recvLoop takes t.mu to unregister its connection.
+func (t *Transport) closeInbound() {
+	t.mu.Lock()
+	conns := make([]net.Conn, 0, len(t.inbound))
+	for c := range t.inbound {
+		conns = append(conns, c)
+	}
+	t.mu.Unlock()
+	for _, c := range conns {
+		c.Close()
 	}
 }
 
@@ -713,11 +722,7 @@ func (t *Transport) Close() error {
 		p.shutdown()
 	}
 	t.lis.Close()
-	t.mu.Lock()
-	for c := range t.inbound {
-		c.Close()
-	}
-	t.mu.Unlock()
+	t.closeInbound()
 	t.wg.Wait()
 	// Every send and receive loop has exited: nothing journals anymore.
 	return t.dlog.close()
