@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -247,5 +248,141 @@ func TestRequestToClosedGroupWaits(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("closing the caller's group did not end its pending call")
+	}
+}
+
+// TestReadBatchOrderAndOneAck drives a node from a raw socket posing as
+// its peer, process 0 of groups 1 and 2, with one write that the node
+// takes as one read batch: data g1 s1, data g2 s2, a g1 request s3, data
+// g1 s4, a duplicate of s2, a data frame s5 with a forged sender, and data
+// g1 s6. A run of data frames is delivered in one lock section, but never
+// past the request after it: the handler must see s1 in g1's mailbox and
+// not s4. g1 must then hold 1, 4, 6 in order and g2 hold 2 once (the
+// duplicate filtered, the forged frame dropped and logged once), and the
+// node must answer the batch with one cumulative ack of 6, with the
+// response on the same link.
+func TestReadBatchOrderAndOneAck(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+
+	var forged atomic.Int32
+	// The raw peer never acks the response, so Close's drain is cut short.
+	tr, err := New(Config{ListenAddr: "127.0.0.1:0", Timeouts: Timeouts{Drain: 50 * time.Millisecond}, Logf: func(format string, args ...any) {
+		if strings.Contains(format, "is not a process of group") {
+			forged.Add(1)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	addrs := []string{lis.Addr().String(), tr.Addr()}
+	g1 := openTestGroup(t, tr, 1, []core.ProcID{1}, addrs)
+	g2 := openTestGroup(t, tr, 2, []core.ProcID{1}, addrs)
+	// The handler peeks at g1's mailbox without consuming it.
+	var atServe []core.Value
+	g1.SetHandler(func(from core.ProcID, req core.Value) (core.Value, error) {
+		tr.mu.Lock()
+		mb := g1.mailbox(1)
+		for i := 0; i < mb.Len(); i++ {
+			m, _ := mb.Pop()
+			atServe = append(atServe, m.Payload)
+			mb.Push(m)
+		}
+		tr.mu.Unlock()
+		return req, nil
+	})
+
+	conn, err := net.Dial("tcp", tr.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	out := append([]byte(nil), preamble[:]...)
+	for _, f := range []frame{
+		{Kind: frameHello, Version: wire.FrameVersion, Addr: lis.Addr().String()},
+		{Kind: frameData, Seq: 1, Group: 1, From: 0, To: 1, Payload: 1},
+		{Kind: frameData, Seq: 2, Group: 2, From: 0, To: 1, Payload: 2},
+		{Kind: frameReq, Seq: 3, Group: 1, From: 0, To: 1, CallID: 7, Payload: "call"},
+		{Kind: frameData, Seq: 4, Group: 1, From: 0, To: 1, Payload: 4},
+		{Kind: frameData, Seq: 2, Group: 2, From: 0, To: 1, Payload: "duplicate"},
+		{Kind: frameData, Seq: 5, Group: 1, From: 5, To: 1, Payload: "forged"},
+		{Kind: frameData, Seq: 6, Group: 1, From: 0, To: 1, Payload: 6},
+	} {
+		if out, err = appendFrame(out, &f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(out); err != nil {
+		t.Fatal(err)
+	}
+
+	// The ack and the response arrive on the node's own dial to the
+	// hello's address.
+	deadline := time.Now().Add(10 * time.Second)
+	lis.(*net.TCPListener).SetDeadline(deadline)
+	back, err := lis.Accept()
+	if err != nil {
+		t.Fatalf("node never dialed back: %v", err)
+	}
+	defer back.Close()
+	back.SetReadDeadline(deadline)
+	br := bufio.NewReader(back)
+	fr := newFrameReader()
+	defer fr.close()
+	if _, err := acceptHandshake(br, fr); err != nil {
+		t.Fatalf("node's opening: %v", err)
+	}
+	var acks []uint64
+	answered := false
+	for len(acks) == 0 || acks[len(acks)-1] < 6 || !answered {
+		var f frame
+		if err := fr.read(br, &f); err != nil {
+			t.Fatalf("waiting for the ack of 6 and the response (acks so far %v, answered %v): %v", acks, answered, err)
+		}
+		switch f.Kind {
+		case frameAck:
+			acks = append(acks, f.AckTo)
+		case frameResp:
+			if f.CallID != 7 || f.Group != 1 || f.To != 0 || f.Payload != "call" || f.ErrMsg != "" {
+				t.Fatalf("response %+v, want the echo of call 7 in group 1", f)
+			}
+			answered = true
+		default:
+			t.Fatalf("node sent a frame of kind %d, want acks and one response", f.Kind)
+		}
+	}
+	if len(acks) != 1 {
+		t.Errorf("node acked the batch with %v, want one cumulative ack of 6", acks)
+	}
+
+	// Every frame of the batch was handled before its ack was sent.
+	if want := []core.Value{1}; !reflect.DeepEqual(atServe, want) {
+		t.Errorf("handler saw g1's mailbox hold %v, want %v: a data run must be delivered before the request after it, and only up to it", atServe, want)
+	}
+	for _, c := range []struct {
+		g    *Group
+		want []core.Value
+	}{{g1, []core.Value{1, 4, 6}}, {g2, []core.Value{2}}} {
+		var got []core.Value
+		for {
+			m, ok := c.g.TryRecv(1)
+			if !ok {
+				break
+			}
+			if m.From != 0 {
+				t.Errorf("group %d delivered %v from %v", c.g.id, m.Payload, m.From)
+			}
+			got = append(got, m.Payload)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("group %d delivered %v, want %v", c.g.id, got, c.want)
+		}
+	}
+	if n := forged.Load(); n != 1 {
+		t.Errorf("logged %d forged-sender drops, want 1", n)
 	}
 }

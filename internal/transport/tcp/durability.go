@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"github.com/mnm-model/mnm/internal/durable"
 	"github.com/mnm-model/mnm/internal/metrics"
@@ -364,11 +365,12 @@ func (l *frameLog) seedPeer(p *peer, addr string) int {
 		p.nextSeq = m.nextSeq
 	}
 	restored := 0
+	now := time.Now()
 	for _, sf := range m.pending {
 		if kind, _, _ := peekHeader(sf.body); kind == frameReq {
 			continue
 		}
-		p.pending.push(journaled{sf.body})
+		p.pending.push(journaled{sf.body}, now)
 		restored++
 	}
 	return restored

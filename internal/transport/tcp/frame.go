@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -209,8 +210,15 @@ func peekHeader(body []byte) (frameKind, uint64, core.ProcID) {
 
 // decodeFrame decodes one binary frame body (the bytes after the length
 // prefix) into f. The body must be fully consumed: trailing bytes mean a
-// corrupt or incompatible stream.
+// corrupt or incompatible stream. The receive loop decodes through its
+// frameReader, which reuses one Decoder; this form, for the frame log's
+// replay and the tests, makes its own.
 func decodeFrame(body []byte, f *frame) error {
+	return decodeFrameWith(new(wire.Decoder), body, f)
+}
+
+// decodeFrameWith is decodeFrame with the caller's Decoder.
+func decodeFrameWith(d *wire.Decoder, body []byte, f *frame) error {
 	if len(body) < binaryHeaderSize {
 		return fmt.Errorf("tcp: frame body %d bytes, below header size", len(body))
 	}
@@ -227,7 +235,7 @@ func decodeFrame(body []byte, f *frame) error {
 		SpanID:  binary.LittleEndian.Uint64(body[46:54]),
 		Lamport: binary.LittleEndian.Uint64(body[54:62]),
 	}
-	d := wire.NewDecoder(body[binaryHeaderSize:])
+	d.Reset(body[binaryHeaderSize:])
 	f.Addr = d.String()
 	f.ErrMsg = d.String()
 	f.Payload = d.Value()
@@ -240,9 +248,10 @@ func decodeFrame(body []byte, f *frame) error {
 	return nil
 }
 
-// frameReader decodes frames off one connection, reusing a scratch buffer
-// across frames.
+// frameReader decodes the frames of one connection, reusing one Decoder
+// and, for frames too large for the bufio buffer, one scratch buffer.
 type frameReader struct {
+	d       wire.Decoder
 	scratch *[]byte
 }
 
@@ -257,15 +266,40 @@ func (fr *frameReader) close() {
 	}
 }
 
-func (fr *frameReader) read(r io.Reader, f *frame) error {
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+// read decodes the next frame of br into f. A frame that fits br's buffer
+// (4+n ≤ br.Size(), every ordinary frame) is decoded in place, straight
+// from the buffer (Peek, then Discard), so it is never copied; only a
+// larger one is read into the scratch buffer first. Either way the bytes
+// are reused by the next read, which is safe because no decoded value
+// aliases them: Decoder.String copies, and the generated codecs copy the
+// byte slices they read (append([]byte(nil), d.Bytes()...)). A stream
+// that ends inside a frame reads as io.ErrUnexpectedEOF, one that ends
+// between frames as io.EOF.
+func (fr *frameReader) read(br *bufio.Reader, f *frame) error {
+	prefix, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(prefix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return err
 	}
-	n := int(binary.BigEndian.Uint32(prefix[:]))
+	n := int(binary.BigEndian.Uint32(prefix))
 	if n > maxFrameSize {
 		return fmt.Errorf("tcp: frame length %d exceeds limit", n)
 	}
+	if 4+n <= br.Size() {
+		b, err := br.Peek(4 + n)
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		err = decodeFrameWith(&fr.d, b[4:], f)
+		br.Discard(4 + n)
+		return err
+	}
+	br.Discard(4)
 	if cap(*fr.scratch) < n {
 		*fr.scratch = make([]byte, n)
 	}
@@ -276,15 +310,23 @@ func (fr *frameReader) read(r io.Reader, f *frame) error {
 		// against).
 		*fr.scratch = make([]byte, 0, 512)
 	}
-	if _, err := io.ReadFull(r, body); err != nil {
+	if _, err := io.ReadFull(br, body); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return err
 	}
-	// decodeFrame aliases body only transiently: String copies, and so do
-	// the generated codecs' byte-slice reads.
-	return decodeFrame(body, f)
+	return decodeFrameWith(&fr.d, body, f)
+}
+
+// frameBuffered reports whether br holds the whole next frame, so that
+// reading it cannot block on the connection.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	prefix, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(prefix))
 }
 
 // skewError is a well-formed preamble of another wire version — the one
@@ -312,7 +354,7 @@ func readPreamble(r io.Reader) (version uint8, err error) {
 // acceptHandshake reads the opening of an inbound stream — the preamble,
 // then a hello frame repeating the version — and returns the dialer's
 // canonical address.
-func acceptHandshake(r io.Reader, fr *frameReader) (string, error) {
+func acceptHandshake(r *bufio.Reader, fr *frameReader) (string, error) {
 	version, err := readPreamble(r)
 	if err != nil {
 		return "", err

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"errors"
@@ -154,12 +155,12 @@ func TestReadFrameCorruptPrefix(t *testing.T) {
 
 	// Length prefix beyond the frame limit.
 	huge := []byte{0xff, 0xff, 0xff, 0xff}
-	if err := fr.read(bytes.NewReader(huge), &f); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+	if err := fr.read(bufio.NewReader(bytes.NewReader(huge)), &f); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("oversized length prefix: err = %v", err)
 	}
 	// Length prefix promising more bytes than the stream has.
 	short := []byte{0x00, 0x00, 0x01, 0x00, 0xab}
-	if err := fr.read(bytes.NewReader(short), &f); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if err := fr.read(bufio.NewReader(bytes.NewReader(short)), &f); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated stream: err = %v, want ErrUnexpectedEOF", err)
 	}
 }
@@ -203,7 +204,7 @@ func TestAcceptHandshake(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fr := newFrameReader()
 			defer fr.close()
-			addr, err := acceptHandshake(bytes.NewReader(tc.in), fr)
+			addr, err := acceptHandshake(bufio.NewReader(bytes.NewReader(tc.in)), fr)
 			var skew skewError
 			switch {
 			case tc.wantAddr != "":
@@ -240,7 +241,7 @@ func TestOversizedFrameRefusedAtEncode(t *testing.T) {
 func TestBufPoolBoundedRetention(t *testing.T) {
 	big := frame{Kind: frameData, Seq: 1, Payload: strings.Repeat("x", 4*maxPooledBuf)}
 
-	buf, err := new(Transport).encode(&big)
+	buf, _, err := new(Transport).encode(&big)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +250,7 @@ func TestBufPoolBoundedRetention(t *testing.T) {
 
 	fr := newFrameReader()
 	var f frame
-	if err := fr.read(bytes.NewReader(wireBytes), &f); err != nil {
+	if err := fr.read(bufio.NewReader(bytes.NewReader(wireBytes)), &f); err != nil {
 		t.Fatal(err)
 	}
 	fr.close()
@@ -342,4 +343,38 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("round trip: got %#v, want %#v", got, src)
 		}
 	})
+}
+
+// TestDecodeFrameAllocs reads a stream of data frames carrying
+// int64(12345) through a frameReader over a bufio.Reader, as the receive
+// loop does, and holds each frame's decode to one allocation: boxing the
+// payload. The frame is decoded in place in the bufio buffer with the
+// reader's own Decoder, and the payload codec is found by its name's
+// bytes in the lock-free registry, so nothing else allocates.
+func TestDecodeFrameAllocs(t *testing.T) {
+	one, err := appendFrame(nil, &frame{Kind: frameData, Seq: 1, From: 0, To: 1, Group: 3, Payload: int64(12345)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = 1000
+	br := bufio.NewReaderSize(bytes.NewReader(bytes.Repeat(one, frames)), batchBufSize)
+	fr := newFrameReader()
+	defer fr.close()
+	var f frame
+	var readErr error
+	// AllocsPerRun calls the function once more, to warm up.
+	allocs := testing.AllocsPerRun(frames-1, func() {
+		if err := fr.read(br, &f); err != nil && readErr == nil {
+			readErr = err
+		}
+	})
+	if readErr != nil {
+		t.Fatal(readErr)
+	}
+	if f.Kind != frameData || f.Group != 3 || f.Payload != int64(12345) {
+		t.Fatalf("decoded %+v, want the data frame carrying 12345", f)
+	}
+	if allocs > 1 {
+		t.Errorf("decoding a frame allocates %.1f times, want at most 1 (the payload box)", allocs)
+	}
 }

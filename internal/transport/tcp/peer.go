@@ -64,10 +64,10 @@ type peer struct {
 }
 
 // pendingFrame is one unacknowledged sequenced frame: its sequence number
-// and sender, the time it entered the queue — the start of its frame_rtt
-// measurement (enqueue→ack, so the round trip includes any reconnect the
-// frame had to wait out) — and where its wire bytes lie in its chunk's
-// slab.
+// and sender, the time it was handed to enqueue — the start of its
+// frame_rtt measurement (enqueue→ack, so the round trip includes its
+// journal fsync, if durability is on, and any reconnect the frame had to
+// wait out) — and where its wire bytes lie in its chunk's slab.
 type pendingFrame struct {
 	seq        uint64
 	from       core.ProcID
@@ -119,8 +119,8 @@ type pendingQueue struct {
 }
 
 // push appends a copy of a frame the frame log has seen (see journaled),
-// stamping its enqueue time.
-func (q *pendingQueue) push(j journaled) {
+// with its enqueue time at.
+func (q *pendingQueue) push(j journaled, at time.Time) {
 	if q.tail == nil || q.tailIdx == pendingChunkFrames {
 		c := q.spare
 		if c != nil {
@@ -145,7 +145,7 @@ func (q *pendingQueue) push(j journaled) {
 	c.slab = binary.BigEndian.AppendUint32(c.slab, uint32(len(j.body)))
 	c.slab = append(c.slab, j.body...)
 	_, seq, from := peekHeader(j.body)
-	c.buf[q.tailIdx] = pendingFrame{seq: seq, from: from, enqueuedAt: time.Now(), off: off, end: len(c.slab)}
+	c.buf[q.tailIdx] = pendingFrame{seq: seq, from: from, enqueuedAt: at, off: off, end: len(c.slab)}
 	q.tailIdx++
 	q.length++
 }
@@ -243,12 +243,14 @@ const (
 // enqueue stamps the next sequence number and the destination process to
 // into the encoded frame b (appendFrame's output, which the caller keeps)
 // and queues a copy of its bytes for (re)transmission until acked, sending
-// it off as d says. With durability on, the frame is journaled (fsync'd)
-// under the same critical section that sequences it, so the WAL order is
-// the sequence order and a frame a writer can observe is already
-// crash-safe. A journal failure degrades to in-memory reliability for that
+// it off as d says. at is the frame's enqueue time, the start of its
+// frame_rtt; the caller reads the clock once for all copies of a
+// broadcast (see Transport.encode). With durability on, the frame is
+// journaled (fsync'd) under the same critical section that sequences it,
+// so the WAL order is the sequence order and a frame a writer can observe
+// is already crash-safe. A journal failure degrades to in-memory reliability for that
 // frame rather than losing it outright.
-func (p *peer) enqueue(b []byte, to core.ProcID, d departure) {
+func (p *peer) enqueue(b []byte, to core.ProcID, d departure, at time.Time) {
 	body := b[4:]
 	p.mu.Lock()
 	if p.stopped() {
@@ -259,7 +261,7 @@ func (p *peer) enqueue(b []byte, to core.ProcID, d departure) {
 	seq := p.nextSeq
 	stampSeqTo(body, seq, to)
 	j, jerr := p.t.dlog.logEnqueue(p.addr, body)
-	p.pending.push(j)
+	p.pending.push(j, at)
 	var conn net.Conn
 	var ackTo uint64
 	var frames int
@@ -300,11 +302,13 @@ func (p *peer) queueAck(hw hwSynced) {
 func (p *peer) raiseAckLocked(upTo uint64) { p.ackTo = max(p.ackTo, upTo) }
 
 // ack drops every pending frame with Seq ≤ upTo. The metrics work — one
-// FrameAcked count and one frame_rtt observation per covered frame —
-// happens after the lock is released, so a slow histogram never
-// serializes the send loop behind the receive path.
+// frame_rtt observation per covered frame, and one FrameAcked record per
+// run of frames from one sender — happens after the lock is released, so
+// a slow histogram never serializes the send loop behind the receive
+// path.
 func (p *peer) ack(upTo uint64) {
-	var acked []ackedFrame
+	var ackedBuf [64]ackedFrame
+	acked := ackedBuf[:0]
 	p.mu.Lock()
 	for p.pending.length > 0 && p.pending.front().seq <= upTo {
 		pf := p.pending.popFront()
@@ -329,9 +333,13 @@ func (p *peer) ack(upTo uint64) {
 	}
 	now := time.Now()
 	hist := p.t.registry().Histogram(metrics.HistFrameRTT)
+	run := 0 // consecutive frames of one sender, counted in one record
 	for i := range acked {
-		p.t.record(acked[i].from, metrics.FrameAcked, 1)
 		hist.Observe(now.Sub(acked[i].at))
+		if run++; i+1 == len(acked) || acked[i+1].from != acked[i].from {
+			p.t.record(acked[i].from, metrics.FrameAcked, int64(run))
+			run = 0
+		}
 	}
 }
 

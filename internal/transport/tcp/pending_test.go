@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"testing"
+	"time"
 
 	"github.com/mnm-model/mnm/internal/core"
 )
@@ -11,7 +12,7 @@ import (
 func pushFrame(t *testing.T, q *pendingQueue, f frame) {
 	t.Helper()
 	j, _ := (*frameLog)(nil).logEnqueue("", mustAppendFrame(t, f)[4:])
-	q.push(j)
+	q.push(j, time.Now())
 }
 
 // pushSeq fills q with sequenced frames 1..n, each carrying its Seq as

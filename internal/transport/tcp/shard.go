@@ -20,10 +20,14 @@ import (
 // with every other group over the node's shared peers, sequence numbers
 // and acks. Close detaches only this group; the node stays up.
 type Group struct {
-	t      *Transport
-	id     uint32
-	n      int
-	hosted map[core.ProcID]bool
+	t  *Transport
+	id uint32
+	n  int
+	// mailboxes has one entry per process of the group, the mailbox of a
+	// hosted one and nil for a remote one. The slice is fixed at
+	// OpenGroup, so reading it takes no lock; the mailboxes themselves are
+	// guarded by t.mu.
+	mailboxes []*queue.Mailbox[core.Message]
 
 	// reg and counters meter this group's messages and RPCs; they come
 	// from GroupConfig.Registry or Instrument on the view.
@@ -31,11 +35,10 @@ type Group struct {
 	counters atomic.Pointer[metrics.Counters]
 
 	// Guarded by t.mu.
-	addrs     []string
-	mailboxes map[core.ProcID]*queue.Mailbox[core.Message]
-	handler   transport.SpanHandler
-	dialed    bool
-	closed    bool
+	addrs   []string
+	handler transport.SpanHandler
+	dialed  bool
+	closed  bool
 
 	// done is closed by Close; it ends the group's calls in flight.
 	done chan struct{}
@@ -69,8 +72,7 @@ func (t *Transport) OpenGroup(id transport.GroupID, cfg transport.GroupConfig) (
 		t:         t,
 		id:        uint32(id),
 		n:         cfg.N,
-		hosted:    hosted,
-		mailboxes: make(map[core.ProcID]*queue.Mailbox[core.Message], len(hosted)),
+		mailboxes: make([]*queue.Mailbox[core.Message], cfg.N),
 		handler:   cfg.Handler,
 		done:      make(chan struct{}),
 	}
@@ -105,8 +107,8 @@ func (g *Group) setAddrsLocked(addrs []string) error {
 		return fmt.Errorf("tcp: need %d addresses, got %d", g.n, len(addrs))
 	}
 	for p, a := range addrs {
-		if g.hosted[core.ProcID(p)] != (a == g.t.addr) {
-			if g.hosted[core.ProcID(p)] {
+		if hosted := g.mailboxes[p] != nil; hosted != (a == g.t.addr) {
+			if hosted {
 				return fmt.Errorf("tcp: hosted process %d mapped to %q, this node is %q", p, a, g.t.addr)
 			}
 			return fmt.Errorf("tcp: remote process %d mapped to this node's address %q", p, a)
@@ -118,6 +120,15 @@ func (g *Group) setAddrsLocked(addrs []string) error {
 
 // isProc reports whether p is a process of the group, 0 ≤ p < n.
 func (g *Group) isProc(p core.ProcID) bool { return p >= 0 && int(p) < g.n }
+
+// mailbox returns the mailbox of process p, nil unless p is a process of
+// the group hosted on this node.
+func (g *Group) mailbox(p core.ProcID) *queue.Mailbox[core.Message] {
+	if !g.isProc(p) {
+		return nil
+	}
+	return g.mailboxes[p]
+}
 
 // registry returns the group's registry (nil-safe to use).
 func (g *Group) registry() *metrics.Registry { return g.reg.Load() }
@@ -189,53 +200,61 @@ func (g *Group) Broadcast(from core.ProcID, payload core.Value, sc core.SpanCont
 	return g.send(from, 0, core.ProcID(g.n), payload, sc)
 }
 
-// send sends one copy of payload to each process in [lo, hi), in order:
-// hosted ones straight into their mailboxes, remote ones through their
-// node's peer. The frame is encoded once, at the first remote copy, and
-// every remote copy shares those bytes; a payload that cannot be encoded
-// is dropped and counted (FrameDropEncode) once per remote copy, while
-// the hosted copies are still delivered.
+// remoteCopy is one remote destination of a send and the peer that
+// carries it.
+type remoteCopy struct {
+	p  *peer
+	to core.ProcID
+}
+
+// send sends one copy of payload to each process in [lo, hi). One t.mu
+// section checks for a close, delivers the hosted copies straight into
+// their mailboxes and looks up the peer of every remote one; a remote
+// copy before Dial fails the send there, after the hosted copies before
+// it. Then, outside the lock, the frame is encoded once and every remote
+// copy is enqueued on its peer, in order, sharing those bytes and one
+// enqueue time. A payload that cannot be encoded is dropped and counted
+// (FrameDropEncode) once per remote copy, while the hosted copies are
+// still delivered.
 func (g *Group) send(from, lo, hi core.ProcID, payload core.Value, sc core.SpanContext) error {
 	if !g.isProc(from) {
 		return fmt.Errorf("%w: send from %v", core.ErrUnknownProc, from)
 	}
 	t := g.t
-	var buf *[]byte // the encoded frame, once a remote copy needs it
-	var encErr error
-	defer func() {
-		if buf != nil {
-			putBuf(buf)
-		}
-	}()
+	var remoteBuf [8]remoteCopy
+	remote := remoteBuf[:0]
+	t.mu.Lock()
+	if t.closed || g.closed {
+		t.mu.Unlock()
+		return transport.ErrClosed
+	}
 	for to := lo; to < hi; to++ {
-		t.mu.Lock()
-		if t.closed || g.closed {
-			t.mu.Unlock()
-			return transport.ErrClosed
-		}
-		if g.hosted[to] {
+		if g.mailboxes[to] != nil {
 			g.record(from, metrics.MsgSent, 1)
 			g.deliverLocked(core.Message{From: from, Payload: payload, Span: sc}, to)
-			t.mu.Unlock()
 			continue
 		}
 		if !g.dialed {
 			t.mu.Unlock()
 			return errors.New("tcp: Send before Dial")
 		}
-		p := t.peerLocked(g.addrs[to])
-		t.mu.Unlock()
-		g.record(from, metrics.MsgSent, 1)
-		if buf == nil {
-			buf, encErr = t.encode(&frame{Kind: frameData, From: from, To: to, Payload: payload, Group: g.id,
-				TraceID: sc.TraceID, SpanID: sc.SpanID, Lamport: sc.Clock})
-		}
-		if encErr != nil {
-			t.dropUnencodable(from, p.addr, encErr)
+		remote = append(remote, remoteCopy{t.peerLocked(g.addrs[to]), to})
+	}
+	t.mu.Unlock()
+	if len(remote) == 0 {
+		return nil
+	}
+	g.record(from, metrics.MsgSent, int64(len(remote)))
+	buf, at, err := t.encode(&frame{Kind: frameData, From: from, To: remote[0].to, Payload: payload, Group: g.id,
+		TraceID: sc.TraceID, SpanID: sc.SpanID, Lamport: sc.Clock})
+	for _, c := range remote {
+		if err != nil {
+			t.dropUnencodable(from, c.p.addr, err)
 			continue
 		}
-		p.enqueue(*buf, to, bySendLoop)
+		c.p.enqueue(*buf, c.to, bySendLoop, at)
 	}
+	putBuf(buf)
 	return nil
 }
 
@@ -249,21 +268,23 @@ func (g *Group) deliverLocked(m core.Message, to core.ProcID) {
 
 // TryRecv implements transport.Transport.
 func (g *Group) TryRecv(p core.ProcID) (core.Message, bool) {
-	if !g.hosted[p] {
+	mb := g.mailbox(p)
+	if mb == nil {
 		return core.Message{}, false
 	}
 	g.t.mu.Lock()
 	defer g.t.mu.Unlock()
-	return g.mailboxes[p].Pop()
+	return mb.Pop()
 }
 
 // SetWake implements transport.Transport.
 func (g *Group) SetWake(p core.ProcID, ch chan<- struct{}) {
-	if !g.hosted[p] {
+	mb := g.mailbox(p)
+	if mb == nil {
 		return
 	}
 	g.t.mu.Lock()
-	g.mailboxes[p].Wake = ch
+	mb.Wake = ch
 	g.t.mu.Unlock()
 }
 
@@ -278,7 +299,7 @@ func (g *Group) LinkState(from, to core.ProcID) transport.LinkState {
 	if t.closed || g.closed {
 		return transport.LinkClosed
 	}
-	if g.hosted[to] {
+	if g.mailboxes[to] != nil {
 		return transport.LinkUp
 	}
 	if p, ok := t.peers[g.addrs[to]]; ok {
@@ -324,7 +345,7 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 		t.mu.Unlock()
 		return nil, core.SpanContext{}, transport.ErrClosed
 	}
-	if g.hosted[to] {
+	if g.mailboxes[to] != nil {
 		handler := g.handler
 		t.mu.Unlock()
 		if handler == nil {
@@ -346,7 +367,7 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 	g.record(from, metrics.RPCIssued, 1)
 	start := time.Now()
 	var res callResult
-	buf, err := t.encode(&frame{Kind: frameReq, From: from, To: to, CallID: id, Payload: req, Group: g.id,
+	buf, at, err := t.encode(&frame{Kind: frameReq, From: from, To: to, CallID: id, Payload: req, Group: g.id,
 		TraceID: sc.TraceID, SpanID: sc.SpanID, Lamport: sc.Clock})
 	if err != nil {
 		putBuf(buf)
@@ -354,7 +375,7 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 		t.dropCall(id)
 		res = callResult{err: err}
 	} else {
-		p.enqueue(*buf, to, byCaller)
+		p.enqueue(*buf, to, byCaller, at)
 		putBuf(buf)
 		select {
 		case res = <-ch:

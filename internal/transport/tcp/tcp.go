@@ -27,11 +27,15 @@
 //
 // The hot path is batched at both ends: each write copies the link's
 // whole backlog into one buffer and writes it at once (one write syscall
-// and one deadline per batch), and the receiver answers each batch of
-// sequenced frames with a single cumulative ack instead of one ack per
-// frame. Frames remain individually length-prefixed and self-contained,
-// so batching changes only syscall and ack counts — never what a
-// reconnect can observe on the wire.
+// and one deadline per batch), and a Send or Broadcast takes the node
+// lock and reads the clock once for all its copies. The receiver decodes
+// each frame in place in its read buffer, delivers each run of
+// consecutive data frames in one lock section, serves a request between
+// runs as soon as it is decoded, and answers each read batch with a
+// single cumulative ack instead of one ack per frame. Frames remain
+// individually length-prefixed and self-contained, so batching changes
+// only syscall, lock and ack counts — never what a reconnect can observe
+// on the wire.
 //
 // Groups: a Transport is one node — its listener, its connections and
 // its sequence/ack space — and every m&m system it carries, group 0
@@ -330,22 +334,25 @@ func (t *Transport) record(p core.ProcID, k metrics.Kind, delta int64) {
 
 // encode encodes f into pooled scratch: the one encode a data, request or
 // response frame gets, made by the call that creates the frame and
-// outside every lock. The caller returns the scratch with putBuf once
-// enqueue has copied the bytes, also when the encode failed. The encode
-// time is observed only when a registry is attached.
-func (t *Transport) encode(f *frame) (*[]byte, error) {
+// outside every lock. It returns the time the encode ended, which the
+// caller hands to enqueue as the frame's enqueue time (every copy of a
+// broadcast shares it), so a frame costs one clock read untimed and two
+// when a registry times the encode. The caller returns the scratch with
+// putBuf once enqueue has copied the bytes, also when the encode failed.
+func (t *Transport) encode(f *frame) (*[]byte, time.Time, error) {
 	buf := getBuf()
 	reg := t.registry()
-	if reg == nil {
-		var err error
-		*buf, err = appendFrame((*buf)[:0], f)
-		return buf, err
+	var start time.Time
+	if reg != nil {
+		start = time.Now()
 	}
-	start := time.Now()
 	b, err := appendFrame((*buf)[:0], f)
-	reg.Histogram(metrics.HistFrameEncode).Observe(time.Since(start))
 	*buf = b
-	return buf, err
+	end := time.Now()
+	if reg != nil {
+		reg.Histogram(metrics.HistFrameEncode).Observe(end.Sub(start))
+	}
+	return buf, end, err
 }
 
 // dropUnencodable meters and logs a frame from process from to the node
@@ -427,13 +434,20 @@ func (t *Transport) acceptLoop() {
 // thing an acceptor ever writes on an inbound connection — so that it
 // stops redialing; any other malformed opening is just closed on.
 //
-// Acks are coalesced per read batch: after dispatching the first frame,
-// the loop keeps dispatching as long as more bytes are already buffered,
-// then sends a single cumulative AckTo covering the whole batch. Under
-// load this answers a batch of n data frames with one ack frame instead
-// of n, halving the frame count on the wire; when frames trickle in one
-// at a time the batch is a single frame and behaviour is unchanged. Acks
-// are cumulative, so acking only the batch maximum loses nothing.
+// The loop works in read batches: after the first frame it keeps decoding
+// as long as more bytes are already buffered, then sends a single
+// cumulative AckTo covering the whole batch. Under load this answers a
+// batch of n data frames with one ack frame instead of n; when frames
+// trickle in one at a time the batch is a single frame. Acks are
+// cumulative, so acking only the batch maximum loses nothing.
+//
+// Within a batch, consecutive data frames collect into a run that
+// deliverRun hands to the mailboxes in one t.mu section. A request,
+// response or ack is dispatched as soon as it is decoded, after the run
+// before it is delivered, so a request handler sees every data frame that
+// preceded the request on the wire and none that followed it. A run is
+// also delivered whenever the next frame is not wholly buffered, so a
+// decoded message never waits on a socket read.
 func (t *Transport) recvLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -455,16 +469,28 @@ func (t *Transport) recvLoop(conn net.Conn) {
 		return
 	}
 	var f frame
+	var run []frame // data frames decoded and not yet delivered
 	for {
 		var ackTo uint64
 		err := fr.read(br, &f)
 		for ; err == nil; err = fr.read(br, &f) {
-			ackTo = max(ackTo, t.dispatch(remote, &f))
-			if br.Buffered() == 0 {
-				break
+			if f.Kind == frameData {
+				run = append(run, f)
+				ackTo = max(ackTo, f.Seq)
+			} else {
+				run = t.deliverRun(remote, run)
+				ackTo = max(ackTo, t.dispatch(remote, &f))
+			}
+			if !frameBuffered(br) {
+				run = t.deliverRun(remote, run)
+				if br.Buffered() == 0 {
+					break
+				}
 			}
 		}
-		// Ack even a batch cut short: its responses leave with the ack.
+		// Deliver and ack even a batch cut short: its responses leave with
+		// the ack.
+		run = t.deliverRun(remote, run)
 		if ackTo > 0 {
 			t.syncAndAck(remote, ackTo)
 		}
@@ -501,20 +527,14 @@ func (t *Transport) syncAndAck(remote string, seq uint64) {
 	p.queueAck(hw)
 }
 
-// dispatch routes one inbound frame and returns the sequence number the
-// caller must (cumulatively) acknowledge, or 0 for unsequenced frames.
-// Sequenced frames pass the per-node duplicate filter exactly once,
-// whatever connection they arrive on; duplicates still report their Seq so
-// the remote learns its retransmission was redundant. Data and request
-// frames are demultiplexed to the group their header names: data lands in
-// a mailbox, and a request is served right here, on the receive loop,
-// with no goroutine of its own (see serve). Frames for a
-// group this node has not opened, and frames whose sender is not a
-// process of their group (a forged From, which the algorithms would index
-// out of range or count as a phantom voter), are dropped and logged but
-// still acked: the sender's duty ends at delivery to the node, and an
-// acked frame is never retransmitted. A frame racing a group close is the
-// everyday case of the first.
+// dispatch routes one inbound ack, request or response frame and returns
+// the sequence number the caller must (cumulatively) acknowledge, or 0
+// for unsequenced frames; data frames go through deliverRun. Sequenced
+// frames pass the per-node duplicate filter exactly once, whatever
+// connection they arrive on; duplicates still report their Seq so the
+// remote learns its retransmission was redundant. A request is served
+// right here, on the receive loop, with no goroutine of its own (see
+// serve).
 func (t *Transport) dispatch(remote string, f *frame) uint64 {
 	switch f.Kind {
 	case frameAck:
@@ -525,26 +545,6 @@ func (t *Transport) dispatch(remote string, f *frame) uint64 {
 			p.ack(f.AckTo)
 		}
 		return 0
-	case frameData:
-		// Filter and delivery share one t.mu section: after a reconnect two
-		// receive loops may hold this node's frames, and neither may
-		// deliver a later frame between the other's accept and delivery.
-		t.mu.Lock()
-		if !t.acceptLocked(remote, f.Seq) {
-			t.mu.Unlock()
-			return f.Seq
-		}
-		g := t.groups[f.Group]
-		ok := g != nil && g.isProc(f.From)
-		if ok && !t.closed && !g.closed && g.hosted[f.To] {
-			g.deliverLocked(core.Message{From: f.From, Payload: f.Payload,
-				Span: core.SpanContext{TraceID: f.TraceID, SpanID: f.SpanID, Clock: f.Lamport}}, f.To)
-		}
-		t.mu.Unlock()
-		if !ok {
-			t.logDrop(remote, f, g)
-		}
-		return f.Seq
 	case frameReq:
 		t.serve(remote, f)
 		return f.Seq
@@ -562,6 +562,55 @@ func (t *Transport) dispatch(remote string, f *frame) uint64 {
 		t.log("dropping frame of unknown kind %d from %s", f.Kind, remote)
 		return 0
 	}
+}
+
+// droppedFrame is a data frame deliverRun refused, kept to be logged
+// once t.mu is released: g is its group, nil when the node has not opened
+// it.
+type droppedFrame struct {
+	f *frame
+	g *Group
+}
+
+// deliverRun delivers a run of data frames, in order, in one t.mu
+// section, and returns run emptied for reuse. Each frame's duplicate
+// filter and its delivery stay in that one section: after a reconnect two
+// receive loops may hold this node's frames, and neither may deliver a
+// later frame between the other's accept and delivery. Data is
+// demultiplexed to the group its header names. Frames for a group this
+// node has not opened, and frames whose sender is not a process of their
+// group (a forged From, which the algorithms would index out of range or
+// count as a phantom voter), are dropped and logged but still acked: the
+// sender's duty ends at delivery to the node, and an acked frame is never
+// retransmitted. A frame racing a group close is the everyday case of the
+// first.
+func (t *Transport) deliverRun(remote string, run []frame) []frame {
+	if len(run) == 0 {
+		return run
+	}
+	var drops []droppedFrame
+	t.mu.Lock()
+	for i := range run {
+		f := &run[i]
+		if !t.acceptLocked(remote, f.Seq) {
+			continue
+		}
+		g := t.groups[f.Group]
+		if g == nil || !g.isProc(f.From) {
+			drops = append(drops, droppedFrame{f, g})
+			continue
+		}
+		if !t.closed && !g.closed && g.mailbox(f.To) != nil {
+			g.deliverLocked(core.Message{From: f.From, Payload: f.Payload,
+				Span: core.SpanContext{TraceID: f.TraceID, SpanID: f.SpanID, Clock: f.Lamport}}, f.To)
+		}
+	}
+	t.mu.Unlock()
+	for _, d := range drops {
+		t.logDrop(remote, d.f, d.g)
+	}
+	clear(run) // the mailboxes hold the payloads now; the run must not
+	return run[:0]
 }
 
 // logDrop reports a data or request frame dispatch refused: g is the
@@ -643,14 +692,14 @@ func (t *Transport) serve(remote string, f *frame) {
 			resp.ErrMsg = encodeError(err)
 		}
 	}
-	buf, err := t.encode(&resp)
+	buf, at, err := t.encode(&resp)
 	if err != nil {
 		t.dropUnencodable(resp.From, remote, err)
 		putBuf(buf)
 		resp.Payload, resp.ErrMsg = nil, encodeError(err)
-		buf, _ = t.encode(&resp) // with no payload left, it encodes
+		buf, at, _ = t.encode(&resp) // with no payload left, it encodes
 	}
-	p.enqueue(*buf, resp.To, withAck)
+	p.enqueue(*buf, resp.To, withAck, at)
 	putBuf(buf)
 }
 

@@ -23,8 +23,12 @@
 //
 // The encode side is append-style ([]byte grows in place, no Writer
 // interface on the hot path); the decode side is a bounds-checked Decoder
-// over one frame body. Both are allocation-free for registered types
-// (boxing the decoded value aside).
+// over one frame body, which a reader reuses across frames (Reset). The
+// codec registry is an immutable snapshot read without a lock, and a codec
+// name is looked up by its bytes, so both directions are allocation-free
+// for registered types, boxing the decoded value aside; the tcp
+// package's TestDecodeFrameAllocs holds a whole frame decode to that one
+// allocation.
 package wire
 
 import (
@@ -33,6 +37,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"github.com/mnm-model/mnm/internal/core"
 )
@@ -70,16 +75,28 @@ type Codec struct {
 	Read   ReadFunc
 }
 
+// registry is one immutable snapshot of the installed codecs.
+type registry struct {
+	byName map[string]*Codec
+	byType map[reflect.Type]*Codec
+}
+
 var (
-	regMu  sync.RWMutex
-	byName = map[string]*Codec{}
-	byType = map[reflect.Type]*Codec{}
+	// codecs is the current snapshot: Lookup and ForType load it without a
+	// lock, on every frame encoded or decoded.
+	codecs atomic.Pointer[registry]
+	// regMu serializes Register's copy-on-write of codecs.
+	regMu sync.Mutex
 )
 
 // Register installs a codec. It panics on a nil function, an empty or
 // duplicate name, or a duplicate type — codec registration happens in
 // package init functions, so a collision is a build-time bug, not a
-// runtime condition to tolerate.
+// runtime condition to tolerate. Register copies the registry and
+// publishes the copy (copy-on-write), which costs O(codecs) per call: it
+// is meant for init time, so that the per-frame lookups take no lock.
+// A codec registered later is still seen by every lookup that starts
+// after Register returns.
 func Register(c Codec) {
 	if c.Name == "" {
 		panic("wire: the empty codec name is reserved for nil payloads")
@@ -89,30 +106,43 @@ func Register(c Codec) {
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
-	if _, ok := byName[c.Name]; ok {
+	old := snapshot()
+	if _, ok := old.byName[c.Name]; ok {
 		panic(fmt.Sprintf("wire: duplicate codec name %q", c.Name))
 	}
-	if prev, ok := byType[c.Type]; ok {
+	if prev, ok := old.byType[c.Type]; ok {
 		panic(fmt.Sprintf("wire: type %v already has codec %q", c.Type, prev.Name))
 	}
+	next := &registry{
+		byName: make(map[string]*Codec, len(old.byName)+1),
+		byType: make(map[reflect.Type]*Codec, len(old.byType)+1),
+	}
+	for k, v := range old.byName {
+		next.byName[k] = v
+	}
+	for k, v := range old.byType {
+		next.byType[k] = v
+	}
 	cp := c
-	byName[c.Name] = &cp
-	byType[c.Type] = &cp
+	next.byName[c.Name] = &cp
+	next.byType[c.Type] = &cp
+	codecs.Store(next)
+}
+
+// snapshot returns the current registry, an empty one before the first
+// Register.
+func snapshot() *registry {
+	if r := codecs.Load(); r != nil {
+		return r
+	}
+	return &registry{}
 }
 
 // Lookup returns the codec registered under name, or nil.
-func Lookup(name string) *Codec {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return byName[name]
-}
+func Lookup(name string) *Codec { return snapshot().byName[name] }
 
 // ForType returns the codec handling concrete type t, or nil.
-func ForType(t reflect.Type) *Codec {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return byType[t]
-}
+func ForType(t reflect.Type) *Codec { return snapshot().byType[t] }
 
 // --- append-style encode helpers ---
 
@@ -177,6 +207,11 @@ type Decoder struct {
 // must not recycle b until decoding (including of any Bytes results) is
 // done.
 func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
+
+// Reset points d at a new body b and clears its latched error, so one
+// Decoder serves every frame of a stream. The aliasing rule of NewDecoder
+// holds for b.
+func (d *Decoder) Reset(b []byte) { *d = Decoder{b: b} }
 
 // Remaining reports how many bytes are left.
 func (d *Decoder) Remaining() int { return len(d.b) }
@@ -271,22 +306,21 @@ func (d *Decoder) Bytes() []byte {
 // Value reads one interface value encoded by AppendValue. Unknown codec
 // names latch an error naming the codec, so a node that never imported
 // the sending algorithm's package fails loudly instead of desynchronizing.
+//
+// The codec is looked up by the name's bytes, which builds no string.
 func (d *Decoder) Value() any {
-	name := d.String()
-	if d.err != nil {
+	name := d.Bytes()
+	if d.err != nil || len(name) == 0 {
 		return nil
 	}
-	if name == "" {
-		return nil
-	}
-	c := Lookup(name)
+	c := snapshot().byName[string(name)]
 	if c == nil {
 		d.Failf("unknown payload codec %q (import the package that registers it)", name)
 		return nil
 	}
 	v, err := c.Read(d)
 	if err != nil {
-		d.Failf("codec %q: %v", name, err)
+		d.Failf("codec %q: %v", c.Name, err)
 		return nil
 	}
 	return v

@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/mnm-model/mnm/internal/core"
@@ -152,5 +155,106 @@ func TestRegisterPanics(t *testing.T) {
 			}()
 			Register(c)
 		}()
+	}
+}
+
+// regSerial makes every codec TestRegisterVisibleToConcurrentLookup
+// registers new, so the test can run repeatedly in one process (-count).
+var regSerial atomic.Int64
+
+// TestRegisterVisibleToConcurrentLookup registers codecs at run time
+// while other goroutines look codecs up, by name, by type and through
+// Decoder.Value, as receive loops and senders do. Run under -race it
+// checks that the lock-free snapshot is published safely; each codec must
+// be found by every lookup after its Register returns, the builtins must
+// never go missing, and a duplicate name or type must still panic without
+// changing the registry.
+func TestRegisterVisibleToConcurrentLookup(t *testing.T) {
+	const codecs = 16
+	base := regSerial.Add(codecs) - codecs
+	name := func(i int) string { return fmt.Sprintf("wire_test.rt%d", base+int64(i)) }
+	// A distinct array length gives each codec a type of its own.
+	typ := func(i int) reflect.Type { return reflect.ArrayOf(int(1000+base)+i, reflect.TypeOf(byte(0))) }
+	encoded, err := AppendValue(nil, int64(12345))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var bad atomic.Value
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if Lookup("i64") == nil || ForType(reflect.TypeOf(int64(0))) == nil {
+					bad.Store("a builtin codec went missing during Register")
+				}
+				if v := NewDecoder(encoded).Value(); v != int64(12345) {
+					bad.Store(fmt.Sprintf("Value() = %#v during Register, want 12345", v))
+				}
+				for i := 0; i < codecs; i++ {
+					if c := Lookup(name(i)); c != nil && c.Type != typ(i) {
+						bad.Store(fmt.Sprintf("Lookup(%q) found a codec for %v", name(i), c.Type))
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < codecs; i++ {
+		ti := typ(i)
+		Register(Codec{
+			Name:   name(i),
+			Type:   ti,
+			Append: func(b []byte, v any) ([]byte, error) { return b, nil },
+			Read:   func(d *Decoder) (any, error) { return reflect.New(ti).Elem().Interface(), nil },
+		})
+		if c := Lookup(name(i)); c == nil || c.Type != ti {
+			t.Fatalf("codec %q not found by name right after Register", name(i))
+		}
+		if c := ForType(ti); c == nil || c.Name != name(i) {
+			t.Fatalf("codec %q not found by type right after Register", name(i))
+		}
+		v := reflect.New(ti).Elem().Interface()
+		b, err := AppendValue(nil, v)
+		if err != nil {
+			t.Fatalf("AppendValue after Register: %v", err)
+		}
+		if got := NewDecoder(b).Value(); reflect.TypeOf(got) != ti {
+			t.Fatalf("Value() after Register = %T, want %v", got, ti)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if msg := bad.Load(); msg != nil {
+		t.Fatal(msg)
+	}
+
+	// A duplicate of a codec registered at run time still panics, and the
+	// refused codec leaves no trace.
+	noop := func(b []byte, v any) ([]byte, error) { return b, nil }
+	read := func(d *Decoder) (any, error) { return nil, nil }
+	fresh := reflect.ArrayOf(int(1000+base)+codecs, reflect.TypeOf(byte(0)))
+	for what, c := range map[string]Codec{
+		"duplicate codec name": {Name: name(0), Type: fresh, Append: noop, Read: read},
+		"already has codec":    {Name: name(0) + "-dup", Type: typ(0), Append: noop, Read: read},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), what) {
+					t.Errorf("Register(%q, %v) panicked with %v, want %q", c.Name, c.Type, r, what)
+				}
+			}()
+			Register(c)
+		}()
+	}
+	if ForType(fresh) != nil || Lookup(name(0)+"-dup") != nil {
+		t.Error("a refused Register changed the registry")
 	}
 }
