@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"slices"
+	"sort"
 	"time"
 
 	"github.com/mnm-model/mnm/internal/core"
@@ -100,95 +102,98 @@ func sanitizeProm(name string) string {
 // format (version 0.0.4): one `mnm_<kind>_total` counter family with a
 // `proc` label per counter Kind, and one `mnm_<name>_seconds` summary
 // (plus a `_max` gauge) per histogram. Labeled sub-registries render in
-// the same families with an extra `group` label, so a shard's counters
-// sit next to the node-level rows under one TYPE header.
+// the same families with an extra `group` label. Every family is written
+// whole: one TYPE line, the root's rows, then each group's, so a name the
+// root and a shard share still has one header and contiguous samples.
 func WritePrometheus(w io.Writer, reg *Registry) error {
-	labels := reg.SubLabels()
+	srcs := []promSource{{reg: reg, hists: reg.HistSnapshots()}}
+	for _, label := range reg.SubLabels() {
+		sub := reg.SubRegistry(label)
+		srcs = append(srcs, promSource{
+			braced: fmt.Sprintf("{group=%q}", label),
+			sep:    fmt.Sprintf("group=%q,", label),
+			reg:    sub,
+			hists:  sub.HistSnapshots(),
+		})
+	}
+	var names []string // every histogram name, the root's and the shards', once
+	for _, src := range srcs {
+		for hname := range src.hists {
+			names = append(names, hname)
+		}
+	}
+	sort.Strings(names)
+	names = slices.Compact(names)
+
+	pw := &promWriter{w: w}
 	for _, k := range Kinds() {
 		name := "mnm_" + sanitizeProm(k.String()) + "_total"
-		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n", name); err != nil {
-			return err
+		pw.printf("# TYPE %s counter\n", name)
+		for _, src := range srcs {
+			pw.counter(name, k, src)
 		}
-		if err := writePromCounter(w, name, k, "", reg); err != nil {
-			return err
+	}
+	for _, hname := range names {
+		name := "mnm_" + sanitizeProm(hname) + "_seconds"
+		pw.printf("# TYPE %s summary\n", name)
+		for _, src := range srcs {
+			if h, ok := src.hists[hname]; ok {
+				pw.summary(name, src, h)
+			}
 		}
-		for _, label := range labels {
-			if err := writePromCounter(w, name, k, label, reg.SubRegistry(label)); err != nil {
-				return err
+		pw.printf("# TYPE %s_max gauge\n", name)
+		for _, src := range srcs {
+			if h, ok := src.hists[hname]; ok {
+				pw.printf("%s_max%s %g\n", name, src.braced, h.Max().Seconds())
 			}
 		}
 	}
-	if err := writePromHists(w, "", reg); err != nil {
-		return err
-	}
-	for _, label := range labels {
-		if err := writePromHists(w, label, reg.SubRegistry(label)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return pw.err
 }
 
-// writePromCounter renders one counter family's rows for one registry,
-// tagging each row with group=label when label is non-empty. The TYPE
-// header is the caller's: every group's rows share one family.
-func writePromCounter(w io.Writer, name string, k Kind, label string, reg *Registry) error {
-	group := ""
-	if label != "" {
-		group = fmt.Sprintf("group=%q,", label)
+// promSource is one registry's rows in the exposition: the root's carry
+// no group label, a shard's carry its label, as a whole label block
+// (braced) and as a prefix to a further label (sep).
+type promSource struct {
+	braced, sep string
+	reg         *Registry
+	hists       map[string]HistSnapshot
+}
+
+// promWriter writes exposition lines and keeps the first write error;
+// once one occurs, later lines are skipped.
+type promWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (pw *promWriter) printf(format string, args ...any) {
+	if pw.err == nil {
+		_, pw.err = fmt.Fprintf(pw.w, format, args...)
 	}
-	snap := reg.Counters().Snapshot(0)
+}
+
+// counter renders one counter family's rows for one source. The TYPE
+// header is the caller's: every group's rows share one family.
+func (pw *promWriter) counter(name string, k Kind, src promSource) {
+	snap := src.reg.Counters().Snapshot(0)
 	if snap.Procs() == 0 {
-		if label != "" {
-			return nil // an empty sub-registry adds no rows
+		if src.sep == "" {
+			pw.printf("%s 0\n", name)
 		}
-		_, err := fmt.Fprintf(w, "%s 0\n", name)
-		return err
+		return // an empty sub-registry adds no rows
 	}
 	for p := 0; p < snap.Procs(); p++ {
-		if _, err := fmt.Fprintf(w, "%s{%sproc=\"%d\"} %d\n", name, group, p, snap.Of(core.ProcID(p), k)); err != nil {
-			return err
-		}
+		pw.printf("%s{%sproc=\"%d\"} %d\n", name, src.sep, p, snap.Of(core.ProcID(p), k))
 	}
-	return nil
 }
 
-// writePromHists renders one registry's histograms, tagged with
-// group=label when label is non-empty.
-func writePromHists(w io.Writer, label string, reg *Registry) error {
-	group, sep := "", ""
-	if label != "" {
-		group = fmt.Sprintf("{group=%q}", label)
-		sep = fmt.Sprintf("group=%q,", label)
+// summary renders one source's rows of a summary family: the three
+// quantiles, the sum and the count.
+func (pw *promWriter) summary(name string, src promSource, h HistSnapshot) {
+	for _, q := range []float64{0.5, 0.95, 0.99} {
+		pw.printf("%s{%squantile=\"%g\"} %g\n", name, src.sep, q, h.Quantile(q).Seconds())
 	}
-	hists := reg.HistSnapshots()
-	for _, hname := range reg.HistNames() {
-		h := hists[hname]
-		name := "mnm_" + sanitizeProm(hname) + "_seconds"
-		if _, err := fmt.Fprintf(w, "# TYPE %s summary\n", name); err != nil {
-			return err
-		}
-		for _, q := range []struct {
-			label string
-			v     float64
-		}{
-			{"0.5", h.Quantile(0.50).Seconds()},
-			{"0.95", h.Quantile(0.95).Seconds()},
-			{"0.99", h.Quantile(0.99).Seconds()},
-		} {
-			if _, err := fmt.Fprintf(w, "%s{%squantile=\"%s\"} %g\n", name, sep, q.label, q.v); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "%s_sum%s %g\n", name, group, time.Duration(h.SumNS).Seconds()); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", name, group, h.Count); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s_max gauge\n%s_max%s %g\n", name, name, group, h.Max().Seconds()); err != nil {
-			return err
-		}
-	}
-	return nil
+	pw.printf("%s_sum%s %g\n", name, src.braced, time.Duration(h.SumNS).Seconds())
+	pw.printf("%s_count%s %d\n", name, src.braced, h.Count)
 }

@@ -155,6 +155,54 @@ func TestExportGroupSubRegistries(t *testing.T) {
 	}
 }
 
+// TestPrometheusFamiliesRenderOnce: a histogram present in the root and
+// in a group registry is one family, rendered whole — one TYPE line for
+// the summary and one for its _max gauge, each followed by all its
+// samples, root first — since a Prometheus parser rejects a family whose
+// header repeats or whose samples are split.
+func TestPrometheusFamiliesRenderOnce(t *testing.T) {
+	reg := NewRegistry(2)
+	reg.Histogram(HistRPCCall).Observe(time.Millisecond)
+	reg.Histogram(HistFrameRTT).Observe(time.Millisecond)
+	g1 := reg.Sub("group-1", 2)
+	g1.Histogram(HistRPCCall).Observe(2 * time.Millisecond)
+	g1.Histogram(HistRemoteRead).Observe(time.Millisecond)
+
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, reg); err != nil {
+		t.Fatal(err)
+	}
+	// Each sample must follow its own family's TYPE line: its name is the
+	// family's, or the summary's _sum or _count.
+	family, types := "", make(map[string]int)
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family = strings.Fields(f)[0]
+			types[family]++
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if name != family && name != family+"_sum" && name != family+"_count" {
+			t.Errorf("sample %q is outside its family (current family %s)", line, family)
+		}
+	}
+	for f, n := range types {
+		if n != 1 {
+			t.Errorf("%d TYPE lines for %s, want 1", n, f)
+		}
+	}
+	out := buf.String()
+	for _, pair := range [][2]string{
+		{"mnm_rpc_call_seconds_count 1", `mnm_rpc_call_seconds_count{group="group-1"} 1`},
+		{"mnm_rpc_call_seconds_max 0.001", `mnm_rpc_call_seconds_max{group="group-1"} 0.002`},
+	} {
+		root, group := strings.Index(out, pair[0]+"\n"), strings.Index(out, pair[1]+"\n")
+		if root < 0 || group < 0 || root > group {
+			t.Errorf("want %q, then %q; got\n%s", pair[0], pair[1], out)
+		}
+	}
+}
+
 func TestExportEmptyRegistry(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, &Registry{}); err != nil {

@@ -24,10 +24,6 @@ const (
 	// frame writes. It is a value histogram recorded via ObserveValue (one
 	// frame = 1µs in the exported duration schema).
 	HistBatchFrames = "batch_frames"
-	// HistFrameEncode is the time one frame's encode takes (codec cost
-	// only), recorded by socket backends once per encode — a frame is
-	// encoded once, where it is sent, and retransmitted as bytes.
-	HistFrameEncode = "frame_encode"
 	// HistRemoteRead/Write/CAS are the host-level remote-register
 	// operation latencies, recorded around the RPC by internal/rt.
 	HistRemoteRead  = "remote_read"
@@ -150,21 +146,6 @@ func (r *Registry) SubRegistry(label string) *Registry {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.subs[label]
-}
-
-// HistNames returns the names of all histograms created so far, sorted.
-func (r *Registry) HistNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // HistSnapshots snapshots every histogram, keyed by name.

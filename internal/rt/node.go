@@ -40,8 +40,10 @@ type NodeConfig struct {
 
 	// Registry is the node's root observability plane. Each group gets a
 	// labeled sub-registry ("group-<id>") under it, so one scrape of the
-	// root renders the node-level frame counters plus every shard's rows.
-	// Nil synthesizes an empty root registry.
+	// root renders every shard's rows. The node-level frame rows appear in
+	// that scrape only when the transport was built with this same
+	// registry (tcp.Config.Registry): the node does not re-attach the
+	// transport's. Nil synthesizes an empty root registry.
 	Registry *metrics.Registry
 
 	// Flight, if non-nil, is the node's span flight recorder, shared by
@@ -111,13 +113,8 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		logf:   cfg.Logf,
 		groups: make(map[transport.GroupID]*Group),
 	}
-	if cfg.Transport != nil {
-		if a, ok := cfg.Transport.(interface{ Addr() string }); ok {
-			n.addr = a.Addr()
-		}
-		if in, ok := cfg.Transport.(transport.Instrumentable); ok {
-			in.Instrument(reg)
-		}
+	if a, ok := cfg.Transport.(interface{ Addr() string }); ok {
+		n.addr = a.Addr()
 	}
 	return n, nil
 }

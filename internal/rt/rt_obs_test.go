@@ -9,6 +9,7 @@ import (
 	"github.com/mnm-model/mnm/internal/graph"
 	"github.com/mnm-model/mnm/internal/leader"
 	"github.com/mnm-model/mnm/internal/metrics"
+	"github.com/mnm-model/mnm/internal/transport/tcp"
 )
 
 // exposedCommonLeader returns the leader every host's own process currently
@@ -84,7 +85,7 @@ func steadyStateWindow(deltas []metrics.Delta, ldr core.ProcID) (bool, string) {
 func TestLeaderSteadyStateObservableOverTCP(t *testing.T) {
 	g := graph.Complete(3)
 	alg := leader.New(leader.Config{Notifier: leader.SharedMemoryNotifier, InitialTimeout: 8})
-	hosts, _ := newTCPHosts(t, g, 3, alg)
+	hosts, _ := newTCPHosts(t, g, 3, alg, tcp.Config{})
 	for _, h := range hosts {
 		h.Start()
 	}

@@ -19,16 +19,17 @@ import (
 )
 
 // newTCPHosts builds an n-process system as n single-process nodes over
-// loopback TCP — one tcp.Transport and one Node per process, each opening
-// its view of group 0 — and returns the groups plus every node's
-// transport (for fault injection).
-func newTCPHosts(t *testing.T, g *graph.Graph, seed int64, alg core.Algorithm) ([]*Group, []*tcp.Transport) {
+// loopback TCP — one tcp.Transport, built from cfg on an ephemeral port,
+// and one Node per process, each opening its view of group 0 — and
+// returns the groups plus every node's transport (for fault injection).
+func newTCPHosts(t *testing.T, g *graph.Graph, seed int64, alg core.Algorithm, cfg tcp.Config) ([]*Group, []*tcp.Transport) {
 	t.Helper()
 	n := g.N()
 	trs := make([]*tcp.Transport, n)
 	addrs := make([]string, n)
+	cfg.ListenAddr = "127.0.0.1:0"
 	for i := range trs {
-		tr, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0"})
+		tr, err := tcp.New(cfg)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
@@ -118,7 +119,7 @@ func TestHBOOverTCPMatchesInProcess(t *testing.T) {
 			hChan.Stop()
 
 			// TCP run.
-			hosts, _ := newTCPHosts(t, g, seed, alg)
+			hosts, _ := newTCPHosts(t, g, seed, alg, tcp.Config{})
 			for _, h := range hosts {
 				h.Start()
 			}
@@ -144,7 +145,7 @@ func TestHBOOverTCPSurvivesConnectionKill(t *testing.T) {
 	g := graph.Complete(3)
 	inputs := []benor.Val{benor.V1, benor.V1, benor.V1}
 	alg := hbo.New(hbo.Config{Inputs: inputs, HaltAfterDecide: true})
-	hosts, trs := newTCPHosts(t, g, 3, alg)
+	hosts, trs := newTCPHosts(t, g, 3, alg, tcp.Config{})
 	for _, h := range hosts {
 		h.Start()
 	}
@@ -190,7 +191,7 @@ func TestLeaderElectionOverTCP(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g := graph.Complete(3)
 			alg := leader.New(leader.Config{Notifier: tc.kind})
-			hosts, _ := newTCPHosts(t, g, 5, alg)
+			hosts, _ := newTCPHosts(t, g, 5, alg, tcp.Config{})
 			for _, h := range hosts {
 				h.Start()
 			}
@@ -280,7 +281,7 @@ func TestRemoteRegistersOverTCP(t *testing.T) {
 			return nil
 		}
 	})
-	hosts, _ := newTCPHosts(t, g, 1, alg)
+	hosts, _ := newTCPHosts(t, g, 1, alg, tcp.Config{})
 	for _, h := range hosts {
 		h.Start()
 	}
@@ -329,7 +330,7 @@ func TestCodecLessRemoteOpsFailOverTCP(t *testing.T) {
 			}
 		}
 	})
-	hosts, _ := newTCPHosts(t, graph.Complete(2), 1, alg)
+	hosts, _ := newTCPHosts(t, graph.Complete(2), 1, alg, tcp.Config{})
 	for _, h := range hosts {
 		h.Start()
 	}
@@ -395,29 +396,7 @@ func TestCASUnderConnectionKillsOverTCP(t *testing.T) {
 		}
 	})
 
-	fast := tcp.Timeouts{BackoffBase: time.Millisecond, BackoffMax: 5 * time.Millisecond, Drain: 100 * time.Millisecond}
-	trs := make([]*tcp.Transport, 2)
-	addrs := make([]string, 2)
-	for i := range trs {
-		tr, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0", Timeouts: fast})
-		if err != nil {
-			t.Fatal(err)
-		}
-		trs[i], addrs[i] = tr, tr.Addr()
-	}
-	hosts := make([]*Group, 2)
-	for i, tr := range trs {
-		nd, err := NewNode(NodeConfig{Transport: tr, Directory: directory.Uniform{Addrs: addrs}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { nd.Close() })
-		if hosts[i], err = nd.OpenGroup(0, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(2), Seed: 1}}, alg); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitLinksUp(t, hosts)
-
+	hosts, trs := newTCPHosts(t, graph.Complete(2), 1, alg, tcp.Config{Timeouts: tcp.Timeouts{Drain: 100 * time.Millisecond}})
 	for _, h := range hosts {
 		h.Start()
 	}
@@ -451,4 +430,38 @@ func TestCASUnderConnectionKillsOverTCP(t *testing.T) {
 		t.Fatalf("register ends at %v after %d reported swaps: a CAS took effect other than once", v, total)
 	}
 	t.Logf("%d swaps under %d connection kills", total, kills)
+}
+
+// TestNodeKeepsTransportRegistry: the registry a tcp node is built with
+// is the one its frame plane meters into, also when the rt node on top
+// has no registry of its own and synthesizes one. Two nodes whose
+// transports share R and whose rt nodes get none carry 40 broadcasts; R
+// must count every frame.
+func TestNodeKeepsTransportRegistry(t *testing.T) {
+	const total = 40
+	reg := metrics.NewRegistry(2)
+	idle := core.AlgorithmFunc(func(core.ProcID) core.Process {
+		return func(core.Env) error { return nil }
+	})
+	hosts, _ := newTCPHosts(t, graph.Complete(2), 1, idle, tcp.Config{Registry: reg})
+	for i := 0; i < total; i++ {
+		if err := hosts[0].Transport().Broadcast(0, i, core.SpanContext{}); err != nil {
+			t.Fatalf("Broadcast %d: %v", i, err)
+		}
+	}
+	recv := hosts[1].Transport()
+	deadline := time.Now().Add(10 * time.Second)
+	for got := 0; got < total; {
+		if _, ok := recv.TryRecv(1); ok {
+			got++
+			continue
+		}
+		if !time.Now().Before(deadline) {
+			t.Fatalf("p1 received %d of %d broadcasts", got, total)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := reg.Counters().Total(metrics.FrameSent); got != total {
+		t.Errorf("transport registry frame_sent = %d after %d delivered broadcasts, want %d", got, total, total)
+	}
 }

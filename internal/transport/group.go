@@ -24,9 +24,8 @@ type GroupConfig struct {
 	// are node-level: many groups share the node's one listener. Nil is
 	// allowed only when every process is local.
 	Addrs []string
-	// Registry optionally receives the group's message/RPC metrics. When
-	// nil the group is uninstrumented until Instrument is called on the
-	// returned view.
+	// Registry, if non-nil, receives the group's message/RPC metrics. It
+	// is fixed when the group opens: nil leaves the group uninstrumented.
 	Registry *metrics.Registry
 	// Handler serves the group's RPC requests from the moment it is open.
 	// A request for a group that is not open is dropped unanswered; an

@@ -40,9 +40,12 @@ func TestKillConnectionsMidBatchRetransmits(t *testing.T) {
 }
 
 func killMidBatch(t *testing.T, calls bool) {
-	nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
 	reg := metrics.NewRegistry(2)
-	nodes[0].Transport.Instrument(reg)
+	nodes := newClusterWith(t, 2, [][]core.ProcID{{0}, {1}}, func(i int, cfg *tcp.Config) {
+		if i == 0 {
+			cfg.Registry = reg
+		}
+	})
 
 	var served atomic.Int64
 	nodes[1].SetHandler(func(from core.ProcID, req core.Value) (core.Value, error) {

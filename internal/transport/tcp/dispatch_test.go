@@ -191,9 +191,15 @@ func TestRequestToClosedGroupWaits(t *testing.T) {
 	}
 	defer b.Close()
 	addrs := []string{a.Addr(), b.Addr()}
-	ga := openTestGroup(t, a, 0, []core.ProcID{0}, addrs)
 	reg := metrics.NewRegistry(2)
-	ga.Instrument(reg)
+	va, err := a.OpenGroup(0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{0}, Addrs: addrs, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := va.Dial(); err != nil {
+		t.Fatal(err)
+	}
+	ga := va.(*Group)
 	gb := openTestGroup(t, b, 0, []core.ProcID{1}, addrs)
 	gb.SetHandler(func(_ core.ProcID, req core.Value) (core.Value, error) { return req, nil })
 	if v, _, err := ga.CallSpan(0, 1, "open", core.SpanContext{}); err != nil || v != "open" {

@@ -95,7 +95,7 @@ func openFrameLog(cfg Durability, t *Transport) (*frameLog, error) {
 	}
 	l.wal = w
 	if t != nil {
-		hist := t.registry().Histogram(metrics.HistFsync)
+		hist := t.reg.Histogram(metrics.HistFsync)
 		if hist != nil {
 			w.OnFsync = hist.Observe
 		}

@@ -213,7 +213,7 @@ func TestDurableRestartRetransmits(t *testing.T) {
 	addrA, addrB := reserveAddr(t), reserveAddr(t)
 	addrs := []string{addrA, addrB}
 	dir := t.TempDir()
-	short := Timeouts{Connect: 200 * time.Millisecond, Drain: 100 * time.Millisecond}
+	short := Timeouts{Drain: 100 * time.Millisecond}
 
 	mkA := func() (*Transport, *Group) {
 		tr, err := New(Config{
@@ -396,7 +396,7 @@ func TestDurableRestartDropsDeadIncarnationsRequests(t *testing.T) {
 	addrA, addrB := reserveAddr(t), reserveAddr(t)
 	addrs := []string{addrA, addrB}
 	dir := t.TempDir()
-	short := Timeouts{Connect: 200 * time.Millisecond, Drain: 100 * time.Millisecond}
+	short := Timeouts{Drain: 100 * time.Millisecond}
 	mkA := func() (*Transport, *Group) {
 		tr, err := New(Config{ListenAddr: addrA, Durability: &Durability{Dir: dir}, Timeouts: short})
 		if err != nil {
@@ -462,7 +462,7 @@ func TestDurableRestartDropsDeadIncarnationsRequests(t *testing.T) {
 func TestDurableRestartCallIgnoresDeadIncarnationsAnswer(t *testing.T) {
 	addrA := reserveAddr(t)
 	dir := t.TempDir()
-	short := Timeouts{Connect: 200 * time.Millisecond, BackoffMax: 50 * time.Millisecond, Drain: 100 * time.Millisecond}
+	short := Timeouts{Drain: 100 * time.Millisecond}
 
 	oldIn, newIn := make(chan struct{}), make(chan struct{})
 	releaseOld, releaseNew := make(chan struct{}), make(chan struct{})

@@ -332,7 +332,7 @@ func (p *peer) ack(upTo uint64) {
 		p.t.log("frame log: ack %d from %s: %v", upTo, p.addr, err)
 	}
 	now := time.Now()
-	hist := p.t.registry().Histogram(metrics.HistFrameRTT)
+	hist := p.t.reg.Histogram(metrics.HistFrameRTT)
 	run := 0 // consecutive frames of one sender, counted in one record
 	for i := range acked {
 		hist.Observe(now.Sub(acked[i].at))
@@ -400,13 +400,13 @@ func (p *peer) shutdown() {
 }
 
 // sendLoop owns the outbound connection: it dials (with per-attempt
-// ConnectTimeout and bounded exponential backoff between attempts),
+// connectTimeout and bounded exponential backoff between attempts),
 // writes queued frames in batches whenever the writer token is free, and
 // redials after a write error tore the connection down, rewinding
 // nextSend so the unacknowledged suffix is retransmitted.
 func (p *peer) sendLoop() {
 	defer p.t.wg.Done()
-	backoff := p.t.cfg.Timeouts.BackoffBase
+	backoff := backoffBase
 	held := false   // the loop kept the token after its last batch
 	everUp := false // a connection has succeeded before: marks reconnects
 	for {
@@ -429,8 +429,8 @@ func (p *peer) sendLoop() {
 					return
 				}
 				backoff *= 2
-				if backoff > p.t.cfg.Timeouts.BackoffMax {
-					backoff = p.t.cfg.Timeouts.BackoffMax
+				if backoff > backoffMax {
+					backoff = backoffMax
 				}
 				p.mu.Lock()
 				continue
@@ -443,7 +443,7 @@ func (p *peer) sendLoop() {
 			}
 			p.conn = conn
 			p.nextSend = 0 // retransmit the unacked suffix
-			backoff = p.t.cfg.Timeouts.BackoffBase
+			backoff = backoffBase
 			if everUp {
 				p.t.record(p.t.self, metrics.Reconnects, 1)
 			}
@@ -515,8 +515,8 @@ func (p *peer) takeBatchLocked() (net.Conn, uint64, int) {
 // it is written, so its metrics precede any ack it draws.
 func (p *peer) writeBatch(conn net.Conn, ackTo uint64, frames int) bool {
 	p.t.record(p.t.self, metrics.FrameBatches, 1)
-	p.t.registry().Histogram(metrics.HistBatchFrames).ObserveValue(int64(frames))
-	conn.SetWriteDeadline(time.Now().Add(p.t.cfg.Timeouts.Write))
+	p.t.reg.Histogram(metrics.HistBatchFrames).ObserveValue(int64(frames))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, werr := conn.Write(p.out)
 	// Keep the buffer for the next batch unless it outgrew a full batch of
 	// ordinary frames: one large frame must not pin its buffer for the
@@ -569,13 +569,13 @@ func (p *peer) watch(conn net.Conn) {
 
 // dialConn opens one outbound connection, plain TCP or TLS per the
 // transport's configuration. tls.DialWithDialer performs the full
-// handshake within ConnectTimeout and derives ServerName from the
+// handshake within connectTimeout and derives ServerName from the
 // address when the config doesn't pin one.
 func (p *peer) dialConn() (net.Conn, error) {
 	if cfg := p.t.cfg.TLS; cfg != nil {
-		return tls.DialWithDialer(&net.Dialer{Timeout: p.t.cfg.Timeouts.Connect}, "tcp", p.addr, cfg)
+		return tls.DialWithDialer(&net.Dialer{Timeout: connectTimeout}, "tcp", p.addr, cfg)
 	}
-	return net.DialTimeout("tcp", p.addr, p.t.cfg.Timeouts.Connect)
+	return net.DialTimeout("tcp", p.addr, connectTimeout)
 }
 
 // handshake opens the stream with one write: the preamble, then the hello
@@ -584,7 +584,7 @@ func (p *peer) handshake(conn net.Conn) error {
 	// preamble[:] is full, so the append copies it rather than writing
 	// into the shared array.
 	hello := appendCtrl(preamble[:], ctrlFrame{Kind: frameHello, Version: wire.FrameVersion, Addr: p.t.addr})
-	conn.SetWriteDeadline(time.Now().Add(p.t.cfg.Timeouts.Write))
+	conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, err := conn.Write(hello)
 	conn.SetWriteDeadline(time.Time{})
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"github.com/mnm-model/mnm/internal/core"
@@ -14,8 +13,8 @@ import (
 )
 
 // Group is one group's view of a node, returned by OpenGroup: a
-// transport.Transport + SpanRPC + Instrumentable with its own process
-// numbering 0..n-1, mailboxes, address table and RPC handler, whose
+// transport.Transport + SpanRPC with its own process numbering 0..n-1,
+// mailboxes, address table, RPC handler and registry, whose
 // Send/Broadcast/TryRecv/CallSpan route only within the group, multiplexed
 // with every other group over the node's shared peers, sequence numbers
 // and acks. Close detaches only this group; the node stays up.
@@ -29,10 +28,9 @@ type Group struct {
 	// guarded by t.mu.
 	mailboxes []*queue.Mailbox[core.Message]
 
-	// reg and counters meter this group's messages and RPCs; they come
-	// from GroupConfig.Registry or Instrument on the view.
-	reg      atomic.Pointer[metrics.Registry]
-	counters atomic.Pointer[metrics.Counters]
+	// reg meters this group's messages and RPCs; it is
+	// GroupConfig.Registry, fixed at OpenGroup (nil is inert).
+	reg *metrics.Registry
 
 	// Guarded by t.mu.
 	addrs   []string
@@ -45,10 +43,9 @@ type Group struct {
 }
 
 var (
-	_ transport.Transport      = (*Group)(nil)
-	_ transport.RPC            = (*Group)(nil)
-	_ transport.SpanRPC        = (*Group)(nil)
-	_ transport.Instrumentable = (*Group)(nil)
+	_ transport.Transport = (*Group)(nil)
+	_ transport.RPC       = (*Group)(nil)
+	_ transport.SpanRPC   = (*Group)(nil)
 )
 
 // OpenGroup implements transport.Sharded: it registers group id over this
@@ -73,13 +70,13 @@ func (t *Transport) OpenGroup(id transport.GroupID, cfg transport.GroupConfig) (
 		id:        uint32(id),
 		n:         cfg.N,
 		mailboxes: make([]*queue.Mailbox[core.Message], cfg.N),
+		reg:       cfg.Registry,
 		handler:   cfg.Handler,
 		done:      make(chan struct{}),
 	}
 	for p := range hosted {
 		g.mailboxes[p] = new(queue.Mailbox[core.Message])
 	}
-	g.Instrument(cfg.Registry)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -130,12 +127,9 @@ func (g *Group) mailbox(p core.ProcID) *queue.Mailbox[core.Message] {
 	return g.mailboxes[p]
 }
 
-// registry returns the group's registry (nil-safe to use).
-func (g *Group) registry() *metrics.Registry { return g.reg.Load() }
-
 // record meters one group-scoped counter event.
 func (g *Group) record(p core.ProcID, k metrics.Kind, delta int64) {
-	g.counters.Load().Record(p, k, delta)
+	g.reg.Record(p, k, delta)
 }
 
 // remoteAddrsLocked returns the distinct remote node addresses of this
@@ -161,7 +155,7 @@ func (g *Group) N() int { return g.n }
 
 // Dial implements transport.Transport: it starts a connection manager for
 // every remote node of the group (idempotent). Connections are established
-// asynchronously with Timeouts.Connect per attempt and bounded exponential
+// asynchronously with a fixed timeout per attempt and bounded exponential
 // backoff between attempts, so Dial returns immediately; LinkState reports
 // progress. Peers are shared across groups: a peer that another group
 // already created is reused, connection and all.
@@ -387,22 +381,11 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 			res = callResult{err: transport.ErrClosed}
 		}
 	}
-	g.registry().Histogram(metrics.HistRPCCall).Observe(time.Since(start))
+	g.reg.Histogram(metrics.HistRPCCall).Observe(time.Since(start))
 	if res.err != nil {
 		g.record(from, metrics.RPCFailed, 1)
 	}
 	return res.val, res.span, res.err
-}
-
-// Instrument implements transport.Instrumentable: the registry meters
-// this group's messages and RPCs (the node-level frame plane reports to
-// the Transport's own registry).
-func (g *Group) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	g.reg.Store(reg)
-	g.counters.Store(reg.Counters())
 }
 
 // Close implements transport.Transport for the group view: it detaches

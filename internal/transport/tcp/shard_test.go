@@ -111,7 +111,11 @@ func TestTwoGroupsOneConnectionNoLeakage(t *testing.T) {
 // drains instead of retransmitting forever.
 func TestUnopenedGroupFramesDroppedButAcked(t *testing.T) {
 	var dropLogged atomic.Bool
+	reg := metrics.NewRegistry(2)
 	nodes := newClusterWith(t, 2, [][]core.ProcID{{0}, {1}}, func(i int, cfg *tcp.Config) {
+		if i == 0 {
+			cfg.Registry = reg
+		}
 		if i == 1 {
 			cfg.Logf = func(format string, args ...any) {
 				if strings.Contains(format, "unopened group") {
@@ -129,8 +133,6 @@ func TestUnopenedGroupFramesDroppedButAcked(t *testing.T) {
 	if err := v.Dial(); err != nil {
 		t.Fatal(err)
 	}
-	reg := metrics.NewRegistry(2)
-	nodes[0].Transport.Instrument(reg)
 	for i := 0; i < 10; i++ {
 		if err := v.Send(0, 1, i, core.SpanContext{}); err != nil {
 			t.Fatalf("send: %v", err)
@@ -243,8 +245,13 @@ func TestGroupCloseDetachesOnlyThatShard(t *testing.T) {
 // once the receiver opens group 0.
 func TestFramesWaitForTheFirstGroup(t *testing.T) {
 	var trs [2]*tcp.Transport
+	reg := metrics.NewRegistry(2)
 	for i := range trs {
-		tr, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0"})
+		cfg := tcp.Config{ListenAddr: "127.0.0.1:0"}
+		if i == 0 {
+			cfg.Registry = reg
+		}
+		tr, err := tcp.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,8 +259,6 @@ func TestFramesWaitForTheFirstGroup(t *testing.T) {
 		trs[i] = tr
 	}
 	addrs := []string{trs[0].Addr(), trs[1].Addr()}
-	reg := metrics.NewRegistry(2)
-	trs[0].Instrument(reg)
 	a := openView(t, trs[0], 0, transport.GroupConfig{N: 2, Hosted: []core.ProcID{0}, Addrs: addrs})
 	if err := a.Send(0, 1, "early", core.SpanContext{}); err != nil {
 		t.Fatal(err)

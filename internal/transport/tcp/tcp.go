@@ -61,7 +61,6 @@ import (
 	"math/rand/v2"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/mnm-model/mnm/internal/core"
@@ -69,42 +68,34 @@ import (
 	"github.com/mnm-model/mnm/internal/transport"
 )
 
-// Timeouts groups the transport's duration knobs. The zero value of any
-// field means "use the default"; withDefaults fills them in one place.
+// Timeouts groups the transport's settable durations. The zero value of
+// a field means "use the default"; withDefaults fills it in.
 type Timeouts struct {
-	// Connect bounds each connection attempt. Default 2s.
-	Connect time.Duration
-	// BackoffBase is the first reconnect delay. Default 20ms.
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential reconnect delay. Default 1s.
-	BackoffMax time.Duration
-	// Write bounds a single batch write. Default 10s.
-	Write time.Duration
 	// Drain bounds how long Close waits for unacknowledged frames to be
 	// delivered. Default 5s.
 	Drain time.Duration
 }
 
-// withDefaults returns t with every unset (non-positive) field replaced
-// by its default.
+// withDefaults returns t with an unset (non-positive) Drain replaced by
+// its default.
 func (t Timeouts) withDefaults() Timeouts {
-	if t.Connect <= 0 {
-		t.Connect = 2 * time.Second
-	}
-	if t.BackoffBase <= 0 {
-		t.BackoffBase = 20 * time.Millisecond
-	}
-	if t.BackoffMax <= 0 {
-		t.BackoffMax = time.Second
-	}
-	if t.Write <= 0 {
-		t.Write = 10 * time.Second
-	}
 	if t.Drain <= 0 {
 		t.Drain = 5 * time.Second
 	}
 	return t
 }
+
+// The connection deadlines and the reconnect backoff are fixed.
+const (
+	// connectTimeout bounds each connection attempt.
+	connectTimeout = 2 * time.Second
+	// backoffBase is the first reconnect delay.
+	backoffBase = 20 * time.Millisecond
+	// backoffMax caps the exponential reconnect delay.
+	backoffMax = time.Second
+	// writeTimeout bounds a single batch write.
+	writeTimeout = 10 * time.Second
+)
 
 // Config describes one node of a TCP-backed m&m system: the listener and
 // the connections every group opened on it shares. Groups — group 0
@@ -116,15 +107,16 @@ type Config struct {
 	ListenAddr string
 	// Registry, if non-nil, receives the node's observability schema:
 	// frame counters (sent/retransmitted/acked/drop-encode), connection
-	// lifecycle counters (reconnects, dial failures) and the frame_rtt
-	// histogram. A registry can also be attached later (even while frames
-	// are flowing) via Instrument; each group meters its messages and RPCs
-	// into GroupConfig.Registry.
+	// lifecycle counters (reconnects, dial failures — attributed to the
+	// lowest hosted process of the node's first group) and the frame_rtt,
+	// batch_frames and wal_fsync histograms. It is fixed here: nil leaves
+	// the node's frame plane unmetered. Each group meters its messages and
+	// RPCs into its own GroupConfig.Registry.
 	Registry *metrics.Registry
 	// Logf, if non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
-	// Timeouts bundles the connection and I/O deadlines; zero fields take
-	// defaults (see Timeouts).
+	// Timeouts bounds Close's drain; a zero field takes its default (see
+	// Timeouts).
 	Timeouts Timeouts
 	// TLS, if non-nil, serves the listener and dials every outbound
 	// connection over TLS with this configuration. Both sides of a
@@ -158,12 +150,9 @@ type Transport struct {
 	// send loops, which read it, start.
 	self core.ProcID
 
-	// reg and counters are atomic so Instrument can attach observability
-	// while connections are already live (the host instruments after the
-	// transport is constructed, and inbound frames may arrive first).
-	// They meter the node-level frame plane.
-	reg      atomic.Pointer[metrics.Registry]
-	counters atomic.Pointer[metrics.Counters]
+	// reg meters the node-level frame plane; it is Config.Registry, fixed
+	// at New (nil is inert).
+	reg *metrics.Registry
 
 	mu      sync.Mutex
 	groups  map[uint32]*Group
@@ -185,10 +174,7 @@ type callResult struct {
 	err  error
 }
 
-var (
-	_ transport.Instrumentable = (*Transport)(nil)
-	_ transport.Sharded        = (*Transport)(nil)
-)
+var _ transport.Sharded = (*Transport)(nil)
 
 // New binds the node's listener. The node goes on the wire — accepts
 // inbound connections and retransmits recovered frames — when its first
@@ -215,6 +201,7 @@ func New(cfg Config) (*Transport, error) {
 		addr:    addr,
 		lis:     lis,
 		logf:    cfg.Logf,
+		reg:     cfg.Registry,
 		groups:  make(map[uint32]*Group),
 		peers:   make(map[string]*peer),
 		lastSeq: make(map[string]uint64),
@@ -223,7 +210,6 @@ func New(cfg Config) (*Transport, error) {
 		inbound: make(map[net.Conn]bool),
 		done:    make(chan struct{}),
 	}
-	t.Instrument(cfg.Registry)
 	// Recovery seeds the duplicate filter from the journaled high-water
 	// marks (Integrity across a receiver crash) before anything is
 	// accepted; the journaled peers are rebuilt when the node starts.
@@ -309,50 +295,23 @@ func (t *Transport) NumPeers() int {
 	return len(t.peers)
 }
 
-// Instrument implements transport.Instrumentable: the registry receives the
-// frame counters (sent/retransmitted/acked/drop-encode), the connection
-// lifecycle counters (reconnects, dial failures — attributed to the lowest
-// hosted process of the node's first group) and the frame_rtt histogram.
-// Safe to call while frames are already flowing. Groups meter their
-// messages and RPCs via GroupConfig.Registry or Instrument on their views.
-func (t *Transport) Instrument(reg *metrics.Registry) {
-	if reg == nil {
-		return
-	}
-	t.reg.Store(reg)
-	t.counters.Store(reg.Counters())
-}
-
-// registry returns the attached registry. A nil result is fine: every
-// metrics call on a nil registry or histogram is a no-op.
-func (t *Transport) registry() *metrics.Registry { return t.reg.Load() }
-
 // record meters one node-level counter event.
 func (t *Transport) record(p core.ProcID, k metrics.Kind, delta int64) {
-	t.counters.Load().Record(p, k, delta)
+	t.reg.Record(p, k, delta)
 }
 
 // encode encodes f into pooled scratch: the one encode a data, request or
 // response frame gets, made by the call that creates the frame and
 // outside every lock. It returns the time the encode ended, which the
 // caller hands to enqueue as the frame's enqueue time (every copy of a
-// broadcast shares it), so a frame costs one clock read untimed and two
-// when a registry times the encode. The caller returns the scratch with
-// putBuf once enqueue has copied the bytes, also when the encode failed.
+// broadcast shares it), so a frame costs one clock read. The caller
+// returns the scratch with putBuf once enqueue has copied the bytes, also
+// when the encode failed.
 func (t *Transport) encode(f *frame) (*[]byte, time.Time, error) {
 	buf := getBuf()
-	reg := t.registry()
-	var start time.Time
-	if reg != nil {
-		start = time.Now()
-	}
 	b, err := appendFrame((*buf)[:0], f)
 	*buf = b
-	end := time.Now()
-	if reg != nil {
-		reg.Histogram(metrics.HistFrameEncode).Observe(end.Sub(start))
-	}
-	return buf, end, err
+	return buf, time.Now(), err
 }
 
 // dropUnencodable meters and logs a frame from process from to the node
@@ -463,7 +422,7 @@ func (t *Transport) recvLoop(conn net.Conn) {
 	if err != nil {
 		t.log("rejecting inbound connection from %v: %v", conn.RemoteAddr(), err)
 		if errors.As(err, new(skewError)) {
-			conn.SetWriteDeadline(time.Now().Add(t.cfg.Timeouts.Write))
+			conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 			conn.Write(preamble[:])
 		}
 		return

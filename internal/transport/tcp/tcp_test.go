@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -24,8 +25,7 @@ import (
 )
 
 // member is one node of a test cluster: the node itself plus its dialed
-// view of group 0. Close and Instrument exist on both, so a test names the
-// one it means (m.Transport.Close drains the node, m.Group.Close detaches
+// view of group 0. Close exists on both, so a test names the one it means (m.Transport.Close drains the node, m.Group.Close detaches
 // the group).
 type member struct {
 	*tcp.Transport
@@ -41,10 +41,12 @@ func newCluster(t testing.TB, n int, hosted [][]core.ProcID) []member {
 }
 
 // newClusterWith is newCluster with a per-node config hook, for tests
-// that need TLS, a registry, or log capture.
+// that need TLS, a registry, or log capture. A node's Config.Registry also
+// meters its view of group 0.
 func newClusterWith(t testing.TB, n int, hosted [][]core.ProcID, mutate func(i int, cfg *tcp.Config)) []member {
 	t.Helper()
 	nodes := make([]member, len(hosted))
+	regs := make([]*metrics.Registry, len(hosted))
 	for i := range hosted {
 		cfg := tcp.Config{ListenAddr: "127.0.0.1:0"}
 		if mutate != nil {
@@ -56,6 +58,7 @@ func newClusterWith(t testing.TB, n int, hosted [][]core.ProcID, mutate func(i i
 		}
 		t.Cleanup(func() { tr.Close() })
 		nodes[i].Transport = tr
+		regs[i] = cfg.Registry
 	}
 	addrs := make([]string, n)
 	for i, hs := range hosted {
@@ -64,7 +67,7 @@ func newClusterWith(t testing.TB, n int, hosted [][]core.ProcID, mutate func(i i
 		}
 	}
 	for i, hs := range hosted {
-		nodes[i].Group = openView(t, nodes[i].Transport, 0, transport.GroupConfig{N: n, Hosted: hs, Addrs: addrs})
+		nodes[i].Group = openView(t, nodes[i].Transport, 0, transport.GroupConfig{N: n, Hosted: hs, Addrs: addrs, Registry: regs[i]})
 	}
 	return nodes
 }
@@ -366,18 +369,16 @@ func awaitTotal(t *testing.T, c *metrics.Counters, k metrics.Kind, want int64) {
 	t.Fatalf("counter %v total = %d, want >= %d", k, c.Total(k), want)
 }
 
-// TestInstrumentationMetersFramesAndRPC attaches a metrics.Registry to a
-// live two-node cluster and checks the full transport observability schema:
+// TestInstrumentationMetersFramesAndRPC builds a two-node cluster with a
+// metrics.Registry per node and checks the full transport observability schema:
 // adopted message counters, frame sent/acked accounting, reconnect events
 // after a connection kill, the frame_rtt histogram, and the RPC counters
 // with the rpc_call histogram — including the failure path.
 func TestInstrumentationMetersFramesAndRPC(t *testing.T) {
-	nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
 	regs := []*metrics.Registry{metrics.NewRegistry(2), metrics.NewRegistry(2)}
-	for i, m := range nodes {
-		m.Transport.Instrument(regs[i])
-		m.Group.Instrument(regs[i])
-	}
+	nodes := newClusterWith(t, 2, [][]core.ProcID{{0}, {1}}, func(i int, cfg *tcp.Config) {
+		cfg.Registry = regs[i]
+	})
 
 	// First half: establish the link and confirm delivery, so the kill
 	// below hits a live connection (not a dial still in flight).
@@ -403,10 +404,10 @@ func TestInstrumentationMetersFramesAndRPC(t *testing.T) {
 
 	c0, c1 := regs[0].Counters(), regs[1].Counters()
 	if got := c0.Of(0, metrics.MsgSent); got != total {
-		t.Errorf("adopted counters: MsgSent = %d, want %d", got, total)
+		t.Errorf("group counters: MsgSent = %d, want %d", got, total)
 	}
 	if got := c1.Of(1, metrics.MsgDelivered); got != total {
-		t.Errorf("adopted counters: MsgDelivered = %d, want %d", got, total)
+		t.Errorf("group counters: MsgDelivered = %d, want %d", got, total)
 	}
 	// Every data frame is written fresh exactly once and acked exactly once.
 	awaitTotal(t, c0, metrics.FrameSent, total)
@@ -444,6 +445,72 @@ func TestInstrumentationMetersFramesAndRPC(t *testing.T) {
 	}
 	if hc := regs[0].Histogram(metrics.HistRPCCall).Count(); hc != 2 {
 		t.Errorf("rpc_call count = %d, want 2", hc)
+	}
+}
+
+// TestRegistriesBoundAtConstruction: a node meters its frame plane into
+// the registry it was built with, and a group meters its messages and
+// RPCs into the registry it was opened with. A durable node built with R
+// opens a group with G, then sends and calls; each registry gets its own
+// rows and none of the other's.
+func TestRegistriesBoundAtConstruction(t *testing.T) {
+	nodeReg, groupReg := metrics.NewRegistry(2), metrics.NewRegistry(2)
+	a, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0", Registry: nodeReg, Durability: &tcp.Durability{Dir: t.TempDir()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	b, err := tcp.New(tcp.Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { b.Close() })
+	addrs := []string{a.Addr(), b.Addr()}
+	ga := openView(t, a, 1, transport.GroupConfig{N: 2, Hosted: []core.ProcID{0}, Addrs: addrs, Registry: groupReg})
+	gb := openView(t, b, 1, transport.GroupConfig{N: 2, Hosted: []core.ProcID{1}, Addrs: addrs})
+	gb.SetHandler(func(_ core.ProcID, req core.Value) (core.Value, error) { return req, nil })
+
+	if err := ga.Send(0, 1, "data", core.SpanContext{}); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, gb, 1)
+	if v, _, err := ga.CallSpan(0, 1, "call", core.SpanContext{}); err != nil || v != "call" {
+		t.Fatalf("Call = %v, %v; want the echo", v, err)
+	}
+	awaitTotal(t, nodeReg.Counters(), metrics.FrameAcked, 2) // the data frame and the request
+
+	histNames := func(reg *metrics.Registry) []string {
+		var names []string
+		for name := range reg.HistSnapshots() {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		return names
+	}
+	for _, c := range []struct {
+		name      string
+		reg       *metrics.Registry
+		own, none []metrics.Kind
+		hists     []string
+	}{
+		{"node", nodeReg, []metrics.Kind{metrics.FrameSent, metrics.FrameAcked}, []metrics.Kind{metrics.MsgSent, metrics.RPCIssued},
+			[]string{metrics.HistBatchFrames, metrics.HistFrameRTT, metrics.HistFsync}},
+		{"group", groupReg, []metrics.Kind{metrics.MsgSent, metrics.RPCIssued}, []metrics.Kind{metrics.FrameSent, metrics.FrameAcked},
+			[]string{metrics.HistRPCCall}},
+	} {
+		for _, k := range c.own {
+			if got := c.reg.Counters().Total(k); got == 0 {
+				t.Errorf("%s registry: %v = 0, want > 0", c.name, k)
+			}
+		}
+		for _, k := range c.none {
+			if got := c.reg.Counters().Total(k); got != 0 {
+				t.Errorf("%s registry: %v = %d, want 0 (the other registry's row)", c.name, k, got)
+			}
+		}
+		if got := histNames(c.reg); !reflect.DeepEqual(got, c.hists) {
+			t.Errorf("%s registry histograms = %v, want %v", c.name, got, c.hists)
+		}
 	}
 }
 
@@ -516,7 +583,6 @@ func TestCodecLessBroadcastReachesHostedOnly(t *testing.T) {
 			cfg.Registry = reg
 		}
 	})
-	nodes[0].Group.Instrument(reg)
 	type codecLess struct{ N int }
 	if err := nodes[0].Broadcast(0, codecLess{N: 1}, core.SpanContext{}); err != nil {
 		t.Fatalf("Broadcast(codec-less): %v", err)

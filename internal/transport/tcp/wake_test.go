@@ -8,6 +8,7 @@ import (
 	"github.com/mnm-model/mnm/internal/metrics"
 	"github.com/mnm-model/mnm/internal/msgnet"
 	"github.com/mnm-model/mnm/internal/transport"
+	"github.com/mnm-model/mnm/internal/transport/tcp"
 )
 
 // wakeCase is one backend under the wake-up contract: process 0 sends on
@@ -44,19 +45,23 @@ func openChanWake(t *testing.T) wakeCase {
 }
 
 func openTCPGroup0Wake(t *testing.T) wakeCase {
-	nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
 	reg := metrics.NewRegistry(2)
-	nodes[1].Group.Instrument(reg)
+	nodes := newClusterWith(t, 2, [][]core.ProcID{{0}, {1}}, func(i int, cfg *tcp.Config) {
+		if i == 1 {
+			cfg.Registry = reg
+		}
+	})
 	return wakeCase{send: nodes[0].Group, recv: nodes[1].Group,
 		delivered: func() int64 { return reg.Counters().Of(1, metrics.MsgDelivered) }}
 }
 
 func openTCPViewWake(t *testing.T) wakeCase {
 	nodes := newCluster(t, 2, [][]core.ProcID{{0}, {1}})
-	views := openGroupOn(t, nodes, 7, []string{nodes[0].Addr(), nodes[1].Addr()})
+	addrs := []string{nodes[0].Addr(), nodes[1].Addr()}
 	reg := metrics.NewRegistry(2)
-	views[1].(transport.Instrumentable).Instrument(reg)
-	return wakeCase{send: views[0], recv: views[1],
+	send := openView(t, nodes[0].Transport, 7, transport.GroupConfig{N: 2, Hosted: []core.ProcID{0}, Addrs: addrs})
+	recv := openView(t, nodes[1].Transport, 7, transport.GroupConfig{N: 2, Hosted: []core.ProcID{1}, Addrs: addrs, Registry: reg})
+	return wakeCase{send: send, recv: recv,
 		delivered: func() int64 { return reg.Counters().Of(1, metrics.MsgDelivered) }}
 }
 

@@ -31,7 +31,6 @@ import (
 	"fmt"
 
 	"github.com/mnm-model/mnm/internal/core"
-	"github.com/mnm-model/mnm/internal/metrics"
 )
 
 // LinkState describes the liveness of one directed link.
@@ -147,18 +146,6 @@ type RPC interface {
 	// is sent back to the caller. Like a SpanHandler it must not block on
 	// the network.
 	SetHandler(fn func(from core.ProcID, req core.Value) (core.Value, error))
-}
-
-// Instrumentable is the optional observability plane of a transport:
-// backends that implement it report into a metrics.Registry — message and
-// frame counters under the registry's Counters, round-trip latencies under
-// its named Histograms — so every backend exposes the same schema. The
-// rt node instruments its node transport with the root registry; a tcp
-// group view is instrumented with GroupConfig.Registry when it is opened.
-// Instrument must be safe to call while the transport is live: frames can
-// already be flowing when the registry is attached.
-type Instrumentable interface {
-	Instrument(reg *metrics.Registry)
 }
 
 // ErrClosed reports an operation on a closed transport.

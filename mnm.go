@@ -118,7 +118,9 @@ type (
 	TCPTransport = tcp.Transport
 	// TCPConfig configures one TCP transport node.
 	TCPConfig = tcp.Config
-	// TCPTimeouts groups the transport's deadline/backoff knobs.
+	// TCPTimeouts bounds a TCP node's drain at Close, its one settable
+	// duration; the connect and write deadlines and the reconnect backoff
+	// are fixed.
 	TCPTimeouts = tcp.Timeouts
 	// GroupID identifies one m&m group (shard) multiplexed over a
 	// shared transport; every id, 0 included, is opened the same way.
