@@ -11,8 +11,9 @@ package queue
 
 // Ring is a FIFO queue over a growable circular buffer. Push and Pop are
 // amortized O(1). The zero value is an empty ring ready for use. Ring is
-// not safe for concurrent use; callers hold their own lock (mailbox rings
-// live under the substrate mutex).
+// not safe for concurrent use; callers hold their own lock (msgnet's
+// mailbox rings live under its network mutex, the tcp transport's each
+// under a lock of its own).
 type Ring[T any] struct {
 	buf  []T
 	head int // index of the oldest element

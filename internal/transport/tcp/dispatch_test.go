@@ -288,17 +288,18 @@ func TestReadBatchOrderAndOneAck(t *testing.T) {
 	addrs := []string{lis.Addr().String(), tr.Addr()}
 	g1 := openTestGroup(t, tr, 1, []core.ProcID{1}, addrs)
 	g2 := openTestGroup(t, tr, 2, []core.ProcID{1}, addrs)
-	// The handler peeks at g1's mailbox without consuming it.
+	// The handler peeks at g1's mailbox, under its lock, without
+	// consuming it.
 	var atServe []core.Value
 	g1.SetHandler(func(from core.ProcID, req core.Value) (core.Value, error) {
-		tr.mu.Lock()
 		mb := g1.mailbox(1)
-		for i := 0; i < mb.Len(); i++ {
-			m, _ := mb.Pop()
+		mb.mu.Lock()
+		for i := 0; i < mb.q.Len(); i++ {
+			m, _ := mb.q.Pop()
 			atServe = append(atServe, m.Payload)
-			mb.Push(m)
+			mb.q.Push(m)
 		}
-		tr.mu.Unlock()
+		mb.mu.Unlock()
 		return req, nil
 	})
 

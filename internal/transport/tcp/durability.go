@@ -313,7 +313,8 @@ func (l *frameLog) compactIfNeededLocked() error {
 }
 
 // recoveredRecvHW returns the replayed duplicate-filter marks, for
-// seeding Transport.lastSeq before the listener accepts anything.
+// seeding each remote node's receive state before the listener accepts
+// anything.
 func (l *frameLog) recoveredRecvHW() map[string]uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

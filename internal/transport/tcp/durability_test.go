@@ -295,10 +295,10 @@ func TestDurableRestartKeepsDupFilter(t *testing.T) {
 
 	tr2 := mk()
 	defer tr2.Close()
-	if tr2.accept("sender", 42) {
+	if tr2.recvFrom("sender").accept(42) {
 		t.Fatal("restarted node accepted a seq its dead incarnation had already delivered")
 	}
-	if !tr2.accept("sender", 43) {
+	if !tr2.recvFrom("sender").accept(43) {
 		t.Fatal("restarted node rejected the first genuinely new seq")
 	}
 }

@@ -1,0 +1,146 @@
+package tcp
+
+import (
+	"testing"
+	"time"
+
+	"github.com/mnm-model/mnm/internal/core"
+	"github.com/mnm-model/mnm/internal/metrics"
+)
+
+// TestEmptyTryRecvTakesNoLock: no node-wide lock is on the per-message
+// path. While the node lock and a sender's receive lock are held, TryRecv
+// on an empty mailbox returns at once (one atomic load), and a hosted
+// Send and the TryRecv that pops it take only that mailbox's lock.
+func TestEmptyTryRecvTakesNoLock(t *testing.T) {
+	tr, err := New(Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	g := openTestGroup(t, tr, 0, nil, []string{tr.Addr(), tr.Addr()})
+	rs := tr.recvFrom("127.0.0.1:1")
+
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+
+	type result struct {
+		emptyOK, fullOK bool
+		got             core.Value
+		err             error
+	}
+	done := make(chan result, 1)
+	go func() {
+		var r result
+		_, r.emptyOK = g.TryRecv(0)
+		r.err = g.Send(0, 1, "hosted", core.SpanContext{})
+		var m core.Message
+		m, r.fullOK = g.TryRecv(1)
+		r.got = m.Payload
+		done <- r
+	}()
+	select {
+	case r := <-done:
+		if r.emptyOK {
+			t.Error("TryRecv on an empty mailbox reported a message")
+		}
+		if r.err != nil || !r.fullOK || r.got != "hosted" {
+			t.Errorf("hosted Send then TryRecv = %v, %v, %v; want nil, true, hosted", r.err, r.fullOK, r.got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("TryRecv or a hosted Send waited for the node lock or a receive lock")
+	}
+}
+
+// TestConcurrentSendersKeepPerSenderFIFO: three senders share one hosted
+// mailbox — a process on each of two remote nodes and a local Send loop
+// on the owner's node — while the owner pops and connections are killed
+// under the remote senders. Per-sender delivery must stay exactly once and
+// in order: a reconnect leaves two receive loops reading one sender, and
+// the sender's receive lock must keep each frame's filter and delivery in
+// one section.
+func TestConcurrentSendersKeepPerSenderFIFO(t *testing.T) {
+	const perSender = 5000
+	nodes := make([]*Transport, 3)
+	for i := range nodes {
+		tr, err := New(Config{ListenAddr: "127.0.0.1:0", Timeouts: Timeouts{Drain: 100 * time.Millisecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		nodes[i] = tr
+	}
+	// Processes 0 (the owner) and 1 live on node 0, 2 on node 1, 3 on node 2.
+	addrs := []string{nodes[0].Addr(), nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr()}
+	hosted := [][]core.ProcID{{0, 1}, {2}, {3}}
+	groups := make([]*Group, len(nodes))
+	for i, tr := range nodes {
+		groups[i] = openTestGroup(t, tr, 0, hosted[i], addrs)
+	}
+
+	sendErr := make(chan error, 3)
+	send := func(g *Group, from core.ProcID, killer *Transport) {
+		for i := 0; i < perSender; i++ {
+			if err := g.Send(from, 0, i, core.SpanContext{}); err != nil {
+				sendErr <- err
+				return
+			}
+			if killer != nil && i%50 == 49 {
+				killer.KillConnections()
+			}
+		}
+		sendErr <- nil
+	}
+	go send(groups[0], 1, nil)
+	go send(groups[1], 2, nodes[1])
+	go send(groups[2], 3, nodes[2])
+
+	next := map[core.ProcID]int{1: 0, 2: 0, 3: 0}
+	deadline := time.Now().Add(60 * time.Second)
+	for got := 0; got < 3*perSender; {
+		m, ok := groups[0].TryRecv(0)
+		if !ok {
+			if !time.Now().Before(deadline) {
+				t.Fatalf("received %d of %d messages before the deadline (next per sender %v)", got, 3*perSender, next)
+			}
+			continue
+		}
+		want, known := next[m.From]
+		if !known || m.Payload != want {
+			t.Fatalf("from %v: got %v, want %d (lost, duplicated or reordered)", m.From, m.Payload, want)
+		}
+		next[m.From]++
+		got++
+	}
+	for range 3 {
+		if err := <-sendErr; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m, ok := groups[0].TryRecv(0); ok {
+		t.Fatalf("extra message %v from %v after every sender's last", m.Payload, m.From)
+	}
+}
+
+// TestAckAllocFree: an ack covering far more frames than one lock section
+// pops collects them on the stack. Each run acks 200 more of a prefilled
+// pending queue.
+func TestAckAllocFree(t *testing.T) {
+	const perAck, runs = 200, 20
+	tr := &Transport{reg: metrics.NewRegistry(3)}
+	p := newPeer(tr, "x")
+	pushSeq(t, &p.pending, perAck*(runs+1))
+	var upTo uint64
+	allocs := testing.AllocsPerRun(runs, func() {
+		upTo += perAck
+		p.ack(upTo)
+	})
+	if allocs != 0 {
+		t.Errorf("acking %d pending frames allocates %.1f times, want 0", perAck, allocs)
+	}
+	if p.pending.length != 0 {
+		t.Errorf("%d frames still pending after acking all", p.pending.length)
+	}
+}

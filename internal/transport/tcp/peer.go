@@ -22,7 +22,7 @@ import (
 // until the remote's cumulative ack covers them. nextSend marks the first
 // frame not yet written to the *current* connection; a reconnect rewinds
 // it to 0, retransmitting the whole unacknowledged suffix. The receiver's
-// duplicate filter (Transport.accept) makes the retransmission idempotent.
+// duplicate filter (recvState.accept) makes the retransmission idempotent.
 //
 // The queue holds each frame's wire bytes, encoded once by the code that
 // created the frame, so a retransmission re-sends bytes and never
@@ -200,6 +200,10 @@ type ackedFrame struct {
 	at   time.Time
 }
 
+// ackChunk is how many acked frames ack pops per lock section, sized so
+// that its scratch array stays on the stack.
+const ackChunk = 64
+
 // maxBatchFrames caps how much of the pending suffix one send-loop wakeup
 // copies into its batch, bounding the scratch buffer (which is reused
 // across batches) under a deep backlog. The loop immediately takes the
@@ -301,44 +305,53 @@ func (p *peer) queueAck(hw hwSynced) {
 // Caller holds p.mu.
 func (p *peer) raiseAckLocked(upTo uint64) { p.ackTo = max(p.ackTo, upTo) }
 
-// ack drops every pending frame with Seq ≤ upTo. The metrics work — one
-// frame_rtt observation per covered frame, and one FrameAcked record per
-// run of frames from one sender — happens after the lock is released, so
-// a slow histogram never serializes the send loop behind the receive
-// path.
+// ack drops every pending frame with Seq ≤ upTo. It pops them in chunks
+// of at most ackChunk frames, one p.mu section each, and does each
+// chunk's metrics work — one frame_rtt observation per frame, and one
+// FrameAcked record per run of frames from one sender — after releasing
+// the lock, so a slow histogram never serializes the send loop behind the
+// receive path, and an ack of any size collects its frames on the stack.
 func (p *peer) ack(upTo uint64) {
-	var ackedBuf [64]ackedFrame
-	acked := ackedBuf[:0]
-	p.mu.Lock()
-	for p.pending.length > 0 && p.pending.front().seq <= upTo {
-		pf := p.pending.popFront()
-		acked = append(acked, ackedFrame{from: pf.from, at: pf.enqueuedAt})
-	}
-	if len(acked) == 0 {
-		p.mu.Unlock()
-		return
-	}
-	p.nextSend -= len(acked)
-	if p.nextSend < 0 {
-		p.nextSend = 0
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-
-	// Journal the ack after the lock: WAL order vs. concurrent enqueues
-	// doesn't matter (replay prunes by sequence number), and no fsync is
-	// needed (a lost ack record only costs re-dropped retransmissions).
-	if err := p.t.dlog.logAck(p.addr, upTo); err != nil {
-		p.t.log("frame log: ack %d from %s: %v", upTo, p.addr, err)
-	}
-	now := time.Now()
+	var acked [ackChunk]ackedFrame
 	hist := p.t.reg.Histogram(metrics.HistFrameRTT)
-	run := 0 // consecutive frames of one sender, counted in one record
-	for i := range acked {
-		hist.Observe(now.Sub(acked[i].at))
-		if run++; i+1 == len(acked) || acked[i+1].from != acked[i].from {
-			p.t.record(acked[i].from, metrics.FrameAcked, int64(run))
-			run = 0
+	first := true
+	for {
+		n := 0
+		p.mu.Lock()
+		for n < len(acked) && p.pending.length > 0 && p.pending.front().seq <= upTo {
+			pf := p.pending.popFront()
+			acked[n] = ackedFrame{from: pf.from, at: pf.enqueuedAt}
+			n++
+		}
+		if n > 0 {
+			p.nextSend = max(p.nextSend-n, 0)
+			p.cond.Broadcast()
+		}
+		p.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if first {
+			// Journal the ack once, after the lock: WAL order vs.
+			// concurrent enqueues doesn't matter (replay prunes by
+			// sequence number), and no fsync is needed (a lost ack record
+			// only costs re-dropped retransmissions).
+			first = false
+			if err := p.t.dlog.logAck(p.addr, upTo); err != nil {
+				p.t.log("frame log: ack %d from %s: %v", upTo, p.addr, err)
+			}
+		}
+		now := time.Now()
+		run := 0 // consecutive frames of one sender, counted in one record
+		for i := range acked[:n] {
+			hist.Observe(now.Sub(acked[i].at))
+			if run++; i+1 == n || acked[i+1].from != acked[i].from {
+				p.t.record(acked[i].from, metrics.FrameAcked, int64(run))
+				run = 0
+			}
+		}
+		if n < len(acked) {
+			return
 		}
 	}
 }

@@ -3,7 +3,8 @@ package tcp
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/mnm-model/mnm/internal/core"
@@ -24,22 +25,59 @@ type Group struct {
 	n  int
 	// mailboxes has one entry per process of the group, the mailbox of a
 	// hosted one and nil for a remote one. The slice is fixed at
-	// OpenGroup, so reading it takes no lock; the mailboxes themselves are
-	// guarded by t.mu.
-	mailboxes []*queue.Mailbox[core.Message]
+	// OpenGroup, so reading it takes no lock; each mailbox has its own.
+	mailboxes []*mailbox
 
 	// reg meters this group's messages and RPCs; it is
 	// GroupConfig.Registry, fixed at OpenGroup (nil is inert).
 	reg *metrics.Registry
 
+	// peers is nil until Dial, which publishes the peer of every remote
+	// process (nil for a hosted one), so a send resolves its remote
+	// copies without t.mu.
+	peers atomic.Pointer[[]*peer]
+	// closed is set, under t.mu, by Close and by the node's Close.
+	closed atomic.Bool
+
 	// Guarded by t.mu.
 	addrs   []string
 	handler transport.SpanHandler
-	dialed  bool
-	closed  bool
 
 	// done is closed by Close; it ends the group's calls in flight.
 	done chan struct{}
+}
+
+// mailbox is a hosted process's mailbox: a ring buffer under a lock of
+// its own, so deliveries to different processes never contend, and an
+// atomic length, so polling an empty mailbox takes no lock at all.
+type mailbox struct {
+	mu sync.Mutex
+	q  queue.Mailbox[core.Message]
+	// n is q's length. push raises it before q signals the wake-up, so a
+	// receiver woken by the signal finds the message.
+	n atomic.Int64
+}
+
+// push appends m and signals the mailbox's wake-up, if one is registered.
+func (mb *mailbox) push(m core.Message) {
+	mb.mu.Lock()
+	mb.n.Add(1)
+	mb.q.Push(m)
+	mb.mu.Unlock()
+}
+
+// pop removes the oldest message. An empty mailbox costs one atomic load.
+func (mb *mailbox) pop() (core.Message, bool) {
+	if mb.n.Load() == 0 {
+		return core.Message{}, false
+	}
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	m, ok := mb.q.Pop()
+	if ok {
+		mb.n.Add(-1)
+	}
+	return m, ok
 }
 
 var (
@@ -69,20 +107,20 @@ func (t *Transport) OpenGroup(id transport.GroupID, cfg transport.GroupConfig) (
 		t:         t,
 		id:        uint32(id),
 		n:         cfg.N,
-		mailboxes: make([]*queue.Mailbox[core.Message], cfg.N),
+		mailboxes: make([]*mailbox, cfg.N),
 		reg:       cfg.Registry,
 		handler:   cfg.Handler,
 		done:      make(chan struct{}),
 	}
 	for p := range hosted {
-		g.mailboxes[p] = new(queue.Mailbox[core.Message])
+		g.mailboxes[p] = new(mailbox)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed {
+	if t.closed.Load() {
 		return nil, transport.ErrClosed
 	}
-	if _, dup := t.groups[uint32(id)]; dup {
+	if t.group(uint32(id)) != nil {
 		return nil, fmt.Errorf("tcp: group %d already open", id)
 	}
 	if cfg.Addrs != nil {
@@ -92,7 +130,7 @@ func (t *Transport) OpenGroup(id transport.GroupID, cfg transport.GroupConfig) (
 	} else if len(hosted) != cfg.N {
 		return nil, fmt.Errorf("tcp: group %d hosts %d of %d processes but has no address table", id, len(hosted), cfg.N)
 	}
-	t.groups[uint32(id)] = g
+	t.putGroupLocked(uint32(id), g)
 	t.startLocked(minHosted(hosted))
 	return g, nil
 }
@@ -120,7 +158,7 @@ func (g *Group) isProc(p core.ProcID) bool { return p >= 0 && int(p) < g.n }
 
 // mailbox returns the mailbox of process p, nil unless p is a process of
 // the group hosted on this node.
-func (g *Group) mailbox(p core.ProcID) *queue.Mailbox[core.Message] {
+func (g *Group) mailbox(p core.ProcID) *mailbox {
 	if !g.isProc(p) {
 		return nil
 	}
@@ -130,21 +168,6 @@ func (g *Group) mailbox(p core.ProcID) *queue.Mailbox[core.Message] {
 // record meters one group-scoped counter event.
 func (g *Group) record(p core.ProcID, k metrics.Kind, delta int64) {
 	g.reg.Record(p, k, delta)
-}
-
-// remoteAddrsLocked returns the distinct remote node addresses of this
-// group, sorted. Caller holds t.mu.
-func (g *Group) remoteAddrsLocked() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range g.addrs {
-		if a != g.t.addr && !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ID returns the group's identifier.
@@ -163,16 +186,19 @@ func (g *Group) Dial() error {
 	t := g.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed || g.closed {
+	if t.closed.Load() || g.closed.Load() {
 		return transport.ErrClosed
 	}
-	if g.dialed {
+	if g.peers.Load() != nil {
 		return nil
 	}
-	g.dialed = true
-	for _, a := range g.remoteAddrsLocked() {
-		t.peerLocked(a)
+	peers := make([]*peer, g.n)
+	for p, a := range g.addrs {
+		if g.mailboxes[p] == nil {
+			peers[p] = t.peerLocked(a)
+		}
 	}
+	g.peers.Store(&peers)
 	return nil
 }
 
@@ -201,15 +227,15 @@ type remoteCopy struct {
 	to core.ProcID
 }
 
-// send sends one copy of payload to each process in [lo, hi). One t.mu
-// section checks for a close, delivers the hosted copies straight into
-// their mailboxes and looks up the peer of every remote one; a remote
-// copy before Dial fails the send there, after the hosted copies before
-// it. Then, outside the lock, the frame is encoded once and every remote
-// copy is enqueued on its peer, in order, sharing those bytes and one
-// enqueue time. A payload that cannot be encoded is dropped and counted
-// (FrameDropEncode) once per remote copy, while the hosted copies are
-// still delivered.
+// send sends one copy of payload to each process in [lo, hi). It takes
+// no node lock: it checks for a close, delivers the hosted copies
+// straight into their mailboxes, each under its own lock, and takes the
+// peer of every remote one from the table Dial published; a remote copy
+// before Dial fails the send there, after the hosted copies before it.
+// Then the frame is encoded once and every remote copy is enqueued on
+// its peer, in order, sharing those bytes and one enqueue time. A payload
+// that cannot be encoded is dropped and counted (FrameDropEncode) once
+// per remote copy, while the hosted copies are still delivered.
 func (g *Group) send(from, lo, hi core.ProcID, payload core.Value, sc core.SpanContext) error {
 	if !g.isProc(from) {
 		return fmt.Errorf("%w: send from %v", core.ErrUnknownProc, from)
@@ -217,24 +243,21 @@ func (g *Group) send(from, lo, hi core.ProcID, payload core.Value, sc core.SpanC
 	t := g.t
 	var remoteBuf [8]remoteCopy
 	remote := remoteBuf[:0]
-	t.mu.Lock()
-	if t.closed || g.closed {
-		t.mu.Unlock()
+	if t.closed.Load() || g.closed.Load() {
 		return transport.ErrClosed
 	}
+	peers := g.peers.Load()
 	for to := lo; to < hi; to++ {
 		if g.mailboxes[to] != nil {
 			g.record(from, metrics.MsgSent, 1)
-			g.deliverLocked(core.Message{From: from, Payload: payload, Span: sc}, to)
+			g.deliver(core.Message{From: from, Payload: payload, Span: sc}, to)
 			continue
 		}
-		if !g.dialed {
-			t.mu.Unlock()
+		if peers == nil {
 			return errors.New("tcp: Send before Dial")
 		}
-		remote = append(remote, remoteCopy{t.peerLocked(g.addrs[to]), to})
+		remote = append(remote, remoteCopy{(*peers)[to], to})
 	}
-	t.mu.Unlock()
 	if len(remote) == 0 {
 		return nil
 	}
@@ -252,23 +275,23 @@ func (g *Group) send(from, lo, hi core.ProcID, payload core.Value, sc core.SpanC
 	return nil
 }
 
-// deliverLocked appends m to the mailbox of hosted process to and signals
-// its wake-up, if one is registered. Mailboxes are ring buffers, so both
-// delivery and TryRecv are O(1) whatever the queue depth. Caller holds t.mu.
-func (g *Group) deliverLocked(m core.Message, to core.ProcID) {
-	g.mailboxes[to].Push(m)
+// deliver appends m to the mailbox of hosted process to, under that
+// mailbox's lock alone, and signals its wake-up, if one is registered.
+// Mailboxes are ring buffers, so both delivery and TryRecv are O(1)
+// whatever the queue depth.
+func (g *Group) deliver(m core.Message, to core.ProcID) {
+	g.mailboxes[to].push(m)
 	g.record(to, metrics.MsgDelivered, 1)
 }
 
-// TryRecv implements transport.Transport.
+// TryRecv implements transport.Transport. It takes only p's mailbox lock,
+// and no lock at all when the mailbox is empty.
 func (g *Group) TryRecv(p core.ProcID) (core.Message, bool) {
 	mb := g.mailbox(p)
 	if mb == nil {
 		return core.Message{}, false
 	}
-	g.t.mu.Lock()
-	defer g.t.mu.Unlock()
-	return mb.Pop()
+	return mb.pop()
 }
 
 // SetWake implements transport.Transport.
@@ -277,9 +300,9 @@ func (g *Group) SetWake(p core.ProcID, ch chan<- struct{}) {
 	if mb == nil {
 		return
 	}
-	g.t.mu.Lock()
-	mb.Wake = ch
-	g.t.mu.Unlock()
+	mb.mu.Lock()
+	mb.q.Wake = ch
+	mb.mu.Unlock()
 }
 
 // LinkState implements transport.Transport.
@@ -290,7 +313,7 @@ func (g *Group) LinkState(from, to core.ProcID) transport.LinkState {
 	t := g.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed || g.closed {
+	if t.closed.Load() || g.closed.Load() {
 		return transport.LinkClosed
 	}
 	if g.mailboxes[to] != nil {
@@ -335,7 +358,7 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 	}
 	t := g.t
 	t.mu.Lock()
-	if t.closed || g.closed {
+	if t.closed.Load() || g.closed.Load() {
 		t.mu.Unlock()
 		return nil, core.SpanContext{}, transport.ErrClosed
 	}
@@ -347,7 +370,8 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 		}
 		return handler(from, req, sc)
 	}
-	if !g.dialed {
+	peers := g.peers.Load()
+	if peers == nil {
 		t.mu.Unlock()
 		return nil, core.SpanContext{}, errors.New("tcp: Call before Dial")
 	}
@@ -355,7 +379,7 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 	id := t.callSeq
 	ch := make(chan callResult, 1)
 	t.calls[id] = ch
-	p := t.peerLocked(g.addrs[to])
+	p := (*peers)[to]
 	t.mu.Unlock()
 
 	g.record(from, metrics.RPCIssued, 1)
@@ -399,11 +423,11 @@ func (g *Group) Close() error {
 	t := g.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if g.closed {
+	if g.closed.Load() {
 		return nil
 	}
-	g.closed = true
+	g.closed.Store(true)
 	close(g.done)
-	delete(t.groups, g.id)
+	t.putGroupLocked(g.id, nil)
 	return nil
 }

@@ -27,15 +27,23 @@
 //
 // The hot path is batched at both ends: each write copies the link's
 // whole backlog into one buffer and writes it at once (one write syscall
-// and one deadline per batch), and a Send or Broadcast takes the node
-// lock and reads the clock once for all its copies. The receiver decodes
-// each frame in place in its read buffer, delivers each run of
-// consecutive data frames in one lock section, serves a request between
-// runs as soon as it is decoded, and answers each read batch with a
-// single cumulative ack instead of one ack per frame. Frames remain
+// and one deadline per batch), and a Send or Broadcast reads the clock
+// once for all its copies. The receiver decodes each frame in place in
+// its read buffer, delivers each run of consecutive data frames in one
+// section of its sender's receive lock, serves a request between runs as
+// soon as it is decoded, and answers each read batch with a single
+// cumulative ack instead of one ack per frame. Frames remain
 // individually length-prefixed and self-contained, so batching changes
 // only syscall, lock and ack counts — never what a reconnect can observe
 // on the wire.
+//
+// No node-wide lock is on the per-message path. Each hosted mailbox has
+// its own lock and an atomic length (an empty TryRecv takes no lock),
+// each remote node has its own receive lock over its duplicate filter,
+// and the groups table is a copy-on-write snapshot. The node lock, mu,
+// guards opening and closing, the peers, the calls table and the inbound
+// connections. The lock order is a receive lock, then a mailbox lock;
+// and mu, then a peer's lock, then the frame log's.
 //
 // Groups: a Transport is one node — its listener, its connections and
 // its sequence/ack space — and every m&m system it carries, group 0
@@ -58,9 +66,11 @@ import (
 	"crypto/tls"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/mnm-model/mnm/internal/core"
@@ -154,15 +164,20 @@ type Transport struct {
 	// at New (nil is inert).
 	reg *metrics.Registry
 
+	// groups is the open groups by id: an immutable snapshot that
+	// OpenGroup and Close replace under mu, so a receive loop looks a
+	// frame's group up without a lock.
+	groups atomic.Pointer[map[uint32]*Group]
+	// closed is set, under mu, by Close.
+	closed atomic.Bool
+
 	mu      sync.Mutex
-	groups  map[uint32]*Group
 	started bool // the first group is open: accepting and sending
 	peers   map[string]*peer
-	lastSeq map[string]uint64
+	recv    map[string]*recvState
 	calls   map[uint64]chan callResult
 	callSeq uint64 // from a random base, so no two incarnations share call ids
 	inbound map[net.Conn]bool
-	closed  bool
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -202,14 +217,14 @@ func New(cfg Config) (*Transport, error) {
 		lis:     lis,
 		logf:    cfg.Logf,
 		reg:     cfg.Registry,
-		groups:  make(map[uint32]*Group),
 		peers:   make(map[string]*peer),
-		lastSeq: make(map[string]uint64),
+		recv:    make(map[string]*recvState),
 		calls:   make(map[uint64]chan callResult),
 		callSeq: rand.Uint64(),
 		inbound: make(map[net.Conn]bool),
 		done:    make(chan struct{}),
 	}
+	t.groups.Store(&map[uint32]*Group{})
 	// Recovery seeds the duplicate filter from the journaled high-water
 	// marks (Integrity across a receiver crash) before anything is
 	// accepted; the journaled peers are rebuilt when the node starts.
@@ -221,7 +236,7 @@ func New(cfg Config) (*Transport, error) {
 		}
 		t.dlog = dlog
 		for addr, seq := range dlog.recoveredRecvHW() {
-			t.lastSeq[addr] = seq
+			t.recv[addr] = &recvState{addr: addr, hw: seq}
 		}
 	}
 	return t, nil
@@ -285,6 +300,21 @@ func hasWildcardPort(addr string) bool {
 // Addr returns this node's canonical listen address — the value other
 // nodes put in their groups' address tables for every process hosted here.
 func (t *Transport) Addr() string { return t.addr }
+
+// group returns the open group id, nil if there is none. It takes no lock.
+func (t *Transport) group(id uint32) *Group { return (*t.groups.Load())[id] }
+
+// putGroupLocked publishes a copy of the groups table with id mapped to
+// g, or with id removed when g is nil. Caller holds t.mu.
+func (t *Transport) putGroupLocked(id uint32, g *Group) {
+	next := maps.Clone(*t.groups.Load())
+	if g == nil {
+		delete(next, id)
+	} else {
+		next[id] = g
+	}
+	t.groups.Store(&next)
+}
 
 // NumPeers returns the number of outbound connection managers the node
 // runs — one per remote node address, shared by every group. A thousand
@@ -373,7 +403,7 @@ func (t *Transport) acceptLoop() {
 			return
 		}
 		t.mu.Lock()
-		if t.closed {
+		if t.closed.Load() {
 			t.mu.Unlock()
 			conn.Close()
 			return
@@ -401,12 +431,13 @@ func (t *Transport) acceptLoop() {
 // cumulative, so acking only the batch maximum loses nothing.
 //
 // Within a batch, consecutive data frames collect into a run that
-// deliverRun hands to the mailboxes in one t.mu section. A request,
-// response or ack is dispatched as soon as it is decoded, after the run
-// before it is delivered, so a request handler sees every data frame that
-// preceded the request on the wire and none that followed it. A run is
-// also delivered whenever the next frame is not wholly buffered, so a
-// decoded message never waits on a socket read.
+// deliverRun hands to the mailboxes in one section of the sender's
+// receive lock, which the loop resolves once, after the handshake. A
+// request, response or ack is dispatched as soon as it is decoded, after
+// the run before it is delivered, so a request handler sees every data
+// frame that preceded the request on the wire and none that followed it.
+// A run is also delivered whenever the next frame is not wholly buffered,
+// so a decoded message never waits on a socket read.
 func (t *Transport) recvLoop(conn net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -427,6 +458,7 @@ func (t *Transport) recvLoop(conn net.Conn) {
 		}
 		return
 	}
+	rs := t.recvFrom(remote)
 	var f frame
 	var run []frame // data frames decoded and not yet delivered
 	for {
@@ -437,11 +469,11 @@ func (t *Transport) recvLoop(conn net.Conn) {
 				run = append(run, f)
 				ackTo = max(ackTo, f.Seq)
 			} else {
-				run = t.deliverRun(remote, run)
-				ackTo = max(ackTo, t.dispatch(remote, &f))
+				run = t.deliverRun(rs, run)
+				ackTo = max(ackTo, t.dispatch(rs, &f))
 			}
 			if !frameBuffered(br) {
-				run = t.deliverRun(remote, run)
+				run = t.deliverRun(rs, run)
 				if br.Buffered() == 0 {
 					break
 				}
@@ -449,7 +481,7 @@ func (t *Transport) recvLoop(conn net.Conn) {
 		}
 		// Deliver and ack even a batch cut short: its responses leave with
 		// the ack.
-		run = t.deliverRun(remote, run)
+		run = t.deliverRun(rs, run)
 		if ackTo > 0 {
 			t.syncAndAck(remote, ackTo)
 		}
@@ -468,7 +500,7 @@ func (t *Transport) recvLoop(conn net.Conn) {
 // for the responses serve queued. Acks are unsequenced control frames, per
 // node pair: losing one is harmless because the sender retransmits and the
 // filter re-acks. They keep flowing while this node drains its own Close
-// (t.closed set, done not yet closed), so two nodes closing together still
+// (closed set, done not yet closed), so two nodes closing together still
 // drain each other.
 func (t *Transport) syncAndAck(remote string, seq uint64) {
 	hw, err := t.dlog.logRecvHW(remote, seq)
@@ -486,29 +518,29 @@ func (t *Transport) syncAndAck(remote string, seq uint64) {
 	p.queueAck(hw)
 }
 
-// dispatch routes one inbound ack, request or response frame and returns
-// the sequence number the caller must (cumulatively) acknowledge, or 0
-// for unsequenced frames; data frames go through deliverRun. Sequenced
-// frames pass the per-node duplicate filter exactly once, whatever
-// connection they arrive on; duplicates still report their Seq so the
-// remote learns its retransmission was redundant. A request is served
-// right here, on the receive loop, with no goroutine of its own (see
-// serve).
-func (t *Transport) dispatch(remote string, f *frame) uint64 {
+// dispatch routes one inbound ack, request or response frame from the
+// node rs and returns the sequence number the caller must (cumulatively)
+// acknowledge, or 0 for unsequenced frames; data frames go through
+// deliverRun. Sequenced frames pass the sender's duplicate filter exactly
+// once, whatever connection they arrive on; duplicates still report their
+// Seq so the remote learns its retransmission was redundant. A request is
+// served right here, on the receive loop, with no goroutine of its own
+// (see serve).
+func (t *Transport) dispatch(rs *recvState, f *frame) uint64 {
 	switch f.Kind {
 	case frameAck:
 		t.mu.Lock()
-		p, ok := t.peers[remote]
+		p, ok := t.peers[rs.addr]
 		t.mu.Unlock()
 		if ok {
 			p.ack(f.AckTo)
 		}
 		return 0
 	case frameReq:
-		t.serve(remote, f)
+		t.serve(rs, f)
 		return f.Seq
 	case frameResp:
-		if t.accept(remote, f.Seq) {
+		if rs.accept(f.Seq) {
 			var err error
 			if f.ErrMsg != "" {
 				err = decodeError(f.ErrMsg)
@@ -518,55 +550,58 @@ func (t *Transport) dispatch(remote string, f *frame) uint64 {
 		}
 		return f.Seq
 	default:
-		t.log("dropping frame of unknown kind %d from %s", f.Kind, remote)
+		t.log("dropping frame of unknown kind %d from %s", f.Kind, rs.addr)
 		return 0
 	}
 }
 
 // droppedFrame is a data frame deliverRun refused, kept to be logged
-// once t.mu is released: g is its group, nil when the node has not opened
-// it.
+// once the receive lock is released: g is its group, nil when the node
+// has not opened it.
 type droppedFrame struct {
 	f *frame
 	g *Group
 }
 
-// deliverRun delivers a run of data frames, in order, in one t.mu
-// section, and returns run emptied for reuse. Each frame's duplicate
-// filter and its delivery stay in that one section: after a reconnect two
-// receive loops may hold this node's frames, and neither may deliver a
-// later frame between the other's accept and delivery. Data is
-// demultiplexed to the group its header names. Frames for a group this
-// node has not opened, and frames whose sender is not a process of their
-// group (a forged From, which the algorithms would index out of range or
-// count as a phantom voter), are dropped and logged but still acked: the
-// sender's duty ends at delivery to the node, and an acked frame is never
-// retransmitted. A frame racing a group close is the everyday case of the
-// first.
-func (t *Transport) deliverRun(remote string, run []frame) []frame {
+// deliverRun delivers a run of data frames from the node rs, in order, in
+// one section of rs's receive lock, and returns run emptied for reuse.
+// Each frame is pushed under its mailbox's own lock, and no node-wide
+// lock is taken. Each frame's duplicate filter and its delivery stay in
+// that one section: after a reconnect two receive loops may hold the
+// sender's frames, and neither may deliver a later frame between the
+// other's accept and delivery. Receive loops reading different nodes
+// never contend, since the link axioms order messages per sender only.
+// Data is demultiplexed to the group its header names. Frames for a group
+// this node has not opened, and frames whose sender is not a process of
+// their group (a forged From, which the algorithms would index out of
+// range or count as a phantom voter), are dropped and logged but still
+// acked: the sender's duty ends at delivery to the node, and an acked
+// frame is never retransmitted. A frame racing a group close is the
+// everyday case of the first.
+func (t *Transport) deliverRun(rs *recvState, run []frame) []frame {
 	if len(run) == 0 {
 		return run
 	}
 	var drops []droppedFrame
-	t.mu.Lock()
+	rs.mu.Lock()
 	for i := range run {
 		f := &run[i]
-		if !t.acceptLocked(remote, f.Seq) {
+		if !rs.acceptLocked(f.Seq) {
 			continue
 		}
-		g := t.groups[f.Group]
+		g := t.group(f.Group)
 		if g == nil || !g.isProc(f.From) {
 			drops = append(drops, droppedFrame{f, g})
 			continue
 		}
-		if !t.closed && !g.closed && g.mailbox(f.To) != nil {
-			g.deliverLocked(core.Message{From: f.From, Payload: f.Payload,
+		if !t.closed.Load() && !g.closed.Load() && g.mailbox(f.To) != nil {
+			g.deliver(core.Message{From: f.From, Payload: f.Payload,
 				Span: core.SpanContext{TraceID: f.TraceID, SpanID: f.SpanID, Clock: f.Lamport}}, f.To)
 		}
 	}
-	t.mu.Unlock()
+	rs.mu.Unlock()
 	for _, d := range drops {
-		t.logDrop(remote, d.f, d.g)
+		t.logDrop(rs.addr, d.f, d.g)
 	}
 	clear(run) // the mailboxes hold the payloads now; the run must not
 	return run[:0]
@@ -583,38 +618,63 @@ func (t *Transport) logDrop(remote string, f *frame, g *Group) {
 		f.Kind, remote, f.From, f.Group, g.n)
 }
 
-// accept passes a sequenced frame through the per-node duplicate filter:
-// it returns true exactly once per sequence number. Both ends number
-// their frames from 1 in send order and every connection (original or
+// recvState is the receive side of one remote node: its duplicate filter,
+// the highest sequence number accepted from it. Every receive loop
+// reading that node resolves it once, after the handshake. Its lock is
+// held across each frame's filter and delivery (see deliverRun), and is
+// taken before any mailbox lock.
+type recvState struct {
+	addr string // the remote node's listen address, fixed
+
+	mu sync.Mutex
+	hw uint64
+}
+
+// recvFrom returns the receive state of the remote node at addr, creating
+// it on first contact.
+func (t *Transport) recvFrom(addr string) *recvState {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	rs := t.recv[addr]
+	if rs == nil {
+		rs = &recvState{addr: addr}
+		t.recv[addr] = rs
+	}
+	return rs
+}
+
+// accept passes a sequenced frame through the duplicate filter: it
+// returns true exactly once per sequence number. Both ends number their
+// frames from 1 in send order and every connection (original or
 // reconnected) carries an ascending subsequence, so "greater than the
 // highest seen" accepts each frame once and drops retransmitted
 // duplicates — the Integrity axiom on a faulty wire. The filter is per
 // node pair, not per group: all groups share one sequence space.
-func (t *Transport) accept(remote string, seq uint64) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.acceptLocked(remote, seq)
+func (rs *recvState) accept(seq uint64) bool {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.acceptLocked(seq)
 }
 
-// acceptLocked is accept for a caller that holds t.mu.
-func (t *Transport) acceptLocked(remote string, seq uint64) bool {
-	if seq <= t.lastSeq[remote] {
+// acceptLocked is accept for a caller that holds rs.mu.
+func (rs *recvState) acceptLocked(seq uint64) bool {
+	if seq <= rs.hw {
 		return false
 	}
-	t.lastSeq[remote] = seq
+	rs.hw = seq
 	return true
 }
 
-// serve passes a request frame through the duplicate filter and runs its
-// group's RPC handler on the receive loop that read it — so the handler must
-// not block on the network — then encodes and queues the response (which carries the
-// same group, so the caller's node routes the metrics to the right shard).
-// The filter, the handler lookup and the response's peer share one t.mu
-// section: the receive loop serves every group's requests, and t.mu is also
-// the lock every group's TryRecv takes. The response is queued without
-// waking the send loop: the batch's ack (syncAndAck) wakes it, so the two
-// always leave in one write. The receive loop never writes: two nodes whose
-// receive loops both block writing to each other would deadlock.
+// serve passes a request frame from the node rs through its duplicate
+// filter and runs its group's RPC handler on the receive loop that read
+// it — so the handler must not block on the network — then encodes and
+// queues the response (which carries the same group, so the caller's node
+// routes the metrics to the right shard). The filter takes rs's receive
+// lock; the handler lookup and the response's peer then share one t.mu
+// section. The response is queued without waking the send loop: the
+// batch's ack (syncAndAck) wakes it, so the two always leave in one
+// write. The receive loop never writes: two nodes whose receive loops
+// both block writing to each other would deadlock.
 //
 // A request for a group that is not open here — not yet, or no longer —
 // is dropped like a data frame: logged, acked by dispatch, and never
@@ -622,14 +682,18 @@ func (t *Transport) acceptLocked(remote string, seq uint64) bool {
 // an open group without a handler answers with an error, and so does a
 // handler whose response cannot be encoded: the response then carries
 // the encode error alone, so the call fails instead of waiting.
-func (t *Transport) serve(remote string, f *frame) {
+func (t *Transport) serve(rs *recvState, f *frame) {
+	if !rs.accept(f.Seq) {
+		return
+	}
+	remote := rs.addr
 	t.mu.Lock()
-	if !t.acceptLocked(remote, f.Seq) || t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		return
 	}
 	var handler transport.SpanHandler
-	g := t.groups[f.Group]
+	g := t.group(f.Group)
 	if g != nil {
 		handler = g.handler
 	}
@@ -705,13 +769,13 @@ func (t *Transport) closeInbound() {
 // waiting for a response end with ErrClosed once the drain is over.
 func (t *Transport) Close() error {
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		return nil
 	}
-	t.closed = true
-	for _, g := range t.groups {
-		g.closed = true
+	t.closed.Store(true)
+	for _, g := range *t.groups.Load() {
+		g.closed.Store(true)
 	}
 	peers := make([]*peer, 0, len(t.peers))
 	for _, p := range t.peers {
