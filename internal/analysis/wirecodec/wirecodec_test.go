@@ -32,7 +32,7 @@ func TestWirecodecStale(t *testing.T) {
 		// A codec file in a package that lists no types.
 		{"wirecodecstray", "wire_codec.go", `wire_codec.go exists but the package lists no wire types`},
 		// Generated against an older frame header.
-		{"wirecodecoldversion", "wire_codec.go", `stale at line 14: have "//mnmwiregen:wireversion 3", want "//mnmwiregen:wireversion 4"`},
+		{"wirecodecoldversion", "wire_codec.go", `stale at line 14: have "//mnmwiregen:wireversion 3", want "//mnmwiregen:wireversion 5"`},
 	} {
 		t.Run(tc.fixture, func(t *testing.T) {
 			pkg, err := loader.LoadDir(filepath.Join("../testdata", tc.fixture))

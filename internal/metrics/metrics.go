@@ -68,6 +68,10 @@ const (
 	WALAppends
 	RecoveredRegisters
 	RecoveredFrames
+	// RemoteWakes counts the wake-ups a register owner's node sends to
+	// remote processes whose read found a register empty, once per wake
+	// queued, when that register is first written (see internal/rt).
+	RemoteWakes
 	numKinds
 )
 
@@ -116,6 +120,8 @@ func (k Kind) String() string {
 		return "recovered_registers"
 	case RecoveredFrames:
 		return "recovered_frames"
+	case RemoteWakes:
+		return "remote_wakes"
 	default:
 		return fmt.Sprintf("kind(%d)", int(k))
 	}

@@ -85,6 +85,12 @@ type Mailbox[T any] struct {
 // Push appends v and signals Wake without ever blocking.
 func (m *Mailbox[T]) Push(v T) {
 	m.Ring.Push(v)
+	m.Signal()
+}
+
+// Signal makes Push's non-blocking send on Wake, when set, without
+// appending anything: a wake-up that delivers no message.
+func (m *Mailbox[T]) Signal() {
 	if m.Wake != nil {
 		select {
 		case m.Wake <- struct{}{}:

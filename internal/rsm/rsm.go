@@ -22,8 +22,9 @@
 //     commands stay pending for the next slot — and the leader applies it
 //     at once, so a batch costs one CAS: no read before it, no read back
 //     after it. Followers read the slots in order and park when nothing
-//     new is committed; the leader's CAS on a slot a follower owns wakes
-//     it.
+//     new is committed; the leader's CAS on the slot a follower found
+//     empty wakes it, through the slot owner's wake-up when the owner is
+//     on another node.
 //   - Forwarding. A client sends its uncommitted commands to a leader, in
 //     one message, the first time it sees that leader, and not again: a
 //     replica's pending queue lives as long as the replica, so a leader
@@ -260,8 +261,8 @@ func run(env core.Env, cfg Config) error {
 		}
 		// Every iteration costs at least one step. A follower that applied
 		// nothing parks too, until a delivery, a write in its domain (the
-		// leader's CAS on a slot it owns) or the host's tick; the leader
-		// never parks.
+		// leader's CAS on a slot it owns), the first write of the remote
+		// slot it found empty, or the host's tick; the leader never parks.
 		if env.LocalSteps() == stepsAtTop || (r.det.Leader() != env.ID() && r.slot == slotAtTop) {
 			env.Yield()
 		}

@@ -247,13 +247,25 @@ func TestNodeGroupRegisterIsolationOverTCP(t *testing.T) {
 	}
 }
 
+// frameFree reports whether a sampled span (one Delta per node) put
+// nothing on the wire beyond the register RPCs: no message, and no wake
+// an owner sent a remote reader of an empty register.
+func frameFree(deltas [2]metrics.Delta) bool {
+	for _, d := range deltas {
+		if d.Counters.Total(metrics.MsgSent)+d.Counters.Total(metrics.RemoteWakes) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // groupSteady checks one group's sampled span (one Delta per node, the
 // group's proc i hosted on node i) for the Theorem 5.1 steady-state
-// shape within the shard: zero messages, the leader refreshing its
-// register locally, the follower's reads metered at the leader's node
-// and issued as RPCs from its own.
+// shape within the shard: zero messages and remote wakes, the leader
+// refreshing its register locally, the follower's reads metered at the
+// leader's node and issued as RPCs from its own.
 func groupSteady(deltas [2]metrics.Delta, ldr core.ProcID) bool {
-	if deltas[0].Counters.Total(metrics.MsgSent)+deltas[1].Counters.Total(metrics.MsgSent) != 0 {
+	if !frameFree(deltas) {
 		return false
 	}
 	ld := deltas[ldr].Counters
@@ -269,8 +281,8 @@ func groupSteady(deltas [2]metrics.Delta, ldr core.ProcID) bool {
 // one pair of nodes runs many concurrent leader-election groups — 1000
 // of them without the race detector — over ONE shared TCP connection
 // per direction, and every group independently reaches the zero-message
-// steady state of Theorem 5.1, read through its own sub-registry's
-// sampler deltas.
+// steady state of Theorem 5.1, with no remote wake either, read through
+// its own sub-registry's sampler deltas.
 func TestManyGroupsSteadyStateOverTCP(t *testing.T) {
 	nGroups := 1000
 	if raceEnabled {
@@ -356,8 +368,8 @@ func TestManyGroupsSteadyStateOverTCP(t *testing.T) {
 				metrics.DeltaOf(s.anchor[0], s.sampler[0].SampleNow()),
 				metrics.DeltaOf(s.anchor[1], s.sampler[1].SampleNow()),
 			}
-			if deltas[0].Counters.Total(metrics.MsgSent)+deltas[1].Counters.Total(metrics.MsgSent) != 0 {
-				s.anchored = false // a message broke the span
+			if !frameFree(deltas) {
+				s.anchored = false // a message or a wake broke the span
 				continue
 			}
 			if groupSteady(deltas, s.leader) {

@@ -15,10 +15,21 @@
 // request says about itself, so shared-memory access control
 // (core.ErrAccessDenied outside {owner} ∪ neighbors(owner)) is enforced
 // exactly as in a single process.
+//
+// A remote reader that finds a register empty is usually polling for its
+// first write, as an rsm follower polls a log slot, and parks when the
+// poll fails. Nothing on its own node learns of that write, so the owner
+// remembers the reader (watchTable) and, when the register is first
+// written, sends its node one wake-up (SpanRPC.Wake) that ends the park.
+// Only empty registers are watched: a register rewritten while others
+// read it — Ω's heartbeat — costs no frame per read.
 package rt
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/mnm-model/mnm/internal/core"
@@ -94,13 +105,14 @@ func (h *Group) readReg(p core.ProcID, ref core.Ref, sp *trace.Span) (core.Value
 }
 
 // writeReg writes ref for process p, locally or over RPC. A local write
-// wakes the group's parked processes; a remote one wakes the owner's, in
-// serveMem.
+// wakes the group's parked processes and ref's remote watchers; a remote
+// one wakes the owner's, in serveMem.
 func (h *Group) writeReg(p core.ProcID, ref core.Ref, v core.Value, sp *trace.Span) error {
 	if h.rpc == nil || h.hostedSet[ref.Owner] {
 		err := h.mem.Write(p, ref, v)
 		if err == nil {
 			h.wakeParked()
+			h.wakeWatchers(ref, p)
 		}
 		return err
 	}
@@ -111,12 +123,13 @@ func (h *Group) writeReg(p core.ProcID, ref core.Ref, v core.Value, sp *trace.Sp
 }
 
 // casReg compare-and-swaps ref for process p, locally or over RPC; a
-// local swap wakes parked processes like writeReg.
+// local swap wakes like writeReg.
 func (h *Group) casReg(p core.ProcID, ref core.Ref, expected, desired core.Value, sp *trace.Span) (bool, core.Value, error) {
 	if h.rpc == nil || h.hostedSet[ref.Owner] {
 		swapped, cur, err := h.mem.CompareAndSwap(p, ref, expected, desired)
 		if swapped {
 			h.wakeParked()
+			h.wakeWatchers(ref, p)
 		}
 		return swapped, cur, err
 	}
@@ -167,9 +180,10 @@ func (h *Group) serveMemSpan(from core.ProcID, req core.Value, sc core.SpanConte
 // serveMem serves register operations from process from for registers
 // owned by processes hosted here, out of the local shm.Memory, which
 // enforces the shared-memory domain against from: the sender the
-// transport validated, never a field of the request. A served write or
-// successful CAS wakes this node's parked processes of the group, as a
-// local one does.
+// transport validated, never a field of the request. A read that finds
+// the register empty watches it for from; a served write or successful
+// CAS wakes this node's parked processes of the group and the register's
+// watchers, as a local one does.
 func (h *Group) serveMem(from core.ProcID, req core.Value) (core.Value, error) {
 	switch r := req.(type) {
 	case memReadReq:
@@ -180,6 +194,15 @@ func (h *Group) serveMem(from core.ProcID, req core.Value) (core.Value, error) {
 		if err != nil {
 			return nil, err
 		}
+		if v == nil && h.rpc != nil {
+			// Watch, then look again: a write the second look misses
+			// comes after the watch, so it finds it. A value found now
+			// is the read's answer and needs no watch.
+			h.watch.add(r.Ref, from)
+			if v, _ = h.mem.Peek(r.Ref); v != nil {
+				h.watch.remove(r.Ref, from)
+			}
+		}
 		return memReadResp{Val: v}, nil
 	case memWriteReq:
 		if !h.hostedSet[r.Ref.Owner] {
@@ -189,6 +212,7 @@ func (h *Group) serveMem(from core.ProcID, req core.Value) (core.Value, error) {
 			return nil, err
 		}
 		h.wakeParked()
+		h.wakeWatchers(r.Ref, from)
 		return nil, nil
 	case memCASReq:
 		if !h.hostedSet[r.Ref.Owner] {
@@ -200,9 +224,81 @@ func (h *Group) serveMem(from core.ProcID, req core.Value) (core.Value, error) {
 		}
 		if swapped {
 			h.wakeParked()
+			h.wakeWatchers(r.Ref, from)
 		}
 		return memCASResp{Swapped: swapped, Current: current}, nil
 	default:
 		return nil, fmt.Errorf("rt: unknown RPC request %T", req)
+	}
+}
+
+// watchTable holds, per register owned here, the remote processes whose
+// served read found it empty and that it has not woken since: a set per
+// register, filled by serveMem and emptied by wakeWatchers. n counts the
+// entries, so a write that nobody watches costs one atomic load. Only a
+// group with an RPC plane fills it.
+type watchTable struct {
+	n  atomic.Int64
+	mu sync.Mutex
+	m  map[core.Ref][]core.ProcID
+}
+
+// add watches ref for p; a second add before the wake is a no-op.
+func (w *watchTable) add(ref core.Ref, p core.ProcID) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if slices.Contains(w.m[ref], p) {
+		return
+	}
+	if w.m == nil {
+		w.m = make(map[core.Ref][]core.ProcID)
+	}
+	w.m[ref] = append(w.m[ref], p)
+	w.n.Add(1)
+}
+
+// remove stops watching ref for p, if it still is.
+func (w *watchTable) remove(ref core.Ref, p core.ProcID) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	ps := w.m[ref]
+	i := slices.Index(ps, p)
+	if i < 0 {
+		return
+	}
+	if ps = slices.Delete(ps, i, i+1); len(ps) == 0 {
+		delete(w.m, ref)
+	} else {
+		w.m[ref] = ps
+	}
+	w.n.Add(-1)
+}
+
+// take removes and returns ref's watchers.
+func (w *watchTable) take(ref core.Ref) []core.ProcID {
+	if w.n.Load() == 0 {
+		return nil
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	ps := w.m[ref]
+	if ps != nil {
+		delete(w.m, ref)
+		w.n.Add(-int64(len(ps)))
+	}
+	return ps
+}
+
+// wakeWatchers runs after every write and every swapping CAS of ref: it
+// takes ref's watchers and wakes each at its node, except writer, which
+// needs no news of its own write, metering each wake as RemoteWakes under
+// the woken process. With nobody watching it costs one atomic load, and
+// no lock is held while it queues the wakes.
+func (h *Group) wakeWatchers(ref core.Ref, writer core.ProcID) {
+	for _, p := range h.watch.take(ref) {
+		if p != writer {
+			h.rpc.Wake(p)
+			h.counters.Record(p, metrics.RemoteWakes, 1)
+		}
 	}
 }

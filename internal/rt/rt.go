@@ -27,7 +27,9 @@
 //
 // A step is one operation, and Yield — the step an idle process takes —
 // is one step followed by a park: the process sleeps until a message lands
-// in its mailbox, a register of its group is written, the group stops or
+// in its mailbox, a register of its group is written on its node, a
+// register at a remote owner that its read found empty is first written
+// (the owner's node sends it a wake-up, see remote.go), the group stops or
 // the process is crashed, or yieldTick passes. An idle process therefore
 // costs about one step per millisecond instead of a spinning core, while
 // still accruing steps at a bounded rate for the step-counted timers of
@@ -133,6 +135,7 @@ type Group struct {
 	stopCh    chan struct{}
 	stopOnce  sync.Once
 	parked    atomic.Int32 // processes inside park; register writes wake them
+	watch     watchTable   // remote readers of empty registers (remote.go)
 
 	mu        sync.Mutex
 	errs      map[core.ProcID]error
@@ -432,7 +435,9 @@ func (h *Group) Crash(p core.ProcID) {
 
 // yieldTick bounds how long Yield parks without a wake-up: the slowest
 // step rate of a live idle process, and so the resolution of the §5
-// algorithms' step-counted timers when nothing else happens.
+// algorithms' step-counted timers when nothing else happens. It no
+// longer bounds a wait for a remote register's first write, which the
+// owner's wake-up ends.
 const yieldTick = time.Millisecond
 
 // signal hands ps a wake-up token without blocking; a token already

@@ -1,12 +1,15 @@
 package rt
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
 	"github.com/mnm-model/mnm/internal/core"
 	"github.com/mnm-model/mnm/internal/graph"
 	"github.com/mnm-model/mnm/internal/metrics"
+	"github.com/mnm-model/mnm/internal/transport"
 )
 
 // idleAlg yields forever; each process closes its exited channel when its
@@ -149,5 +152,143 @@ func TestWakeRegisterWritesSignalParked(t *testing.T) {
 		if n := tokens(); n != len(h.procs) {
 			t.Fatalf("%s woke %d of %d processes", tc.name, n, len(h.procs))
 		}
+	}
+}
+
+// wakeRecorder stands in for a group's RPC plane: it records the
+// processes Wake is called for and serves no call.
+type wakeRecorder struct {
+	transport.SpanRPC
+	mu    sync.Mutex
+	woken []core.ProcID
+}
+
+func (w *wakeRecorder) Wake(to core.ProcID) {
+	w.mu.Lock()
+	w.woken = append(w.woken, to)
+	w.mu.Unlock()
+}
+
+// take returns and forgets the recorded wakes.
+func (w *wakeRecorder) take() []core.ProcID {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	woken := w.woken
+	w.woken = nil
+	return woken
+}
+
+// TestWakeWatchersOnFirstWrite checks the owner's half of a remote
+// reader's wake-up: a served read that finds a register empty watches it
+// for the reader, and each of the four write forms — local write, local
+// CAS, served write, served CAS — then wakes the reader at its node
+// exactly once, metered as RemoteWakes. A second write sends nothing,
+// the writer is never woken even when it watched too, a CAS that does
+// not swap wakes nobody, and a read that finds a value watches nothing.
+func TestWakeWatchersOnFirstWrite(t *testing.T) {
+	// Never started: the test plays the remote reader and the writers.
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(3)}}, noop)
+	defer h.Stop()
+	rec := &wakeRecorder{}
+	h.rpc = rec
+	const reader, writer core.ProcID = 2, 1
+	read := func(p core.ProcID, ref core.Ref) core.Value {
+		t.Helper()
+		resp, err := h.serveMem(p, memReadReq{Ref: ref})
+		if err != nil {
+			t.Fatalf("served read of %v by %v: %v", ref, p, err)
+		}
+		return resp.(memReadResp).Val
+	}
+	for i, tc := range []struct {
+		name string
+		op   func(ref core.Ref, v int) error
+	}{
+		{"write", func(ref core.Ref, v int) error { return h.writeReg(writer, ref, v, nil) }},
+		{"cas", func(ref core.Ref, v int) error {
+			_, _, err := h.casReg(writer, ref, nil, v, nil)
+			return err
+		}},
+		{"served-write", func(ref core.Ref, v int) error {
+			_, err := h.serveMem(writer, memWriteReq{Ref: ref, Val: v})
+			return err
+		}},
+		{"served-cas", func(ref core.Ref, v int) error {
+			_, err := h.serveMem(writer, memCASReq{Ref: ref, Expected: nil, Desired: v})
+			return err
+		}},
+	} {
+		ref := core.RegI(0, "slot", i)
+		if v := read(reader, ref); v != nil {
+			t.Fatalf("%s: fresh register read %v", tc.name, v)
+		}
+		read(reader, ref) // a repeated poll watches once
+		read(writer, ref)
+		if _, err := h.serveMem(writer, memCASReq{Ref: ref, Expected: -1, Desired: -2}); err != nil {
+			t.Fatalf("%s: failing CAS: %v", tc.name, err)
+		}
+		if woken := rec.take(); len(woken) != 0 {
+			t.Fatalf("%s: a CAS that did not swap woke %v", tc.name, woken)
+		}
+		before := h.Counters().Of(reader, metrics.RemoteWakes)
+		if err := tc.op(ref, 1); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if woken := rec.take(); !slices.Equal(woken, []core.ProcID{reader}) {
+			t.Fatalf("%s: first write woke %v, want [%v] once and never the writer", tc.name, woken, reader)
+		}
+		if d := h.Counters().Of(reader, metrics.RemoteWakes) - before; d != 1 {
+			t.Fatalf("%s: RemoteWakes rose by %d, want 1", tc.name, d)
+		}
+		if err := h.writeReg(writer, ref, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		if woken := rec.take(); len(woken) != 0 {
+			t.Fatalf("%s: second write woke %v", tc.name, woken)
+		}
+		if v := read(reader, ref); v != 2 {
+			t.Fatalf("%s: read %v after the writes, want 2", tc.name, v)
+		}
+		if n := h.watch.n.Load(); n != 0 {
+			t.Fatalf("%s: %d watches left after a read that found a value", tc.name, n)
+		}
+	}
+}
+
+// TestWakeWatchRacesWrite races a served read of an empty register
+// against its first write: a read that answers nil must leave its reader
+// woken exactly once, whichever of the two goes first; a read that
+// answers the value may draw at most one stray wake.
+func TestWakeWatchRacesWrite(t *testing.T) {
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(2)}}, noop)
+	defer h.Stop()
+	rec := &wakeRecorder{}
+	h.rpc = rec
+	for i := 0; i < 2000; i++ {
+		ref := core.RegI(0, "race", i)
+		var wg sync.WaitGroup
+		var got core.Value
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			resp, err := h.serveMem(1, memReadReq{Ref: ref})
+			if err == nil {
+				got = resp.(memReadResp).Val
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			h.writeReg(0, ref, i, nil)
+		}()
+		wg.Wait()
+		switch woken := len(rec.take()); {
+		case got == nil && woken != 1:
+			t.Fatalf("round %d: the read answered nil and the write woke the reader %d times, want 1", i, woken)
+		case woken > 1:
+			t.Fatalf("round %d: the reader was woken %d times", i, woken)
+		}
+	}
+	if n := h.watch.n.Load(); n != 0 {
+		t.Fatalf("%d watches left after every register was written", n)
 	}
 }

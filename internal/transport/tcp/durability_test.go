@@ -329,7 +329,8 @@ func TestRecvHWFailureWithholdsAck(t *testing.T) {
 		return p.ackTo
 	}
 
-	tr.syncAndAck(remote, 5)
+	rs := tr.recvFrom(remote)
+	tr.syncAndAck(rs, 5)
 	if got := queued(); got != 5 {
 		t.Fatalf("ackTo = %d with the WAL open, want 5", got)
 	}
@@ -339,7 +340,7 @@ func TestRecvHWFailureWithholdsAck(t *testing.T) {
 	if _, err := tr.dlog.logRecvHW(remote, 7); err == nil {
 		t.Fatal("logRecvHW succeeded on a closed WAL")
 	}
-	tr.syncAndAck(remote, 7)
+	tr.syncAndAck(rs, 7)
 	if got := queued(); got != 5 {
 		t.Fatalf("ackTo = %d with the WAL closed, want 5: the ack went out without its fsync", got)
 	}

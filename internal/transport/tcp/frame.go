@@ -28,6 +28,10 @@ const (
 	frameReq
 	// frameResp carries one RPC response.
 	frameResp
+	// frameWake hands one hosted process of one group a wake-up token
+	// (see Group.Wake). It delivers nothing, and like the ack it is
+	// unsequenced: never journaled, acked or retransmitted.
+	frameWake
 )
 
 // preamble opens every stream: a three-byte tag and wire.FrameVersion. It
@@ -52,12 +56,13 @@ type frame struct {
 	Seq uint64
 	// AckTo cumulatively acknowledges all Seq ≤ AckTo (ack only).
 	AckTo uint64
-	// From and To are the endpoint processes (data/req/resp).
+	// From and To are the endpoint processes (data/req/resp; To only on
+	// wake).
 	From, To core.ProcID
 	// CallID matches a response to its request (req/resp).
 	CallID uint64
 	// Group routes the frame to one group's mailboxes and RPC handler
-	// (data/req/resp). Acks and hellos are written from ctrlFrame and
+	// (data/req/resp/wake). Acks and hellos are written from ctrlFrame and
 	// carry a zero Group that no receiver reads.
 	Group uint32
 	// TraceID and SpanID are the trace context of the operation the frame
@@ -76,17 +81,20 @@ type frame struct {
 	ErrMsg string
 }
 
-// ctrlFrame is what this node writes for a hello or an ack. Both are per
-// node pair, shared by every group on the connection, and are transport
-// bookkeeping rather than operations, so the type has no Group, TraceID,
-// SpanID or Lamport field: a group-stamped or traced control frame cannot
-// be written. appendCtrl widens it to the v4 header with those fields
-// zero.
+// ctrlFrame is what this node writes for a hello, an ack or a wake. They
+// are transport bookkeeping rather than operations, so the type has no
+// Seq, TraceID, SpanID or Lamport field: a sequenced or traced control
+// frame cannot be written. Hellos and acks are per node pair, shared by
+// every group on the connection, and leave Group and To zero; a wake
+// names one process of one group. appendCtrl widens it to the frame
+// header with the missing fields zero.
 type ctrlFrame struct {
-	Kind    frameKind // frameHello or frameAck
-	Version uint8     // hello: the sender's wire.FrameVersion
-	Addr    string    // hello: the sender node's canonical listen address
-	AckTo   uint64    // ack: cumulatively acknowledges all Seq ≤ AckTo
+	Kind    frameKind   // frameHello, frameAck or frameWake
+	Version uint8       // hello: the sender's wire.FrameVersion
+	Addr    string      // hello: the sender node's canonical listen address
+	AckTo   uint64      // ack: cumulatively acknowledges all Seq ≤ AckTo
+	Group   uint32      // wake: the group of the process to wake
+	To      core.ProcID // wake: the process to wake
 }
 
 // maxFrameSize bounds a frame body; anything larger is
@@ -185,10 +193,11 @@ func appendFrame(b []byte, f *frame) ([]byte, error) {
 }
 
 // appendCtrl appends a control frame's wire encoding to b. It is the one
-// place a ctrlFrame becomes a v4 header, so Group and the trace triple are
-// always zero; with no payload, a control frame always encodes.
+// place a ctrlFrame becomes a frame header, so Seq and the trace triple
+// are always zero; with no payload, a control frame always encodes.
 func appendCtrl(b []byte, c ctrlFrame) []byte {
-	b, _ = appendFrame(b, &frame{Kind: c.Kind, Version: c.Version, Addr: c.Addr, AckTo: c.AckTo})
+	b, _ = appendFrame(b, &frame{Kind: c.Kind, Version: c.Version, Addr: c.Addr, AckTo: c.AckTo,
+		Group: c.Group, To: c.To})
 	return b
 }
 

@@ -27,8 +27,9 @@ func goldenTable() []struct {
 		name string
 		f    frame
 	}{
-		{"hello", frame{Kind: frameHello, Version: 4, Addr: "127.0.0.1:9000"}},
+		{"hello", frame{Kind: frameHello, Version: 5, Addr: "127.0.0.1:9000"}},
 		{"ack", frame{Kind: frameAck, AckTo: 513}},
+		{"wake", frame{Kind: frameWake, To: 3, Group: 9}},
 		{"data-int", frame{Kind: frameData, Seq: 7, From: 0, To: 3, Payload: 42}},
 		{"data-string", frame{Kind: frameData, Seq: 8, From: 1, To: 2, Payload: "hi"}},
 		{"data-slice", frame{Kind: frameData, Seq: 9, From: 1, To: 0, Payload: []core.Value{1, "two", nil}}},
@@ -102,11 +103,12 @@ func TestGoldenWireVectors(t *testing.T) {
 			t.Errorf("stale golden vector %q has no frame in goldenTable", name)
 		}
 	}
-	// This node writes hellos and acks only through appendCtrl: its
-	// widening to the v4 header must produce the same pinned bytes.
+	// This node writes hellos, acks and wakes only through appendCtrl: its
+	// widening to the frame header must produce the same pinned bytes.
 	for name, c := range map[string]ctrlFrame{
-		"hello": {Kind: frameHello, Version: 4, Addr: "127.0.0.1:9000"},
+		"hello": {Kind: frameHello, Version: 5, Addr: "127.0.0.1:9000"},
 		"ack":   {Kind: frameAck, AckTo: 513},
+		"wake":  {Kind: frameWake, Group: 9, To: 3},
 	} {
 		if got := hex.EncodeToString(appendCtrl(nil, c)); got != golden[name] {
 			t.Errorf("%s via appendCtrl: wire bytes differ\n got  %s\n want %s", name, got, golden[name])
@@ -181,7 +183,7 @@ func TestAcceptHandshake(t *testing.T) {
 		}
 		return b
 	}
-	const current = "MNM\x04"
+	const current = "MNM\x05"
 	for _, tc := range []struct {
 		name     string
 		in       []byte
@@ -189,17 +191,17 @@ func TestAcceptHandshake(t *testing.T) {
 		wantSkew uint8  // non-zero: a skewError of that version
 		wantErr  string // otherwise: a plain error containing this
 	}{
-		{name: "good", in: stream(current, &frame{Kind: frameHello, Version: 4, Addr: "127.0.0.1:9000"}), wantAddr: "127.0.0.1:9000"},
+		{name: "good", in: stream(current, &frame{Kind: frameHello, Version: 5, Addr: "127.0.0.1:9000"}), wantAddr: "127.0.0.1:9000"},
 		{name: "bad tag", in: []byte("GET / HTTP/1.1\r\n"), wantErr: "bad stream preamble"},
 		{name: "first byte 0x00", in: []byte{0x00, 0x00, 0x00, 0x05, 0x01}, wantErr: "bad stream preamble"},
 		{name: "short read", in: []byte("MN"), wantErr: "unexpected EOF"},
 		{name: "empty stream", in: nil, wantErr: "EOF"},
-		{name: "wrong version", in: stream("MNM\x03", nil), wantSkew: 3},
-		{name: "newer version", in: stream("MNM\x05", &frame{Kind: frameHello, Version: 5, Addr: "a:1"}), wantSkew: 5},
+		{name: "wrong version", in: stream("MNM\x04", nil), wantSkew: 4},
+		{name: "newer version", in: stream("MNM\x06", &frame{Kind: frameHello, Version: 6, Addr: "a:1"}), wantSkew: 6},
 		{name: "no hello", in: stream(current, nil), wantErr: "read hello"},
 		{name: "hello with Version 0", in: stream(current, &frame{Kind: frameHello, Addr: "127.0.0.1:9000"}), wantErr: "bad hello"},
-		{name: "hello with empty Addr", in: stream(current, &frame{Kind: frameHello, Version: 4}), wantErr: "bad hello"},
-		{name: "data before hello", in: stream(current, &frame{Kind: frameData, Version: 4, Addr: "a:1", Seq: 1}), wantErr: "bad hello"},
+		{name: "hello with empty Addr", in: stream(current, &frame{Kind: frameHello, Version: 5}), wantErr: "bad hello"},
+		{name: "data before hello", in: stream(current, &frame{Kind: frameData, Version: 5, Addr: "a:1", Seq: 1}), wantErr: "bad hello"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fr := newFrameReader()

@@ -1,6 +1,9 @@
 package tcp
 
 import (
+	"bufio"
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -142,5 +145,104 @@ func TestAckAllocFree(t *testing.T) {
 	}
 	if p.pending.length != 0 {
 		t.Errorf("%d frames still pending after acking all", p.pending.length)
+	}
+}
+
+// TestQueuedWakesCoalesce: a peer queues at most one wake per process of
+// a group, and the next batch carries each queued wake once, right after
+// the ack, and empties the queue.
+func TestQueuedWakesCoalesce(t *testing.T) {
+	p := newPeer(&Transport{}, "x")
+	p.queueAck(hwSynced{seq: 4})
+	for _, w := range []wakeTo{{9, 3}, {9, 3}, {9, 4}, {8, 3}, {9, 4}} {
+		p.queueWake(w.group, w.to)
+	}
+	p.mu.Lock()
+	_, ackTo, frames := p.takeBatchLocked()
+	left := len(p.wakes)
+	p.mu.Unlock()
+	if ackTo != 4 || frames != 4 || left != 0 {
+		t.Fatalf("batch took ack %d and %d frames, %d wakes left; want ack 4, 4 frames, 0 left", ackTo, frames, left)
+	}
+	br := bufio.NewReader(bytes.NewReader(p.out))
+	fr := newFrameReader()
+	defer fr.close()
+	var got []ctrlFrame
+	var f frame
+	for fr.read(br, &f) == nil {
+		got = append(got, ctrlFrame{Kind: f.Kind, AckTo: f.AckTo, Group: f.Group, To: f.To})
+	}
+	want := []ctrlFrame{{Kind: frameAck, AckTo: 4}, {Kind: frameWake, Group: 9, To: 3},
+		{Kind: frameWake, Group: 9, To: 4}, {Kind: frameWake, Group: 8, To: 3}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("batch frames %+v, want %+v", got, want)
+	}
+}
+
+// TestAckPathTakesNoNodeLock: the ack path resolves the reverse peer
+// once per receive loop, so with both nodes' node locks held a sent frame
+// is still delivered, its ack still queued and sent by the receiver, and
+// the sender's pending queue still drains.
+func TestAckPathTakesNoNodeLock(t *testing.T) {
+	nodes := make([]*Transport, 2)
+	for i := range nodes {
+		tr, err := New(Config{ListenAddr: "127.0.0.1:0", Timeouts: Timeouts{Drain: 100 * time.Millisecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		nodes[i] = tr
+	}
+	addrs := []string{nodes[0].Addr(), nodes[1].Addr()}
+	g0 := openTestGroup(t, nodes[0], 0, []core.ProcID{0}, addrs)
+	g1 := openTestGroup(t, nodes[1], 0, []core.ProcID{1}, addrs)
+	nodes[0].mu.Lock()
+	p := nodes[0].peers[addrs[1]]
+	nodes[0].mu.Unlock()
+	pending := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.pending.length
+	}
+	// await polls until cond holds, reporting whether it did in time.
+	await := func(cond func() bool) bool {
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if !time.Now().Before(deadline) {
+				return false
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return true
+	}
+	// Warm up both directions, so every receive loop has resolved its
+	// sender before the locks are taken.
+	for i, g := range []*Group{g0, g1} {
+		from, to := core.ProcID(i), core.ProcID(1-i)
+		if err := g.Send(from, to, "warm", core.SpanContext{}); err != nil {
+			t.Fatal(err)
+		}
+		recv := []*Group{g0, g1}[to]
+		if !await(func() bool { _, ok := recv.TryRecv(to); return ok }) {
+			t.Fatalf("warm-up message %v→%v not delivered", from, to)
+		}
+	}
+	if !await(func() bool { return pending() == 0 }) {
+		t.Fatal("warm-up message never acked")
+	}
+
+	for _, tr := range nodes {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+	}
+	if err := g0.Send(0, 1, "locked", core.SpanContext{}); err != nil {
+		t.Fatal(err)
+	}
+	var m core.Message
+	if !await(func() bool { var ok bool; m, ok = g1.TryRecv(1); return ok }) || m.Payload != "locked" {
+		t.Fatalf("with both node locks held, got %v; want the sent frame delivered", m.Payload)
+	}
+	if !await(func() bool { return pending() == 0 }) {
+		t.Fatalf("with both node locks held, %d frames still pending: the ack path waited for a node lock", pending())
 	}
 }

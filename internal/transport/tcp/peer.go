@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,8 +28,8 @@ import (
 // The queue holds each frame's wire bytes, encoded once by the code that
 // created the frame, so a retransmission re-sends bytes and never
 // re-encodes. Writes are batched: each copies the whole backlog (the
-// queued ack plus the unsent pending suffix) into one buffer and writes
-// it with one syscall and one write deadline. Frames stay individually
+// queued ack and wakes plus the unsent pending suffix) into one buffer
+// and writes it with one syscall and one write deadline. Frames stay individually
 // length-prefixed and self-contained (they carry no stream state), so a
 // batch is just a concatenation on the wire: a connection kill mid-write
 // leaves the receiver with a prefix of whole frames (the TCP stream never
@@ -48,6 +49,7 @@ type peer struct {
 	pending  pendingQueue // unacked sequenced frames, in seq order
 	nextSend int          // index into pending of first frame unsent on conn
 	ackTo    uint64       // cumulative ack waiting to be written, 0 for none
+	wakes    []wakeTo     // wake frames waiting to be written, no repeats
 	conn     net.Conn     // nil while the link is down
 	closed   bool
 	// fatal, when non-empty, records why this link can never come up
@@ -61,6 +63,13 @@ type peer struct {
 	writing bool
 	out     []byte // the batch being written, reused across batches
 	maxSent uint64 // highest sequence number ever taken: marks retransmissions
+}
+
+// wakeTo is a queued wake frame: the process to of group that the remote
+// node should wake.
+type wakeTo struct {
+	group uint32
+	to    core.ProcID
 }
 
 // pendingFrame is one unacknowledged sequenced frame: its sequence number
@@ -299,6 +308,21 @@ func (p *peer) queueAck(hw hwSynced) {
 	p.cond.Broadcast()
 }
 
+// queueWake queues a wake frame for process to of group, unless one is
+// already waiting. Like the ack it is unsequenced and rides the next
+// batch; unlike the ack it is not requeued after a failed write, since a
+// lost wake costs the woken process only its park's timer.
+func (p *peer) queueWake(group uint32, to core.ProcID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	w := wakeTo{group, to}
+	if p.stopped() || slices.Contains(p.wakes, w) {
+		return
+	}
+	p.wakes = append(p.wakes, w)
+	p.cond.Broadcast()
+}
+
 // raiseAckLocked folds upTo into the queued ack by max. queueAck and
 // writeBatch's write-error requeue both go through it, so a failed batch
 // putting its ack back cannot regress a fresher one queued meanwhile.
@@ -465,7 +489,7 @@ func (p *peer) sendLoop() {
 			go p.watch(conn)
 		}
 		// Wait for work and for the token.
-		for (p.writing || p.ackTo == 0 && p.nextSend >= p.pending.length) && p.conn != nil && !p.stopped() {
+		for (p.writing || p.ackTo == 0 && len(p.wakes) == 0 && p.nextSend >= p.pending.length) && p.conn != nil && !p.stopped() {
 			p.cond.Wait()
 		}
 		if p.stopped() {
@@ -485,10 +509,10 @@ func (p *peer) sendLoop() {
 
 // takeBatchLocked takes the free writer token and copies the backlog of
 // the up link into the reused batch buffer — the ack first (it unblocks
-// the remote's drain), then the unsent pending suffix, at most
-// maxBatchFrames of it so the buffer stays bounded (the send loop comes
-// straight back for the rest) — and returns the connection, the ack and
-// the number of frames taken. Caller holds p.mu.
+// the remote's drain), then the queued wakes, then the unsent pending
+// suffix, at most maxBatchFrames of it so the buffer stays bounded (the
+// send loop comes straight back for the rest) — and returns the
+// connection, the ack and the number of frames taken. Caller holds p.mu.
 func (p *peer) takeBatchLocked() (net.Conn, uint64, int) {
 	p.writing = true
 	ackTo := p.ackTo
@@ -499,6 +523,11 @@ func (p *peer) takeBatchLocked() (net.Conn, uint64, int) {
 		b = appendCtrl(b, ctrlFrame{Kind: frameAck, AckTo: ackTo})
 		frames++
 	}
+	for _, w := range p.wakes {
+		b = appendCtrl(b, ctrlFrame{Kind: frameWake, Group: w.group, To: w.to})
+		frames++
+	}
+	p.wakes = p.wakes[:0]
 	pc, pi := p.pending.iterAt(p.nextSend)
 	for n := 0; p.nextSend < p.pending.length && n < maxBatchFrames; n++ {
 		pf := &pc.buf[pi]

@@ -105,10 +105,10 @@ func TestVersionMismatchClosesLink(t *testing.T) {
 			t.Fatal(err)
 		}
 		got, err := io.ReadAll(conn)
-		if err != nil || string(got) != "MNM\x04" {
-			t.Fatalf("read %q, err %v; want exactly the acceptor's preamble MNM\\x04, then EOF", got, err)
+		if err != nil || string(got) != "MNM\x05" {
+			t.Fatalf("read %q, err %v; want exactly the acceptor's preamble MNM\\x05, then EOF", got, err)
 		}
-		if !logs.contains("peer speaks wire version 3, this node 4") {
+		if !logs.contains("peer speaks wire version 3, this node 5") {
 			t.Errorf("acceptor never logged the mismatch; logs:\n%s", logs.dump())
 		}
 	})
@@ -127,7 +127,7 @@ func TestVersionMismatchClosesLink(t *testing.T) {
 				}
 				// Answer, then drain until the dialer hangs up, so the
 				// close is a clean FIN and never a reset.
-				conn.Write([]byte("MNM\x05"))
+				conn.Write([]byte("MNM\x06"))
 				io.Copy(io.Discard, conn)
 				conn.Close()
 			}
@@ -145,7 +145,7 @@ func TestVersionMismatchClosesLink(t *testing.T) {
 		if st := tr.LinkState(0, 1); st != transport.LinkClosed {
 			t.Fatalf("link 0->1 left LinkClosed: now %v (reconnect loop after version reject)", st)
 		}
-		if !logs.contains("peer speaks wire version 5, this node 4 (not retrying)") {
+		if !logs.contains("peer speaks wire version 6, this node 5 (not retrying)") {
 			t.Errorf("dialer never logged that it stopped retrying; logs:\n%s", logs.dump())
 		}
 		closed := make(chan error, 1)

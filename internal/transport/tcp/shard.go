@@ -66,6 +66,14 @@ func (mb *mailbox) push(m core.Message) {
 	mb.mu.Unlock()
 }
 
+// signal signals the mailbox's wake-up, if one is registered, and
+// delivers nothing.
+func (mb *mailbox) signal() {
+	mb.mu.Lock()
+	mb.q.Signal()
+	mb.mu.Unlock()
+}
+
 // pop removes the oldest message. An empty mailbox costs one atomic load.
 func (mb *mailbox) pop() (core.Message, bool) {
 	if mb.n.Load() == 0 {
@@ -202,7 +210,7 @@ func (g *Group) Dial() error {
 	return nil
 }
 
-// Send implements transport.Transport: the context rides the wire v4
+// Send implements transport.Transport: the context rides the wire
 // frame header and surfaces as Message.Span at the receiver. The
 // transport never interprets the context; a zero context writes zero
 // header fields, which the receive side surfaces as an untraced message.
@@ -303,6 +311,24 @@ func (g *Group) SetWake(p core.ProcID, ch chan<- struct{}) {
 	mb.mu.Lock()
 	mb.q.Wake = ch
 	mb.mu.Unlock()
+}
+
+// Wake implements transport.SpanRPC: it hands process to a wake-up token
+// at its node, a signal on the channel to registered with SetWake, and
+// delivers nothing. A hosted to is signalled at once. A remote one's wake
+// frame is queued on its node's peer, at most one per process, and rides
+// the link's next batch like the ack: unsequenced, unacked and never
+// retransmitted, so a connection fault or a close may lose it.
+func (g *Group) Wake(to core.ProcID) {
+	if mb := g.mailbox(to); mb != nil {
+		mb.signal()
+		return
+	}
+	peers := g.peers.Load()
+	if !g.isProc(to) || peers == nil || g.t.closed.Load() || g.closed.Load() {
+		return
+	}
+	(*peers)[to].queueWake(g.id, to)
 }
 
 // LinkState implements transport.Transport.

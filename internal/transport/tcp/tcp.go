@@ -483,7 +483,7 @@ func (t *Transport) recvLoop(conn net.Conn) {
 		// the ack.
 		run = t.deliverRun(rs, run)
 		if ackTo > 0 {
-			t.syncAndAck(remote, ackTo)
+			t.syncAndAck(rs, ackTo)
 		}
 		if err != nil {
 			return
@@ -501,25 +501,25 @@ func (t *Transport) recvLoop(conn net.Conn) {
 // node pair: losing one is harmless because the sender retransmits and the
 // filter re-acks. They keep flowing while this node drains its own Close
 // (closed set, done not yet closed), so two nodes closing together still
-// drain each other.
-func (t *Transport) syncAndAck(remote string, seq uint64) {
-	hw, err := t.dlog.logRecvHW(remote, seq)
+// drain each other. The ack goes out on rs's reverse peer, which takes no
+// node lock.
+func (t *Transport) syncAndAck(rs *recvState, seq uint64) {
+	hw, err := t.dlog.logRecvHW(rs.addr, seq)
 	if err != nil {
-		t.log("frame log: recv high-water for %s: %v (withholding ack)", remote, err)
+		t.log("frame log: recv high-water for %s: %v (withholding ack)", rs.addr, err)
 	}
 	select {
 	case <-t.done:
 		return
 	default:
 	}
-	t.mu.Lock()
-	p := t.peerLocked(remote)
-	t.mu.Unlock()
-	p.queueAck(hw)
+	if rs.peer != nil {
+		rs.peer.queueAck(hw)
+	}
 }
 
-// dispatch routes one inbound ack, request or response frame from the
-// node rs and returns the sequence number the caller must (cumulatively)
+// dispatch routes one inbound ack, wake, request or response frame from
+// the node rs and returns the sequence number the caller must (cumulatively)
 // acknowledge, or 0 for unsequenced frames; data frames go through
 // deliverRun. Sequenced frames pass the sender's duplicate filter exactly
 // once, whatever connection they arrive on; duplicates still report their
@@ -529,11 +529,15 @@ func (t *Transport) syncAndAck(remote string, seq uint64) {
 func (t *Transport) dispatch(rs *recvState, f *frame) uint64 {
 	switch f.Kind {
 	case frameAck:
-		t.mu.Lock()
-		p, ok := t.peers[rs.addr]
-		t.mu.Unlock()
-		if ok {
-			p.ack(f.AckTo)
+		if rs.peer != nil {
+			rs.peer.ack(f.AckTo)
+		}
+		return 0
+	case frameWake:
+		if g := t.group(f.Group); g != nil && !g.closed.Load() {
+			if mb := g.mailbox(f.To); mb != nil {
+				mb.signal()
+			}
 		}
 		return 0
 	case frameReq:
@@ -619,19 +623,26 @@ func (t *Transport) logDrop(remote string, f *frame, g *Group) {
 }
 
 // recvState is the receive side of one remote node: its duplicate filter,
-// the highest sequence number accepted from it. Every receive loop
-// reading that node resolves it once, after the handshake. Its lock is
-// held across each frame's filter and delivery (see deliverRun), and is
-// taken before any mailbox lock.
+// the highest sequence number accepted from it, and the reverse peer that
+// carries this node's acks to it and takes its acks of this node's
+// frames. Every receive loop reading that node resolves it once, after
+// the handshake. Its lock is held across each frame's filter and delivery
+// (see deliverRun), and is taken before any mailbox lock.
 type recvState struct {
 	addr string // the remote node's listen address, fixed
+	// peer is the outbound link to addr, set by the first receive loop
+	// from it that finds the node open and fixed after (peers are never
+	// removed), so the ack path takes no node lock. It stays nil when
+	// every loop from addr began after Close: nothing is acked then.
+	peer *peer
 
 	mu sync.Mutex
 	hw uint64
 }
 
 // recvFrom returns the receive state of the remote node at addr, creating
-// it on first contact.
+// it on first contact, with its reverse peer resolved unless the node is
+// closing (a peer made then would outlive Close's shutdown).
 func (t *Transport) recvFrom(addr string) *recvState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -639,6 +650,9 @@ func (t *Transport) recvFrom(addr string) *recvState {
 	if rs == nil {
 		rs = &recvState{addr: addr}
 		t.recv[addr] = rs
+	}
+	if rs.peer == nil && !t.closed.Load() {
+		rs.peer = t.peerLocked(addr)
 	}
 	return rs
 }

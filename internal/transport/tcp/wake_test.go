@@ -172,3 +172,61 @@ func checkWake(t *testing.T, c wakeCase) {
 	}
 	drain(1)
 }
+
+// TestWakeFrameSignalsWithoutDelivering: Group.Wake on node 0 for a
+// process of node 1 crosses the wire as one unsequenced wake frame. It
+// puts a token on the process's registered channel and delivers nothing,
+// and neither node's FrameSent nor FrameAcked moves. A hosted process is
+// signalled in place.
+func TestWakeFrameSignalsWithoutDelivering(t *testing.T) {
+	regs := []*metrics.Registry{metrics.NewRegistry(2), metrics.NewRegistry(2)}
+	nodes := newClusterWith(t, 2, [][]core.ProcID{{0}, {1}}, func(i int, cfg *tcp.Config) { cfg.Registry = regs[i] })
+	wake0, wake1 := make(chan struct{}, 1), make(chan struct{}, 1)
+	nodes[0].SetWake(0, wake0)
+	nodes[1].SetWake(1, wake1)
+
+	// Bring the link up and settle: one message, delivered and acked.
+	if err := nodes[0].Send(0, 1, "up", core.SpanContext{}); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, nodes[1], 1)
+	<-wake1
+	frames := func() [2]int64 {
+		var n [2]int64
+		for _, reg := range regs {
+			n[0] += reg.Counters().Total(metrics.FrameSent)
+			n[1] += reg.Counters().Total(metrics.FrameAcked)
+		}
+		return n
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for frames() != [2]int64{1, 1} {
+		if !time.Now().Before(deadline) {
+			t.Fatalf("FrameSent, FrameAcked = %v before the wake, want [1 1]", frames())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	nodes[0].Wake(1)
+	select {
+	case <-wake1:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Wake on node 0 put no token on process 1's channel at node 1")
+	}
+	if m, ok := nodes[1].TryRecv(1); ok {
+		t.Fatalf("the wake delivered a message %v from %v", m.Payload, m.From)
+	}
+	if got := frames(); got != [2]int64{1, 1} {
+		t.Fatalf("FrameSent, FrameAcked = %v after the wake, want [1 1]: a wake is not a sequenced frame", got)
+	}
+
+	nodes[0].Wake(0)
+	select {
+	case <-wake0:
+	default:
+		t.Fatal("Wake of a hosted process left no token")
+	}
+	if _, ok := nodes[0].TryRecv(0); ok {
+		t.Fatal("the hosted wake delivered a message")
+	}
+}

@@ -126,8 +126,9 @@ type SpanHandler func(from core.ProcID, req core.Value, sc core.SpanContext) (co
 // transport. The real-time host uses it to reach shared registers homed
 // on another OS process (the RDMA verbs of the model); backends that host
 // all processes in one address space do not need it. CallSpan is its one
-// call; the interface and method keep their Span names only because the
-// bench module calls them.
+// call, and Wake its one signal, with which an owner wakes a remote
+// process waiting on one of its registers; the interface and CallSpan
+// keep their Span names only because the bench module calls them.
 type SpanRPC interface {
 	// CallSpan sends req from→to and blocks for the matching response.
 	// The caller's context sc rides the request; the handler's response
@@ -135,6 +136,11 @@ type SpanRPC interface {
 	// with the response, an encode error, or ErrClosed when the caller's
 	// group or transport is closed.
 	CallSpan(from, to core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error)
+	// Wake hands remote process to a wake-up token at its node: one
+	// non-blocking send on the channel to registered with SetWake there.
+	// It delivers nothing, never blocks, and may be lost, so a process
+	// waiting to be woken must not count on it.
+	Wake(to core.ProcID)
 }
 
 // RPC installs a plain request handler. It is kept only because the bench

@@ -52,8 +52,10 @@ import (
 // Version history: 2 = flat LE header (34 bytes), 3 = v2 plus a Group
 // shard-routing field (38 bytes), 4 = v3 plus the trace context —
 // TraceID, SpanID and a Lamport clock stamp (62 bytes), so a span
-// started on one node continues causally on the next.
-const FrameVersion = 4
+// started on one node continues causally on the next, 5 = v4 plus the
+// wake frame kind (6), an unsequenced control frame naming a Group and a
+// To process; the header layout is v4's.
+const FrameVersion = 5
 
 // AppendFunc encodes the concrete value v (asserted by the codec) onto b.
 type AppendFunc func(b []byte, v any) ([]byte, error)
