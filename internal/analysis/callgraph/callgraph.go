@@ -82,6 +82,8 @@ type Node struct {
 type Graph struct {
 	// Nodes maps each declared function to its node.
 	Nodes map[*types.Func]*Node
+	// byName maps each declared function's full name to its key in Nodes.
+	byName map[string]*types.Func
 }
 
 // Build constructs the call graph of pkgs.
@@ -104,7 +106,30 @@ func Build(pkgs []*loader.Package) *Graph {
 			}
 		}
 	}
+	g.byName = make(map[string]*types.Func, len(g.Nodes))
+	for fn := range g.Nodes {
+		g.byName[fn.FullName()] = fn
+	}
+	for _, node := range g.Nodes {
+		for i := range node.Out {
+			node.Out[i].Callee = g.Canonical(node.Out[i].Callee)
+		}
+	}
 	return g
+}
+
+// Canonical returns the declaration in Nodes that fn refers to, or fn
+// when the load declares none. Each package is type-checked on its own,
+// so a callee from another package, or a method of an instantiated
+// generic type, is another object with the declaration's full name.
+func (g *Graph) Canonical(fn *types.Func) *types.Func {
+	if _, ok := g.Nodes[fn]; ok {
+		return fn
+	}
+	if decl, ok := g.byName[fn.Origin().FullName()]; ok {
+		return decl
+	}
+	return fn
 }
 
 // collectEdges walks one body fragment, appending resolved references to

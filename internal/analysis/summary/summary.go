@@ -216,7 +216,7 @@ func Build(pkgs []*loader.Package) *Set {
 	nets := netInterfaces(pkgs)
 	for _, node := range s.Graph.Nodes {
 		var ops []Op
-		w := &walker{pkg: node.Pkg, nets: nets, ops: &ops}
+		w := &walker{pkg: node.Pkg, graph: s.Graph, nets: nets, ops: &ops}
 		w.stmt(node.Decl.Body)
 		s.ops[node.Fn] = ops
 		var eff Effect
@@ -358,9 +358,10 @@ func (s *Set) collectLockEdges(node *callgraph.Node) {
 // opPush/opPop and go'd code by opSpawn/opPop. Copies of a walker share
 // the op list and differ only in flags.
 type walker struct {
-	pkg  *loader.Package
-	nets []*types.Interface
-	ops  *[]Op
+	pkg   *loader.Package
+	graph *callgraph.Graph
+	nets  []*types.Interface
+	ops   *[]Op
 	// inDefer marks a deferred function literal's body: its unlocks are
 	// exit-time unlocks.
 	inDefer bool
@@ -602,6 +603,7 @@ func (w *walker) addCall(call *ast.CallExpr, deferred bool) bool {
 		}
 		return false
 	}
+	callee = w.graph.Canonical(callee)
 
 	// Lock operations on sync mutexes become region ops, not calls.
 	if sel != nil && isSyncLockMethod(callee) {

@@ -95,3 +95,35 @@ func TestGoArgumentsRunUnderTheLock(t *testing.T) {
 		t.Errorf("spawnWithArg: outer.mu -> inner.mu edge through the go'd call's argument missing (edges %v)", s.LockEdges())
 	}
 }
+
+// hasEdge reports whether s holds a held→acquired edge from a function
+// named fn through a call of via.
+func hasEdge(s *summary.Set, fn, via, held, acquired string) bool {
+	for _, e := range s.LockEdges() {
+		if e.Fn.Name() == fn && e.Via != nil && e.Via.Name() == via &&
+			strings.HasSuffix(e.Held, held) && strings.HasSuffix(e.Acquired, acquired) {
+			return true
+		}
+	}
+	return false
+}
+
+func TestGenericMethodCallResolves(t *testing.T) {
+	if s := build(t); !hasEdge(s, "fill", "put", "outer.mu", "box.mu") {
+		t.Errorf("fill: outer.mu -> box.mu edge through the instantiated put missing (edges %v)", s.LockEdges())
+	}
+}
+
+// TestCrossPackageCallResolves loads two packages of this module, each
+// type-checked on its own: the tcp receive lock held across a push into
+// a queue.Mailbox, a method of a generic type declared in the other
+// package, must still give the edge recvState.mu -> queue.Mailbox.mu.
+func TestCrossPackageCallResolves(t *testing.T) {
+	pkgs, err := loader.Load("../../..", "./internal/queue", "./internal/transport/tcp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := summary.Build(pkgs); !hasEdge(s, "deliverRun", "deliver", "tcp.recvState.mu", "queue.Mailbox.mu") {
+		t.Errorf("deliverRun: recvState.mu -> queue.Mailbox.mu edge missing (edges %v)", s.LockEdges())
+	}
+}

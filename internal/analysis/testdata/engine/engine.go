@@ -96,3 +96,24 @@ func (o *outer) spawnLiteral() {
 	}()
 	o.mu.Unlock()
 }
+
+// box is a generic type with a lock of its own.
+type box[T any] struct {
+	mu sync.Mutex
+	v  []T
+}
+
+// put takes box.mu.
+func (b *box[T]) put(v T) {
+	b.mu.Lock()
+	b.v = append(b.v, v)
+	b.mu.Unlock()
+}
+
+// fill calls a method of an instantiated box under outer.mu: the call
+// resolves to the generic declaration, so box.mu is acquired under it.
+func (o *outer) fill(b *box[int]) {
+	o.mu.Lock()
+	b.put(1)
+	o.mu.Unlock()
+}

@@ -12,6 +12,9 @@
 // adversary. The paper makes no timeliness assumption on links, so policies
 // may hold messages arbitrarily long (e.g. to partition the system), as
 // long as reliable links eventually deliver.
+//
+// A Network delivers only at Tick: it is the simulator's network. The
+// real-time host's in-process backend is transport.Chan.
 package msgnet
 
 import (

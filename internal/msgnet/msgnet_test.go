@@ -27,41 +27,12 @@ func TestSendTickRecv(t *testing.T) {
 	}
 }
 
-func TestAutoDeliver(t *testing.T) {
-	net := NewNetwork(2, Reliable, WithAutoDeliver())
-	if err := net.Send(0, 1, 99, core.SpanContext{}, 0); err != nil {
-		t.Fatal(err)
-	}
-	m, ok := net.Recv(1)
-	if !ok || m.Payload != 99 {
-		t.Errorf("Recv = (%v, %v), want 99 immediately", m, ok)
-	}
-}
-
-// TestSetWakeSignalsAtDelivery checks that a wake-up fires when a message
-// reaches the mailbox, not when it is sent: in ticked mode that is Tick.
-func TestSetWakeSignalsAtDelivery(t *testing.T) {
-	net := NewNetwork(2, Reliable)
-	wake := make(chan struct{}, 1)
-	net.SetWake(1, wake)
-	net.SetWake(5, wake) // out of range: ignored
-	if err := net.Send(0, 1, "a", core.SpanContext{}, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(wake) != 0 {
-		t.Fatal("wake-up fired for a message still in flight")
-	}
-	net.Tick(1)
-	if len(wake) != 1 {
-		t.Fatal("no wake-up for a message delivered at Tick")
-	}
-}
-
 func TestBroadcastIncludesSelf(t *testing.T) {
-	net := NewNetwork(3, Reliable, WithAutoDeliver())
+	net := NewNetwork(3, Reliable)
 	if err := net.Broadcast(1, "x", core.SpanContext{}, 0); err != nil {
 		t.Fatal(err)
 	}
+	net.Tick(1)
 	for p := core.ProcID(0); p < 3; p++ {
 		m, ok := net.Recv(p)
 		if !ok || m.From != 1 || m.Payload != "x" {
@@ -164,22 +135,24 @@ func TestPartitionHoldsCrossTraffic(t *testing.T) {
 }
 
 func TestReliableIgnoresDropPolicy(t *testing.T) {
-	net := NewNetwork(2, Reliable, WithDropPolicy(&DropFirstK{K: 100}), WithAutoDeliver())
+	net := NewNetwork(2, Reliable, WithDropPolicy(&DropFirstK{K: 100}))
 	if err := net.Send(0, 1, "must-arrive", core.SpanContext{}, 0); err != nil {
 		t.Fatal(err)
 	}
+	net.Tick(1)
 	if _, ok := net.Recv(1); !ok {
 		t.Error("reliable link dropped a message")
 	}
 }
 
 func TestDropFirstKFairLoss(t *testing.T) {
-	net := NewNetwork(2, FairLossy, WithDropPolicy(&DropFirstK{K: 3}), WithAutoDeliver())
+	net := NewNetwork(2, FairLossy, WithDropPolicy(&DropFirstK{K: 3}))
 	delivered := 0
 	for i := 0; i < 5; i++ {
-		if err := net.Send(0, 1, "retry-me", core.SpanContext{}, 0); err != nil {
+		if err := net.Send(0, 1, "retry-me", core.SpanContext{}, uint64(i)); err != nil {
 			t.Fatal(err)
 		}
+		net.Tick(uint64(i))
 		if _, ok := net.Recv(1); ok {
 			delivered++
 		}
@@ -188,9 +161,10 @@ func TestDropFirstKFairLoss(t *testing.T) {
 		t.Errorf("delivered %d of 5 sends with K=3, want 2", delivered)
 	}
 	// Distinct payloads are tracked separately.
-	if err := net.Send(0, 1, "other", core.SpanContext{}, 0); err != nil {
+	if err := net.Send(0, 1, "other", core.SpanContext{}, 5); err != nil {
 		t.Fatal(err)
 	}
+	net.Tick(5)
 	if _, ok := net.Recv(1); ok {
 		t.Error("first send of distinct payload not dropped")
 	}
@@ -311,10 +285,13 @@ func TestCountersMetering(t *testing.T) {
 	c := metrics.NewCounters(2)
 	net := NewNetwork(2, FairLossy,
 		WithDropPolicy(&DropFirstK{K: 1}),
-		WithNetCounters(c),
-		WithAutoDeliver())
+		WithNetCounters(c))
 	_ = net.Send(0, 1, "a", core.SpanContext{}, 0) // dropped
-	_ = net.Send(0, 1, "a", core.SpanContext{}, 0) // delivered
+	_ = net.Send(0, 1, "a", core.SpanContext{}, 0) // delivered at Tick
+	if got := c.Of(1, metrics.MsgDelivered); got != 0 {
+		t.Errorf("MsgDelivered before Tick = %d, want 0", got)
+	}
+	net.Tick(1)
 	if got := c.Of(0, metrics.MsgSent); got != 2 {
 		t.Errorf("MsgSent = %d, want 2", got)
 	}
@@ -327,19 +304,21 @@ func TestCountersMetering(t *testing.T) {
 }
 
 func TestConcurrentSendRecv(t *testing.T) {
-	net := NewNetwork(4, Reliable, WithAutoDeliver())
+	net := NewNetwork(4, Reliable)
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
 		wg.Add(1)
 		go func(p core.ProcID) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				_ = net.Broadcast(p, i, core.SpanContext{}, 0)
+				_ = net.Broadcast(p, i, core.SpanContext{}, uint64(i))
+				net.Tick(uint64(i))
 				net.Recv(p)
 			}
 		}(core.ProcID(p))
 	}
 	wg.Wait()
+	net.Tick(100)
 	// 4 procs × 100 broadcasts × 4 links = 1600 deliveries; 400 were
 	// consumed at most.
 	remaining := 0
@@ -361,19 +340,6 @@ func TestBothComposition(t *testing.T) {
 	}
 	if !pol.Deliverable(0, 1, 100, 111) {
 		t.Error("composition blocks deliverable message")
-	}
-}
-
-func BenchmarkSendRecvAuto(b *testing.B) {
-	net := NewNetwork(2, Reliable, WithAutoDeliver())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := net.Send(0, 1, i, core.SpanContext{}, 0); err != nil {
-			b.Fatal(err)
-		}
-		if _, ok := net.Recv(1); !ok {
-			b.Fatal("lost message")
-		}
 	}
 }
 

@@ -10,28 +10,24 @@ import (
 )
 
 // Network is a fully connected set of directed links among n processes,
-// with per-process FIFO mailboxes. It is safe for concurrent use.
+// with per-process FIFO mailboxes: the simulator's network. It is safe
+// for concurrent use.
 //
-// Two delivery modes exist:
-//
-//   - Ticked (default): sent messages are queued in flight, and Tick(now)
-//     moves every message the DeliveryPolicy allows into its destination
-//     mailbox. The simulator calls Tick after every scheduler step, which
-//     makes message asynchrony part of the adversary's schedule.
-//   - Auto-deliver: Send places the message directly in the destination
-//     mailbox (subject to the drop policy). The real-time host uses this;
-//     asynchrony then comes from true goroutine interleaving.
+// Sent messages are queued in flight, and Tick(now) moves every message
+// the DeliveryPolicy allows into its destination mailbox. The simulator
+// calls Tick after every scheduler step, which makes message asynchrony
+// part of the adversary's schedule. (The real-time host's in-process
+// backend, transport.Chan, delivers at Send instead.)
 type Network struct {
 	n        int
 	kind     LinkKind
 	drop     DropPolicy
 	delivery DeliveryPolicy
-	auto     bool
 	counters *metrics.Counters
 
 	mu        sync.Mutex
 	inflight  []flight
-	mailboxes []queue.Mailbox[core.Message]
+	mailboxes []queue.Ring[core.Message]
 	sendSeq   uint64
 }
 
@@ -53,14 +49,9 @@ func WithDropPolicy(p DropPolicy) NetOption {
 	return func(n *Network) { n.drop = p }
 }
 
-// WithDeliveryPolicy installs the asynchrony adversary for ticked mode.
+// WithDeliveryPolicy installs the asynchrony adversary.
 func WithDeliveryPolicy(p DeliveryPolicy) NetOption {
 	return func(n *Network) { n.delivery = p }
-}
-
-// WithAutoDeliver switches the network to auto-deliver mode.
-func WithAutoDeliver() NetOption {
-	return func(n *Network) { n.auto = true }
 }
 
 // WithNetCounters meters sends, deliveries and drops into c.
@@ -76,7 +67,7 @@ func NewNetwork(n int, kind LinkKind, opts ...NetOption) *Network {
 		kind:      kind,
 		drop:      NoDrop{},
 		delivery:  Immediate{},
-		mailboxes: make([]queue.Mailbox[core.Message], n),
+		mailboxes: make([]queue.Ring[core.Message], n),
 	}
 	for _, o := range opts {
 		o(net)
@@ -87,14 +78,8 @@ func NewNetwork(n int, kind LinkKind, opts ...NetOption) *Network {
 	return net
 }
 
-// N returns the number of processes.
-func (net *Network) N() int { return net.n }
-
-// Kind returns the link kind.
-func (net *Network) Kind() LinkKind { return net.kind }
-
-// Send sends payload from→to at tick now. In auto-deliver mode the message
-// is immediately placed in to's mailbox unless dropped. The trace context
+// Send sends payload from→to at tick now: unless the drop policy drops
+// it, the message is in flight until a Tick delivers it. The trace context
 // sc rides the in-flight entry and is surfaced on the delivered
 // core.Message, exactly as the TCP backend carries it in the wire frame
 // header; the network never interprets it, and the zero context means
@@ -113,10 +98,6 @@ func (net *Network) Send(from, to core.ProcID, payload core.Value, sc core.SpanC
 	}
 	net.mu.Lock()
 	defer net.mu.Unlock()
-	if net.auto {
-		net.deliverLocked(flight{from: from, to: to, pay: payload, span: sc})
-		return nil
-	}
 	net.sendSeq++
 	net.inflight = append(net.inflight, flight{
 		from:   from,
@@ -139,18 +120,6 @@ func (net *Network) Broadcast(from core.ProcID, payload core.Value, sc core.Span
 		}
 	}
 	return nil
-}
-
-// SetWake registers ch as p's wake-up: every delivery into p's mailbox
-// then makes one non-blocking send on it (see queue.Mailbox). A nil ch
-// unregisters; an out-of-range p is ignored.
-func (net *Network) SetWake(p core.ProcID, ch chan<- struct{}) {
-	if int(p) < 0 || int(p) >= net.n {
-		return
-	}
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	net.mailboxes[p].Wake = ch
 }
 
 func (net *Network) deliverLocked(f flight) {

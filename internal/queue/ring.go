@@ -1,19 +1,21 @@
-// Package queue provides the growable ring buffer backing per-process
-// mailboxes in the message substrates (internal/msgnet, the TCP
-// transport), and the Mailbox that wakes a parked receiver on delivery.
-//
-// Mailboxes were previously plain slices popped with copy(box, box[1:]),
-// which shifts the whole queue on every receive — O(depth) per op, so a
-// reader catching up on a deep mailbox paid a quadratic total. A ring
-// pops in O(1) and still zeroes vacated slots so delivered payloads are
-// not pinned by the backing array.
+// Package queue provides the growable ring buffer behind every
+// per-process mailbox: the simulator's network (internal/msgnet) keeps
+// plain Rings under its one lock, and the real-time backends
+// (transport.Chan, the TCP transport's hosted processes) each keep a
+// Mailbox, a Ring with a lock of its own that wakes a parked receiver on
+// delivery. A ring pops in O(1) whatever its depth, and zeroes vacated
+// slots so delivered payloads are not pinned by the backing array.
 package queue
+
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Ring is a FIFO queue over a growable circular buffer. Push and Pop are
 // amortized O(1). The zero value is an empty ring ready for use. Ring is
-// not safe for concurrent use; callers hold their own lock (msgnet's
-// mailbox rings live under its network mutex, the tcp transport's each
-// under a lock of its own).
+// not safe for concurrent use: callers hold their own lock, as msgnet's
+// network mutex and Mailbox's lock do.
 type Ring[T any] struct {
 	buf  []T
 	head int // index of the oldest element
@@ -49,15 +51,6 @@ func (r *Ring[T]) Pop() (T, bool) {
 	return v, true
 }
 
-// Peek returns the oldest element without removing it.
-func (r *Ring[T]) Peek() (T, bool) {
-	var zero T
-	if r.n == 0 {
-		return zero, false
-	}
-	return r.buf[r.head], true
-}
-
 // grow doubles the buffer, unwrapping the queue to the front.
 func (r *Ring[T]) grow() {
 	capacity := len(r.buf) * 2
@@ -72,28 +65,75 @@ func (r *Ring[T]) grow() {
 	r.head = 0
 }
 
-// Mailbox is a Ring whose Push also signals Wake, when set, with one
-// non-blocking send: a receiver parked on Wake learns the queue has grown.
-// Give Wake a buffer of one and pushes coalesce into one pending token
-// that waits until the receiver selects, so a push racing the receiver's
-// park is never lost. Like Ring, Mailbox relies on the caller's lock.
+// Mailbox is a concurrent FIFO mailbox: a Ring under a lock of its own,
+// so deliveries to different mailboxes never contend, and an atomic
+// length, so polling an empty mailbox takes no lock at all. A wake-up
+// channel, when set, gets one non-blocking send after every Push. Give it
+// a buffer of one and pushes coalesce into one pending token that waits
+// until the receiver selects, so a push racing the receiver's park is
+// never lost. The zero value is an empty mailbox with no wake-up.
 type Mailbox[T any] struct {
-	Ring[T]
-	Wake chan<- struct{}
+	// n is the ring's length. Push raises it before it signals, so a
+	// receiver woken by the signal finds the element.
+	n    atomic.Int64
+	mu   sync.Mutex
+	ring Ring[T]
+	wake chan<- struct{}
 }
 
-// Push appends v and signals Wake without ever blocking.
+// Push appends v and signals the wake-up, without ever blocking.
 func (m *Mailbox[T]) Push(v T) {
-	m.Ring.Push(v)
-	m.Signal()
+	m.mu.Lock()
+	m.n.Add(1)
+	m.ring.Push(v)
+	m.signalLocked()
+	m.mu.Unlock()
 }
 
-// Signal makes Push's non-blocking send on Wake, when set, without
-// appending anything: a wake-up that delivers no message.
+// Pop removes and returns the oldest element. An empty mailbox costs one
+// atomic load.
+func (m *Mailbox[T]) Pop() (T, bool) {
+	if m.n.Load() == 0 {
+		var zero T
+		return zero, false
+	}
+	return m.pop()
+}
+
+// pop is Pop's locked path.
+func (m *Mailbox[T]) pop() (T, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.ring.Pop()
+	if ok {
+		m.n.Add(-1)
+	}
+	return v, ok
+}
+
+// Len returns the number of queued elements.
+func (m *Mailbox[T]) Len() int { return int(m.n.Load()) }
+
+// Signal makes Push's send on the wake-up without appending anything: a
+// wake-up that delivers nothing.
 func (m *Mailbox[T]) Signal() {
-	if m.Wake != nil {
+	m.mu.Lock()
+	m.signalLocked()
+	m.mu.Unlock()
+}
+
+// SetWake registers ch as the wake-up; a nil ch unregisters.
+func (m *Mailbox[T]) SetWake(ch chan<- struct{}) {
+	m.mu.Lock()
+	m.wake = ch
+	m.mu.Unlock()
+}
+
+// signalLocked makes one non-blocking send on the wake-up, when set.
+func (m *Mailbox[T]) signalLocked() {
+	if m.wake != nil {
 		select {
-		case m.Wake <- struct{}{}:
+		case m.wake <- struct{}{}:
 		default:
 		}
 	}

@@ -19,7 +19,6 @@ import (
 	"github.com/mnm-model/mnm/internal/directory"
 	"github.com/mnm-model/mnm/internal/durable"
 	"github.com/mnm-model/mnm/internal/metrics"
-	"github.com/mnm-model/mnm/internal/msgnet"
 	"github.com/mnm-model/mnm/internal/runcfg"
 	"github.com/mnm-model/mnm/internal/trace"
 	"github.com/mnm-model/mnm/internal/transport"
@@ -201,8 +200,8 @@ func (nd *Node) OpenGroup(id transport.GroupID, cfg GroupConfig, alg core.Algori
 		release()
 		return nil, fmt.Errorf("rt: group %d is distributed but the node has no transport", id)
 	} else {
-		// Counters only: attach's Lossy wrapper is the one drop path.
-		gtr = transport.NewChan(n, msgnet.Reliable, msgnet.WithNetCounters(greg.Counters()))
+		// Reliable links: attach's Lossy wrapper is the one drop path.
+		gtr = transport.NewChan(n, greg.Counters())
 	}
 	if err := g.attach(gtr, cfg, alg); err != nil {
 		gtr.Close() // detach the shard we just opened

@@ -3,18 +3,17 @@
 // In the m&m model every register physically resides at its owner (§5.3 of
 // the paper: the owner accesses it locally, neighbors access it remotely
 // over their shared-memory connection). The real-time host realizes that
-// placement literally: when the directory hosts only some of a group's
-// processes on this node, a register whose owner lives on another node is
-// read, written or CAS'd by a synchronous call over the group view's RPC
-// plane, and the owner's node serves it out of its local shm.Memory. An
-// op costs one goroutine hop, at the owner: the caller blocks in the call
-// on its own process goroutine, which mostly writes the request itself,
-// and the owner serves on the receive loop that read the request, so the
-// handler never blocks on the network. The owner checks the domain
-// against the sender the transport validated, not against anything the
-// request says about itself, so shared-memory access control
-// (core.ErrAccessDenied outside {owner} ∪ neighbors(owner)) is enforced
-// exactly as in a single process.
+// placement literally: every register op is one memOp, applied (apply) to
+// the owner's local shm.Memory — at once when the owner is hosted here,
+// and otherwise by the owner's node serving a synchronous call over the
+// group view's RPC plane. A remote op costs one goroutine hop, at the
+// owner: the caller blocks in the call on its own process goroutine,
+// which mostly writes the request itself, and the owner serves on the
+// receive loop that read the request, so the handler never blocks on the
+// network. The owner checks the domain against the sender the transport
+// validated, not against anything the request says about itself, so
+// shared-memory access control (core.ErrAccessDenied outside {owner} ∪
+// neighbors(owner)) is enforced exactly as in a single process.
 //
 // A remote reader that finds a register empty is usually polling for its
 // first write, as an rsm follower polls a log slot, and parks when the
@@ -37,127 +36,103 @@ import (
 	"github.com/mnm-model/mnm/internal/trace"
 )
 
-// memReadReq asks the owner's node to read Ref on behalf of the sender.
-type memReadReq struct {
-	Ref core.Ref
-}
+// memOpKind is the operation a memOp performs.
+type memOpKind uint8
 
-// memReadResp carries the value read.
-type memReadResp struct {
-	Val core.Value
-}
+const (
+	opRead memOpKind = iota
+	opWrite
+	opCAS
+)
 
-// memWriteReq asks the owner's node to write Ref on behalf of the sender.
-// A successful write has a nil response payload.
-type memWriteReq struct {
-	Ref core.Ref
-	Val core.Value
-}
+// opNames and remoteHist give each kind's span name and the latency
+// histogram its remote ops are timed into.
+var (
+	opNames    = [...]string{opRead: "read", opWrite: "write", opCAS: "cas"}
+	remoteHist = [...]string{opRead: metrics.HistRemoteRead, opWrite: metrics.HistRemoteWrite, opCAS: metrics.HistRemoteCAS}
+)
 
-// memCASReq asks the owner's node to compare-and-swap Ref on behalf of
-// the sender.
-type memCASReq struct {
+// memOp is one register operation, applied where the register lives: a
+// read of Ref, a write of Val, or a compare-and-swap of Expected for Val.
+// A remote one is the RPC request, so it carries nothing about its
+// caller: the owner checks the sender the transport validated.
+type memOp struct {
+	Kind     memOpKind
 	Ref      core.Ref
 	Expected core.Value
-	Desired  core.Value
+	Val      core.Value
 }
 
-// memCASResp carries the CAS outcome.
-type memCASResp struct {
+// memResult is a memOp's outcome: Val is the value read, or a CAS's
+// current value; Swapped reports a CAS that swapped. A remote one is the
+// RPC response.
+type memResult struct {
+	Val     core.Value
 	Swapped bool
-	Current core.Value
 }
 
-// callRemote performs one register RPC on the calling process goroutine:
-// it blocks in CallSpan until the owner answers or Stop closes the
-// group's view, which ends the call with transport.ErrClosed (the process
-// then unwinds, see rtEnv.failed). Like a register of the model, the op
-// has no other outcome: there is no timeout, and an owner that is slow,
+// String renders the op for span naming.
+func (op memOp) String() string {
+	if int(op.Kind) < len(opNames) {
+		return opNames[op.Kind] + " " + op.Ref.String()
+	}
+	return fmt.Sprintf("op %d %v", op.Kind, op.Ref)
+}
+
+// regOp performs op for process p: it applies op here when the
+// register's owner is hosted here, and otherwise makes one call to the
+// owner's node on the calling process goroutine, timed into remoteHist.
+// The call blocks until the owner answers or Stop closes the group's
+// view, which ends it with transport.ErrClosed (the process then
+// unwinds, see rtEnv.failed). Like a register of the model, the op has no
+// other outcome: there is no timeout, and an owner that is slow,
 // restarting or has not opened the group yet is waited for.
 //
 // sp is the caller's span for the operation (nil when unsampled or
 // tracing is off): its context rides the request frame, and the server's
 // response context merges back into the local Lamport clock — the two
 // wire edges of a traced remote register op.
-func (h *Group) callRemote(p core.ProcID, owner core.ProcID, req core.Value, sp *trace.Span) (core.Value, error) {
-	v, rsc, err := h.rpc.CallSpan(p, owner, req, h.spans.Outbound(sp))
+func (h *Group) regOp(p core.ProcID, op memOp, sp *trace.Span) (memResult, error) {
+	if h.rpc == nil || h.hostedSet[op.Ref.Owner] {
+		return h.apply(p, op)
+	}
+	start := time.Now()
+	resp, rsc, err := h.rpc.CallSpan(p, op.Ref.Owner, op, h.spans.Outbound(sp))
 	h.spans.Observe(rsc.Clock)
-	return v, err
-}
-
-// readReg reads ref for process p, locally when the owner is hosted here
-// and over RPC otherwise.
-func (h *Group) readReg(p core.ProcID, ref core.Ref, sp *trace.Span) (core.Value, error) {
-	if h.rpc == nil || h.hostedSet[ref.Owner] {
-		return h.mem.Read(p, ref)
-	}
-	start := time.Now()
-	resp, err := h.callRemote(p, ref.Owner, memReadReq{Ref: ref}, sp)
-	h.registry.Histogram(metrics.HistRemoteRead).Observe(time.Since(start))
+	h.registry.Histogram(remoteHist[op.Kind]).Observe(time.Since(start))
 	if err != nil {
-		return nil, err
+		return memResult{}, err
 	}
-	rr, ok := resp.(memReadResp)
+	r, ok := resp.(memResult)
 	if !ok {
-		return nil, fmt.Errorf("rt: remote read of %v returned %T", ref, resp)
+		return memResult{}, fmt.Errorf("rt: remote %v returned %T", op, resp)
 	}
-	return rr.Val, nil
+	return r, nil
 }
 
-// writeReg writes ref for process p, locally or over RPC. A local write
-// wakes the group's parked processes and ref's remote watchers; a remote
-// one wakes the owner's, in serveMem.
-func (h *Group) writeReg(p core.ProcID, ref core.Ref, v core.Value, sp *trace.Span) error {
-	if h.rpc == nil || h.hostedSet[ref.Owner] {
-		err := h.mem.Write(p, ref, v)
-		if err == nil {
-			h.wakeParked()
-			h.wakeWatchers(ref, p)
+// apply performs op for process p on the local memory, which enforces the
+// shared-memory domain against p. A write, or a CAS that swaps, wakes the
+// group's parked processes and the register's remote watchers: the one
+// place a register op wakes anyone.
+func (h *Group) apply(p core.ProcID, op memOp) (r memResult, err error) {
+	switch op.Kind {
+	case opRead:
+		r.Val, err = h.mem.Read(p, op.Ref)
+		return r, err
+	case opWrite:
+		if err = h.mem.Write(p, op.Ref, op.Val); err != nil {
+			return r, err
 		}
-		return err
-	}
-	start := time.Now()
-	_, err := h.callRemote(p, ref.Owner, memWriteReq{Ref: ref, Val: v}, sp)
-	h.registry.Histogram(metrics.HistRemoteWrite).Observe(time.Since(start))
-	return err
-}
-
-// casReg compare-and-swaps ref for process p, locally or over RPC; a
-// local swap wakes like writeReg.
-func (h *Group) casReg(p core.ProcID, ref core.Ref, expected, desired core.Value, sp *trace.Span) (bool, core.Value, error) {
-	if h.rpc == nil || h.hostedSet[ref.Owner] {
-		swapped, cur, err := h.mem.CompareAndSwap(p, ref, expected, desired)
-		if swapped {
-			h.wakeParked()
-			h.wakeWatchers(ref, p)
+	case opCAS:
+		if r.Swapped, r.Val, err = h.mem.CompareAndSwap(p, op.Ref, op.Expected, op.Val); !r.Swapped {
+			return r, err
 		}
-		return swapped, cur, err
-	}
-	start := time.Now()
-	resp, err := h.callRemote(p, ref.Owner, memCASReq{Ref: ref, Expected: expected, Desired: desired}, sp)
-	h.registry.Histogram(metrics.HistRemoteCAS).Observe(time.Since(start))
-	if err != nil {
-		return false, nil, err
-	}
-	cr, ok := resp.(memCASResp)
-	if !ok {
-		return false, nil, fmt.Errorf("rt: remote CAS of %v returned %T", ref, resp)
-	}
-	return cr.Swapped, cr.Current, nil
-}
-
-// reqName renders a register request for span naming.
-func reqName(req core.Value) string {
-	switch r := req.(type) {
-	case memReadReq:
-		return fmt.Sprintf("read %v", r.Ref)
-	case memWriteReq:
-		return fmt.Sprintf("write %v", r.Ref)
-	case memCASReq:
-		return fmt.Sprintf("cas %v", r.Ref)
 	default:
-		return fmt.Sprintf("%T", req)
+		return r, fmt.Errorf("rt: unknown register op %d", op.Kind)
 	}
+	h.wakeParked()
+	h.wakeWatchers(op.Ref, p)
+	return r, nil
 }
 
 // serveMemSpan is the RPC handler the group's view is opened with, run on
@@ -167,7 +142,7 @@ func reqName(req core.Value) string {
 // timeline orders the round trip. Untraced requests still merge the
 // clock, and name no span.
 func (h *Group) serveMemSpan(from core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error) {
-	sp := h.spans.StartRemote(from, trace.Serve, func() string { return reqName(req) }, sc)
+	sp := h.spans.StartRemote(from, trace.Serve, func() string { return fmt.Sprint(req) }, sc)
 	if sp == nil {
 		h.spans.Observe(sc.Clock)
 	}
@@ -177,59 +152,33 @@ func (h *Group) serveMemSpan(from core.ProcID, req core.Value, sc core.SpanConte
 	return v, rsc, err
 }
 
-// serveMem serves register operations from process from for registers
-// owned by processes hosted here, out of the local shm.Memory, which
-// enforces the shared-memory domain against from: the sender the
-// transport validated, never a field of the request. A read that finds
-// the register empty watches it for from; a served write or successful
-// CAS wakes this node's parked processes of the group and the register's
-// watchers, as a local one does.
+// serveMem applies a register op from process from to a register owned
+// by a process hosted here. apply checks the domain against from, the
+// sender the transport validated, never a field of the request. A read
+// that finds the register empty watches it for from, so its first write
+// wakes from at its node.
 func (h *Group) serveMem(from core.ProcID, req core.Value) (core.Value, error) {
-	switch r := req.(type) {
-	case memReadReq:
-		if !h.hostedSet[r.Ref.Owner] {
-			return nil, fmt.Errorf("rt: register %v not owned by this node", r.Ref)
-		}
-		v, err := h.mem.Read(from, r.Ref)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil && h.rpc != nil {
-			// Watch, then look again: a write the second look misses
-			// comes after the watch, so it finds it. A value found now
-			// is the read's answer and needs no watch.
-			h.watch.add(r.Ref, from)
-			if v, _ = h.mem.Peek(r.Ref); v != nil {
-				h.watch.remove(r.Ref, from)
-			}
-		}
-		return memReadResp{Val: v}, nil
-	case memWriteReq:
-		if !h.hostedSet[r.Ref.Owner] {
-			return nil, fmt.Errorf("rt: register %v not owned by this node", r.Ref)
-		}
-		if err := h.mem.Write(from, r.Ref, r.Val); err != nil {
-			return nil, err
-		}
-		h.wakeParked()
-		h.wakeWatchers(r.Ref, from)
-		return nil, nil
-	case memCASReq:
-		if !h.hostedSet[r.Ref.Owner] {
-			return nil, fmt.Errorf("rt: register %v not owned by this node", r.Ref)
-		}
-		swapped, current, err := h.mem.CompareAndSwap(from, r.Ref, r.Expected, r.Desired)
-		if err != nil {
-			return nil, err
-		}
-		if swapped {
-			h.wakeParked()
-			h.wakeWatchers(r.Ref, from)
-		}
-		return memCASResp{Swapped: swapped, Current: current}, nil
-	default:
+	op, ok := req.(memOp)
+	if !ok {
 		return nil, fmt.Errorf("rt: unknown RPC request %T", req)
 	}
+	if !h.hostedSet[op.Ref.Owner] {
+		return nil, fmt.Errorf("rt: register %v not owned by this node", op.Ref)
+	}
+	r, err := h.apply(from, op)
+	if err != nil {
+		return nil, err
+	}
+	if op.Kind == opRead && r.Val == nil && h.rpc != nil {
+		// Watch, then look again: a write the second look misses comes
+		// after the watch, so it finds it. A value found now is the
+		// read's answer and needs no watch.
+		h.watch.add(op.Ref, from)
+		if r.Val, _ = h.mem.Peek(op.Ref); r.Val != nil {
+			h.watch.remove(op.Ref, from)
+		}
+	}
+	return r, nil
 }
 
 // watchTable holds, per register owned here, the remote processes whose
@@ -289,11 +238,11 @@ func (w *watchTable) take(ref core.Ref) []core.ProcID {
 	return ps
 }
 
-// wakeWatchers runs after every write and every swapping CAS of ref: it
-// takes ref's watchers and wakes each at its node, except writer, which
-// needs no news of its own write, metering each wake as RemoteWakes under
-// the woken process. With nobody watching it costs one atomic load, and
-// no lock is held while it queues the wakes.
+// wakeWatchers runs, from apply, after every write and every swapping
+// CAS of ref: it takes ref's watchers and wakes each at its node, except
+// writer, which needs no news of its own write, metering each wake as
+// RemoteWakes under the woken process. With nobody watching it costs one
+// atomic load, and no lock is held while it queues the wakes.
 func (h *Group) wakeWatchers(ref core.Ref, writer core.ProcID) {
 	for _, p := range h.watch.take(ref) {
 		if p != writer {

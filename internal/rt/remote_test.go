@@ -2,6 +2,8 @@ package rt
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,31 +29,123 @@ func TestServeMemChecksTheSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, req := range []core.Value{
-		memReadReq{Ref: ref},
-		memWriteReq{Ref: ref, Val: 2},
-		memCASReq{Ref: ref, Expected: 1, Desired: 2},
+		memOp{Kind: opRead, Ref: ref},
+		memOp{Kind: opWrite, Ref: ref, Val: 2},
+		memOp{Kind: opCAS, Ref: ref, Expected: 1, Val: 2},
 	} {
 		if _, err := h.serveMem(2, req); !errors.Is(err, core.ErrAccessDenied) {
-			t.Errorf("%s from p2: err = %v, want %v", reqName(req), err, core.ErrAccessDenied)
+			t.Errorf("%s from p2: err = %v, want %v", req, err, core.ErrAccessDenied)
 		}
 		if v, _ := h.mem.Peek(ref); v != 1 {
-			t.Fatalf("%s from p2 left the register at %v, want 1", reqName(req), v)
+			t.Fatalf("%s from p2 left the register at %v, want 1", req, v)
 		}
 	}
 
-	resp, err := h.serveMem(1, memReadReq{Ref: ref})
-	if err != nil || resp != (memReadResp{Val: 1}) {
-		t.Fatalf("read from p1 = %v, %v; want %v", resp, err, memReadResp{Val: 1})
+	resp, err := h.serveMem(1, memOp{Kind: opRead, Ref: ref})
+	if err != nil || resp != (memResult{Val: 1}) {
+		t.Fatalf("read from p1 = %v, %v; want %v", resp, err, memResult{Val: 1})
 	}
-	if _, err := h.serveMem(1, memWriteReq{Ref: ref, Val: 2}); err != nil {
+	if _, err := h.serveMem(1, memOp{Kind: opWrite, Ref: ref, Val: 2}); err != nil {
 		t.Fatalf("write from p1: %v", err)
 	}
-	resp, err = h.serveMem(1, memCASReq{Ref: ref, Expected: 2, Desired: 3})
-	if cr, ok := resp.(memCASResp); err != nil || !ok || !cr.Swapped {
+	resp, err = h.serveMem(1, memOp{Kind: opCAS, Ref: ref, Expected: 2, Val: 3})
+	if cr, ok := resp.(memResult); err != nil || !ok || !cr.Swapped {
 		t.Fatalf("CAS from p1 = %v, %v; want a swap", resp, err)
 	}
 	if v, _ := h.mem.Peek(ref); v != 3 {
 		t.Fatalf("after p1's write and CAS the register holds %v, want 3", v)
+	}
+}
+
+// TestRegOpLocalAndServedAgree runs each kind of register op twice, on
+// a fresh group each time: locally, as regOp on a hosted owner, and
+// served, as serveMem from the same neighbour. Both runs must give the
+// same memResult, the same wake-ups — a token for every hosted process
+// while one is parked, and a remote wake for a process watching the
+// register — and leave the same register contents. Writes and swapping
+// CASes wake; reads and failing CASes do not.
+func TestRegOpLocalAndServedAgree(t *testing.T) {
+	const caller, watcher core.ProcID = 1, 2
+	ref := core.Reg(0, "x")
+	type outcome struct {
+		res    memResult
+		tokens int
+		woken  []core.ProcID
+		after  core.Value
+	}
+	for _, tc := range []struct {
+		name  string
+		init  core.Value // the register's contents before op; nil leaves it empty and watched
+		op    memOp
+		res   memResult
+		after core.Value
+		wakes bool
+	}{
+		{"read", 1, memOp{Kind: opRead, Ref: ref}, memResult{Val: 1}, 1, false},
+		{"write", nil, memOp{Kind: opWrite, Ref: ref, Val: 5}, memResult{}, 5, true},
+		{"swapping-cas", nil, memOp{Kind: opCAS, Ref: ref, Expected: nil, Val: 5}, memResult{Swapped: true}, 5, true},
+		{"failing-cas", nil, memOp{Kind: opCAS, Ref: ref, Expected: -1, Val: 5}, memResult{}, nil, false},
+	} {
+		run := func(served bool) outcome {
+			t.Helper()
+			h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(3)}}, noop)
+			defer h.Stop()
+			rec := &wakeRecorder{}
+			h.rpc = rec
+			if tc.init != nil {
+				if err := h.mem.Write(0, ref, tc.init); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, err := h.serveMem(watcher, memOp{Kind: opRead, Ref: ref}); err != nil {
+				t.Fatal(err)
+			}
+			var o outcome
+			var err error
+			h.parked.Add(1)
+			if served {
+				var resp core.Value
+				if resp, err = h.serveMem(caller, tc.op); err == nil {
+					o.res = resp.(memResult)
+				}
+			} else {
+				o.res, err = h.regOp(caller, tc.op, nil)
+			}
+			h.parked.Add(-1)
+			if err != nil {
+				t.Fatalf("%s (served %v): %v", tc.name, served, err)
+			}
+			for _, ps := range h.procs {
+				select {
+				case <-ps.wake:
+					o.tokens++
+				default:
+				}
+			}
+			o.woken = rec.take()
+			o.after, _ = h.mem.Peek(ref)
+			return o
+		}
+		local, served := run(false), run(true)
+		if !reflect.DeepEqual(local, served) {
+			t.Errorf("%s: local run %+v, served run %+v", tc.name, local, served)
+		}
+		want := outcome{res: tc.res, after: tc.after}
+		if tc.wakes {
+			want.tokens, want.woken = 3, []core.ProcID{watcher}
+		}
+		if !reflect.DeepEqual(local, want) {
+			t.Errorf("%s: got %+v, want %+v", tc.name, local, want)
+		}
+	}
+}
+
+// TestServeMemRefusesOtherRequests: serveMem serves only a memOp.
+func TestServeMemRefusesOtherRequests(t *testing.T) {
+	h := openLocal(t, GroupConfig{RunConfig: RunConfig{GSM: graph.Complete(2)}}, noop)
+	for _, req := range []core.Value{nil, "read", memResult{Val: 1}, &memOp{Kind: opRead, Ref: core.Reg(0, "x")}} {
+		if _, err := h.serveMem(1, req); err == nil || !strings.Contains(err.Error(), "unknown RPC request") {
+			t.Errorf("serveMem(%#v) = %v, want an unknown RPC request error", req, err)
+		}
 	}
 }
 
@@ -84,7 +178,7 @@ func TestUntracedServeAllocatesAsServeMem(t *testing.T) {
 			if err := h.mem.Write(0, ref, 1); err != nil {
 				t.Fatal(err)
 			}
-			var req core.Value = memReadReq{Ref: ref}
+			var req core.Value = memOp{Kind: opRead, Ref: ref}
 			plain := testing.AllocsPerRun(100, func() { h.serveMem(1, req) })
 			spanned := testing.AllocsPerRun(100, func() { h.serveMemSpan(1, req, core.SpanContext{Clock: 5}) })
 			if spanned != plain {

@@ -621,16 +621,16 @@ func (e *rtEnv) TryRecv() (core.Message, bool) {
 func (e *rtEnv) Read(ref core.Ref) (core.Value, error) {
 	e.step()
 	sp := e.h.spans.Start(e.ps.id, trace.RegRead, ref.String)
-	v, err := e.h.readReg(e.ps.id, ref, sp)
+	r, err := e.h.regOp(e.ps.id, memOp{Kind: opRead, Ref: ref}, sp)
 	sp.Finish(err)
-	return v, e.failed(err)
+	return r.Val, e.failed(err)
 }
 
 // Write implements core.Env.
 func (e *rtEnv) Write(ref core.Ref, v core.Value) error {
 	e.step()
 	sp := e.h.spans.Start(e.ps.id, trace.RegWrite, ref.String)
-	err := e.h.writeReg(e.ps.id, ref, v, sp)
+	_, err := e.h.regOp(e.ps.id, memOp{Kind: opWrite, Ref: ref, Val: v}, sp)
 	sp.Finish(err)
 	return e.failed(err)
 }
@@ -639,9 +639,9 @@ func (e *rtEnv) Write(ref core.Ref, v core.Value) error {
 func (e *rtEnv) CompareAndSwap(ref core.Ref, expected, desired core.Value) (bool, core.Value, error) {
 	e.step()
 	sp := e.h.spans.Start(e.ps.id, trace.CAS, func() string { return fmt.Sprintf("%v %v→%v", ref, expected, desired) })
-	swapped, cur, err := e.h.casReg(e.ps.id, ref, expected, desired, sp)
+	r, err := e.h.regOp(e.ps.id, memOp{Kind: opCAS, Ref: ref, Expected: expected, Val: desired}, sp)
 	sp.Finish(err)
-	return swapped, cur, e.failed(err)
+	return r.Swapped, r.Val, e.failed(err)
 }
 
 // Yield implements core.Env: one step, then a park until the process's

@@ -118,20 +118,23 @@ func TestWakeRegisterWritesSignalParked(t *testing.T) {
 		name string
 		op   func(v int) error
 	}{
-		{"write", func(v int) error { return h.writeReg(0, ref, v, nil) }},
+		{"write", func(v int) error {
+			_, err := h.regOp(0, memOp{Kind: opWrite, Ref: ref, Val: v}, nil)
+			return err
+		}},
 		{"cas", func(v int) error {
-			swapped, _, err := h.casReg(0, ref, v-1, v, nil)
-			if err == nil && !swapped {
+			r, err := h.regOp(0, memOp{Kind: opCAS, Ref: ref, Expected: v - 1, Val: v}, nil)
+			if err == nil && !r.Swapped {
 				t.Fatalf("CAS %d→%d did not swap", v-1, v)
 			}
 			return err
 		}},
 		{"served-write", func(v int) error {
-			_, err := h.serveMem(1, memWriteReq{Ref: ref, Val: v})
+			_, err := h.serveMem(1, memOp{Kind: opWrite, Ref: ref, Val: v})
 			return err
 		}},
 		{"served-cas", func(v int) error {
-			_, err := h.serveMem(1, memCASReq{Ref: ref, Expected: v - 1, Desired: v})
+			_, err := h.serveMem(1, memOp{Kind: opCAS, Ref: ref, Expected: v - 1, Val: v})
 			return err
 		}},
 	} {
@@ -194,27 +197,30 @@ func TestWakeWatchersOnFirstWrite(t *testing.T) {
 	const reader, writer core.ProcID = 2, 1
 	read := func(p core.ProcID, ref core.Ref) core.Value {
 		t.Helper()
-		resp, err := h.serveMem(p, memReadReq{Ref: ref})
+		resp, err := h.serveMem(p, memOp{Kind: opRead, Ref: ref})
 		if err != nil {
 			t.Fatalf("served read of %v by %v: %v", ref, p, err)
 		}
-		return resp.(memReadResp).Val
+		return resp.(memResult).Val
 	}
 	for i, tc := range []struct {
 		name string
 		op   func(ref core.Ref, v int) error
 	}{
-		{"write", func(ref core.Ref, v int) error { return h.writeReg(writer, ref, v, nil) }},
+		{"write", func(ref core.Ref, v int) error {
+			_, err := h.regOp(writer, memOp{Kind: opWrite, Ref: ref, Val: v}, nil)
+			return err
+		}},
 		{"cas", func(ref core.Ref, v int) error {
-			_, _, err := h.casReg(writer, ref, nil, v, nil)
+			_, err := h.regOp(writer, memOp{Kind: opCAS, Ref: ref, Val: v}, nil)
 			return err
 		}},
 		{"served-write", func(ref core.Ref, v int) error {
-			_, err := h.serveMem(writer, memWriteReq{Ref: ref, Val: v})
+			_, err := h.serveMem(writer, memOp{Kind: opWrite, Ref: ref, Val: v})
 			return err
 		}},
 		{"served-cas", func(ref core.Ref, v int) error {
-			_, err := h.serveMem(writer, memCASReq{Ref: ref, Expected: nil, Desired: v})
+			_, err := h.serveMem(writer, memOp{Kind: opCAS, Ref: ref, Expected: nil, Val: v})
 			return err
 		}},
 	} {
@@ -224,7 +230,7 @@ func TestWakeWatchersOnFirstWrite(t *testing.T) {
 		}
 		read(reader, ref) // a repeated poll watches once
 		read(writer, ref)
-		if _, err := h.serveMem(writer, memCASReq{Ref: ref, Expected: -1, Desired: -2}); err != nil {
+		if _, err := h.serveMem(writer, memOp{Kind: opCAS, Ref: ref, Expected: -1, Val: -2}); err != nil {
 			t.Fatalf("%s: failing CAS: %v", tc.name, err)
 		}
 		if woken := rec.take(); len(woken) != 0 {
@@ -240,7 +246,7 @@ func TestWakeWatchersOnFirstWrite(t *testing.T) {
 		if d := h.Counters().Of(reader, metrics.RemoteWakes) - before; d != 1 {
 			t.Fatalf("%s: RemoteWakes rose by %d, want 1", tc.name, d)
 		}
-		if err := h.writeReg(writer, ref, 2, nil); err != nil {
+		if _, err := h.regOp(writer, memOp{Kind: opWrite, Ref: ref, Val: 2}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if woken := rec.take(); len(woken) != 0 {
@@ -271,14 +277,14 @@ func TestWakeWatchRacesWrite(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			resp, err := h.serveMem(1, memReadReq{Ref: ref})
+			resp, err := h.serveMem(1, memOp{Kind: opRead, Ref: ref})
 			if err == nil {
-				got = resp.(memReadResp).Val
+				got = resp.(memResult).Val
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			h.writeReg(0, ref, i, nil)
+			h.regOp(0, memOp{Kind: opWrite, Ref: ref, Val: i}, nil)
 		}()
 		wg.Wait()
 		switch woken := len(rec.take()); {

@@ -3,20 +3,20 @@ package rt
 import "github.com/mnm-model/mnm/internal/core"
 
 // Wire types for the socket transport; see the comment in
-// internal/benor/wire.go. The remote-register RPC envelopes cross the
+// internal/benor/wire.go. A remote register op and its result cross the
 // wire as core.Value on the transport's call plane, so they follow the
 // same convention as the algorithm packages' message types.
 //
-//mnmwiregen:types memReadReq memReadResp memWriteReq memCASReq memCASResp
+//mnmwiregen:types memOp memResult
 
-// WirePayloads returns one representative of every RPC envelope this
-// package sends, for transport round-trip tests.
+// WirePayloads returns one representative of every RPC request and
+// response this package sends, for transport round-trip tests.
 func WirePayloads() []core.Value {
 	return []core.Value{
-		memReadReq{Ref: core.Ref{Owner: 0, Name: "r", I: 1, J: -1}},
-		memReadResp{Val: 7},
-		memWriteReq{Ref: core.Ref{Owner: 1, Name: "w"}, Val: "v"},
-		memCASReq{Ref: core.Ref{Owner: 2, Name: "c"}, Expected: 1, Desired: 2},
-		memCASResp{Swapped: true, Current: 2},
+		memOp{Kind: opRead, Ref: core.Ref{Owner: 0, Name: "r", I: 1, J: -1}},
+		memOp{Kind: opWrite, Ref: core.Ref{Owner: 1, Name: "w"}, Val: "v"},
+		memOp{Kind: opCAS, Ref: core.Ref{Owner: 2, Name: "c"}, Expected: 1, Val: 2},
+		memResult{Val: 7},
+		memResult{Val: 2, Swapped: true},
 	}
 }

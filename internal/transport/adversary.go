@@ -14,8 +14,8 @@ import (
 // transport, which delivers it under its own No-loss/Integrity guarantees.
 //
 // Dropped messages are metered as MsgSent + MsgDropped into Counters (the
-// same accounting msgnet performs natively), so experiment tables stay
-// comparable across backends.
+// same accounting the simulator's msgnet performs), so experiment tables
+// stay comparable across backends.
 type Lossy struct {
 	// Inner is the wrapped backend.
 	Inner Transport

@@ -3,7 +3,6 @@ package tcp
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,8 +24,9 @@ type Group struct {
 	n  int
 	// mailboxes has one entry per process of the group, the mailbox of a
 	// hosted one and nil for a remote one. The slice is fixed at
-	// OpenGroup, so reading it takes no lock; each mailbox has its own.
-	mailboxes []*mailbox
+	// OpenGroup, so reading it takes no lock; each mailbox has its own,
+	// and an empty one is polled with no lock at all.
+	mailboxes []*queue.Mailbox[core.Message]
 
 	// reg meters this group's messages and RPCs; it is
 	// GroupConfig.Registry, fixed at OpenGroup (nil is inert).
@@ -45,47 +45,6 @@ type Group struct {
 
 	// done is closed by Close; it ends the group's calls in flight.
 	done chan struct{}
-}
-
-// mailbox is a hosted process's mailbox: a ring buffer under a lock of
-// its own, so deliveries to different processes never contend, and an
-// atomic length, so polling an empty mailbox takes no lock at all.
-type mailbox struct {
-	mu sync.Mutex
-	q  queue.Mailbox[core.Message]
-	// n is q's length. push raises it before q signals the wake-up, so a
-	// receiver woken by the signal finds the message.
-	n atomic.Int64
-}
-
-// push appends m and signals the mailbox's wake-up, if one is registered.
-func (mb *mailbox) push(m core.Message) {
-	mb.mu.Lock()
-	mb.n.Add(1)
-	mb.q.Push(m)
-	mb.mu.Unlock()
-}
-
-// signal signals the mailbox's wake-up, if one is registered, and
-// delivers nothing.
-func (mb *mailbox) signal() {
-	mb.mu.Lock()
-	mb.q.Signal()
-	mb.mu.Unlock()
-}
-
-// pop removes the oldest message. An empty mailbox costs one atomic load.
-func (mb *mailbox) pop() (core.Message, bool) {
-	if mb.n.Load() == 0 {
-		return core.Message{}, false
-	}
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	m, ok := mb.q.Pop()
-	if ok {
-		mb.n.Add(-1)
-	}
-	return m, ok
 }
 
 var (
@@ -115,13 +74,13 @@ func (t *Transport) OpenGroup(id transport.GroupID, cfg transport.GroupConfig) (
 		t:         t,
 		id:        uint32(id),
 		n:         cfg.N,
-		mailboxes: make([]*mailbox, cfg.N),
+		mailboxes: make([]*queue.Mailbox[core.Message], cfg.N),
 		reg:       cfg.Registry,
 		handler:   cfg.Handler,
 		done:      make(chan struct{}),
 	}
 	for p := range hosted {
-		g.mailboxes[p] = new(mailbox)
+		g.mailboxes[p] = new(queue.Mailbox[core.Message])
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -166,7 +125,7 @@ func (g *Group) isProc(p core.ProcID) bool { return p >= 0 && int(p) < g.n }
 
 // mailbox returns the mailbox of process p, nil unless p is a process of
 // the group hosted on this node.
-func (g *Group) mailbox(p core.ProcID) *mailbox {
+func (g *Group) mailbox(p core.ProcID) *queue.Mailbox[core.Message] {
 	if !g.isProc(p) {
 		return nil
 	}
@@ -288,7 +247,7 @@ func (g *Group) send(from, lo, hi core.ProcID, payload core.Value, sc core.SpanC
 // Mailboxes are ring buffers, so both delivery and TryRecv are O(1)
 // whatever the queue depth.
 func (g *Group) deliver(m core.Message, to core.ProcID) {
-	g.mailboxes[to].push(m)
+	g.mailboxes[to].Push(m)
 	g.record(to, metrics.MsgDelivered, 1)
 }
 
@@ -299,18 +258,14 @@ func (g *Group) TryRecv(p core.ProcID) (core.Message, bool) {
 	if mb == nil {
 		return core.Message{}, false
 	}
-	return mb.pop()
+	return mb.Pop()
 }
 
 // SetWake implements transport.Transport.
 func (g *Group) SetWake(p core.ProcID, ch chan<- struct{}) {
-	mb := g.mailbox(p)
-	if mb == nil {
-		return
+	if mb := g.mailbox(p); mb != nil {
+		mb.SetWake(ch)
 	}
-	mb.mu.Lock()
-	mb.q.Wake = ch
-	mb.mu.Unlock()
 }
 
 // Wake implements transport.SpanRPC: it hands process to a wake-up token
@@ -321,7 +276,7 @@ func (g *Group) SetWake(p core.ProcID, ch chan<- struct{}) {
 // retransmitted, so a connection fault or a close may lose it.
 func (g *Group) Wake(to core.ProcID) {
 	if mb := g.mailbox(to); mb != nil {
-		mb.signal()
+		mb.Signal()
 		return
 	}
 	peers := g.peers.Load()

@@ -536,7 +536,7 @@ func (t *Transport) dispatch(rs *recvState, f *frame) uint64 {
 	case frameWake:
 		if g := t.group(f.Group); g != nil && !g.closed.Load() {
 			if mb := g.mailbox(f.To); mb != nil {
-				mb.signal()
+				mb.Signal()
 			}
 		}
 		return 0
@@ -683,12 +683,14 @@ func (rs *recvState) acceptLocked(seq uint64) bool {
 // filter and runs its group's RPC handler on the receive loop that read
 // it — so the handler must not block on the network — then encodes and
 // queues the response (which carries the same group, so the caller's node
-// routes the metrics to the right shard). The filter takes rs's receive
-// lock; the handler lookup and the response's peer then share one t.mu
-// section. The response is queued without waking the send loop: the
-// batch's ack (syncAndAck) wakes it, so the two always leave in one
-// write. The receive loop never writes: two nodes whose receive loops
-// both block writing to each other would deadlock.
+// routes the metrics to the right shard) on rs's reverse peer, as the ack
+// path does. The filter takes rs's receive lock; the handler lookup then
+// takes t.mu, because SetHandler may still replace the handler. rs.peer
+// is nil only for a receive loop that began after Close, and serve then
+// returns on the closed check first. The response is queued without
+// waking the send loop: the batch's ack (syncAndAck) wakes it, so the two
+// always leave in one write. The receive loop never writes: two nodes
+// whose receive loops both block writing to each other would deadlock.
 //
 // A request for a group that is not open here — not yet, or no longer —
 // is dropped like a data frame: logged, acked by dispatch, and never
@@ -711,7 +713,6 @@ func (t *Transport) serve(rs *recvState, f *frame) {
 	if g != nil {
 		handler = g.handler
 	}
-	p := t.peerLocked(remote)
 	t.mu.Unlock()
 	if g == nil || !g.isProc(f.From) {
 		t.logDrop(remote, f, g)
@@ -736,7 +737,7 @@ func (t *Transport) serve(rs *recvState, f *frame) {
 		resp.Payload, resp.ErrMsg = nil, encodeError(err)
 		buf, at, _ = t.encode(&resp) // with no payload left, it encodes
 	}
-	p.enqueue(*buf, resp.To, withAck, at)
+	rs.peer.enqueue(*buf, resp.To, withAck, at)
 	putBuf(buf)
 }
 

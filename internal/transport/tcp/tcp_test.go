@@ -280,11 +280,11 @@ func TestSpanContextSurvivesEveryBackend(t *testing.T) {
 		host func(t *testing.T) [2]transport.Transport
 	}{
 		{"chan", func(*testing.T) [2]transport.Transport {
-			c := transport.NewChan(2, msgnet.Reliable)
+			c := transport.NewChan(2, nil)
 			return [2]transport.Transport{c, c}
 		}},
 		{"lossy-chan", func(*testing.T) [2]transport.Transport {
-			l := transport.NewLossy(transport.NewChan(2, msgnet.Reliable), msgnet.NoDrop{}, nil)
+			l := transport.NewLossy(transport.NewChan(2, nil), msgnet.NoDrop{}, nil)
 			return [2]transport.Transport{l, l}
 		}},
 		{"tcp-hosted", func(t *testing.T) [2]transport.Transport {

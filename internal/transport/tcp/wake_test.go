@@ -6,7 +6,6 @@ import (
 
 	"github.com/mnm-model/mnm/internal/core"
 	"github.com/mnm-model/mnm/internal/metrics"
-	"github.com/mnm-model/mnm/internal/msgnet"
 	"github.com/mnm-model/mnm/internal/transport"
 	"github.com/mnm-model/mnm/internal/transport/tcp"
 )
@@ -39,7 +38,7 @@ func TestWakeContract(t *testing.T) {
 
 func openChanWake(t *testing.T) wakeCase {
 	c := metrics.NewCounters(2)
-	ch := transport.NewChan(2, msgnet.Reliable, msgnet.WithNetCounters(c))
+	ch := transport.NewChan(2, c)
 	t.Cleanup(func() { ch.Close() })
 	return wakeCase{send: ch, recv: ch, delivered: func() int64 { return c.Of(1, metrics.MsgDelivered) }}
 }

@@ -1,12 +1,12 @@
 // Package transport abstracts the message path of the m&m model behind a
 // backend-neutral interface.
 //
-// Historically the real-time host (internal/rt) delivered messages only
-// through in-process channels (msgnet.Network in auto-deliver mode). The
-// Transport interface extracts that message path — Send, Broadcast,
-// TryRecv plus link lifecycle — so the same algorithm code can run over
-// different wires: the in-process Chan backend (this package) or real
-// loopback/network TCP sockets (internal/transport/tcp).
+// The Transport interface is the real-time host's (internal/rt) message
+// path — Send, Broadcast, TryRecv plus link lifecycle — so the same
+// algorithm code can run over different wires: the in-process Chan
+// backend (this package) or real loopback/network TCP sockets
+// (internal/transport/tcp). Both deliver into the same per-process
+// mailbox type, queue.Mailbox.
 //
 // There is one send per link and one call per register owner. Send,
 // Broadcast and SpanRPC.CallSpan each take a core.SpanContext that rides
