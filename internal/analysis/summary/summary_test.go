@@ -117,13 +117,13 @@ func TestGenericMethodCallResolves(t *testing.T) {
 // TestCrossPackageCallResolves loads two packages of this module, each
 // type-checked on its own: the tcp receive lock held across a push into
 // a queue.Mailbox, a method of a generic type declared in the other
-// package, must still give the edge recvState.mu -> queue.Mailbox.mu.
+// package, must still give the edge peer.recvMu -> queue.Mailbox.mu.
 func TestCrossPackageCallResolves(t *testing.T) {
 	pkgs, err := loader.Load("../../..", "./internal/queue", "./internal/transport/tcp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := summary.Build(pkgs); !hasEdge(s, "deliverRun", "deliver", "tcp.recvState.mu", "queue.Mailbox.mu") {
-		t.Errorf("deliverRun: recvState.mu -> queue.Mailbox.mu edge missing (edges %v)", s.LockEdges())
+	if s := summary.Build(pkgs); !hasEdge(s, "deliverRun", "deliver", "tcp.peer.recvMu", "queue.Mailbox.mu") {
+		t.Errorf("deliverRun: peer.recvMu -> queue.Mailbox.mu edge missing (edges %v)", s.LockEdges())
 	}
 }

@@ -269,16 +269,25 @@ func TestNoLossEventualDelivery(t *testing.T) {
 	for now := uint64(0); now < 200; now++ {
 		net.Tick(now)
 	}
-	if got := net.InFlight(); got != 0 {
-		t.Fatalf("%d messages still in flight after 200 ticks", got)
+	// Every sent message drained from a mailbox: none is still in flight.
+	if total := drain(net, 3); total != msgs {
+		t.Errorf("delivered %d of %d after 200 ticks", total, msgs)
 	}
+}
+
+// drain pops every delivered message from the mailboxes of processes
+// 0..n-1 and returns how many there were.
+func drain(net *Network, n int) int {
 	total := 0
-	for p := core.ProcID(0); p < 3; p++ {
-		total += net.MailboxLen(p)
+	for p := core.ProcID(0); int(p) < n; p++ {
+		for {
+			if _, ok := net.Recv(p); !ok {
+				break
+			}
+			total++
+		}
 	}
-	if total != msgs {
-		t.Errorf("delivered %d of %d", total, msgs)
-	}
+	return total
 }
 
 func TestCountersMetering(t *testing.T) {
@@ -321,11 +330,7 @@ func TestConcurrentSendRecv(t *testing.T) {
 	net.Tick(100)
 	// 4 procs × 100 broadcasts × 4 links = 1600 deliveries; 400 were
 	// consumed at most.
-	remaining := 0
-	for p := core.ProcID(0); p < 4; p++ {
-		remaining += net.MailboxLen(p)
-	}
-	if remaining < 1200 {
+	if remaining := drain(net, 4); remaining < 1200 {
 		t.Errorf("unexpected mailbox total %d", remaining)
 	}
 }

@@ -164,20 +164,3 @@ func (net *Network) Recv(p core.ProcID) (core.Message, bool) {
 	defer net.mu.Unlock()
 	return net.mailboxes[p].Pop()
 }
-
-// InFlight returns the number of undelivered (queued) messages.
-func (net *Network) InFlight() int {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	return len(net.inflight)
-}
-
-// MailboxLen returns the number of delivered-but-unread messages at p.
-func (net *Network) MailboxLen(p core.ProcID) int {
-	if int(p) < 0 || int(p) >= net.n {
-		return 0
-	}
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	return net.mailboxes[p].Len()
-}

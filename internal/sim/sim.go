@@ -447,8 +447,5 @@ func AllCorrectExposed(r *Runner, name string) bool {
 // (shm.Memory.Peek) by tests and experiments.
 func (r *Runner) Memory() *shm.Memory { return r.mem }
 
-// Network returns the message network, for observer-level inspection.
-func (r *Runner) Network() *msgnet.Network { return r.net }
-
 // Counters returns the live metrics counters.
 func (r *Runner) Counters() *metrics.Counters { return r.counters }

@@ -3,6 +3,7 @@ package tcp
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -28,6 +29,22 @@ func openTestGroup(t *testing.T, tr *Transport, id transport.GroupID, hosted []c
 		t.Fatalf("group %d Dial: %v", id, err)
 	}
 	return v.(*Group)
+}
+
+// newTestNodes makes n nodes on loopback, each closed when the test ends,
+// with a short drain so the test does not wait out the default.
+func newTestNodes(t *testing.T, n int) []*Transport {
+	t.Helper()
+	nodes := make([]*Transport, n)
+	for i := range nodes {
+		tr, err := New(Config{ListenAddr: "127.0.0.1:0", Timeouts: Timeouts{Drain: 100 * time.Millisecond}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		nodes[i] = tr
+	}
+	return nodes
 }
 
 // TestForgedSenderDroppedButAcked drives a node from a raw socket posing
@@ -389,5 +406,45 @@ func TestReadBatchOrderAndOneAck(t *testing.T) {
 	}
 	if n := forged.Load(); n != 1 {
 		t.Errorf("logged %d forged-sender drops, want 1", n)
+	}
+}
+
+// TestCallsRouteByGroup: a response names its group, and its call id
+// matches only within that group's calls. Two groups over one node pair
+// have their call ids count from the same base, so every id is in flight
+// in both at once; the concurrent calls of each must still get their own
+// group's answer to their own request.
+func TestCallsRouteByGroup(t *testing.T) {
+	const callers, calls = 4, 200
+	nodes := newTestNodes(t, 2)
+	addrs := []string{nodes[0].Addr(), nodes[1].Addr()}
+	var callerGroups []*Group
+	for id := transport.GroupID(1); id <= 2; id++ {
+		g := openTestGroup(t, nodes[0], id, []core.ProcID{0}, addrs)
+		g.callSeq = 1 << 40
+		callerGroups = append(callerGroups, g)
+		openTestGroup(t, nodes[1], id, []core.ProcID{1}, addrs).SetHandler(
+			func(_ core.ProcID, req core.Value) (core.Value, error) { return fmt.Sprintf("%d:%v", id, req), nil })
+	}
+
+	errs := make(chan error, 2*callers)
+	for _, g := range callerGroups {
+		for c := 0; c < callers; c++ {
+			go func() {
+				for i := c * calls; i < (c+1)*calls; i++ {
+					v, _, err := g.CallSpan(0, 1, i, core.SpanContext{})
+					if want := fmt.Sprintf("%d:%d", g.id, i); err != nil || v != want {
+						errs <- fmt.Errorf("group %d call %d = %v, %v; want %v", g.id, i, v, err, want)
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+	}
+	for range 2 * callers {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }

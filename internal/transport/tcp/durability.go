@@ -312,19 +312,6 @@ func (l *frameLog) compactIfNeededLocked() error {
 	return l.wal.Rewrite(recs)
 }
 
-// recoveredRecvHW returns the replayed duplicate-filter marks, for
-// seeding each remote node's receive state before the listener accepts
-// anything.
-func (l *frameLog) recoveredRecvHW() map[string]uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[string]uint64, len(l.recvHW))
-	for addr, seq := range l.recvHW {
-		out[addr] = seq
-	}
-	return out
-}
-
 // peerAddrs returns every address the mirror knows, pending frames or
 // not: a peer whose frames were all acked still needs its nextSeq seeded,
 // or fresh sends would reuse sequence numbers below the remote's
@@ -339,25 +326,27 @@ func (l *frameLog) peerAddrs() []string {
 	return addrs
 }
 
-// seedPeer installs the mirror's recovered sender state into a
-// just-created peer: the sequence counter and the unacked frames, oldest
-// first, ready for the send loop to (re)transmit. Request frames are left
-// out: their caller died with the previous incarnation, so nothing waits
-// for the answer, and the owner must not apply a write or CAS nobody
-// issued any more. The receiver's duplicate filter only needs ascending
-// sequence numbers, so the gap they leave is harmless. The frames come
-// out of the journal, so seedPeer mints their journaled values itself and
-// pushes their bytes as they are: only the kind byte is read, to skip
-// requests.
-// Called from peerLocked before the peer is published or its send loop
-// starts, so the peer needs no locking; returns the number of frames
-// restored (none with a nil log).
+// seedPeer installs the recovered state into a just-created peer: the
+// duplicate-filter high-water mark of the remote node's frames (Integrity
+// across a receiver crash), and the mirror's sender state, the sequence
+// counter and the unacked frames, oldest first, ready for the send loop
+// to (re)transmit. Request frames are left out: their caller died with
+// the previous incarnation, so nothing waits for the answer, and the
+// owner must not apply a write or CAS nobody issued any more. The
+// receiver's duplicate filter only needs ascending sequence numbers, so
+// the gap they leave is harmless. The frames come out of the journal, so
+// seedPeer mints their journaled values itself and pushes their bytes as
+// they are: only the kind byte is read, to skip requests. Called from
+// peerLocked before the peer is published or its send loop starts, so
+// the peer needs no locking; returns the number of frames restored (none
+// with a nil log).
 func (l *frameLog) seedPeer(p *peer, addr string) int {
 	if l == nil {
 		return 0
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	p.hw = l.recvHW[addr]
 	m := l.peers[addr]
 	if m == nil {
 		return 0

@@ -50,7 +50,7 @@ func TestFrameLogRoundTrip(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer l2.close()
-	if hw := l2.recoveredRecvHW()["b"]; hw != 7 {
+	if hw := l2.recvHW["b"]; hw != 7 {
 		t.Fatalf("recovered recv high-water = %d, want 7", hw)
 	}
 	p := newPeer(nil, "a")
@@ -162,7 +162,7 @@ func TestFrameLogCompactionKeepsSeqMark(t *testing.T) {
 	if p.nextSeq != rounds {
 		t.Fatalf("recovered nextSeq = %d, want %d (seq mark lost in compaction)", p.nextSeq, rounds)
 	}
-	if hw := l2.recoveredRecvHW()["a"]; hw != 9 {
+	if hw := l2.recvHW["a"]; hw != 9 {
 		t.Fatalf("recv high-water = %d after compaction, want 9", hw)
 	}
 }

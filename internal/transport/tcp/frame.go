@@ -59,7 +59,8 @@ type frame struct {
 	// From and To are the endpoint processes (data/req/resp; To only on
 	// wake).
 	From, To core.ProcID
-	// CallID matches a response to its request (req/resp).
+	// CallID matches a response to its request (req/resp) within the
+	// frame's group: each group numbers its own calls.
 	CallID uint64
 	// Group routes the frame to one group's mailboxes and RPC handler
 	// (data/req/resp/wake). Acks and hellos are written from ctrlFrame and

@@ -3,12 +3,14 @@ package tcp
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
 
 	"github.com/mnm-model/mnm/internal/core"
 	"github.com/mnm-model/mnm/internal/metrics"
+	"github.com/mnm-model/mnm/internal/transport"
 )
 
 // TestEmptyTryRecvTakesNoLock: no node-wide lock is on the per-message
@@ -22,12 +24,12 @@ func TestEmptyTryRecvTakesNoLock(t *testing.T) {
 	}
 	defer tr.Close()
 	g := openTestGroup(t, tr, 0, nil, []string{tr.Addr(), tr.Addr()})
-	rs := tr.recvFrom("127.0.0.1:1")
+	p := tr.recvFrom("127.0.0.1:1")
 
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
+	p.recvMu.Lock()
+	defer p.recvMu.Unlock()
 
 	type result struct {
 		emptyOK, fullOK bool
@@ -66,15 +68,7 @@ func TestEmptyTryRecvTakesNoLock(t *testing.T) {
 // one section.
 func TestConcurrentSendersKeepPerSenderFIFO(t *testing.T) {
 	const perSender = 5000
-	nodes := make([]*Transport, 3)
-	for i := range nodes {
-		tr, err := New(Config{ListenAddr: "127.0.0.1:0", Timeouts: Timeouts{Drain: 100 * time.Millisecond}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		nodes[i] = tr
-	}
+	nodes := newTestNodes(t, 3)
 	// Processes 0 (the owner) and 1 live on node 0, 2 on node 1, 3 on node 2.
 	addrs := []string{nodes[0].Addr(), nodes[0].Addr(), nodes[1].Addr(), nodes[2].Addr()}
 	hosted := [][]core.ProcID{{0, 1}, {2}, {3}}
@@ -184,15 +178,7 @@ func TestQueuedWakesCoalesce(t *testing.T) {
 // is still delivered, its ack still queued and sent by the receiver, and
 // the sender's pending queue still drains.
 func TestAckPathTakesNoNodeLock(t *testing.T) {
-	nodes := make([]*Transport, 2)
-	for i := range nodes {
-		tr, err := New(Config{ListenAddr: "127.0.0.1:0", Timeouts: Timeouts{Drain: 100 * time.Millisecond}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
-		nodes[i] = tr
-	}
+	nodes := newTestNodes(t, 2)
 	addrs := []string{nodes[0].Addr(), nodes[1].Addr()}
 	g0 := openTestGroup(t, nodes[0], 0, []core.ProcID{0}, addrs)
 	g1 := openTestGroup(t, nodes[1], 0, []core.ProcID{1}, addrs)
@@ -244,5 +230,53 @@ func TestAckPathTakesNoNodeLock(t *testing.T) {
 	}
 	if !await(func() bool { return pending() == 0 }) {
 		t.Fatalf("with both node locks held, %d frames still pending: the ack path waited for a node lock", pending())
+	}
+}
+
+// TestCallPathTakesNoNodeLock is the call-path twin of
+// TestAckPathTakesNoNodeLock: a call waits in its group's own table and
+// the owner reads its group's handler without a lock, so with both nodes'
+// node locks held a CallSpan from node 0 to node 1 still returns the
+// handler's answer, and LinkState still returns.
+func TestCallPathTakesNoNodeLock(t *testing.T) {
+	nodes := newTestNodes(t, 2)
+	addrs := []string{nodes[0].Addr(), nodes[1].Addr()}
+	g0 := openTestGroup(t, nodes[0], 0, []core.ProcID{0}, addrs)
+	g1 := openTestGroup(t, nodes[1], 0, []core.ProcID{1}, addrs)
+	g1.SetHandler(func(from core.ProcID, req core.Value) (core.Value, error) {
+		return fmt.Sprintf("%v from %v", req, from), nil
+	})
+	// Warm up, so every receive loop has resolved its sender before the
+	// locks are taken.
+	if v, _, err := g0.CallSpan(0, 1, "warm", core.SpanContext{}); err != nil || v != "warm from p0" {
+		t.Fatalf("warm-up call = %v, %v; want warm from p0", v, err)
+	}
+
+	for _, tr := range nodes {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+	}
+	type result struct {
+		v    core.Value
+		err  error
+		link transport.LinkState
+	}
+	done := make(chan result, 1)
+	go func() {
+		var r result
+		r.v, _, r.err = g0.CallSpan(0, 1, "locked", core.SpanContext{})
+		r.link = g0.LinkState(0, 1)
+		done <- r
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil || r.v != "locked from p0" {
+			t.Errorf("with both node locks held, call = %v, %v; want locked from p0", r.v, r.err)
+		}
+		if r.link != transport.LinkUp {
+			t.Errorf("with both node locks held, LinkState = %v, want %v", r.link, transport.LinkUp)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("with both node locks held, CallSpan or LinkState waited for a node lock")
 	}
 }

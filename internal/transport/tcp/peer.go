@@ -15,15 +15,18 @@ import (
 	"github.com/mnm-model/mnm/internal/wire"
 )
 
-// peer manages this node's outbound link to one remote node: a single TCP
-// connection, the queue of unacknowledged sequenced frames, and the
-// reconnect loop.
+// peer is this node's side of one remote node, the one object every
+// group and every connection to or from that node shares. Its send side
+// is the outbound link: a single TCP connection, the queue of
+// unacknowledged sequenced frames, and the reconnect loop, under mu. Its
+// receive side is the duplicate filter of the node's frames, under recvMu
+// (see accept). The two locks are never held together.
 //
 // Reliability protocol: sequenced frames (data/req/resp) stay in pending
 // until the remote's cumulative ack covers them. nextSend marks the first
 // frame not yet written to the *current* connection; a reconnect rewinds
 // it to 0, retransmitting the whole unacknowledged suffix. The receiver's
-// duplicate filter (recvState.accept) makes the retransmission idempotent.
+// duplicate filter (peer.accept) makes the retransmission idempotent.
 //
 // The queue holds each frame's wire bytes, encoded once by the code that
 // created the frame, so a retransmission re-sends bytes and never
@@ -63,6 +66,13 @@ type peer struct {
 	writing bool
 	out     []byte // the batch being written, reused across batches
 	maxSent uint64 // highest sequence number ever taken: marks retransmissions
+
+	// recvMu guards hw, the highest sequence number accepted from the
+	// node. Every receive loop reading the node holds it across each
+	// frame's filter and delivery (see deliverRun), before any mailbox
+	// lock.
+	recvMu sync.Mutex
+	hw     uint64
 }
 
 // wakeTo is a queued wake frame: the process to of group that the remote
@@ -378,6 +388,28 @@ func (p *peer) ack(upTo uint64) {
 			return
 		}
 	}
+}
+
+// accept passes a sequenced frame from the node through its duplicate
+// filter: it returns true exactly once per sequence number. Both ends
+// number their frames from 1 in send order and every connection (original
+// or reconnected) carries an ascending subsequence, so "greater than the
+// highest seen" accepts each frame once and drops retransmitted
+// duplicates — the Integrity axiom on a faulty wire. The filter is per
+// node pair, not per group: all groups share one sequence space.
+func (p *peer) accept(seq uint64) bool {
+	p.recvMu.Lock()
+	defer p.recvMu.Unlock()
+	return p.acceptLocked(seq)
+}
+
+// acceptLocked is accept for a caller that holds p.recvMu.
+func (p *peer) acceptLocked(seq uint64) bool {
+	if seq <= p.hw {
+		return false
+	}
+	p.hw = seq
+	return true
 }
 
 // state reports the link state for LinkState.

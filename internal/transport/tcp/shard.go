@@ -3,6 +3,8 @@ package tcp
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,7 +16,7 @@ import (
 
 // Group is one group's view of a node, returned by OpenGroup: a
 // transport.Transport + SpanRPC with its own process numbering 0..n-1,
-// mailboxes, address table, RPC handler and registry, whose
+// mailboxes, address table, RPC handler, calls and registry, whose
 // Send/Broadcast/TryRecv/CallSpan route only within the group, multiplexed
 // with every other group over the node's shared peers, sequence numbers
 // and acks. Close detaches only this group; the node stays up.
@@ -39,12 +41,30 @@ type Group struct {
 	// closed is set, under t.mu, by Close and by the node's Close.
 	closed atomic.Bool
 
-	// Guarded by t.mu.
-	addrs   []string
-	handler transport.SpanHandler
+	// addrs is the process→node address table, fixed at OpenGroup; Dial
+	// reads it.
+	addrs []string
+	// handler serves the group's requests, nil for none. SetHandler may
+	// replace it while serve reads it, so it is swapped atomically.
+	handler atomic.Pointer[transport.SpanHandler]
+
+	// callMu guards the group's calls waiting for a response, by call id.
+	// A response names its group, so its call id matches only within it.
+	// Ids count up from a random base, so no two incarnations of the group
+	// share one.
+	callMu  sync.Mutex
+	callSeq uint64
+	calls   map[uint64]chan callResult
 
 	// done is closed by Close; it ends the group's calls in flight.
 	done chan struct{}
+}
+
+// callResult is how a call ended: its answer, or its error.
+type callResult struct {
+	val  core.Value
+	span core.SpanContext
+	err  error
 }
 
 var (
@@ -76,8 +96,12 @@ func (t *Transport) OpenGroup(id transport.GroupID, cfg transport.GroupConfig) (
 		n:         cfg.N,
 		mailboxes: make([]*queue.Mailbox[core.Message], cfg.N),
 		reg:       cfg.Registry,
-		handler:   cfg.Handler,
+		callSeq:   rand.Uint64(),
+		calls:     make(map[uint64]chan callResult),
 		done:      make(chan struct{}),
+	}
+	if cfg.Handler != nil {
+		g.handler.Store(&cfg.Handler)
 	}
 	for p := range hosted {
 		g.mailboxes[p] = new(queue.Mailbox[core.Message])
@@ -286,22 +310,21 @@ func (g *Group) Wake(to core.ProcID) {
 	(*peers)[to].queueWake(g.id, to)
 }
 
-// LinkState implements transport.Transport.
+// LinkState implements transport.Transport. It takes no node lock: a
+// remote link's state is its peer's, from the table Dial published, and
+// the link is connecting until then.
 func (g *Group) LinkState(from, to core.ProcID) transport.LinkState {
 	if !g.isProc(from) || !g.isProc(to) {
 		return transport.LinkUnknown
 	}
-	t := g.t
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed.Load() || g.closed.Load() {
+	if g.t.closed.Load() || g.closed.Load() {
 		return transport.LinkClosed
 	}
 	if g.mailboxes[to] != nil {
 		return transport.LinkUp
 	}
-	if p, ok := t.peers[g.addrs[to]]; ok {
-		return p.state()
+	if peers := g.peers.Load(); peers != nil {
+		return (*peers)[to].state()
 	}
 	return transport.LinkConnecting
 }
@@ -311,57 +334,48 @@ func (g *Group) LinkState(from, to core.ProcID) transport.LinkState {
 // SpanHandler that ships no response context. fn runs on the receive loop
 // of the caller's connection, so it must not block on the network.
 func (g *Group) SetHandler(fn func(from core.ProcID, req core.Value) (core.Value, error)) {
-	g.t.mu.Lock()
-	g.handler = func(from core.ProcID, req core.Value, _ core.SpanContext) (core.Value, core.SpanContext, error) {
+	h := transport.SpanHandler(func(from core.ProcID, req core.Value, _ core.SpanContext) (core.Value, core.SpanContext, error) {
 		v, err := fn(from, req)
 		return v, core.SpanContext{}, err
-	}
-	g.t.mu.Unlock()
+	})
+	g.handler.Store(&h)
 }
 
 // CallSpan implements transport.SpanRPC: a synchronous request to the
-// node hosting the group's process to. Requests and responses ride the
-// same sequenced, retransmitted frame stream as data messages, so they
-// survive reconnects and a restart of the owner's node. The caller's
-// context rides the request frame, the handler's response context rides
-// the response back. A call has no timeout: it ends with its response,
-// with the encode error if the request (checked here, before anything is
-// queued) or the response cannot be encoded, or
-// with ErrClosed when the group or the node is closed (a request for a
-// group not open at the owner is never answered). The caller writes its
-// own request when it can (see byCaller), blocking only on a full socket.
+// node hosting the group's process to, which must be remote: a call to a
+// process hosted here fails with core.ErrUnknownProc. It takes no node
+// lock; the call waits in the group's own table. Requests and responses
+// ride the same sequenced, retransmitted frame stream as data messages,
+// so they survive reconnects and a restart of the owner's node. The
+// caller's context rides the request frame, the handler's response
+// context rides the response back. A call has no timeout: it ends with
+// its response, with the encode error if the request (checked here,
+// before anything is queued) or the response cannot be encoded, or with
+// ErrClosed when the group or the node is closed (a request for a group
+// not open at the owner is never answered). The caller writes its own
+// request when it can (see byCaller), blocking only on a full socket.
 func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error) {
-	if !g.isProc(to) {
-		return nil, core.SpanContext{}, fmt.Errorf("%w: call to %v", core.ErrUnknownProc, to)
+	if !g.isProc(to) || g.mailboxes[to] != nil {
+		return nil, core.SpanContext{}, fmt.Errorf("%w: call to %v, not a process on another node", core.ErrUnknownProc, to)
 	}
 	if !g.isProc(from) {
 		return nil, core.SpanContext{}, fmt.Errorf("%w: call from %v", core.ErrUnknownProc, from)
 	}
 	t := g.t
-	t.mu.Lock()
 	if t.closed.Load() || g.closed.Load() {
-		t.mu.Unlock()
 		return nil, core.SpanContext{}, transport.ErrClosed
-	}
-	if g.mailboxes[to] != nil {
-		handler := g.handler
-		t.mu.Unlock()
-		if handler == nil {
-			return nil, core.SpanContext{}, errNoHandler
-		}
-		return handler(from, req, sc)
 	}
 	peers := g.peers.Load()
 	if peers == nil {
-		t.mu.Unlock()
 		return nil, core.SpanContext{}, errors.New("tcp: Call before Dial")
 	}
-	t.callSeq++
-	id := t.callSeq
-	ch := make(chan callResult, 1)
-	t.calls[id] = ch
 	p := (*peers)[to]
-	t.mu.Unlock()
+	ch := make(chan callResult, 1)
+	g.callMu.Lock()
+	g.callSeq++
+	id := g.callSeq
+	g.calls[id] = ch
+	g.callMu.Unlock()
 
 	g.record(from, metrics.RPCIssued, 1)
 	start := time.Now()
@@ -371,7 +385,7 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 	if err != nil {
 		putBuf(buf)
 		t.dropUnencodable(from, p.addr, err)
-		t.dropCall(id)
+		g.takeCall(id)
 		res = callResult{err: err}
 	} else {
 		p.enqueue(*buf, to, byCaller, at)
@@ -379,10 +393,10 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 		select {
 		case res = <-ch:
 		case <-t.done:
-			t.dropCall(id)
+			g.takeCall(id)
 			res = callResult{err: transport.ErrClosed}
 		case <-g.done:
-			t.dropCall(id)
+			g.takeCall(id)
 			res = callResult{err: transport.ErrClosed}
 		}
 	}
@@ -391,6 +405,18 @@ func (g *Group) CallSpan(from, to core.ProcID, req core.Value, sc core.SpanConte
 		g.record(from, metrics.RPCFailed, 1)
 	}
 	return res.val, res.span, res.err
+}
+
+// takeCall removes the call waiting under id and returns its channel, nil
+// if it no longer waits. Whoever takes a call's channel is its sole
+// sender, and the channel has room for one, so the send never blocks (a
+// call ended by a close abandons its channel).
+func (g *Group) takeCall(id uint64) chan callResult {
+	g.callMu.Lock()
+	defer g.callMu.Unlock()
+	ch := g.calls[id]
+	delete(g.calls, id)
+	return ch
 }
 
 // Close implements transport.Transport for the group view: it detaches

@@ -37,13 +37,17 @@
 // only syscall, lock and ack counts — never what a reconnect can observe
 // on the wire.
 //
-// No node-wide lock is on the per-message path. Each hosted mailbox has
-// its own lock and an atomic length (an empty TryRecv takes no lock),
-// each remote node has its own receive lock over its duplicate filter,
-// and the groups table is a copy-on-write snapshot. The node lock, mu,
-// guards opening and closing, the peers, the calls table and the inbound
-// connections. The lock order is a receive lock, then a mailbox lock;
-// and mu, then a peer's lock, then the frame log's.
+// No node-wide lock is on the per-message or the register-call path.
+// Each hosted mailbox has its own lock and an atomic length (an empty
+// TryRecv takes no lock), each remote node's peer has its own receive
+// lock over its duplicate filter, each group has its own calls table and
+// an atomically swapped RPC handler, and the groups table is a
+// copy-on-write snapshot. The node lock, mu, guards only the node's
+// lifecycle: starting, closing, the peers map, the inbound connections
+// and the writes of the groups table. The lock order is a peer's receive
+// lock, then a mailbox lock; and mu or a peer's lock, then the frame
+// log's. A peer's two locks are never held together, and a group's calls
+// lock is held alone.
 //
 // Groups: a Transport is one node — its listener, its connections and
 // its sequence/ack space — and every m&m system it carries, group 0
@@ -67,7 +71,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -174,19 +177,10 @@ type Transport struct {
 	mu      sync.Mutex
 	started bool // the first group is open: accepting and sending
 	peers   map[string]*peer
-	recv    map[string]*recvState
-	calls   map[uint64]chan callResult
-	callSeq uint64 // from a random base, so no two incarnations share call ids
 	inbound map[net.Conn]bool
 
 	done chan struct{}
 	wg   sync.WaitGroup
-}
-
-type callResult struct {
-	val  core.Value
-	span core.SpanContext
-	err  error
 }
 
 var _ transport.Sharded = (*Transport)(nil)
@@ -218,16 +212,12 @@ func New(cfg Config) (*Transport, error) {
 		logf:    cfg.Logf,
 		reg:     cfg.Registry,
 		peers:   make(map[string]*peer),
-		recv:    make(map[string]*recvState),
-		calls:   make(map[uint64]chan callResult),
-		callSeq: rand.Uint64(),
 		inbound: make(map[net.Conn]bool),
 		done:    make(chan struct{}),
 	}
 	t.groups.Store(&map[uint32]*Group{})
-	// Recovery seeds the duplicate filter from the journaled high-water
-	// marks (Integrity across a receiver crash) before anything is
-	// accepted; the journaled peers are rebuilt when the node starts.
+	// The journaled peers are rebuilt when the node starts, and every
+	// peer is seeded from the journal when it is made (see seedPeer).
 	if cfg.Durability != nil {
 		dlog, err := openFrameLog(*cfg.Durability, t)
 		if err != nil {
@@ -235,9 +225,6 @@ func New(cfg Config) (*Transport, error) {
 			return nil, fmt.Errorf("tcp: frame log: %w", err)
 		}
 		t.dlog = dlog
-		for addr, seq := range dlog.recoveredRecvHW() {
-			t.recv[addr] = &recvState{addr: addr, hw: seq}
-		}
 	}
 	return t, nil
 }
@@ -358,8 +345,9 @@ func (t *Transport) peerLocked(addr string) *peer {
 		return p
 	}
 	p := newPeer(t, addr)
-	// Seed recovered sender state before the peer is published or its
-	// send loop starts: the restored frames must be the queue's prefix.
+	// Seed recovered state before the peer is published or its send loop
+	// starts: the restored frames must be the queue's prefix, and no
+	// frame may pass the duplicate filter before its mark is restored.
 	if n := t.dlog.seedPeer(p, addr); n > 0 {
 		t.record(t.self, metrics.RecoveredFrames, int64(n))
 	}
@@ -372,25 +360,6 @@ func (t *Transport) peerLocked(addr string) *peer {
 func (t *Transport) log(format string, args ...any) {
 	if t.logf != nil {
 		t.logf("tcp[%s]: "+format, append([]any{t.addr}, args...)...)
-	}
-}
-
-func (t *Transport) dropCall(id uint64) {
-	t.mu.Lock()
-	delete(t.calls, id)
-	t.mu.Unlock()
-}
-
-// endCall hands res to the call waiting under id, if it still waits. It
-// never blocks: ch has room for one, and removing id under t.mu makes this
-// the sole sender (a call ended by a close abandons ch).
-func (t *Transport) endCall(id uint64, res callResult) {
-	t.mu.Lock()
-	ch, ok := t.calls[id]
-	delete(t.calls, id)
-	t.mu.Unlock()
-	if ok {
-		ch <- res //mnmvet:allow stopselect buffered(1), sole sender
 	}
 }
 
@@ -432,7 +401,8 @@ func (t *Transport) acceptLoop() {
 //
 // Within a batch, consecutive data frames collect into a run that
 // deliverRun hands to the mailboxes in one section of the sender's
-// receive lock, which the loop resolves once, after the handshake. A
+// receive lock. The loop resolves the sender's peer once, after the
+// handshake, and ends if the node is closing and has none. A
 // request, response or ack is dispatched as soon as it is decoded, after
 // the run before it is delivered, so a request handler sees every data
 // frame that preceded the request on the wire and none that followed it.
@@ -458,7 +428,10 @@ func (t *Transport) recvLoop(conn net.Conn) {
 		}
 		return
 	}
-	rs := t.recvFrom(remote)
+	p := t.recvFrom(remote)
+	if p == nil {
+		return
+	}
 	var f frame
 	var run []frame // data frames decoded and not yet delivered
 	for {
@@ -469,11 +442,11 @@ func (t *Transport) recvLoop(conn net.Conn) {
 				run = append(run, f)
 				ackTo = max(ackTo, f.Seq)
 			} else {
-				run = t.deliverRun(rs, run)
-				ackTo = max(ackTo, t.dispatch(rs, &f))
+				run = t.deliverRun(p, run)
+				ackTo = max(ackTo, t.dispatch(p, &f))
 			}
 			if !frameBuffered(br) {
-				run = t.deliverRun(rs, run)
+				run = t.deliverRun(p, run)
 				if br.Buffered() == 0 {
 					break
 				}
@@ -481,9 +454,9 @@ func (t *Transport) recvLoop(conn net.Conn) {
 		}
 		// Deliver and ack even a batch cut short: its responses leave with
 		// the ack.
-		run = t.deliverRun(rs, run)
+		run = t.deliverRun(p, run)
 		if ackTo > 0 {
-			t.syncAndAck(rs, ackTo)
+			t.syncAndAck(p, ackTo)
 		}
 		if err != nil {
 			return
@@ -501,37 +474,34 @@ func (t *Transport) recvLoop(conn net.Conn) {
 // node pair: losing one is harmless because the sender retransmits and the
 // filter re-acks. They keep flowing while this node drains its own Close
 // (closed set, done not yet closed), so two nodes closing together still
-// drain each other. The ack goes out on rs's reverse peer, which takes no
-// node lock.
-func (t *Transport) syncAndAck(rs *recvState, seq uint64) {
-	hw, err := t.dlog.logRecvHW(rs.addr, seq)
+// drain each other. The ack goes out on p, the remote node's peer, which
+// takes no node lock.
+func (t *Transport) syncAndAck(p *peer, seq uint64) {
+	hw, err := t.dlog.logRecvHW(p.addr, seq)
 	if err != nil {
-		t.log("frame log: recv high-water for %s: %v (withholding ack)", rs.addr, err)
+		t.log("frame log: recv high-water for %s: %v (withholding ack)", p.addr, err)
 	}
 	select {
 	case <-t.done:
 		return
 	default:
 	}
-	if rs.peer != nil {
-		rs.peer.queueAck(hw)
-	}
+	p.queueAck(hw)
 }
 
 // dispatch routes one inbound ack, wake, request or response frame from
-// the node rs and returns the sequence number the caller must (cumulatively)
+// the node of peer p and returns the sequence number the caller must (cumulatively)
 // acknowledge, or 0 for unsequenced frames; data frames go through
 // deliverRun. Sequenced frames pass the sender's duplicate filter exactly
 // once, whatever connection they arrive on; duplicates still report their
 // Seq so the remote learns its retransmission was redundant. A request is
 // served right here, on the receive loop, with no goroutine of its own
-// (see serve).
-func (t *Transport) dispatch(rs *recvState, f *frame) uint64 {
+// (see serve). A response ends the call waiting in the group it names,
+// found without a lock.
+func (t *Transport) dispatch(p *peer, f *frame) uint64 {
 	switch f.Kind {
 	case frameAck:
-		if rs.peer != nil {
-			rs.peer.ack(f.AckTo)
-		}
+		p.ack(f.AckTo)
 		return 0
 	case frameWake:
 		if g := t.group(f.Group); g != nil && !g.closed.Load() {
@@ -541,20 +511,25 @@ func (t *Transport) dispatch(rs *recvState, f *frame) uint64 {
 		}
 		return 0
 	case frameReq:
-		t.serve(rs, f)
+		t.serve(p, f)
 		return f.Seq
 	case frameResp:
-		if rs.accept(f.Seq) {
-			var err error
-			if f.ErrMsg != "" {
-				err = decodeError(f.ErrMsg)
+		if !p.accept(f.Seq) {
+			return f.Seq
+		}
+		if g := t.group(f.Group); g != nil {
+			if ch := g.takeCall(f.CallID); ch != nil {
+				res := callResult{val: f.Payload,
+					span: core.SpanContext{TraceID: f.TraceID, SpanID: f.SpanID, Clock: f.Lamport}}
+				if f.ErrMsg != "" {
+					res.err = decodeError(f.ErrMsg)
+				}
+				ch <- res //mnmvet:allow stopselect buffered(1), sole sender
 			}
-			t.endCall(f.CallID, callResult{val: f.Payload, err: err,
-				span: core.SpanContext{TraceID: f.TraceID, SpanID: f.SpanID, Clock: f.Lamport}})
 		}
 		return f.Seq
 	default:
-		t.log("dropping frame of unknown kind %d from %s", f.Kind, rs.addr)
+		t.log("dropping frame of unknown kind %d from %s", f.Kind, p.addr)
 		return 0
 	}
 }
@@ -567,8 +542,8 @@ type droppedFrame struct {
 	g *Group
 }
 
-// deliverRun delivers a run of data frames from the node rs, in order, in
-// one section of rs's receive lock, and returns run emptied for reuse.
+// deliverRun delivers a run of data frames from the node of peer p, in
+// order, in one section of p's receive lock, and returns run emptied for reuse.
 // Each frame is pushed under its mailbox's own lock, and no node-wide
 // lock is taken. Each frame's duplicate filter and its delivery stay in
 // that one section: after a reconnect two receive loops may hold the
@@ -582,15 +557,15 @@ type droppedFrame struct {
 // acked: the sender's duty ends at delivery to the node, and an acked
 // frame is never retransmitted. A frame racing a group close is the
 // everyday case of the first.
-func (t *Transport) deliverRun(rs *recvState, run []frame) []frame {
+func (t *Transport) deliverRun(p *peer, run []frame) []frame {
 	if len(run) == 0 {
 		return run
 	}
 	var drops []droppedFrame
-	rs.mu.Lock()
+	p.recvMu.Lock()
 	for i := range run {
 		f := &run[i]
-		if !rs.acceptLocked(f.Seq) {
+		if !p.acceptLocked(f.Seq) {
 			continue
 		}
 		g := t.group(f.Group)
@@ -603,9 +578,9 @@ func (t *Transport) deliverRun(rs *recvState, run []frame) []frame {
 				Span: core.SpanContext{TraceID: f.TraceID, SpanID: f.SpanID, Clock: f.Lamport}}, f.To)
 		}
 	}
-	rs.mu.Unlock()
+	p.recvMu.Unlock()
 	for _, d := range drops {
-		t.logDrop(rs.addr, d.f, d.g)
+		t.logDrop(p.addr, d.f, d.g)
 	}
 	clear(run) // the mailboxes hold the payloads now; the run must not
 	return run[:0]
@@ -622,75 +597,29 @@ func (t *Transport) logDrop(remote string, f *frame, g *Group) {
 		f.Kind, remote, f.From, f.Group, g.n)
 }
 
-// recvState is the receive side of one remote node: its duplicate filter,
-// the highest sequence number accepted from it, and the reverse peer that
-// carries this node's acks to it and takes its acks of this node's
-// frames. Every receive loop reading that node resolves it once, after
-// the handshake. Its lock is held across each frame's filter and delivery
-// (see deliverRun), and is taken before any mailbox lock.
-type recvState struct {
-	addr string // the remote node's listen address, fixed
-	// peer is the outbound link to addr, set by the first receive loop
-	// from it that finds the node open and fixed after (peers are never
-	// removed), so the ack path takes no node lock. It stays nil when
-	// every loop from addr began after Close: nothing is acked then.
-	peer *peer
-
-	mu sync.Mutex
-	hw uint64
-}
-
-// recvFrom returns the receive state of the remote node at addr, creating
-// it on first contact, with its reverse peer resolved unless the node is
-// closing (a peer made then would outlive Close's shutdown).
-func (t *Transport) recvFrom(addr string) *recvState {
+// recvFrom returns the peer of the remote node at addr for a receive loop
+// reading it, making it on first contact unless the node is closing (a
+// peer made then would outlive Close's shutdown): then it returns nil if
+// there is none.
+func (t *Transport) recvFrom(addr string) *peer {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	rs := t.recv[addr]
-	if rs == nil {
-		rs = &recvState{addr: addr}
-		t.recv[addr] = rs
+	if p := t.peers[addr]; p != nil || t.closed.Load() {
+		return p
 	}
-	if rs.peer == nil && !t.closed.Load() {
-		rs.peer = t.peerLocked(addr)
-	}
-	return rs
+	return t.peerLocked(addr)
 }
 
-// accept passes a sequenced frame through the duplicate filter: it
-// returns true exactly once per sequence number. Both ends number their
-// frames from 1 in send order and every connection (original or
-// reconnected) carries an ascending subsequence, so "greater than the
-// highest seen" accepts each frame once and drops retransmitted
-// duplicates — the Integrity axiom on a faulty wire. The filter is per
-// node pair, not per group: all groups share one sequence space.
-func (rs *recvState) accept(seq uint64) bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.acceptLocked(seq)
-}
-
-// acceptLocked is accept for a caller that holds rs.mu.
-func (rs *recvState) acceptLocked(seq uint64) bool {
-	if seq <= rs.hw {
-		return false
-	}
-	rs.hw = seq
-	return true
-}
-
-// serve passes a request frame from the node rs through its duplicate
-// filter and runs its group's RPC handler on the receive loop that read
-// it — so the handler must not block on the network — then encodes and
-// queues the response (which carries the same group, so the caller's node
-// routes the metrics to the right shard) on rs's reverse peer, as the ack
-// path does. The filter takes rs's receive lock; the handler lookup then
-// takes t.mu, because SetHandler may still replace the handler. rs.peer
-// is nil only for a receive loop that began after Close, and serve then
-// returns on the closed check first. The response is queued without
-// waking the send loop: the batch's ack (syncAndAck) wakes it, so the two
-// always leave in one write. The receive loop never writes: two nodes
-// whose receive loops both block writing to each other would deadlock.
+// serve passes a request frame from the node of peer p through its
+// duplicate filter and runs its group's RPC handler on the receive loop
+// that read it — so the handler must not block on the network — then
+// encodes and queues the response (which carries the same group, so the
+// caller's node routes the metrics to the right shard) on p, as the ack
+// path does. The filter takes p's receive lock; the group and its handler
+// are read without a lock. The response is queued without waking the
+// send loop: the batch's ack (syncAndAck) wakes it, so the two always
+// leave in one write. The receive loop never writes: two nodes whose
+// receive loops both block writing to each other would deadlock.
 //
 // A request for a group that is not open here — not yet, or no longer —
 // is dropped like a data frame: logged, acked by dispatch, and never
@@ -698,31 +627,20 @@ func (rs *recvState) acceptLocked(seq uint64) bool {
 // an open group without a handler answers with an error, and so does a
 // handler whose response cannot be encoded: the response then carries
 // the encode error alone, so the call fails instead of waiting.
-func (t *Transport) serve(rs *recvState, f *frame) {
-	if !rs.accept(f.Seq) {
+func (t *Transport) serve(p *peer, f *frame) {
+	if !p.accept(f.Seq) || t.closed.Load() {
 		return
 	}
-	remote := rs.addr
-	t.mu.Lock()
-	if t.closed.Load() {
-		t.mu.Unlock()
-		return
-	}
-	var handler transport.SpanHandler
 	g := t.group(f.Group)
-	if g != nil {
-		handler = g.handler
-	}
-	t.mu.Unlock()
 	if g == nil || !g.isProc(f.From) {
-		t.logDrop(remote, f, g)
+		t.logDrop(p.addr, f, g)
 		return
 	}
 	resp := frame{Kind: frameResp, From: f.To, To: f.From, CallID: f.CallID, Group: f.Group}
-	if handler == nil {
+	if handler := g.handler.Load(); handler == nil {
 		resp.ErrMsg = encodeError(errNoHandler)
 	} else {
-		v, rsc, err := handler(f.From, f.Payload,
+		v, rsc, err := (*handler)(f.From, f.Payload,
 			core.SpanContext{TraceID: f.TraceID, SpanID: f.SpanID, Clock: f.Lamport})
 		resp.Payload = v
 		resp.TraceID, resp.SpanID, resp.Lamport = rsc.TraceID, rsc.SpanID, rsc.Clock
@@ -732,12 +650,12 @@ func (t *Transport) serve(rs *recvState, f *frame) {
 	}
 	buf, at, err := t.encode(&resp)
 	if err != nil {
-		t.dropUnencodable(resp.From, remote, err)
+		t.dropUnencodable(resp.From, p.addr, err)
 		putBuf(buf)
 		resp.Payload, resp.ErrMsg = nil, encodeError(err)
 		buf, at, _ = t.encode(&resp) // with no payload left, it encodes
 	}
-	rs.peer.enqueue(*buf, resp.To, withAck, at)
+	p.enqueue(*buf, resp.To, withAck, at)
 	putBuf(buf)
 }
 

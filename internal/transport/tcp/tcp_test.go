@@ -232,6 +232,10 @@ func TestRPCRoundTripAndSentinelErrors(t *testing.T) {
 	if !errors.Is(err, core.ErrAccessDenied) {
 		t.Fatalf("Call error = %v, want ErrAccessDenied across the wire", err)
 	}
+	// A call is to a process on another node: the caller's own is refused.
+	if _, _, err = nodes[0].CallSpan(0, 0, "ok", core.SpanContext{}); !errors.Is(err, core.ErrUnknownProc) {
+		t.Fatalf("Call to a hosted process: error = %v, want ErrUnknownProc", err)
+	}
 }
 
 // TestCloseDrainsQueuedFrames queues messages and immediately closes the

@@ -130,11 +130,12 @@ type SpanHandler func(from core.ProcID, req core.Value, sc core.SpanContext) (co
 // process waiting on one of its registers; the interface and CallSpan
 // keep their Span names only because the bench module calls them.
 type SpanRPC interface {
-	// CallSpan sends req from→to and blocks for the matching response.
-	// The caller's context sc rides the request; the handler's response
-	// context comes back with the answer. A call has no timeout: it ends
-	// with the response, an encode error, or ErrClosed when the caller's
-	// group or transport is closed.
+	// CallSpan sends req from→to and blocks for the matching response;
+	// to is a process hosted on another node (a caller applies its own
+	// node's ops itself). The caller's context sc rides the request; the
+	// handler's response context comes back with the answer. A call has
+	// no timeout: it ends with the response, an encode error, or
+	// ErrClosed when the caller's group or transport is closed.
 	CallSpan(from, to core.ProcID, req core.Value, sc core.SpanContext) (core.Value, core.SpanContext, error)
 	// Wake hands remote process to a wake-up token at its node: one
 	// non-blocking send on the channel to registered with SetWake there.
